@@ -23,8 +23,9 @@ from repro.core.results import EngineConfig
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner
+from repro.ntga.engine import run_plan
 from repro.ntga.physical import load_triplegroups
-from repro.ntga.planner import inject_default_rows, plan_rapid_analytics
+from repro.ntga.planner import plan_rapid_analytics
 from repro.rdf.graph import Graph
 
 
@@ -37,7 +38,7 @@ class AblationPoint:
     cost_seconds: float
 
 
-def _run_plan(
+def _ablation_point(
     graph: Graph,
     query: AnalyticalQuery,
     config: EngineConfig,
@@ -47,9 +48,8 @@ def _run_plan(
     hdfs = HDFS(capacity=config.hdfs_capacity)
     store = load_triplegroups(graph, hdfs)
     plan = plan_rapid_analytics(query, store, fuse_aggregations=fuse_aggregations)
-    jobs = list(plan.jobs)
     if strip_combiners:
-        jobs = [
+        plan.jobs = [
             MapReduceJob(
                 name=job.name,
                 inputs=job.inputs,
@@ -63,18 +63,12 @@ def _run_plan(
                 tag_inputs=job.tag_inputs,
                 labels=job.labels,
             )
-            for job in jobs
+            for job in plan.jobs
         ]
     runner = MapReduceRunner(
         hdfs, config.cluster, config.cost_model, config.fault_plan
     )
-    if plan.final_join_index is None:
-        stats = runner.run_workflow(jobs)
-        inject_default_rows(plan, hdfs)
-    else:
-        stats = runner.run_workflow(jobs[: plan.final_join_index])
-        inject_default_rows(plan, hdfs)
-        stats.jobs.append(runner.run_job(jobs[plan.final_join_index], stats.counters))
+    stats = run_plan(plan, runner, store, graph, config)
     return AblationPoint(
         label="without combiner" if strip_combiners else "with combiner",
         cycles=stats.cycles,
@@ -95,8 +89,8 @@ def combiner_ablation(
     config = config or EngineConfig()
     query = to_analytical(sparql)
     return (
-        _run_plan(graph, query, config, strip_combiners=False),
-        _run_plan(graph, query, config, strip_combiners=True),
+        _ablation_point(graph, query, config, strip_combiners=False),
+        _ablation_point(graph, query, config, strip_combiners=True),
     )
 
 
@@ -113,8 +107,8 @@ def parallel_aggregation_ablation(
     """
     config = config or EngineConfig()
     query = to_analytical(sparql)
-    parallel = _run_plan(graph, query, config, strip_combiners=False)
-    sequential = _run_plan(
+    parallel = _ablation_point(graph, query, config, strip_combiners=False)
+    sequential = _ablation_point(
         graph, query, config, strip_combiners=False, fuse_aggregations=False
     )
     return (
@@ -133,7 +127,7 @@ def ec_pruning_ablation(
     """
     config = config or EngineConfig()
     query = to_analytical(sparql)
-    pruned = _run_plan(graph, query, config, strip_combiners=False)
+    pruned = _ablation_point(graph, query, config, strip_combiners=False)
 
     hdfs = HDFS(capacity=config.hdfs_capacity)
     store = load_triplegroups(graph, hdfs)
@@ -145,13 +139,7 @@ def ec_pruning_ablation(
         runner = MapReduceRunner(
             hdfs, config.cluster, config.cost_model, config.fault_plan
         )
-        if plan.final_join_index is None:
-            stats = runner.run_workflow(plan.jobs)
-            inject_default_rows(plan, hdfs)
-        else:
-            stats = runner.run_workflow(plan.jobs[: plan.final_join_index])
-            inject_default_rows(plan, hdfs)
-            stats.jobs.append(runner.run_job(plan.jobs[plan.final_join_index], stats.counters))
+        stats = run_plan(plan, runner, store, graph, config)
     finally:
         type(store).paths_for = original  # type: ignore[method-assign]
     unpruned = AblationPoint(

@@ -741,7 +741,7 @@ def _metrics_out_format(path: str) -> str:
 
 def _check_serve_golden_file(path: str) -> int:
     """Re-check a committed serve golden, dispatching on its schema tag
-    (serve-workload v1/v2 or serve-resilience v1)."""
+    (serve-workload v2 or serve-resilience v1)."""
     import json as _json
     from pathlib import Path
 
@@ -1229,7 +1229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--golden",
         default=None,
         help="also re-check a committed serve golden report "
-        "(serve-workload v1/v2 or serve-resilience v1; dispatched on "
+        "(serve-workload v2 or serve-resilience v1; dispatched on "
         "the file's schema tag)",
     )
     serve.add_argument(

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from repro import obs, perf
 from repro.core.query_model import AnalyticalQuery
-from repro.core.results import EngineConfig, ExecutionReport
-from repro.errors import TaskFailedError
+from repro.core.results import EngineConfig, ExecutionReport, Row
 from repro.hive.executor import HiveExecutor
 from repro.hive.tables import load_vertical_partitions
 from repro.mapreduce.hdfs import HDFS
-from repro.mapreduce.runner import MapReduceRunner
+from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
 from repro.rdf.graph import Graph
 
 
@@ -35,36 +34,32 @@ class HiveEngine:
                 config.fault_plan,
                 recovery=config.recovery,
             )
-            # Hive's "planning" is interleaved with job submission inside
-            # the executor, so checkpoint/resume works as an engine-level
-            # re-drive: on a job abort, a fresh executor recompiles the
-            # query against the same HDFS, where compilation is
-            # deterministic (counter-based job names, size-driven
-            # map-join decisions over unchanged files) — so every
-            # ledger-committed job is skipped and only the failed suffix
-            # recomputes, exactly the workflow-resubmission semantics.
-            failures = 0
-            while True:
+            executor: HiveExecutor
+            rows: list[Row]
+
+            def submit(_jobs: tuple[()], stats: WorkflowStats) -> None:
+                # Hive's "planning" is interleaved with job submission
+                # inside the executor, so one submission is a fresh
+                # executor recompiling the query against the same HDFS.
+                # Compilation is deterministic (counter-based job names,
+                # size-driven map-join decisions over unchanged files),
+                # so on a re-submission every ledger-committed job is
+                # skipped and only the failed suffix recomputes — exactly
+                # run_workflow's resubmission semantics.
+                nonlocal executor, rows
                 executor = HiveExecutor(hdfs, store, runner, config, self.mode)
-                try:
-                    rows, _final = executor.execute(query)
-                except TaskFailedError as error:
-                    error.partial_stats = executor.stats
-                    if config.recovery is None:
-                        raise
-                    failures += 1
-                    runner.note_workflow_failure(error, config.recovery, failures)
-                    continue
-                break
-            runner.finalize(executor.stats)
+                executor.stats = stats
+                rows, _final = executor.execute(query)
+
+            stats = runner.finalize(runner.run_workflow((), submit=submit))
         description = f"hive {self.mode} over {len(store.prop_paths)} VP tables"
         if executor.planner != "rule":
             description += f"; {executor.planner}-priced map-joins"
         return ExecutionReport(
             engine=self.name,
             rows=rows,
-            stats=executor.stats,
-            plan=[job.name for job in executor.stats.jobs],
+            stats=stats,
+            plan=[job.name for job in stats.jobs],
             load_bytes=store.total_bytes,
             plan_description=description,
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import obs, perf
 from repro.obs import metrics as obs_metrics
@@ -191,11 +191,11 @@ class MapReduceRunner:
     With a :class:`~repro.mapreduce.checkpoint.RecoveryPolicy`, job
     aborts stop being fatal to the whole workflow: every successful job
     commits a checkpoint into the HDFS commit ledger, and a workflow
-    re-submission (:meth:`run_workflow`'s retry loop, or an engine-level
-    re-drive) skips ledger-committed jobs, recomputing only the failed
-    suffix.  Skipped jobs replay their stored stats and counters, so a
-    resumed run's rows and base counters are bit-identical to an
-    uninterrupted one.
+    re-submission (:meth:`run_workflow`'s retry loop, which the sharded
+    driver and the Hive engine re-drive through as well) skips
+    ledger-committed jobs, recomputing only the failed suffix.  Skipped
+    jobs replay their stored stats and counters, so a resumed run's
+    rows and base counters are bit-identical to an uninterrupted one.
     """
 
     def __init__(
@@ -784,15 +784,15 @@ class MapReduceRunner:
     ) -> None:
         """Account one workflow-level job abort; authorize a resubmission.
 
-        *failures* is the 1-based count of aborts seen by the caller's
-        submission loop.  Within the
+        *failures* is the 1-based count of aborts seen by
+        :meth:`run_workflow`'s submission loop, its only caller.  Within
+        the
         :attr:`~repro.mapreduce.checkpoint.RecoveryPolicy.max_resubmissions`
         budget this charges the resubmission (driver re-launch plus
         checkpoint validation of the current ledger) and bumps the
         submission ordinal; past the budget it raises
         :class:`~repro.errors.WorkflowAbortedError` carrying the partial
-        stats and ledger state.  Shared by :meth:`run_workflow`'s retry
-        loop and the engine-level re-drives (Hive's stepwise executor).
+        stats and ledger state.
         """
         rec = self.recovery_stats
         rec.wasted_seconds += error.wasted_seconds
@@ -854,11 +854,16 @@ class MapReduceRunner:
 
     # -- workflows ----------------------------------------------------------------
 
+    def _submit(self, jobs: Sequence[MapReduceJob], stats: WorkflowStats) -> None:
+        for job in jobs:
+            stats.jobs.append(self.run_job(job, stats.counters))
+
     def run_workflow(
         self,
         jobs: Sequence[MapReduceJob],
         recovery: RecoveryPolicy | None = None,
         stats: WorkflowStats | None = None,
+        submit: Callable[[Sequence[MapReduceJob], WorkflowStats], Any] | None = None,
     ) -> WorkflowStats:
         """Run jobs in order; later jobs may read earlier outputs.
 
@@ -873,38 +878,41 @@ class MapReduceRunner:
         *stats*, when given, is a continuation: the completed jobs and
         counters are appended to it (engines use this to run a trailing
         job sequence under the same aggregate stats).
+
+        *submit* is one submission of *jobs* into the given stats — by
+        default :meth:`run_job` over each.  The sharded driver passes
+        its per-shard expansion and the Hive engine its
+        recompile-and-run of the query, so this loop is the only place
+        a failed submission is re-driven.
         """
+        if submit is None:
+            submit = self._submit
         if recovery is None:
             recovery = self.recovery
-        if recovery is None:
-            result = stats if stats is not None else WorkflowStats()
-            for job in jobs:
-                try:
-                    result.jobs.append(self.run_job(job, result.counters))
-                except TaskFailedError as error:
-                    # Keep the committed prefix's accounting reachable
-                    # from the error instead of losing it with the raise.
-                    error.partial_stats = result
-                    raise
-            return result
+        # Without a policy the one submission accumulates straight into
+        # the continuation.  With one, each submission gets fresh stats:
+        # skipped jobs replay their checkpointed stats/counters, so a
+        # successful submission is complete on its own and a failed one
+        # is discarded wholesale (it still travels on the error).
+        in_place = recovery is None and stats is not None
         failures = 0
         while True:
-            # Each submission accumulates into fresh stats: skipped jobs
-            # replay their checkpointed stats/counters, so a successful
-            # submission is complete on its own and a failed one can be
-            # discarded wholesale (it still travels on the error).
-            attempt = WorkflowStats()
+            attempt = stats if in_place else WorkflowStats()
             try:
-                for job in jobs:
-                    attempt.jobs.append(self.run_job(job, attempt.counters))
+                submit(jobs, attempt)
             except TaskFailedError as error:
+                # Keep the committed prefix's accounting reachable from
+                # the error instead of losing it with the raise.
                 error.partial_stats = attempt
+                if recovery is None:
+                    raise
                 failures += 1
                 self.note_workflow_failure(error, recovery, failures)
                 continue
             break
-        if stats is None:
+        if stats is None or in_place:
             return attempt
         stats.jobs.extend(attempt.jobs)
         stats.counters.merge(attempt.counters)
+        stats.overlap_seconds += attempt.overlap_seconds
         return stats

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro import obs, perf
@@ -18,6 +19,7 @@ from repro.ntga.factorized import (
 )
 from repro.ntga.physical import AggRow, TripleGroupStore, load_triplegroups
 from repro.ntga.planner import (
+    BatchPlan,
     NTGAPlan,
     _to_term,
     inject_default_rows,
@@ -96,6 +98,42 @@ def deduplicate_rows(rows: list[Row]) -> list[Row]:
             seen.add(key)
             unique.append(row)
     return unique
+
+
+def run_plan(
+    plan: NTGAPlan | BatchPlan,
+    runner: MapReduceRunner,
+    store: TripleGroupStore,
+    graph: Graph,
+    config: EngineConfig,
+) -> WorkflowStats:
+    """Drive one compiled plan: the jobs before ``plan.split_index``,
+    empty-group default injection, then the rest as a continuation of
+    the same stats — a failure there resubmits only that suffix (the
+    prefix's outputs are already durable and, if recovery is on,
+    ledger-committed; ``run_workflow`` handles checkpoint/resume).
+
+    A sharded config swaps in :class:`ShardedExecutor`'s versions of
+    the same calls and gathers the final output's parts at the end;
+    the sequence is the same.
+    """
+    split = plan.split_index
+    sharded = config.shards > 1 or config.partitioner is not None
+    if sharded:
+        from repro.shard.execution import ShardedExecutor
+
+        executor = ShardedExecutor(runner, store, graph, config)
+        run, inject_defaults = executor.run, executor.inject_defaults
+    else:
+        run = runner.run_workflow
+        inject_defaults = partial(inject_default_rows, hdfs=runner.hdfs)
+    stats = run(plan.jobs[:split])
+    inject_defaults(plan)
+    if split < len(plan.jobs):
+        stats = run(plan.jobs[split:], stats=stats)
+    if sharded:
+        executor.gather(plan.final_output)
+    return runner.finalize(stats)
 
 
 class NTGAEngine:
@@ -179,35 +217,7 @@ class NTGAEngine:
                 recovery=config.recovery,
             )
 
-            # run_workflow handles checkpoint/resume internally when the
-            # config carries a RecoveryPolicy; the trailing final-join
-            # call is a continuation of the same stats, so a failure in
-            # it resubmits only the final join (the prefix's outputs are
-            # already durable and, if recovery is on, ledger-committed).
-            if config.shards > 1 or config.partitioner is not None:
-                from repro.shard.execution import ShardedExecutor
-
-                executor = ShardedExecutor(runner, store, graph, config)
-                if plan.final_join_index is None:
-                    stats = executor.run(plan.jobs)
-                    executor.inject_defaults(plan)
-                else:
-                    stats = executor.run(plan.jobs[: plan.final_join_index])
-                    executor.inject_defaults(plan)
-                    stats = executor.run(
-                        [plan.jobs[plan.final_join_index]], stats=stats
-                    )
-                executor.gather(plan.final_output)
-            elif plan.final_join_index is None:
-                stats = runner.run_workflow(plan.jobs)
-                inject_default_rows(plan, hdfs)
-            else:
-                stats = runner.run_workflow(plan.jobs[: plan.final_join_index])
-                inject_default_rows(plan, hdfs)
-                stats = runner.run_workflow(
-                    [plan.jobs[plan.final_join_index]], stats=stats
-                )
-            runner.finalize(stats)
+            stats = run_plan(plan, runner, store, graph, config)
 
             return ExecutionReport(
                 engine=self.name,
@@ -294,11 +304,7 @@ def execute_batch(
             config.fault_plan,
             recovery=config.recovery,
         )
-        stats = runner.run_workflow(plan.jobs[: plan.split_index])
-        inject_default_rows(plan, hdfs)
-        if plan.split_index < len(plan.jobs):
-            stats = runner.run_workflow(plan.jobs[plan.split_index :], stats=stats)
-        runner.finalize(stats)
+        stats = run_plan(plan, runner, store, graph, config)
 
         return BatchReport(
             engine="rapid-analytics",

@@ -192,6 +192,14 @@ class NTGAPlan:
     #: from the rule-based path — see :mod:`repro.plan.enumerator`).
     choice: Any = None
 
+    @property
+    def split_index(self) -> int:
+        """Where the post-injection suffix starts (the final join, if
+        any) — the same cut :attr:`BatchPlan.split_index` names."""
+        if self.final_join_index is None:
+            return len(self.jobs)
+        return self.final_join_index
+
 
 def plan_rapid_analytics(
     query: AnalyticalQuery,

@@ -39,12 +39,10 @@ from repro.serve.service import (
 from repro.serve.slo import DEFAULT_SLOS, SLOSpec, evaluate_slo
 from repro.serve.workload import (
     SERVE_SCHEMA,
-    SERVE_SCHEMA_V1,
     WORKLOAD_MIXES,
     WorkloadSpec,
     check_serve_golden,
     default_slo,
-    project_v1,
     render_serve_report,
     serve_workload_report,
     serve_workload_with_metrics,
@@ -63,7 +61,6 @@ __all__ = [
     "REJECTED",
     "RESILIENCE_SCHEMA",
     "SERVE_SCHEMA",
-    "SERVE_SCHEMA_V1",
     "SHED",
     "SLOSpec",
     "BreakerPolicy",
@@ -82,7 +79,6 @@ __all__ = [
     "default_slo",
     "evaluate_slo",
     "fingerprint_query",
-    "project_v1",
     "render_resilience_report",
     "render_serve_report",
     "serve_resilience_report",

@@ -24,38 +24,33 @@ Two clocks, one contract.  Requests carry *simulated* arrival times;
 admission, batching windows, worker queueing, latencies, and deadlines
 all live on the simulated clock, so every response field is a pure
 function of (graph, config, request sequence) — byte-reproducible
-across runs, thread counts, and ``PYTHONHASHSEED``.  Real wall-clock
-parallelism is an orthogonal execution detail: executable units are
-dispatched to a thread pool purely to overlap Python work, and the pool
-never influences simulated results.  When a :mod:`repro.obs` tracer,
-:mod:`repro.perf` recorder, :mod:`repro.obs.metrics` registry, or
-calibration monitor is active, units run serially on the coordinator
-thread instead (all keep single unsynchronized accumulators), which
-changes nothing observable but the wall time.
+across runs and ``PYTHONHASHSEED``.  The wall clock is only how long
+the caller's thread takes to get there: units execute on it one at a
+time, in queue order (``workers`` is the number of *simulated* executor
+slots, nothing else), so tracers, recorders and registries see one
+deterministic event order whether or not they are on.
 
 The service works with every engine (``EngineConfig`` fault plans and
 checkpointed recovery compose — a batch resubmits exactly like a solo
 workflow); pattern-merge batching itself engages on the
 ``rapid-analytics`` engine, the only planner with a composite operator.
 
-With a :class:`~repro.serve.resilience.ResilienceConfig` wired into
-:attr:`ServiceConfig.resilience`, execution additionally gains
-deterministic retries, a per-engine circuit breaker, and graceful
-degradation (stale answers, batching bypass, load shedding) — see the
-"resilient execution" section below.  Resilient units always run
-serially on the coordinator thread: the breaker's sliding window and
-the retry queue are sequential state machines on simulated time, and
-wall-clock overlap must never influence them.
+Every window is dispatched through one attempt queue governed by a
+:class:`~repro.serve.resilience.ResilienceConfig`: deterministic
+retries, a per-engine circuit breaker, and graceful degradation (stale
+answers, batching bypass, load shedding) — see the "dispatch" section
+below.  ``ServiceConfig.resilience=None`` is not a second path but the
+null policy of that queue (:data:`_FAIL_FAST`): zero retries, a breaker
+that never trips, no degradation tier.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from repro import obs, perf
+from repro import obs
 from repro.core.engines import make_engine
 from repro.core.results import EngineConfig, Row
 from repro.errors import OverlapError, ReproError, ServeError, SparqlError
@@ -65,7 +60,13 @@ from repro.obs.calibration import CalibrationMonitor
 from repro.rdf.graph import Graph
 from repro.serve.cache import LRUCache, StaleResultStore
 from repro.serve.fingerprint import Fingerprint, fingerprint_query
-from repro.serve.resilience import CircuitBreaker, ResilienceConfig
+from repro.serve.resilience import (
+    BreakerPolicy,
+    CircuitBreaker,
+    DegradationPolicy,
+    ResilienceConfig,
+    RetryPolicy,
+)
 
 #: Response status values.
 OK = "ok"
@@ -86,7 +87,8 @@ class ServiceConfig:
 
     engine: str = "rapid-analytics"
     engine_config: EngineConfig = field(default_factory=EngineConfig)
-    #: Simulated executor slots *and* real thread-pool width.
+    #: Simulated executor slots: how many units overlap on the
+    #: simulated clock (real execution is always one unit at a time).
     workers: int = 4
     #: Admission cap: queued + in-flight requests at arrival time.
     max_pending: int = 64
@@ -99,8 +101,9 @@ class ServiceConfig:
     enable_batching: bool = True
     #: Default per-request deadline (None = no deadline).
     deadline: float | None = None
-    #: Retry/breaker/degradation policies (None = the pre-resilience
-    #: fail-fast behaviour; committed serve goldens run with None).
+    #: Retry/breaker/degradation policies (None = fail fast, i.e. the
+    #: null policy :data:`_FAIL_FAST`; the serve-workload goldens run
+    #: with None).
     resilience: ResilienceConfig | None = None
 
     def __post_init__(self) -> None:
@@ -183,27 +186,22 @@ class _Group:
 
 
 class _Unit:
-    """One executable workflow: a solo query or a merged batch."""
+    """One scheduled execution of a solo query or a merged batch in the
+    dispatch queue, and what it produced.  ``attempt`` is 1-based;
+    ``not_before`` is the earliest simulated start (window close, or
+    failure time + backoff)."""
 
-    __slots__ = ("groups", "rows_by_group", "cost", "wall", "error", "failed_cost")
-
-    def __init__(self, groups: list[_Group]):
-        self.groups = groups
-        self.rows_by_group: list[list[Row]] | None = None
-        self.cost = 0.0
-        self.wall = 0.0  # real seconds spent executing (diagnostic only)
-        self.error: str | None = None
-        #: Simulated seconds the cluster burned before a failed attempt
-        #: aborted (committed prefix + wasted work); 0.0 on success.
-        self.failed_cost = 0.0
-
-
-class _Attempt:
-    """One scheduled execution of a unit's groups in the resilient
-    work queue.  ``attempt`` is 1-based; ``not_before`` is the earliest
-    simulated start (window close, or failure time + backoff)."""
-
-    __slots__ = ("groups", "attempt", "not_before", "backoff_total")
+    __slots__ = (
+        "groups",
+        "attempt",
+        "not_before",
+        "backoff_total",
+        "rows_by_group",
+        "cost",
+        "wall",
+        "error",
+        "failed_cost",
+    )
 
     def __init__(
         self,
@@ -216,7 +214,25 @@ class _Attempt:
         self.attempt = attempt
         self.not_before = not_before
         self.backoff_total = backoff_total
+        self.rows_by_group: list[list[Row]] | None = None
+        self.cost = 0.0
+        self.wall = 0.0  # real seconds spent executing (diagnostic only)
+        self.error: str | None = None
+        #: Simulated seconds the cluster burned before a failed attempt
+        #: aborted (committed prefix + wasted work); 0.0 on success.
+        self.failed_cost = 0.0
 
+
+#: What ``ServiceConfig.resilience=None`` resolves to: fail fast.  The
+#: same dispatch queue with every policy at its zero — no retry budget,
+#: a breaker that never trips, no degradation tier.
+_FAIL_FAST = ResilienceConfig(
+    retry=RetryPolicy(retries=0),
+    breaker=BreakerPolicy(threshold=0),
+    degradation=DegradationPolicy(
+        stale=False, bypass_batching=False, shed_threshold=None
+    ),
+)
 
 _COUNTER_KEYS = (
     "requests",
@@ -231,12 +247,6 @@ _COUNTER_KEYS = (
     "batch_merged_requests",
     "units_solo",
     "units_batch",
-)
-
-#: Counters kept only when a :class:`ResilienceConfig` is wired in;
-#: merged into :meth:`QueryService.counter_snapshot` so committed
-#: non-resilient goldens keep their key set.
-_RESILIENCE_COUNTER_KEYS = (
     "retries",
     "retry_successes",
     "retries_abandoned_deadline",
@@ -264,20 +274,17 @@ class QueryService:
         self.calibration = calibration
         self.plan_cache = LRUCache(self.config.plan_cache_size)
         self.result_cache = LRUCache(self.config.result_cache_size)
-        #: Last-known-good answers for the degraded tier (fed only when
-        #: resilience is configured with the stale tier on).
+        #: The policies every window is dispatched under.
+        self._resilience = self.config.resilience or _FAIL_FAST
+        #: Last-known-good answers for the degraded tier (fed only with
+        #: the stale tier on).
         self.stale_results = StaleResultStore(self.config.result_cache_size)
         self.counters: dict[str, int] = {key: 0 for key in _COUNTER_KEYS}
-        self.resilience_counters: dict[str, int] = {
-            key: 0 for key in _RESILIENCE_COUNTER_KEYS
-        }
         self.executed_cost_seconds = 0.0
         #: Simulated seconds charged to retries via resubmit_cost.
         self.retry_cost_seconds = 0.0
-        self._breaker = (
-            CircuitBreaker(self.config.resilience.breaker, engine=self.config.engine)
-            if self.config.resilience is not None
-            else None
+        self._breaker = CircuitBreaker(
+            self._resilience.breaker, engine=self.config.engine
         )
         self._next_id = 0
         self._floor = 0.0  # close time of the last processed window
@@ -321,23 +328,23 @@ class QueryService:
         return self.serve([ServeRequest(text=text, arrival=self._floor, label=label)])[0]
 
     def counter_snapshot(self) -> dict[str, int | float]:
-        """Scheduler + cache counters, deterministically key-ordered
-        (sorted, not insertion order — consumers may diff snapshots).
-        Resilience counters (retries, breaker, shed, degraded, stale
-        store) appear only when a :class:`ResilienceConfig` is wired
-        in, so non-resilient goldens keep their key set."""
+        """Scheduler, resilience + cache counters, deterministically
+        key-ordered (sorted, not insertion order — consumers may diff
+        snapshots).  The key set does not depend on the configuration:
+        under the fail-fast null policy the retry, breaker, shed,
+        degraded and stale-store counters are simply zero."""
         snapshot: dict[str, int | float] = dict(self.counters)
-        for name, cache in (("plan_cache", self.plan_cache), ("result_cache", self.result_cache)):
+        for name, cache in (
+            ("plan_cache", self.plan_cache),
+            ("result_cache", self.result_cache),
+            ("stale_store", self.stale_results),
+        ):
             for key, value in cache.stats().items():
                 snapshot[f"{name}_{key}"] = value
-        if self.config.resilience is not None:
-            snapshot.update(self.resilience_counters)
-            snapshot["breaker_trips"] = self._breaker.trips
-            snapshot["breaker_half_opens"] = self._breaker.half_opens
-            snapshot["breaker_closes"] = self._breaker.closes
-            snapshot["retry_cost_seconds"] = round(self.retry_cost_seconds, 6)
-            for key, value in self.stale_results.stats().items():
-                snapshot[f"stale_store_{key}"] = value
+        snapshot["breaker_trips"] = self._breaker.trips
+        snapshot["breaker_half_opens"] = self._breaker.half_opens
+        snapshot["breaker_closes"] = self._breaker.closes
+        snapshot["retry_cost_seconds"] = round(self.retry_cost_seconds, 6)
         return dict(sorted(snapshot.items()))
 
     # -- metrics -----------------------------------------------------------------
@@ -426,21 +433,15 @@ class QueryService:
             registry.histogram(
                 "serve_window_admitted", "requests admitted per batching window"
             ).labels().observe(len(admitted))
-        if config.resilience is not None:
-            admitted, shed = self._shed_lowest_priority(admitted, close)
-            responses.extend(shed)
+        admitted, shed = self._shed_lowest_priority(admitted, close)
+        responses.extend(shed)
         groups, failed = self._resolve_plans(admitted, close)
         responses.extend(failed)
         groups, cached = self._consult_result_cache(groups, close)
         responses.extend(cached)
         groups, expired = self._enforce_dispatch_deadlines(groups, close)
         responses.extend(expired)
-        if config.resilience is None:
-            units = self._form_units(groups, close)
-            self._execute_units(units)
-            responses.extend(self._settle_units(units, close))
-        else:
-            responses.extend(self._run_resilient(groups, close))
+        responses.extend(self._dispatch(groups, close))
         return responses
 
     def _shed_lowest_priority(
@@ -452,7 +453,7 @@ class QueryService:
         within a priority — before any planning or cluster cost is
         spent.  Pure function of the window's contents, so shedding is
         as deterministic as everything else."""
-        threshold = self.config.resilience.degradation.shed_threshold
+        threshold = self._resilience.degradation.shed_threshold
         if threshold is None or not admitted:
             return admitted, []
         in_flight = sum(1 for t in self._open if t > close)
@@ -469,7 +470,7 @@ class QueryService:
             if rid in keep_ids:
                 kept.append((rid, request))
                 continue
-            self.resilience_counters["shed_requests"] += 1
+            self.counters["shed_requests"] += 1
             self._resilience_metric("serve_shed_total", "requests shed under load")
             obs.event(
                 "request-shed",
@@ -509,11 +510,7 @@ class QueryService:
         for group in groups:
             survivors: list[tuple[int, ServeRequest]] = []
             for rid, request in group.requests:
-                deadline = (
-                    request.deadline
-                    if request.deadline is not None
-                    else self.config.deadline
-                )
+                deadline = self._deadline(request)
                 wait = close - request.arrival
                 if deadline is None or wait <= deadline:
                     survivors.append((rid, request))
@@ -551,6 +548,12 @@ class QueryService:
                 kept.append(group)
         return kept, responses
 
+    def _deadline(self, request: ServeRequest) -> float | None:
+        """The request's own deadline, else the config default."""
+        if request.deadline is not None:
+            return request.deadline
+        return self.config.deadline
+
     def _resilience_metric(self, name: str, help_text: str, **labels: str) -> None:
         registry = obs_metrics.active_registry()
         if registry is not None:
@@ -569,20 +572,7 @@ class QueryService:
             try:
                 fp = self._fingerprint(request.text)
             except SparqlError as error:
-                self.counters["failed"] += 1
-                self._open.append(close)
-                obs.event("request-failed", {"request": rid, "error": str(error)})
-                failures.append(
-                    ServeResponse(
-                        request_id=rid,
-                        label=request.label,
-                        status=FAILED,
-                        arrival=request.arrival,
-                        error=str(error),
-                        completed=close,
-                        latency=close - request.arrival,
-                    )
-                )
+                failures.append(self._fail(rid, request, close, str(error)))
                 continue
             group = groups.get(fp.digest)
             if group is None:
@@ -655,17 +645,17 @@ class QueryService:
     def _form_units(
         self, groups: list[_Group], close: float, force_solo: bool = False
     ) -> list[_Unit]:
-        """Partition the window's distinct queries into executable units,
-        greedily merging overlapping patterns when batching is enabled.
-        ``force_solo`` suspends merging for one window (the half-open
-        breaker's minimal-blast-radius probes)."""
+        """Partition the window's distinct queries into first-attempt
+        units, greedily merging overlapping patterns when batching is
+        enabled.  ``force_solo`` suspends merging for one window (the
+        half-open breaker's minimal-blast-radius probes)."""
         if (
             force_solo
             or not self.config.enable_batching
             or self.config.engine != "rapid-analytics"
             or len(groups) < 2
         ):
-            return [_Unit([group]) for group in groups]
+            return [_Unit([group], 1, close, 0.0) for group in groups]
 
         from repro.ntga.composite import build_composite_n
 
@@ -690,7 +680,7 @@ class QueryService:
 
         units = []
         for batch in batches:
-            units.append(_Unit(batch))
+            units.append(_Unit(batch, 1, close, 0.0))
             if len(batch) > 1:
                 self.counters["batch_merges"] += 1
                 self.counters["batch_merged_requests"] += sum(
@@ -728,9 +718,22 @@ class QueryService:
             )
         return True, decision
 
-    def _run_unit(self, unit: _Unit, engine_config: EngineConfig | None = None) -> None:
+    def _attempt_engine_config(self, unit: _Unit) -> EngineConfig:
+        """The engine config for one attempt: the base config, except
+        that re-executions under a fault plan derive a fresh seed — a
+        resubmitted workflow gets fresh task fates, not a replay of the
+        exact crash that killed it (see RetryPolicy.fault_seed)."""
+        base = self.config.engine_config
+        if unit.attempt == 1 or base.fault_plan is None:
+            return base
+        seed = self._resilience.retry.fault_seed(
+            base.fault_plan.seed, unit.groups[0].fp.digest, unit.attempt
+        )
+        return replace(base, fault_plan=replace(base.fault_plan, seed=seed))
+
+    def _run_unit(self, unit: _Unit) -> None:
         config = self.config
-        base_config = engine_config if engine_config is not None else config.engine_config
+        base_config = self._attempt_engine_config(unit)
         wall_start = time.perf_counter()
         try:
             if len(unit.groups) == 1:
@@ -775,187 +778,59 @@ class QueryService:
         finally:
             unit.wall = time.perf_counter() - wall_start
 
-    def _execute_units(self, units: list[_Unit]) -> None:
-        """Run every unit, really.  Serial whenever a tracer, perf
-        recorder, metrics registry, or calibration monitor is active
-        (all keep single unsynchronized accumulators); otherwise
-        the first unit runs inline to warm the graph's derived-layout
-        caches, the rest overlap on the pool.  Results are identical
-        either way — units only share read-only state."""
-        serial = (
-            obs.active_tracer() is not None
-            or perf.active_recorder() is not None
-            or obs_metrics.active_registry() is not None
-            or self.calibration is not None
-            or self.config.workers == 1
-            or len(units) <= 1
-        )
-        if serial:
-            for unit in units:
-                self._run_unit(unit)
-            return
-        self._run_unit(units[0])
-        with ThreadPoolExecutor(
-            max_workers=min(self.config.workers, len(units) - 1)
-        ) as pool:
-            futures = [pool.submit(self._run_unit, unit) for unit in units[1:]]
-            for future in futures:
-                future.result()
-
-    def _settle_units(self, units: list[_Unit], close: float) -> list[ServeResponse]:
-        """Assign simulated workers to units in deterministic order and
-        turn execution results into responses."""
-        responses: list[ServeResponse] = []
-        registry = obs_metrics.active_registry()
-        if registry is not None and units:
-            unit_queries = registry.histogram(
-                "serve_unit_queries", "distinct queries per executed unit"
-            )
-            unit_sim, unit_wall = registry.dual_histogram(
-                "serve_unit_cost", "executed unit cost"
-            )
-            for unit in units:
-                unit_queries.labels().observe(len(unit.groups))
-                unit_sim.labels().observe(unit.cost)
-                unit_wall.labels().observe(unit.wall)
-        for unit in units:
-            worker = min(range(len(self._worker_free)), key=self._worker_free.__getitem__)
-            started = max(close, self._worker_free[worker])
-            completed = started + unit.cost
-            self._worker_free[worker] = completed
-            self.executed_cost_seconds += unit.cost
-            if len(unit.groups) > 1:
-                self.counters["units_batch"] += 1
-            else:
-                self.counters["units_solo"] += 1
-
-            for group, rows in zip(
-                unit.groups,
-                unit.rows_by_group or [None] * len(unit.groups),
-            ):
-                if unit.error is None and len(unit.groups) > 1:
-                    obs.event(
-                        "batch-split",
-                        {
-                            "digest": group.fp.digest,
-                            "rows": len(rows),
-                            "requests": len(group.requests),
-                        },
-                    )
-                if unit.error is None and self.config.enable_result_cache:
-                    self.result_cache.put(self._result_key(group.fp.digest), rows)
-                source = "batch" if len(unit.groups) > 1 else "solo"
-                for position, (rid, request) in enumerate(group.requests):
-                    self._open.append(completed)
-                    if unit.error is not None:
-                        self.counters["failed"] += 1
-                        obs.event(
-                            "request-failed", {"request": rid, "error": unit.error}
-                        )
-                        responses.append(
-                            ServeResponse(
-                                request_id=rid,
-                                label=request.label,
-                                status=FAILED,
-                                arrival=request.arrival,
-                                fingerprint=group.fp.digest,
-                                error=unit.error,
-                                started=started,
-                                completed=completed,
-                                latency=completed - request.arrival,
-                            )
-                        )
-                        continue
-                    responses.append(
-                        self._finish(
-                            rid,
-                            request,
-                            group,
-                            rows,
-                            started=started,
-                            completed=completed,
-                            source=source if position == 0 else "dedup",
-                            batch_size=len(unit.groups),
-                            unit_cost=unit.cost,
-                        )
-                    )
-        return responses
-
-    # -- resilient execution -------------------------------------------------------
+    # -- dispatch ------------------------------------------------------------------
     #
-    # With a ResilienceConfig wired in, the window's units run through a
-    # deterministic work queue on the coordinator thread instead of the
-    # thread pool: attempts are sequenced, each gated by the circuit
+    # The window's units run through one deterministic work queue on the
+    # caller's thread: attempts are sequenced, each gated by the circuit
     # breaker at its simulated start time, failures feed the breaker's
     # sliding window, and failed units re-enter the queue per the retry
     # schedule.  A failed *batch* is split into solo re-executions
     # (blast-radius isolation) so one poisoned query cannot take down
     # its whole window.  Everything stays a pure function of (graph,
     # config, request sequence) — the queue order, worker assignment,
-    # and breaker transitions are all driven by simulated times.
+    # and breaker transitions are all driven by simulated times.  Under
+    # the fail-fast null policy the queue degenerates to "run each unit
+    # once, in order": nothing is re-enqueued, the breaker always
+    # allows, and a failed unit's members fail.
 
-    def _run_resilient(self, groups: list[_Group], close: float) -> list[ServeResponse]:
-        res = self.config.resilience
+    def _dispatch(self, groups: list[_Group], close: float) -> list[ServeResponse]:
         responses: list[ServeResponse] = []
         if not groups:
             return responses
         state = self._breaker.state(close)
         if state == CircuitBreaker.OPEN:
             for group in groups:
-                responses.extend(
-                    self._degrade_group(
-                        group,
-                        close,
-                        reason=(
-                            f"circuit breaker open for engine "
-                            f"{self.config.engine!r}"
-                        ),
-                        fast_fail=True,
-                        attempts=0,
-                        backoff_total=0.0,
-                    )
-                )
+                responses.extend(self._fast_fail(group, close, 0, 0.0))
             return responses
         force_solo = (
-            state == CircuitBreaker.HALF_OPEN and res.degradation.bypass_batching
+            state == CircuitBreaker.HALF_OPEN
+            and self._resilience.degradation.bypass_batching
         )
         if force_solo and len(groups) > 1:
-            self.resilience_counters["batching_bypassed_windows"] += 1
+            self.counters["batching_bypassed_windows"] += 1
             obs.event(
                 "batching-bypass",
                 {"close": close, "queries": [g.fp.digest for g in groups]},
             )
-        units = self._form_units(groups, close, force_solo=force_solo)
         registry = obs_metrics.active_registry()
-        queue: deque[_Attempt] = deque(
-            _Attempt(unit.groups, 1, close, 0.0) for unit in units
-        )
+        queue = deque(self._form_units(groups, close, force_solo=force_solo))
         while queue:
-            item = queue.popleft()
+            unit = queue.popleft()
             worker = min(
                 range(len(self._worker_free)), key=self._worker_free.__getitem__
             )
-            started = max(item.not_before, self._worker_free[worker])
+            started = max(unit.not_before, self._worker_free[worker])
             if not self._breaker.allow(started):
-                for group in item.groups:
+                for group in unit.groups:
                     responses.extend(
-                        self._degrade_group(
-                            group,
-                            started,
-                            reason=(
-                                f"circuit breaker open for engine "
-                                f"{self.config.engine!r}"
-                            ),
-                            fast_fail=True,
-                            attempts=item.attempt - 1,
-                            backoff_total=item.backoff_total,
+                        self._fast_fail(
+                            group, started, unit.attempt - 1, unit.backoff_total
                         )
                     )
                 continue
-            unit = _Unit(list(item.groups))
-            self._run_unit(unit, self._attempt_engine_config(item))
+            self._run_unit(unit)
             resubmit = 0.0
-            if item.attempt > 1:
+            if unit.attempt > 1:
                 # Each re-execution is a fresh workflow submission; the
                 # driver overhead is priced exactly like a checkpointed
                 # resubmission with nothing salvageable.
@@ -976,75 +851,62 @@ class QueryService:
                 )
                 unit_sim.labels().observe(unit.cost)
                 unit_wall.labels().observe(unit.wall)
+            # A failed unit occupies its worker too: the cluster burned
+            # failed_cost simulated seconds before the abort.
+            cost = (unit.cost if unit.error is None else unit.failed_cost) + resubmit
+            completed = started + cost
+            self._worker_free[worker] = completed
+            self.executed_cost_seconds += cost
             if unit.error is None:
-                cost = unit.cost + resubmit
-                completed = started + cost
-                self._worker_free[worker] = completed
-                self.executed_cost_seconds += cost
                 self._breaker.record_success(completed)
-                if item.attempt > 1:
-                    self.resilience_counters["retry_successes"] += 1
+                if unit.attempt > 1:
+                    self.counters["retry_successes"] += 1
                     self._resilience_metric(
                         "serve_retries_total",
                         "serve-layer retries by outcome",
                         outcome="success",
                     )
-                responses.extend(self._settle_success(unit, item, started, completed))
+                responses.extend(self._settle_success(unit, started, completed))
                 continue
-            failed_cost = unit.failed_cost + resubmit
-            failed_at = started + failed_cost
-            self._worker_free[worker] = failed_at
-            self.executed_cost_seconds += failed_cost
-            self._breaker.record_failure(failed_at)
-            if item.attempt > 1:
+            self._breaker.record_failure(completed)
+            if unit.attempt > 1:
                 self._resilience_metric(
                     "serve_retries_total",
                     "serve-layer retries by outcome",
                     outcome="failed",
                 )
+            digests = [group.fp.digest for group in unit.groups]
             obs.event(
                 "unit-failed",
-                {
-                    "queries": [group.fp.digest for group in item.groups],
-                    "attempt": item.attempt,
-                    "error": unit.error,
-                },
+                {"queries": digests, "attempt": unit.attempt, "error": unit.error},
             )
-            if len(item.groups) > 1:
+            if len(unit.groups) > 1:
                 # Blast-radius isolation: the members survive the batch.
-                obs.event(
-                    "batch-isolation",
-                    {
-                        "queries": [group.fp.digest for group in item.groups],
-                        "error": unit.error,
-                    },
-                )
-                for group in item.groups:
-                    self.resilience_counters["isolated_groups"] += 1
-                    self._schedule_retry(
-                        group, item, failed_at, unit.error, queue, responses
-                    )
-            else:
-                self._schedule_retry(
-                    item.groups[0], item, failed_at, unit.error, queue, responses
-                )
+                obs.event("batch-isolation", {"queries": digests, "error": unit.error})
+                self.counters["isolated_groups"] += len(unit.groups)
+            for group in unit.groups:
+                self._schedule_retry(group, unit, completed, queue, responses)
         return responses
 
-    def _attempt_engine_config(self, item: _Attempt) -> EngineConfig | None:
-        """The engine config for one attempt: the base config, except
-        that re-executions under a fault plan derive a fresh seed — a
-        resubmitted workflow gets fresh task fates, not a replay of the
-        exact crash that killed it (see RetryPolicy.fault_seed)."""
-        if item.attempt == 1:
-            return None
-        plan = self.config.engine_config.fault_plan
-        if plan is None:
-            return None
-        seed = self.config.resilience.retry.fault_seed(
-            plan.seed, item.groups[0].fp.digest, item.attempt
-        )
-        return replace(
-            self.config.engine_config, fault_plan=replace(plan, seed=seed)
+    def _fast_fail(
+        self, group: _Group, now: float, attempts: int, backoff_total: float
+    ) -> list[ServeResponse]:
+        """Turn *group* away at an open breaker (counted per member),
+        then let the degradation tiers answer it if they can."""
+        for _ in group.requests:
+            self.counters["breaker_fast_fails"] += 1
+            self._resilience_metric(
+                "serve_breaker_events_total",
+                "circuit-breaker transitions and fast-fails",
+                engine=self.config.engine,
+                event="fast-fail",
+            )
+        return self._degrade_group(
+            group,
+            now,
+            f"circuit breaker open for engine {self.config.engine!r}",
+            attempts,
+            backoff_total,
         )
 
     def _deadline_limit(self, group: _Group) -> float | None:
@@ -1053,9 +915,7 @@ class QueryService:
         member has a deadline."""
         limits = []
         for _, request in group.requests:
-            deadline = (
-                request.deadline if request.deadline is not None else self.config.deadline
-            )
+            deadline = self._deadline(request)
             if deadline is not None:
                 limits.append(request.arrival + deadline)
         return min(limits) if limits else None
@@ -1063,24 +923,25 @@ class QueryService:
     def _schedule_retry(
         self,
         group: _Group,
-        item: _Attempt,
+        unit: _Unit,
         failed_at: float,
-        error: str,
         queue: deque,
         responses: list[ServeResponse],
     ) -> None:
-        """Re-enqueue a failed group per the retry schedule, or hand it
-        to the degradation tiers when the budget (or the deadline) is
-        spent.  A retry whose backoff lands past every member's deadline
-        is never scheduled — the deadline budget bounds the schedule."""
-        res = self.config.resilience
-        retry_index = item.attempt  # retry k follows attempt k
-        if retry_index <= res.retry.retries:
-            backoff = res.retry.backoff(group.fp.digest, retry_index)
+        """Re-enqueue one group of failed *unit* per the retry schedule,
+        or hand it to the degradation tiers when the budget (or the
+        deadline) is spent.  A retry whose backoff lands past every
+        member's deadline is never scheduled — the deadline budget
+        bounds the schedule."""
+        retry = self._resilience.retry
+        error = unit.error
+        retry_index = unit.attempt  # retry k follows attempt k
+        if retry_index <= retry.retries:
+            backoff = retry.backoff(group.fp.digest, retry_index)
             not_before = failed_at + backoff
             limit = self._deadline_limit(group)
             if limit is None or not_before <= limit:
-                self.resilience_counters["retries"] += 1
+                self.counters["retries"] += 1
                 registry = obs_metrics.active_registry()
                 if registry is not None:
                     registry.histogram(
@@ -1091,21 +952,21 @@ class QueryService:
                     "request-retry",
                     {
                         "digest": group.fp.digest,
-                        "attempt": item.attempt + 1,
+                        "attempt": unit.attempt + 1,
                         "backoff": round(backoff, 6),
                         "not_before": round(not_before, 6),
                     },
                 )
                 queue.append(
-                    _Attempt(
+                    _Unit(
                         [group],
-                        item.attempt + 1,
+                        unit.attempt + 1,
                         not_before,
-                        item.backoff_total + backoff,
+                        unit.backoff_total + backoff,
                     )
                 )
                 return
-            self.resilience_counters["retries_abandoned_deadline"] += 1
+            self.counters["retries_abandoned_deadline"] += 1
             self._resilience_metric(
                 "serve_retries_total",
                 "serve-layer retries by outcome",
@@ -1114,12 +975,7 @@ class QueryService:
             error = f"{error} (retry abandoned: backoff lands past deadline)"
         responses.extend(
             self._degrade_group(
-                group,
-                failed_at,
-                reason=error,
-                fast_fail=False,
-                attempts=item.attempt,
-                backoff_total=item.backoff_total,
+                group, failed_at, error, unit.attempt, unit.backoff_total
             )
         )
 
@@ -1127,31 +983,17 @@ class QueryService:
         self,
         group: _Group,
         now: float,
-        *,
         reason: str,
-        fast_fail: bool,
         attempts: int,
         backoff_total: float,
     ) -> list[ServeResponse]:
         """The end of the line for a group that cannot be executed: the
         stale tier answers from the last-known-good store (marked
         ``degraded``, charged ``stale_serve_overhead``); without a
-        stored answer the members fail.  ``fast_fail`` marks breaker
-        turn-aways (counted per member either way)."""
-        res = self.config.resilience
-        responses: list[ServeResponse] = []
-        if fast_fail:
-            for _ in group.requests:
-                self.resilience_counters["breaker_fast_fails"] += 1
-                self._resilience_metric(
-                    "serve_breaker_events_total",
-                    "circuit-breaker transitions and fast-fails",
-                    engine=self.config.engine,
-                    event="fast-fail",
-                )
+        stored answer the members fail."""
         stale = (
             self.stale_results.lookup(group.fp.digest, self.config.engine)
-            if res.degradation.stale
+            if self._resilience.degradation.stale
             else None
         )
         if stale is not None:
@@ -1168,79 +1010,76 @@ class QueryService:
                     "reason": reason,
                 },
             )
+            responses = []
             for rid, request in group.requests:
                 self._open.append(completed)
-                self.resilience_counters["degraded_stale"] += 1
+                self.counters["degraded_stale"] += 1
                 self._resilience_metric(
                     "serve_degraded_total",
                     "degraded answers by tier",
                     tier="stale-cache",
                 )
-                latency = completed - request.arrival
-                deadline = (
-                    request.deadline
-                    if request.deadline is not None
-                    else self.config.deadline
-                )
-                response = ServeResponse(
-                    request_id=rid,
-                    label=request.label,
-                    status=DEGRADED,
-                    arrival=request.arrival,
-                    fingerprint=group.fp.digest,
-                    rows=list(rows),
-                    started=now,
-                    completed=completed,
-                    latency=latency,
-                    source="stale-cache",
-                    attempts=attempts,
-                    retry_backoff=backoff_total,
-                    stale_version=version,
-                )
-                if deadline is not None and latency > deadline:
-                    self.counters["deadline_exceeded"] += 1
-                    obs.event(
-                        "request-deadline",
-                        {"request": rid, "latency": latency, "deadline": deadline},
+                responses.append(
+                    self._finish(
+                        rid,
+                        request,
+                        group,
+                        rows,
+                        started=now,
+                        completed=completed,
+                        source="stale-cache",
+                        batch_size=0,
+                        unit_cost=0.0,
+                        attempts=attempts,
+                        retry_backoff=backoff_total,
+                        stale_version=version,
                     )
-                    response.status = DEADLINE
-                    response.rows = None
-                    response.source = None
-                    response.stale_version = None
-                    response.error = (
-                        f"deadline exceeded: {latency:.6f}s > {deadline:.6f}s"
-                    )
-                responses.append(response)
+                )
             return responses
-        for rid, request in group.requests:
-            self._open.append(now)
-            self.counters["failed"] += 1
-            obs.event("request-failed", {"request": rid, "error": reason})
-            responses.append(
-                ServeResponse(
-                    request_id=rid,
-                    label=request.label,
-                    status=FAILED,
-                    arrival=request.arrival,
-                    fingerprint=group.fp.digest,
-                    error=reason,
-                    started=now,
-                    completed=now,
-                    latency=now - request.arrival,
-                    attempts=attempts,
-                    retry_backoff=backoff_total,
-                )
-            )
-        return responses
+        return [
+            self._fail(rid, request, now, reason, group, attempts, backoff_total)
+            for rid, request in group.requests
+        ]
+
+    def _fail(
+        self,
+        rid: int,
+        request: ServeRequest,
+        now: float,
+        error: str,
+        group: _Group | None = None,
+        attempts: int = 1,
+        retry_backoff: float = 0.0,
+    ) -> ServeResponse:
+        """One failed request, settled at *now*.  *group* is None for a
+        query that never parsed: it has no fingerprint and never
+        started."""
+        self._open.append(now)
+        self.counters["failed"] += 1
+        obs.event("request-failed", {"request": rid, "error": error})
+        return ServeResponse(
+            request_id=rid,
+            label=request.label,
+            status=FAILED,
+            arrival=request.arrival,
+            fingerprint=None if group is None else group.fp.digest,
+            error=error,
+            started=None if group is None else now,
+            completed=now,
+            latency=now - request.arrival,
+            attempts=attempts,
+            retry_backoff=retry_backoff,
+        )
 
     def _settle_success(
-        self, unit: _Unit, item: _Attempt, started: float, completed: float
+        self, unit: _Unit, started: float, completed: float
     ) -> list[ServeResponse]:
         """Fan one successful (possibly retried) unit out to its
-        members; successful rows also refresh the stale store so the
-        degraded tier always holds the last-known-good answer."""
-        res = self.config.resilience
+        members; with the stale tier on, successful rows also refresh
+        the stale store so the degraded tier always holds the
+        last-known-good answer."""
         responses: list[ServeResponse] = []
+        source = "batch" if len(unit.groups) > 1 else "solo"
         for group, rows in zip(unit.groups, unit.rows_by_group):
             if len(unit.groups) > 1:
                 obs.event(
@@ -1253,11 +1092,10 @@ class QueryService:
                 )
             if self.config.enable_result_cache:
                 self.result_cache.put(self._result_key(group.fp.digest), rows)
-            if res.degradation.stale:
+            if self._resilience.degradation.stale:
                 self.stale_results.put(
                     group.fp.digest, self.config.engine, self.graph.version, rows
                 )
-            source = "batch" if len(unit.groups) > 1 else "solo"
             for position, (rid, request) in enumerate(group.requests):
                 self._open.append(completed)
                 responses.append(
@@ -1271,8 +1109,8 @@ class QueryService:
                         source=source if position == 0 else "dedup",
                         batch_size=len(unit.groups),
                         unit_cost=unit.cost,
-                        attempts=item.attempt,
-                        retry_backoff=item.backoff_total,
+                        attempts=unit.attempt,
+                        retry_backoff=unit.backoff_total,
                     )
                 )
         return responses
@@ -1291,13 +1129,17 @@ class QueryService:
         unit_cost: float,
         attempts: int = 1,
         retry_backoff: float = 0.0,
+        stale_version: int | None = None,
     ) -> ServeResponse:
+        """One answered request: ``ok``, or ``degraded`` when the rows
+        come from the stale store (*stale_version* set) — unless the
+        answer lands past the request's deadline."""
         latency = completed - request.arrival
-        deadline = request.deadline if request.deadline is not None else self.config.deadline
+        deadline = self._deadline(request)
         response = ServeResponse(
             request_id=rid,
             label=request.label,
-            status=OK,
+            status=OK if stale_version is None else DEGRADED,
             arrival=request.arrival,
             fingerprint=group.fp.digest,
             rows=list(rows),
@@ -1309,6 +1151,7 @@ class QueryService:
             unit_cost=unit_cost,
             attempts=attempts,
             retry_backoff=retry_backoff,
+            stale_version=stale_version,
         )
         if deadline is not None and latency > deadline:
             self.counters["deadline_exceeded"] += 1
@@ -1319,4 +1162,8 @@ class QueryService:
             response.status = DEADLINE
             response.rows = None
             response.error = f"deadline exceeded: {latency:.6f}s > {deadline:.6f}s"
+            if stale_version is not None:
+                # A late stale answer is no answer: it names no source.
+                response.source = None
+                response.stale_version = None
         return response

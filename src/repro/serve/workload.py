@@ -57,12 +57,8 @@ from repro.serve.slo import DEFAULT_SLOS, SLOSpec, evaluate_slo
 
 #: Schema tag for the serve workload report.  v2 added the SLO section
 #: (``slo`` + ``verdicts.slo_pass``), per-seed p95 latencies, cache hit
-#: ratios in the counters, and the ``planner`` workload knob; v1
-#: goldens stay checkable via :func:`project_v1`.
+#: ratios in the counters, and the ``planner`` workload knob.
 SERVE_SCHEMA = "repro-serve-workload/v2"
-
-#: The previous schema, still accepted by :func:`check_serve_golden`.
-SERVE_SCHEMA_V1 = "repro-serve-workload/v1"
 
 #: mix name -> (dataset, preset, qids, engine-config factory)
 WORKLOAD_MIXES: dict[
@@ -459,39 +455,15 @@ def spec_from_report(report: dict[str, Any]) -> WorkloadSpec:
     return WorkloadSpec(**report["workload"])
 
 
-def project_v1(report: dict[str, Any]) -> dict[str, Any]:
-    """A v2 report reduced to the v1 shape (for diffing v1 goldens):
-    drop the SLO section and verdict, the ``planner`` workload knob,
-    p95 latencies, and the counters v1 never carried (cache hit ratios,
-    the dispatch-time deadline split)."""
-    projected = json.loads(json.dumps(report))
-    projected["schema"] = SERVE_SCHEMA_V1
-    projected.pop("slo", None)
-    projected["workload"].pop("planner", None)
-    projected["verdicts"].pop("slo_pass", None)
-    for run in projected.get("runs", []):
-        run["latency"].pop("p95", None)
-        run["counters"] = {
-            key: value
-            for key, value in run["counters"].items()
-            if not key.endswith("_hit_ratio")
-            and key != "deadline_exceeded_at_dispatch"
-        }
-    return projected
-
-
 def check_serve_golden(path: str | Path) -> list[str]:
     """Re-run a committed report's workload and diff against it.
 
     Returns human-readable differences (empty = bit-identical), so CI
     catches any scheduler, cache, or batching change that moves a
-    latency, a counter, or a verdict.  v1 goldens are still accepted:
-    the fresh v2 report is projected to the v1 shape before diffing.
+    latency, a counter, or a verdict.
     """
     golden = json.loads(Path(path).read_text())
     fresh = serve_workload_report(spec_from_report(golden))
-    if golden.get("schema") == SERVE_SCHEMA_V1:
-        fresh = project_v1(fresh)
     problems: list[str] = []
     for field in ("schema", "mix", "dataset", "preset", "queries", "workload", "baseline"):
         if golden.get(field) != fresh.get(field):

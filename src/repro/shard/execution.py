@@ -35,12 +35,12 @@ jobs run on a ``nodes // N`` slice of the cluster, and each expansion
 group credits ``sum(costs) - max(costs)`` back as overlap (shards run
 concurrently; only the slowest is on the critical path).
 
-**Recovery.**  The driver's retry loop mirrors
-:meth:`~repro.mapreduce.runner.MapReduceRunner.run_workflow`: per-shard
-jobs checkpoint-commit individually, exchange files are re-created
-deterministically (stable fingerprints), so a crash inside one shard's
-partial evaluation resumes without re-running other shards' committed
-jobs.
+**Recovery.**  A sharded run is one submission to
+:meth:`~repro.mapreduce.runner.MapReduceRunner.run_workflow`'s retry
+loop: per-shard jobs checkpoint-commit individually, exchange files are
+re-created deterministically (stable fingerprints), so a crash inside
+one shard's partial evaluation resumes without re-running other shards'
+committed jobs.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Any, Iterable
 
 from repro import obs
 from repro.core.results import EngineConfig
-from repro.errors import ShardError, TaskFailedError
+from repro.errors import ShardError
 from repro.mapreduce.cost import ClusterConfig, estimate_size
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
@@ -374,32 +374,8 @@ class ShardedExecutor:
         jobs: list[MapReduceJob],
         stats: WorkflowStats | None = None,
     ) -> WorkflowStats:
-        """Run logical *jobs* sharded; mirrors
-        :meth:`~repro.mapreduce.runner.MapReduceRunner.run_workflow`'s
-        recovery contract (including the *stats* continuation)."""
-        recovery = self.runner.recovery
-        if recovery is None:
-            result = stats if stats is not None else WorkflowStats()
-            try:
-                self._run_once(jobs, result)
-            except TaskFailedError as error:
-                error.partial_stats = result
-                raise
-            return result
-        failures = 0
-        while True:
-            attempt = WorkflowStats()
-            try:
-                self._run_once(jobs, attempt)
-            except TaskFailedError as error:
-                error.partial_stats = attempt
-                failures += 1
-                self.runner.note_workflow_failure(error, recovery, failures)
-                continue
-            break
-        if stats is None:
-            return attempt
-        stats.jobs.extend(attempt.jobs)
-        stats.counters.merge(attempt.counters)
-        stats.overlap_seconds += attempt.overlap_seconds
-        return stats
+        """Run logical *jobs* sharded.  This is
+        :meth:`~repro.mapreduce.runner.MapReduceRunner.run_workflow`
+        with the per-shard expansion as the submission, so recovery and
+        the *stats* continuation are the runner's, not a second loop."""
+        return self.runner.run_workflow(jobs, stats=stats, submit=self._run_once)

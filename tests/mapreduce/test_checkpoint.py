@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.bench.catalog import get_query
+from repro.core.engines import run_query
+from repro.core.results import EngineConfig
 from repro.errors import CheckpointError, TaskFailedError, WorkflowAbortedError
 from repro.mapreduce.checkpoint import (
     RECOVERY_COUNTERS,
@@ -55,6 +58,16 @@ def two_stage_workflow():
         reducer=lambda key, values: [(key, sum(values))],
     )
     return [first, second]
+
+
+#: Engine-level drivers that re-drive a failed submission through
+#: ``run_workflow``'s loop: name -> (engine, EngineConfig knobs).
+ENGINE_DRIVERS = {
+    "rapid-analytics": ("rapid-analytics", {}),
+    "shards=1": ("rapid-analytics", {"shards": 1, "partitioner": "hash"}),
+    "shards=4": ("rapid-analytics", {"shards": 4}),
+    "hive-naive": ("hive-naive", {}),
+}
 
 
 def make_runner(hdfs, fault_plan=None, recovery=None):
@@ -227,22 +240,44 @@ class TestWorkflowResume:
         counters = stats.counters.as_dict()
         assert counters["workflow_resubmissions"] == stats.recovery.resubmissions
 
-    def test_budget_exhaustion_raises_typed_abort(self):
-        hdfs = HDFS()
-        hdfs.write("in", ["a", "b", "a"])
-        plan = FaultPlan(seed=1, task_failure_rate=0.97, max_attempts=1)
-        runner = make_runner(
-            hdfs, fault_plan=plan, recovery=RecoveryPolicy(max_resubmissions=2)
-        )
-        with pytest.raises(WorkflowAbortedError) as exc_info:
-            runner.run_workflow(two_stage_workflow())
+    @pytest.mark.parametrize("driver", ["runner", *ENGINE_DRIVERS])
+    def test_budget_exhaustion_raises_typed_abort(self, driver, bsbm_small):
+        """One resubmission loop serves the bare runner, the plain and
+        sharded NTGA drivers and Hive's re-drive, so each gives up the
+        same typed way when every submission keeps failing."""
+        # Pinned empirically: under this plan every driver exhausts the
+        # budget, three of them (runner, shards=4, hive-naive) with a
+        # non-empty ledger.
+        plan = FaultPlan(seed=2, task_failure_rate=0.6, max_attempts=1)
+        policy = RecoveryPolicy(max_resubmissions=2)
+        with obs.tracing() as recorder, pytest.raises(WorkflowAbortedError) as exc_info:
+            if driver == "runner":
+                hdfs = HDFS()
+                hdfs.write("in", ["a", "b", "a"])
+                runner = make_runner(hdfs, fault_plan=plan, recovery=policy)
+                runner.run_workflow(two_stage_workflow())
+            else:
+                engine, knobs = ENGINE_DRIVERS[driver]
+                run_query(
+                    get_query("MG1").sparql,
+                    bsbm_small,
+                    engine=engine,
+                    config=EngineConfig(fault_plan=plan, recovery=policy, **knobs),
+                )
         error = exc_info.value
         assert error.resubmissions == 2
-        assert error.failed_job in ("stage1", "stage2")
         assert isinstance(error.cause, TaskFailedError)
+        assert error.failed_job == error.cause.job_name
         assert error.partial_stats is not None
-        assert isinstance(error.committed_jobs, tuple)
         assert "still failing after 2 resubmission" in str(error)
+        # committed_jobs is the ledger at abort time: the jobs that
+        # checkpoint-committed across all three submissions.
+        events = recorder.events
+        commits = [e.attrs["job"] for e in events if e.name == "checkpoint-commit"]
+        assert list(error.committed_jobs) == list(dict.fromkeys(commits))
+        assert sum(e.name == "workflow-resume" for e in events) == 2
+        (abort,) = [e for e in events if e.name == "workflow-abort"]
+        assert abort.attrs["committed_jobs"] == len(error.committed_jobs)
 
     def test_task_failed_error_carries_partial_stats_without_recovery(self):
         """Satellite: an unrecovered workflow abort keeps its accounting."""

@@ -1,6 +1,6 @@
 """Serve-layer metrics wiring: a collecting registry sees the request
 stream, the caches, the MapReduce phases, and the planner; snapshots are
-byte-deterministic; v2 reports project cleanly back to v1."""
+byte-deterministic."""
 
 import json
 from dataclasses import replace
@@ -11,16 +11,10 @@ from repro.obs.calibration import CalibrationMonitor
 from repro.obs.metrics import MetricsRegistry, collecting, snapshot_dict
 from repro.serve import (
     QueryService,
-    SERVE_SCHEMA,
-    SERVE_SCHEMA_V1,
     ServeRequest,
     ServiceConfig,
     WorkloadSpec,
-    check_serve_golden,
-    project_v1,
-    serve_workload_report,
     serve_workload_with_metrics,
-    write_serve_report,
 )
 
 QIDS = ("MG6", "MG7", "MG8", "G8")
@@ -129,28 +123,3 @@ def test_workload_snapshot_is_byte_deterministic(chem_tiny):
     assert encode(first_snapshot) == encode(second_snapshot)
     assert first_snapshot["slo"]["pass"] is True
     assert first_snapshot["calibration"]["observations"] > 0
-
-
-def test_project_v1_strips_v2_fields(chem_tiny):
-    spec = WorkloadSpec.from_spec("seeds=1,clients=2,mix=chem-overlap,requests=6")
-    report = serve_workload_report(spec, graph=chem_tiny)
-    assert report["schema"] == SERVE_SCHEMA
-    projected = project_v1(report)
-    assert projected["schema"] == SERVE_SCHEMA_V1
-    assert "slo" not in projected
-    assert "slo_pass" not in projected["verdicts"]
-    assert "planner" not in projected["workload"]
-    for run in projected["runs"]:
-        assert "p95" not in run["latency"]
-        assert not any(key.endswith("_hit_ratio") for key in run["counters"])
-    # projection is a copy: the v2 report is untouched
-    assert "slo" in report and "p95" in report["runs"][0]["latency"]
-
-
-def test_check_serve_golden_accepts_v1_golden(tmp_path, chem_tiny):
-    """A committed v1 report stays green: the checker projects the fresh
-    v2 run down before diffing."""
-    spec = WorkloadSpec.from_spec("seeds=1,clients=2,mix=chem-overlap,requests=6")
-    report = serve_workload_report(spec, graph=chem_tiny)
-    path = write_serve_report(project_v1(report), tmp_path / "v1-golden.json")
-    assert check_serve_golden(path) == []

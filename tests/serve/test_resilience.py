@@ -12,8 +12,9 @@ from repro import perf
 from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
 from repro.core.engines import make_engine, to_analytical
-from repro.errors import ResilienceError, ServeError
+from repro.errors import ResilienceError, ServeError, TaskFailedError
 from repro.mapreduce.faults import FaultPlan
+from repro.ntga.engine import execute_batch
 from repro.serve import (
     DEADLINE,
     DEGRADED,
@@ -398,8 +399,9 @@ def solo_digests(chem_tiny):
 
 
 def test_without_resilience_one_batch_failure_fails_every_member(chem_tiny):
-    """Characterization of the pre-resilience blast radius: one crash
-    inside the merged unit takes down all four member requests."""
+    """Characterization of the fail-fast blast radius: with no retry
+    budget, one crash inside the merged unit takes down all four member
+    requests."""
     service = QueryService(
         chem_tiny,
         ServiceConfig(
@@ -409,6 +411,29 @@ def test_without_resilience_one_batch_failure_fails_every_member(chem_tiny):
     responses = service.serve(_chem_requests())
     assert [r.status for r in responses] == [FAILED] * len(CHEM_QIDS)
     assert service.counters["batch_merges"] == 1
+
+
+def test_failed_fail_fast_unit_is_charged_its_burnt_time(chem_tiny):
+    """Regression: the cluster burned the committed prefix plus the
+    aborted job's wasted seconds before the unit failed, so the unit
+    holds its simulated worker and is billed for exactly that — not for
+    zero seconds, as the fail-fast path used to."""
+    engine_config = replace(chem_config(), fault_plan=_ISOLATION_PLAN)
+    with pytest.raises(TaskFailedError) as exc_info:
+        execute_batch(
+            [to_analytical(sparql(qid)) for qid in CHEM_QIDS], chem_tiny, engine_config
+        )
+    error = exc_info.value
+    burnt = error.wasted_seconds + error.partial_stats.total_cost
+    assert burnt > 0.0
+
+    service = QueryService(chem_tiny, ServiceConfig(engine_config=engine_config))
+    close = service.config.batch_window
+    responses = service.serve(_chem_requests())
+    assert [r.status for r in responses] == [FAILED] * len(CHEM_QIDS)
+    assert service.executed_cost_seconds == burnt
+    assert max(service._worker_free) == close + burnt
+    assert {r.completed for r in responses} == {close + burnt}
 
 
 def test_isolation_reexecutes_batch_members_solo(chem_tiny, solo_digests):

@@ -1,6 +1,6 @@
 """Property tests for the resilience layer.
 
-Two invariants the golden alone cannot pin:
+Three invariants the golden alone cannot pin:
 
 1. Retry schedules are pure functions of (policy, query) and
    non-decreasing in the attempt number — guaranteed structurally by the
@@ -11,12 +11,15 @@ Two invariants the golden alone cannot pin:
    into answers, never the reverse.  Requires the breaker disabled
    (``threshold=0``) and no deadlines — both features deliberately trade
    availability for other goods.
+3. ``resilience=None`` *is* the null policy: the same responses and
+   counters as the explicit zero-retry / never-tripping-breaker /
+   no-degradation config, fault-free and under any fault seed.
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.catalog import get_query
@@ -26,6 +29,7 @@ from repro.serve import (
     DEGRADED,
     OK,
     BreakerPolicy,
+    DegradationPolicy,
     QueryService,
     ResilienceConfig,
     RetryPolicy,
@@ -111,3 +115,55 @@ def test_availability_is_monotone_in_retry_budget(chem_tiny, seed, rate):
         _availability(chem_tiny, fault_plan, retries) for retries in (0, 1, 2)
     ]
     assert served == sorted(served)
+
+
+NULL_POLICY = ResilienceConfig(
+    retry=RetryPolicy(retries=0),
+    breaker=BreakerPolicy(threshold=0),
+    degradation=DegradationPolicy(
+        stale=False, bypass_batching=False, shed_threshold=None
+    ),
+)
+
+
+def _serve(graph, fault_plan, resilience):
+    service = QueryService(
+        graph,
+        ServiceConfig(
+            engine_config=replace(chem_config(), fault_plan=fault_plan),
+            workers=2,
+            resilience=resilience,
+        ),
+    )
+    # Three windows with repeats: merged batches, result-cache hits and
+    # (under faults) failed units queued ahead of later ones all occur.
+    responses = service.serve(
+        [
+            ServeRequest(get_query(qid).sparql, arrival=0.1 * i, label=qid)
+            for i, qid in enumerate(QIDS + QIDS[:2] + QIDS[2:])
+        ]
+    )
+    observable = [
+        (r.status, r.rows, r.started, r.completed, r.latency, r.source, r.attempts)
+        for r in responses
+    ]
+    return observable, service.counter_snapshot(), service.executed_cost_seconds
+
+
+@_SERVE_SETTINGS
+@example(fault_plan=None)
+@given(
+    fault_plan=st.one_of(
+        st.none(),
+        st.builds(
+            FaultPlan,
+            seed=st.integers(min_value=0, max_value=2**16),
+            task_failure_rate=st.sampled_from((0.01, 0.02, 0.05)),
+            max_attempts=st.just(1),
+        ),
+    )
+)
+def test_no_resilience_is_the_null_policy(chem_tiny, fault_plan):
+    assert _serve(chem_tiny, fault_plan, None) == _serve(
+        chem_tiny, fault_plan, NULL_POLICY
+    )

@@ -4,8 +4,8 @@ scheduler, with fault injection and checkpointed recovery underneath.
 The determinism contract under test: simulated results (statuses,
 sources, latencies, row digests, counters, trace events) are a pure
 function of (graph, config, request sequence) — identical across
-repeated runs, across pooled vs. serial execution, and across traced
-vs. untraced execution.
+repeated runs, across simulated worker counts (execution results), and
+across traced vs. untraced execution.
 """
 
 from dataclasses import replace
@@ -71,17 +71,17 @@ def test_soak_repeat_runs_are_identical(chem_tiny):
     assert first_counters["result_cache_hits"] > 0  # and the cache
 
 
-def test_pooled_execution_matches_serial(chem_tiny):
-    pooled_responses, pooled_counters = _run(chem_tiny, CLIENTS)
-    serial_responses, serial_counters = _run(chem_tiny, 1)
-    # workers=1 also narrows the simulated executor, so compare the
+def test_worker_count_changes_only_the_timeline(chem_tiny):
+    wide_responses, wide_counters = _run(chem_tiny, CLIENTS)
+    narrow_responses, narrow_counters = _run(chem_tiny, 1)
+    # workers=1 narrows the simulated executor, so compare the
     # execution results (rows, sources, counters), not the timeline.
-    assert [perf.rows_digest(r.rows) for r in pooled_responses] == [
-        perf.rows_digest(r.rows) for r in serial_responses
+    assert [perf.rows_digest(r.rows) for r in wide_responses] == [
+        perf.rows_digest(r.rows) for r in narrow_responses
     ]
-    assert [r.source for r in pooled_responses] == [r.source for r in serial_responses]
+    assert [r.source for r in wide_responses] == [r.source for r in narrow_responses]
     for key in ("batch_merges", "dedup_requests", "result_cache_hits", "units_batch"):
-        assert pooled_counters[key] == serial_counters[key]
+        assert wide_counters[key] == narrow_counters[key]
 
 
 def test_traced_run_matches_untraced_and_traces_deterministically(chem_tiny):
@@ -96,8 +96,8 @@ def test_traced_run_matches_untraced_and_traces_deterministically(chem_tiny):
     first_responses, first_counters, first_events = traced()
     second_responses, second_counters, second_events = traced()
 
-    # Tracing forces serial unit execution but must not change anything
-    # observable on the simulated clock.
+    # Tracing must not change anything observable on the simulated
+    # clock.
     assert _observable(first_responses) == _observable(plain_responses)
     assert first_counters == plain_counters
     # And the trace itself is deterministic, event for event.
