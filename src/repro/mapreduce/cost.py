@@ -82,6 +82,22 @@ def _reference_estimate_size(record: Any) -> int:
 # and tests/perf/test_size_cache.py hold the two paths bit-identical.
 
 
+def _iri_size(record: IRI) -> int:
+    size = record._size
+    if size is None:
+        size = len(record.value) + 2
+        object.__setattr__(record, "_size", size)
+    return size
+
+
+def _bnode_size(record: BNode) -> int:
+    size = record._size
+    if size is None:
+        size = len(record.label) + 2
+        object.__setattr__(record, "_size", size)
+    return size
+
+
 def _literal_size(record: Literal) -> int:
     size = record._size
     if size is None:
@@ -139,6 +155,11 @@ def _sequence_size(record: Any) -> int:
     total = _POINTER
     handlers = _HANDLERS
     for item in record:
+        if item.__class__ is int:
+            # Order tags, ids, counts: the commonest leaf, and one whose
+            # ``_size`` probe below can only miss.
+            total += 8
+            continue
         size = getattr(item, "_size", None)
         if type(size) is int:
             total += size
@@ -184,8 +205,8 @@ _HANDLERS: dict[type, Any] = {
     int: lambda record: 8,
     float: lambda record: 8,
     str: lambda record: len(record) + 1,
-    IRI: lambda record: len(record.value) + 2,
-    BNode: lambda record: len(record.label) + 2,
+    IRI: _iri_size,
+    BNode: _bnode_size,
     Literal: _literal_size,
     Triple: _triple_size,
     Variable: _variable_size,

@@ -180,7 +180,7 @@ def _schema_sort_key(key: PropKey) -> tuple[str, str]:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StarSchema:
     """The ordered property keys of one composite star.
 
@@ -188,7 +188,9 @@ class StarSchema:
     process), so records of a job share it and its byte cost is plan
     metadata, not per-record payload — the heart of the factorization
     win.  Key order is deterministic (property IRI, then type object),
-    fixing the enumeration layout.
+    fixing the enumeration layout.  Because schemas are interned,
+    identity is equality (``eq=False``): the per-record memo probes
+    keyed by a schema hash a pointer, not every key's IRI.
     """
 
     keys: tuple[PropKey, ...]
@@ -199,6 +201,24 @@ class StarSchema:
             index = {key: position for position, key in enumerate(self.keys)}
             object.__setattr__(self, "_index", index)
         return index.get(key)
+
+    def column_for(self, key: PropKey) -> tuple[int, Term | None]:
+        """Where *key*'s object values sit: ``(column, only)``.
+
+        ``column`` is the position of the key's own column, or of the
+        plain ``rdf:type`` column a type-qualified key falls back to --
+        then ``only`` is the class to keep from it (triple order
+        preserved, as a triplegroup would answer) -- or ``-1`` when the
+        schema holds neither.
+        """
+        position = self.position(key)
+        if position is not None:
+            return position, None
+        if key.type_object is not None:
+            plain = self.position(PropKey(key.property))
+            if plain is not None:
+                return plain, key.type_object
+        return -1, None
 
 
 @lru_cache(maxsize=None)
@@ -284,17 +304,13 @@ class FactorizedRelation:
         position = self.schema.position(key)
         if position is not None:
             return self.columns[position]
-        if key.type_object is not None:
-            # A type-qualified probe against a plain rdf:type column:
-            # filter it, preserving triple order (TripleGroup semantics).
-            plain = self.schema.position(PropKey(key.property))
-            if plain is not None:
-                return tuple(
-                    value
-                    for value in self.columns[plain]
-                    if value == key.type_object
-                )
-        return ()
+        # Not a column of its own: a type-qualified probe filters the
+        # plain rdf:type column (TripleGroup semantics), anything else
+        # is absent.
+        column, only = self.schema.column_for(key)
+        if column < 0:
+            return ()
+        return tuple(value for value in self.columns[column] if value == only)
 
     def project(self, keys: frozenset[PropKey]) -> "FactorizedRelation":
         """Keep only the named keys (columns absent from the schema

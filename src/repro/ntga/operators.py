@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.query_model import AggregateSpec, PropKey, StarPattern
 from repro.errors import PlanningError
-from repro.ntga.triplegroup import (
-    JoinedTripleGroup,
-    TripleGroup,
-    joined_solutions,
-)
+from repro.ntga.triplegroup import JoinedTripleGroup, JoinPlan, TripleGroup
 from repro.rdf.terms import Term, Variable
 from repro.sparql.aggregates import UNBOUND, make_accumulator
 
@@ -218,9 +214,6 @@ class AggJoinSpec:
     alpha: AlphaCondition = field(default_factory=AlphaCondition)
     output_group_by: tuple[Variable, ...] = ()
 
-    def star_index_map(self) -> dict[int, int]:
-        return {position: index for position, index in enumerate(self.star_indices)}
-
 
 @dataclass(frozen=True)
 class AggregatedTripleGroup:
@@ -246,12 +239,15 @@ def create_prop(func: str, variable: Variable | None) -> str:
     return f"{func.lower()}_{variable.name if variable is not None else 'star'}"
 
 
-def _solutions_for_spec(
-    spec: AggJoinSpec, detail: JoinedTripleGroup
-) -> list[dict[Variable, Term]]:
-    if not spec.alpha.satisfied_by(detail.props()):
-        return []
-    return joined_solutions(spec.stars, detail, spec.star_index_map())
+def _spec_expansions(
+    spec: AggJoinSpec, details: Iterable[JoinedTripleGroup]
+) -> Iterator[tuple[JoinedTripleGroup, list[dict[Variable, Term]]]]:
+    """Each detail triplegroup satisfying the spec's α, with its
+    solutions.  The pattern is compiled once per call, not per detail."""
+    expand = JoinPlan(spec.stars, spec.star_indices).expand
+    for detail in details:
+        if spec.alpha.satisfied_by(detail.props()):
+            yield detail, expand(detail)
 
 
 def rng(
@@ -262,8 +258,8 @@ def rng(
     """``RNG(btg, TG_detail, θ, α)``: detail triplegroups contributing to
     one base key (Def 3.6)."""
     matching: list[JoinedTripleGroup] = []
-    for detail in details:
-        for solution in _solutions_for_spec(spec, detail):
+    for detail, solutions in _spec_expansions(spec, details):
+        for solution in solutions:
             key = tuple(solution.get(variable) for variable in spec.theta)
             if key == base_key:
                 matching.append(detail)
@@ -285,8 +281,8 @@ def agg_join(
     """
     accumulators: dict[tuple, dict[str, object]] = {}
     state: dict[tuple, list] = {}
-    for detail in details:
-        for solution in _solutions_for_spec(spec, detail):
+    for _, solutions in _spec_expansions(spec, details):
+        for solution in solutions:
             key = tuple(solution.get(variable) for variable in spec.theta)
             if key not in state:
                 state[key] = [

@@ -34,13 +34,13 @@ from repro.ntga.operators import (
 )
 from repro.ntga.triplegroup import (
     JoinedTripleGroup,
+    JoinPlan,
     TripleGroup,
     group_by_subject,
-    joined_solutions,
 )
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, Variable, term_sort_key
-from repro.sparql.aggregates import UNBOUND, make_accumulator
+from repro.sparql.aggregates import UNBOUND, accumulator_factory, make_accumulator
 from repro.sparql.expressions import evaluate_filter, term_value
 
 
@@ -167,30 +167,35 @@ def make_star_filter(
     """
     p_prim = composite_star.p_prim
     relevant = composite_star.all_props()
-    constraints = composite_star.constraints
-    pushed = object_filters(composite_star.pattern, tuple(prefilters))
-    object_var: dict[PropKey, Variable] = {}
-    for key, expressions in pushed.items():
-        pattern = composite_star.pattern.pattern_for(key)
-        if isinstance(pattern.object, Variable):
-            object_var[key] = pattern.object
+    # Per-triple checks, keyed by the property IRI itself (constraint and
+    # push-down keys are never type-qualified): the required object, and
+    # the pushed filters with the variable they test.
+    required_object = {
+        key.property: term for key, term in composite_star.constraints.items()
+    }
+    pushed: dict[IRI, tuple[Variable, list]] = {}
+    for key, expressions in object_filters(
+        composite_star.pattern, tuple(prefilters)
+    ).items():
+        variable = composite_star.pattern.pattern_for(key).object
+        if isinstance(variable, Variable):
+            pushed[key.property] = (variable, expressions)
     schema = (
         schema_for(frozenset(relevant)) if representation == "factorized" else None
     )
 
     def filter_one(group: TripleGroup) -> "TripleGroup | FactorizedRelation | None":
         projected = group.project(relevant)
-        if constraints or pushed:
+        if required_object or pushed:
             kept = []
             for triple in projected.triples:
-                key = PropKey(triple.property)
-                required = constraints.get(key)
+                required = required_object.get(triple.property)
                 if required is not None and triple.object != required:
                     continue
-                expressions = pushed.get(key)
-                if expressions:
-                    bindings = {object_var[key]: triple.object}
-                    if not all(evaluate_filter(e, bindings) for e in expressions):
+                tests = pushed.get(triple.property)
+                if tests is not None:
+                    bindings = {tests[0]: triple.object}
+                    if not all(evaluate_filter(e, bindings) for e in tests[1]):
                         continue
                 kept.append(triple)
             projected = TripleGroup(group.subject, tuple(kept))
@@ -548,11 +553,6 @@ def build_agg_join_job(
     aggregation itself consumes solutions, so it is representation-
     agnostic beyond the filter.
     """
-    subqueries = plan.subqueries
-    star_maps = [
-        {position: index for position, index in enumerate(sq.star_indices)}
-        for sq in subqueries
-    ]
     single_star_filter = (
         make_star_filter(plan.stars[0], prefilters, representation)
         if detail_input is None
@@ -565,10 +565,23 @@ def build_agg_join_job(
     else:
         inputs = (detail_input,)
 
-    def fresh_accumulators(subquery: CanonicalSubquery) -> AccumulatorTuple:
-        return AccumulatorTuple(
-            [make_accumulator(a.func, a.distinct) for a in subquery.aggregates]
+    # Everything a subquery fixes is compiled here, once per job; the
+    # mapper below only runs it.
+    subqueries = plan.subqueries
+    compiled = tuple(
+        (
+            subquery.subquery_id,
+            subquery.alpha.satisfied_by,
+            JoinPlan(subquery.stars, subquery.star_indices).expand,
+            subquery.filters,
+            subquery.group_by,
+            tuple(
+                accumulator_factory(a.func, a.distinct) for a in subquery.aggregates
+            ),
+            tuple(a.variable for a in subquery.aggregates),
         )
+        for subquery in subqueries
+    )
 
     def mapper(record: Any) -> Iterable[tuple[tuple, AccumulatorTuple]]:
         if isinstance(record, TripleGroup):
@@ -582,35 +595,32 @@ def build_agg_join_job(
         else:
             return
         props = joined.props()
-        for subquery, star_map in zip(subqueries, star_maps):
-            if not subquery.alpha.satisfied_by(props):
+        for subquery_id, alpha, expand, filters, group_by, factories, variables in compiled:
+            if not alpha(props):
                 # The paper's superfluous-combination pruning: this
                 # detail record can contribute to no group of this
                 # subquery, so TG_AgJ skips it before aggregation.
                 if obs._ACTIVE is not None:
                     obs.count("alpha_combinations_pruned")
                 continue
-            solutions = joined_solutions(subquery.stars, joined, star_map)
-            for solution in solutions:
-                if subquery.filters and not all(
-                    evaluate_filter(f, solution) for f in subquery.filters
-                ):
+            for solution in expand(joined):
+                if filters and not all(evaluate_filter(f, solution) for f in filters):
                     continue
-                key = (
-                    subquery.subquery_id,
-                    tuple(solution.get(v) for v in subquery.group_by),
-                )
-                accumulators = fresh_accumulators(subquery)
-                for accumulator, agg in zip(accumulators.accumulators, subquery.aggregates):
-                    if agg.variable is None:
+                lookup = solution.get
+                accumulators = [factory() for factory in factories]
+                for accumulator, variable in zip(accumulators, variables):
+                    if variable is None:
                         accumulator.update(None)
                         continue
-                    term = solution.get(agg.variable)
+                    term = lookup(variable)
                     if term is None:
                         continue
                     value = term_value(term)
                     accumulator.update(value.value if isinstance(value, IRI) else value)
-                yield key, accumulators
+                yield (
+                    (subquery_id, tuple([lookup(v) for v in group_by])),
+                    AccumulatorTuple(accumulators),
+                )
 
     def combiner(key: tuple, values: list) -> Iterable[tuple[tuple, AccumulatorTuple]]:
         merged = values[0]
@@ -625,7 +635,9 @@ def build_agg_join_job(
             obs.count("agg_join_groups")
         subquery_id, group_key = key
         subquery = subquery_by_id[subquery_id]
-        merged = values[0]
+        # Merge into a copy: a reducer's inputs may be stored records (the
+        # sharded driver's exchange files) that a re-run must find intact.
+        merged = values[0].copy()
         for value in values[1:]:
             merged.merge(value)
         row: list[tuple[Variable, Term]] = []

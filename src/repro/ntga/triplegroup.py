@@ -19,8 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.query_model import PropKey, StarPattern, prop_key_of
 from repro.errors import ReproError
@@ -49,6 +48,11 @@ class TripleGroup:
 
     subject: Term
     triples: tuple[Triple, ...]
+
+    #: A flat group has no column schema (a class constant, not a field):
+    #: how expansion tells it from a
+    #: :class:`~repro.ntga.factorized.FactorizedRelation` without a type test.
+    schema = None
 
     def __post_init__(self) -> None:
         subject = self.subject
@@ -280,8 +284,256 @@ def equivalence_class(group: TripleGroup) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Binding expansion
+# Binding expansion: compiled once per plan, run once per record
 # ---------------------------------------------------------------------------
+#
+# Everything about a pattern that is fixed per plan -- its property keys,
+# which of them are OPTIONAL, which objects are variables, whether a
+# variable can already be bound when a step reaches it, where each key's
+# column sits in a factorized schema, which variables two stars share --
+# is resolved when the plan is compiled.  Per record the step loop only
+# indexes and extends.
+
+
+class StarPlan:
+    """One star pattern compiled for expansion against triplegroups.
+
+    ``steps`` holds one tuple per triple pattern, in pattern order::
+
+        (column, only, key, optional, object, is_variable, repeated, plain)
+
+    ``column`` / ``only`` place the key in a factorized schema (see
+    :meth:`_bind`); in the schema-less ``steps`` they are ``-1`` /
+    ``None`` and the step probes ``objects_for(key)``.  ``repeated``
+    marks an object variable the star may already have bound (its
+    subject, or an earlier object); ``plain`` marks a concrete object
+    that is looked up by equality (a type-qualified key's candidates are
+    already the matching class).
+    """
+
+    __slots__ = ("subject_var", "subject_term", "steps", "variables", "_bound")
+
+    def __init__(self, star: StarPattern):
+        subject = star.subject
+        subject_is_var = isinstance(subject, Variable)
+        self.subject_var = subject if subject_is_var else None
+        self.subject_term = None if subject_is_var else subject
+        seen = {subject} if subject_is_var else set()
+        steps = []
+        for pattern in star.patterns:
+            key = prop_key_of(pattern)
+            optional = key in star.optional_props
+            obj = pattern.object
+            is_variable = isinstance(obj, Variable)
+            if optional and not is_variable:
+                continue  # an OPTIONAL concrete object neither binds nor rejects
+            repeated = is_variable and obj in seen
+            steps.append(
+                (-1, None, key, optional, obj, is_variable, repeated, key.type_object is None)
+            )
+            if is_variable:
+                seen.add(obj)
+        self.steps = tuple(steps)
+        #: Every variable a solution of this star can bind.
+        self.variables = frozenset(seen)
+        #: ``(schema, steps placed in it)`` for the factorized schema last
+        #: expanded against.  One entry is enough -- every record a job
+        #: feeds one star comes out of the same star filter -- and it
+        #: lives and dies with the plan, so nothing accumulates.
+        self._bound: tuple = (None, ())
+
+    def _bind(self, schema) -> tuple:
+        """Place every step's key in *schema*: once per schema, instead
+        of a hashed ``PropKey`` probe per step per record."""
+        steps = tuple(schema.column_for(step[2]) + step[2:] for step in self.steps)
+        self._bound = (schema, steps)
+        return steps
+
+    def expand(
+        self,
+        group: "TripleGroup",
+        fixed: dict[Variable, Term] | None = None,
+        fill_fixed: bool = True,
+    ) -> list[dict[Variable, Term]]:
+        """All solution mappings of the star against *group*, in BGP
+        expansion order (the first pattern varies slowest).  *fixed*
+        bindings restrict the expansion and, under *fill_fixed*, are
+        added to every solution that does not bind them itself.
+
+        A solution dict is extended in place whenever a step has one
+        candidate for a variable that cannot be bound yet; copies are
+        made only on real fanout.
+        """
+        subject = group.subject
+        subject_var = self.subject_var
+        if subject_var is None:
+            if self.subject_term != subject:
+                return []
+            solutions: list[dict[Variable, Term]] = [{}]
+        else:
+            if fixed:
+                required = fixed.get(subject_var)
+                if required is not None and required != subject:
+                    return []
+            solutions = [{subject_var: subject}]
+
+        schema = group.schema
+        if schema is None:
+            columns = None
+            steps = self.steps
+            objects_for = group.objects_for
+        else:
+            columns = group.columns
+            bound_schema, steps = self._bound
+            if bound_schema is not schema:
+                steps = self._bind(schema)
+
+        for column, only, key, optional, obj, is_variable, repeated, plain in steps:
+            if columns is None:
+                candidates = objects_for(key)
+            elif column < 0:
+                candidates = ()
+            else:
+                candidates = columns[column]
+                if only is not None:
+                    candidates = tuple(c for c in candidates if c == only)
+            if not is_variable:
+                if (obj not in candidates) if plain else (not candidates):
+                    return []
+                continue
+            if fixed:
+                required = fixed.get(obj)
+                if required is not None:
+                    candidates = tuple(c for c in candidates if c == required)
+            if not candidates:
+                if optional:
+                    continue  # left-join semantics: variable stays unbound
+                return []
+            if repeated:
+                # Bound already -- or not, after a skipped OPTIONAL:
+                # decided solution by solution.
+                checked = []
+                for solution in solutions:
+                    bound = solution.get(obj)
+                    if bound is None:
+                        for candidate in candidates:
+                            checked.append({**solution, obj: candidate})
+                    elif bound in candidates:
+                        checked.append(solution)
+                if not checked:
+                    return []
+                solutions = checked
+            elif len(candidates) == 1:
+                candidate = candidates[0]
+                for solution in solutions:
+                    solution[obj] = candidate
+            else:
+                # Real fanout.  Merging one-entry dicts reuses their
+                # stored key hashes: no hash call per produced solution.
+                bindings = [{obj: candidate} for candidate in candidates]
+                solutions = [
+                    {**solution, **binding}
+                    for solution in solutions
+                    for binding in bindings
+                ]
+        if fixed and fill_fixed:
+            for solution in solutions:
+                for variable, term in fixed.items():
+                    solution.setdefault(variable, term)
+        return solutions
+
+
+class JoinPlan:
+    """A multi-star pattern compiled for expansion against joined
+    triplegroups: one :class:`StarPlan` per star beside the component
+    index it reads (*components*, star positions when omitted), and the
+    variables that occur in more than one star."""
+
+    __slots__ = ("stars", "shared")
+
+    def __init__(
+        self,
+        stars: Sequence[StarPattern],
+        components: Sequence[int] | None = None,
+    ):
+        plans = [StarPlan(star) for star in stars]
+        if components is None:
+            components = range(len(plans))
+        self.stars = tuple(zip(components, plans, strict=True))
+        seen: set[Variable] = set()
+        shared: set[Variable] = set()
+        for plan in plans:
+            shared |= seen & plan.variables
+            seen |= plan.variables
+        self.shared = tuple(shared)
+
+    def expand(self, joined: JoinedTripleGroup) -> list[dict[Variable, Term]]:
+        """Solution mappings of the pattern against *joined*.
+
+        Components not covered by a star are ignored -- this is how an
+        original graph pattern is expanded from a composite match
+        without inheriting the other pattern's multiplicity.
+        """
+        fixed = dict(joined.fixed) if joined.fixed else None
+        component = joined.component
+        solutions: list[dict[Variable, Term]] | None = None
+        checked = None
+        for component_index, plan in self.stars:
+            group = component(component_index)
+            if group is None:
+                return []
+            # Only the first star's solutions carry the fixed bindings
+            # the stars do not bind themselves: merged in first, they
+            # land exactly where the per-star fill used to put them.
+            expansions = plan.expand(group, fixed, solutions is None)
+            if not expansions:
+                return []
+            if solutions is None:
+                solutions = expansions
+                continue
+            if checked is None:
+                # A variable two stars share needs no consistency check
+                # when it is a fixed join binding: each star already
+                # restricted it to that one value.
+                if fixed:
+                    checked = any(variable not in fixed for variable in self.shared)
+                else:
+                    checked = bool(self.shared)
+            if checked:
+                solutions = _consistent_product(solutions, expansions)
+                if not solutions:
+                    return []
+            elif len(expansions) == 1:
+                addition = expansions[0]
+                for solution in solutions:
+                    solution.update(addition)
+            else:
+                solutions = [
+                    {**solution, **addition}
+                    for solution in solutions
+                    for addition in expansions
+                ]
+        return solutions if solutions is not None else [{}]
+
+
+def _consistent_product(
+    left: list[dict[Variable, Term]], right: list[dict[Variable, Term]]
+) -> list[dict[Variable, Term]]:
+    """``left x right`` in product order, keeping the combinations that
+    agree on every variable both sides bind."""
+    merged_all = []
+    for solution in left:
+        for addition in right:
+            merged = dict(solution)
+            for variable, term in addition.items():
+                existing = merged.get(variable)
+                if existing is None:
+                    merged[variable] = term
+                elif existing != term:
+                    break
+            else:
+                merged_all.append(merged)
+    return merged_all
 
 
 def star_solutions(
@@ -293,55 +545,10 @@ def star_solutions(
 
     Multi-valued properties expand by cross product, exactly as SPARQL
     BGP semantics requires; ``fixed`` bindings (join choices) restrict
-    the expansion.
+    the expansion.  Compiles the star on every call: code that expands
+    many groups builds one :class:`StarPlan` and keeps it.
     """
-    fixed = fixed or {}
-    solutions: list[dict[Variable, Term]] = [{}]
-    if isinstance(star.subject, Variable):
-        required = fixed.get(star.subject)
-        if required is not None and required != group.subject:
-            return []
-        solutions = [{star.subject: group.subject}]
-    elif star.subject != group.subject:
-        return []
-
-    for pattern in star.patterns:
-        key = prop_key_of(pattern)
-        is_optional = key in star.optional_props
-        candidates = group.objects_for(key)
-        obj = pattern.object
-        if isinstance(obj, Variable):
-            required = fixed.get(obj)
-            if required is not None:
-                candidates = tuple(c for c in candidates if c == required)
-            if not candidates:
-                if is_optional:
-                    continue  # left-join semantics: variable stays unbound
-                return []
-            next_solutions = []
-            for solution in solutions:
-                bound = solution.get(obj)
-                if bound is not None:
-                    if bound in candidates:
-                        next_solutions.append(solution)
-                    continue
-                for candidate in candidates:
-                    extended = dict(solution)
-                    extended[obj] = candidate
-                    next_solutions.append(extended)
-            solutions = next_solutions
-        else:
-            if key.type_object is None:
-                candidates = tuple(c for c in candidates if c == obj)
-            if not candidates and not is_optional:
-                return []
-        if not solutions:
-            return []
-    if fixed:
-        for solution in solutions:
-            for variable, term in fixed.items():
-                solution.setdefault(variable, term)
-    return solutions
+    return StarPlan(star).expand(group, fixed)
 
 
 def joined_solutions(
@@ -352,45 +559,11 @@ def joined_solutions(
     """Solution mappings of a multi-star pattern against a joined TG.
 
     *star_indices* maps positions in *stars* to component indices of the
-    joined triplegroup (identity when omitted).  Components not covered
-    by *stars* are ignored — this is how an original graph pattern is
-    expanded from a composite match without inheriting the other
-    pattern's multiplicity.
+    joined triplegroup (identity when omitted).  Compiles the pattern on
+    every call: code that expands many records builds one
+    :class:`JoinPlan` and keeps it.
     """
-    fixed = joined.fixed_bindings()
-    per_star: list[list[dict[Variable, Term]]] = []
-    for position, star in enumerate(stars):
-        component_index = (
-            star_indices[position] if star_indices is not None else position
-        )
-        group = joined.component(component_index)
-        if group is None:
-            return []
-        expansions = star_solutions(star, group, fixed)
-        if not expansions:
-            return []
-        per_star.append(expansions)
-
-    if len(per_star) == 1:
-        # One star: the cross-product merge below would copy each
-        # expansion into an identical fresh dict.  The expansions are
-        # built by this call and not aliased, so return them directly.
-        return per_star[0]
-
-    solutions: list[dict[Variable, Term]] = []
-    for combination in iter_product(*per_star):
-        merged: dict[Variable, Term] = {}
-        consistent = True
-        for partial in combination:
-            for variable, term in partial.items():
-                existing = merged.get(variable)
-                if existing is None:
-                    merged[variable] = term
-                elif existing != term:
-                    consistent = False
-                    break
-            if not consistent:
-                break
-        if consistent:
-            solutions.append(merged)
-    return solutions
+    components = None
+    if star_indices is not None:
+        components = [star_indices[position] for position in range(len(stars))]
+    return JoinPlan(stars, components).expand(joined)

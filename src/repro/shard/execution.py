@@ -45,14 +45,14 @@ committed jobs.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from repro import obs
 from repro.core.results import EngineConfig
 from repro.errors import ShardError
-from repro.mapreduce.cost import ClusterConfig, estimate_size
+from repro.mapreduce import cost
+from repro.mapreduce.cost import ClusterConfig
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats, _sort_key
@@ -60,7 +60,6 @@ from repro.ntga.physical import AggRow, TripleGroupStore, empty_group_rows
 from repro.ntga.planner import NTGAPlan
 from repro.rdf.graph import Graph
 from repro.shard.partition import Partition, build_partition
-from repro.sparql.aggregates import AccumulatorTuple
 
 #: Fixed per-record envelope charge (order tag + framing) on top of the
 #: payload size — small, so part files and exchange volumes track the
@@ -68,9 +67,13 @@ from repro.sparql.aggregates import AccumulatorTuple
 _ENVELOPE_OVERHEAD = 12
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ShardRecord:
     """One sharded record: a payload plus its global order tag.
+
+    Immutable by convention, not ``frozen``: a sharded pass wraps every
+    record it moves, and a frozen dataclass pays one
+    ``object.__setattr__`` per field per instance.
 
     Tags are tuples built so that sorting a logical file's records by
     tag across all parts reproduces the unsharded file's record order:
@@ -84,9 +87,24 @@ class ShardRecord:
 
     order: tuple
     payload: Any
+    #: Size pin (hidden from __init__/__repr__/__eq__ like the term caches).
+    _size: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def estimated_size(self) -> int:
-        return estimate_size(self.payload) + _ENVELOPE_OVERHEAD
+        """Payload size plus the envelope charge, sized once and pinned
+        like :class:`~repro.ntga.physical.AggRow`: the same envelope is
+        sized for its partial-output write, the exchange's cross-shard
+        tally and its exchange-file write.  The pin is sound because an
+        envelope's payload is never mutated once wrapped -- exchange
+        records must already survive a re-submission unchanged, which is
+        why TG_AgJ's reducer merges accumulator state into a copy.
+        """
+        if not cost.SIZE_CACHE_ENABLED:
+            return cost.estimate_size(self.payload) + _ENVELOPE_OVERHEAD
+        size = self._size
+        if size is None:
+            size = self._size = cost.estimate_size(self.payload) + _ENVELOPE_OVERHEAD
+        return size
 
 
 def shard_cluster(cluster: ClusterConfig, shards: int) -> ClusterConfig:
@@ -154,10 +172,20 @@ class ShardedExecutor:
         """Merge a logical file's parts back into HDFS at *path* itself,
         in order-tag order — the reconstruction of the unsharded file."""
         merged: list[ShardRecord] = []
+        enveloped_bytes = 0
         for shard in range(self.shards):
-            merged.extend(self.hdfs.read(_part(path, shard)).records)
+            part = self.hdfs.read(_part(path, shard))
+            merged.extend(part.records)
+            enveloped_bytes += part.raw_bytes
         merged.sort(key=lambda record: record.order)
-        self.hdfs.write(path, [record.payload for record in merged], compressed)
+        # The parts were sized when written: the payloads alone weigh
+        # that less one envelope charge per record.
+        self.hdfs.write(
+            path,
+            [record.payload for record in merged],
+            compressed,
+            raw_hint=enveloped_bytes - _ENVELOPE_OVERHEAD * len(merged),
+        )
 
     def inject_defaults(self, plan: NTGAPlan) -> None:
         """Sharded :func:`~repro.ntga.planner.inject_default_rows`:
@@ -203,14 +231,20 @@ class ShardedExecutor:
     def _partial_jobs(self, job: MapReduceJob) -> list[MapReduceJob]:
         """N map-only jobs running the logical mapper over local parts,
         shipping raw tagged emissions (no combiner — see module doc)."""
-        slot_of = {path: slot for slot, path in enumerate(job.inputs)}
+        # Part path -> logical input slot, for every shard's parts: built
+        # once per job, so no record re-parses its path (and a logical
+        # path that itself contains "@s" cannot be mis-slotted).
+        slot_of = {
+            _part(path, shard): slot
+            for slot, path in enumerate(job.inputs)
+            for shard in range(self.shards)
+        }
         logical_mapper = job.mapper
         assert logical_mapper is not None
 
         def partial_mapper(tagged: tuple[str, ShardRecord]) -> Iterable[ShardRecord]:
             path, record = tagged
-            # Strip the part suffix to recover the logical input slot.
-            slot = slot_of[path.rsplit("@s", 1)[0]]
+            slot = slot_of[path]
             for index, emission in enumerate(logical_mapper(record.payload)):
                 yield ShardRecord((slot, record.order, index), emission)
 
@@ -237,12 +271,18 @@ class ShardedExecutor:
         per-owner *cross-shard* byte volumes: the priced communication.
         """
         owner_for_key = self.partition.owner_for_key
+        # Many emissions share a key (every solution of one group): each
+        # distinct key is routed -- for non-subjects, hashed -- once.
+        owners: dict[Any, int] = {}
         per_owner: list[list[ShardRecord]] = [[] for _ in range(self.shards)]
         inbound_cross = [0] * self.shards
         cross_records = 0
         for shard in range(self.shards):
             for record in self.hdfs.read(_partial_out(job.output, shard)).records:
-                owner = owner_for_key(record.payload[0])
+                key = record.payload[0]
+                owner = owners.get(key)
+                if owner is None:
+                    owner = owners[key] = owner_for_key(key)
                 per_owner[owner].append(record)
                 if owner != shard:
                     inbound_cross[owner] += record.estimated_size()
@@ -278,15 +318,10 @@ class ShardedExecutor:
             # Tag order across shards is the unsharded emission order,
             # so the reducer sees exactly the single-cluster value list.
             tagged = sorted(tagged, key=lambda item: item[0])
-            values = [
-                # The aggregation reducer merges *into* values[0]; the
-                # stored exchange records must survive a re-submission
-                # un-mutated, so holistic accumulator state is copied.
-                copy.deepcopy(value)
-                if isinstance(value, AccumulatorTuple)
-                else value
-                for _, value in tagged
-            ]
+            # The values are the stored exchange records' own payloads, and
+            # those must survive a re-submission un-mutated: logical
+            # reducers never merge into their inputs (TG_AgJ copies first).
+            values = [value for _, value in tagged]
             key_tag = _sort_key(key)
             for index, emission in enumerate(logical_reducer(key, values)):
                 yield ShardRecord((0, key_tag, index), emission)

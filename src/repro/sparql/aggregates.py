@@ -13,7 +13,7 @@ the value set, which is what makes it shuffle-heavy on MapReduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from repro.errors import SparqlEvaluationError
 
@@ -38,6 +38,14 @@ class Accumulator:
     def partial(self) -> object:
         """Serializable partial state (for shuffle byte accounting)."""
         raise NotImplementedError
+
+    def copy(self) -> "Accumulator":
+        """An independent accumulator with the same running state.
+        Scalar state is shared by reference; subclasses holding mutable
+        state copy it."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
 
 class CountAccumulator(Accumulator):
@@ -182,6 +190,11 @@ class DistinctAccumulator(Accumulator):
     def partial(self) -> object:
         return frozenset(self.seen)
 
+    def copy(self) -> "DistinctAccumulator":
+        clone = DistinctAccumulator(self.inner.copy())
+        clone.seen = set(self.seen)
+        return clone
+
 
 _FACTORIES = {
     "COUNT": CountAccumulator,
@@ -196,16 +209,22 @@ _FACTORIES = {
 ALGEBRAIC_FUNCTIONS = frozenset(("COUNT", "SUM", "AVG", "MIN", "MAX"))
 
 
-def make_accumulator(func: str, distinct: bool = False) -> Accumulator:
-    """Create a fresh accumulator for the named aggregate function."""
+def accumulator_factory(func: str, distinct: bool = False) -> Callable[[], Accumulator]:
+    """A zero-argument constructor of fresh accumulators for the named
+    aggregate function: resolved once per plan by code that needs one
+    accumulator per solution."""
     try:
         factory = _FACTORIES[func]
     except KeyError:
         raise SparqlEvaluationError(f"unknown aggregate function {func!r}") from None
-    accumulator = factory()
     if distinct:
-        return DistinctAccumulator(accumulator)
-    return accumulator
+        return lambda: DistinctAccumulator(factory())
+    return factory
+
+
+def make_accumulator(func: str, distinct: bool = False) -> Accumulator:
+    """Create a fresh accumulator for the named aggregate function."""
+    return accumulator_factory(func, distinct)()
 
 
 def aggregate_values(func: str, values: Iterable[object], distinct: bool = False) -> object:
@@ -239,6 +258,11 @@ class AccumulatorTuple:
 
     def results(self) -> list[object]:
         return [accumulator.result() for accumulator in self.accumulators]
+
+    def copy(self) -> "AccumulatorTuple":
+        """A tuple whose accumulators can be merged into without
+        touching this one's state."""
+        return AccumulatorTuple([a.copy() for a in self.accumulators])
 
     def estimated_size(self) -> int:
         from repro.mapreduce.cost import estimate_size

@@ -168,3 +168,56 @@ def test_accumulator_tuple_sizes_track_merges():
     assert after == _reference_estimate_size(first)
     # ...and the merge really did change the size (the distinct set grew).
     assert after > before
+
+
+@settings(max_examples=100)
+@given(st.one_of(_iris, _bnodes))
+def test_iri_and_bnode_sizes_pin_on_first_sizing(term):
+    """The Hive row builders peek ``term._size`` and only fall back to
+    the estimator when it is unset: the first sizing must set it."""
+    fresh = type(term)(term.value if isinstance(term, IRI) else term.label)
+    assert fresh._size is None
+    assert estimate_size(fresh) == _reference_estimate_size(fresh)
+    assert fresh._size == _reference_estimate_size(fresh)
+
+
+@settings(max_examples=100)
+@given(_records)
+def test_shard_record_size_pins_and_equals_reference(payload):
+    from repro.shard.execution import _ENVELOPE_OVERHEAD, ShardRecord
+
+    record = ShardRecord((0, 1), payload)
+    expected = _reference_estimate_size(payload) + _ENVELOPE_OVERHEAD
+    assert estimate_size(record) == expected
+    assert record._size == expected
+    assert estimate_size(record) == expected  # served from the pin
+    with reference_mode():
+        assert estimate_size(record) == expected
+
+
+def test_shard_record_pin_survives_reducing_a_copy_of_its_accumulators():
+    """The envelope of a shuffled ``(key, accumulators)`` pair is sized
+    once; that is sound only while reducers merge into *copies*.  The
+    accumulator tuple itself stays un-cached (it is mutable)."""
+    from repro.shard.execution import ShardRecord
+    from repro.sparql.aggregates import AccumulatorTuple
+
+    def accumulators(*values):
+        bundle = AccumulatorTuple.fresh([("SUM", False), ("COUNT", True)])
+        for value in values:
+            for accumulator in bundle.accumulators:
+                accumulator.update(value)
+        return bundle
+
+    stored, other = accumulators(5, 7), accumulators(11)
+    record = ShardRecord((0,), (("key",), stored))
+    pinned = estimate_size(record)
+    working = stored.copy()
+    working.merge(other)
+    assert working.results() == [23, 3]
+    assert stored.results() == [12, 2]
+    assert estimate_size(record) == pinned
+    with reference_mode():
+        assert estimate_size(record) == pinned
+    assert not hasattr(stored, "_size")
+    assert estimate_size(working) == _reference_estimate_size(working) > estimate_size(stored)

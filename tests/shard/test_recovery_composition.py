@@ -112,3 +112,63 @@ def test_exchange_files_fingerprint_stably_across_resubmissions(graph, query):
         )
     skipped = {e.attrs["job"] for e in recorder.events if e.name == "checkpoint-skip"}
     assert any("@r" in name for name in skipped)
+
+
+#: COUNT(DISTINCT) is holistic: its partial state is a value set the
+#: reducer grows in place -- the state a shared (uncopied) exchange
+#: record would leak between two runs of the same assemble job.
+HOLISTIC_QUERY = """
+PREFIX bsbm: <http://bsbm.example.org/vocabulary/>
+SELECT ?f (SUM(?pr) AS ?sum) (COUNT(DISTINCT ?o) AS ?offers) {
+  ?p a bsbm:ProductType1 ; bsbm:productFeature ?f .
+  ?o bsbm:product ?p ; bsbm:price ?pr .
+} GROUP BY ?f
+"""
+
+
+def test_assemble_jobs_rerun_over_the_same_exchange_files(graph):
+    """Running the assemble jobs twice over one set of exchange files
+    yields equal outputs and leaves the files -- their sized bytes and
+    every accumulator partial in them -- untouched: what a resubmitted
+    assemble job (and the once-only size pin on each envelope) needs."""
+    from repro.mapreduce.hdfs import HDFS
+    from repro.mapreduce.runner import MapReduceRunner
+    from repro.ntga.physical import load_triplegroups
+    from repro.ntga.planner import plan_rapid_analytics
+    from repro.shard.execution import ShardedExecutor, _exchange_file, _part
+
+    config = EngineConfig(shards=4, partitioner="hash")
+    hdfs = HDFS()
+    store = load_triplegroups(graph, hdfs)
+    plan = plan_rapid_analytics(to_analytical(HOLISTIC_QUERY), store)
+    runner = MapReduceRunner(hdfs, config.cluster, config.cost_model)
+    executor = ShardedExecutor(runner, store, graph, config)
+    executor.run(plan.jobs)
+    (agg_join,) = [job for job in plan.jobs if "TG_AgJ" in job.labels]
+
+    def exchange_state():
+        files = [hdfs.read(_exchange_file(agg_join.output, s)) for s in range(4)]
+        return [
+            (
+                file.raw_bytes,
+                [
+                    (record.order, key, [a.partial() for a in value.accumulators])
+                    for record in file.records
+                    for key, value in [record.payload]
+                ],
+            )
+            for file in files
+        ]
+
+    def assemble_outputs():
+        for job in executor._assemble_jobs(agg_join, [0] * 4):
+            runner.run_job(job)
+        return [list(hdfs.read(_part(agg_join.output, s)).records) for s in range(4)]
+
+    before = exchange_state()
+    assert sum(len(partials) for _, partials in before) > 0
+    first = assemble_outputs()
+    second = assemble_outputs()
+    assert first == second
+    assert any(first)
+    assert exchange_state() == before
