@@ -27,11 +27,7 @@ from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.ntga.composite import CanonicalSubquery, CompositePlan, CompositeStar, object_filters
 from repro.ntga.factorized import FactorizedRelation, schema_for
-from repro.ntga.operators import (
-    AlphaCondition,
-    JoinSide,
-    any_alpha_satisfied,
-)
+from repro.ntga.operators import AlphaCondition, JoinSide
 from repro.ntga.triplegroup import (
     JoinedTripleGroup,
     JoinPlan,
@@ -40,6 +36,7 @@ from repro.ntga.triplegroup import (
 )
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, Variable, term_sort_key
+from repro.rdf.triples import RDF_TYPE
 from repro.sparql.aggregates import UNBOUND, accumulator_factory, make_accumulator
 from repro.sparql.expressions import evaluate_filter, term_value
 
@@ -185,34 +182,41 @@ def make_star_filter(
     )
 
     def filter_one(group: TripleGroup) -> "TripleGroup | FactorizedRelation | None":
-        projected = group.project(relevant)
-        if required_object or pushed:
-            kept = []
-            for triple in projected.triples:
-                required = required_object.get(triple.property)
-                if required is not None and triple.object != required:
-                    continue
-                tests = pushed.get(triple.property)
-                if tests is not None:
-                    bindings = {tests[0]: triple.object}
-                    if not all(evaluate_filter(e, bindings) for e in tests[1]):
+        # Projection and the per-triple checks only remove triples, so a
+        # group without the primaries cannot gain them below -- and one
+        # that has them keeps them unless a check drops a triple.
+        dropped = not p_prim <= group.props()
+        if not dropped:
+            projected = group.project(relevant)
+            if required_object or pushed:
+                kept = []
+                for triple in projected.triples:
+                    required = required_object.get(triple.property)
+                    if required is not None and triple.object != required:
                         continue
-                kept.append(triple)
-            projected = TripleGroup(group.subject, tuple(kept))
-        if p_prim <= projected.props():
-            if schema is None:
-                return projected
-            fact = FactorizedRelation.from_triplegroup(projected, schema)
+                    tests = pushed.get(triple.property)
+                    if tests is not None:
+                        bindings = {tests[0]: triple.object}
+                        if not all(evaluate_filter(e, bindings) for e in tests[1]):
+                            continue
+                    kept.append(triple)
+                if len(kept) != len(projected.triples):
+                    projected = TripleGroup(group.subject, tuple(kept))
+                    dropped = not p_prim <= projected.props()
+        if dropped:
             if obs._ACTIVE is not None:
-                obs.count("factorized_relations")
-                obs.count(
-                    "factorized_bytes_saved",
-                    projected.estimated_size() - fact.estimated_size(),
-                )
-            return fact
+                obs.count("sigma_dropped_triplegroups")
+            return None
+        if schema is None:
+            return projected
+        fact = FactorizedRelation.from_triplegroup(projected, schema)
         if obs._ACTIVE is not None:
-            obs.count("sigma_dropped_triplegroups")
-        return None
+            obs.count("factorized_relations")
+            obs.count(
+                "factorized_bytes_saved",
+                projected.estimated_size() - fact.estimated_size(),
+            )
+        return fact
 
     return filter_one
 
@@ -320,77 +324,374 @@ def restricted_alphas(
 # ---------------------------------------------------------------------------
 # TG_AlphaJoin job
 # ---------------------------------------------------------------------------
+#
+# Everything a ``JoinStep`` fixes -- which component slot and column
+# carries each join key, which variables ``fixed`` already holds when a
+# record reaches the step, which property keys any α can ask about -- is
+# compiled into one :class:`AlphaJoinPlan` when the job is built.  Per
+# record the mapper and reducer only index (docs/performance.md).
 
 
-def _emit_tagged(
-    side: JoinSide,
-    tag: str,
-    joined: JoinedTripleGroup,
-    variable: Variable,
-    ship_fixed: bool = True,
-) -> Iterable[tuple[Term, tuple[str, JoinedTripleGroup]]]:
-    """Tag *joined* for the α-join shuffle, one record per join-key value.
+def _key_reader(
+    side: JoinSide, slot: int, schema
+) -> Callable[[tuple], Sequence[Term]]:
+    """Compile *side* into ``components -> distinct join-key values``.
 
-    With ``ship_fixed=False`` (the factorized representation) the join
-    binding ``(variable, key)`` is *not* packed into the shuffled value:
-    the shuffle key already carries it, and the reducer reattaches it via
-    :func:`_with_fixed` before merging — same structure, fewer shuffled
-    bytes, and the emitted records share one instance (and its size
-    memo) across every key of an n-split fan-out.
+    *slot* is the position of the side's star in the record's
+    ``components``; *schema* the star's factorized schema (``None`` for
+    flat triplegroups).  Values keep column (= triple) order; the
+    order-preserving dedup runs only when there is more than one.
     """
-    keys = list(side.keys_for(joined))
-    if obs._ACTIVE is not None and len(keys) > 1:
-        # χ (n-split): one triplegroup fans out into one record per
-        # distinct join-key value.
-        obs.count("nsplit_split_groups")
-        obs.count("nsplit_fanout", len(keys))
-    for key in keys:
-        if not ship_fixed:
-            yield key, (tag, joined)
-            continue
-        fixed = joined.fixed
-        if not any(v == variable for v, _ in fixed):
-            fixed = fixed + ((variable, key),)
-        yield key, (tag, JoinedTripleGroup(joined.components, fixed))
+    if side.role == "subject":
+        return lambda components: (components[slot][1].subject,)
+    key = side.prop
+    if schema is None:
+
+        def read_flat(components: tuple) -> Sequence[Term]:
+            values = components[slot][1].objects_for(key)
+            return values if len(values) < 2 else tuple(dict.fromkeys(values))
+
+        return read_flat
+    column, only = schema.column_for(key)
+    if column < 0:
+        return lambda components: ()
+
+    def read_column(components: tuple) -> Sequence[Term]:
+        values = components[slot][1].columns[column]
+        if only is not None:
+            values = tuple(value for value in values if value == only)
+        return values if len(values) < 2 else tuple(dict.fromkeys(values))
+
+    return read_column
 
 
-def _with_fixed(
-    joined: JoinedTripleGroup, variable: Variable, key: Term
-) -> JoinedTripleGroup:
-    """Reattach the join binding dropped by ``ship_fixed=False``.
+def _presence_mask(
+    bits: dict[PropKey, int], slot: int, schema
+) -> Callable[[tuple], int] | None:
+    """Compile ``components -> bitmask of the α keys the component at
+    *slot* holds`` (``None`` when it can hold none of them).
 
-    Byte-identical in structure to the flat map-side append: the binding
-    goes at the end of ``fixed`` iff *variable* is not already bound
-    (an existing binding — even to a different value — is left alone,
-    exactly as the mapper would have)."""
-    if any(v == variable for v, _ in joined.fixed):
-        return joined
-    return JoinedTripleGroup(joined.components, joined.fixed + ((variable, key),))
+    A factorized component answers from its columns exactly as
+    :meth:`FactorizedRelation.props` would: a key counts when its column
+    is non-empty -- for a type-qualified key without a column of its own,
+    when the plain ``rdf:type`` column lists its class -- and the plain
+    ``rdf:type`` key never does (``props()`` qualifies it by class).
+    """
+    if schema is None:
+        pairs = tuple(bits.items())
+
+        def mask_flat(components: tuple) -> int:
+            props = components[slot][1].props()
+            mask = 0
+            for key, bit in pairs:
+                if key in props:
+                    mask |= bit
+            return mask
+
+        return mask_flat
+    checks = []
+    for key, bit in bits.items():
+        column, only = schema.column_for(key)
+        if column >= 0 and key != PropKey(RDF_TYPE):
+            checks.append((column, only, bit))
+    if not checks:
+        return None
+
+    def mask_columns(components: tuple) -> int:
+        columns = components[slot][1].columns
+        mask = 0
+        for column, only, bit in checks:
+            values = columns[column]
+            if values and (only is None or only in values):
+                mask |= bit
+        return mask
+
+    return mask_columns
 
 
-def _expand_extras(
-    merged: JoinedTripleGroup, extras: tuple[EdgeSides, ...]
-) -> list[JoinedTripleGroup]:
-    results = [merged]
-    for edge in extras:
-        next_results: list[JoinedTripleGroup] = []
-        for joined in results:
-            left_keys = set(edge.left_side.keys_for(joined))
-            right_keys = set(edge.right_side.keys_for(joined))
-            fixed_value = joined.fixed_bindings().get(edge.variable)
-            candidates = left_keys & right_keys
-            if fixed_value is not None:
-                candidates &= {fixed_value}
-            # Deterministic expansion order: set iteration is hash-seeded
-            # and the order reaches materialized records (hence counters).
-            for value in sorted(candidates, key=term_sort_key):
-                fixed = dict(joined.fixed)
-                fixed[edge.variable] = value
-                next_results.append(
-                    JoinedTripleGroup(joined.components, tuple(fixed.items()))
+class AlphaJoinPlan:
+    """One TG_AlphaJoin cycle compiled for execution (Algorithm 2).
+
+    The left-deep order of :func:`derive_join_steps` fixes the layout of
+    every record the cycle sees: a left record's ``components`` are the
+    stars joined so far in step order, its ``fixed`` holds those steps'
+    join variables in step order, and a right record wraps the one new
+    star.  So each join side resolves, once, to a component *slot* and a
+    key reader over it (:func:`_key_reader`); whether the join variable
+    is already bound is a position in the ``fixed`` layout; and Def.
+    3.5's "materialize only if some α holds" is
+    ``(left mask | right mask) & required == required`` over int masks
+    of the restricted α's key universe -- skipped altogether when some
+    α requires nothing.  Under the size-cache switch the records built
+    here get their size pinned from their parts' memoized sizes, and --
+    on the cycle that completes the pattern, whose output TG_AgJ reads --
+    their ``props()`` memo from the parts' memoized sets.
+
+    A side naming a star the layout does not contain is a
+    :class:`PlanningError` here, before any job runs.
+    """
+
+    __slots__ = ("variable", "ship_fixed", "sources", "left_keys", "bound_at", "extras",
+                 "requirements", "left_masks", "right_mask", "completes")
+
+    def __init__(
+        self,
+        step: JoinStep,
+        plan: CompositePlan,
+        joined_so_far: frozenset[int],
+        prefilters: tuple,
+        first_star: int,
+        representation: str,
+        is_first_step: bool,
+    ):
+        factorized = representation == "factorized"
+        new_star = step.new_star
+        self.variable = variable = step.primary.variable
+        #: Flat records carry the join binding in the shuffled value; a
+        #: factorized record leaves it on the shuffle key (fewer shuffled
+        #: bytes, one shared instance per n-split fan-out) and the
+        #: reducer reattaches it.
+        self.ship_fixed = not factorized
+
+        # The layout of a left record: component slots and fixed variables.
+        earlier = (
+            []
+            if is_first_step
+            else [s for s in derive_join_steps(plan) if s.new_star in joined_so_far]
+        )
+        layout = [first_star] + [s.new_star for s in earlier]
+        fixed_layout: list[Variable] = []
+        for edge in (e for s in earlier for e in (s.primary, *s.extras)):
+            if edge.variable not in fixed_layout:
+                fixed_layout.append(edge.variable)
+
+        def schema_of(star_index: int):
+            return schema_for(plan.stars[star_index].all_props()) if factorized else None
+
+        def reader(side: JoinSide, stars: list[int], which: str):
+            if side.star_index not in stars:
+                raise PlanningError(
+                    f"join step attaching star {new_star}: the {which} side of "
+                    f"{variable} names star {side.star_index}, which is not among "
+                    f"the components {stars} it reads"
                 )
-        results = next_results
-    return results
+            return _key_reader(side, stars.index(side.star_index), schema_of(side.star_index))
+
+        self.left_keys = reader(step.primary.left_side, layout, "left")
+        #: What a stored triplegroup can become here: ``(tag, star, its
+        #: σ^γopt, key reader over the one-star wrapper)`` -- the new star,
+        #: and in the first cycle the first star too.
+        self.sources = [
+            (
+                "R",
+                new_star,
+                make_star_filter(plan.stars[new_star], prefilters, representation),
+                reader(step.primary.right_side, [new_star], "right"),
+            )
+        ]
+        if is_first_step:
+            first = make_star_filter(plan.stars[first_star], prefilters, representation)
+            self.sources.insert(0, ("L", first_star, first, self.left_keys))
+        #: Where a left record's ``fixed`` already binds the join
+        #: variable (``-1``: it does not; right records never do).
+        self.bound_at = fixed_layout.index(variable) if variable in fixed_layout else -1
+
+        # Extra edges attaching the same star are checked on the merged
+        # record: (left reader, right reader, variable, its position in
+        # ``fixed`` at that point or -1 when the edge appends it).
+        merged_layout = layout + [new_star]
+        if self.bound_at < 0:
+            fixed_layout.append(variable)
+        extras = []
+        for edge in step.extras:
+            bound = edge.variable in fixed_layout
+            extras.append(
+                (
+                    reader(edge.left_side, merged_layout, "extra left"),
+                    reader(edge.right_side, merged_layout, "extra right"),
+                    edge.variable,
+                    fixed_layout.index(edge.variable) if bound else -1,
+                )
+            )
+            if not bound:
+                fixed_layout.append(edge.variable)
+        self.extras = tuple(extras)
+
+        #: Whether this cycle's output is the composite detail TG_AgJ reads
+        #: (every star joined): its mapper asks each record for ``props()``.
+        self.completes = len(joined_so_far | {new_star}) == len(plan.stars)
+
+        # α as bitmasks over the keys the restricted conditions mention.
+        alphas = restricted_alphas(plan, joined_so_far | {new_star})
+        if not alphas or any(not alpha.required for alpha in alphas):
+            self.requirements = None  # every combination materializes
+            self.left_masks, self.right_mask = (), None
+        else:
+            bits: dict[PropKey, int] = {}
+            for alpha in alphas:
+                for key in alpha.required:
+                    bits.setdefault(key, 1 << len(bits))
+            self.requirements = tuple(
+                dict.fromkeys(sum(bits[key] for key in alpha.required) for alpha in alphas)
+            )
+            masks = (
+                _presence_mask(bits, slot, schema_of(star)) for slot, star in enumerate(layout)
+            )
+            self.left_masks = tuple(mask for mask in masks if mask is not None)
+            self.right_mask = _presence_mask(bits, 0, schema_of(new_star))
+
+    # -- map ---------------------------------------------------------------
+
+    def _tagged(
+        self,
+        tag: str,
+        keys: Sequence[Term],
+        components: tuple,
+        fixed: tuple,
+        stored: JoinedTripleGroup | None,
+        size: int = 0,
+    ) -> list[tuple[Term, tuple[str, JoinedTripleGroup]]]:
+        """One shuffle pair per join-key value for the record
+        ``(components, fixed)``: *stored* itself when it is a previous
+        cycle's output, else a star wrapper of *size* bytes built here."""
+        if len(keys) > 1 and obs._ACTIVE is not None:
+            # χ (n-split): one triplegroup fans out into one record per
+            # distinct join-key value.
+            obs.count("nsplit_split_groups")
+            obs.count("nsplit_fanout", len(keys))
+        pin = cost.SIZE_CACHE_ENABLED
+        if self.ship_fixed and (stored is None or self.bound_at < 0):
+            # Flat: each key's record carries its own join binding.
+            variable = self.variable
+            if pin and stored is not None:
+                size = stored.estimated_size()
+            pairs = []
+            for key in keys:
+                joined = JoinedTripleGroup(components, fixed + ((variable, key),))
+                if pin:
+                    object.__setattr__(joined, "_size", size + cost.estimate_size(key))
+                pairs.append((key, (tag, joined)))
+            return pairs
+        # The binding rides the shuffle key (or is already in ``fixed``):
+        # every key shares one instance, and its size memo.
+        if stored is None:
+            stored = JoinedTripleGroup(components, fixed)
+            if pin:
+                object.__setattr__(stored, "_size", size)
+        value = (tag, stored)
+        if len(keys) == 1:
+            return [(keys[0], value)]
+        return [(key, value) for key in keys]
+
+    def mapper(self, record: Any) -> Sequence[tuple[Term, tuple[str, JoinedTripleGroup]]]:
+        cls = record.__class__
+        if cls is JoinedTripleGroup:  # a previous cycle's output: the left side
+            components = record.components
+            return self._tagged("L", self.left_keys(components), components, record.fixed, record)
+        if cls is not TripleGroup:
+            return ()
+        pairs = []
+        for tag, star, star_filter, keys_of in self.sources:
+            filtered = star_filter(record)
+            if filtered is not None:
+                components = ((star, filtered),)
+                pairs += self._tagged(
+                    tag, keys_of(components), components, (), None, filtered.estimated_size() + 8
+                )
+        return pairs
+
+    # -- reduce ------------------------------------------------------------
+
+    def _extra_fixed(self, components: tuple, fixed: tuple) -> list[tuple]:
+        """Every ``fixed`` the extra edges allow for one merged record:
+        an edge keeps a binding both of its sides offer, or appends one
+        per value they share."""
+        results = [fixed]
+        for left_keys, right_keys, variable, position in self.extras:
+            shared = set(left_keys(components)) & set(right_keys(components))
+            if position >= 0:
+                results = [current for current in results if current[position][1] in shared]
+            else:
+                # Sorted: set iteration is hash-seeded and the order
+                # reaches materialized records (hence counters).
+                ordered = sorted(shared, key=term_sort_key)
+                results = [
+                    current + ((variable, value),) for current in results for value in ordered
+                ]
+        return results
+
+    def reducer(self, key: Term, values: list) -> Sequence[JoinedTripleGroup]:
+        lefts = [joined for tag, joined in values if tag == "L"]
+        if not lefts or len(lefts) == len(values):
+            return ()
+        binding = (self.variable, key)
+        bound_at, ship_fixed, extras = self.bound_at, self.ship_fixed, self.extras
+        requirements, right_mask = self.requirements, self.right_mask
+        # Sizes are pinned where they are plain arithmetic -- one new
+        # binding, no extra edges: the merged record is the left one, the
+        # right one's component (a right record is that plus 8 and, when
+        # shipped flat, the binding) and the binding if the key carried it.
+        pin = cost.SIZE_CACHE_ENABLED and not extras and bound_at < 0
+        if pin:
+            key_size = cost.estimate_size(key)
+            carried = -8 - key_size if ship_fixed else key_size - 8
+        # The detail TG_AgJ reads gets its ``props()`` memo here, as the
+        # union of the parts' memoized sets.
+        pin_props = cost.SIZE_CACHE_ENABLED and self.completes
+        rights = [
+            (
+                joined.components,
+                joined.estimated_size() + carried if pin else 0,
+                right_mask(joined.components) if right_mask is not None else 0,
+                joined.components[0][1].props() if pin_props else None,
+            )
+            for tag, joined in values
+            if tag == "R"
+        ]
+        tracing = obs._ACTIVE is not None
+        pruned = 0
+        output: list[JoinedTripleGroup] = []
+        for left in lefts:
+            # The merged ``fixed`` is the left one's with the join variable
+            # bound to this key: built once per left record.
+            fixed = left.fixed
+            if bound_at >= 0:
+                if fixed[bound_at][1] != key:
+                    fixed = fixed[:bound_at] + (binding,) + fixed[bound_at + 1 :]
+            elif not ship_fixed:
+                fixed = fixed + (binding,)
+            components = left.components
+            left_size = left.estimated_size() if pin else 0
+            if pin_props:
+                left_props = frozenset().union(*[group.props() for _, group in components])
+            left_bits = 0
+            if requirements is not None:
+                for mask in self.left_masks:
+                    left_bits |= mask(components)
+            for right_components, right_size, right_bits, right_props in rights:
+                merged = components + right_components
+                if requirements is not None:
+                    present = left_bits | right_bits
+                    for required in requirements:
+                        if present & required == required:
+                            break
+                    else:
+                        if tracing:
+                            pruned += len(self._extra_fixed(merged, fixed)) if extras else 1
+                        continue
+                for variant in self._extra_fixed(merged, fixed) if extras else (fixed,):
+                    joined = JoinedTripleGroup(merged, variant)
+                    if pin:
+                        object.__setattr__(joined, "_size", left_size + right_size)
+                    if pin_props:
+                        object.__setattr__(joined, "_props", left_props | right_props)
+                    output.append(joined)
+        if tracing:
+            if output:
+                obs.count("alpha_combinations_materialized", len(output))
+            if pruned:
+                obs.count("alpha_combinations_pruned", pruned)
+        return output
 
 
 def build_alpha_join_job(
@@ -412,18 +713,20 @@ def build_alpha_join_job(
     by join side; the reduce phase performs the α-join.  Under
     ``representation="factorized"`` the star components flow as
     factorized columns and join bindings ride the shuffle key instead of
-    the value (see :func:`_emit_tagged`).
+    the value.  Both phases run one :class:`AlphaJoinPlan`, compiled
+    here.
     """
     new_star = step.new_star
-    factorized = representation == "factorized"
-    new_filter = make_star_filter(plan.stars[new_star], prefilters, representation)
-    first_filter = make_star_filter(plan.stars[first_star], prefilters, representation)
-    alphas = restricted_alphas(plan, joined_so_far | {new_star})
-    left_side, right_side = step.primary.left_side, step.primary.right_side
-    variable = step.primary.variable
-    extras = step.extras
+    compiled = AlphaJoinPlan(
+        step,
+        plan,
+        joined_so_far,
+        prefilters,
+        first_star,
+        representation,
+        is_first_step=previous_output is None,
+    )
 
-    is_first_step = previous_output is None
     inputs: list[str] = []
     if previous_output is not None:
         inputs.append(previous_output)
@@ -436,61 +739,12 @@ def build_alpha_join_job(
     seen: set[str] = set()
     inputs = [p for p in inputs if not (p in seen or seen.add(p))]
 
-    ship_fixed = not factorized
-
-    def mapper(record: Any) -> Iterable[tuple[Term, tuple[str, JoinedTripleGroup]]]:
-        if isinstance(record, JoinedTripleGroup):
-            yield from _emit_tagged(left_side, "L", record, variable, ship_fixed)
-            return
-        if not isinstance(record, TripleGroup):
-            return
-        if is_first_step:
-            filtered = first_filter(record)
-            if filtered is not None:
-                yield from _emit_tagged(
-                    left_side,
-                    "L",
-                    JoinedTripleGroup.single(first_star, filtered),
-                    variable,
-                    ship_fixed,
-                )
-        filtered = new_filter(record)
-        if filtered is not None:
-            yield from _emit_tagged(
-                right_side,
-                "R",
-                JoinedTripleGroup.single(new_star, filtered),
-                variable,
-                ship_fixed,
-            )
-
-    def reducer(key: Term, values: list) -> Iterable[JoinedTripleGroup]:
-        lefts = [joined for tag, joined in values if tag == "L"]
-        rights = [joined for tag, joined in values if tag == "R"]
-        if factorized:
-            # Reattach the join binding the mapper left on the shuffle
-            # key (ship_fixed=False) before merging — restores exactly
-            # the flat path's fixed tuples.
-            lefts = [_with_fixed(joined, variable, key) for joined in lefts]
-            rights = [_with_fixed(joined, variable, key) for joined in rights]
-        tracing = obs._ACTIVE is not None
-        for left in lefts:
-            for right in rights:
-                merged = left.merge(right)
-                for expanded in _expand_extras(merged, extras):
-                    if any_alpha_satisfied(alphas, expanded.props()):
-                        if tracing:
-                            obs.count("alpha_combinations_materialized")
-                        yield expanded
-                    elif tracing:
-                        obs.count("alpha_combinations_pruned")
-
     return MapReduceJob(
         name=name,
         inputs=tuple(inputs),
         output=output,
-        mapper=mapper,
-        reducer=reducer,
+        mapper=compiled.mapper,
+        reducer=compiled.reducer,
         labels=("TG_OptGrpFilter", "TG_AlphaJoin"),
         representation=representation,
     )

@@ -237,9 +237,6 @@ class JoinedTripleGroup:
             object.__setattr__(self, "_props", keys)
         return keys
 
-    def props_by_star(self) -> dict[int, frozenset[PropKey]]:
-        return {index: group.props() for index, group in self.components}
-
     def fixed_bindings(self) -> dict[Variable, Term]:
         return dict(self.fixed)
 

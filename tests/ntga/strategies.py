@@ -1,0 +1,196 @@
+"""Shared generators and naive oracles for the NTGA differential tests.
+
+``test_triplegroup.py`` (compiled expansion) and ``test_physical.py``
+(compiled α-join) draw their stars and triplegroups from the same
+strategies and check against oracles written the slow, obvious way.
+"""
+
+from hypothesis import strategies as st
+
+from repro.core.query_model import PropKey, StarPattern, prop_key_of
+from repro.ntga.factorized import FactorizedRelation, schema_for
+from repro.ntga.triplegroup import TripleGroup
+from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.triples import RDF_TYPE, Triple, TriplePattern
+
+TY = RDF_TYPE
+PT = IRI("urn:PT1")
+
+
+def tg(subject, *pairs):
+    return TripleGroup(subject, tuple(Triple(subject, p, o) for p, o in pairs))
+
+
+# ---------------------------------------------------------------------------
+# The BGP oracle
+# ---------------------------------------------------------------------------
+#
+# BGP matching written the slow, obvious way: every pattern is tried
+# against every triple of the group, solution by solution.  It knows
+# nothing of plans, steps, columns or in-place extension.  Comparisons
+# against it include order: of the solutions, and of the keys inside each.
+
+
+def naive_star(star, group, fixed=()):
+    fixed = dict(fixed)
+
+    def agrees(variable, term, solution):
+        return solution.get(variable, fixed.get(variable, term)) == term
+
+    if not isinstance(star.subject, Variable):
+        solutions = [{}] if star.subject == group.subject else []
+    elif agrees(star.subject, group.subject, {}):
+        solutions = [{star.subject: group.subject}]
+    else:
+        solutions = []
+    for pattern in star.patterns:
+        objects = [t.object for t in group.triples if t.property == pattern.property]
+        extended = []
+        for solution in solutions:
+            if isinstance(pattern.object, Variable):
+                matches = [
+                    {**solution, pattern.object: o}
+                    for o in objects
+                    if agrees(pattern.object, o, solution)
+                ]
+            else:
+                matches = [solution] if pattern.object in objects else []
+            if not matches and prop_key_of(pattern) in star.optional_props:
+                matches = [solution]
+            extended += matches
+        solutions = extended
+    return [
+        {**s, **{v: t for v, t in fixed.items() if v not in s}} for s in solutions
+    ]
+
+
+def naive_joined(stars, components, fixed):
+    """*components* holds one flat triplegroup per star, in star order."""
+    merged = [{}]
+    for star, group in zip(stars, components):
+        merged = [
+            {**left, **{v: t for v, t in right.items() if v not in left}}
+            for left in merged
+            for right in naive_star(star, group, fixed)
+            if all(left.get(v, t) == t for v, t in right.items())
+        ]
+    return merged
+
+
+def ordered(solutions):
+    return [list(solution.items()) for solution in solutions]
+
+
+# ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+PROPS = [IRI(f"urn:p{i}") for i in range(3)]
+OPTIONAL_PROPS = [IRI(f"urn:q{i}") for i in range(2)]
+OBJECTS = [IRI(f"urn:o{i}") for i in range(3)] + [Literal("7"), PT, IRI("urn:PT2")]
+SUBJECTS = [IRI(f"urn:s{i}") for i in range(3)]
+SHARED_VARS = [Variable(name) for name in "xyz"]
+
+
+@st.composite
+def stars(draw, index=0):
+    """A star whose object variables come from a pool shared by every
+    star drawn (so variables repeat within a star and across stars) or
+    from its own subject; OPTIONAL patterns sit on dedicated properties
+    with private variables, as the query model guarantees."""
+    subject = draw(
+        st.one_of(st.just(Variable(f"s{index}")), st.sampled_from(SUBJECTS[:2]))
+    )
+    pool = SHARED_VARS + ([subject] if isinstance(subject, Variable) else [])
+    required = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(PROPS), st.sampled_from(pool + OBJECTS)),
+                st.tuples(st.just(TY), st.sampled_from([PT, IRI("urn:PT2")] + pool)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    optional = [
+        (p, draw(st.sampled_from([Variable(f"opt{index}{p.value[-1]}"), OBJECTS[0]])))
+        for p in draw(st.lists(st.sampled_from(OPTIONAL_PROPS), max_size=2, unique=True))
+    ]
+    patterns = list(required)
+    for pattern in optional:
+        patterns.insert(draw(st.integers(0, len(patterns))), pattern)
+    return StarPattern(
+        subject,
+        tuple(TriplePattern(subject, p, o) for p, o in patterns),
+        frozenset(PropKey(p) for p, _ in optional),
+    )
+
+
+# Built once: hypothesis validates a strategy object on first use, and
+# the group generator is drawn from thousands of times per test.
+_SUBJECT = st.sampled_from(SUBJECTS)
+_TRIPLES_PER_PATTERN = st.sampled_from([1, 1, 1, 2, 0])
+_OBJECT = st.sampled_from(OBJECTS)
+_NOISE = st.lists(
+    st.tuples(
+        st.sampled_from(PROPS + OPTIONAL_PROPS + [TY]),
+        st.sampled_from(OBJECTS + SUBJECTS),
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def groups(draw, star=None, objects=_OBJECT):
+    """A triplegroup; given a *star*, one that tends to match it (random
+    groups almost never do): a triple or two per pattern, plus noise.
+    *objects* draws the value of a variable's triple (a join test passes
+    a pool that overlaps the subjects)."""
+    subject = draw(_SUBJECT)
+    likely = []
+    if star is not None:
+        if not isinstance(star.subject, Variable) and draw(st.integers(0, 9)):
+            subject = star.subject
+        for pattern in star.patterns:
+            for _ in range(draw(_TRIPLES_PER_PATTERN)):
+                value = pattern.object
+                if isinstance(value, Variable):
+                    value = draw(objects)
+                likely.append((pattern.property, value))
+    # An RDF graph is a set of triples: no duplicates within a group.
+    return tg(subject, *dict.fromkeys(draw(st.permutations(likely + draw(_NOISE)))))
+
+
+def fixed_for(draw, stars, groups):
+    """Bindings for some of the stars' non-OPTIONAL variables (and one
+    no star mentions): most to a value the data offers that variable,
+    some to one that rejects."""
+    offered = {Variable("elsewhere"): []}
+    for star, group in zip(stars, groups):
+        if isinstance(star.subject, Variable):
+            offered.setdefault(star.subject, []).append(group.subject)
+        for pattern in star.patterns:
+            if isinstance(pattern.object, Variable) and not pattern.object.name.startswith("opt"):
+                offered.setdefault(pattern.object, []).extend(
+                    t.object for t in group.triples if t.property == pattern.property
+                )
+    chosen = draw(
+        st.lists(
+            st.sampled_from(sorted(offered, key=lambda v: v.name)), max_size=3, unique=True
+        )
+    )
+    return tuple(
+        (variable, draw(st.sampled_from(offered[variable] * 4 + OBJECTS + SUBJECTS)))
+        for variable in chosen
+    )
+
+
+def factorized(draw, star, group):
+    """*group* as the star filter would ship it: columns over a schema
+    covering the star's keys -- with a type-qualified key sometimes
+    served by a plain ``rdf:type`` column instead of its own."""
+    keys = set(star.props()) | {PropKey(p) for p in draw(st.sets(st.sampled_from(PROPS)))}
+    if draw(st.booleans()):
+        keys = {PropKey(TY) if key.type_object is not None else key for key in keys}
+    keys = frozenset(keys)
+    return FactorizedRelation.from_triplegroup(group.project(keys), schema_for(keys))

@@ -1,8 +1,14 @@
 """Job-level unit tests for the NTGA physical operators."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro import obs, run_query
+from repro.bench.catalog import CATALOG
 from repro.core.query_model import PropKey, parse_analytical
+from repro.datasets import bsbm
 from repro.errors import PlanningError
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runner import MapReduceRunner
@@ -254,6 +260,30 @@ class TestJobExecution:
         assert all(isinstance(record, JoinedTripleGroup) for record in joined)
         assert {record.component(1).subject for record in joined} == {iri("o1"), iri("o2")}
 
+    def test_side_naming_a_star_outside_the_layout_is_a_planning_error(self, composite):
+        """Such a step used to join nothing, silently: ``keys_for`` found
+        no component and returned no keys.  Slots are resolved when the
+        job is built, so now the builder refuses it."""
+        hdfs, store = self._store(self._graph())
+        (step,) = derive_join_steps(composite)
+        stray_left = replace(step.primary, left_side=replace(step.primary.left_side, star_index=5))
+        stray_right = replace(step.primary, right_side=replace(step.primary.right_side, star_index=0))
+        for broken, star in (
+            (replace(step, primary=stray_left), 5),
+            (replace(step, primary=stray_right), 0),  # right records hold star 1 only
+            (replace(step, extras=(stray_left,)), 5),
+        ):
+            with pytest.raises(PlanningError, match=rf"attaching star 1.* names star {star}"):
+                build_alpha_join_job(
+                    name="t:join",
+                    step=broken,
+                    plan=composite,
+                    store=store,
+                    previous_output=None,
+                    joined_so_far=frozenset({0}),
+                    output="t/out",
+                )
+
     def test_agg_join_job_rows(self, composite):
         hdfs, store = self._store(self._graph())
         (step,) = derive_join_steps(composite)
@@ -293,6 +323,41 @@ class TestJobExecution:
         )
         MapReduceRunner(hdfs).run_job(job)
         assert hdfs.read("t/agg").records == []  # empty store, no groups
+
+
+#: Operator counters of one traced ``rapid-analytics`` run, recorded at
+#: the commit before the α-join was compiled (PR 15 re-anchor): the
+#: compiled cycle must report what the interpreted one did.
+OPERATOR_COUNTERS = {
+    # MG3 on BSBM tiny: two α-join steps, single-valued join properties.
+    "MG3": {
+        "nsplit_split_groups": 0,
+        "nsplit_fanout": 0,
+        "alpha_combinations_materialized": 72,
+        "alpha_combinations_pruned": 0,
+        "sigma_dropped_triplegroups": 222,
+    },
+    # MG10 on Chem2Bio2RDF tiny: n-split fan-out and α pruning.
+    "MG10": {
+        "nsplit_split_groups": 90,
+        "nsplit_fanout": 220,
+        "alpha_combinations_materialized": 280,
+        "alpha_combinations_pruned": 75,
+        "sigma_dropped_triplegroups": 220,
+    },
+}
+
+
+@pytest.mark.parametrize("qid", sorted(OPERATOR_COUNTERS))
+def test_operator_counters_match_the_interpreted_cycle(qid, chem_tiny):
+    graph = chem_tiny if qid == "MG10" else bsbm.generate(bsbm.preset("tiny"))
+    with obs.tracing() as tracer:
+        run_query(CATALOG[qid].sparql, graph, engine="rapid-analytics")
+    counted = Counter()
+    for span in tracer.spans:
+        counted.update(span.metrics)
+    expected = OPERATOR_COUNTERS[qid]
+    assert {name: counted[name] for name in expected} == expected
 
 
 class TestEmptyGroupRows:

@@ -1,11 +1,12 @@
 """Compiled plans die with the jobs that own them.
 
-Expansion plans (``StarPlan`` / ``JoinPlan``) are built per job and hold
-their schema memo on themselves.  Keying a module-level container by
-plan objects instead would keep every served unit's plan alive for the
-life of the process -- measured at +10% peak RSS on a 400-request
-stream.  This pins the absence of such a container: serving the same
-stream again through a fresh service must leave nothing behind.
+Expansion plans (``StarPlan`` / ``JoinPlan``) and α-join plans
+(``AlphaJoinPlan``) are built per job and hold what they compiled on
+themselves.  Keying a module-level container by plan objects instead
+would keep every served unit's plan alive for the life of the process --
+measured at +10% peak RSS on a 400-request stream.  This pins the absence
+of such a container: serving the same stream again through a fresh
+service must leave nothing behind.
 """
 
 import gc
@@ -14,11 +15,12 @@ import sys
 from repro.bench.harness import chem_config
 from repro.core.query_model import StarPattern
 from repro.ntga.composite import CanonicalSubquery
+from repro.ntga.physical import AlphaJoinPlan
 from repro.ntga.triplegroup import JoinPlan, StarPlan
 from repro.serve import OK, QueryService, ServiceConfig
 from repro.serve.workload import WorkloadSpec, workload_requests
 
-PLAN_TYPES = (CanonicalSubquery, StarPattern, StarPlan, JoinPlan)
+PLAN_TYPES = (CanonicalSubquery, StarPattern, StarPlan, JoinPlan, AlphaJoinPlan)
 
 
 def _ntga_container_sizes() -> dict[str, int]:

@@ -221,3 +221,62 @@ def test_shard_record_pin_survives_reducing_a_copy_of_its_accumulators():
         assert estimate_size(record) == pinned
     assert not hasattr(stored, "_size")
     assert estimate_size(working) == _reference_estimate_size(working) > estimate_size(stored)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_triplegroups(), _triplegroups(), st.sampled_from(["flat", "factorized"]))
+def test_alpha_join_pins_sizes_equal_to_the_reference_derivation(left, right, representation):
+    """The compiled α-join pins ``_size`` on the star wrappers it ships
+    and on the records it merges, arithmetically from their parts; a cold
+    re-derivation must agree, flat and factorized."""
+    from repro.core.query_model import StarPattern
+    from repro.ntga.composite import CompositePlan, CompositeStar
+    from repro.ntga.physical import TripleGroupStore, build_alpha_join_job, derive_join_steps
+    from repro.rdf.triples import TriplePattern
+
+    join = Variable("j")
+    # Make the groups meet: the right one's first triple takes the left's object.
+    first = right.triples[0]
+    right = TripleGroup(
+        right.subject,
+        (Triple(first.subject, first.property, left.triples[0].object),) + right.triples[1:],
+    )
+
+    def star(name, group):
+        subject, objects = Variable(name), {group.triples[0].property: join}
+        for triple in group.triples:
+            objects.setdefault(triple.property, Variable(f"{name}{len(objects)}"))
+        return StarPattern(
+            subject, tuple(TriplePattern(subject, p, o) for p, o in objects.items())
+        )
+
+    stars = (star("a", left), star("b", right))
+    plan = CompositePlan(
+        tuple(CompositeStar(s, s.props(), frozenset()) for s in stars), ()
+    )
+    (step,) = derive_join_steps(plan)
+    job = build_alpha_join_job(
+        name="t:join",
+        step=step,
+        plan=plan,
+        store=TripleGroupStore(empty_path="t/empty"),
+        previous_output=None,
+        joined_so_far=frozenset({0}),
+        output="t/out",
+        representation=representation,
+    )
+
+    def assert_pinned(record):
+        pinned = record.__dict__["_size"]
+        with reference_mode():
+            assert record.estimated_size() == pinned
+
+    pairs = list(job.mapper(left)) + list(job.mapper(right))
+    by_key = {}
+    for key, (tag, wrapper) in pairs:
+        assert_pinned(wrapper)
+        by_key.setdefault(key, []).append((tag, wrapper))
+    merged = [record for key, values in by_key.items() for record in job.reducer(key, values)]
+    assert merged  # the groups do meet
+    for record in merged:
+        assert_pinned(record)
