@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.calibration import check_calibration_golden
 from repro.obs.metrics import validate_prometheus, render_prometheus
+from repro.report import check_golden
 from repro.serve import WorkloadSpec, serve_workload_with_metrics
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -65,4 +65,4 @@ def test_golden_snapshot_exports_valid_prometheus():
 
 
 def test_calibration_baseline_matches_golden():
-    assert check_calibration_golden(CALIBRATION_GOLDEN) == []
+    assert check_golden(CALIBRATION_GOLDEN) == []

@@ -18,16 +18,15 @@ regenerate the golden and show its numbers.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.bench.catalog import get_query
 from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig
-from repro.datasets import bsbm, chem2bio2rdf, pubmed
+from repro.datasets import generate
 from repro.obs.calibration import CalibrationMonitor
 from repro.rdf.graph import Graph
+from repro.report import ReportKind
 
 CALIBRATION_SCHEMA = "repro-calibration/v1"
 
@@ -36,12 +35,6 @@ CALIBRATION_SCHEMA = "repro-calibration/v1"
 DEFAULT_QUERIES = ("MG1", "MG2", "MG3", "MG4")
 
 _PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
-
-_GENERATORS = {
-    "bsbm": lambda name: bsbm.generate(bsbm.preset(name)),
-    "chem": lambda name: chem2bio2rdf.generate(chem2bio2rdf.preset(name)),
-    "pubmed": lambda name: pubmed.generate(pubmed.preset(name)),
-}
 
 _ENGINE = "rapid-analytics"
 
@@ -55,7 +48,7 @@ def calibration_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
         query = get_query(qid)
         preset = _PRESET_BY_DATASET[query.dataset]
         if query.dataset not in graphs:
-            graphs[query.dataset] = _GENERATORS[query.dataset](preset)
+            graphs[query.dataset] = generate(query.dataset, preset)
         analytical = to_analytical(query.sparql)
         engine = make_engine(_ENGINE)
         report = engine.execute(
@@ -126,41 +119,14 @@ def render_calibration_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_calibration_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def check_calibration_golden(path: str | Path) -> list[str]:
-    """Re-run a committed calibration report's queries and diff it.
-
-    Returns human-readable differences (empty = identical): any
-    estimator or cost-model change that moves a q-error stat, a plan
-    choice, or the drift verdict is caught here.
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = calibration_report(golden.get("queries", DEFAULT_QUERIES))
-    problems: list[str] = []
-    for field in ("schema", "engine", "queries", "thresholds", "summary"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    golden_runs = {run["qid"]: run for run in golden.get("runs", [])}
-    fresh_runs = {run["qid"]: run for run in fresh.get("runs", [])}
-    for qid in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(qid), fresh_runs.get(qid)
-        if old is None or new is None:
-            problems.append(
-                f"{qid}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in sorted((set(old) | set(new)) - {"qid"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"{qid}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    return problems
+#: A diff against a committed report catches any estimator or cost-model
+#: change that moves a q-error stat, a plan choice, or the drift verdict.
+KIND = ReportKind(
+    schema=CALIBRATION_SCHEMA,
+    label="calibration golden",
+    head=("schema", "engine", "queries", "thresholds", "summary"),
+    key=("qid",),
+    tail=(),
+    rerun=lambda golden: calibration_report(golden["queries"]),
+    render=render_calibration_report,
+)

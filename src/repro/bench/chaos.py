@@ -15,26 +15,23 @@ RAPIDAnalytics' 3-4 cycle plans — the report's per-engine
 
 The report (schema ``repro-chaos-soak/v1``) is fully deterministic for
 a fixed spec: seeded fault plans, simulated costs, no wall-clock.  A
-committed report doubles as a golden (:func:`check_chaos_golden`).
+committed report doubles as a golden (:data:`KIND`, checked by
+:func:`repro.report.check_golden`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any
 
 from repro.bench.catalog import get_query
-from repro.bench.faults import (
-    FAULT_EXPERIMENTS,
-    _base_counters,
-    _build_graph,
-)
+from repro.bench.faults import FAULT_EXPERIMENTS, _base_counters
 from repro.bench.harness import QueryMeasurement, run_experiment
+from repro.datasets import generate
 from repro.errors import CheckpointError, ReproError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
+from repro.report import ReportKind
 
 #: Schema tag for the chaos soak report (bump on shape changes).
 CHAOS_SCHEMA = "repro-chaos-soak/v1"
@@ -170,7 +167,7 @@ def chaos_soak_report(
         raise ReproError(
             f"unknown chaos experiment {experiment!r} (known: {known})"
         ) from None
-    graph = graph if graph is not None else _build_graph(dataset, preset)
+    graph = graph if graph is not None else generate(dataset, preset)
     config = config_factory()
     queries = [get_query(qid) for qid in qids]
 
@@ -304,60 +301,6 @@ def chaos_soak_report(
     }
 
 
-def spec_from_report(report: dict[str, Any]) -> ChaosSpec:
-    return ChaosSpec(**report["chaos"])
-
-
-def check_chaos_golden(path: str | Path) -> list[str]:
-    """Re-run a committed soak report's config and diff against it.
-
-    Returns human-readable differences (empty = bit-identical) so CI
-    catches any checkpoint/resume change that moves a salvage number, a
-    resumed cost, or an invariant verdict.
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = chaos_soak_report(golden["experiment"], spec_from_report(golden))
-    problems: list[str] = []
-    for field in ("schema", "dataset", "preset", "chaos", "engines", "queries"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    golden_runs = {
-        (r["seed"], r["qid"], r["engine"]): r for r in golden.get("runs", [])
-    }
-    fresh_runs = {
-        (r["seed"], r["qid"], r["engine"]): r for r in fresh.get("runs", [])
-    }
-    for key in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(key), fresh_runs.get(key)
-        if old is None or new is None:
-            problems.append(
-                f"{key}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in sorted((set(old) | set(new)) - {"seed", "qid", "engine"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"seed {key[0]} {key[1]}/{key[2]}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    for field in ("summary", "verdicts"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    return problems
-
-
-def write_chaos_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_chaos_report(report: dict[str, Any]) -> str:
     """Terminal view: per-engine salvage across the soak matrix."""
     chaos = report["chaos"]
@@ -389,3 +332,29 @@ def render_chaos_report(report: dict[str, Any]) -> str:
             f"{verdicts['hive_naive_loses_more_per_failure']}"
         )
     return "\n".join(lines)
+
+
+def _violations(report: dict[str, Any]) -> list[str]:
+    bad = [
+        f"seed{run['seed']}:{run['qid']}/{run['engine']}"
+        for run in report["runs"]
+        if not run["completed"]
+        or not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
+    ]
+    return [f"chaos runs not bit-identical to fault-free: {bad}"] if bad else []
+
+
+#: A diff against a committed report catches any checkpoint/resume change
+#: that moves a salvage number, a resumed cost, or an invariant verdict.
+KIND = ReportKind(
+    schema=CHAOS_SCHEMA,
+    label="chaos golden",
+    head=("schema", "experiment", "dataset", "preset", "chaos", "engines", "queries"),
+    key=("seed", "qid", "engine"),
+    tail=("summary", "verdicts"),
+    rerun=lambda golden: chaos_soak_report(
+        golden["experiment"], ChaosSpec(**golden["chaos"])
+    ),
+    render=render_chaos_report,
+    violations=_violations,
+)

@@ -15,9 +15,7 @@ recovery-path regressions on every push.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.bench.catalog import get_query
@@ -30,10 +28,12 @@ from repro.bench.harness import (
 )
 from repro.core.engines import PAPER_ENGINES
 from repro.core.results import EngineConfig
+from repro.datasets import generate
 from repro.errors import ReproError
 from repro.mapreduce.checkpoint import RECOVERY_COUNTERS
 from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
 from repro.rdf.graph import Graph
+from repro.report import ReportKind
 
 #: Schema tag for the resilience report (bump on shape changes).
 FAULTS_SCHEMA = "repro-fault-resilience/v1"
@@ -69,17 +69,6 @@ FAULT_EXPERIMENTS: dict[
         PAPER_ENGINES, pubmed_config,
     ),
 }
-
-
-def _build_graph(dataset: str, preset: str) -> Graph:
-    from repro.datasets import bsbm, chem2bio2rdf, pubmed
-
-    builders = {
-        "bsbm": lambda: bsbm.generate(bsbm.preset(preset)),
-        "chem": lambda: chem2bio2rdf.generate(chem2bio2rdf.preset(preset)),
-        "pubmed": lambda: pubmed.generate(pubmed.preset(preset)),
-    }
-    return builders[dataset]()
 
 
 def _base_counters(measurement: QueryMeasurement) -> dict[str, int]:
@@ -121,7 +110,7 @@ def fault_resilience_report(
         raise ReproError(
             f"unknown fault experiment {experiment!r} (known: {known})"
         ) from None
-    graph = graph if graph is not None else _build_graph(dataset, preset)
+    graph = graph if graph is not None else generate(dataset, preset)
     config = config_factory()
     queries = [get_query(qid) for qid in qids]
 
@@ -209,54 +198,6 @@ def fault_resilience_report(
     }
 
 
-def plan_from_report(report: dict[str, Any]) -> FaultPlan:
-    return FaultPlan(**report["fault_plan"])
-
-
-def check_fault_golden(path: Path) -> list[str]:
-    """Re-run a committed resilience report's config and diff against it.
-
-    Returns human-readable differences (empty = bit-identical), so CI
-    catches any recovery-path change that moves a fault counter or a
-    recovered cost.
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = fault_resilience_report(golden["experiment"], plan_from_report(golden))
-    problems: list[str] = []
-    for field in ("schema", "dataset", "preset", "fault_plan", "engines", "queries"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} fresh={fresh.get(field)!r}"
-            )
-    golden_runs = {(r["qid"], r["engine"]): r for r in golden.get("runs", [])}
-    fresh_runs = {(r["qid"], r["engine"]): r for r in fresh.get("runs", [])}
-    for key in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(key), fresh_runs.get(key)
-        if old is None or new is None:
-            problems.append(
-                f"{key}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in sorted((set(old) | set(new)) - {"qid", "engine"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"{key[0]}/{key[1]}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    if golden.get("summary") != fresh.get("summary"):
-        problems.append(
-            f"summary differs: golden={golden.get('summary')!r} "
-            f"fresh={fresh.get('summary')!r}"
-        )
-    return problems
-
-
-def write_fault_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_fault_report(report: dict[str, Any]) -> str:
     """Terminal table: per-query degradation factor per engine."""
     plan = report["fault_plan"]
@@ -298,3 +239,31 @@ def render_fault_report(report: dict[str, Any]) -> str:
     )
     lines.append(f"results identical to fault-free run: {invariant_ok}")
     return "\n".join(lines)
+
+
+def _violations(report: dict[str, Any]) -> list[str]:
+    bad = [
+        f"{run['qid']}/{run['engine']}"
+        for run in report["runs"]
+        if not run["failed"]
+        and not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
+    ]
+    return [f"results drifted under faults: {bad}"] if bad else []
+
+
+#: A diff against a committed report catches any recovery-path change
+#: that moves a fault counter or a recovered cost.
+KIND = ReportKind(
+    schema=FAULTS_SCHEMA,
+    label="fault golden",
+    head=(
+        "schema", "experiment", "dataset", "preset", "fault_plan", "engines", "queries",
+    ),
+    key=("qid", "engine"),
+    tail=("summary",),
+    rerun=lambda golden: fault_resilience_report(
+        golden["experiment"], FaultPlan(**golden["fault_plan"])
+    ),
+    render=render_fault_report,
+    violations=_violations,
+)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.bench.catalog import CATALOG, get_query
 from repro.bench.harness import ALL_EXPERIMENTS
@@ -36,16 +36,10 @@ from repro.core.engines import (
     to_analytical,
 )
 from repro.core.explain import explain
-from repro.datasets import bsbm, chem2bio2rdf, pubmed
+from repro.datasets import generate as generate_dataset
 from repro.errors import CheckpointError, ReproError, ServeError, WorkflowAbortedError
 from repro.rdf import ntriples
 from repro.rdf.graph import Graph
-
-_DATASET_GENERATORS: dict[str, Callable[[str], Graph]] = {
-    "bsbm": lambda preset: bsbm.generate(bsbm.preset(preset)),
-    "chem": lambda preset: chem2bio2rdf.generate(chem2bio2rdf.preset(preset)),
-    "pubmed": lambda preset: pubmed.generate(pubmed.preset(preset)),
-}
 
 _DEFAULT_PRESETS = {"bsbm": "500k", "chem": "paper", "pubmed": "paper"}
 
@@ -56,7 +50,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             return ntriples.parse_graph(handle)
     dataset = args.dataset
     preset = args.preset or _DEFAULT_PRESETS[dataset]
-    return _DATASET_GENERATORS[dataset](preset)
+    return generate_dataset(dataset, preset)
 
 
 def _resolve_query_text(args: argparse.Namespace) -> tuple[str, str]:
@@ -349,376 +343,200 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_mode(args: argparse.Namespace, kind, produce, accept: tuple = ()) -> int:
+    """The one driver behind every report-producing mode: trace →
+    produce → render → ``--output`` → ``--golden`` → invariants → exit
+    code.  The golden is diffed against the report just produced, so a
+    mode runs its experiment once; only a golden of another schema in
+    *accept* is re-run from its own parameters."""
+    from repro.report import check_golden, load_report, write_report
+
+    golden_kind = None
+    if args.golden:
+        # Before the experiment: a malformed or foreign golden is a
+        # usage error, not something to find out after a seven-second soak.
+        try:
+            golden_kind, _ = load_report(args.golden, (kind.schema, *accept))
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+    with _tracing_to(args.trace):
+        report = produce()
+    print(kind.render(report))
+    if args.output:
+        print(f"wrote {write_report(report, args.output)}")
+    if golden_kind is not None:
+        problems = check_golden(args.golden, report if golden_kind is kind else None)
+        for problem in problems:
+            print(f"{golden_kind.label} mismatch: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        print(f"{golden_kind.label} ok: {args.golden}")
+    violations = kind.violations(report) if kind.violations is not None else []
+    for violation in violations:
+        print(f"INVARIANT VIOLATION: {violation}", file=sys.stderr)
+    return 1 if violations else 0
+
+
+def _catalog_qids(text: str, default: tuple[str, ...], alias: str) -> list[str]:
+    """The query list of an A/B mode: ``mg`` / ``all`` / the mode's own
+    name for its default slice, else a comma-separated catalog qid list."""
+    if text in ("mg", "all", alias):
+        return list(default)
+    qids = [qid.strip() for qid in text.split(",") if qid.strip()]
+    unknown = [qid for qid in qids if qid not in CATALOG]
+    if unknown:
+        raise ReproError(f"unknown catalog queries {unknown}")
+    return qids
+
+
+def _fault_experiment(args: argparse.Namespace, what: str) -> str:
+    from repro.bench.faults import FAULT_EXPERIMENTS
+
+    if args.experiment not in FAULT_EXPERIMENTS:
+        known = ", ".join(sorted(FAULT_EXPERIMENTS))
+        raise ReproError(f"unknown {what} experiment {args.experiment!r}; known: {known}")
+    return args.experiment
+
+
+# One function per ``repro bench`` report mode: parse the mode's spec
+# (a ReproError here is a usage error, exit 2) and name its producer.
+
+
+def _faults_mode(args: argparse.Namespace):
+    """``--faults seed,rate``: the experiment fault-free and under the
+    seeded plan, cost degradation per engine."""
+    from repro.bench import faults
+    from repro.mapreduce.faults import FaultPlan
+
+    experiment = _fault_experiment(args, "fault")
+    plan = FaultPlan.from_spec(args.faults)
+    return faults.KIND, lambda: faults.fault_resilience_report(experiment, plan)
+
+
+def _chaos_mode(args: argparse.Namespace):
+    """``--chaos seeds=N,rate=p``: soak across a seed matrix with
+    checkpointed recovery; every resumed run must stay bit-identical to
+    the fault-free run."""
+    from repro.bench import chaos
+
+    experiment = _fault_experiment(args, "chaos")
+    spec = chaos.ChaosSpec.from_spec(args.chaos)
+    return chaos.KIND, lambda: chaos.chaos_soak_report(experiment, spec)
+
+
+def _planner_ab_mode(args: argparse.Namespace):
+    """``--planner-ab``: rule-vs-cost planner A/B on rapid-analytics; the
+    cost plan must never lose, with identical answers."""
+    from repro.plan import ab
+
+    qids = _catalog_qids(args.experiment, ab.DEFAULT_QUERIES, "planner-ab")
+    return ab.KIND, lambda: ab.planner_ab_report(qids)
+
+
+def _calibration_mode(args: argparse.Namespace):
+    """``--calibration``: per-query estimate-vs-actual q-error stats
+    under the cost planner, with drift verdicts."""
+    from repro.bench import calibration
+
+    qids = _catalog_qids(args.experiment, calibration.DEFAULT_QUERIES, "calibration")
+    return calibration.KIND, lambda: calibration.calibration_report(qids)
+
+
+def _shards_mode(args: argparse.Namespace):
+    """``--shards N[,strategy]``: unsharded baseline vs each partitioning
+    strategy at N shards — exchange bytes, edge cuts, costs."""
+    from repro.shard import ab
+
+    shards, strategies = ab.parse_shard_spec(args.shards)
+    qids = _catalog_qids(args.experiment, ab.DEFAULT_QUERIES, "shards")
+    return ab.KIND, lambda: ab.shard_ab_report(qids, shards, strategies)
+
+
+def _profile_mode(args: argparse.Namespace):
+    """``--profile``: wall-clock phase breakdown plus the
+    cached-vs-reference invariant.  ``--golden`` also takes a per-job
+    counter golden (``repro-golden/v1``), re-captured from its own
+    parameters."""
+    from repro.perf import profile
+    from repro.perf.goldens import GOLDEN_SCHEMA
+    from repro.report import write_report
+
+    if args.trace:
+        raise ReproError(
+            "--trace cannot be combined with --profile (its wall-clock "
+            "phases would include the tracer)"
+        )
+    names = (
+        list(profile.PROFILE_EXPERIMENTS)
+        if args.experiment == "all"
+        else [args.experiment]
+    )
+    unknown = [n for n in names if n not in profile.PROFILE_EXPERIMENTS]
+    if unknown:
+        known = ", ".join(sorted(profile.PROFILE_EXPERIMENTS) + ["all"])
+        raise ReproError(f"unknown experiment(s) {unknown}; known: {known}")
+
+    def produce():
+        try:
+            return profile.profile_experiments(names, reference=not args.no_reference)
+        except profile.ProfileMismatchError as error:
+            if args.output:
+                write_report(error.report, args.output)
+            raise
+
+    return profile.KIND, produce, GOLDEN_SCHEMA
+
+
+_REPORT_MODES = {
+    "faults": _faults_mode,
+    "profile": _profile_mode,
+    "chaos": _chaos_mode,
+    "planner_ab": _planner_ab_mode,
+    "calibration": _calibration_mode,
+    "shards": _shards_mode,
+}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    modes = [
-        flag
-        for flag in ("faults", "profile", "chaos", "planner_ab", "calibration", "shards")
-        if getattr(args, flag)
-    ]
+    modes = [flag for flag in _REPORT_MODES if getattr(args, flag)]
     flags = [mode.replace("_", "-") for mode in modes]
-    if len(modes) > 1:
-        print(
-            "--" + " and --".join(flags) + " are mutually exclusive", file=sys.stderr
-        )
-        return 2
-    if getattr(args, "representation", None) is not None and modes:
-        # --profile runs its own factorized/flat A/B; --faults/--chaos
-        # pin their goldens under the default representation.  An
-        # override would silently change what those modes certify.
-        print(
-            f"--representation cannot be combined with --{flags[0]}",
-            file=sys.stderr,
-        )
-        return 2
     try:
+        if len(modes) > 1:
+            raise ReproError("--" + " and --".join(flags) + " are mutually exclusive")
+        if args.representation is not None and modes:
+            # --profile runs its own factorized/flat A/B; --faults/--chaos
+            # pin their goldens under the default representation.  An
+            # override would silently change what those modes certify.
+            raise ReproError(f"--representation cannot be combined with --{flags[0]}")
+        if args.no_reference and not args.profile:
+            raise ReproError("--no-reference requires --profile")
         representation = _validated_representation(args)
+        if modes:
+            kind, produce, *accept = _REPORT_MODES[modes[0]](args)
+        elif args.output or args.golden:
+            raise ReproError(
+                "--output and --golden require a report mode (--profile, --faults, "
+                "--chaos, --planner-ab, --calibration or --shards)"
+            )
+        elif args.experiment == "all":
+            raise ReproError("'all' requires --profile (it is a profiling sweep)")
+        elif args.experiment not in ALL_EXPERIMENTS:
+            known = ", ".join(sorted(ALL_EXPERIMENTS) + ["all (with --profile)"])
+            raise ReproError(f"unknown experiment {args.experiment!r}; known: {known}")
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.planner_ab:
-        return _bench_planner_ab(args)
-    if args.shards:
-        return _bench_shards(args)
-    if args.calibration:
-        return _bench_calibration(args)
-    if args.chaos:
-        return _bench_chaos(args)
-    if args.faults:
-        return _bench_faults(args)
-    if args.profile:
-        return _bench_profile(args)
-    if args.experiment == "all":
-        print("'all' requires --profile (it is a profiling sweep)", file=sys.stderr)
-        return 2
-    try:
-        runner = ALL_EXPERIMENTS[args.experiment]
-    except KeyError:
-        known = ", ".join(sorted(ALL_EXPERIMENTS) + ["all (with --profile)"])
-        print(f"unknown experiment {args.experiment!r}; known: {known}", file=sys.stderr)
-        return 2
+    if modes:
+        return _report_mode(args, kind, produce, tuple(accept))
     with _tracing_to(args.trace), _ambient_representation(representation):
-        result = runner()
+        result = ALL_EXPERIMENTS[args.experiment]()
     if result.mismatches:
         print(f"WARNING: result mismatches: {result.mismatches}", file=sys.stderr)
     print(render_cost_table(result))
     if len(result.engines) > 1:
         print()
         print(render_gains_table(result, baseline=result.engines[0]))
-    return 0
-
-
-def _bench_faults(args: argparse.Namespace) -> int:
-    """``repro bench <experiment> --faults seed,rate``: run the
-    experiment fault-free and under the seeded plan, report degradation,
-    and optionally write/verify the stable JSON report."""
-    from repro.bench.faults import (
-        FAULT_EXPERIMENTS,
-        check_fault_golden,
-        fault_resilience_report,
-        render_fault_report,
-        write_fault_report,
-    )
-    from repro.errors import MapReduceError
-    from repro.mapreduce.faults import FaultPlan
-
-    if args.experiment not in FAULT_EXPERIMENTS:
-        known = ", ".join(sorted(FAULT_EXPERIMENTS))
-        print(
-            f"unknown fault experiment {args.experiment!r}; known: {known}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        plan = FaultPlan.from_spec(args.faults)
-    except MapReduceError as error:
-        # A malformed spec is a usage error (exit 2, one line), not a
-        # simulator failure.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    report = fault_resilience_report(args.experiment, plan)
-    print(render_fault_report(report))
-    if args.output:
-        path = write_fault_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        from pathlib import Path
-
-        problems = check_fault_golden(Path(args.golden))
-        if problems:
-            for problem in problems:
-                print(f"fault golden mismatch: {problem}", file=sys.stderr)
-            return 1
-        print(f"fault golden ok: {args.golden}")
-    bad = [
-        f"{run['qid']}/{run['engine']}"
-        for run in report["runs"]
-        if not run["failed"]
-        and not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
-    ]
-    if bad:
-        print(f"INVARIANT VIOLATION: results drifted under faults: {bad}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_planner_ab(args: argparse.Namespace) -> int:
-    """``repro bench <queries> --planner-ab``: run rule-vs-cost planner
-    A/B on rapid-analytics, report priced and actual costs, and verify
-    the cost plan never loses with identical answers.  *queries* is a
-    comma-separated catalog qid list or ``mg`` for MG1-MG4."""
-    from repro.plan.ab import (
-        DEFAULT_QUERIES,
-        check_ab_golden,
-        planner_ab_report,
-        render_ab_report,
-        write_ab_report,
-    )
-
-    if args.experiment in ("mg", "all", "planner-ab"):
-        qids = list(DEFAULT_QUERIES)
-    else:
-        qids = [qid.strip() for qid in args.experiment.split(",") if qid.strip()]
-        unknown = [qid for qid in qids if qid not in CATALOG]
-        if unknown:
-            print(f"unknown catalog queries {unknown}", file=sys.stderr)
-            return 2
-    with _tracing_to(args.trace):
-        report = planner_ab_report(qids)
-    print(render_ab_report(report))
-    if args.output:
-        path = write_ab_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        from pathlib import Path
-
-        problems = check_ab_golden(Path(args.golden))
-        if problems:
-            for problem in problems:
-                print(f"planner A/B golden mismatch: {problem}", file=sys.stderr)
-            return 1
-        print(f"planner A/B golden ok: {args.golden}")
-    verdicts = report["verdicts"]
-    if not verdicts["answers_all_match"] or not verdicts["cost_never_worse"]:
-        bad = [
-            run["qid"]
-            for run in report["runs"]
-            if not run["answers_match"] or not run["cost_not_worse"]
-        ]
-        print(
-            f"INVARIANT VIOLATION: cost planner lost or drifted: {bad}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_shards(args: argparse.Namespace) -> int:
-    """``repro bench <queries> --shards N[,strategy]``: run the
-    partitioner A/B on rapid-analytics — unsharded baseline vs each
-    strategy at N shards — reporting cross-shard exchange bytes,
-    edge-cut statistics, and costs.  *queries* is a comma-separated
-    catalog qid list or ``mg`` for MG1-MG4."""
-    from repro.errors import ShardError
-    from repro.shard.ab import (
-        DEFAULT_QUERIES,
-        check_shard_golden,
-        parse_shard_spec,
-        render_shard_report,
-        shard_ab_report,
-        write_shard_report,
-    )
-
-    try:
-        shards, strategies = parse_shard_spec(args.shards)
-    except ShardError as error:
-        # A malformed spec is a usage error (exit 2, one line), not a
-        # simulator failure.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.experiment in ("mg", "all", "shards"):
-        qids = list(DEFAULT_QUERIES)
-    else:
-        qids = [qid.strip() for qid in args.experiment.split(",") if qid.strip()]
-        unknown = [qid for qid in qids if qid not in CATALOG]
-        if unknown:
-            print(f"unknown catalog queries {unknown}", file=sys.stderr)
-            return 2
-    with _tracing_to(args.trace):
-        report = shard_ab_report(qids, shards, strategies)
-    print(render_shard_report(report))
-    if args.output:
-        path = write_shard_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        from pathlib import Path
-
-        problems = check_shard_golden(Path(args.golden))
-        if problems:
-            for problem in problems:
-                print(f"shard A/B golden mismatch: {problem}", file=sys.stderr)
-            return 1
-        print(f"shard A/B golden ok: {args.golden}")
-    if not report["verdicts"]["answers_all_match"]:
-        bad = [
-            f"{run['qid']}/{strategy}"
-            for run in report["runs"]
-            for strategy, result in run["strategies"].items()
-            if not result["rows_match"]
-        ]
-        print(
-            f"INVARIANT VIOLATION: sharded answers diverged: {bad}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_calibration(args: argparse.Namespace) -> int:
-    """``repro bench <queries> --calibration``: run the cost planner and
-    report per-query estimate-vs-actual q-error stats with drift
-    verdicts.  *queries* is a comma-separated catalog qid list or ``mg``
-    for MG1-MG4."""
-    from repro.bench.calibration import (
-        DEFAULT_QUERIES,
-        calibration_report,
-        check_calibration_golden,
-        render_calibration_report,
-        write_calibration_report,
-    )
-
-    if args.experiment in ("mg", "all", "calibration"):
-        qids = list(DEFAULT_QUERIES)
-    else:
-        qids = [qid.strip() for qid in args.experiment.split(",") if qid.strip()]
-        unknown = [qid for qid in qids if qid not in CATALOG]
-        if unknown:
-            print(f"unknown catalog queries {unknown}", file=sys.stderr)
-            return 2
-    with _tracing_to(args.trace):
-        report = calibration_report(qids)
-    print(render_calibration_report(report))
-    if args.output:
-        path = write_calibration_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        from pathlib import Path
-
-        problems = check_calibration_golden(Path(args.golden))
-        if problems:
-            for problem in problems:
-                print(f"calibration golden mismatch: {problem}", file=sys.stderr)
-            return 1
-        print(f"calibration golden ok: {args.golden}")
-    return 0
-
-
-def _bench_chaos(args: argparse.Namespace) -> int:
-    """``repro bench <experiment> --chaos seeds=N,rate=p``: soak the
-    experiment across a seed matrix with checkpointed recovery enabled;
-    every resumed run must stay bit-identical to the fault-free run."""
-    from repro.bench.chaos import (
-        ChaosSpec,
-        chaos_soak_report,
-        check_chaos_golden,
-        render_chaos_report,
-        write_chaos_report,
-    )
-    from repro.bench.faults import FAULT_EXPERIMENTS
-
-    if args.experiment not in FAULT_EXPERIMENTS:
-        known = ", ".join(sorted(FAULT_EXPERIMENTS))
-        print(
-            f"unknown chaos experiment {args.experiment!r}; known: {known}",
-            file=sys.stderr,
-        )
-        return 2
-    spec = ChaosSpec.from_spec(args.chaos)
-    with _tracing_to(args.trace):
-        report = chaos_soak_report(args.experiment, spec)
-    print(render_chaos_report(report))
-    if args.output:
-        path = write_chaos_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        from pathlib import Path
-
-        problems = check_chaos_golden(Path(args.golden))
-        if problems:
-            for problem in problems:
-                print(f"chaos golden mismatch: {problem}", file=sys.stderr)
-            return 1
-        print(f"chaos golden ok: {args.golden}")
-    verdicts = report["verdicts"]
-    if not verdicts["all_complete"] or not verdicts["all_bit_identical"]:
-        bad = [
-            f"seed{run['seed']}:{run['qid']}/{run['engine']}"
-            for run in report["runs"]
-            if not run["completed"]
-            or not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
-        ]
-        print(
-            f"INVARIANT VIOLATION: chaos runs not bit-identical to fault-free: {bad}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _bench_profile(args: argparse.Namespace) -> int:
-    """``repro bench --profile``: wall-clock phase breakdown + the
-    cached-vs-reference invariant check, optionally against a golden."""
-    from repro.perf.profile import (
-        PROFILE_EXPERIMENTS,
-        PROFILE_SCHEMA,
-        ProfileMismatchError,
-        check_profile_golden,
-        profile_experiments,
-        render_report,
-        write_report,
-    )
-
-    names = (
-        list(PROFILE_EXPERIMENTS)
-        if args.experiment == "all"
-        else [args.experiment]
-    )
-    unknown = [n for n in names if n not in PROFILE_EXPERIMENTS]
-    if unknown:
-        known = ", ".join(sorted(PROFILE_EXPERIMENTS) + ["all"])
-        print(f"unknown experiment(s) {unknown}; known: {known}", file=sys.stderr)
-        return 2
-    try:
-        report = profile_experiments(names, reference=not args.no_reference)
-    except ProfileMismatchError as error:
-        if args.output:
-            write_report(error.report, args.output)
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    print(render_report(report))
-    if args.output:
-        path = write_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        import json
-        from pathlib import Path
-
-        golden_path = Path(args.golden)
-        # Two golden flavors share the flag: a profile report
-        # (BENCH_PR6.json, checked against the fresh run we just made)
-        # and the per-job counter goldens (repro.perf.goldens).
-        # Dispatch on the committed file's schema tag.
-        schema = json.loads(golden_path.read_text()).get("schema")
-        if schema == PROFILE_SCHEMA:
-            problems = check_profile_golden(golden_path, report)
-        else:
-            from repro.perf.goldens import check_golden_file
-
-            problems = check_golden_file(golden_path)
-        if problems:
-            for problem in problems:
-                print(f"golden mismatch: {problem}", file=sys.stderr)
-            return 1
-        print(f"golden ok: {args.golden}")
     return 0
 
 
@@ -739,65 +557,6 @@ def _metrics_out_format(path: str) -> str:
     )
 
 
-def _check_serve_golden_file(path: str) -> int:
-    """Re-check a committed serve golden, dispatching on its schema tag
-    (serve-workload v2 or serve-resilience v1)."""
-    import json as _json
-    from pathlib import Path
-
-    from repro.serve import (
-        RESILIENCE_SCHEMA,
-        check_resilience_golden,
-        check_serve_golden,
-    )
-
-    schema = _json.loads(Path(path).read_text()).get("schema")
-    if schema == RESILIENCE_SCHEMA:
-        problems = check_resilience_golden(Path(path))
-    else:
-        problems = check_serve_golden(Path(path))
-    if problems:
-        for problem in problems:
-            print(f"serve golden mismatch: {problem}", file=sys.stderr)
-        return 1
-    print(f"serve golden ok: {path}")
-    return 0
-
-
-def _serve_resilience(args: argparse.Namespace, spec, fault_plan, resilience, slo) -> int:
-    """``repro serve --workload ... --faults seed,rate [--resilience spec]``:
-    the fault-injected availability A/B (repro-serve-resilience/v1)."""
-    from repro.serve import (
-        render_resilience_report,
-        serve_resilience_report,
-        write_resilience_report,
-    )
-
-    with _tracing_to(args.trace):
-        report = serve_resilience_report(spec, fault_plan, resilience, slo=slo)
-    print(render_resilience_report(report))
-    if args.output:
-        path = write_resilience_report(report, args.output)
-        print(f"wrote {path}")
-    if args.golden:
-        status = _check_serve_golden_file(args.golden)
-        if status:
-            return status
-    verdicts = report["verdicts"]
-    if not (
-        verdicts["ok_rows_match_fault_free"]
-        and verdicts["degraded_rows_match_fault_free"]
-    ):
-        print(
-            "INVARIANT VIOLATION: served answers differ from the fault-free "
-            f"baseline: ok={report['mismatched_ok_requests']} "
-            f"degraded={report['mismatched_degraded_requests']}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve --workload seeds=N,clients=C,mix=...``: drive the
     concurrent query service with a seeded arrival process and report
@@ -806,95 +565,67 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--metrics`` additionally collects a repro-metrics/v1 snapshot;
     ``--faults`` switches to the resilience A/B
     (repro-serve-resilience/v1), optionally tuned by ``--resilience``."""
-    import json
-
-    from repro.obs.metrics import render_prometheus
-    from repro.serve import (
-        ResilienceConfig,
-        WorkloadSpec,
-        render_serve_report,
-        serve_workload_report,
-        serve_workload_with_metrics,
-        write_serve_report,
-    )
+    from repro.mapreduce.faults import FaultPlan
+    from repro.serve import ResilienceConfig, WorkloadSpec, resilience, workload
     from repro.serve.slo import SLOSpec
 
-    spec = WorkloadSpec.from_spec(args.workload)
-    slo = SLOSpec.from_spec(args.slo) if args.slo else None
-
-    fault_plan = None
-    if args.faults:
-        from repro.errors import MapReduceError
-        from repro.mapreduce.faults import FaultPlan
-
-        try:
+    snapshot = None
+    try:
+        spec = WorkloadSpec.from_spec(args.workload)
+        slo = SLOSpec.from_spec(args.slo) if args.slo else None
+        if args.faults:
+            if args.metrics:
+                raise ReproError(
+                    "--metrics cannot be combined with --faults "
+                    "(the A/B runs two services per seed)"
+                )
             fault_plan = FaultPlan.from_spec(args.faults)
-        except MapReduceError as error:
-            # A malformed spec is a usage error (exit 2, one line), not
-            # a simulator failure.
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    resilience = None
-    if args.resilience is not None:
-        if fault_plan is None:
-            print(
-                "error: --resilience requires --faults seed,rate "
-                "(the availability A/B needs injected failures)",
-                file=sys.stderr,
+            policies = (
+                ResilienceConfig.from_spec(args.resilience)
+                if args.resilience is not None
+                else ResilienceConfig()
             )
-            return 2
-        try:
-            resilience = ResilienceConfig.from_spec(args.resilience)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if fault_plan is not None:
-        if args.metrics:
-            print(
-                "error: --metrics cannot be combined with --faults "
-                "(the A/B runs two services per seed)",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_resilience(
-            args, spec, fault_plan, resilience or ResilienceConfig(), slo
-        )
+            kind = resilience.KIND
 
-    metrics_format = _metrics_out_format(args.metrics) if args.metrics else None
-    with _tracing_to(args.trace):
-        if args.metrics:
-            report, snapshot = serve_workload_with_metrics(spec, slo=slo)
+            def produce():
+                return resilience.serve_resilience_report(
+                    spec, fault_plan, policies, slo=slo
+                )
+
+        elif args.resilience is not None:
+            raise ReproError(
+                "--resilience requires --faults seed,rate "
+                "(the availability A/B needs injected failures)"
+            )
         else:
-            report = serve_workload_report(spec, slo=slo)
-            snapshot = None
-    print(render_serve_report(report))
-    if args.output:
-        path = write_serve_report(report, args.output)
-        print(f"wrote {path}")
+            metrics_format = _metrics_out_format(args.metrics) if args.metrics else None
+            kind = workload.KIND
+
+            def produce():
+                nonlocal snapshot
+                if not args.metrics:
+                    return workload.serve_workload_report(spec, slo=slo)
+                report, snapshot = workload.serve_workload_with_metrics(spec, slo=slo)
+                return report
+
+    except ReproError as error:
+        # A malformed spec is a usage error (exit 2, one line), not a
+        # simulator failure.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    status = _report_mode(args, kind, produce)
     if snapshot is not None:
         if metrics_format == "prometheus":
-            rendered = render_prometheus(snapshot)
+            from repro.obs.metrics import render_prometheus
+
+            with open(args.metrics, "w", encoding="utf-8") as handle:
+                handle.write(render_prometheus(snapshot))
         else:
-            rendered = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+            from repro.report import write_report
+
+            write_report(snapshot, args.metrics)
         print(f"wrote {args.metrics}")
-    if args.golden:
-        status = _check_serve_golden_file(args.golden)
-        if status:
-            return status
-    if not report["verdicts"]["all_rows_match"]:
-        bad = [
-            f"seed{run['seed']}:{run['mismatched_requests']}"
-            for run in report["runs"]
-            if not run["rows_match_solo"]
-        ]
-        print(
-            f"INVARIANT VIOLATION: served answers differ from cold solo runs: {bad}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return status
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -1001,7 +732,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     preset = args.preset or _DEFAULT_PRESETS[args.dataset]
-    graph = _DATASET_GENERATORS[args.dataset](preset)
+    graph = generate_dataset(args.dataset, preset)
     with open(args.output, "w", encoding="utf-8") as handle:
         count = ntriples.write(sorted(graph, key=lambda t: t.n3()), handle)
     print(f"wrote {count} triples to {args.output}")
@@ -1017,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_query_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("query", help="catalog query id (e.g. MG1) or a SPARQL file")
-        p.add_argument("--dataset", choices=sorted(_DATASET_GENERATORS), default=None)
+        p.add_argument("--dataset", choices=sorted(_DEFAULT_PRESETS), default=None)
         p.add_argument("--preset", default=None, help="dataset preset name")
         p.add_argument("--data", default=None, help="N-Triples file to query instead")
 
@@ -1143,13 +874,18 @@ def build_parser() -> argparse.ArgumentParser:
         "match the uncached reference implementation",
     )
     bench.add_argument(
-        "--output", default=None, help="write the --profile JSON report here"
+        "--output",
+        default=None,
+        help="write the report mode's JSON report here (needs --profile, "
+        "--faults, --chaos, --planner-ab, --calibration or --shards)",
     )
     bench.add_argument(
         "--golden",
         default=None,
-        help="also re-check a committed golden file (--profile: counters "
-        "golden; --faults: resilience-report golden)",
+        help="also diff the report just produced against a committed golden "
+        "of the same schema (exit 1 on a difference, exit 2 on a file of "
+        "another schema); --profile also takes a repro-golden/v1 counter "
+        "golden, re-captured from its own parameters",
     )
     bench.add_argument(
         "--no-reference",
@@ -1228,9 +964,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--golden",
         default=None,
-        help="also re-check a committed serve golden report "
-        "(serve-workload v2 or serve-resilience v1; dispatched on "
-        "the file's schema tag)",
+        help="also diff the report just produced against a committed "
+        "golden of the same schema (serve-workload v2, or "
+        "serve-resilience v1 under --faults)",
     )
     serve.add_argument(
         "--faults",
@@ -1304,13 +1040,13 @@ def build_parser() -> argparse.ArgumentParser:
     catalog.set_defaults(func=cmd_catalog)
 
     generate = sub.add_parser("generate", help="write a synthetic dataset")
-    generate.add_argument("dataset", choices=sorted(_DATASET_GENERATORS))
+    generate.add_argument("dataset", choices=sorted(_DEFAULT_PRESETS))
     generate.add_argument("output", help="output N-Triples path")
     generate.add_argument("--preset", default=None)
     generate.set_defaults(func=cmd_generate)
 
     stats = sub.add_parser("stats", help="profile a dataset")
-    stats.add_argument("--dataset", choices=sorted(_DATASET_GENERATORS), default="bsbm")
+    stats.add_argument("--dataset", choices=sorted(_DEFAULT_PRESETS), default="bsbm")
     stats.add_argument("--preset", default=None)
     stats.add_argument("--data", default=None, help="N-Triples file to profile instead")
     stats.add_argument(

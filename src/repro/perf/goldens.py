@@ -16,7 +16,6 @@ Regenerate (only when the *simulated* semantics intentionally change)::
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 from typing import Any
@@ -24,8 +23,10 @@ from typing import Any
 from repro.bench.catalog import get_query
 from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
 from repro.core.results import EngineConfig, ExecutionReport
+from repro.datasets import generate
 from repro.perf import rows_digest
 from repro.rdf.graph import Graph
+from repro.report import ReportKind, write_report
 
 #: Version tag for the golden schema (bump when the capture shape changes).
 GOLDEN_SCHEMA = "repro-golden/v1"
@@ -38,18 +39,6 @@ GOLDEN_QUERIES: dict[str, tuple[str, ...]] = {
     "chem": ("MG7",),
     "pubmed": ("MG12",),
 }
-
-
-def _dataset_graph(dataset: str, preset: str) -> Graph:
-    from repro.datasets import bsbm, chem2bio2rdf, pubmed
-
-    if dataset == "bsbm":
-        return bsbm.generate(bsbm.preset(preset))
-    if dataset == "chem":
-        return chem2bio2rdf.generate(chem2bio2rdf.preset(preset))
-    if dataset == "pubmed":
-        return pubmed.generate(pubmed.preset(preset))
-    raise ValueError(f"unknown dataset {dataset!r}")
 
 
 def _dataset_config(dataset: str) -> EngineConfig:
@@ -109,7 +98,7 @@ def capture_dataset(
     queries: tuple[str, ...],
     engines: tuple[str, ...] = PAPER_ENGINES,
 ) -> dict[str, Any]:
-    graph = _dataset_graph(dataset, preset)
+    graph = generate(dataset, preset)
     config = _dataset_config(dataset)
     return {
         "schema": GOLDEN_SCHEMA,
@@ -125,40 +114,21 @@ def capture_dataset(
     }
 
 
-def check_golden_file(path: Path) -> list[str]:
-    """Re-run a committed golden's workload and diff against it.
-
-    The golden file is self-describing (dataset, preset, queries,
-    engines), so the check exercises exactly the runs it was captured
-    from.  Returns the list of differences (empty = bit-identical).
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = capture_dataset(
+#: A golden is self-describing (dataset, preset, queries, engines), so a
+#: check exercises exactly the runs it was captured from.
+KIND = ReportKind(
+    schema=GOLDEN_SCHEMA,
+    label="golden",
+    head=("schema", "dataset", "preset", "queries", "engines"),
+    key=("qid", "engine"),
+    tail=(),
+    rerun=lambda golden: capture_dataset(
         golden["dataset"],
         golden["preset"],
         tuple(golden["queries"]),
         tuple(golden["engines"]),
-    )
-    return diff_signatures(golden, fresh)
-
-
-def diff_signatures(golden: dict[str, Any], fresh: dict[str, Any]) -> list[str]:
-    """Human-readable differences between two captures (empty = match)."""
-    problems: list[str] = []
-    golden_runs = {(r["qid"], r["engine"]): r for r in golden.get("runs", [])}
-    fresh_runs = {(r["qid"], r["engine"]): r for r in fresh.get("runs", [])}
-    for key in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(key), fresh_runs.get(key)
-        if old is None or new is None:
-            problems.append(f"{key}: present only in {'fresh' if old is None else 'golden'}")
-            continue
-        for field in sorted((set(old) | set(new)) - {"qid", "engine"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"{key[0]}/{key[1]}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    return problems
+    ),
+)
 
 
 def golden_path(root: Path, dataset: str, preset: str) -> Path:
@@ -170,9 +140,7 @@ def write_goldens(root: Path, preset: str = "tiny") -> list[Path]:
     written: list[Path] = []
     for dataset, queries in GOLDEN_QUERIES.items():
         capture = capture_dataset(dataset, preset, queries)
-        path = golden_path(root, dataset, preset)
-        path.write_text(json.dumps(capture, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        written.append(write_report(capture, golden_path(root, dataset, preset)))
     return written
 
 

@@ -21,17 +21,16 @@ representation forced off (the flat A/B baseline), and once in
 
 The reference pass can be skipped (``reference=False``) when only the
 phase breakdown is wanted; the flat A/B pass with ``flat_baseline=False``.
-:func:`check_profile_golden` pins the reduction claim in CI: the
-committed golden must show >= ``min_reduction`` bytes-shuffled reduction
-on at least ``min_queries`` MG-class runs, and a fresh report must agree
-with the golden within ``tolerance``.
+:data:`KIND` pins the reduction claim in CI: the committed golden must
+show >= 25% bytes-shuffled reduction on at least two MG-class queries,
+and a fresh report must agree with it exactly on every simulated number
+(``shuffle_reduction`` included: it is a rounded ratio of two integers
+that are themselves compared exactly).
 """
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 from typing import Any, Callable
 
 from repro.bench.harness import (
@@ -43,10 +42,12 @@ from repro.bench.harness import (
     figure8c,
     table4_pubmed,
 )
+from repro.datasets import generate
 from repro.errors import ReproError
 from repro.ntga.factorized import active_representation
 from repro.obs import Stopwatch
 from repro.perf import PerfRecorder, recording, reference_mode
+from repro.report import ReportKind
 
 #: Schema tag for the JSON report; bump on shape changes.
 PROFILE_SCHEMA = "repro-bench-profile/v2"
@@ -56,17 +57,6 @@ PROFILE_SCHEMA = "repro-bench-profile/v2"
 #: runner takes a pre-built graph (so cached and reference passes see
 #: the same data) and a verify flag.
 Runner = Callable[[Any, bool], ExperimentResult]
-
-
-def _graph(dataset: str, preset: str):
-    from repro.datasets import bsbm, chem2bio2rdf, pubmed
-
-    builders = {
-        "bsbm": lambda: bsbm.generate(bsbm.preset(preset)),
-        "chem": lambda: chem2bio2rdf.generate(chem2bio2rdf.preset(preset)),
-        "pubmed": lambda: pubmed.generate(pubmed.preset(preset)),
-    }
-    return builders[dataset]()
 
 
 PROFILE_EXPERIMENTS: dict[str, tuple[str, str, Runner]] = {
@@ -163,7 +153,7 @@ def profile_experiments(
 
     for name in names:
         dataset, preset, runner = PROFILE_EXPERIMENTS[name]
-        graph = _graph(dataset, preset)
+        graph = generate(dataset, preset)
 
         recorder = PerfRecorder()
         with Stopwatch() as watch:
@@ -277,117 +267,61 @@ class ProfileMismatchError(ReproError):
         )
 
 
-def write_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+#: The run fields that are the same on every machine; wall-clock fields
+#: are deliberately left out of a golden comparison.
+_EXACT_RUN_FIELDS = (
+    "qid", "engine", "rows", "rows_digest", "cycles", "map_only_cycles",
+    "shuffle_bytes", "materialized_bytes", "shuffle_bytes_flat",
+    "materialized_bytes_flat", "shuffle_reduction", "failed",
+)
+
+#: What a committed profile report must certify (``BENCH_PR6.json``).
+_MIN_REDUCTION = 0.25
+_MIN_QUERIES = 2
 
 
-def check_profile_golden(
-    report_or_path: dict[str, Any] | str | Path,
-    fresh: dict[str, Any] | None = None,
-    *,
-    tolerance: float = 0.02,
-    min_reduction: float = 0.25,
-    min_queries: int = 2,
-) -> list[str]:
-    """Pin the factorization claim in a committed ``BENCH_PR6.json``.
+def _exact(report: dict[str, Any]) -> dict[str, Any]:
+    """The machine-independent slice: which experiments ran, and their
+    runs flattened under an ``(exp_id, qid, engine)`` key."""
+    experiments = report.get("experiments", [])
+    return {
+        "schema": report.get("schema"),
+        "experiments": [experiment["exp_id"] for experiment in experiments],
+        "runs": [
+            {
+                "exp_id": experiment["exp_id"],
+                **{name: run.get(name) for name in _EXACT_RUN_FIELDS},
+            }
+            for experiment in experiments
+            for run in experiment.get("runs", [])
+        ],
+    }
 
-    Two layers of checking, both returning human-readable problems
-    (empty list = golden holds):
 
-    * the golden itself must carry >= *min_reduction* bytes-shuffled
-      reduction on at least *min_queries* MG-class runs, with every
-      flat-vs-factorized answer bit-identical (``answers_match_flat``);
-    * when *fresh* (a just-produced report) is given, its simulated byte
-      counters and row digests must match the golden exactly and each
-      ``shuffle_reduction`` must agree within *tolerance* — wall-clock
-      fields are machine-dependent and deliberately ignored.
-    """
-    if isinstance(report_or_path, (str, Path)):
-        golden = json.loads(Path(report_or_path).read_text())
-    else:
-        golden = report_or_path
+def _certify(golden: dict[str, Any]) -> list[str]:
+    """The factorization claim a committed report must carry: at least
+    25% bytes-shuffled reduction on at least two MG-class queries, with
+    every flat-vs-factorized answer bit-identical."""
     problems: list[str] = []
-
-    if golden.get("schema") != PROFILE_SCHEMA:
-        problems.append(
-            f"schema mismatch: golden={golden.get('schema')!r} "
-            f"expected {PROFILE_SCHEMA!r}"
-        )
-        return problems
     if golden.get("answers_match_flat") is not True:
         problems.append(
             "golden does not certify flat-vs-factorized answer identity "
             f"(answers_match_flat={golden.get('answers_match_flat')!r})"
         )
-
-    def runs_by_key(report: dict[str, Any]) -> dict[tuple, dict[str, Any]]:
-        return {
-            (experiment["exp_id"], run["qid"], run["engine"]): run
-            for experiment in report.get("experiments", [])
-            for run in experiment.get("runs", [])
-        }
-
-    golden_runs = runs_by_key(golden)
     reduced = sorted(
         {
-            key[1]
-            for key, run in golden_runs.items()
-            if key[1].startswith("MG")
-            and (run.get("shuffle_reduction") or 0.0) >= min_reduction
+            run["qid"]
+            for run in _exact(golden)["runs"]
+            if run["qid"].startswith("MG")
+            and (run["shuffle_reduction"] or 0.0) >= _MIN_REDUCTION
         }
     )
-    if len(reduced) < min_queries:
+    if len(reduced) < _MIN_QUERIES:
         problems.append(
-            f"golden shows >= {min_reduction:.0%} shuffle reduction on only "
+            f"golden shows >= {_MIN_REDUCTION:.0%} shuffle reduction on only "
             f"{len(reduced)} MG-class quer{'y' if len(reduced) == 1 else 'ies'} "
-            f"({', '.join(reduced) or 'none'}); need {min_queries}"
+            f"({', '.join(reduced) or 'none'}); need {_MIN_QUERIES}"
         )
-
-    if fresh is None:
-        return problems
-
-    fresh_runs = runs_by_key(fresh)
-    for key in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(key), fresh_runs.get(key)
-        label = f"{key[0]}:{key[1]}/{key[2]}"
-        if old is None or new is None:
-            problems.append(
-                f"{label}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in (
-            "rows",
-            "rows_digest",
-            "cycles",
-            "map_only_cycles",
-            "shuffle_bytes",
-            "materialized_bytes",
-            "shuffle_bytes_flat",
-            "materialized_bytes_flat",
-            "failed",
-        ):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"{label}: {field} differs: golden={old.get(field)!r} "
-                    f"fresh={new.get(field)!r}"
-                )
-        old_reduction = old.get("shuffle_reduction")
-        new_reduction = new.get("shuffle_reduction")
-        if (old_reduction is None) != (new_reduction is None):
-            problems.append(
-                f"{label}: shuffle_reduction differs: golden={old_reduction!r} "
-                f"fresh={new_reduction!r}"
-            )
-        elif (
-            old_reduction is not None
-            and abs(old_reduction - new_reduction) > tolerance
-        ):
-            problems.append(
-                f"{label}: shuffle_reduction drifted beyond {tolerance}: "
-                f"golden={old_reduction} fresh={new_reduction}"
-            )
     return problems
 
 
@@ -431,3 +365,19 @@ def render_report(report: dict[str, Any]) -> str:
         summary += f" answers_match_flat={report['answers_match_flat']}"
     lines.append(summary)
     return "\n".join(lines)
+
+
+KIND = ReportKind(
+    schema=PROFILE_SCHEMA,
+    label="golden",
+    head=("schema", "experiments"),
+    key=("exp_id", "qid", "engine"),
+    tail=(),
+    rerun=lambda golden: profile_experiments(
+        [experiment["exp_id"] for experiment in golden["experiments"]],
+        reference=golden.get("counters_match_reference") is not None,
+    ),
+    render=render_report,
+    certify=_certify,
+    exact=_exact,
+)

@@ -16,15 +16,14 @@ emit rows in a different order).
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.bench.catalog import get_query
 from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig, ExecutionReport
-from repro.datasets import bsbm, chem2bio2rdf, pubmed
+from repro.datasets import generate
 from repro.rdf.graph import Graph
+from repro.report import ReportKind
 
 AB_SCHEMA = "repro-planner-ab/v1"
 
@@ -34,12 +33,6 @@ DEFAULT_QUERIES = ("MG1", "MG2", "MG3", "MG4")
 
 #: Small presets: the A/B verdicts are about plan choice, not scale.
 _PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
-
-_GENERATORS = {
-    "bsbm": lambda name: bsbm.generate(bsbm.preset(name)),
-    "chem": lambda name: chem2bio2rdf.generate(chem2bio2rdf.preset(name)),
-    "pubmed": lambda name: pubmed.generate(pubmed.preset(name)),
-}
 
 #: Actual-cost slack: both runs price the same deterministic simulation,
 #: so anything beyond float noise is a genuine regression.
@@ -80,7 +73,7 @@ def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
         query = get_query(qid)
         preset = _PRESET_BY_DATASET[query.dataset]
         if query.dataset not in graphs:
-            graphs[query.dataset] = _GENERATORS[query.dataset](preset)
+            graphs[query.dataset] = generate(query.dataset, preset)
         graph = graphs[query.dataset]
         analytical = to_analytical(query.sparql)
         engine = make_engine("rapid-analytics")
@@ -161,47 +154,24 @@ def render_ab_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_ab_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+def _violations(report: dict[str, Any]) -> list[str]:
+    bad = [
+        run["qid"]
+        for run in report["runs"]
+        if not run["answers_match"] or not run["cost_not_worse"]
+    ]
+    return [f"cost planner lost or drifted: {bad}"] if bad else []
 
 
-def check_ab_golden(path: str | Path) -> list[str]:
-    """Re-run a committed A/B report's queries and diff against it.
-
-    Returns human-readable differences (empty = identical), so CI
-    catches any estimator or enumerator change that moves a plan choice,
-    a priced cost, or an answer digest.
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = planner_ab_report(golden.get("queries", DEFAULT_QUERIES))
-    problems: list[str] = []
-    for field in ("schema", "queries"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    golden_runs = {run["qid"]: run for run in golden.get("runs", [])}
-    fresh_runs = {run["qid"]: run for run in fresh.get("runs", [])}
-    for qid in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(qid), fresh_runs.get(qid)
-        if old is None or new is None:
-            problems.append(
-                f"{qid}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in sorted((set(old) | set(new)) - {"qid"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"{qid}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    for field in ("summary", "verdicts"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    return problems
+#: A diff against a committed report catches any estimator or enumerator
+#: change that moves a plan choice, a priced cost, or an answer digest.
+KIND = ReportKind(
+    schema=AB_SCHEMA,
+    label="planner A/B golden",
+    head=("schema", "queries"),
+    key=("qid",),
+    tail=("summary", "verdicts"),
+    rerun=lambda golden: planner_ab_report(golden["queries"]),
+    render=render_ab_report,
+    violations=_violations,
+)

@@ -19,10 +19,8 @@ from repro.serve.resilience import (
     DegradationPolicy,
     ResilienceConfig,
     RetryPolicy,
-    check_resilience_golden,
     render_resilience_report,
     serve_resilience_report,
-    write_resilience_report,
 )
 from repro.serve.service import (
     DEADLINE,
@@ -41,12 +39,10 @@ from repro.serve.workload import (
     SERVE_SCHEMA,
     WORKLOAD_MIXES,
     WorkloadSpec,
-    check_serve_golden,
     default_slo,
     render_serve_report,
     serve_workload_report,
     serve_workload_with_metrics,
-    write_serve_report,
 )
 
 __all__ = [
@@ -74,8 +70,6 @@ __all__ = [
     "StaleResultStore",
     "WORKLOAD_MIXES",
     "WorkloadSpec",
-    "check_resilience_golden",
-    "check_serve_golden",
     "default_slo",
     "evaluate_slo",
     "fingerprint_query",
@@ -84,6 +78,4 @@ __all__ = [
     "serve_resilience_report",
     "serve_workload_report",
     "serve_workload_with_metrics",
-    "write_resilience_report",
-    "write_serve_report",
 ]

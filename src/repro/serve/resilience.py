@@ -41,16 +41,15 @@ baseline (degraded answers are allowed to be stale, never wrong).
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Any
 
 from repro import obs
 from repro.errors import ResilienceError
 from repro.mapreduce.faults import FaultPlan
 from repro.obs import metrics as obs_metrics
+from repro.report import ReportKind
 
 #: Schema tag for the resilience A/B report.
 RESILIENCE_SCHEMA = "repro-serve-resilience/v1"
@@ -492,9 +491,9 @@ def serve_resilience_report(
     resilience = resilience or ResilienceConfig()
     dataset, preset, qids, config_factory = WORKLOAD_MIXES[spec.mix]
     if graph is None:
-        from repro.bench.faults import _build_graph
+        from repro.datasets import generate
 
-        graph = _build_graph(dataset, preset)
+        graph = generate(dataset, preset)
     engine_config = config_factory()
     if spec.representation is not None:
         engine_config = replace(engine_config, representation=spec.representation)
@@ -626,69 +625,6 @@ def serve_resilience_report(
     }
 
 
-def spec_from_resilience_report(report: dict[str, Any]):
-    from repro.serve.workload import WorkloadSpec
-
-    return WorkloadSpec(**report["workload"])
-
-
-def check_resilience_golden(path: str | Path) -> list[str]:
-    """Re-run a committed resilience report and diff against it.
-
-    Reconstructs the workload, fault plan, resilience config, and SLO
-    from the golden itself, re-runs both arms, and returns
-    human-readable differences (empty = bit-identical) — so CI catches
-    any retry/breaker/degradation change that moves an availability
-    figure, a counter, or a verdict.
-    """
-    from repro.serve.slo import SLOSpec
-
-    golden = json.loads(Path(path).read_text())
-    fresh = serve_resilience_report(
-        spec_from_resilience_report(golden),
-        FaultPlan(**golden["faults"]),
-        ResilienceConfig.from_dict(golden["resilience"]),
-        slo=SLOSpec(**golden["slo"]["targets"]),
-    )
-    problems: list[str] = []
-    for key in (
-        "schema", "mix", "dataset", "preset", "queries", "workload",
-        "faults", "resilience", "baseline",
-    ):
-        if golden.get(key) != fresh.get(key):
-            problems.append(
-                f"{key} differs: golden={golden.get(key)!r} fresh={fresh.get(key)!r}"
-            )
-    golden_runs = {run["seed"]: run for run in golden.get("runs", [])}
-    fresh_runs = {run["seed"]: run for run in fresh.get("runs", [])}
-    for seed in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(seed), fresh_runs.get(seed)
-        if old is None or new is None:
-            problems.append(
-                f"seed {seed}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for arm in ("off", "on"):
-            for key in sorted(set(old.get(arm, {})) | set(new.get(arm, {}))):
-                if old[arm].get(key) != new[arm].get(key):
-                    problems.append(
-                        f"seed {seed} arm {arm}: {key} differs: "
-                        f"golden={old[arm].get(key)!r} fresh={new[arm].get(key)!r}"
-                    )
-    for key in ("slo", "summary", "verdicts"):
-        if golden.get(key) != fresh.get(key):
-            problems.append(
-                f"{key} differs: golden={golden.get(key)!r} fresh={fresh.get(key)!r}"
-            )
-    return problems
-
-
-def write_resilience_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_resilience_report(report: dict[str, Any]) -> str:
     """Terminal view: per-seed availability A/B plus the verdict lines."""
     workload = report["workload"]
@@ -742,3 +678,43 @@ def render_resilience_report(report: dict[str, Any]) -> str:
         f"{slo['targets']['budget'] * 100:g}%)"
     )
     return "\n".join(lines)
+
+
+def _rerun(golden: dict[str, Any]) -> dict[str, Any]:
+    from repro.serve.slo import SLOSpec
+    from repro.serve.workload import WorkloadSpec
+
+    return serve_resilience_report(
+        WorkloadSpec(**golden["workload"]),
+        FaultPlan(**golden["faults"]),
+        ResilienceConfig.from_dict(golden["resilience"]),
+        slo=SLOSpec(**golden["slo"]["targets"]),
+    )
+
+
+def _violations(report: dict[str, Any]) -> list[str]:
+    verdicts = report["verdicts"]
+    if verdicts["ok_rows_match_fault_free"] and verdicts["degraded_rows_match_fault_free"]:
+        return []
+    return [
+        "served answers differ from the fault-free baseline: "
+        f"ok={report['mismatched_ok_requests']} "
+        f"degraded={report['mismatched_degraded_requests']}"
+    ]
+
+
+#: A diff against a committed report catches any retry/breaker/degradation
+#: change that moves an availability figure, a counter, or a verdict.
+KIND = ReportKind(
+    schema=RESILIENCE_SCHEMA,
+    label="serve golden",
+    head=(
+        "schema", "mix", "dataset", "preset", "queries", "workload",
+        "faults", "resilience", "baseline",
+    ),
+    key=("seed",),
+    tail=("slo", "summary", "verdicts"),
+    rerun=_rerun,
+    render=render_resilience_report,
+    violations=_violations,
+)

@@ -29,11 +29,9 @@ Mixes are named slices of the catalog:
 
 from __future__ import annotations
 
-import json
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Callable
 
 from repro import perf
@@ -41,11 +39,13 @@ from repro.bench.catalog import get_query
 from repro.bench.harness import bsbm_config, chem_config, pubmed_config
 from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig
+from repro.datasets import generate
 from repro.errors import ReproError, ServeError
 from repro.ntga.factorized import validate_representation
 from repro.obs import metrics as obs_metrics
 from repro.obs.calibration import CalibrationMonitor
 from repro.rdf.graph import Graph
+from repro.report import ReportKind
 from repro.serve.service import (
     DEADLINE,
     OK,
@@ -303,9 +303,7 @@ def serve_workload_report(
     """
     dataset, preset, qids, config_factory = WORKLOAD_MIXES[spec.mix]
     if graph is None:
-        from repro.bench.faults import _build_graph
-
-        graph = _build_graph(dataset, preset)
+        graph = generate(dataset, preset)
     engine_config = config_factory()
     if spec.representation is not None:
         # One override for both sides of the oracle: the solo baselines
@@ -451,56 +449,6 @@ def serve_workload_with_metrics(
     return report, snapshot
 
 
-def spec_from_report(report: dict[str, Any]) -> WorkloadSpec:
-    return WorkloadSpec(**report["workload"])
-
-
-def check_serve_golden(path: str | Path) -> list[str]:
-    """Re-run a committed report's workload and diff against it.
-
-    Returns human-readable differences (empty = bit-identical), so CI
-    catches any scheduler, cache, or batching change that moves a
-    latency, a counter, or a verdict.
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = serve_workload_report(spec_from_report(golden))
-    problems: list[str] = []
-    for field in ("schema", "mix", "dataset", "preset", "queries", "workload", "baseline"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    golden_runs = {run["seed"]: run for run in golden.get("runs", [])}
-    fresh_runs = {run["seed"]: run for run in fresh.get("runs", [])}
-    for seed in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(seed), fresh_runs.get(seed)
-        if old is None or new is None:
-            problems.append(
-                f"seed {seed}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in sorted((set(old) | set(new)) - {"seed"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"seed {seed}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    for field in ("slo", "summary", "verdicts"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    return problems
-
-
-def write_serve_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_serve_report(report: dict[str, Any]) -> str:
     """Terminal view: per-seed sharing effectiveness."""
     workload = report["workload"]
@@ -551,3 +499,29 @@ def render_serve_report(report: dict[str, Any]) -> str:
             f"{overall['count']} completed)"
         )
     return "\n".join(lines)
+
+
+def _violations(report: dict[str, Any]) -> list[str]:
+    bad = [
+        f"seed{run['seed']}:{run['mismatched_requests']}"
+        for run in report["runs"]
+        if not run["rows_match_solo"]
+    ]
+    return [f"served answers differ from cold solo runs: {bad}"] if bad else []
+
+
+#: A diff against a committed report catches any scheduler, cache, or
+#: batching change that moves a latency, a counter, or a verdict.
+KIND = ReportKind(
+    schema=SERVE_SCHEMA,
+    label="serve golden",
+    head=("schema", "mix", "dataset", "preset", "queries", "workload", "baseline"),
+    key=("seed",),
+    tail=("slo", "summary", "verdicts"),
+    rerun=lambda golden: serve_workload_report(
+        WorkloadSpec(**golden["workload"]),
+        slo=SLOSpec(**golden["slo"]["overall"]["targets"]),
+    ),
+    render=render_serve_report,
+    violations=_violations,
+)

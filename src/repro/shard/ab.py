@@ -19,16 +19,15 @@ ordering rows make that visible instead of hiding it.
 from __future__ import annotations
 
 import hashlib
-import json
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.bench.catalog import get_query
 from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig
-from repro.datasets import bsbm, chem2bio2rdf, pubmed
+from repro.datasets import generate
 from repro.errors import ShardError
 from repro.rdf.graph import Graph
+from repro.report import ReportKind
 from repro.shard.partition import PARTITIONERS, build_partition, validate_partitioner
 
 SHARD_AB_SCHEMA = "repro-shard-ab/v1"
@@ -42,12 +41,6 @@ DEFAULT_SHARDS = 4
 #: Small presets: the A/B verdicts are about cross-shard traffic
 #: ratios, not scale.
 _PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
-
-_GENERATORS = {
-    "bsbm": lambda name: bsbm.generate(bsbm.preset(name)),
-    "chem": lambda name: chem2bio2rdf.generate(chem2bio2rdf.preset(name)),
-    "pubmed": lambda name: pubmed.generate(pubmed.preset(name)),
-}
 
 
 def parse_shard_spec(spec: str) -> tuple[int, tuple[str, ...]]:
@@ -97,7 +90,7 @@ def shard_ab_report(
         query = get_query(qid)
         preset = _PRESET_BY_DATASET[query.dataset]
         if query.dataset not in graphs:
-            graphs[query.dataset] = _GENERATORS[query.dataset](preset)
+            graphs[query.dataset] = generate(query.dataset, preset)
         graph = graphs[query.dataset]
         analytical = to_analytical(query.sparql)
         engine = make_engine("rapid-analytics")
@@ -197,51 +190,28 @@ def render_shard_report(report: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_shard_report(report: dict[str, Any], path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+def _violations(report: dict[str, Any]) -> list[str]:
+    bad = [
+        f"{run['qid']}/{strategy}"
+        for run in report["runs"]
+        for strategy, result in run["strategies"].items()
+        if not result["rows_match"]
+    ]
+    return [f"sharded answers diverged: {bad}"] if bad else []
 
 
-def check_shard_golden(path: str | Path) -> list[str]:
-    """Re-run a committed shard A/B report and diff against it.
-
-    Returns human-readable differences (empty = identical), so CI
-    catches any partitioner, exchange-accounting, or cost-model change
-    that moves a byte count, an answer digest, or a verdict.
-    """
-    golden = json.loads(Path(path).read_text())
-    fresh = shard_ab_report(
-        golden.get("queries", DEFAULT_QUERIES),
-        golden.get("shards", DEFAULT_SHARDS),
-        tuple(golden.get("strategies", PARTITIONERS)),
-    )
-    problems: list[str] = []
-    for field in ("schema", "queries", "shards", "strategies"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    golden_runs = {run["qid"]: run for run in golden.get("runs", [])}
-    fresh_runs = {run["qid"]: run for run in fresh.get("runs", [])}
-    for qid in sorted(set(golden_runs) | set(fresh_runs)):
-        old, new = golden_runs.get(qid), fresh_runs.get(qid)
-        if old is None or new is None:
-            problems.append(
-                f"{qid}: present only in {'fresh' if old is None else 'golden'}"
-            )
-            continue
-        for field in sorted((set(old) | set(new)) - {"qid"}):
-            if old.get(field) != new.get(field):
-                problems.append(
-                    f"{qid}: {field} differs: "
-                    f"golden={old.get(field)!r} fresh={new.get(field)!r}"
-                )
-    for field in ("summary", "verdicts"):
-        if golden.get(field) != fresh.get(field):
-            problems.append(
-                f"{field} differs: golden={golden.get(field)!r} "
-                f"fresh={fresh.get(field)!r}"
-            )
-    return problems
+#: A diff against a committed report catches any partitioner,
+#: exchange-accounting, or cost-model change that moves a byte count, an
+#: answer digest, or a verdict.
+KIND = ReportKind(
+    schema=SHARD_AB_SCHEMA,
+    label="shard A/B golden",
+    head=("schema", "queries", "shards", "strategies"),
+    key=("qid",),
+    tail=("summary", "verdicts"),
+    rerun=lambda golden: shard_ab_report(
+        golden["queries"], golden["shards"], tuple(golden["strategies"])
+    ),
+    render=render_shard_report,
+    violations=_violations,
+)

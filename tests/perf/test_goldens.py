@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.perf import reference_mode
-from repro.perf.goldens import GOLDEN_SCHEMA, check_golden_file
+from repro.perf.goldens import GOLDEN_SCHEMA
+from repro.report import check_golden
 
 GOLDEN_ROOT = Path(__file__).resolve().parents[1] / "golden"
 # tests/golden/ also hosts other schema contracts (e.g. repro-trace/v1);
@@ -34,7 +35,7 @@ def test_golden_files_are_committed():
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
 def test_golden_recapture_is_bit_identical(path):
     assert json.loads(path.read_text())["schema"] == GOLDEN_SCHEMA
-    assert check_golden_file(path) == []
+    assert check_golden(path) == []
 
 
 def test_reference_mode_recapture_matches_golden():
@@ -42,4 +43,4 @@ def test_reference_mode_recapture_matches_golden():
     on every golden number, not just on row counts."""
     path = GOLDEN_ROOT / "bsbm-tiny.json"
     with reference_mode():
-        assert check_golden_file(path) == []
+        assert check_golden(path) == []

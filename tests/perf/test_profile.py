@@ -1,19 +1,19 @@
-"""The bench --profile harness: v2 schema, the flat A/B pass, and the
-BENCH_PR6 golden checker."""
+"""The bench --profile harness: v2 schema, the flat A/B pass, and what
+its report kind certifies and compares (the BENCH_PR6 golden).  The
+generic round-trip/drift cases are ``tests/core/test_report.py``."""
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
 from repro.perf.profile import (
+    KIND,
     PROFILE_SCHEMA,
-    check_profile_golden,
     profile_experiments,
     render_report,
-    write_report,
 )
+from repro.report import diff_reports, load_report, write_report
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BENCH_GOLDEN = REPO_ROOT / "benchmarks" / "golden" / "BENCH_PR6.json"
@@ -93,49 +93,53 @@ def _synthetic_report(reductions):
 
 
 class TestProfileGoldenChecker:
-    def test_accepts_qualifying_golden(self, tmp_path):
-        report = _synthetic_report([0.3, 0.4, 0.1])
-        path = write_report(report, tmp_path / "golden.json")
-        assert check_profile_golden(path) == []
+    def test_accepts_qualifying_golden(self):
+        assert KIND.certify(_synthetic_report([0.3, 0.4, 0.1])) == []
 
     def test_rejects_insufficient_reduction(self):
-        problems = check_profile_golden(_synthetic_report([0.3, 0.1, 0.05]))
+        problems = KIND.certify(_synthetic_report([0.3, 0.1, 0.05]))
         assert any("only 1 MG-class" in p for p in problems)
 
     def test_rejects_missing_flat_verdict(self):
         report = _synthetic_report([0.3, 0.4])
         report["answers_match_flat"] = None
-        problems = check_profile_golden(report)
+        problems = KIND.certify(report)
         assert any("answers_match_flat" in p for p in problems)
 
-    def test_rejects_wrong_schema(self):
-        problems = check_profile_golden({"schema": "repro-bench-profile/v1"})
-        assert problems and "schema mismatch" in problems[0]
+    def test_rejects_wrong_schema(self, tmp_path):
+        path = write_report({"schema": "repro-bench-profile/v1"}, tmp_path / "v1.json")
+        with pytest.raises(ReproError, match="repro-bench-profile/v1"):
+            load_report(path)
 
-    def test_fresh_within_tolerance_passes(self):
+    def test_wall_clock_fields_are_not_compared(self):
         golden = _synthetic_report([0.3, 0.4])
-        fresh = _synthetic_report([0.31, 0.39])
-        assert check_profile_golden(golden, fresh) == []
+        fresh = _synthetic_report([0.3, 0.4])
+        fresh["experiments"][0]["wall_seconds"] = 9.9
+        fresh["experiments"][0]["runs"][0]["phases"] = {"jobs": 1.0}
+        assert diff_reports(KIND, golden, fresh) == []
 
     def test_fresh_drift_detected(self):
+        """``shuffle_reduction`` is a rounded ratio of two integers that
+        are compared exactly, so it is compared exactly too."""
         golden = _synthetic_report([0.3, 0.4])
-        fresh = _synthetic_report([0.3, 0.5])
-        problems = check_profile_golden(golden, fresh)
-        assert any("drifted" in p for p in problems)
+        fresh = _synthetic_report([0.3, 0.401])
+        problems = diff_reports(KIND, golden, fresh)
+        assert len(problems) == 1
+        assert "qid=MG2" in problems[0] and "shuffle_reduction" in problems[0]
 
     def test_fresh_counter_mismatch_detected(self):
         golden = _synthetic_report([0.3, 0.4])
         fresh = _synthetic_report([0.3, 0.4])
         fresh["experiments"][0]["runs"][0]["rows_digest"] = "tampered"
         fresh["experiments"][0]["runs"][1]["shuffle_bytes"] = 1
-        problems = check_profile_golden(golden, fresh)
+        problems = diff_reports(KIND, golden, fresh)
         assert any("rows_digest" in p for p in problems)
         assert any("shuffle_bytes" in p for p in problems)
 
     def test_missing_run_detected(self):
         golden = _synthetic_report([0.3, 0.4])
         fresh = _synthetic_report([0.3])
-        problems = check_profile_golden(golden, fresh)
+        problems = diff_reports(KIND, golden, fresh)
         assert any("present only in golden" in p for p in problems)
 
 
@@ -143,7 +147,6 @@ def test_committed_bench_pr6_golden_self_checks():
     """The committed BENCH_PR6.json must keep certifying the tentpole
     claim: >= 25% bytes-shuffled reduction on at least two MG-class
     queries with flat-identical answers."""
-    assert BENCH_GOLDEN.exists(), "benchmarks/golden/BENCH_PR6.json missing"
-    assert check_profile_golden(BENCH_GOLDEN) == []
-    golden = json.loads(BENCH_GOLDEN.read_text())
-    assert golden["schema"] == PROFILE_SCHEMA
+    kind, golden = load_report(BENCH_GOLDEN)
+    assert kind is KIND and golden["schema"] == PROFILE_SCHEMA
+    assert KIND.certify(golden) == []

@@ -14,11 +14,9 @@ import pytest
 from repro.plan.ab import (
     AB_SCHEMA,
     DEFAULT_QUERIES,
-    check_ab_golden,
     planner_ab_report,
     render_ab_report,
     rows_digest,
-    write_ab_report,
 )
 from repro.rdf.terms import Literal, Variable
 
@@ -129,16 +127,3 @@ class TestGolden:
         — any estimator drift must come with a golden refresh."""
         golden = json.loads(BENCH_GOLDEN.read_text())
         assert golden == report
-
-    def test_round_trip(self, report, tmp_path):
-        path = write_ab_report(report, tmp_path / "ab.json")
-        assert json.loads(path.read_text()) == report
-
-    def test_check_detects_drift(self, report, tmp_path):
-        drifted = json.loads(json.dumps(report))
-        drifted["runs"][0]["priced_cost"]["cost"] += 1.0
-        drifted["runs"][0]["chosen"] = "sequential"
-        path = write_ab_report(drifted, tmp_path / "ab.json")
-        problems = check_ab_golden(path)
-        assert problems
-        assert any("MG1" in problem and "chosen" in problem for problem in problems)

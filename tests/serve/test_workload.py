@@ -1,5 +1,6 @@
 """Workload spec parsing, deterministic arrival generation, and the
-``repro-serve-workload/v2`` report (shape, verdicts, golden diffing)."""
+``repro-serve-workload/v2`` report (shape, verdicts).  Golden round-trip
+and drift detection are ``tests/core/test_report.py``, for every kind."""
 
 import pytest
 
@@ -8,12 +9,10 @@ from repro.serve import (
     SERVE_SCHEMA,
     WORKLOAD_MIXES,
     WorkloadSpec,
-    check_serve_golden,
     render_serve_report,
     serve_workload_report,
-    write_serve_report,
 )
-from repro.serve.workload import spec_from_report, workload_requests
+from repro.serve.workload import workload_requests
 
 
 def test_from_spec_minimal_defaults():
@@ -71,7 +70,7 @@ def test_report_shape_and_verdicts(chem_tiny):
     report = serve_workload_report(spec, graph=chem_tiny)
     assert report["schema"] == SERVE_SCHEMA
     assert report["queries"] == list(WORKLOAD_MIXES["chem-overlap"][2])
-    assert spec_from_report(report) == spec
+    assert WorkloadSpec(**report["workload"]) == spec
     assert len(report["runs"]) == 1
     run = report["runs"][0]
     assert run["requests"] == 6
@@ -94,20 +93,3 @@ def test_sharing_disabled_verdict_is_none(chem_tiny):
     report = serve_workload_report(spec, graph=chem_tiny)
     assert report["verdicts"]["cost_strictly_reduced"] is None
     assert report["verdicts"]["all_rows_match"] is True
-
-
-def test_golden_roundtrip(tmp_path, chem_tiny):
-    spec = WorkloadSpec.from_spec("seeds=1,clients=2,mix=chem-overlap,requests=6")
-    report = serve_workload_report(spec, graph=chem_tiny)
-    path = write_serve_report(report, tmp_path / "serve.json")
-    assert check_serve_golden(path) == []
-
-
-def test_golden_diff_reports_field(tmp_path, chem_tiny):
-    spec = WorkloadSpec.from_spec("seeds=1,clients=2,mix=chem-overlap,requests=6")
-    report = serve_workload_report(spec, graph=chem_tiny)
-    report["runs"][0]["served_cost_seconds"] += 1.0
-    report["summary"]["total_served_cost_seconds"] += 1.0
-    path = write_serve_report(report, tmp_path / "tampered.json")
-    problems = check_serve_golden(path)
-    assert problems and any("served_cost_seconds" in p for p in problems)
