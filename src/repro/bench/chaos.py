@@ -21,9 +21,10 @@ committed report doubles as a golden (:data:`KIND`, checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
+from repro.ambient import Field, parse_spec
 from repro.bench.catalog import get_query
 from repro.bench.faults import FAULT_EXPERIMENTS, _base_counters
 from repro.bench.harness import QueryMeasurement, run_experiment
@@ -48,6 +49,17 @@ _RECOVERY_FIELDS = (
 )
 
 
+#: ``--chaos`` keys (DESIGN.md §7.5 has the grammar).
+_SPEC_FIELDS = {
+    "seeds": Field(int, required=True),
+    "rate": Field(float, required=True),
+    "attempts": Field(int),
+    "budget": Field(int),
+    "straggler": Field(float, "straggler_rate"),
+    "write": Field(float, "write_failure_rate"),
+}
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
     """Parsed ``--chaos`` matrix: seeds 1..N, one fault plan per seed.
@@ -68,58 +80,18 @@ class ChaosSpec:
     straggler_rate: float = 0.0
     write_failure_rate: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.seeds < 1:
+            raise CheckpointError("seeds must be >= 1")
+        if not 0.0 <= self.rate < 1.0:
+            raise CheckpointError("rate must be in [0, 1)")
+        if self.attempts < 1:
+            raise CheckpointError("attempts must be >= 1")
+
     @classmethod
     def from_spec(cls, text: str) -> "ChaosSpec":
         """Parse ``seeds=N,rate=p[,attempts=a][,budget=b][,straggler=s][,write=w]``."""
-        values: dict[str, str] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise CheckpointError(
-                    f"invalid chaos spec {text!r}: expected key=value, got {part!r}"
-                )
-            values[key.strip()] = value.strip()
-        unknown = set(values) - {
-            "seeds", "rate", "attempts", "budget", "straggler", "write",
-        }
-        if unknown:
-            raise CheckpointError(
-                f"invalid chaos spec {text!r}: unknown key(s) "
-                f"{', '.join(sorted(unknown))}"
-            )
-        if "seeds" not in values or "rate" not in values:
-            raise CheckpointError(
-                f"invalid chaos spec {text!r}: seeds= and rate= are required"
-            )
-        try:
-            spec = cls(
-                seeds=int(values["seeds"]),
-                rate=float(values["rate"]),
-                attempts=int(values.get("attempts", 1)),
-                budget=int(values.get("budget", 64)),
-                straggler_rate=float(values.get("straggler", 0.0)),
-                write_failure_rate=float(values.get("write", 0.0)),
-            )
-        except ValueError as error:
-            raise CheckpointError(
-                f"invalid chaos spec {text!r}: {error}"
-            ) from None
-        if spec.seeds < 1:
-            raise CheckpointError(
-                f"invalid chaos spec {text!r}: seeds must be >= 1"
-            )
-        if not 0.0 <= spec.rate < 1.0:
-            raise CheckpointError(
-                f"invalid chaos spec {text!r}: rate must be in [0, 1)"
-            )
-        if spec.attempts < 1:
-            raise CheckpointError(
-                f"invalid chaos spec {text!r}: attempts must be >= 1"
-            )
-        return spec
+        return parse_spec(text, "chaos", CheckpointError, _SPEC_FIELDS, cls)
 
     def plan_for_seed(self, seed: int) -> FaultPlan:
         return FaultPlan(
@@ -134,14 +106,7 @@ class ChaosSpec:
         return RecoveryPolicy(max_resubmissions=self.budget)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "seeds": self.seeds,
-            "rate": self.rate,
-            "attempts": self.attempts,
-            "budget": self.budget,
-            "straggler_rate": self.straggler_rate,
-            "write_failure_rate": self.write_failure_rate,
-        }
+        return asdict(self)
 
 
 def _per_failure(total: float, failures: int) -> float | None:

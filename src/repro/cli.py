@@ -25,19 +25,23 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro import ambient
+from repro.ambient import knob_overrides
 from repro.bench.catalog import CATALOG, get_query
 from repro.bench.harness import ALL_EXPERIMENTS
 from repro.bench.reporting import render_cost_table, render_gains_table
 from repro.core.engines import (
     ENGINE_FACTORIES,
     PAPER_ENGINES,
-    _check_shard_support,
     make_engine,
     to_analytical,
 )
 from repro.core.explain import explain
+from repro.core.results import EngineConfig, check_supported
 from repro.datasets import generate as generate_dataset
 from repro.errors import CheckpointError, ReproError, ServeError, WorkflowAbortedError
+from repro.mapreduce.checkpoint import RecoveryPolicy
+from repro.mapreduce.faults import FaultPlan
 from repro.rdf import ntriples
 from repro.rdf.graph import Graph
 
@@ -118,100 +122,39 @@ def _tracing_to(path: str | None) -> Iterator[None]:
     print(f"wrote trace {path}", file=sys.stderr)
 
 
-def _validated_representation(args: argparse.Namespace) -> str | None:
-    """Validate a ``--representation`` override early, so a malformed
-    mode is a usage error (exit 2) before any graph is built.  Raises
-    :class:`ReproError` on a bad spelling; returns None when absent."""
-    raw = getattr(args, "representation", None)
-    if raw is None:
-        return None
-    from repro.ntga.factorized import validate_representation
+def _shard_fields(args: argparse.Namespace) -> dict:
+    """``--shards N[,strategy]`` as ``EngineConfig`` fields ({} when not
+    given).  A bare ``N`` means the default (hash) partition."""
+    if not getattr(args, "shards", None):
+        return {}
+    from repro.shard.ab import parse_shard_spec
 
-    return validate_representation(raw)
-
-
-def _validated_planner(args: argparse.Namespace) -> str | None:
-    """Validate a ``--planner`` override early (same contract as
-    :func:`_validated_representation`)."""
-    raw = getattr(args, "planner", None)
-    if raw is None:
-        return None
-    from repro.plan import validate_planner
-
-    return validate_planner(raw)
+    shards, strategies = parse_shard_spec(args.shards)
+    return {
+        "shards": shards,
+        "partitioner": strategies[0] if len(strategies) == 1 else None,
+    }
 
 
-@contextmanager
-def _ambient_representation(mode: str | None) -> Iterator[None]:
-    """Run the wrapped work under an ambient NTGA representation
-    override (no-op when *mode* is None)."""
-    if mode is None:
-        yield
-        return
-    from repro.ntga.factorized import active_representation
-
-    with active_representation(mode):
-        yield
-
-
-@contextmanager
-def _ambient_planner(mode: str | None) -> Iterator[None]:
-    """Run the wrapped work under an ambient planner-mode override
-    (no-op when *mode* is None)."""
-    if mode is None:
-        yield
-        return
-    from repro.plan import active_planner
-
-    with active_planner(mode):
-        yield
-
-
-def _run_config(args: argparse.Namespace):
+def _run_config(args: argparse.Namespace) -> EngineConfig | None:
     """Build the EngineConfig for ``repro run`` from
     --faults/--recover/--representation/--planner/--shards (None when
     none is given, so the default-config path is untouched)."""
-    representation = _validated_representation(args)
-    planner = _validated_planner(args)
-    shards, partitioner = 1, None
-    if getattr(args, "shards", None):
-        from repro.shard.ab import parse_shard_spec
-
-        shards, strategies = parse_shard_spec(args.shards)
-        partitioner = strategies[0] if len(strategies) == 1 else None
-    if (
-        not getattr(args, "faults", None)
-        and getattr(args, "recover", None) is None
-        and representation is None
-        and planner is None
-        and shards == 1
-        and partitioner is None
-    ):
-        return None
-    from repro.core.results import EngineConfig
-    from repro.mapreduce.checkpoint import RecoveryPolicy
-    from repro.mapreduce.faults import FaultPlan
-
-    return EngineConfig(
-        fault_plan=FaultPlan.from_spec(args.faults) if args.faults else None,
-        recovery=RecoveryPolicy(max_resubmissions=args.recover)
-        if args.recover is not None
-        else None,
-        representation=representation,
-        planner=planner,
-        shards=shards,
-        partitioner=partitioner,
-    )
+    fields = {**knob_overrides(args), **_shard_fields(args)}
+    if args.faults:
+        fields["fault_plan"] = FaultPlan.from_spec(args.faults)
+    if args.recover is not None:
+        fields["recovery"] = RecoveryPolicy(max_resubmissions=args.recover)
+    return EngineConfig(**fields) if fields else None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.errors import MapReduceError
 
     try:
         config = _run_config(args)
-        _check_shard_support(args.engine, config)
-    except (MapReduceError, ReproError) as error:
+        check_supported(args.engine, config)
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     _infer_dataset(args)
@@ -247,8 +190,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from repro import obs
 
     try:
-        representation = _validated_representation(args)
-        planner = _validated_planner(args)
+        overrides = knob_overrides(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -257,7 +199,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     analytical = to_analytical(sparql)
     print(f"{'engine':18s} {'rows':>6s} {'cycles':>7s} {'map-only':>9s} {'cost':>9s}")
-    with _tracing_to(args.trace), _ambient_representation(representation), _ambient_planner(planner):
+    with _tracing_to(args.trace), ambient.installed(**overrides):
         with obs.span(qid, "query", {"qid": qid}):
             for engine in PAPER_ENGINES:
                 report = make_engine(engine).execute(analytical, graph)
@@ -270,23 +212,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     try:
-        planner = _validated_planner(args)
+        fields = {**knob_overrides(args), **_shard_fields(args)}
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    shards, partitioner = 1, None
-    if args.shards:
-        from repro.errors import ShardError
-        from repro.shard.ab import parse_shard_spec
-
-        try:
-            shards, strategies = parse_shard_spec(args.shards)
-        except ShardError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        # A bare "N" explains the default (hash) partition; "N,strategy"
-        # pins one.
-        partitioner = strategies[0] if len(strategies) == 1 else None
     _infer_dataset(args)
     _, sparql = _resolve_query_text(args)
     # Hive plans always need data (runtime map-join decisions); the
@@ -303,13 +232,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     if needs_graph:
         graph = _load_graph(args)
-    config = None
-    if planner is not None or args.shards:
-        from repro.core.results import EngineConfig
-
-        config = EngineConfig(
-            planner=planner or "rule", shards=shards, partitioner=partitioner
-        )
+    config = EngineConfig(**fields) if fields else None
     run = None
     if args.run:
         run = make_engine(args.engine).execute(
@@ -407,7 +330,6 @@ def _faults_mode(args: argparse.Namespace):
     """``--faults seed,rate``: the experiment fault-free and under the
     seeded plan, cost degradation per engine."""
     from repro.bench import faults
-    from repro.mapreduce.faults import FaultPlan
 
     experiment = _fault_experiment(args, "fault")
     plan = FaultPlan.from_spec(args.faults)
@@ -511,7 +433,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             raise ReproError(f"--representation cannot be combined with --{flags[0]}")
         if args.no_reference and not args.profile:
             raise ReproError("--no-reference requires --profile")
-        representation = _validated_representation(args)
+        overrides = knob_overrides(args)
         if modes:
             kind, produce, *accept = _REPORT_MODES[modes[0]](args)
         elif args.output or args.golden:
@@ -529,7 +451,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 2
     if modes:
         return _report_mode(args, kind, produce, tuple(accept))
-    with _tracing_to(args.trace), _ambient_representation(representation):
+    with _tracing_to(args.trace), ambient.installed(**overrides):
         result = ALL_EXPERIMENTS[args.experiment]()
     if result.mismatches:
         print(f"WARNING: result mismatches: {result.mismatches}", file=sys.stderr)
@@ -565,7 +487,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--metrics`` additionally collects a repro-metrics/v1 snapshot;
     ``--faults`` switches to the resilience A/B
     (repro-serve-resilience/v1), optionally tuned by ``--resilience``."""
-    from repro.mapreduce.faults import FaultPlan
     from repro.serve import ResilienceConfig, WorkloadSpec, resilience, workload
     from repro.serve.slo import SLOSpec
 

@@ -13,8 +13,8 @@ from typing import Callable, Protocol
 from repro import obs
 from repro.core.query_model import AnalyticalQuery, from_select_query
 from repro.core.reference import ReferenceEngine
-from repro.core.results import EngineConfig, ExecutionReport
-from repro.errors import PlanningError, ShardError
+from repro.core.results import EngineConfig, ExecutionReport, check_supported
+from repro.errors import PlanningError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
 from repro.rdf.graph import Graph
@@ -65,24 +65,6 @@ ENGINE_FACTORIES: dict[str, Callable[[], Engine]] = {
 
 #: The engines the paper's evaluation compares (Section 5).
 PAPER_ENGINES = ("hive-naive", "hive-mqo", "rapid-plus", "rapid-analytics")
-
-#: Engines that understand ``EngineConfig.shards`` / ``partitioner``
-#: (the NTGA engines route through :mod:`repro.shard`); the reference
-#: and Hive engines would silently ignore the knobs, so the facade
-#: rejects the combination instead.
-SHARD_CAPABLE_ENGINES = ("rapid-plus", "rapid-analytics")
-
-
-def _check_shard_support(engine: str, config: EngineConfig | None) -> None:
-    if config is None or (config.shards <= 1 and config.partitioner is None):
-        return
-    if engine not in SHARD_CAPABLE_ENGINES:
-        known = ", ".join(SHARD_CAPABLE_ENGINES)
-        raise ShardError(
-            f"engine {engine!r} does not support sharded execution "
-            f"(shards={config.shards}); sharding is available on: {known}"
-        )
-
 
 def make_engine(name: str) -> Engine:
     try:
@@ -138,7 +120,7 @@ def run_query(
     resubmission budget is exhausted.
     """
     config = _with_faults(config, faults, recovery)
-    _check_shard_support(engine, config)
+    check_supported(engine, config)
     with obs.span("query", "query", {"qid": "query"}):
         return make_engine(engine).execute(to_analytical(query), graph, config)
 
@@ -155,7 +137,7 @@ def run_all_engines(
     analytical = to_analytical(query)
     config = _with_faults(config, faults, recovery)
     for name in engines:
-        _check_shard_support(name, config)
+        check_supported(name, config)
     with obs.span("query", "query", {"qid": "query"}):
         return {
             name: make_engine(name).execute(analytical, graph, config)

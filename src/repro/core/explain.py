@@ -7,10 +7,10 @@ and reports what actually ran) and renders a human-readable plan:
 the analytical decomposition, the composite pattern and α conditions
 (for RAPIDAnalytics), and the MR job sequence.
 
-EXPLAIN is side-effect free: the Hive probe execution runs under
-:func:`repro.obs.detached` and :func:`repro.perf.detached`, so
-``explain(); run()`` leaves exactly the counters and phase times a cold
-``run()`` would.
+EXPLAIN is side-effect free: its probes (the Hive execution, the
+candidate pricing) run under :func:`repro.ambient.detached`, which
+suspends every telemetry sink at once, so ``explain(); run()`` leaves
+exactly the trace, metrics and phase times a cold ``run()`` would.
 
 When a graph is provided for an NTGA engine, the plan enumerator
 (:mod:`repro.plan`) prices every candidate against the graph's
@@ -24,7 +24,7 @@ estimated-vs-actual cardinalities per MR cycle.
 
 from __future__ import annotations
 
-from repro import obs, perf
+from repro import ambient
 from repro.core.engines import make_engine, to_analytical
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig, ExecutionReport
@@ -69,7 +69,7 @@ def _explain_ntga(query: AnalyticalQuery, planner_name: str) -> str:
     # to the empty placeholder file).  Detached, like the Hive probe:
     # the planner's own events (composite, rewrite-fallback) belong to
     # executions, not explanations.
-    with obs.detached():
+    with ambient.detached():
         hdfs = HDFS()
         store = load_triplegroups(Graph(), hdfs)
         planner = (
@@ -112,10 +112,10 @@ def _probe_hive(
 ) -> ExecutionReport:
     """Execute the Hive engine without observable side effects.
 
-    The probe runs against its own HDFS instance already; detaching the
-    obs and perf recorders keeps its counters, events, and phase times
-    out of the caller's trace too."""
-    with obs.detached(), perf.detached():
+    The probe runs against its own HDFS instance already; detaching
+    every sink keeps its spans, counters, metrics and phase times out of
+    the caller's telemetry too."""
+    with ambient.detached():
         return make_engine(engine_name).execute(query, graph, config)
 
 
@@ -136,7 +136,7 @@ def _plan_choice(
     from repro.rdf.stats import cached_profile
 
     mode = resolve_planner(config.planner)
-    with obs.detached(), perf.detached():
+    with ambient.detached():
         hdfs = HDFS()
         store = load_triplegroups(graph, hdfs)
         candidates, star_estimates = enumerate_candidates(
@@ -188,7 +188,7 @@ def _sharding_dict(graph: Graph, config: EngineConfig) -> dict:
     from repro.shard.partition import build_partition
 
     partition = build_partition(
-        graph, config.partitioner or "hash", config.shards
+        graph, ambient.PARTITIONER.resolve(config.partitioner), config.shards
     )
     total_groups = sum(partition.group_counts)
     total_weight = sum(partition.weights)
@@ -256,9 +256,7 @@ def explain(
         if graph is not None and engine == "rapid-analytics":
             choice = _plan_choice(analytical, graph, config or EngineConfig())
             sections.append(_render_choice(choice))
-        if graph is not None and config is not None and (
-            config.shards > 1 or config.partitioner is not None
-        ):
+        if graph is not None and config is not None and config.sharded:
             sections.append(_render_sharding(_sharding_dict(graph, config)))
     elif engine in ("hive-naive", "hive-mqo"):
         if graph is None:
@@ -371,6 +369,6 @@ def explain_report(
         report["choice"] = choice.as_dict()
         if run is not None:
             report["estimated_vs_actual"] = _estimated_vs_actual(choice, run)
-    if graph is not None and (config.shards > 1 or config.partitioner is not None):
+    if graph is not None and config.sharded:
         report["sharding"] = _sharding_dict(graph, config)
     return report

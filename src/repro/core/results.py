@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ambient import KNOBS
+from repro.errors import ShardError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.cost import ClusterConfig, CostModel, register_sized_dict
 from repro.mapreduce.faults import FaultPlan
@@ -53,6 +55,13 @@ class EngineConfig:
     cross-shard joins assemble through a priced exchange step.
     ``shards=1`` is the single-cluster path; ``partitioner`` defaults
     to ``"hash"`` when shards > 1.
+
+    A config validates itself: the three enumerated knobs go through
+    the knob table (:mod:`repro.ambient`; a representation is stored in
+    its canonical spelling) and ``shards`` must be >= 1, so a bad value
+    is a one-line typed error where the config is built, not at plan
+    time.  Which *combinations* an engine supports is
+    :func:`check_supported`'s to say.
     """
 
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
@@ -66,6 +75,47 @@ class EngineConfig:
     plan_decision: str | None = None
     shards: int = 1
     partitioner: str | None = None
+
+    def __post_init__(self) -> None:
+        # Rebuilt per serve attempt: the valid case costs three tuple
+        # membership tests and a comparison.
+        for knob in KNOBS:
+            value = getattr(self, knob.name)
+            if value is not None and value not in knob.choices:
+                object.__setattr__(self, knob.name, knob.validate(value))
+        if self.shards < 1:
+            raise ShardError(f"shards must be >= 1, got {self.shards}")
+
+    @property
+    def sharded(self) -> bool:
+        return self.shards > 1 or self.partitioner is not None
+
+
+#: Engines that understand ``EngineConfig.shards`` / ``partitioner``
+#: (the NTGA engines route through :mod:`repro.shard`); the reference
+#: and Hive engines would silently ignore the knobs.
+SHARD_CAPABLE_ENGINES = ("rapid-plus", "rapid-analytics")
+
+
+def check_supported(
+    engine: str, config: EngineConfig | None, batch: bool = False
+) -> None:
+    """Reject a combination of engine, config and (MQO) batch execution
+    that would otherwise be silently ignored — the one place such a
+    combination is declared unsupported."""
+    if config is None or not config.sharded:
+        return
+    if batch:
+        raise ShardError(
+            "MQO batch execution does not support sharded execution yet; "
+            "run the queries solo with shards > 1 or batch them unsharded"
+        )
+    if engine not in SHARD_CAPABLE_ENGINES:
+        known = ", ".join(SHARD_CAPABLE_ENGINES)
+        raise ShardError(
+            f"engine {engine!r} does not support sharded execution "
+            f"(shards={config.shards}); sharding is available on: {known}"
+        )
 
 
 @dataclass

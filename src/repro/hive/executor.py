@@ -33,6 +33,7 @@ from repro.core.query_model import (
     prop_key_of,
 )
 from repro import obs
+from repro.ambient import PLANNER
 from repro.core.results import EngineConfig, Row
 from repro.errors import OverlapError, PlanningError
 from repro.mapreduce import cost
@@ -246,9 +247,7 @@ class HiveExecutor:
         # map-join decisions keep the fixed byte threshold (the goldens'
         # behavior); under "cost"/"auto" they are priced by the cost
         # model instead (see CostModel.prefer_map_join).
-        from repro.plan import resolve_planner
-
-        self.planner = resolve_planner(config.planner)
+        self.planner = PLANNER.resolve(config.planner)
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro import obs, perf
+from repro import ambient, obs, perf
 from repro.obs import metrics as obs_metrics
 from repro.errors import (
     CheckpointError,
@@ -235,7 +235,7 @@ class MapReduceRunner:
         # aborted job never pollutes the workflow's accounting (the
         # scratch travels on the TaskFailedError instead).
         scratch = Counters()
-        if obs._ACTIVE is None:  # tracing off: skip the span bracket entirely
+        if ambient.tracer is None:  # tracing off: skip the span bracket entirely
             stats = self._execute_job(job, scratch, None)
         else:
             with obs.span(f"job:{job.name}", "job") as span:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
-from repro import obs, perf
-from repro.obs import metrics as obs_metrics
+from repro import ambient, obs, perf
+from repro.ambient import PLANNER
 from repro.core.query_model import AnalyticalQuery
-from repro.core.results import EngineConfig, ExecutionReport, Row
+from repro.core.results import EngineConfig, ExecutionReport, Row, check_supported
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
 from repro.ntga.factorized import (
@@ -118,7 +119,7 @@ def run_plan(
     the sequence is the same.
     """
     split = plan.split_index
-    sharded = config.shards > 1 or config.partitioner is not None
+    sharded = config.sharded
     if sharded:
         from repro.shard.execution import ShardedExecutor
 
@@ -134,6 +135,48 @@ def run_plan(
     if sharded:
         executor.gather(plan.final_output)
     return runner.finalize(stats)
+
+
+@contextmanager
+def _driven(
+    name: str,
+    attrs: dict,
+    make_plan: Callable[[TripleGroupStore], NTGAPlan | BatchPlan],
+    graph: Graph,
+    config: EngineConfig,
+) -> Iterator[tuple[HDFS, TripleGroupStore, NTGAPlan | BatchPlan, WorkflowStats]]:
+    """The one execution driver behind :meth:`NTGAEngine.execute` and
+    :func:`execute_batch`: load the triplegroups, plan under the
+    config's representation, record the plan on its span, run it.  The
+    body (answer delivery) runs inside the engine span, so the counters
+    it records land there."""
+    hdfs = HDFS(capacity=config.hdfs_capacity)
+    with obs.span(name, "engine", attrs):
+        with obs.span("load", "stage"), perf.phase("load"):
+            store = load_triplegroups(graph, hdfs)
+        with obs.span("plan", "stage") as plan_span, perf.phase("plan"):
+            # The config's explicit representation (serve) wins over
+            # any ambient context (bench A/B harness); planners read
+            # it — and the pricing model for "auto" — from here.
+            with active_representation(
+                resolve_representation(config.representation),
+                config.cost_model,
+            ):
+                plan = make_plan(store)
+            if plan_span is not None:
+                plan_span.attrs.update(
+                    jobs=len(plan.jobs),
+                    description=plan.description,
+                    representation=plan.representation,
+                )
+        runner = MapReduceRunner(
+            hdfs,
+            config.cluster,
+            config.cost_model,
+            config.fault_plan,
+            recovery=config.recovery,
+        )
+        yield hdfs, store, plan, run_plan(plan, runner, store, graph, config)
 
 
 class NTGAEngine:
@@ -159,14 +202,12 @@ class NTGAEngine:
         config: EngineConfig,
     ) -> NTGAPlan:
         if self._adaptive:
-            from repro.plan import resolve_planner
-
-            mode = resolve_planner(config.planner)
+            mode = PLANNER.resolve(config.planner)
             if mode != "rule":
                 from repro.plan import plan_adaptive
                 from repro.rdf.stats import cached_profile
 
-                return plan_adaptive(
+                plan = plan_adaptive(
                     query,
                     store,
                     cached_profile(graph),
@@ -174,33 +215,8 @@ class NTGAEngine:
                     mode,
                     decision=config.plan_decision,
                 )
-        return self._planner(query, store)
-
-    def execute(
-        self, query: AnalyticalQuery, graph: Graph, config: EngineConfig | None = None
-    ) -> ExecutionReport:
-        config = config or EngineConfig()
-        hdfs = HDFS(capacity=config.hdfs_capacity)
-        with obs.span(self.name, "engine", {"engine": self.name}):
-            with obs.span("load", "stage"), perf.phase("load"):
-                store = load_triplegroups(graph, hdfs)
-            with obs.span("plan", "stage") as plan_span, perf.phase("plan"):
-                # The config's explicit representation (serve) wins over
-                # any ambient context (bench A/B harness); planners read
-                # it — and the pricing model for "auto" — from here.
-                with active_representation(
-                    resolve_representation(config.representation),
-                    config.cost_model,
-                ):
-                    plan = self._plan(query, store, graph, config)
-                if plan_span is not None:
-                    plan_span.attrs.update(
-                        jobs=len(plan.jobs),
-                        description=plan.description,
-                        representation=plan.representation,
-                    )
-                if plan.choice is not None and obs_metrics._ACTIVE is not None:
-                    obs_metrics._ACTIVE.counter(
+                if ambient.registry is not None:
+                    ambient.registry.counter(
                         "planner_choices_total",
                         "adaptive planner decisions by mode/candidate/source",
                         ("mode", "chosen", "source"),
@@ -209,16 +225,20 @@ class NTGAEngine:
                         chosen=plan.choice.chosen,
                         source=plan.choice.source,
                     ).inc()
-            runner = MapReduceRunner(
-                hdfs,
-                config.cluster,
-                config.cost_model,
-                config.fault_plan,
-                recovery=config.recovery,
-            )
+                return plan
+        return self._planner(query, store)
 
-            stats = run_plan(plan, runner, store, graph, config)
-
+    def execute(
+        self, query: AnalyticalQuery, graph: Graph, config: EngineConfig | None = None
+    ) -> ExecutionReport:
+        config = config or EngineConfig()
+        with _driven(
+            self.name,
+            {"engine": self.name},
+            lambda store: self._plan(query, store, graph, config),
+            graph,
+            config,
+        ) as (hdfs, store, plan, stats):
             return ExecutionReport(
                 engine=self.name,
                 rows=_collect_rows(hdfs, plan, query),
@@ -272,40 +292,14 @@ def execute_batch(
     patterns do not all overlap; callers fall back to solo execution.
     """
     config = config or EngineConfig()
-    if config.shards > 1 or config.partitioner is not None:
-        from repro.errors import ShardError
-
-        raise ShardError(
-            "MQO batch execution does not support sharded execution yet; "
-            "run the queries solo with shards > 1 or batch them unsharded"
-        )
-    hdfs = HDFS(capacity=config.hdfs_capacity)
-    with obs.span(
-        "mqo-batch", "engine", {"engine": "rapid-analytics", "queries": len(queries)}
-    ):
-        with obs.span("load", "stage"), perf.phase("load"):
-            store = load_triplegroups(graph, hdfs)
-        with obs.span("plan", "stage") as plan_span, perf.phase("plan"):
-            with active_representation(
-                resolve_representation(config.representation),
-                config.cost_model,
-            ):
-                plan = plan_batch(queries, store, prefix=prefix)
-            if plan_span is not None:
-                plan_span.attrs.update(
-                    jobs=len(plan.jobs),
-                    description=plan.description,
-                    representation=plan.representation,
-                )
-        runner = MapReduceRunner(
-            hdfs,
-            config.cluster,
-            config.cost_model,
-            config.fault_plan,
-            recovery=config.recovery,
-        )
-        stats = run_plan(plan, runner, store, graph, config)
-
+    check_supported("rapid-analytics", config, batch=True)
+    with _driven(
+        "mqo-batch",
+        {"engine": "rapid-analytics", "queries": len(queries)},
+        lambda store: plan_batch(queries, store, prefix=prefix),
+        graph,
+        config,
+    ) as (hdfs, store, plan, stats):
         return BatchReport(
             engine="rapid-analytics",
             queries=list(queries),

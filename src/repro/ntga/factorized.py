@@ -24,27 +24,26 @@ join's nested-loop order for row order), and the engines only ever
 *add* factorization behind the representation knob — the ``"flat"``
 mode is byte-for-byte the previous behavior.
 
-The representation choice threads through an ambient, thread-local
-context (:func:`active_representation`) so the bench/profile harnesses
-can A/B entire executions, while :class:`repro.core.results.EngineConfig`
-carries an explicit per-execution override for the serving layer (whose
-worker threads must not share ambient state).  ``"auto"`` defers to
+The representation choice is the ``representation`` knob of
+:mod:`repro.ambient` (DESIGN.md §7.5): :func:`active_representation`
+installs an ambient override so the bench/profile harnesses can A/B
+entire executions, while :class:`repro.core.results.EngineConfig`
+carries an explicit per-execution value for the serving layer.
+``"auto"`` defers to
 :meth:`repro.mapreduce.cost.CostModel.choose_representation` priced on
 the store's flat-vs-factorized byte totals.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from typing import TYPE_CHECKING, Iterator
 
-from repro import obs
+from repro import ambient, obs
+from repro.ambient import REPRESENTATION
 from repro.core.query_model import PropKey
-from repro.errors import ReproError
 from repro.mapreduce import cost
 from repro.rdf.terms import Term, Variable
 from repro.rdf.triples import RDF_TYPE
@@ -53,13 +52,6 @@ if TYPE_CHECKING:
     from repro.mapreduce.cost import CostModel
     from repro.ntga.physical import TripleGroupStore
     from repro.ntga.triplegroup import TripleGroup
-
-#: Valid representation modes, in documentation order.
-REPRESENTATIONS = ("factorized", "flat", "auto")
-
-#: The representation used when neither the config nor the ambient
-#: context says otherwise.
-DEFAULT_REPRESENTATION = "factorized"
 
 #: The trace metrics this subsystem records (see the operator metric
 #: glossary in ``docs/observability.md``; the docs inventory test keys
@@ -71,71 +63,27 @@ FACTORIZED_COUNTERS = (
 )
 
 
-def validate_representation(text: str) -> str:
-    """Validate a representation-override spec (CLI / workload specs).
-
-    Returns the normalized mode or raises :class:`ReproError` with a
-    one-line diagnostic, mirroring the ``--faults``/``--workload``
-    convention.
-    """
-    if not isinstance(text, str):
-        raise ReproError(
-            f"invalid representation {text!r}: expected one of "
-            + "/".join(REPRESENTATIONS)
-        )
-    mode = text.strip().lower()
-    if mode not in REPRESENTATIONS:
-        raise ReproError(
-            f"invalid representation {text!r}: expected one of "
-            + "/".join(REPRESENTATIONS)
-        )
-    return mode
-
-
-# ---------------------------------------------------------------------------
-# Ambient representation context
-# ---------------------------------------------------------------------------
-
-#: Thread-local so concurrent serve workers cannot observe each other's
-#: context; each engine execution resolves its own mode from its config.
-_AMBIENT = threading.local()
+#: The knob is a row of the table: ``validate`` strips and lower-cases,
+#: or raises a one-line :class:`ReproError`; ``resolve`` is explicit
+#: config > ambient context > default and may return ``"auto"``, which
+#: planners resolve against the store via :func:`plan_representation`.
+REPRESENTATIONS = REPRESENTATION.choices
+DEFAULT_REPRESENTATION = REPRESENTATION.default
+validate_representation = REPRESENTATION.validate
+resolve_representation = REPRESENTATION.resolve
 
 
 def ambient_representation() -> str | None:
-    return getattr(_AMBIENT, "mode", None)
+    return ambient.representation
 
 
-def ambient_cost_model() -> "CostModel | None":
-    return getattr(_AMBIENT, "cost_model", None)
-
-
-@contextmanager
-def active_representation(
-    mode: str, cost_model: "CostModel | None" = None
-) -> Iterator[None]:
+def active_representation(mode: str, cost_model: "CostModel | None" = None):
     """Set the ambient representation (and pricing model) for the
     duration — the knob the engines and the profile harness use to run
     whole executions factorized or flat."""
-    mode = validate_representation(mode)
-    previous = (
-        getattr(_AMBIENT, "mode", None),
-        getattr(_AMBIENT, "cost_model", None),
+    return ambient.installed(
+        representation=validate_representation(mode), cost_model=cost_model
     )
-    _AMBIENT.mode = mode
-    _AMBIENT.cost_model = cost_model
-    try:
-        yield
-    finally:
-        _AMBIENT.mode, _AMBIENT.cost_model = previous
-
-
-def resolve_representation(explicit: str | None = None) -> str:
-    """Explicit config > ambient context > default.  May return
-    ``"auto"``; planners resolve that against the store via
-    :func:`plan_representation`."""
-    if explicit is not None:
-        return validate_representation(explicit)
-    return ambient_representation() or DEFAULT_REPRESENTATION
 
 
 def plan_representation(
@@ -147,7 +95,7 @@ def plan_representation(
     mode = resolve_representation(explicit)
     if mode != "auto":
         return mode
-    model = ambient_cost_model()
+    model = ambient.cost_model
     if model is None:
         from repro.mapreduce.cost import CostModel
 
@@ -387,7 +335,7 @@ class FactorizedRelation:
         guarantee relies on.  Empty columns are skipped (their key is
         simply absent from every row).
         """
-        tracing = obs._ACTIVE is not None
+        tracing = ambient.tracer is not None
         present = [
             (key, column)
             for key, column in zip(self.schema.keys, self.columns)
@@ -473,7 +421,7 @@ class RowFactor:
             ]
             if not partials:
                 return []
-        if obs._ACTIVE is not None:
+        if ambient.tracer is not None:
             obs.count("enumeration_rows", len(partials))
         return partials
 

@@ -19,7 +19,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro import obs
+from repro import ambient, obs
 from repro.core.query_model import PropKey, StarPattern
 from repro.errors import PlanningError
 from repro.mapreduce import cost
@@ -204,13 +204,13 @@ def make_star_filter(
                     projected = TripleGroup(group.subject, tuple(kept))
                     dropped = not p_prim <= projected.props()
         if dropped:
-            if obs._ACTIVE is not None:
+            if ambient.tracer is not None:
                 obs.count("sigma_dropped_triplegroups")
             return None
         if schema is None:
             return projected
         fact = FactorizedRelation.from_triplegroup(projected, schema)
-        if obs._ACTIVE is not None:
+        if ambient.tracer is not None:
             obs.count("factorized_relations")
             obs.count(
                 "factorized_bytes_saved",
@@ -554,7 +554,7 @@ class AlphaJoinPlan:
         """One shuffle pair per join-key value for the record
         ``(components, fixed)``: *stored* itself when it is a previous
         cycle's output, else a star wrapper of *size* bytes built here."""
-        if len(keys) > 1 and obs._ACTIVE is not None:
+        if len(keys) > 1 and ambient.tracer is not None:
             # χ (n-split): one triplegroup fans out into one record per
             # distinct join-key value.
             obs.count("nsplit_split_groups")
@@ -648,7 +648,7 @@ class AlphaJoinPlan:
             for tag, joined in values
             if tag == "R"
         ]
-        tracing = obs._ACTIVE is not None
+        tracing = ambient.tracer is not None
         pruned = 0
         output: list[JoinedTripleGroup] = []
         for left in lefts:
@@ -854,7 +854,7 @@ def build_agg_join_job(
                 # The paper's superfluous-combination pruning: this
                 # detail record can contribute to no group of this
                 # subquery, so TG_AgJ skips it before aggregation.
-                if obs._ACTIVE is not None:
+                if ambient.tracer is not None:
                     obs.count("alpha_combinations_pruned")
                 continue
             for solution in expand(joined):
@@ -885,7 +885,7 @@ def build_agg_join_job(
     subquery_by_id = {sq.subquery_id: sq for sq in subqueries}
 
     def reducer(key: tuple, values: list) -> Iterable[AggRow]:
-        if obs._ACTIVE is not None:
+        if ambient.tracer is not None:
             obs.count("agg_join_groups")
         subquery_id, group_key = key
         subquery = subquery_by_id[subquery_id]

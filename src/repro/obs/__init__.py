@@ -9,11 +9,11 @@ operator metrics (triplegroups dropped by σ^γopt, n-split fan-out,
 α-join combinations materialized vs. pruned, Agg-Join group counts,
 per-job shuffle/HDFS bytes).
 
-The module-level hooks follow the same contract as :func:`repro.perf.phase`:
-when no recorder is installed (``_ACTIVE is None``) every hook is a
-no-op beyond a single global read, so untraced runs pay effectively
-nothing.  Hot loops (the star filter, the α-join reducer) should guard
-their calls with ``if obs._ACTIVE is not None:`` to skip even the call.
+The installed recorder is the ``tracer`` slot of :mod:`repro.ambient`
+(DESIGN.md §7.5): when it is ``None`` every hook here is a no-op beyond
+that one attribute read, so untraced runs pay effectively nothing.  Hot
+loops (the star filter, the α-join reducer) guard their calls with
+``if ambient.tracer is not None:`` to skip even the call.
 
 Submodules:
 
@@ -31,9 +31,10 @@ semantics, and the operator-metric glossary.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from typing import Any, Iterator
 
+from repro import ambient
 from repro.obs.model import Span, Stopwatch, TraceEvent, TraceRecorder
 
 __all__ = [
@@ -50,12 +51,9 @@ __all__ = [
     "annotate",
 ]
 
-#: The currently-installed recorder (None = tracing disabled).
-_ACTIVE: TraceRecorder | None = None
-
 
 def active_tracer() -> TraceRecorder | None:
-    return _ACTIVE
+    return ambient.tracer
 
 
 @contextmanager
@@ -65,34 +63,14 @@ def tracing(recorder: TraceRecorder | None = None) -> Iterator[TraceRecorder]:
     The recorder is sealed (``close()``) on exit, so the caller can hand
     it straight to :func:`repro.obs.sink.write_trace`.
     """
-    global _ACTIVE
     recorder = recorder if recorder is not None else TraceRecorder()
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    try:
+    with ambient.installed(tracer=recorder), closing(recorder):
         yield recorder
-    finally:
-        _ACTIVE = previous
-        recorder.close()
 
 
-@contextmanager
-def detached() -> Iterator[None]:
-    """Suspend the installed recorder for the duration.
-
-    Work inside the block records nothing — spans, events, and counters
-    all see tracing as disabled.  EXPLAIN uses this to compile-and-probe
-    a plan without leaking the probe's counters into the caller's trace
-    (a side-effect-free EXPLAIN must leave ``explain(); run()`` counters
-    equal to a cold ``run()``'s).
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
+#: Suspend telemetry for the duration — every sink, not only the tracer
+#: (see :func:`repro.ambient.detached`).
+detached = ambient.detached
 
 
 @contextmanager
@@ -104,7 +82,7 @@ def span(
     Yields the live :class:`Span` (for ``.attrs`` / ``.metrics``
     updates mid-flight) when tracing is on, ``None`` when off.
     """
-    recorder = _ACTIVE
+    recorder = ambient.tracer
     if recorder is None:
         yield None
         return
@@ -117,20 +95,20 @@ def span(
 
 def event(name: str, attrs: dict[str, Any] | None = None) -> None:
     """Record a point-in-time event under the current span."""
-    recorder = _ACTIVE
+    recorder = ambient.tracer
     if recorder is not None:
         recorder.add_event(name, attrs)
 
 
 def count(name: str, amount: int = 1) -> None:
     """Add *amount* to operator metric *name* on the current span."""
-    recorder = _ACTIVE
+    recorder = ambient.tracer
     if recorder is not None:
         recorder.count(name, amount)
 
 
 def annotate(**attrs: Any) -> None:
     """Attach attributes to the current span."""
-    recorder = _ACTIVE
+    recorder = ambient.tracer
     if recorder is not None:
         recorder.annotate(**attrs)

@@ -29,9 +29,9 @@ Two exporters ship with the registry: :func:`snapshot_dict` (the
 writes and the CI golden pins) and :func:`render_prometheus` (text
 exposition for scraping, validated by :func:`validate_prometheus`).
 
-The module-level ambient hooks follow the :mod:`repro.obs` tracer
-contract: :func:`collecting` installs a registry, instrumented layers
-consult :func:`active_registry` and pay a single global read when
+The installed registry is the ``registry`` slot of :mod:`repro.ambient`
+(DESIGN.md §7.5): :func:`collecting` installs one, instrumented layers
+consult :func:`active_registry` and pay a single attribute read when
 metrics are off.
 """
 
@@ -41,6 +41,7 @@ import re
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator
 
+from repro import ambient
 from repro.errors import ReproError
 
 __all__ = [
@@ -401,12 +402,8 @@ class MetricsRegistry:
         ]
 
 
-#: The currently-installed registry (None = metrics disabled).
-_ACTIVE: MetricsRegistry | None = None
-
-
 def active_registry() -> MetricsRegistry | None:
-    return _ACTIVE
+    return ambient.registry
 
 
 @contextmanager
@@ -414,16 +411,11 @@ def collecting(registry: MetricsRegistry | None = None) -> Iterator[MetricsRegis
     """Install *registry* (a fresh one by default) for the duration.
 
     Instrumented layers (the MapReduce runner, the adaptive planner)
-    record into it; uninstrumented runs pay one global read per hook.
+    record into it; uninstrumented runs pay one attribute read per hook.
     """
-    global _ACTIVE
     registry = registry if registry is not None else MetricsRegistry()
-    previous = _ACTIVE
-    _ACTIVE = registry
-    try:
+    with ambient.installed(registry=registry):
         yield registry
-    finally:
-        _ACTIVE = previous
 
 
 # -- exporters ------------------------------------------------------------------

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterator
 
+from repro import ambient
+
 __all__ = [
     "PerfRecorder",
     "RunTiming",
@@ -94,51 +96,31 @@ class PerfRecorder:
         return sum(run.wall_seconds for run in self.runs)
 
 
-#: The currently-installed recorder (None = instrumentation disabled).
-_ACTIVE: PerfRecorder | None = None
-
-
 def active_recorder() -> PerfRecorder | None:
-    return _ACTIVE
+    return ambient.recorder
 
 
 @contextmanager
 def recording(recorder: PerfRecorder | None = None) -> Iterator[PerfRecorder]:
     """Install *recorder* (a fresh one by default) for the duration."""
-    global _ACTIVE
     recorder = recorder if recorder is not None else PerfRecorder()
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    try:
+    with ambient.installed(recorder=recorder):
         yield recorder
-    finally:
-        _ACTIVE = previous
 
 
-@contextmanager
-def detached() -> Iterator[None]:
-    """Suspend the installed recorder for the duration.
-
-    Phase time spent inside the block is attributed to nobody — the
-    side-effect-free EXPLAIN path runs its probe execution under this so
-    the caller's per-run phase accounting stays untouched.
-    """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = None
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
+#: Suspend telemetry for the duration — every sink, not only this
+#: recorder (see :func:`repro.ambient.detached`).  Phase time spent
+#: inside the block is attributed to nobody.
+detached = ambient.detached
 
 
 @contextmanager
 def phase(name: str) -> Iterator[None]:
     """Attribute the wrapped wall-clock time to phase *name*.
 
-    A no-op (beyond one global read) when no recorder is installed.
+    A no-op (beyond one attribute read) when no recorder is installed.
     """
-    recorder = _ACTIVE
+    recorder = ambient.recorder
     if recorder is None:
         yield
         return

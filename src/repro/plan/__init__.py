@@ -20,21 +20,17 @@ factorized-representation knob of PR 6:
   clears a safety margin (see
   :data:`repro.plan.enumerator.AUTO_MARGIN`).
 
-Like the representation knob, the mode threads through three layers
-with the same precedence: an explicit
-:attr:`repro.core.results.EngineConfig.planner` (the serve layer) wins
-over the ambient context installed by :func:`active_planner` (the CLI),
-which wins over :data:`DEFAULT_PLANNER`.
+Like the representation knob, the mode is a row of the knob table in
+:mod:`repro.ambient` (DESIGN.md §7.5) with the one precedence rule: an
+explicit :attr:`repro.core.results.EngineConfig.planner` (the serve
+layer) wins over the ambient context installed by :func:`active_planner`
+(the CLI), which wins over :data:`DEFAULT_PLANNER`.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Iterator
-
-from repro.errors import ReproError
-
+from repro import ambient
+from repro.ambient import PLANNER
 from repro.plan.cardinality import (
     FILTER_SELECTIVITY,
     CardinalityEstimator,
@@ -68,49 +64,16 @@ __all__ = [
     "plan_adaptive",
 ]
 
-#: The planner modes an engine accepts.
-PLANNERS = ("rule", "cost", "auto")
-
-#: The default mode: the original rule-based behavior (goldens pin it).
-DEFAULT_PLANNER = "rule"
-
-
-def validate_planner(text: str) -> str:
-    """Return *text* if it names a planner mode, else raise ReproError."""
-    if text not in PLANNERS:
-        raise ReproError(
-            f"invalid planner {text!r}: expected one of " + "/".join(PLANNERS)
-        )
-    return text
+#: The knob is a row of the table: the modes an engine accepts, the
+#: default (the original rule-based behavior, which the goldens pin),
+#: ``validate`` (an exact mode name or a one-line :class:`ReproError`)
+#: and ``resolve`` (explicit config > ambient context > default).
+PLANNERS = PLANNER.choices
+DEFAULT_PLANNER = PLANNER.default
+validate_planner = PLANNER.validate
+resolve_planner = PLANNER.resolve
 
 
-class _Ambient(threading.local):
-    mode: str | None = None
-
-
-_AMBIENT = _Ambient()
-
-
-@contextmanager
-def active_planner(mode: str) -> Iterator[None]:
-    """Install *mode* as the ambient planner for the duration.
-
-    Thread-local, like the ambient representation: concurrent serve
-    workers see only their own context.
-    """
-    validate_planner(mode)
-    previous = _AMBIENT.mode
-    _AMBIENT.mode = mode
-    try:
-        yield
-    finally:
-        _AMBIENT.mode = previous
-
-
-def resolve_planner(explicit: str | None = None) -> str:
-    """The mode in effect: explicit config > ambient context > default."""
-    if explicit is not None:
-        return validate_planner(explicit)
-    if _AMBIENT.mode is not None:
-        return _AMBIENT.mode
-    return DEFAULT_PLANNER
+def active_planner(mode: str):
+    """Install *mode* as the ambient planner for the duration."""
+    return ambient.installed(planner=validate_planner(mode))

@@ -15,7 +15,6 @@ emit rows in a different order).
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Iterable
 
 from repro.bench.catalog import get_query
@@ -23,7 +22,7 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig, ExecutionReport
 from repro.datasets import generate
 from repro.rdf.graph import Graph
-from repro.report import ReportKind
+from repro.report import ReportKind, rows_digest
 
 AB_SCHEMA = "repro-planner-ab/v1"
 
@@ -37,18 +36,6 @@ _PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
 #: Actual-cost slack: both runs price the same deterministic simulation,
 #: so anything beyond float noise is a genuine regression.
 _COST_TOLERANCE = 1e-6
-
-
-def rows_digest(rows: Iterable[dict]) -> str:
-    """Order-insensitive fingerprint of an answer multiset."""
-    canonical = sorted(
-        ",".join(
-            f"{variable.name}={term.n3()}"
-            for variable, term in sorted(row.items(), key=lambda kv: kv[0].name)
-        )
-        for row in rows
-    )
-    return hashlib.sha256("\n".join(canonical).encode("utf-8")).hexdigest()[:16]
 
 
 def _priced_costs(report: ExecutionReport) -> tuple[float, float, str, str]:

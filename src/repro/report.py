@@ -13,15 +13,31 @@ module, imported only when a report of that schema is met.  DESIGN.md
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from importlib import import_module
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.errors import ReproError
 
 Report = dict[str, Any]
+
+
+def rows_digest(rows: Iterable[dict]) -> str:
+    """Order-insensitive fingerprint of an answer multiset — what the A/B
+    reports compare a variant's rows to its baseline's by (the
+    order-*sensitive* :func:`repro.perf.rows_digest` is a different
+    fingerprint)."""
+    canonical = sorted(
+        ",".join(
+            f"{variable.name}={term.n3()}"
+            for variable, term in sorted(row.items(), key=lambda kv: kv[0].name)
+        )
+        for row in rows
+    )
+    return hashlib.sha256("\n".join(canonical).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -42,10 +42,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from repro import obs
+from repro.ambient import Field, parse_spec
 from repro.errors import ResilienceError
 from repro.mapreduce.faults import FaultPlan
 from repro.obs import metrics as obs_metrics
@@ -56,7 +57,22 @@ RESILIENCE_SCHEMA = "repro-serve-resilience/v1"
 
 _UNIT_DENOMINATOR = float(2**64)
 
-_FLAGS = {"on": True, "off": False, "true": True, "false": False}
+#: ``--resilience`` keys (DESIGN.md §7.5 has the grammar), under the
+#: flat names :meth:`ResilienceConfig.from_dict` reads.
+_SPEC_FIELDS = {
+    "retries": Field(int),
+    "backoff": Field(float, "base_backoff"),
+    "factor": Field(float, "backoff_factor"),
+    "jitter": Field(float),
+    "seed": Field(int),
+    "threshold": Field(int),
+    "window": Field(float),
+    "cooldown": Field(float),
+    "probes": Field(int),
+    "stale": Field(bool),
+    "bypass": Field(bool, "bypass_batching"),
+    "shed": Field(lambda raw: max(int(raw), 0) or None, "shed_threshold"),
+}
 
 
 def _unit_float(*key: Any) -> float:
@@ -322,113 +338,31 @@ class ResilienceConfig:
         ``stale`` (on/off), ``bypass`` (on/off), ``shed`` (0 = off).
         The empty spec (or ``default``) keeps every default.
         """
-        cleaned = text.strip()
-        if cleaned.lower() in ("", "default"):
+        if text.strip().lower() == "default":
             return cls()
-        values: dict[str, str] = {}
-        for part in cleaned.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ResilienceError(
-                    f"invalid resilience spec {text!r}: expected key=value, "
-                    f"got {part!r}"
-                )
-            values[key.strip()] = value.strip()
-        known = {
-            "retries", "backoff", "factor", "jitter", "seed",
-            "threshold", "window", "cooldown", "probes",
-            "stale", "bypass", "shed",
-        }
-        unknown = set(values) - known
-        if unknown:
-            raise ResilienceError(
-                f"invalid resilience spec {text!r}: unknown key(s) "
-                f"{', '.join(sorted(unknown))} (known: {', '.join(sorted(known))})"
-            )
-
-        def flag(key: str, default: bool) -> bool:
-            raw = values.get(key)
-            if raw is None:
-                return default
-            if raw.lower() not in _FLAGS:
-                raise ResilienceError(
-                    f"invalid resilience spec {text!r}: {key} must be on/off, "
-                    f"got {raw!r}"
-                )
-            return _FLAGS[raw.lower()]
-
-        try:
-            shed = int(values["shed"]) if "shed" in values else 0
-            retry = RetryPolicy(
-                retries=int(values.get("retries", RetryPolicy.retries)),
-                base_backoff=float(values.get("backoff", RetryPolicy.base_backoff)),
-                backoff_factor=float(values.get("factor", RetryPolicy.backoff_factor)),
-                jitter=float(values.get("jitter", RetryPolicy.jitter)),
-                seed=int(values.get("seed", RetryPolicy.seed)),
-            )
-            breaker = BreakerPolicy(
-                threshold=int(values.get("threshold", BreakerPolicy.threshold)),
-                window=float(values.get("window", BreakerPolicy.window)),
-                cooldown=float(values.get("cooldown", BreakerPolicy.cooldown)),
-                probes=int(values.get("probes", BreakerPolicy.probes)),
-            )
-            degradation = DegradationPolicy(
-                stale=flag("stale", True),
-                bypass_batching=flag("bypass", True),
-                shed_threshold=shed if shed > 0 else None,
-            )
-        except ValueError as error:
-            raise ResilienceError(
-                f"invalid resilience spec {text!r}: {error}"
-            ) from None
-        except ResilienceError as error:
-            raise ResilienceError(
-                f"invalid resilience spec {text!r}: {error}"
-            ) from None
-        return cls(retry=retry, breaker=breaker, degradation=degradation)
+        return parse_spec(
+            text,
+            "resilience",
+            ResilienceError,
+            _SPEC_FIELDS,
+            lambda **given: cls.from_dict(given),
+        )
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "retries": self.retry.retries,
-            "base_backoff": self.retry.base_backoff,
-            "backoff_factor": self.retry.backoff_factor,
-            "jitter": self.retry.jitter,
-            "seed": self.retry.seed,
-            "threshold": self.breaker.threshold,
-            "window": self.breaker.window,
-            "cooldown": self.breaker.cooldown,
-            "probes": self.breaker.probes,
-            "stale": self.degradation.stale,
-            "bypass_batching": self.degradation.bypass_batching,
-            "shed_threshold": self.degradation.shed_threshold,
-        }
+        """The three policies' fields, flat (their names do not collide)."""
+        flat: dict[str, Any] = {}
+        for policy in (self.retry, self.breaker, self.degradation):
+            flat.update(asdict(policy))
+        return flat
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ResilienceConfig":
-        shed = data.get("shed_threshold")
-        return cls(
-            retry=RetryPolicy(
-                retries=data["retries"],
-                base_backoff=data["base_backoff"],
-                backoff_factor=data["backoff_factor"],
-                jitter=data["jitter"],
-                seed=data["seed"],
-            ),
-            breaker=BreakerPolicy(
-                threshold=data["threshold"],
-                window=data["window"],
-                cooldown=data["cooldown"],
-                probes=data["probes"],
-            ),
-            degradation=DegradationPolicy(
-                stale=data["stale"],
-                bypass_batching=data["bypass_batching"],
-                shed_threshold=shed,
-            ),
-        )
+        """Rebuild from the flat form; an absent key keeps its default."""
+        policies = []
+        for policy in (RetryPolicy, BreakerPolicy, DegradationPolicy):
+            names = [f.name for f in fields(policy) if f.name in data]
+            policies.append(policy(**{name: data[name] for name in names}))
+        return cls(*policies)
 
 
 # -- the fault-injected A/B report --------------------------------------------
@@ -482,37 +416,27 @@ def serve_resilience_report(
     over the resilient arm's answered latencies.
     """
     from repro import perf
-    from repro.bench.catalog import get_query
-    from repro.core.engines import make_engine, to_analytical
     from repro.serve.service import DEGRADED, OK, QueryService
     from repro.serve.slo import SLOSpec, evaluate_slo
-    from repro.serve.workload import WORKLOAD_MIXES, _latency_summary, default_slo
+    from repro.serve.workload import (
+        WORKLOAD_MIXES,
+        _latency_summary,
+        default_slo,
+        solo_baseline,
+    )
 
     resilience = resilience or ResilienceConfig()
-    dataset, preset, qids, config_factory = WORKLOAD_MIXES[spec.mix]
+    dataset, preset, qids, _ = WORKLOAD_MIXES[spec.mix]
     if graph is None:
         from repro.datasets import generate
 
         graph = generate(dataset, preset)
-    engine_config = config_factory()
-    if spec.representation is not None:
-        engine_config = replace(engine_config, representation=spec.representation)
-    if spec.planner is not None:
-        engine_config = replace(engine_config, planner=spec.planner)
+    engine_config = spec.engine_config()
     slo = slo or default_slo(spec.mix)
     if isinstance(slo, dict):
         slo = SLOSpec(**slo)
 
-    baseline: dict[str, dict[str, Any]] = {}
-    for qid in qids:
-        report = make_engine(spec.engine).execute(
-            to_analytical(get_query(qid).sparql), graph, engine_config
-        )
-        baseline[qid] = {
-            "rows": len(report.rows),
-            "cost_seconds": round(report.cost_seconds, 6),
-            "digest": perf.rows_digest(report.rows),
-        }
+    baseline = solo_baseline(spec, graph, engine_config)
 
     faulty_config = replace(engine_config, fault_plan=fault_plan)
     arms: tuple[tuple[str, ResilienceConfig | None], ...] = (

@@ -51,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro import obs
+from repro.ambient import PLANNER
 from repro.core.engines import make_engine
 from repro.core.results import EngineConfig, Row
 from repro.errors import OverlapError, ReproError, ServeError, SparqlError
@@ -707,9 +708,7 @@ class QueryService:
         by the serve-workload goldens."""
         if self.config.engine != "rapid-analytics":
             return False, None
-        from repro.plan import resolve_planner
-
-        if resolve_planner(self.config.engine_config.planner) == "rule":
+        if PLANNER.resolve(self.config.engine_config.planner) == "rule":
             return False, None
         decision = self.plan_cache.get(self._plan_decision_key(digest))
         if decision is not None:

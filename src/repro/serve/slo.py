@@ -13,19 +13,23 @@ pure function of (graph, config, request sequence) — the same workload
 either passes or fails on every machine, every run.  That is what makes
 pinning ``slo_pass: true`` in a CI golden meaningful.
 
-The ``--slo`` spec grammar mirrors ``--workload``:
+The ``--slo`` spec shares ``--workload``'s grammar (DESIGN.md §7.5):
 ``p50=1.0,p95=90,p99=120[,budget=0.05]`` — any subset of the three
 percentiles, each a positive simulated-seconds bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro.ambient import Field, parse_spec
 from repro.errors import ServeError
 
 __all__ = ["DEFAULT_SLOS", "SLOSpec", "evaluate_slo"]
+
+#: ``--slo`` keys (DESIGN.md §7.5 has the grammar).
+_SPEC_FIELDS = {key: Field(float) for key in ("p50", "p95", "p99", "budget")}
 
 
 @dataclass(frozen=True)
@@ -52,38 +56,7 @@ class SLOSpec:
     @classmethod
     def from_spec(cls, text: str) -> "SLOSpec":
         """Parse ``p50=S[,p95=S][,p99=S][,budget=F]``."""
-        values: dict[str, float] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ServeError(
-                    f"invalid slo spec {text!r}: expected key=value, got {part!r}"
-                )
-            if key not in ("p50", "p95", "p99", "budget"):
-                raise ServeError(
-                    f"invalid slo spec {text!r}: unknown key {key!r} "
-                    "(known: p50, p95, p99, budget)"
-                )
-            try:
-                values[key] = float(value.strip())
-            except ValueError:
-                raise ServeError(
-                    f"invalid slo spec {text!r}: {key} must be a number, "
-                    f"got {value.strip()!r}"
-                ) from None
-        try:
-            return cls(
-                p50=values.get("p50"),
-                p95=values.get("p95"),
-                p99=values.get("p99"),
-                budget=values.get("budget", 0.05),
-            )
-        except ServeError as error:
-            raise ServeError(f"invalid slo spec {text!r}: {error}") from None
+        return parse_spec(text, "slo", ServeError, _SPEC_FIELDS, cls)
 
     @property
     def strictest_bound(self) -> float:
@@ -94,12 +67,7 @@ class SLOSpec:
         raise ServeError("slo spec has no targets")  # unreachable
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "budget": self.budget,
-        }
+        return asdict(self)
 
 
 #: Per-mix default objectives, calibrated against the committed serve
@@ -115,6 +83,7 @@ DEFAULT_SLOS: dict[str, SLOSpec] = {
 
 
 def _percentile(sorted_values: list[float], percent: float) -> float:
+    """Nearest-rank percentile over an already-sorted sample."""
     if not sorted_values:
         return 0.0
     rank = max(1, -(-len(sorted_values) * percent // 100))  # ceil

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
 from repro import perf
@@ -40,8 +40,8 @@ from repro.bench.harness import bsbm_config, chem_config, pubmed_config
 from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig
 from repro.datasets import generate
-from repro.errors import ReproError, ServeError
-from repro.ntga.factorized import validate_representation
+from repro.ambient import PLANNER, REPRESENTATION, Field, knob_overrides, parse_spec
+from repro.errors import ServeError
 from repro.obs import metrics as obs_metrics
 from repro.obs.calibration import CalibrationMonitor
 from repro.rdf.graph import Graph
@@ -53,7 +53,7 @@ from repro.serve.service import (
     ServeRequest,
     ServiceConfig,
 )
-from repro.serve.slo import DEFAULT_SLOS, SLOSpec, evaluate_slo
+from repro.serve.slo import DEFAULT_SLOS, SLOSpec, _percentile, evaluate_slo
 
 #: Schema tag for the serve workload report.  v2 added the SLO section
 #: (``slo`` + ``verdicts.slo_pass``), per-seed p95 latencies, cache hit
@@ -74,7 +74,22 @@ WORKLOAD_MIXES: dict[
     "pubmed-mesh": ("pubmed", "tiny", ("MG11", "MG13", "MG14"), pubmed_config),
 }
 
-_FLAGS = {"on": True, "off": False, "true": True, "false": False}
+#: ``--workload`` keys (DESIGN.md §7.5 has the grammar).
+_SPEC_FIELDS = {
+    "seeds": Field(int, required=True),
+    "clients": Field(int, required=True),
+    "mix": Field(str, required=True),
+    "requests": Field(int),
+    "window": Field(float),
+    "rate": Field(float),
+    "engine": Field(str),
+    "batch": Field(bool, "batching"),
+    "cache": Field(bool, "caching"),
+    "deadline": Field(float),
+    "max_pending": Field(int),
+    "representation": Field(REPRESENTATION.validate),
+    "planner": Field(PLANNER.validate),
+}
 
 
 @dataclass(frozen=True)
@@ -98,105 +113,23 @@ class WorkloadSpec:
     #: engine-config default.
     planner: str | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("seeds", "clients", "requests"):
+            if getattr(self, name) < 1:
+                raise ServeError(f"{name} must be >= 1")
+        if self.mix not in WORKLOAD_MIXES:
+            known = ", ".join(sorted(WORKLOAD_MIXES))
+            raise ServeError(f"unknown mix {self.mix!r} (known: {known})")
+        for name in ("window", "rate"):
+            if not getattr(self, name) > 0.0:
+                raise ServeError(f"{name} must be > 0")
+
     @classmethod
     def from_spec(cls, text: str) -> "WorkloadSpec":
         """Parse ``seeds=N,clients=C,mix=name[,requests=R][,window=W]
         [,rate=r][,engine=e][,batch=on|off][,cache=on|off]
         [,deadline=d][,max_pending=m][,representation=r][,planner=p]``."""
-        values: dict[str, str] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, value = part.partition("=")
-            if not sep:
-                raise ServeError(
-                    f"invalid workload spec {text!r}: expected key=value, got {part!r}"
-                )
-            values[key.strip()] = value.strip()
-        known = {
-            "seeds", "clients", "mix", "requests", "window", "rate",
-            "engine", "batch", "cache", "deadline", "max_pending",
-            "representation", "planner",
-        }
-        unknown = set(values) - known
-        if unknown:
-            raise ServeError(
-                f"invalid workload spec {text!r}: unknown key(s) "
-                f"{', '.join(sorted(unknown))}"
-            )
-        missing = [key for key in ("seeds", "clients", "mix") if key not in values]
-        if missing:
-            raise ServeError(
-                f"invalid workload spec {text!r}: {', '.join(missing)} required"
-            )
-
-        def flag(key: str, default: bool) -> bool:
-            raw = values.get(key)
-            if raw is None:
-                return default
-            if raw.lower() not in _FLAGS:
-                raise ServeError(
-                    f"invalid workload spec {text!r}: {key} must be on/off, "
-                    f"got {raw!r}"
-                )
-            return _FLAGS[raw.lower()]
-
-        representation = values.get("representation")
-        if representation is not None:
-            try:
-                representation = validate_representation(representation)
-            except ReproError as error:
-                raise ServeError(
-                    f"invalid workload spec {text!r}: {error}"
-                ) from None
-
-        planner = values.get("planner")
-        if planner is not None:
-            from repro.plan import validate_planner
-
-            try:
-                planner = validate_planner(planner)
-            except ReproError as error:
-                raise ServeError(
-                    f"invalid workload spec {text!r}: {error}"
-                ) from None
-
-        try:
-            spec = cls(
-                seeds=int(values["seeds"]),
-                clients=int(values["clients"]),
-                mix=values["mix"],
-                requests=int(values.get("requests", 24)),
-                window=float(values.get("window", 0.25)),
-                rate=float(values.get("rate", 8.0)),
-                engine=values.get("engine", "rapid-analytics"),
-                batching=flag("batch", True),
-                caching=flag("cache", True),
-                deadline=float(values["deadline"]) if "deadline" in values else None,
-                max_pending=int(values.get("max_pending", 64)),
-                representation=representation,
-                planner=planner,
-            )
-        except ValueError as error:
-            raise ServeError(f"invalid workload spec {text!r}: {error}") from None
-        if spec.seeds < 1:
-            raise ServeError(f"invalid workload spec {text!r}: seeds must be >= 1")
-        if spec.clients < 1:
-            raise ServeError(f"invalid workload spec {text!r}: clients must be >= 1")
-        if spec.requests < 1:
-            raise ServeError(f"invalid workload spec {text!r}: requests must be >= 1")
-        if spec.mix not in WORKLOAD_MIXES:
-            known_mixes = ", ".join(sorted(WORKLOAD_MIXES))
-            raise ServeError(
-                f"invalid workload spec {text!r}: unknown mix {spec.mix!r} "
-                f"(known: {known_mixes})"
-            )
-        if not spec.window > 0.0:
-            raise ServeError(f"invalid workload spec {text!r}: window must be > 0")
-        if not spec.rate > 0.0:
-            raise ServeError(f"invalid workload spec {text!r}: rate must be > 0")
-        return spec
+        return parse_spec(text, "workload", ServeError, _SPEC_FIELDS, cls)
 
     def service_config(self, engine_config: EngineConfig) -> ServiceConfig:
         return ServiceConfig(
@@ -210,22 +143,15 @@ class WorkloadSpec:
             deadline=self.deadline,
         )
 
+    def engine_config(self) -> EngineConfig:
+        """The mix's engine config under this spec's knob overrides.  The
+        solo baselines and the service both run under it, so a mismatch
+        can only come from the sharing layers, never from the
+        representation or a re-litigated plan choice."""
+        return replace(WORKLOAD_MIXES[self.mix][3](), **knob_overrides(self))
+
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "seeds": self.seeds,
-            "clients": self.clients,
-            "mix": self.mix,
-            "requests": self.requests,
-            "window": self.window,
-            "rate": self.rate,
-            "engine": self.engine,
-            "batching": self.batching,
-            "caching": self.caching,
-            "deadline": self.deadline,
-            "max_pending": self.max_pending,
-            "representation": self.representation,
-            "planner": self.planner,
-        }
+        return asdict(self)
 
 
 def workload_requests(spec: WorkloadSpec, seed: int) -> list[ServeRequest]:
@@ -248,14 +174,6 @@ def workload_requests(spec: WorkloadSpec, seed: int) -> list[ServeRequest]:
     return requests
 
 
-def _percentile(sorted_values: list[float], percent: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, -(-len(sorted_values) * percent // 100))  # ceil
-    return sorted_values[int(rank) - 1]
-
-
 def _latency_summary(latencies: list[float]) -> dict[str, float]:
     ordered = sorted(latencies)
     total = sum(ordered)
@@ -273,6 +191,25 @@ def _latency_summary(latencies: list[float]) -> dict[str, float]:
 def default_slo(mix: str) -> SLOSpec:
     """The mix's default latency objectives."""
     return DEFAULT_SLOS.get(mix, DEFAULT_SLOS["default"])
+
+
+def solo_baseline(
+    spec: WorkloadSpec, graph: Graph, engine_config: EngineConfig
+) -> dict[str, dict[str, Any]]:
+    """Every query of the mix cold and solo: the cost the sharing layers
+    are measured against, and the order-sensitive digest each served
+    answer must reproduce."""
+    baseline: dict[str, dict[str, Any]] = {}
+    for qid in WORKLOAD_MIXES[spec.mix][2]:
+        report = make_engine(spec.engine).execute(
+            to_analytical(get_query(qid).sparql), graph, engine_config
+        )
+        baseline[qid] = {
+            "rows": len(report.rows),
+            "cost_seconds": round(report.cost_seconds, 6),
+            "digest": perf.rows_digest(report.rows),
+        }
+    return baseline
 
 
 def serve_workload_report(
@@ -301,31 +238,13 @@ def serve_workload_report(
     estimate-vs-actual q-errors (it only observes under a non-rule
     ``planner``).
     """
-    dataset, preset, qids, config_factory = WORKLOAD_MIXES[spec.mix]
+    dataset, preset, qids, _ = WORKLOAD_MIXES[spec.mix]
     if graph is None:
         graph = generate(dataset, preset)
-    engine_config = config_factory()
-    if spec.representation is not None:
-        # One override for both sides of the oracle: the solo baselines
-        # and the service run under the same intermediate representation,
-        # so a mismatch can only come from the sharing layers.
-        engine_config = replace(engine_config, representation=spec.representation)
-    if spec.planner is not None:
-        # Same symmetry for the planner mode: the oracle must prove the
-        # *sharing layers* preserve answers, not re-litigate plan choice.
-        engine_config = replace(engine_config, planner=spec.planner)
+    engine_config = spec.engine_config()
     slo = slo or default_slo(spec.mix)
 
-    baseline: dict[str, dict[str, Any]] = {}
-    for qid in qids:
-        report = make_engine(spec.engine).execute(
-            to_analytical(get_query(qid).sparql), graph, engine_config
-        )
-        baseline[qid] = {
-            "rows": len(report.rows),
-            "cost_seconds": round(report.cost_seconds, 6),
-            "digest": perf.rows_digest(report.rows),
-        }
+    baseline = solo_baseline(spec, graph, engine_config)
 
     runs: list[dict[str, Any]] = []
     total_baseline = total_served = 0.0

@@ -18,7 +18,6 @@ ordering rows make that visible instead of hiding it.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Iterable
 
 from repro.bench.catalog import get_query
@@ -27,7 +26,7 @@ from repro.core.results import EngineConfig
 from repro.datasets import generate
 from repro.errors import ShardError
 from repro.rdf.graph import Graph
-from repro.report import ReportKind
+from repro.report import ReportKind, rows_digest
 from repro.shard.partition import PARTITIONERS, build_partition, validate_partitioner
 
 SHARD_AB_SCHEMA = "repro-shard-ab/v1"
@@ -62,28 +61,17 @@ def parse_shard_spec(spec: str) -> tuple[int, tuple[str, ...]]:
     return shards, (validate_partitioner(tail.strip()),)
 
 
-def rows_digest(rows: Iterable[dict]) -> str:
-    """Order-insensitive fingerprint of an answer multiset."""
-    canonical = sorted(
-        ",".join(
-            f"{variable.name}={term.n3()}"
-            for variable, term in sorted(row.items(), key=lambda kv: kv[0].name)
-        )
-        for row in rows
-    )
-    return hashlib.sha256("\n".join(canonical).encode("utf-8")).hexdigest()[:16]
-
-
 def shard_ab_report(
     qids: Iterable[str] = DEFAULT_QUERIES,
     shards: int = DEFAULT_SHARDS,
     strategies: tuple[str, ...] = PARTITIONERS,
 ) -> dict[str, Any]:
     """Run the partitioner A/B over *qids* at *shards* workers."""
-    if shards < 1:
-        raise ShardError(f"shards must be >= 1, got {shards}")
-    for strategy in strategies:
-        validate_partitioner(strategy)
+    # Built before anything runs: a config validates itself.
+    configs = {
+        strategy: EngineConfig(shards=shards, partitioner=strategy)
+        for strategy in strategies
+    }
     graphs: dict[str, Graph] = {}
     runs: list[dict[str, Any]] = []
     for qid in qids:
@@ -97,13 +85,9 @@ def shard_ab_report(
         base = engine.execute(analytical, graph, EngineConfig())
         base_digest = rows_digest(base.rows)
         by_strategy: dict[str, Any] = {}
-        for strategy in strategies:
+        for strategy, config in configs.items():
             partition = build_partition(graph, strategy, shards)
-            report = engine.execute(
-                analytical,
-                graph,
-                EngineConfig(shards=shards, partitioner=strategy),
-            )
+            report = engine.execute(analytical, graph, config)
             by_strategy[strategy] = {
                 "exchange_bytes": report.stats.total_exchange_bytes,
                 "cut_edges": partition.cut_edges,

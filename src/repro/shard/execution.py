@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
-from repro import obs
+from repro import ambient, obs
 from repro.core.results import EngineConfig
 from repro.errors import ShardError
 from repro.mapreduce import cost
@@ -144,7 +144,7 @@ class ShardedExecutor:
         self.hdfs: HDFS = runner.hdfs
         self.shards = config.shards
         self.partition: Partition = build_partition(
-            graph, config.partitioner or "hash", config.shards
+            graph, ambient.PARTITIONER.resolve(config.partitioner), config.shards
         )
         self.cluster = shard_cluster(config.cluster, config.shards)
         self._write_store_parts(store)
@@ -290,7 +290,7 @@ class ShardedExecutor:
         for shard in range(self.shards):
             per_owner[shard].sort(key=lambda record: record.order)
             self.hdfs.write(_exchange_file(job.output, shard), per_owner[shard])
-        if obs._ACTIVE is not None:
+        if ambient.tracer is not None:
             obs.event(
                 "shard-exchange",
                 {

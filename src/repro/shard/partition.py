@@ -34,6 +34,7 @@ import hashlib
 import weakref
 from dataclasses import dataclass
 
+from repro.ambient import PARTITIONER
 from repro.errors import ShardError
 from repro.ntga.triplegroup import TripleGroup, group_by_subject
 from repro.rdf.graph import Graph
@@ -41,8 +42,10 @@ from repro.rdf.terms import Term, term_sort_key
 
 #: Strategy names, in the order the A/B harness reports them (also the
 #: expected cross-shard-byte ordering on MG-class queries: hash worst,
-#: min-edge-cut best).
-PARTITIONERS = ("hash", "locality", "min-edge-cut")
+#: min-edge-cut best).  ``validate_partitioner`` returns a known
+#: strategy or raises a one-line :class:`ShardError`.
+PARTITIONERS = PARTITIONER.choices
+validate_partitioner = PARTITIONER.validate
 
 #: Relaxed balance factor for the greedy min-edge-cut heuristic: a
 #: shard may grow to 1.25x the perfectly even share before the
@@ -50,15 +53,6 @@ PARTITIONERS = ("hash", "locality", "min-edge-cut")
 #: territory — enough slack to keep clusters whole, tight enough that
 #: no shard hoards the graph.
 _CAPACITY_SLACK = 1.25
-
-
-def validate_partitioner(name: str) -> str:
-    """Return *name* if it is a known strategy, else raise ShardError."""
-    if name not in PARTITIONERS:
-        raise ShardError(
-            f"unknown partitioner {name!r}; expected one of {', '.join(PARTITIONERS)}"
-        )
-    return name
 
 
 def stable_key_hash(key: object) -> int:

@@ -402,7 +402,7 @@ def test_trace_is_rejected_under_profile(tmp_path, capsys):
 #: ``cold-cli`` workload pays for each, six times per cycle).
 CLI_IMPORT_SURFACE = frozenset(
     """
-    repro repro.bench repro.bench.ablations repro.bench.catalog
+    repro repro.ambient repro.bench repro.bench.ablations repro.bench.catalog
     repro.bench.harness repro.bench.reporting repro.cli repro.core
     repro.core.engines repro.core.explain repro.core.olap
     repro.core.query_model repro.core.reference repro.core.results
@@ -433,7 +433,7 @@ def test_import_repro_cli_loads_no_report_producer():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(done.stdout.split())
-    assert len(CLI_IMPORT_SURFACE) == 57
+    assert len(CLI_IMPORT_SURFACE) == 58
     assert loaded - CLI_IMPORT_SURFACE == set()
     for module in ("repro.report", *KIND_MODULES.values()):
         assert module not in loaded

@@ -18,6 +18,7 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.explain import EXPLAIN_SCHEMA, explain, explain_report
 from repro.core.results import EngineConfig
 from repro.datasets import bsbm
+from repro.obs import metrics
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden" / "explain"
 
@@ -155,19 +156,41 @@ def trace_shape(recorder):
 
 @pytest.mark.parametrize("engine_name", ["hive-naive", "hive-mqo"])
 def test_hive_explain_leaves_no_trace(engine_name, bsbm_tiny):
-    """``explain(); run()`` must equal a cold ``run()`` on every counter
-    and simulated clock — the probe execution is fully detached."""
+    """``explain(); run()`` must equal a cold ``run()`` on every sink —
+    spans, counters and simulated clocks in the trace, every instrument
+    in the metrics registry, every phase in the perf recorder: the probe
+    execution is fully detached."""
     query = to_analytical(get_query("MG1").sparql)
     engine = make_engine(engine_name)
 
-    with obs.tracing() as cold:
-        engine.execute(query, bsbm_tiny, EngineConfig())
+    def observed(do_explain):
+        with obs.tracing() as tracer, metrics.collecting() as registry:
+            with perf.recording() as recorder:
+                if do_explain:
+                    explain(query, engine=engine_name, graph=bsbm_tiny)
+                engine.execute(query, bsbm_tiny, EngineConfig())
+                phases = sorted(recorder.end_run(0.0).phases)
+        return trace_shape(tracer), metrics.snapshot_dict(registry), phases
 
-    with obs.tracing() as warm:
-        explain(query, engine=engine_name, graph=bsbm_tiny)
-        engine.execute(query, bsbm_tiny, EngineConfig())
+    assert observed(do_explain=True) == observed(do_explain=False)
 
-    assert trace_shape(warm) == trace_shape(cold)
+
+def test_explain_alone_reaches_no_sink(bsbm_tiny):
+    """The ISSUE 18 reproduction: the Hive probe used to leave
+    ``mr_jobs_total`` and the ``mr_*_seconds`` histograms in an installed
+    registry, because there was no third ``detached()`` to call."""
+    with obs.tracing() as tracer, metrics.collecting() as registry:
+        with perf.recording() as recorder:
+            explain(get_query("MG1").sparql, engine="hive-naive", graph=bsbm_tiny)
+            explain_report(
+                get_query("MG1").sparql,
+                engine="rapid-analytics",
+                graph=bsbm_tiny,
+                config=EngineConfig(planner="cost"),
+            )
+    assert trace_shape(tracer) == ([("trace", "root", 0.0, 0.0, ())], [], 0.0)
+    assert registry.families(include_volatile=True) == []
+    assert recorder.runs == [] and recorder._current is None
 
 
 def test_hive_explain_leaves_no_phase_time(bsbm_tiny):
