@@ -15,8 +15,9 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.query_model import AggregateSpec, PropKey, StarPattern
 from repro.errors import PlanningError
 from repro.ntga.triplegroup import JoinedTripleGroup, JoinPlan, TripleGroup
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import IRI, Term, Variable
 from repro.sparql.aggregates import UNBOUND, make_accumulator
+from repro.sparql.expressions import term_value
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +245,10 @@ def _spec_expansions(
 ) -> Iterator[tuple[JoinedTripleGroup, list[dict[Variable, Term]]]]:
     """Each detail triplegroup satisfying the spec's α, with its
     solutions.  The pattern is compiled once per call, not per detail."""
-    expand = JoinPlan(spec.stars, spec.star_indices).expand
+    solutions = JoinPlan(spec.stars, spec.star_indices).solutions
     for detail in details:
         if spec.alpha.satisfied_by(detail.props()):
-            yield detail, expand(detail)
+            yield detail, solutions(detail)
 
 
 def rng(
@@ -295,11 +296,7 @@ def agg_join(
                 term = solution.get(agg.variable)
                 if term is None:
                     continue
-                from repro.sparql.expressions import term_value
-
                 value = term_value(term)
-                from repro.rdf.terms import IRI
-
                 accumulator.update(value.value if isinstance(value, IRI) else value)
 
     keys = list(state)

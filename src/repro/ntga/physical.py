@@ -38,7 +38,7 @@ from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, Variable, term_sort_key
 from repro.rdf.triples import RDF_TYPE
 from repro.sparql.aggregates import UNBOUND, accumulator_factory, make_accumulator
-from repro.sparql.expressions import evaluate_filter, term_value
+from repro.sparql.expressions import evaluate_filter, expression_variables, term_value
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +766,6 @@ class AggRow:
         return dict(self.row)
 
     def estimated_size(self) -> int:
-        from repro.mapreduce import cost
-
         if cost.SIZE_CACHE_ENABLED:
             cached = self.__dict__.get("_size")
             if cached is not None:
@@ -819,23 +817,34 @@ def build_agg_join_job(
     else:
         inputs = (detail_input,)
 
-    # Everything a subquery fixes is compiled here, once per job; the
-    # mapper below only runs it.
+    # Everything a subquery fixes is compiled here, once per job -- its
+    # variables as positions in the rows its plan expands to; the mapper
+    # below only runs it.
     subqueries = plan.subqueries
-    compiled = tuple(
-        (
+
+    def compile_subquery(subquery: CanonicalSubquery) -> tuple:
+        expansion = JoinPlan(subquery.stars, subquery.star_indices)
+        # Sorted: slot numbering must not depend on set iteration order.
+        mentioned = sorted(
+            {v for expression in subquery.filters for v in expression_variables(expression)},
+            key=lambda variable: variable.name,
+        )
+        return (
             subquery.subquery_id,
             subquery.alpha.satisfied_by,
-            JoinPlan(subquery.stars, subquery.star_indices).expand,
+            expansion.expand,
             subquery.filters,
-            subquery.group_by,
+            tuple((variable, expansion.slot(variable)) for variable in mentioned),
+            tuple(expansion.slot(variable) for variable in subquery.group_by),
+            tuple(accumulator_factory(a.func, a.distinct) for a in subquery.aggregates),
+            # -1: the aggregate reads no variable (COUNT(*)).
             tuple(
-                accumulator_factory(a.func, a.distinct) for a in subquery.aggregates
+                -1 if a.variable is None else expansion.slot(a.variable)
+                for a in subquery.aggregates
             ),
-            tuple(a.variable for a in subquery.aggregates),
         )
-        for subquery in subqueries
-    )
+
+    compiled = tuple(compile_subquery(subquery) for subquery in subqueries)
 
     def mapper(record: Any) -> Iterable[tuple[tuple, AccumulatorTuple]]:
         if isinstance(record, TripleGroup):
@@ -849,7 +858,9 @@ def build_agg_join_job(
         else:
             return
         props = joined.props()
-        for subquery_id, alpha, expand, filters, group_by, factories, variables in compiled:
+        for (
+            subquery_id, alpha, expand, filters, filter_slots, group_slots, factories, input_slots
+        ) in compiled:
             if not alpha(props):
                 # The paper's superfluous-combination pruning: this
                 # detail record can contribute to no group of this
@@ -857,22 +868,28 @@ def build_agg_join_job(
                 if ambient.tracer is not None:
                     obs.count("alpha_combinations_pruned")
                 continue
-            for solution in expand(joined):
-                if filters and not all(evaluate_filter(f, solution) for f in filters):
-                    continue
-                lookup = solution.get
+            for row in expand(joined):
+                if filters:
+                    # A residual filter sees the variables it mentions.
+                    bindings = {
+                        variable: row[slot]
+                        for variable, slot in filter_slots
+                        if row[slot] is not None
+                    }
+                    if not all(evaluate_filter(f, bindings) for f in filters):
+                        continue
                 accumulators = [factory() for factory in factories]
-                for accumulator, variable in zip(accumulators, variables):
-                    if variable is None:
+                for accumulator, slot in zip(accumulators, input_slots):
+                    if slot < 0:
                         accumulator.update(None)
                         continue
-                    term = lookup(variable)
+                    term = row[slot]
                     if term is None:
                         continue
                     value = term_value(term)
                     accumulator.update(value.value if isinstance(value, IRI) else value)
                 yield (
-                    (subquery_id, tuple([lookup(v) for v in group_by])),
+                    (subquery_id, tuple([row[slot] for slot in group_slots])),
                     AccumulatorTuple(accumulators),
                 )
 

@@ -285,54 +285,64 @@ def equivalence_class(group: TripleGroup) -> frozenset:
 # ---------------------------------------------------------------------------
 #
 # Everything about a pattern that is fixed per plan -- its property keys,
-# which of them are OPTIONAL, which objects are variables, whether a
-# variable can already be bound when a step reaches it, where each key's
-# column sits in a factorized schema, which variables two stars share --
-# is resolved when the plan is compiled.  Per record the step loop only
-# indexes and extends.
+# which of them are OPTIONAL, which objects are variables and where each
+# variable sits in a solution, whether a variable can already be bound
+# when a step reaches it, where each key's column sits in a factorized
+# schema, which component of a joined record a star reads -- is resolved
+# when the plan is compiled.  Per record the step loop only indexes.
+#
+# A solution is a **row**: a ``list[Term | None]`` with one position (a
+# *slot*) per variable of the pattern, ``None`` where the variable is
+# unbound (a skipped OPTIONAL).  ``slots`` maps each variable to its
+# position; nothing at record time hashes a ``Variable``.
 
 
 class StarPlan:
     """One star pattern compiled for expansion against triplegroups.
 
-    ``steps`` holds one tuple per triple pattern, in pattern order::
+    *slots* is the row layout of the whole pattern, shared by its stars
+    and extended here with this star's variables in pattern order (so
+    numbering never depends on set iteration).  ``steps`` holds one
+    tuple per triple pattern, in pattern order::
 
-        (column, only, key, optional, object, is_variable, repeated, plain)
+        (column, only, key, optional, slot, object, repeated, plain)
 
     ``column`` / ``only`` place the key in a factorized schema (see
     :meth:`_bind`); in the schema-less ``steps`` they are ``-1`` /
-    ``None`` and the step probes ``objects_for(key)``.  ``repeated``
-    marks an object variable the star may already have bound (its
-    subject, or an earlier object); ``plain`` marks a concrete object
+    ``None`` and the step probes ``objects_for(key)``.  ``slot`` is the
+    object variable's position in a row, ``-1`` for a concrete
+    ``object``; ``repeated`` marks a variable a row may already bind
+    when the step runs (the subject, an earlier object, or a variable of
+    an earlier star of the pattern); ``plain`` marks a concrete object
     that is looked up by equality (a type-qualified key's candidates are
     already the matching class).
     """
 
-    __slots__ = ("subject_var", "subject_term", "steps", "variables", "_bound")
+    __slots__ = ("subject_slot", "subject_term", "subject_repeated", "steps", "_bound")
 
-    def __init__(self, star: StarPattern):
+    def __init__(self, star: StarPattern, slots: dict[Variable, int]):
         subject = star.subject
-        subject_is_var = isinstance(subject, Variable)
-        self.subject_var = subject if subject_is_var else None
-        self.subject_term = None if subject_is_var else subject
-        seen = {subject} if subject_is_var else set()
+        if isinstance(subject, Variable):
+            self.subject_repeated = subject in slots
+            self.subject_slot = slots.setdefault(subject, len(slots))
+            self.subject_term = None
+        else:
+            self.subject_repeated = False
+            self.subject_slot = -1
+            self.subject_term = subject
         steps = []
         for pattern in star.patterns:
             key = prop_key_of(pattern)
             optional = key in star.optional_props
             obj = pattern.object
-            is_variable = isinstance(obj, Variable)
-            if optional and not is_variable:
+            slot, repeated = -1, False
+            if isinstance(obj, Variable):
+                repeated = obj in slots
+                slot = slots.setdefault(obj, len(slots))
+            elif optional:
                 continue  # an OPTIONAL concrete object neither binds nor rejects
-            repeated = is_variable and obj in seen
-            steps.append(
-                (-1, None, key, optional, obj, is_variable, repeated, key.type_object is None)
-            )
-            if is_variable:
-                seen.add(obj)
+            steps.append((-1, None, key, optional, slot, obj, repeated, key.type_object is None))
         self.steps = tuple(steps)
-        #: Every variable a solution of this star can bind.
-        self.variables = frozenset(seen)
         #: ``(schema, steps placed in it)`` for the factorized schema last
         #: expanded against.  One entry is enough -- every record a job
         #: feeds one star comes out of the same star filter -- and it
@@ -346,33 +356,32 @@ class StarPlan:
         self._bound = (schema, steps)
         return steps
 
-    def expand(
-        self,
-        group: "TripleGroup",
-        fixed: dict[Variable, Term] | None = None,
-        fill_fixed: bool = True,
-    ) -> list[dict[Variable, Term]]:
-        """All solution mappings of the star against *group*, in BGP
-        expansion order (the first pattern varies slowest).  *fixed*
-        bindings restrict the expansion and, under *fill_fixed*, are
-        added to every solution that does not bind them itself.
+    def expand(self, group: "TripleGroup", rows: list[list], base: list) -> list[list]:
+        """Extend every row of *rows* to the solutions of the star
+        against *group*, in BGP expansion order (the first pattern
+        varies slowest; the given rows slower still).
 
-        A solution dict is extended in place whenever a step has one
-        candidate for a variable that cannot be bound yet; copies are
-        made only on real fanout.
+        *base* is the row the expansion started from -- nothing but the
+        ``fixed`` join bindings, which restrict the star: every row
+        already holds them.  Rows are written in place whenever a step
+        has one candidate for a variable; a row is copied only on real
+        fanout.  The rows passed in belong to the call.
         """
         subject = group.subject
-        subject_var = self.subject_var
-        if subject_var is None:
+        slot = self.subject_slot
+        if slot < 0:
             if self.subject_term != subject:
                 return []
-            solutions: list[dict[Variable, Term]] = [{}]
+        elif base[slot] is not None:
+            if base[slot] != subject:
+                return []
         else:
-            if fixed:
-                required = fixed.get(subject_var)
-                if required is not None and required != subject:
+            if self.subject_repeated:  # an earlier star may have bound it, row by row
+                rows = [row for row in rows if row[slot] is None or row[slot] == subject]
+                if not rows:
                     return []
-            solutions = [{subject_var: subject}]
+            for row in rows:
+                row[slot] = subject
 
         schema = group.schema
         if schema is None:
@@ -385,7 +394,7 @@ class StarPlan:
             if bound_schema is not schema:
                 steps = self._bind(schema)
 
-        for column, only, key, optional, obj, is_variable, repeated, plain in steps:
+        for column, only, key, optional, slot, obj, repeated, plain in steps:
             if columns is None:
                 candidates = objects_for(key)
             elif column < 0:
@@ -394,143 +403,141 @@ class StarPlan:
                 candidates = columns[column]
                 if only is not None:
                     candidates = tuple(c for c in candidates if c == only)
-            if not is_variable:
+            if slot < 0:
                 if (obj not in candidates) if plain else (not candidates):
                     return []
                 continue
-            if fixed:
-                required = fixed.get(obj)
-                if required is not None:
-                    candidates = tuple(c for c in candidates if c == required)
+            required = base[slot]
+            if required is not None:
+                candidates = tuple(c for c in candidates if c == required)
             if not candidates:
                 if optional:
-                    continue  # left-join semantics: variable stays unbound
+                    continue  # left-join semantics: the slot stays as it is
                 return []
             if repeated:
+                if required is not None:
+                    continue  # a fixed binding: every row holds it already
                 # Bound already -- or not, after a skipped OPTIONAL:
-                # decided solution by solution.
+                # decided row by row.
                 checked = []
-                for solution in solutions:
-                    bound = solution.get(obj)
+                for row in rows:
+                    bound = row[slot]
                     if bound is None:
                         for candidate in candidates:
-                            checked.append({**solution, obj: candidate})
+                            copy = row[:]
+                            copy[slot] = candidate
+                            checked.append(copy)
                     elif bound in candidates:
-                        checked.append(solution)
+                        checked.append(row)
                 if not checked:
                     return []
-                solutions = checked
+                rows = checked
             elif len(candidates) == 1:
                 candidate = candidates[0]
-                for solution in solutions:
-                    solution[obj] = candidate
+                for row in rows:
+                    row[slot] = candidate
             else:
-                # Real fanout.  Merging one-entry dicts reuses their
-                # stored key hashes: no hash call per produced solution.
-                bindings = [{obj: candidate} for candidate in candidates]
-                solutions = [
-                    {**solution, **binding}
-                    for solution in solutions
-                    for binding in bindings
-                ]
-        if fixed and fill_fixed:
-            for solution in solutions:
-                for variable, term in fixed.items():
-                    solution.setdefault(variable, term)
-        return solutions
+                fanned = []
+                for row in rows:
+                    for candidate in candidates:
+                        copy = row[:]
+                        copy[slot] = candidate
+                        fanned.append(copy)
+                rows = fanned
+        return rows
 
 
 class JoinPlan:
     """A multi-star pattern compiled for expansion against joined
     triplegroups: one :class:`StarPlan` per star beside the component
-    index it reads (*components*, star positions when omitted), and the
-    variables that occur in more than one star."""
+    index it reads (*components*, star positions when omitted), over one
+    row layout, ``slots``.
 
-    __slots__ = ("stars", "shared")
+    The stars expand one after the other into the same rows, so a
+    variable two stars share is the later star's *repeated* variable: no
+    product of per-star expansions is built and nothing is merged.
+    """
+
+    __slots__ = ("stars", "slots", "_positions", "_fixed_variables", "_fixed_slots")
 
     def __init__(
         self,
         stars: Sequence[StarPattern],
         components: Sequence[int] | None = None,
     ):
-        plans = [StarPlan(star) for star in stars]
+        #: variable -> position in a row, in first-mention order.
+        self.slots: dict[Variable, int] = {}
+        plans = [StarPlan(star, self.slots) for star in stars]
         if components is None:
             components = range(len(plans))
         self.stars = tuple(zip(components, plans, strict=True))
-        seen: set[Variable] = set()
-        shared: set[Variable] = set()
-        for plan in plans:
-            shared |= seen & plan.variables
-            seen |= plan.variables
-        self.shared = tuple(shared)
+        #: Where each star's component sat in the last record's
+        #: ``components`` (a guess until the first record corrects it).
+        self._positions = list(components)
+        #: The ``fixed`` variables of the last record and their slots
+        #: (-1: no star mentions it).  A job's records share one layout
+        #: -- the same ``Variable`` objects in the same order -- so the
+        #: steady state compares identities and hashes nothing.
+        self._fixed_variables: tuple[Variable, ...] = ()
+        self._fixed_slots: tuple[int, ...] = ()
 
-    def expand(self, joined: JoinedTripleGroup) -> list[dict[Variable, Term]]:
-        """Solution mappings of the pattern against *joined*.
+    def slot(self, variable: Variable) -> int:
+        """The position of *variable* in this plan's rows.  A variable no
+        star binds gets a position of its own, which stays ``None``."""
+        return self.slots.setdefault(variable, len(self.slots))
+
+    def _locate(self, components: tuple, star: int, component_index: int) -> int:
+        for position, (index, _) in enumerate(components):
+            if index == component_index:
+                self._positions[star] = position
+                return position
+        return -1
+
+    def expand(self, joined: JoinedTripleGroup) -> list[list]:
+        """Solution rows of the pattern against *joined*.
 
         Components not covered by a star are ignored -- this is how an
         original graph pattern is expanded from a composite match
         without inheriting the other pattern's multiplicity.
         """
-        fixed = dict(joined.fixed) if joined.fixed else None
-        component = joined.component
-        solutions: list[dict[Variable, Term]] | None = None
-        checked = None
-        for component_index, plan in self.stars:
-            group = component(component_index)
-            if group is None:
-                return []
-            # Only the first star's solutions carry the fixed bindings
-            # the stars do not bind themselves: merged in first, they
-            # land exactly where the per-star fill used to put them.
-            expansions = plan.expand(group, fixed, solutions is None)
-            if not expansions:
-                return []
-            if solutions is None:
-                solutions = expansions
-                continue
-            if checked is None:
-                # A variable two stars share needs no consistency check
-                # when it is a fixed join binding: each star already
-                # restricted it to that one value.
-                if fixed:
-                    checked = any(variable not in fixed for variable in self.shared)
-                else:
-                    checked = bool(self.shared)
-            if checked:
-                solutions = _consistent_product(solutions, expansions)
-                if not solutions:
+        base = [None] * len(self.slots)
+        fixed = joined.fixed
+        if fixed:
+            variables = tuple([variable for variable, _ in fixed])
+            if variables != self._fixed_variables:  # identical elements compare by identity
+                self._fixed_variables = variables
+                self._fixed_slots = tuple(self.slots.get(v, -1) for v in variables)
+            for slot, (_, term) in zip(self._fixed_slots, fixed):
+                if slot >= 0:
+                    base[slot] = term
+        components = joined.components
+        positions = self._positions
+        rows = [base[:]]
+        for star, (component_index, plan) in enumerate(self.stars):
+            position = positions[star]
+            if position >= len(components) or components[position][0] != component_index:
+                position = self._locate(components, star, component_index)
+                if position < 0:
                     return []
-            elif len(expansions) == 1:
-                addition = expansions[0]
+            rows = plan.expand(components[position][1], rows, base)
+            if not rows:
+                return []
+        return rows
+
+    def solutions(self, joined: JoinedTripleGroup) -> list[dict[Variable, Term]]:
+        """:meth:`expand`, decoded: one mapping per row -- its bound
+        slots, plus the ``fixed`` bindings the pattern never mentions
+        (no slot carries them)."""
+        layout = tuple(self.slots.items())
+        solutions = [
+            {variable: row[slot] for variable, slot in layout if row[slot] is not None}
+            for row in self.expand(joined)
+        ]
+        for variable, term in joined.fixed:
+            if variable not in self.slots:
                 for solution in solutions:
-                    solution.update(addition)
-            else:
-                solutions = [
-                    {**solution, **addition}
-                    for solution in solutions
-                    for addition in expansions
-                ]
-        return solutions if solutions is not None else [{}]
-
-
-def _consistent_product(
-    left: list[dict[Variable, Term]], right: list[dict[Variable, Term]]
-) -> list[dict[Variable, Term]]:
-    """``left x right`` in product order, keeping the combinations that
-    agree on every variable both sides bind."""
-    merged_all = []
-    for solution in left:
-        for addition in right:
-            merged = dict(solution)
-            for variable, term in addition.items():
-                existing = merged.get(variable)
-                if existing is None:
-                    merged[variable] = term
-                elif existing != term:
-                    break
-            else:
-                merged_all.append(merged)
-    return merged_all
+                    solution[variable] = term
+        return solutions
 
 
 def star_solutions(
@@ -542,10 +549,12 @@ def star_solutions(
 
     Multi-valued properties expand by cross product, exactly as SPARQL
     BGP semantics requires; ``fixed`` bindings (join choices) restrict
-    the expansion.  Compiles the star on every call: code that expands
-    many groups builds one :class:`StarPlan` and keeps it.
+    the expansion and appear in every solution.  Compiles the star on
+    every call: code that expands many groups builds one
+    :class:`JoinPlan` and keeps it.
     """
-    return StarPlan(star).expand(group, fixed)
+    fixed = tuple(fixed.items()) if fixed else ()
+    return JoinPlan((star,)).solutions(JoinedTripleGroup.single(0, group, fixed))
 
 
 def joined_solutions(
@@ -563,4 +572,4 @@ def joined_solutions(
     components = None
     if star_indices is not None:
         components = [star_indices[position] for position in range(len(stars))]
-    return JoinPlan(stars, components).expand(joined)
+    return JoinPlan(stars, components).solutions(joined)

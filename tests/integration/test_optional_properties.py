@@ -168,6 +168,33 @@ class TestExecution:
     def test_multi_grouping_with_optional_secondary(self, discount_graph):
         assert_engines_match(MULTI_GROUPING_OPTIONAL, discount_graph)
 
+    @pytest.mark.parametrize(
+        "condition, labels",
+        [
+            ('!BOUND(?d) || ?l = "l0"', {"l0", "l2"}),
+            ('BOUND(?d) && ?l != "l0"', {"l1"}),
+        ],
+    )
+    def test_residual_filter_sees_an_unbound_optional_as_unbound(
+        self, discount_graph, condition, labels
+    ):
+        """Two variables, so the filter is not pushed into star formation:
+        TG_AgJ evaluates it per solution, and ``BOUND`` must see a skipped
+        OPTIONAL as absent from the bindings, not as a ``None`` value."""
+        expected = assert_engines_match(
+            f"""
+            PREFIX o: <{EX}>
+            SELECT ?l (COUNT(?pr) AS ?cnt) {{
+              ?p a o:PT ; o:label ?l .
+              OPTIONAL {{ ?p o:discount ?d }}
+              ?o o:product ?p ; o:price ?pr .
+              FILTER({condition})
+            }} GROUP BY ?l
+            """,
+            discount_graph,
+        )
+        assert {dict(row)["l"].strip('"') for row in expected} == labels
+
     def test_rapid_analytics_cycle_count_unchanged(self, discount_graph):
         report = make_engine("rapid-analytics").execute(
             to_analytical(MULTI_GROUPING_OPTIONAL), discount_graph

@@ -27,8 +27,9 @@ def tg(subject, *pairs):
 #
 # BGP matching written the slow, obvious way: every pattern is tried
 # against every triple of the group, solution by solution.  It knows
-# nothing of plans, steps, columns or in-place extension.  Comparisons
-# against it include order: of the solutions, and of the keys inside each.
+# nothing of plans, steps, columns, slots or in-place extension.
+# Comparisons against it include the order of the solutions; a solution
+# itself is compared as a mapping.
 
 
 def naive_star(star, group, fixed=()):
@@ -77,8 +78,12 @@ def naive_joined(stars, components, fixed):
     return merged
 
 
-def ordered(solutions):
-    return [list(solution.items()) for solution in solutions]
+def decoded(rows, slots):
+    """Slot rows as mappings: the bound slots of each row, list order kept."""
+    return [
+        {variable: row[slot] for variable, slot in slots.items() if row[slot] is not None}
+        for row in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +95,21 @@ OPTIONAL_PROPS = [IRI(f"urn:q{i}") for i in range(2)]
 OBJECTS = [IRI(f"urn:o{i}") for i in range(3)] + [Literal("7"), PT, IRI("urn:PT2")]
 SUBJECTS = [IRI(f"urn:s{i}") for i in range(3)]
 SHARED_VARS = [Variable(name) for name in "xyz"]
+SUBJECT_VARS = [Variable(f"s{index}") for index in range(3)]
 
 
 @st.composite
 def stars(draw, index=0):
     """A star whose object variables come from a pool shared by every
     star drawn (so variables repeat within a star and across stars) or
-    from its own subject; OPTIONAL patterns sit on dedicated properties
-    with private variables, as the query model guarantees."""
+    from the stars' subject variables -- its own, and those of the stars
+    drawn before and after it (a subject-object link, met from either
+    end); OPTIONAL patterns sit on dedicated properties with private
+    variables, as the query model guarantees."""
     subject = draw(
         st.one_of(st.just(Variable(f"s{index}")), st.sampled_from(SUBJECTS[:2]))
     )
-    pool = SHARED_VARS + ([subject] if isinstance(subject, Variable) else [])
+    pool = SHARED_VARS + SUBJECT_VARS
     required = draw(
         st.lists(
             st.one_of(

@@ -2,14 +2,17 @@
 
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 
 from repro import obs, run_query
 from repro.bench.catalog import CATALOG
 from repro.core.query_model import PropKey, parse_analytical
+from repro.core.results import EngineConfig
 from repro.datasets import bsbm
 from repro.errors import PlanningError
+from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runner import MapReduceRunner
 from repro.ntga.composite import build_composite, single_pattern_plan
@@ -25,6 +28,7 @@ from repro.ntga.physical import (
     shared_prefilters,
 )
 from repro.ntga.triplegroup import JoinedTripleGroup, TripleGroup
+from repro.perf import rows_digest
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import RDF_TYPE, Triple
@@ -358,6 +362,147 @@ def test_operator_counters_match_the_interpreted_cycle(qid, chem_tiny):
         counted.update(span.metrics)
     expected = OPERATOR_COUNTERS[qid]
     assert {name: counted[name] for name in expected} == expected
+
+
+def run_agg_join_jobs_through(wrap, sparql, graph, representation="flat"):
+    """One ``rapid-analytics`` run whose TG_AgJ jobs pass through
+    ``wrap(run_job, runner, job, counters) -> JobStats``; the report."""
+    run_job = MapReduceRunner.run_job
+
+    def intercepting(runner, job, counters=None):
+        if "TG_AgJ" in job.labels:
+            return wrap(run_job, runner, job, counters)
+        return run_job(runner, job, counters)
+
+    with patch.object(MapReduceRunner, "run_job", intercepting):
+        config = EngineConfig(representation=representation)
+        return run_query(sparql, graph, engine="rapid-analytics", config=config)
+
+
+#: ``(map_output_records, combine_input_records, combine_output_records,
+#: reduce_output_records, shuffle_bytes)`` of the one TG_AgJ job, the
+#: number of final rows and the head of their order-sensitive digest, on
+#: the BSBM tiny preset: recorded at the commit before TG_AgJ moved to
+#: slot rows (PR 18).  The goldens pin workflow totals; this pins the job.
+AGG_JOIN_PINS = {
+    "MG1": ((134, 134, 24, 24, 2243), 23, "b8fafefd47aef269"),
+    "MG2": ((10, 10, 5, 5, 426), 4, "ee0d3841485e41e8"),
+    "MG3": ((134, 134, 76, 76, 10417), 68, "1a83531bfb8d944e"),
+    "MG4": ((10, 10, 10, 10, 1322), 8, "97acc4ad5099acd3"),
+}
+
+
+@pytest.mark.parametrize("representation", ["flat", "factorized"])
+@pytest.mark.parametrize("qid", sorted(AGG_JOIN_PINS))
+def test_agg_join_job_counters_match_the_dict_keyed_cycle(qid, representation):
+    seen = []
+
+    def recording(run_job, runner, job, counters):
+        own = Counters()
+        stats = run_job(runner, job, own)
+        counters.merge(own)
+        seen.append(
+            (
+                own["map_output_records"],
+                own["combine_input_records"],
+                own["combine_output_records"],
+                own["reduce_output_records"],
+                stats.shuffle_bytes,
+            )
+        )
+        return stats
+
+    report = run_agg_join_jobs_through(
+        recording, CATALOG[qid].sparql, bsbm.generate(bsbm.preset("tiny")), representation
+    )
+    counters, row_count, digest = AGG_JOIN_PINS[qid]
+    assert seen == [counters]
+    assert len(report.rows) == row_count
+    assert rows_digest(report.rows).startswith(digest)
+
+
+# "Record-time code only indexes" (docs/performance.md), as a test: what
+# TG_AgJ's map phase hashes of ``Variable``s is fixed when the job is
+# built -- a solution is a row, read by position.
+
+OFFERS_BY_VENDOR = """
+PREFIX bsbm: <http://bsbm.example.org/vocabulary/>
+SELECT ?v (COUNT(?pr) AS ?n) {
+  ?o bsbm:product ?p ; bsbm:price ?pr ; bsbm:vendor ?v ; bsbm:validTo ?until .
+  %s
+} GROUP BY ?v
+"""
+#: Two variables, so σ^γopt cannot take it: it stays a residual filter.
+RESIDUAL_FILTER = 'FILTER(?pr > 5000 || ?until = "2016-01-01")'
+
+
+def variable_hashes_while_mapping(sparql, graph):
+    """``Variable.__hash__`` calls made inside the TG_AgJ mappers of one
+    run (tracing off) -- not by the α-join cycles feeding them, nor by
+    planning -- and the number of pairs those mappers emit."""
+    tally = {"calls": 0, "emitted": 0, "mapping": False}
+    plain_hash = Variable.__hash__
+
+    def counting_hash(variable):
+        tally["calls"] += tally["mapping"]
+        return plain_hash(variable)
+
+    def counted(run_job, runner, job, counters):
+        def mapper(record):
+            tally["mapping"] = True
+            try:
+                pairs = list(job.mapper(record))
+            finally:
+                tally["mapping"] = False
+            tally["emitted"] += len(pairs)
+            return pairs
+
+        return run_job(runner, replace(job, mapper=mapper), counters)
+
+    with patch.object(Variable, "__hash__", counting_hash):
+        run_agg_join_jobs_through(counted, sparql, graph)
+    return tally["calls"], tally["emitted"]
+
+
+@pytest.fixture(scope="module")
+def bsbm_two_sizes():
+    return [
+        bsbm.generate(bsbm.BSBMConfig(products=products, vendors=8, offers_per_product=2))
+        for products in (60, 180)
+    ]
+
+
+@pytest.mark.parametrize(
+    "sparql",
+    [CATALOG["MG3"].sparql, OFFERS_BY_VENDOR % ""],
+    ids=["MG3-two-stars-over-the-alpha-join-detail", "single-star"],
+)
+def test_map_phase_hashes_no_variable_per_solution(sparql, bsbm_two_sizes):
+    (small_calls, small_emitted), (large_calls, large_emitted) = (
+        variable_hashes_while_mapping(sparql, graph) for graph in bsbm_two_sizes
+    )
+    assert large_emitted > 2 * small_emitted  # the data did grow
+    # Plan-time only: placing the first record's ``fixed`` layout.
+    assert large_calls == small_calls <= 8
+
+
+def test_residual_filter_hashes_only_its_own_variables(bsbm_two_sizes):
+    small, large = bsbm_two_sizes
+    # Every offer is one solution; the unfiltered twin counts them.
+    _, small_solutions = variable_hashes_while_mapping(OFFERS_BY_VENDOR % "", small)
+    _, large_solutions = variable_hashes_while_mapping(OFFERS_BY_VENDOR % "", large)
+    small_calls, small_emitted = variable_hashes_while_mapping(
+        OFFERS_BY_VENDOR % RESIDUAL_FILTER, small
+    )
+    large_calls, large_emitted = variable_hashes_while_mapping(
+        OFFERS_BY_VENDOR % RESIDUAL_FILTER, large
+    )
+    assert 0 < small_emitted < small_solutions and large_emitted < large_solutions
+    # Per solution and filter variable: one hash to put it in the
+    # filter's dict, one each time the expression reads it (once here).
+    filter_variables = 2
+    grown = large_calls - small_calls
+    assert 0 < grown <= 2 * filter_variables * (large_solutions - small_solutions)
 
 
 class TestEmptyGroupRows:
