@@ -37,14 +37,13 @@ from repro.errors import ReproError, ShardError
 #: Telemetry sinks (None = that telemetry is disabled).
 tracer: Any = None  # repro.obs.model.TraceRecorder
 registry: Any = None  # repro.obs.metrics.MetricsRegistry
-recorder: Any = None  # repro.perf.PerfRecorder
 
 #: Knob overrides (None = no ambient override; the knob's default holds).
 representation: str | None = None
 cost_model: Any = None  # the CostModel that prices representation="auto"
 planner: str | None = None
 
-SINKS = ("tracer", "registry", "recorder")
+SINKS = ("tracer", "registry")
 SLOTS = SINKS + ("representation", "cost_model", "planner")
 
 

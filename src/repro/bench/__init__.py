@@ -18,20 +18,17 @@ from repro.bench.catalog import (
     single_grouping_queries,
 )
 from repro.bench.harness import (
-    ALL_EXPERIMENTS,
+    EXPERIMENTS,
+    Experiment,
     ExperimentResult,
     QueryMeasurement,
     bsbm_config,
     chem_config,
-    figure8a,
-    figure8b,
-    figure8c,
     mg13_disk_exhaustion,
     pubmed_config,
     run_experiment,
+    run_paper_experiment,
     table3_bsbm,
-    table3_chem,
-    table4_pubmed,
 )
 from repro.bench.reporting import render_cost_table, render_gains_table, render_io_table
 
@@ -42,17 +39,15 @@ __all__ = [
     "mapjoin_threshold_sweep",
     "parallel_aggregation_ablation",
     "shared_scan_benefit",
-    "ALL_EXPERIMENTS",
     "CATALOG",
     "CatalogQuery",
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentResult",
     "QueryMeasurement",
     "SubqueryStructure",
     "bsbm_config",
     "chem_config",
-    "figure8a",
-    "figure8b",
-    "figure8c",
     "get_query",
     "mg13_disk_exhaustion",
     "multi_grouping_queries",
@@ -62,8 +57,7 @@ __all__ = [
     "render_gains_table",
     "render_io_table",
     "run_experiment",
+    "run_paper_experiment",
     "single_grouping_queries",
     "table3_bsbm",
-    "table3_chem",
-    "table4_pubmed",
 ]

@@ -26,10 +26,10 @@ from typing import Any
 
 from repro.ambient import Field, parse_spec
 from repro.bench.catalog import get_query
-from repro.bench.faults import FAULT_EXPERIMENTS, _base_counters
-from repro.bench.harness import QueryMeasurement, run_experiment
+from repro.bench.faults import _base_counters
+from repro.bench.harness import QueryMeasurement, paper_experiment, run_experiment
 from repro.datasets import generate
-from repro.errors import CheckpointError, ReproError
+from repro.errors import CheckpointError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
 from repro.report import ReportKind
@@ -125,13 +125,9 @@ def chaos_soak_report(
     its salvage accounting is recorded, and per-engine totals summarize
     how much work the checkpoints saved versus lost per failure.
     """
-    try:
-        dataset, preset, qids, engines, config_factory = FAULT_EXPERIMENTS[experiment]
-    except KeyError:
-        known = ", ".join(sorted(FAULT_EXPERIMENTS))
-        raise ReproError(
-            f"unknown chaos experiment {experiment!r} (known: {known})"
-        ) from None
+    _, dataset, preset, qids, engines, config_factory = paper_experiment(
+        experiment, "chaos experiment"
+    )
     graph = graph if graph is not None else generate(dataset, preset)
     config = config_factory()
     queries = [get_query(qid) for qid in qids]

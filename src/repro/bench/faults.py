@@ -16,20 +16,11 @@ recovery-path regressions on every push.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.bench.catalog import get_query
-from repro.bench.harness import (
-    QueryMeasurement,
-    bsbm_config,
-    chem_config,
-    pubmed_config,
-    run_experiment,
-)
-from repro.core.engines import PAPER_ENGINES
-from repro.core.results import EngineConfig
+from repro.bench.harness import QueryMeasurement, paper_experiment, run_experiment
 from repro.datasets import generate
-from repro.errors import ReproError
 from repro.mapreduce.checkpoint import RECOVERY_COUNTERS
 from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
 from repro.rdf.graph import Graph
@@ -37,39 +28,6 @@ from repro.report import ReportKind
 
 #: Schema tag for the resilience report (bump on shape changes).
 FAULTS_SCHEMA = "repro-fault-resilience/v1"
-
-#: Experiment registry: id -> (dataset, preset, queries, engines, config).
-#: Mirrors the harness's paper artifacts, restated here so one run can
-#: rebuild the experiment with a fault-plan-carrying config.
-FAULT_EXPERIMENTS: dict[
-    str, tuple[str, str, tuple[str, ...], tuple[str, ...], Callable[[], EngineConfig]]
-] = {
-    "table3-bsbm-tiny": (
-        "bsbm", "tiny", ("G1", "G2", "G3", "G4"),
-        ("hive-naive", "rapid-analytics"), bsbm_config,
-    ),
-    "table3-bsbm-500k": (
-        "bsbm", "500k", ("G1", "G2", "G3", "G4"),
-        ("hive-naive", "rapid-analytics"), bsbm_config,
-    ),
-    "table3-chem": (
-        "chem", "paper", ("G5", "G6", "G7", "G8", "G9"),
-        ("hive-naive", "rapid-analytics"), chem_config,
-    ),
-    "figure8a": (
-        "bsbm", "500k", ("MG1", "MG2", "MG3", "MG4"), PAPER_ENGINES, bsbm_config,
-    ),
-    "figure8c": (
-        "chem", "paper", ("MG6", "MG7", "MG8", "MG9", "MG10"),
-        PAPER_ENGINES, chem_config,
-    ),
-    "table4": (
-        "pubmed", "paper",
-        ("MG11", "MG12", "MG13", "MG14", "MG15", "MG16", "MG17", "MG18"),
-        PAPER_ENGINES, pubmed_config,
-    ),
-}
-
 
 def _base_counters(measurement: QueryMeasurement) -> dict[str, int]:
     # Base = everything the fault layer AND the checkpoint/resume layer
@@ -103,13 +61,9 @@ def fault_resilience_report(
     two invariant verdicts: the faulted run's result rows and its base
     (non-fault) counters must match the fault-free run exactly.
     """
-    try:
-        dataset, preset, qids, engines, config_factory = FAULT_EXPERIMENTS[experiment]
-    except KeyError:
-        known = ", ".join(sorted(FAULT_EXPERIMENTS))
-        raise ReproError(
-            f"unknown fault experiment {experiment!r} (known: {known})"
-        ) from None
+    _, dataset, preset, qids, engines, config_factory = paper_experiment(
+        experiment, "fault experiment"
+    )
     graph = graph if graph is not None else generate(dataset, preset)
     config = config_factory()
     queries = [get_query(qid) for qid in qids]

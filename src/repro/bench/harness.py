@@ -1,9 +1,11 @@
 """Benchmark harness: regenerates every table and figure of Section 5.
 
-Each ``table3_*`` / ``figure8*`` / ``table4_*`` function runs the
-corresponding slice of the workload on the corresponding synthetic
-dataset and returns an :class:`ExperimentResult` whose rows mirror the
-paper's artifact (same queries, same engine columns).
+Each row of :data:`EXPERIMENTS` declares one paper artifact — its
+slice of the workload, its synthetic dataset, its engine columns and
+its environment; :func:`run_paper_experiment` runs a row and returns an
+:class:`ExperimentResult` whose rows mirror the artifact (same queries,
+same engine columns).  The fault, chaos and golden harnesses read the
+same table.
 
 Per-dataset execution configs encode the paper's environment:
 
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
-from repro import obs, perf
-from repro.obs import Stopwatch
+from repro import obs
 from repro.bench.catalog import CatalogQuery, get_query
 from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
-from repro.core.results import EngineConfig, ExecutionReport
-from repro.datasets import bsbm, chem2bio2rdf, pubmed
+from repro.core.results import EngineConfig, ExecutionReport, rows_digest
+from repro.datasets import generate
 from repro.errors import ReproError
 from repro.mapreduce.cost import ClusterConfig
 from repro.rdf.graph import Graph
@@ -41,11 +43,7 @@ class QueryMeasurement:
     cost_seconds: float
     shuffle_bytes: int
     materialized_bytes: int
-    wall_seconds: float
     failed: str = ""  # non-empty = error name (e.g. HDFS out of space)
-    #: Real wall-clock per phase (plan/load/jobs/shuffle/materialize);
-    #: populated only when a :class:`repro.perf.PerfRecorder` is active.
-    phases: dict[str, float] = field(default_factory=dict)
     #: Simulated workflow counters (sorted by name), for invariant checks.
     counters: dict[str, int] = field(default_factory=dict)
     #: Order-sensitive fingerprint of the result rows.
@@ -122,15 +120,9 @@ def run_experiment(
         with obs.span(query.qid, "query", {"qid": query.qid, "experiment": exp_id}):
             for engine_name in engines:
                 engine = make_engine(engine_name)
-                recorder = perf.active_recorder()
-                if recorder is not None:
-                    recorder.begin_run(qid=query.qid, engine=engine_name)
-                watch = Stopwatch().start()
                 try:
                     report = engine.execute(analytical, graph, config)
                 except ReproError as error:
-                    wall = watch.stop()
-                    timing = recorder.end_run(wall) if recorder is not None else None
                     result.measurements.append(
                         QueryMeasurement(
                             qid=query.qid,
@@ -141,14 +133,10 @@ def run_experiment(
                             cost_seconds=float("inf"),
                             shuffle_bytes=0,
                             materialized_bytes=0,
-                            wall_seconds=wall,
                             failed=type(error).__name__,
-                            phases=dict(timing.phases) if timing is not None else {},
                         )
                     )
                     continue
-                wall = watch.stop()
-                timing = recorder.end_run(wall) if recorder is not None else None
                 if expected is not None and _canonical(report) != expected:
                     result.mismatches.append((query.qid, engine_name))
                 stats = report.stats
@@ -162,10 +150,8 @@ def run_experiment(
                         cost_seconds=report.cost_seconds,
                         shuffle_bytes=stats.total_shuffle_bytes if stats else 0,
                         materialized_bytes=stats.total_materialized_bytes if stats else 0,
-                        wall_seconds=wall,
-                        phases=dict(timing.phases) if timing is not None else {},
                         counters=dict(sorted(stats.counters.as_dict().items())) if stats else {},
-                        rows_digest=perf.rows_digest(report.rows),
+                        rows_digest=rows_digest(report.rows),
                         recovery=stats.recovery.as_dict()
                         if stats is not None and stats.recovery is not None
                         else {},
@@ -209,123 +195,113 @@ def pubmed_config(hdfs_capacity: int | None = None) -> EngineConfig:
 # ---------------------------------------------------------------------------
 
 
+class Experiment(NamedTuple):
+    """One artifact of Section 5: what runs, on what, under which
+    environment."""
+
+    title: str
+    dataset: str
+    preset: str
+    queries: tuple[str, ...]
+    engines: tuple[str, ...]
+    config: Callable[[], EngineConfig]
+
+
+_SINGLE = ("hive-naive", "rapid-analytics")
+_G_BSBM = ("G1", "G2", "G3", "G4")
+_MG_BSBM = ("MG1", "MG2", "MG3", "MG4")
+
+#: The one declaration of every paper artifact, by experiment id.
+#: ``repro bench <id>``, its ``--faults`` / ``--chaos`` modes and the
+#: golden capturer's per-dataset environment are all lookups here.
+EXPERIMENTS: dict[str, Experiment] = {
+    "table3-bsbm-tiny": Experiment(
+        "Table 3: single-grouping queries on BSBM-tiny",
+        "bsbm", "tiny", _G_BSBM, _SINGLE, bsbm_config,
+    ),
+    "table3-bsbm-500k": Experiment(
+        "Table 3: single-grouping queries on BSBM-500k",
+        "bsbm", "500k", _G_BSBM, _SINGLE, bsbm_config,
+    ),
+    "table3-bsbm-2m": Experiment(
+        "Table 3: single-grouping queries on BSBM-2m",
+        "bsbm", "2m", _G_BSBM, _SINGLE, bsbm_config,
+    ),
+    "table3-chem": Experiment(
+        "Table 3: single-grouping queries on Chem2Bio2RDF",
+        "chem", "paper", ("G5", "G6", "G7", "G8", "G9"), _SINGLE, chem_config,
+    ),
+    "figure8a": Experiment(
+        "Figure 8(a): multi-grouping queries on BSBM-500K",
+        "bsbm", "500k", _MG_BSBM, PAPER_ENGINES, bsbm_config,
+    ),
+    "figure8b": Experiment(
+        "Figure 8(b): multi-grouping queries on BSBM-2M",
+        "bsbm", "2m", _MG_BSBM, PAPER_ENGINES, bsbm_config,
+    ),
+    "figure8c": Experiment(
+        "Figure 8(c): multi-grouping queries on Chem2Bio2RDF",
+        "chem", "paper", ("MG6", "MG7", "MG8", "MG9", "MG10"),
+        PAPER_ENGINES, chem_config,
+    ),
+    "table4": Experiment(
+        "Table 4: multi-grouping queries on PubMed",
+        "pubmed", "paper",
+        ("MG11", "MG12", "MG13", "MG14", "MG15", "MG16", "MG17", "MG18"),
+        PAPER_ENGINES, pubmed_config,
+    ),
+}
+
+
+def paper_experiment(exp_id: str, what: str = "experiment") -> Experiment:
+    """The table row for *exp_id*, or a one-line :class:`ReproError`
+    naming *what* the caller was looking for (``"chaos experiment"``)."""
+    try:
+        return EXPERIMENTS[exp_id]
+    except KeyError:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise ReproError(f"unknown {what} {exp_id!r}; known: {known}") from None
+
+
+def dataset_config(dataset: str) -> EngineConfig:
+    """The environment the paper's experiments on *dataset* run under."""
+    return next(e.config for e in EXPERIMENTS.values() if e.dataset == dataset)()
+
+
+def run_paper_experiment(
+    exp_id: str, verify: bool = True, graph: Graph | None = None
+) -> ExperimentResult:
+    """Run one row of :data:`EXPERIMENTS` — on *graph* instead of the
+    row's generated dataset, when given."""
+    experiment = paper_experiment(exp_id)
+    return run_experiment(
+        exp_id,
+        experiment.title,
+        [get_query(qid) for qid in experiment.queries],
+        graph if graph is not None else generate(experiment.dataset, experiment.preset),
+        experiment.engines,
+        experiment.config(),
+        verify,
+    )
+
+
 def table3_bsbm(
     scale: str = "500k", verify: bool = True, graph: Graph | None = None
 ) -> ExperimentResult:
     """Table 3 (left): G1-G4 on BSBM, Hive naive vs RAPIDAnalytics."""
-    graph = graph if graph is not None else bsbm.generate(bsbm.preset(scale))
-    queries = [get_query(q) for q in ("G1", "G2", "G3", "G4")]
-    return run_experiment(
-        f"table3-bsbm-{scale}",
-        f"Table 3: single-grouping queries on BSBM-{scale}",
-        queries,
-        graph,
-        ("hive-naive", "rapid-analytics"),
-        bsbm_config(),
-        verify,
-    )
-
-
-def table3_chem(verify: bool = True, graph: Graph | None = None) -> ExperimentResult:
-    """Table 3 (right): G5-G9 on Chem2Bio2RDF."""
-    graph = graph if graph is not None else chem2bio2rdf.generate(chem2bio2rdf.preset("paper"))
-    queries = [get_query(q) for q in ("G5", "G6", "G7", "G8", "G9")]
-    return run_experiment(
-        "table3-chem",
-        "Table 3: single-grouping queries on Chem2Bio2RDF",
-        queries,
-        graph,
-        ("hive-naive", "rapid-analytics"),
-        chem_config(),
-        verify,
-    )
-
-
-def figure8a(verify: bool = True, graph: Graph | None = None) -> ExperimentResult:
-    """Figure 8(a): MG1-MG4 on BSBM-500K, all four engines."""
-    graph = graph if graph is not None else bsbm.generate(bsbm.preset("500k"))
-    queries = [get_query(q) for q in ("MG1", "MG2", "MG3", "MG4")]
-    return run_experiment(
-        "figure8a",
-        "Figure 8(a): multi-grouping queries on BSBM-500K",
-        queries,
-        graph,
-        PAPER_ENGINES,
-        bsbm_config(),
-        verify,
-    )
-
-
-def figure8b(verify: bool = True, graph: Graph | None = None) -> ExperimentResult:
-    """Figure 8(b): MG1-MG4 on the 4x larger BSBM-2M."""
-    graph = graph if graph is not None else bsbm.generate(bsbm.preset("2m"))
-    queries = [get_query(q) for q in ("MG1", "MG2", "MG3", "MG4")]
-    return run_experiment(
-        "figure8b",
-        "Figure 8(b): multi-grouping queries on BSBM-2M",
-        queries,
-        graph,
-        PAPER_ENGINES,
-        bsbm_config(),
-        verify,
-    )
-
-
-def figure8c(verify: bool = True, graph: Graph | None = None) -> ExperimentResult:
-    """Figure 8(c): MG6-MG10 on Chem2Bio2RDF."""
-    graph = graph if graph is not None else chem2bio2rdf.generate(chem2bio2rdf.preset("paper"))
-    queries = [get_query(q) for q in ("MG6", "MG7", "MG8", "MG9", "MG10")]
-    return run_experiment(
-        "figure8c",
-        "Figure 8(c): multi-grouping queries on Chem2Bio2RDF",
-        queries,
-        graph,
-        PAPER_ENGINES,
-        chem_config(),
-        verify,
-    )
-
-
-def table4_pubmed(verify: bool = True, graph: Graph | None = None) -> ExperimentResult:
-    """Table 4: MG11-MG18 on PubMed, all four engines."""
-    graph = graph if graph is not None else pubmed.generate(pubmed.preset("paper"))
-    queries = [get_query(q) for q in (
-        "MG11", "MG12", "MG13", "MG14", "MG15", "MG16", "MG17", "MG18",
-    )]
-    return run_experiment(
-        "table4",
-        "Table 4: multi-grouping queries on PubMed",
-        queries,
-        graph,
-        PAPER_ENGINES,
-        pubmed_config(),
-        verify,
-    )
+    return run_paper_experiment(f"table3-bsbm-{scale}", verify, graph)
 
 
 def mg13_disk_exhaustion(capacity: int) -> ExperimentResult:
     """The paper's MG13 stress case: naive Hive exhausts HDFS space while
     materializing the expanded MeSH-heading join twice; RAPIDAnalytics
     completes within the same capacity thanks to nested triplegroups."""
-    graph = pubmed.generate(pubmed.preset("paper"))
     return run_experiment(
         "mg13-disk",
         "MG13 under an HDFS capacity limit",
         [get_query("MG13")],
-        graph,
+        generate("pubmed", "paper"),
         ("hive-naive", "rapid-analytics"),
         pubmed_config(hdfs_capacity=capacity),
         verify=False,
     )
-
-
-ALL_EXPERIMENTS = {
-    "table3-bsbm-tiny": lambda verify=True: table3_bsbm("tiny", verify),
-    "table3-bsbm-500k": lambda verify=True: table3_bsbm("500k", verify),
-    "table3-bsbm-2m": lambda verify=True: table3_bsbm("2m", verify),
-    "table3-chem": table3_chem,
-    "figure8a": figure8a,
-    "figure8b": figure8b,
-    "figure8c": figure8c,
-    "table4": table4_pubmed,
-}

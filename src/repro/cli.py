@@ -28,7 +28,7 @@ from typing import Iterator
 from repro import ambient
 from repro.ambient import knob_overrides
 from repro.bench.catalog import CATALOG, get_query
-from repro.bench.harness import ALL_EXPERIMENTS
+from repro.bench.harness import EXPERIMENTS, paper_experiment, run_paper_experiment
 from repro.bench.reporting import render_cost_table, render_gains_table
 from repro.core.engines import (
     ENGINE_FACTORIES,
@@ -266,20 +266,18 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_mode(args: argparse.Namespace, kind, produce, accept: tuple = ()) -> int:
+def _report_mode(args: argparse.Namespace, kind, produce) -> int:
     """The one driver behind every report-producing mode: trace →
     produce → render → ``--output`` → ``--golden`` → invariants → exit
     code.  The golden is diffed against the report just produced, so a
-    mode runs its experiment once; only a golden of another schema in
-    *accept* is re-run from its own parameters."""
+    mode runs its experiment once."""
     from repro.report import check_golden, load_report, write_report
 
-    golden_kind = None
     if args.golden:
         # Before the experiment: a malformed or foreign golden is a
         # usage error, not something to find out after a seven-second soak.
         try:
-            golden_kind, _ = load_report(args.golden, (kind.schema, *accept))
+            load_report(args.golden, kind.schema)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -288,13 +286,13 @@ def _report_mode(args: argparse.Namespace, kind, produce, accept: tuple = ()) ->
     print(kind.render(report))
     if args.output:
         print(f"wrote {write_report(report, args.output)}")
-    if golden_kind is not None:
-        problems = check_golden(args.golden, report if golden_kind is kind else None)
+    if args.golden:
+        problems = check_golden(args.golden, report)
         for problem in problems:
-            print(f"{golden_kind.label} mismatch: {problem}", file=sys.stderr)
+            print(f"{kind.label} mismatch: {problem}", file=sys.stderr)
         if problems:
             return 1
-        print(f"{golden_kind.label} ok: {args.golden}")
+        print(f"{kind.label} ok: {args.golden}")
     violations = kind.violations(report) if kind.violations is not None else []
     for violation in violations:
         print(f"INVARIANT VIOLATION: {violation}", file=sys.stderr)
@@ -313,15 +311,6 @@ def _catalog_qids(text: str, default: tuple[str, ...], alias: str) -> list[str]:
     return qids
 
 
-def _fault_experiment(args: argparse.Namespace, what: str) -> str:
-    from repro.bench.faults import FAULT_EXPERIMENTS
-
-    if args.experiment not in FAULT_EXPERIMENTS:
-        known = ", ".join(sorted(FAULT_EXPERIMENTS))
-        raise ReproError(f"unknown {what} experiment {args.experiment!r}; known: {known}")
-    return args.experiment
-
-
 # One function per ``repro bench`` report mode: parse the mode's spec
 # (a ReproError here is a usage error, exit 2) and name its producer.
 
@@ -331,9 +320,9 @@ def _faults_mode(args: argparse.Namespace):
     seeded plan, cost degradation per engine."""
     from repro.bench import faults
 
-    experiment = _fault_experiment(args, "fault")
+    paper_experiment(args.experiment, "fault experiment")
     plan = FaultPlan.from_spec(args.faults)
-    return faults.KIND, lambda: faults.fault_resilience_report(experiment, plan)
+    return faults.KIND, lambda: faults.fault_resilience_report(args.experiment, plan)
 
 
 def _chaos_mode(args: argparse.Namespace):
@@ -342,9 +331,9 @@ def _chaos_mode(args: argparse.Namespace):
     the fault-free run."""
     from repro.bench import chaos
 
-    experiment = _fault_experiment(args, "chaos")
+    paper_experiment(args.experiment, "chaos experiment")
     spec = chaos.ChaosSpec.from_spec(args.chaos)
-    return chaos.KIND, lambda: chaos.chaos_soak_report(experiment, spec)
+    return chaos.KIND, lambda: chaos.chaos_soak_report(args.experiment, spec)
 
 
 def _planner_ab_mode(args: argparse.Namespace):
@@ -375,44 +364,8 @@ def _shards_mode(args: argparse.Namespace):
     return ab.KIND, lambda: ab.shard_ab_report(qids, shards, strategies)
 
 
-def _profile_mode(args: argparse.Namespace):
-    """``--profile``: wall-clock phase breakdown plus the
-    cached-vs-reference invariant.  ``--golden`` also takes a per-job
-    counter golden (``repro-golden/v1``), re-captured from its own
-    parameters."""
-    from repro.perf import profile
-    from repro.perf.goldens import GOLDEN_SCHEMA
-    from repro.report import write_report
-
-    if args.trace:
-        raise ReproError(
-            "--trace cannot be combined with --profile (its wall-clock "
-            "phases would include the tracer)"
-        )
-    names = (
-        list(profile.PROFILE_EXPERIMENTS)
-        if args.experiment == "all"
-        else [args.experiment]
-    )
-    unknown = [n for n in names if n not in profile.PROFILE_EXPERIMENTS]
-    if unknown:
-        known = ", ".join(sorted(profile.PROFILE_EXPERIMENTS) + ["all"])
-        raise ReproError(f"unknown experiment(s) {unknown}; known: {known}")
-
-    def produce():
-        try:
-            return profile.profile_experiments(names, reference=not args.no_reference)
-        except profile.ProfileMismatchError as error:
-            if args.output:
-                write_report(error.report, args.output)
-            raise
-
-    return profile.KIND, produce, GOLDEN_SCHEMA
-
-
 _REPORT_MODES = {
     "faults": _faults_mode,
-    "profile": _profile_mode,
     "chaos": _chaos_mode,
     "planner_ab": _planner_ab_mode,
     "calibration": _calibration_mode,
@@ -427,32 +380,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(modes) > 1:
             raise ReproError("--" + " and --".join(flags) + " are mutually exclusive")
         if args.representation is not None and modes:
-            # --profile runs its own factorized/flat A/B; --faults/--chaos
-            # pin their goldens under the default representation.  An
-            # override would silently change what those modes certify.
+            # --faults/--chaos pin their goldens under the default
+            # representation.  An override would silently change what
+            # those modes certify.
             raise ReproError(f"--representation cannot be combined with --{flags[0]}")
-        if args.no_reference and not args.profile:
-            raise ReproError("--no-reference requires --profile")
         overrides = knob_overrides(args)
         if modes:
-            kind, produce, *accept = _REPORT_MODES[modes[0]](args)
+            kind, produce = _REPORT_MODES[modes[0]](args)
         elif args.output or args.golden:
             raise ReproError(
-                "--output and --golden require a report mode (--profile, --faults, "
+                "--output and --golden require a report mode (--faults, "
                 "--chaos, --planner-ab, --calibration or --shards)"
             )
-        elif args.experiment == "all":
-            raise ReproError("'all' requires --profile (it is a profiling sweep)")
-        elif args.experiment not in ALL_EXPERIMENTS:
-            known = ", ".join(sorted(ALL_EXPERIMENTS) + ["all (with --profile)"])
-            raise ReproError(f"unknown experiment {args.experiment!r}; known: {known}")
+        else:
+            paper_experiment(args.experiment)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if modes:
-        return _report_mode(args, kind, produce, tuple(accept))
+        return _report_mode(args, kind, produce)
     with _tracing_to(args.trace), ambient.installed(**overrides):
-        result = ALL_EXPERIMENTS[args.experiment]()
+        result = run_paper_experiment(args.experiment)
     if result.mismatches:
         print(f"WARNING: result mismatches: {result.mismatches}", file=sys.stderr)
     print(render_cost_table(result))
@@ -785,34 +733,19 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.set_defaults(func=cmd_explain)
 
     bench = sub.add_parser("bench", help="regenerate a paper table/figure")
-    bench.add_argument(
-        "experiment", help=", ".join(sorted(ALL_EXPERIMENTS) + ["all (with --profile)"])
-    )
-    bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="time each engine run (per-phase) and assert simulated counters "
-        "match the uncached reference implementation",
-    )
+    bench.add_argument("experiment", help=", ".join(sorted(EXPERIMENTS)))
     bench.add_argument(
         "--output",
         default=None,
-        help="write the report mode's JSON report here (needs --profile, "
-        "--faults, --chaos, --planner-ab, --calibration or --shards)",
+        help="write the report mode's JSON report here (needs --faults, "
+        "--chaos, --planner-ab, --calibration or --shards)",
     )
     bench.add_argument(
         "--golden",
         default=None,
         help="also diff the report just produced against a committed golden "
         "of the same schema (exit 1 on a difference, exit 2 on a file of "
-        "another schema); --profile also takes a repro-golden/v1 counter "
-        "golden, re-captured from its own parameters",
-    )
-    bench.add_argument(
-        "--no-reference",
-        action="store_true",
-        help="skip the uncached reference pass (--profile only; faster, "
-        "no invariant check)",
+        "another schema)",
     )
     bench.add_argument(
         "--faults",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.ambient import KNOBS
@@ -26,6 +27,24 @@ class Row(dict):
     """
 
     __slots__ = ("_size",)
+
+
+def rows_digest(rows: list[dict]) -> str:
+    """A stable fingerprint of an engine's result rows, **in order**.
+
+    Row order is part of the fingerprint on purpose: the sort-key
+    overhaul must not reorder combiner/reducer output, and any reorder
+    shows up here even when the row multiset is unchanged.
+    """
+    hasher = hashlib.sha256()
+    for row in rows:
+        rendered = ";".join(
+            f"{variable.n3()}={term.n3()}"
+            for variable, term in sorted(row.items(), key=lambda kv: kv[0].name)
+        )
+        hasher.update(rendered.encode("utf-8"))
+        hasher.update(b"\x1e")
+    return hasher.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro import obs, perf
+from repro import obs
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig, ExecutionReport, Row
 from repro.hive.executor import HiveExecutor
@@ -25,7 +25,7 @@ class HiveEngine:
         config = config or EngineConfig()
         hdfs = HDFS(capacity=config.hdfs_capacity)
         with obs.span(self.name, "engine", {"engine": self.name}):
-            with obs.span("load", "stage"), perf.phase("load"):
+            with obs.span("load", "stage"):
                 store = load_vertical_partitions(graph, hdfs)
             runner = MapReduceRunner(
                 hdfs,

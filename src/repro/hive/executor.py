@@ -301,9 +301,13 @@ class HiveExecutor:
         entries = []  # (tp, path, pushed filters, optional?)
         for tp in star.patterns:
             key = prop_key_of(tp)
-            entries.append(
-                (tp, self.store.path_for(key), _pushable(filters, tp), key in optional_keys)
-            )
+            optional = key in optional_keys
+            # Nothing is pushed into a LEFT OUTER side: dropping the rows
+            # a filter rejects there leaves the variable unbound instead
+            # (``!BOUND(?x)`` would hold for every subject); the filter
+            # is evaluated over the joined rows.
+            pushed = [] if optional else _pushable(filters, tp)
+            entries.append((tp, self.store.path_for(key), pushed, optional))
         by_path: dict[str, list[int]] = {}
         for index, (_, path, _, _) in enumerate(entries):
             by_path.setdefault(path, []).append(index)

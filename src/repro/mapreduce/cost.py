@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.rdf.terms import BNode, IRI, Literal, Variable
 from repro.rdf.triples import Triple
@@ -22,14 +22,14 @@ _POINTER = 8
 #: Master switch for the size caches (term/triple ``_size`` slots, the
 #: per-class dispatch table below, and the triplegroup memos that
 #: consult this flag).  :func:`repro.perf.reference_mode` flips it off
-#: to restore the seed's uncached recomputation for A/B profiling.
+#: to restore the seed's uncached recomputation, the tests' reference.
 SIZE_CACHE_ENABLED = True
 
 
 def _reference_estimate_size(record: Any) -> int:
     """The seed implementation, verbatim: a chain of isinstance checks
-    recomputing every size from scratch.  Kept callable so profiling and
-    the property tests can compare the cached path against it."""
+    recomputing every size from scratch.  Kept callable so the property
+    tests can compare the cached path against it."""
     if record is None:
         return 1
     if isinstance(record, bool):
@@ -336,6 +336,24 @@ class ClusterConfig:
         return max(1, math.ceil(total_bytes / self.block_size))
 
 
+#: The order a job's phase seconds are added up in.  Not the timeline
+#: order (``reduce`` before ``shuffle``): it is the order the terms have
+#: always been summed in, and float addition is not associative — every
+#: committed cost, golden and ledger row holds this order's bits.
+_FOLD_ORDER = ("map", "exchange", "reduce", "shuffle", "materialize")
+
+
+def fold_phases(phases: Iterable[tuple[str, float]]) -> float:
+    """A job's cost from its :meth:`CostModel.job_cost_phases`: the one
+    sum, so "the phases add up to the job cost" holds by construction."""
+    seconds = dict(phases)
+    cost = 0.0
+    for name in _FOLD_ORDER:
+        if name in seconds:
+            cost += seconds[name]
+    return cost
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Charge rates for the simulated execution time.
@@ -484,34 +502,25 @@ class CostModel:
         reduce_tasks: int,
         exchange_bytes: int = 0,
     ) -> float:
-        """Simulated wall-clock seconds for one MR job.
+        """Simulated wall-clock seconds for one MR job: the fold
+        (:func:`fold_phases`) of its :meth:`job_cost_phases`.
 
         ``exchange_bytes`` are bytes this job received across a shard
         boundary (zero on unsharded runs); they ride the slower
         inter-worker :attr:`exchange_rate` rather than being lumped
         into the shuffle term.
         """
-        # An executing job always runs at least one map wave, even when
-        # its inputs occupy zero splits (empty intermediate files).
-        map_waves = max(1, math.ceil(map_tasks / cluster.map_slots))
-        map_parallelism = max(1, min(map_tasks, cluster.map_slots))
-        cost = self.job_startup if reduce_tasks > 0 else self.map_only_startup
-        cost += map_waves * self.map_task_overhead
-        cost += input_bytes / (self.scan_rate * map_parallelism)
-        if exchange_bytes > 0:
-            receive_parallelism = max(
-                1, min(reduce_tasks or map_tasks, cluster.reduce_slots)
+        return fold_phases(
+            self.job_cost_phases(
+                cluster,
+                input_bytes=input_bytes,
+                shuffle_bytes=shuffle_bytes,
+                output_bytes=output_bytes,
+                map_tasks=map_tasks,
+                reduce_tasks=reduce_tasks,
+                exchange_bytes=exchange_bytes,
             )
-            cost += exchange_bytes / (self.exchange_rate * receive_parallelism)
-        if reduce_tasks > 0:
-            reduce_waves = math.ceil(reduce_tasks / cluster.reduce_slots)
-            reduce_parallelism = max(1, min(reduce_tasks, cluster.reduce_slots))
-            cost += reduce_waves * self.reduce_task_overhead
-            cost += shuffle_bytes / (self.shuffle_rate * reduce_parallelism)
-            cost += output_bytes / (self.write_rate * reduce_parallelism)
-        else:
-            cost += output_bytes / (self.write_rate * map_parallelism)
-        return cost
+        )
 
     def job_cost_phases(
         self,
@@ -524,17 +533,20 @@ class CostModel:
         reduce_tasks: int,
         exchange_bytes: int = 0,
     ) -> list[tuple[str, float]]:
-        """The :meth:`job_cost` terms, decomposed into dataflow phases.
+        """The price of one MR job, as its dataflow phases — the only
+        place the job rates are applied.
 
         Returns ``(phase_name, seconds)`` pairs in timeline order —
         ``map`` (startup + map waves + scan), then ``exchange``
         (cross-shard transfer, present only when ``exchange_bytes > 0``
         so unsharded decompositions keep their historical shape), then
         for full jobs ``shuffle`` (transfer) and ``reduce`` (reduce
-        waves), then ``materialize`` (output write).  The phase seconds
-        sum to :meth:`job_cost` (up to float addition order); the trace
-        recorder lays them out back to back on the simulated timeline.
+        waves), then ``materialize`` (output write).  The trace recorder
+        lays them out back to back on the simulated timeline;
+        :func:`fold_phases` of them *is* :meth:`job_cost`.
         """
+        # An executing job always runs at least one map wave, even when
+        # its inputs occupy zero splits (empty intermediate files).
         map_waves = max(1, math.ceil(map_tasks / cluster.map_slots))
         map_parallelism = max(1, min(map_tasks, cluster.map_slots))
         startup = self.job_startup if reduce_tasks > 0 else self.map_only_startup

@@ -21,9 +21,9 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
-from repro import ambient, obs, perf
+from repro import ambient, obs
 from repro.obs import metrics as obs_metrics
 from repro.errors import (
     CheckpointError,
@@ -37,11 +37,17 @@ from repro.mapreduce.checkpoint import (
     RecoveryStats,
     fingerprint_inputs,
 )
-from repro.mapreduce.cost import ClusterConfig, CostModel, estimate_size, estimate_total_size
+from repro.mapreduce.cost import (
+    ClusterConfig,
+    CostModel,
+    estimate_size,
+    estimate_total_size,
+    fold_phases,
+)
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
-from repro.mapreduce.hdfs import HDFS
-from repro.mapreduce.job import JobStats, MapReduceJob
+from repro.mapreduce.hdfs import HDFS, HDFSFile
+from repro.mapreduce.job import JobStats, Mapper, MapReduceJob
 from repro.rdf.terms import BNode, IRI, Literal, Variable, term_interned_sort_key
 
 
@@ -177,6 +183,160 @@ def _even_share(total: int, parts: int, index: int) -> int:
     return total * (index + 1) // parts - total * index // parts
 
 
+def _no_clock() -> float:
+    """Stands in for ``perf_counter`` when no telemetry sink is installed."""
+    return 0.0
+
+
+class _JobInputs(NamedTuple):
+    """What the read stage hands the rest of a job."""
+
+    records: list[Any]
+    mapper: Mapper
+    map_tasks: int
+    stored_bytes: int  # on-disk bytes (drives split count and counters)
+    work_bytes: int  # decompressed bytes (drives scan cost)
+    side_stored_bytes: int
+    side_work_bytes: int
+
+
+def _map_only(job: MapReduceJob, inputs: _JobInputs, counters: Counters) -> list[Any]:
+    """The map stage of a map-only job: mapper output is the job output."""
+    mapper = inputs.mapper
+    output_records: list[Any] = []
+    for record in inputs.records:
+        output_records.extend(mapper(record))
+    # A map-only mapper whose every output record is a 2-tuple
+    # is almost certainly a shuffle mapper missing its reducer;
+    # failing here names the producing job instead of letting a
+    # downstream consumer crash confusingly.  (The first
+    # non-tuple record short-circuits the scan.)
+    if (
+        output_records
+        and not job.emits_pairs
+        and all(type(record) is tuple and len(record) == 2 for record in output_records)
+    ):
+        raise MapReduceError(
+            f"job {job.name!r}: map-only mapper emitted only "
+            f"(key, value) pairs — did you forget the reducer? "
+            f"(set emits_pairs=True if 2-tuple records are intended)"
+        )
+    counters.increment("map_output_records", len(output_records))
+    return output_records
+
+
+def _map_combine(
+    job: MapReduceJob, inputs: _JobInputs, counters: Counters
+) -> list[tuple[Any, Any]]:
+    """The map stage of a full job, one task (input chunk) at a time;
+    with a combiner, each task pre-aggregates its own output by key."""
+    mapper = inputs.mapper
+    shuffle_pairs: list[tuple[Any, Any]] = []
+    for chunk in _chunk(inputs.records, inputs.map_tasks):
+        task_output: list[tuple[Any, Any]] = []
+        for record in chunk:
+            task_output.extend(mapper(record))
+        counters.increment("map_output_records", len(task_output))
+        if job.combiner is not None:
+            grouped: dict[Any, list[Any]] = defaultdict(list)
+            try:
+                for key, value in task_output:
+                    grouped[key].append(value)
+            except (TypeError, ValueError):
+                raise MapReduceError(
+                    f"job {job.name!r}: mapper of a full MR job must "
+                    f"emit (key, value) pairs"
+                ) from None
+            counters.increment("combine_input_records", len(task_output))
+            combined: list[tuple[Any, Any]] = []
+            for key in sorted(grouped, key=_sort_key):
+                combined.extend(job.combiner(key, grouped[key]))
+            counters.increment("combine_output_records", len(combined))
+            task_output = combined
+        shuffle_pairs.extend(task_output)
+    return shuffle_pairs
+
+
+def _sort_shuffle(
+    job: MapReduceJob, shuffle_pairs: list[tuple[Any, Any]], counters: Counters
+) -> tuple[dict[Any, list[Any]], int]:
+    """Group the map output by key across all tasks and size what
+    crosses the wire; returns ``(values by key, shuffle bytes)``."""
+    by_key: dict[Any, list[Any]] = defaultdict(list)
+    # Validation of the pair shape happens via the unpacking
+    # itself — per-pair isinstance checks in the map loop cost
+    # real time at millions of emitted pairs.
+    try:
+        for key, value in shuffle_pairs:
+            by_key[key].append(value)
+    except (TypeError, ValueError):
+        raise MapReduceError(
+            f"job {job.name!r}: mapper of a full MR job must emit (key, value) pairs"
+        ) from None
+    # Batched accounting: each distinct key is sized once and
+    # multiplied by its multiplicity — arithmetic identical to
+    # the seed's per-pair sum (equal keys have value-derived,
+    # hence equal, sizes).
+    shuffle_bytes = sum(
+        estimate_size(key) * len(values) + estimate_total_size(values)
+        for key, values in by_key.items()
+    )
+    counters.increment("shuffle_bytes", shuffle_bytes)
+    counters.increment("reduce_input_records", len(shuffle_pairs))
+    return by_key, shuffle_bytes
+
+
+def _reduce(
+    job: MapReduceJob, by_key: dict[Any, list[Any]], counters: Counters
+) -> list[Any]:
+    """Run the reducer per key, in the deterministic shuffle order."""
+    assert job.reducer is not None
+    output_records: list[Any] = []
+    for key in sorted(by_key, key=_sort_key):
+        output_records.extend(job.reducer(key, by_key[key]))
+    counters.increment("reduce_output_records", len(output_records))
+    return output_records
+
+
+def _trace_job(
+    span: obs.Span,
+    stats: JobStats,
+    phases: list[tuple[str, float]],
+    walls: dict[str, tuple[float, float]],
+) -> None:
+    """Put the priced job on its span: the volumes as attributes, and
+    the phases laid back to back on the simulated timeline, each with
+    the wall interval its stage ran in (``exchange`` has no stage of its
+    own in this process: a wall-clock instant)."""
+    tracer = ambient.tracer
+    span.attrs.update(
+        map_only=stats.map_only,
+        map_tasks=stats.map_tasks,
+        reduce_tasks=stats.reduce_tasks,
+        input_bytes=stats.input_bytes,
+        side_input_bytes=stats.side_input_bytes,
+        shuffle_bytes=stats.shuffle_bytes,
+        output_bytes=stats.output_bytes,
+        input_records=stats.input_records,
+        output_records=stats.output_records,
+        cost_seconds=stats.cost_seconds,
+        labels=list(stats.labels),
+    )
+    if stats.exchange_bytes:
+        span.attrs["exchange_bytes"] = stats.exchange_bytes
+    offset = tracer.sim_now
+    for phase_name, seconds in phases:
+        tracer.add_closed_span(
+            phase_name,
+            "phase",
+            sim_start=offset,
+            sim_dur=seconds,
+            wall=walls.get(phase_name),
+        )
+        offset += seconds
+    tracer.advance_sim(stats.cost_seconds)
+
+
 class MapReduceRunner:
     """Runs jobs against one HDFS instance under one cost configuration.
 
@@ -253,13 +413,54 @@ class MapReduceRunner:
         counters: Counters,
         span: obs.Span | None,
     ) -> JobStats:
-        registry = obs_metrics.active_registry()
-        wall_start = time.perf_counter() if registry is not None else 0.0
+        """One job through its stages — read, map(+combine),
+        sort-shuffle, reduce, materialize — then priced once (that one
+        phase list feeds the tracer and the registry) and, under a fault
+        plan, recovered.  The wall clock is read at the stage boundaries
+        only when one of the two sinks is installed."""
+        registry = ambient.registry
+        clock = time.perf_counter if span is not None or registry is not None else _no_clock
         # Per-shard jobs run on their worker's slice of the cluster.
         cluster = job.cluster or self.cluster
+        marks = [clock()]  # one reading per stage boundary
+        inputs = self._read_inputs(job, cluster, counters)
+        shuffle_bytes = reduce_tasks = 0
+        if job.is_map_only:
+            stages: tuple[str, ...] = ("map", "materialize")
+            output_records = _map_only(job, inputs, counters)
+        else:
+            stages = ("map", "shuffle", "reduce", "materialize")
+            shuffle_pairs = _map_combine(job, inputs, counters)
+            marks.append(clock())
+            by_key, shuffle_bytes = _sort_shuffle(job, shuffle_pairs, counters)
+            reduce_tasks = max(1, min(len(by_key), cluster.reduce_slots))
+            counters.increment("reduce_tasks", reduce_tasks)
+            marks.append(clock())
+            output_records = _reduce(job, by_key, counters)
+        marks.append(clock())
+        output_file = self._materialize(job, output_records, counters)
+        marks.append(clock())
+
+        stats, phases = self._price(
+            job, cluster, inputs, reduce_tasks, shuffle_bytes, output_file, len(output_records)
+        )
+        if span is not None:
+            _trace_job(span, stats, phases, dict(zip(stages, zip(marks, marks[1:]))))
+        recovery = 0.0
+        if self.fault_plan is not None:
+            recovery = self._recover(job, counters, stats, inputs, output_file, span)
+        if registry is not None:
+            self._record_job_metrics(registry, stats, phases, recovery, clock() - marks[0])
+        return stats
+
+    def _read_inputs(
+        self, job: MapReduceJob, cluster: ClusterConfig, counters: Counters
+    ) -> _JobInputs:
+        """Read the job's inputs and side inputs from HDFS, split the
+        former into map tasks and resolve the mapper."""
         input_records: list[Any] = []
-        input_bytes = 0  # on-disk bytes (drives split count and counters)
-        input_work_bytes = 0  # decompressed bytes (drives scan cost)
+        input_bytes = 0
+        input_work_bytes = 0
         map_tasks = 0
         for path in job.inputs:
             file = self.hdfs.read(path)
@@ -288,99 +489,25 @@ class MapReduceRunner:
             side_bytes += file.size_bytes
             side_work_bytes += file.raw_bytes
 
-        mapper = job.resolve_mapper(side_data)
         counters.increment("map_tasks", map_tasks)
         counters.increment("map_input_records", len(input_records))
         counters.increment("hdfs_bytes_read", input_bytes + side_bytes)
+        return _JobInputs(
+            records=input_records,
+            mapper=job.resolve_mapper(side_data),
+            map_tasks=map_tasks,
+            stored_bytes=input_bytes,
+            work_bytes=input_work_bytes,
+            side_stored_bytes=side_bytes,
+            side_work_bytes=side_work_bytes,
+        )
 
-        if job.is_map_only:
-            output_records: list[Any] = []
-            with perf.phase("jobs"):
-                for record in input_records:
-                    output_records.extend(mapper(record))
-            # A map-only mapper whose every output record is a 2-tuple
-            # is almost certainly a shuffle mapper missing its reducer;
-            # failing here names the producing job instead of letting a
-            # downstream consumer crash confusingly.  (The first
-            # non-tuple record short-circuits the scan.)
-            if (
-                output_records
-                and not job.emits_pairs
-                and all(
-                    type(record) is tuple and len(record) == 2
-                    for record in output_records
-                )
-            ):
-                raise MapReduceError(
-                    f"job {job.name!r}: map-only mapper emitted only "
-                    f"(key, value) pairs — did you forget the reducer? "
-                    f"(set emits_pairs=True if 2-tuple records are intended)"
-                )
-            counters.increment("map_output_records", len(output_records))
-            shuffle_bytes = 0
-            reduce_tasks = 0
-        else:
-            shuffle_pairs: list[tuple[Any, Any]] = []
-            with perf.phase("jobs"):
-                for chunk in _chunk(input_records, map_tasks):
-                    task_output: list[tuple[Any, Any]] = []
-                    for record in chunk:
-                        task_output.extend(mapper(record))
-                    counters.increment("map_output_records", len(task_output))
-                    if job.combiner is not None:
-                        grouped: dict[Any, list[Any]] = defaultdict(list)
-                        try:
-                            for key, value in task_output:
-                                grouped[key].append(value)
-                        except (TypeError, ValueError):
-                            raise MapReduceError(
-                                f"job {job.name!r}: mapper of a full MR job must "
-                                f"emit (key, value) pairs"
-                            ) from None
-                        counters.increment("combine_input_records", len(task_output))
-                        combined: list[tuple[Any, Any]] = []
-                        for key in sorted(grouped, key=_sort_key):
-                            combined.extend(job.combiner(key, grouped[key]))
-                        counters.increment("combine_output_records", len(combined))
-                        task_output = combined
-                    shuffle_pairs.extend(task_output)
-
-            with perf.phase("shuffle"):
-                by_key: dict[Any, list[Any]] = defaultdict(list)
-                # Validation of the pair shape happens via the unpacking
-                # itself — per-pair isinstance checks in the map loop cost
-                # real time at millions of emitted pairs.
-                try:
-                    for key, value in shuffle_pairs:
-                        by_key[key].append(value)
-                except (TypeError, ValueError):
-                    raise MapReduceError(
-                        f"job {job.name!r}: mapper of a full MR job must "
-                        f"emit (key, value) pairs"
-                    ) from None
-                # Batched accounting: each distinct key is sized once and
-                # multiplied by its multiplicity — arithmetic identical to
-                # the seed's per-pair sum (equal keys have value-derived,
-                # hence equal, sizes).
-                shuffle_bytes = sum(
-                    estimate_size(key) * len(values) + estimate_total_size(values)
-                    for key, values in by_key.items()
-                )
-            counters.increment("shuffle_bytes", shuffle_bytes)
-            counters.increment("reduce_input_records", len(shuffle_pairs))
-
-            reduce_tasks = max(1, min(len(by_key), cluster.reduce_slots))
-            counters.increment("reduce_tasks", reduce_tasks)
-
-            output_records = []
-            assert job.reducer is not None
-            with perf.phase("jobs"):
-                for key in sorted(by_key, key=_sort_key):
-                    output_records.extend(job.reducer(key, by_key[key]))
-            counters.increment("reduce_output_records", len(output_records))
-
-        with perf.phase("materialize"):
-            output_file = self.hdfs.write(job.output, output_records, job.output_compressed)
+    def _materialize(
+        self, job: MapReduceJob, output_records: list[Any], counters: Counters
+    ) -> HDFSFile:
+        """Write the job's output to HDFS (where a capacity limit may
+        fire) and close the cycle's counters."""
+        output_file = self.hdfs.write(job.output, output_records, job.output_compressed)
         counters.increment("hdfs_bytes_written", output_file.size_bytes)
         counters.increment("mr_cycles")
         if job.is_map_only:
@@ -389,145 +516,111 @@ class MapReduceRunner:
             # Gated: the counter family exists only on sharded runs, so
             # unsharded counter bags keep their historical key sets.
             counters.increment("exchange_bytes", job.exchange_bytes)
+        return output_file
 
-        cost = self.cost_model.job_cost(
+    def _price(
+        self,
+        job: MapReduceJob,
+        cluster: ClusterConfig,
+        inputs: _JobInputs,
+        reduce_tasks: int,
+        shuffle_bytes: int,
+        output_file: HDFSFile,
+        output_records: int,
+    ) -> tuple[JobStats, list[tuple[str, float]]]:
+        """Price the finished job from its exact volumes — the one
+        evaluation of the cost model per job.  The job's cost is the
+        fold of the returned phases."""
+        phases = self.cost_model.job_cost_phases(
             cluster,
-            input_bytes=input_work_bytes + side_work_bytes,
+            input_bytes=inputs.work_bytes + inputs.side_work_bytes,
             shuffle_bytes=shuffle_bytes,
             output_bytes=output_file.raw_bytes,
-            map_tasks=map_tasks,
+            map_tasks=inputs.map_tasks,
             reduce_tasks=reduce_tasks,
             exchange_bytes=job.exchange_bytes,
         )
-        tracer = obs.active_tracer()
-        if span is not None and tracer is not None:
-            span.attrs.update(
-                map_only=job.is_map_only,
-                map_tasks=map_tasks,
-                reduce_tasks=reduce_tasks,
-                input_bytes=input_bytes,
-                side_input_bytes=side_bytes,
-                shuffle_bytes=shuffle_bytes,
-                output_bytes=output_file.size_bytes,
-                input_records=len(input_records),
-                output_records=len(output_records),
-                cost_seconds=cost,
-                labels=list(job.labels),
-            )
-            if job.exchange_bytes:
-                span.attrs["exchange_bytes"] = job.exchange_bytes
-            # Lay the cost model's phase decomposition back to back on
-            # the simulated timeline, then advance the clock by the
-            # job's (identical, up to float addition order) total.
-            offset = tracer.sim_now
-            for phase_name, seconds in self.cost_model.job_cost_phases(
-                cluster,
-                input_bytes=input_work_bytes + side_work_bytes,
-                shuffle_bytes=shuffle_bytes,
-                output_bytes=output_file.raw_bytes,
-                map_tasks=map_tasks,
-                reduce_tasks=reduce_tasks,
-                exchange_bytes=job.exchange_bytes,
-            ):
-                tracer.add_closed_span(
-                    phase_name, "phase", sim_start=offset, sim_dur=seconds
-                )
-                offset += seconds
-            tracer.advance_sim(cost)
-        retried = speculative = wasted = 0
-        recovery = 0.0
-        if self.fault_plan is not None:
-            try:
-                recovery, retried, speculative, wasted = self._recover_faults(
-                    job,
-                    counters,
-                    map_tasks=map_tasks,
-                    reduce_tasks=reduce_tasks,
-                    map_bytes=input_work_bytes,
-                    side_bytes=side_work_bytes,
-                    shuffle_bytes=shuffle_bytes,
-                    output_raw=output_file.raw_bytes,
-                )
-            except TaskFailedError as error:
-                # Attach the aborted attempt's work so post-mortems see
-                # it: the scratch counters (never merged anywhere), the
-                # attempt's charged base cost, and the discarded output.
-                error.job_output = job.output
-                error.job_counters = counters
-                error.wasted_seconds = cost
-                error.wasted_bytes = output_file.size_bytes
-                raise
-            cost += recovery
-            if span is not None and tracer is not None:
-                if recovery:
-                    tracer.add_closed_span(
-                        "recovery",
-                        "phase",
-                        sim_dur=recovery,
-                        attrs={
-                            "retried_tasks": retried,
-                            "speculative_tasks": speculative,
-                            "wasted_bytes": wasted,
-                        },
-                    )
-                    tracer.advance_sim(recovery)
-                span.attrs["cost_seconds"] = cost
-        if registry is not None:
-            self._record_job_metrics(
-                registry,
-                job,
-                cost=cost,
-                wall=time.perf_counter() - wall_start,
-                input_bytes=input_work_bytes + side_work_bytes,
-                shuffle_bytes=shuffle_bytes,
-                output_bytes=output_file.raw_bytes,
-                map_tasks=map_tasks,
-                reduce_tasks=reduce_tasks,
-                recovery=recovery,
-                retried=retried,
-                speculative=speculative,
-                wasted=wasted,
-            )
-        return JobStats(
+        stats = JobStats(
             name=job.name,
             map_only=job.is_map_only,
-            map_tasks=map_tasks,
+            map_tasks=inputs.map_tasks,
             reduce_tasks=reduce_tasks,
-            input_bytes=input_bytes,
-            side_input_bytes=side_bytes,
+            input_bytes=inputs.stored_bytes,
+            side_input_bytes=inputs.side_stored_bytes,
             shuffle_bytes=shuffle_bytes,
             output_bytes=output_file.size_bytes,
-            input_records=len(input_records),
-            output_records=len(output_records),
-            cost_seconds=cost,
+            input_records=len(inputs.records),
+            output_records=output_records,
+            cost_seconds=fold_phases(phases),
             labels=job.labels,
-            retried_tasks=retried,
-            speculative_tasks=speculative,
-            wasted_bytes=wasted,
             exchange_bytes=job.exchange_bytes,
         )
+        return stats, phases
+
+    def _recover(
+        self,
+        job: MapReduceJob,
+        counters: Counters,
+        stats: JobStats,
+        inputs: _JobInputs,
+        output_file: HDFSFile,
+        span: obs.Span | None,
+    ) -> float:
+        """Replay the fault plan over the finished job and fold what
+        recovery cost into *stats*; returns the recovery seconds."""
+        try:
+            recovery, retried, speculative, wasted = self._recover_faults(
+                job,
+                counters,
+                map_tasks=stats.map_tasks,
+                reduce_tasks=stats.reduce_tasks,
+                map_bytes=inputs.work_bytes,
+                side_bytes=inputs.side_work_bytes,
+                shuffle_bytes=stats.shuffle_bytes,
+                output_raw=output_file.raw_bytes,
+            )
+        except TaskFailedError as error:
+            # Attach the aborted attempt's work so post-mortems see
+            # it: the scratch counters (never merged anywhere), the
+            # attempt's charged base cost, and the discarded output.
+            error.job_output = job.output
+            error.job_counters = counters
+            error.wasted_seconds = stats.cost_seconds
+            error.wasted_bytes = output_file.size_bytes
+            raise
+        stats.cost_seconds += recovery
+        stats.retried_tasks = retried
+        stats.speculative_tasks = speculative
+        stats.wasted_bytes = wasted
+        if span is not None:
+            tracer = ambient.tracer
+            if recovery:
+                tracer.add_closed_span(
+                    "recovery",
+                    "phase",
+                    sim_dur=recovery,
+                    attrs={
+                        "retried_tasks": retried,
+                        "speculative_tasks": speculative,
+                        "wasted_bytes": wasted,
+                    },
+                )
+                tracer.advance_sim(recovery)
+            span.attrs["cost_seconds"] = stats.cost_seconds
+        return recovery
 
     def _record_job_metrics(
         self,
         registry: obs_metrics.MetricsRegistry,
-        job: MapReduceJob,
-        *,
-        cost: float,
-        wall: float,
-        input_bytes: int,
-        shuffle_bytes: int,
-        output_bytes: int,
-        map_tasks: int,
-        reduce_tasks: int,
+        stats: JobStats,
+        phases: list[tuple[str, float]],
         recovery: float,
-        retried: int,
-        speculative: int,
-        wasted: int,
+        wall: float,
     ) -> None:
-        """Fold one executed job into the active metrics registry: the
-        cost model's phase decomposition as per-phase histograms, the
-        dual-clock end-to-end cost, and fault/recovery events."""
-        kind = "map_only" if job.is_map_only else "full"
+        """Fold one executed job into the active metrics registry: its
+        priced phases as per-phase histograms, the dual-clock end-to-end
+        cost, and fault/recovery events."""
+        kind = "map_only" if stats.map_only else "full"
         registry.counter(
             "mr_jobs_total", "MapReduce jobs executed", ("kind",)
         ).labels(kind=kind).inc()
@@ -536,35 +629,27 @@ class MapReduceRunner:
             "per-job cost-phase decomposition (simulated clock)",
             ("phase",),
         )
-        for phase_name, seconds in self.cost_model.job_cost_phases(
-            job.cluster or self.cluster,
-            input_bytes=input_bytes,
-            shuffle_bytes=shuffle_bytes,
-            output_bytes=output_bytes,
-            map_tasks=map_tasks,
-            reduce_tasks=reduce_tasks,
-            exchange_bytes=job.exchange_bytes,
-        ):
+        for phase_name, seconds in phases:
             phase_hist.labels(phase=phase_name).observe(seconds)
         job_sim, job_wall = registry.dual_histogram(
             "mr_job_cost", "end-to-end job cost"
         )
-        job_sim.labels().observe(cost)
+        job_sim.labels().observe(stats.cost_seconds)
         job_wall.labels().observe(wall)
         if self.fault_plan is None:
             return
         faults = registry.counter(
             "mr_fault_events_total", "recovered fault events", ("kind",)
         )
-        if retried:
-            faults.labels(kind="task_retry").inc(retried)
-        if speculative:
-            faults.labels(kind="speculative").inc(speculative)
-        if wasted:
+        if stats.retried_tasks:
+            faults.labels(kind="task_retry").inc(stats.retried_tasks)
+        if stats.speculative_tasks:
+            faults.labels(kind="speculative").inc(stats.speculative_tasks)
+        if stats.wasted_bytes:
             registry.counter(
                 "mr_fault_wasted_bytes_total",
                 "bytes discarded by retried/speculative attempts",
-            ).labels().inc(wasted)
+            ).labels().inc(stats.wasted_bytes)
         if recovery:
             registry.histogram(
                 "mr_recovery_sim_seconds", "recovery time added per faulted job"

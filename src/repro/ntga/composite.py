@@ -465,15 +465,23 @@ def object_filters(
     star: StarPattern, filters: tuple[Expression, ...]
 ) -> dict[PropKey, list[Expression]]:
     """Filters that reference exactly one variable, where that variable
-    is the object of one of the star's triple patterns.
+    is the object of one of the star's required triple patterns.
 
     These can be pushed into star formation (evaluated per candidate
     object value) — the FILTER push-in the paper applies when filter
-    constraints are shared or touch non-intersecting properties.
+    constraints are shared or touch non-intersecting properties.  A
+    filter over an OPTIONAL pattern's object is never pushed: dropping
+    the triples it rejects leaves the variable unbound, which is a
+    different answer (``!BOUND(?x)`` would then hold for every subject);
+    it stays a residual filter over the expanded rows.
     """
     by_object_var: dict[Variable, PropKey] = {}
     for pattern in star.patterns:
-        if isinstance(pattern.object, Variable) and not pattern.is_rdf_type():
+        if (
+            isinstance(pattern.object, Variable)
+            and not pattern.is_rdf_type()
+            and not star.is_optional(pattern)
+        ):
             by_object_var.setdefault(pattern.object, prop_key_of(pattern))
     pushable: dict[PropKey, list[Expression]] = {}
     for expression in filters:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
-from repro import ambient, obs, perf
+from repro import ambient, obs
 from repro.ambient import PLANNER
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig, ExecutionReport, Row, check_supported
@@ -152,9 +152,9 @@ def _driven(
     it records land there."""
     hdfs = HDFS(capacity=config.hdfs_capacity)
     with obs.span(name, "engine", attrs):
-        with obs.span("load", "stage"), perf.phase("load"):
+        with obs.span("load", "stage"):
             store = load_triplegroups(graph, hdfs)
-        with obs.span("plan", "stage") as plan_span, perf.phase("plan"):
+        with obs.span("plan", "stage") as plan_span:
             # The config's explicit representation (serve) wins over
             # any ambient context (bench A/B harness); planners read
             # it — and the pricing model for "auto" — from here.

@@ -26,8 +26,8 @@ mode is byte-for-byte the previous behavior.
 
 The representation choice is the ``representation`` knob of
 :mod:`repro.ambient` (DESIGN.md §7.5): :func:`active_representation`
-installs an ambient override so the bench/profile harnesses can A/B
-entire executions, while :class:`repro.core.results.EngineConfig`
+installs an ambient override so a harness can A/B entire
+executions, while :class:`repro.core.results.EngineConfig`
 carries an explicit per-execution value for the serving layer.
 ``"auto"`` defers to
 :meth:`repro.mapreduce.cost.CostModel.choose_representation` priced on
@@ -79,7 +79,7 @@ def ambient_representation() -> str | None:
 
 def active_representation(mode: str, cost_model: "CostModel | None" = None):
     """Set the ambient representation (and pricing model) for the
-    duration — the knob the engines and the profile harness use to run
+    duration — the knob the engines and the A/B harnesses use to run
     whole executions factorized or flat."""
     return ambient.installed(
         representation=validate_representation(mode), cost_model=cost_model

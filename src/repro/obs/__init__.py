@@ -1,10 +1,9 @@
 """Structured execution tracing for the simulator stack.
 
-Where :mod:`repro.perf` answers "how much wall time went to each
-phase?", this package answers "what did the execution *do*": a
-hierarchical trace of spans (query → engine → plan → MR job → phase)
-and events (task retries, stragglers, aborts) on two clocks — real
-wall time and the cost model's simulated seconds — with per-span NTGA
+A hierarchical trace of what an execution did: spans (query → engine
+→ plan → MR job → phase) and events (task retries, stragglers, aborts)
+on two clocks — real wall time and the cost model's simulated seconds,
+both on every span down to a job's phases — with per-span NTGA
 operator metrics (triplegroups dropped by σ^γopt, n-split fan-out,
 α-join combinations materialized vs. pruned, Agg-Join group counts,
 per-job shuffle/HDFS bytes).
@@ -18,7 +17,7 @@ loops (the star filter, the α-join reducer) guard their calls with
 Submodules:
 
 * :mod:`repro.obs.model` — :class:`Span` / :class:`TraceEvent` /
-  :class:`TraceRecorder` / :class:`Stopwatch`;
+  :class:`TraceRecorder`;
 * :mod:`repro.obs.sink` — the ``repro-trace/v1`` JSONL reader/writer;
 * :mod:`repro.obs.summary` — per-query/per-engine rollups and the
   ``repro trace summary`` / ``tree`` renderings;
@@ -35,11 +34,10 @@ from contextlib import closing, contextmanager
 from typing import Any, Iterator
 
 from repro import ambient
-from repro.obs.model import Span, Stopwatch, TraceEvent, TraceRecorder
+from repro.obs.model import Span, TraceEvent, TraceRecorder
 
 __all__ = [
     "Span",
-    "Stopwatch",
     "TraceEvent",
     "TraceRecorder",
     "active_tracer",

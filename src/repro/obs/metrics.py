@@ -308,8 +308,7 @@ class MetricsRegistry:
     label-set mismatch is a :class:`MetricsError` (silent redefinition
     would corrupt goldens).  Not thread-safe by design — the layers that
     record into a registry run serially whenever one is installed, the
-    same contract the tracer and perf recorder already impose on the
-    serve executor.
+    same contract the tracer already imposes on the serve executor.
     """
 
     def __init__(self) -> None:

@@ -63,46 +63,6 @@ class TraceEvent:
     attrs: dict[str, Any] = field(default_factory=dict)
 
 
-class Stopwatch:
-    """A tiny wall-clock timer — the one implementation of the
-    ``started = perf_counter(); ...; wall = perf_counter() - started``
-    pattern that used to be hand-rolled across the bench harness and
-    profiler.
-
-    Usable as a context manager or via explicit :meth:`start` /
-    :meth:`stop`; :attr:`seconds` reads the elapsed time (live while
-    running, frozen after stop).
-    """
-
-    __slots__ = ("_started", "_elapsed")
-
-    def __init__(self) -> None:
-        self._started: float | None = None
-        self._elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._started = perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._started is not None:
-            self._elapsed = perf_counter() - self._started
-            self._started = None
-        return self._elapsed
-
-    @property
-    def seconds(self) -> float:
-        if self._started is not None:
-            return perf_counter() - self._started
-        return self._elapsed
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
 class TraceRecorder:
     """Collects one trace: a span tree plus events, on both clocks.
 
@@ -179,21 +139,27 @@ class TraceRecorder:
         *,
         sim_start: float | None = None,
         sim_dur: float = 0.0,
+        wall: tuple[float, float] | None = None,
         attrs: dict[str, Any] | None = None,
     ) -> Span:
         """Record an already-finished span (a simulated phase laid out on
-        the cost-model timeline after its volumes are known)."""
+        the cost-model timeline after its volumes are known).  *wall* is
+        the ``perf_counter()`` readings its work started and ended at;
+        without one the span is a wall-clock instant at "now"."""
         start = self.sim_now if sim_start is None else sim_start
-        wall = self._wall()
+        if wall is None:
+            wall_start = wall_end = self._wall()
+        else:
+            wall_start, wall_end = wall[0] - self._origin, wall[1] - self._origin
         span = Span(
             id=self._next_id,
             parent=self._stack[-1].id,
             name=name,
             kind=kind,
             sim_start=start,
-            wall_start=wall,
+            wall_start=wall_start,
             sim_end=start + sim_dur,
-            wall_end=wall,
+            wall_end=wall_end,
             attrs=dict(attrs) if attrs else {},
         )
         self._next_id += 1

@@ -5,8 +5,8 @@ invariant under performance work: per-workflow counters, MR cycle
 counts, per-job byte/record volumes, simulated cost, and an
 order-sensitive digest of the result rows.  The committed golden files
 under ``tests/golden/`` were captured from the seed (uncached)
-implementation; the golden tests and the CI perf smoke re-capture and
-require a bit-identical match.
+implementation; the golden tests re-capture — cached and in
+:func:`repro.perf.reference_mode` — and require a bit-identical match.
 
 Regenerate (only when the *simulated* semantics intentionally change)::
 
@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.catalog import get_query
+from repro.bench.harness import dataset_config
 from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
-from repro.core.results import EngineConfig, ExecutionReport
+from repro.core.results import EngineConfig, ExecutionReport, rows_digest
 from repro.datasets import generate
-from repro.perf import rows_digest
 from repro.rdf.graph import Graph
 from repro.report import ReportKind, write_report
 
@@ -32,19 +32,12 @@ from repro.report import ReportKind, write_report
 GOLDEN_SCHEMA = "repro-golden/v1"
 
 #: The golden workload: one multi-grouping query per dataset (per the
-#: paper's three workloads), on the tiny presets so tests stay fast,
-#: plus Table 3's single-grouping BSBM slice for the CI perf smoke.
+#: paper's three workloads), on the tiny presets so tests stay fast.
 GOLDEN_QUERIES: dict[str, tuple[str, ...]] = {
     "bsbm": ("MG2",),
     "chem": ("MG7",),
     "pubmed": ("MG12",),
 }
-
-
-def _dataset_config(dataset: str) -> EngineConfig:
-    from repro.bench.harness import bsbm_config, chem_config, pubmed_config
-
-    return {"bsbm": bsbm_config, "chem": chem_config, "pubmed": pubmed_config}[dataset]()
 
 
 def report_signature(report: ExecutionReport) -> dict[str, Any]:
@@ -99,7 +92,7 @@ def capture_dataset(
     engines: tuple[str, ...] = PAPER_ENGINES,
 ) -> dict[str, Any]:
     graph = generate(dataset, preset)
-    config = _dataset_config(dataset)
+    config = dataset_config(dataset)
     return {
         "schema": GOLDEN_SCHEMA,
         "dataset": dataset,

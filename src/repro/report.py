@@ -28,7 +28,7 @@ Report = dict[str, Any]
 def rows_digest(rows: Iterable[dict]) -> str:
     """Order-insensitive fingerprint of an answer multiset — what the A/B
     reports compare a variant's rows to its baseline's by (the
-    order-*sensitive* :func:`repro.perf.rows_digest` is a different
+    order-*sensitive* :func:`repro.core.results.rows_digest` is a different
     fingerprint)."""
     canonical = sorted(
         ",".join(
@@ -61,11 +61,6 @@ class ReportKind:
     #: One line per broken invariant of a fresh report (the CLI's
     #: ``INVARIANT VIOLATION`` exit 1); None when the schema certifies none.
     violations: Callable[[Report], list[str]] | None = None
-    #: Problems with what a *golden* claims, independent of any fresh run.
-    certify: Callable[[Report], list[str]] | None = None
-    #: Projection onto the machine-independent slice (head/tail fields
-    #: plus ``runs``) for schemas that also carry wall-clock numbers.
-    exact: Callable[[Report], Report] | None = None
 
 
 #: schema -> module defining its ``KIND``.
@@ -77,7 +72,6 @@ KIND_MODULES = {
     "repro-chaos-soak/v1": "repro.bench.chaos",
     "repro-serve-workload/v2": "repro.serve.workload",
     "repro-serve-resilience/v1": "repro.serve.resilience",
-    "repro-bench-profile/v2": "repro.perf.profile",
     "repro-golden/v1": "repro.perf.goldens",
 }
 
@@ -89,31 +83,28 @@ def write_report(report: Report, path: str | Path) -> Path:
     return path
 
 
-def load_report(
-    path: str | Path, accept: tuple[str, ...] = ()
-) -> tuple[ReportKind, Report]:
+def load_report(path: str | Path, schema: str | None = None) -> tuple[ReportKind, Report]:
     """Read a report file and resolve its kind.
 
     Raises a one-line :class:`ReproError` when the file is unreadable or
-    not JSON, carries no known ``schema`` (or none of *accept*, when
-    given), or lacks a parameter field needed to re-run it.
+    not JSON, carries no known ``schema`` (or not *schema*, when one is
+    required), or lacks a parameter field needed to re-run it.
     """
     try:
         report = json.loads(Path(path).read_text())
     except (OSError, ValueError) as error:
         raise ReproError(f"{path}: not a readable JSON report ({error})") from None
-    accept = accept or tuple(KIND_MODULES)
-    schema = report.get("schema") if isinstance(report, dict) else None
-    if schema not in accept:
+    found = report.get("schema") if isinstance(report, dict) else None
+    if found not in KIND_MODULES or schema not in (None, found):
         raise ReproError(
-            f"{path}: schema {schema!r} is not accepted here "
-            f"(accepted: {', '.join(accept)})"
+            f"{path}: schema {found!r} is not accepted here "
+            f"(accepted: {schema or ', '.join(KIND_MODULES)})"
         )
-    kind = import_module(KIND_MODULES[schema]).KIND
+    kind = import_module(KIND_MODULES[found]).KIND
     missing = [name for name in kind.head if name not in report]
     if missing:
         raise ReproError(
-            f"{path}: {schema} report lacks {', '.join(missing)}, "
+            f"{path}: {found} report lacks {', '.join(missing)}, "
             "so it cannot be re-run or compared"
         )
     return kind, report
@@ -123,8 +114,6 @@ def diff_reports(kind: ReportKind, golden: Report, fresh: Report) -> list[str]:
     """Human-readable differences (empty = identical): head fields, then
     runs matched on ``kind.key``, then tail fields.  Nested objects are
     descended so a difference names the innermost field that moved."""
-    if kind.exact is not None:
-        golden, fresh = kind.exact(golden), kind.exact(fresh)
     problems: list[str] = []
 
     def diff(where: str, old: Any, new: Any) -> None:
@@ -160,11 +149,10 @@ def diff_reports(kind: ReportKind, golden: Report, fresh: Report) -> list[str]:
 
 
 def check_golden(path: str | Path, fresh: Report | None = None) -> list[str]:
-    """Check a committed report: what it certifies, then its difference
-    from *fresh* — or, when none is given, from a re-run of the golden's
-    own parameters.  Empty list = the golden holds."""
+    """Check a committed report: its difference from *fresh* — or, when
+    none is given, from a re-run of the golden's own parameters.  Empty
+    list = the golden holds."""
     kind, golden = load_report(path)
-    problems = kind.certify(golden) if kind.certify is not None else []
     if fresh is None:
         fresh = kind.rerun(golden)
-    return problems + diff_reports(kind, golden, fresh)
+    return diff_reports(kind, golden, fresh)

@@ -415,7 +415,7 @@ def serve_resilience_report(
     above off.  The SLO verdict (error-budget burn included) is computed
     over the resilient arm's answered latencies.
     """
-    from repro import perf
+    from repro.core.results import rows_digest
     from repro.serve.service import DEGRADED, OK, QueryService
     from repro.serve.slo import SLOSpec, evaluate_slo
     from repro.serve.workload import (
@@ -477,7 +477,7 @@ def serve_resilience_report(
                 if response.status in (OK, DEGRADED):
                     available[arm] += 1
                     latencies.append(response.latency)
-                    digest = perf.rows_digest(response.rows)
+                    digest = rows_digest(response.rows)
                     if digest != baseline[response.label]["digest"]:
                         if response.status == OK:
                             ok_mismatches.append(response.request_id)

@@ -34,11 +34,10 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
-from repro import perf
 from repro.bench.catalog import get_query
 from repro.bench.harness import bsbm_config, chem_config, pubmed_config
 from repro.core.engines import make_engine, to_analytical
-from repro.core.results import EngineConfig
+from repro.core.results import EngineConfig, rows_digest
 from repro.datasets import generate
 from repro.ambient import PLANNER, REPRESENTATION, Field, knob_overrides, parse_spec
 from repro.errors import ServeError
@@ -207,7 +206,7 @@ def solo_baseline(
         baseline[qid] = {
             "rows": len(report.rows),
             "cost_seconds": round(report.cost_seconds, 6),
-            "digest": perf.rows_digest(report.rows),
+            "digest": rows_digest(report.rows),
         }
     return baseline
 
@@ -275,7 +274,7 @@ def serve_workload_report(
                     baseline_cost += baseline[response.label]["cost_seconds"]
                     latencies.append(response.latency)
                 if response.status == OK and (
-                    perf.rows_digest(response.rows)
+                    rows_digest(response.rows)
                     != baseline[response.label]["digest"]
                 ):
                     mismatches.append(response.request_id)

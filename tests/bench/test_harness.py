@@ -44,7 +44,6 @@ class TestRunExperiment:
             assert measurement.cycles > 0
             assert measurement.cost_seconds > 0
             assert measurement.rows > 0
-            assert measurement.wall_seconds >= 0
             assert not measurement.failed
 
     def test_speedup_and_gain(self, small_result):
@@ -97,7 +96,7 @@ class TestReporting:
             QueryMeasurement(
                 qid="Q", engine="e1", rows=0, cycles=0, map_only_cycles=0,
                 cost_seconds=float("inf"), shuffle_bytes=0, materialized_bytes=0,
-                wall_seconds=0.0, failed="HDFSOutOfSpaceError",
+                failed="HDFSOutOfSpaceError",
             )
         )
         assert "FAIL(HDFSOutOfSpaceError)" in render_cost_table(result)

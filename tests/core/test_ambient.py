@@ -2,7 +2,7 @@
 table, the spec grammar — and the guard that they stay the only ones.
 
 The per-system suites (``tests/plan/test_knob.py``,
-``TestRepresentationContext``, the ``obs`` / ``perf`` hook tests) pin
+``TestRepresentationContext``, the ``obs`` hook tests) pin
 each public wrapper's own behaviour; what they share — nesting,
 restore-on-exception, all-or-nothing detach, one validator, one
 tokenizer — is checked here once, parametrised over every slot, knob
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ambient, obs, perf
+from repro import ambient, obs
 from repro.ambient import (
     KNOBS,
     PARTITIONER,
@@ -91,26 +91,21 @@ def test_unknown_slot_is_rejected_before_anything_is_set():
 
 
 def test_detached_suspends_every_sink_and_only_the_sinks():
-    with obs.tracing() as tracer, metrics.collecting() as registry, perf.recording() as recorder:
+    assert ambient.SINKS == ("tracer", "registry")
+    with obs.tracing() as tracer, metrics.collecting() as registry:
         with active_representation("flat"), active_planner("cost"):
             with ambient.detached():
-                assert [getattr(ambient, name) for name in ambient.SINKS] == [None] * 3
+                assert (ambient.tracer, ambient.registry) == (None, None)
                 assert (ambient.representation, ambient.planner) == ("flat", "cost")
-            assert (ambient.tracer, ambient.registry, ambient.recorder) == (
-                tracer,
-                registry,
-                recorder,
-            )
+            assert (ambient.tracer, ambient.registry) == (tracer, registry)
 
 
 def test_public_wrappers_are_the_one_detach():
     assert obs.detached is ambient.detached
-    assert perf.detached is ambient.detached
 
 
 @pytest.mark.parametrize(
-    "install, slot",
-    [(obs.tracing, "tracer"), (metrics.collecting, "registry"), (perf.recording, "recorder")],
+    "install, slot", [(obs.tracing, "tracer"), (metrics.collecting, "registry")]
 )
 def test_sink_wrappers_install_their_slot(install, slot):
     with install() as fresh:

@@ -311,9 +311,9 @@ def test_bench_chaos_unknown_experiment(capsys):
     assert "unknown chaos experiment" in err
 
 
-def test_bench_chaos_mutually_exclusive_with_profile(capsys):
+def test_bench_chaos_mutually_exclusive_with_faults(capsys):
     code, _, err = run_cli(
-        capsys, "bench", "figure8a", "--chaos", "seeds=1,rate=0.1", "--profile"
+        capsys, "bench", "figure8a", "--chaos", "seeds=1,rate=0.1", "--faults", "7,0.05"
     )
     assert code == 2
     assert "mutually exclusive" in err

@@ -18,7 +18,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -53,7 +53,6 @@ class Case:
     run_field: tuple[str, ...]
     #: A committed golden of *another* mode's schema.
     foreign: str = "BENCH_PR7.json"
-    kwargs: dict[str, Any] = field(default_factory=dict)
 
     @property
     def module(self):
@@ -107,11 +106,6 @@ CASES = {
             ("on", "availability"), foreign="serve-chem-overlap.json",
         ),
         Case(
-            "repro-bench-profile/v2", "profile_experiments", (["table3-bsbm-tiny"],),
-            ("bench", "table3-bsbm-tiny", "--profile", "--no-reference"),
-            ("rows_digest",), kwargs={"reference": False},
-        ),
-        Case(
             "repro-golden/v1", "capture_dataset",
             ("bsbm", "tiny", ("MG2",), ("rapid-analytics", "hive-naive")),
             None, ("cost_seconds",),
@@ -134,16 +128,12 @@ def test_every_registered_kind_has_a_case():
 @functools.lru_cache(maxsize=None)
 def _produced(schema: str) -> dict[str, Any]:
     case = CASES[schema]
-    return getattr(case.module, case.producer)(*case.args, **case.kwargs)
+    return getattr(case.module, case.producer)(*case.args)
 
 
 def fresh_report(case: Case) -> dict[str, Any]:
     """One real report per kind for the whole module, copied per use."""
     return copy.deepcopy(_produced(case.schema))
-
-
-def certificate(case: Case, report: dict[str, Any]) -> list[str]:
-    return case.kind.certify(report) if case.kind.certify else []
 
 
 class Counting:
@@ -163,20 +153,13 @@ def stub_producer(monkeypatch, case: Case, report=None) -> Counting:
     return stub
 
 
-def runs_of(report: dict[str, Any]) -> list[dict[str, Any]]:
-    if "runs" in report:
-        return report["runs"]
-    return report["experiments"][0]["runs"]  # repro-bench-profile/v2
-
-
 def dig(run: dict[str, Any], path: tuple[str, ...]) -> Any:
     for name in path:
         run = run[name]
     return run
 
 
-def run_label(case: Case, report: dict[str, Any], run: dict[str, Any]) -> str:
-    run = {"exp_id": report.get("experiments", [{}])[0].get("exp_id"), **run}
+def run_label(case: Case, run: dict[str, Any]) -> str:
     return " ".join(f"{name}={run[name]}" for name in case.kind.key)
 
 
@@ -187,27 +170,24 @@ def run_label(case: Case, report: dict[str, Any], run: dict[str, Any]) -> str:
 
 @ALL
 def test_write_then_check_round_trips(case, tmp_path):
-    """Re-running a report's own parameters reproduces it: the only
-    problems are what the kind's certificate says about the report."""
+    """Re-running a report's own parameters reproduces it."""
     report = fresh_report(case)
     path = write_report(report, tmp_path / "report.json")
     assert json.loads(path.read_text()) == report
     assert path.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert check_golden(path) == certificate(case, report)
+    assert check_golden(path) == []
 
 
 @ALL
 def test_tampered_run_field_is_named(case, tmp_path):
     report, tampered = fresh_report(case), fresh_report(case)
-    target = runs_of(tampered)[0]
-    label = run_label(case, tampered, target)
+    target = tampered["runs"][0]
+    label = run_label(case, target)
     dig(target, case.run_field[:-1])[case.run_field[-1]] = "tampered"
     path = write_report(tampered, tmp_path / "tampered.json")
-    problems = check_golden(path, report)
-    drift = [p for p in problems if p not in certificate(case, tampered)]
-    assert drift == [
+    assert check_golden(path, report) == [
         f"{label}: {'.'.join(case.run_field)} differs: golden='tampered' "
-        f"fresh={dig(runs_of(report)[0], case.run_field)!r}"
+        f"fresh={dig(report['runs'][0], case.run_field)!r}"
     ]
 
 
@@ -227,8 +207,8 @@ def test_tampered_tail_field_is_named(case, tmp_path):
 @ALL
 def test_dropped_run_is_named(case, tmp_path):
     report, tampered = fresh_report(case), fresh_report(case)
-    dropped = runs_of(tampered).pop(0)
-    label = run_label(case, report, dropped)
+    dropped = tampered["runs"].pop(0)
+    label = run_label(case, dropped)
     path = write_report(tampered, tmp_path / "tampered.json")
     assert f"{label}: present only in fresh" in check_golden(path, report)
     assert f"{label}: present only in golden" in diff_reports(
@@ -241,10 +221,10 @@ def test_check_against_fresh_never_calls_the_producer(case, tmp_path, monkeypatc
     report = fresh_report(case)
     path = write_report(report, tmp_path / "report.json")
     stub = stub_producer(monkeypatch, case)
-    assert check_golden(path, report) == certificate(case, report)
+    assert check_golden(path, report) == []
     assert stub.calls == 0
     # ... and without one, re-runs the golden's own parameters, once.
-    assert check_golden(path) == certificate(case, report)
+    assert check_golden(path) == []
     assert stub.calls == 1
 
 
@@ -264,10 +244,8 @@ def test_cli_golden_runs_the_experiment_once(case, tmp_path, monkeypatch, capsys
     path = write_report(fresh_report(case), tmp_path / "golden.json")
     stub = stub_producer(monkeypatch, case)
     code, out, err = run_cli(capsys, *case.argv, "--golden", path)
-    problems = certificate(case, stub.report)
-    assert (code, stub.calls) == (1 if problems else 0, 1), err
-    if not problems:
-        assert out.endswith(f"{case.kind.label} ok: {path}\n")
+    assert (code, stub.calls) == (0, 1), err
+    assert out.endswith(f"{case.kind.label} ok: {path}\n")
 
 
 def test_chaos_smoke_command_line_soaks_once(monkeypatch, capsys):
@@ -281,20 +259,6 @@ def test_chaos_smoke_command_line_soaks_once(monkeypatch, capsys):
     )
     assert (code, stub.calls) == (0, 1)
     assert f"chaos golden ok: {golden}" in out
-
-
-def test_profile_mode_recaptures_a_counter_golden_from_its_own_parameters(
-    tmp_path, monkeypatch, capsys
-):
-    golden_case = CASES["repro-golden/v1"]
-    profile = stub_producer(monkeypatch, CASES["repro-bench-profile/v2"])
-    capture = stub_producer(monkeypatch, golden_case)
-    path = write_report(fresh_report(golden_case), tmp_path / "counters.json")
-    code, out, _ = run_cli(
-        capsys, "bench", "table3-bsbm-tiny", "--profile", "--golden", path
-    )
-    assert (code, profile.calls, capture.calls) == (0, 1, 1)
-    assert f"golden ok: {path}" in out
 
 
 def _malformed(tmp_path: Path, case: Case) -> dict[str, Path]:
@@ -339,7 +303,7 @@ def test_library_check_of_a_malformed_golden_is_a_typed_error(tmp_path):
             with pytest.raises(ReproError, match=path.name):
                 check_golden(path)
     with pytest.raises(ReproError, match="repro-shard-ab/v1.*repro-planner-ab/v1"):
-        load_report(GOLDENS / case.foreign, (case.schema,))
+        load_report(GOLDENS / case.foreign, case.schema)
 
 
 @pytest.mark.parametrize(
@@ -348,9 +312,8 @@ def test_library_check_of_a_malformed_golden_is_a_typed_error(tmp_path):
         ("--output", "x.json"),
         ("--golden", "/nonexistent.json"),
         ("--golden", "/nonexistent.json", "--output", "x.json"),
-        ("--no-reference",),
     ],
-    ids=["output", "golden", "golden+output", "no-reference"],
+    ids=["output", "golden", "golden+output"],
 )
 def test_bench_without_a_report_mode_rejects_report_flags(
     flags, tmp_path, monkeypatch, capsys
@@ -360,13 +323,6 @@ def test_bench_without_a_report_mode_rejects_report_flags(
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
-
-
-def test_no_reference_needs_profile(capsys):
-    code, _, err = run_cli(
-        capsys, "bench", "table3-bsbm-tiny", "--faults", "7,0.05", "--no-reference"
-    )
-    assert code == 2 and "--no-reference requires --profile" in err
 
 
 def test_trace_is_honoured_under_faults_and_leaves_the_golden_alone(tmp_path, capsys):
@@ -382,16 +338,6 @@ def test_trace_is_honoured_under_faults_and_leaves_the_golden_alone(tmp_path, ca
     assert json.loads(trace.read_text().splitlines()[0])["schema"] == "repro-trace/v1"
     # The single writer's byte format, pinned against a committed file.
     assert output.read_bytes() == golden.read_bytes()
-
-
-def test_trace_is_rejected_under_profile(tmp_path, capsys):
-    trace = tmp_path / "profile.trace.jsonl"
-    code, out, err = run_cli(
-        capsys, "bench", "table3-bsbm-tiny", "--profile", "--trace", trace
-    )
-    assert code == 2 and out == "" and not trace.exists()
-    assert "--trace cannot be combined with --profile" in err
-    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +359,7 @@ CLI_IMPORT_SURFACE = frozenset(
     repro.mapreduce.runner repro.ntga repro.ntga.composite repro.ntga.engine
     repro.ntga.factorized repro.ntga.operators repro.ntga.overlap
     repro.ntga.physical repro.ntga.planner repro.ntga.triplegroup repro.obs
-    repro.obs.metrics repro.obs.model repro.perf repro.rdf repro.rdf.graph
+    repro.obs.metrics repro.obs.model repro.rdf repro.rdf.graph
     repro.rdf.namespaces repro.rdf.ntriples repro.rdf.stats repro.rdf.terms
     repro.rdf.triples repro.sparql repro.sparql.aggregates
     repro.sparql.algebra repro.sparql.ast repro.sparql.evaluator
@@ -433,7 +379,7 @@ def test_import_repro_cli_loads_no_report_producer():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(done.stdout.split())
-    assert len(CLI_IMPORT_SURFACE) == 58
+    assert len(CLI_IMPORT_SURFACE) == 57
     assert loaded - CLI_IMPORT_SURFACE == set()
     for module in ("repro.report", *KIND_MODULES.values()):
         assert module not in loaded

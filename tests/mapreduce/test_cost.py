@@ -1,5 +1,7 @@
 """Unit tests for cost model and size estimation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,61 @@ def test_cost_always_positive_and_finite(input_bytes, shuffle_bytes, output_byte
     )
     assert cost > 0
     assert cost < float("inf")
+
+
+def _seed_job_cost(model, cluster, *, input_bytes, shuffle_bytes, output_bytes,
+                   map_tasks, reduce_tasks, exchange_bytes):
+    """The straight-line formula ``job_cost`` had before it became the
+    fold of its phases: every committed cost holds this addition order."""
+    map_waves = max(1, math.ceil(map_tasks / cluster.map_slots))
+    map_parallelism = max(1, min(map_tasks, cluster.map_slots))
+    cost = model.job_startup if reduce_tasks > 0 else model.map_only_startup
+    cost += map_waves * model.map_task_overhead
+    cost += input_bytes / (model.scan_rate * map_parallelism)
+    if exchange_bytes > 0:
+        receive = max(1, min(reduce_tasks or map_tasks, cluster.reduce_slots))
+        cost += exchange_bytes / (model.exchange_rate * receive)
+    if reduce_tasks > 0:
+        reduce_parallelism = max(1, min(reduce_tasks, cluster.reduce_slots))
+        cost += math.ceil(reduce_tasks / cluster.reduce_slots) * model.reduce_task_overhead
+        cost += shuffle_bytes / (model.shuffle_rate * reduce_parallelism)
+        cost += output_bytes / (model.write_rate * reduce_parallelism)
+    else:
+        cost += output_bytes / (model.write_rate * map_parallelism)
+    return cost
+
+
+_VOLUME = st.one_of(st.just(0), st.integers(0, 10**9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cluster=st.builds(
+        ClusterConfig,
+        nodes=st.integers(1, 80),
+        map_slots_per_node=st.integers(1, 4),
+        reduce_slots_per_node=st.integers(1, 4),
+    ),
+    input_bytes=_VOLUME,
+    shuffle_bytes=_VOLUME,
+    output_bytes=_VOLUME,
+    map_tasks=st.integers(0, 5000),
+    reduce_tasks=st.one_of(st.just(0), st.integers(0, 500)),
+    exchange_bytes=st.one_of(st.just(0), st.integers(1, 10**8)),
+)
+def test_job_cost_is_the_ordered_fold_of_its_phases(cluster, **volumes):
+    """``==``, not ``approx``: the job cost *is* its phases added in the
+    fixed order map → exchange → reduce → shuffle → materialize, and
+    that order reproduces the seed formula bit for bit."""
+    model = CostModel()
+    seconds = dict(model.job_cost_phases(cluster, **volumes))
+    folded = 0.0
+    for phase in ("map", "exchange", "reduce", "shuffle", "materialize"):
+        folded += seconds.pop(phase, 0.0)
+    assert seconds == {}
+    cost = model.job_cost(cluster, **volumes)
+    assert cost == folded
+    assert cost == _seed_job_cost(model, cluster, **volumes)
 
 
 class TestExchangePhaseDecomposition:

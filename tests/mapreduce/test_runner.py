@@ -293,3 +293,38 @@ def test_stats_invariants(records):
     assert stats.cost_seconds > 0
     assert stats.input_records == len(records)
     assert stats.output_records == len(set(records))
+
+
+@pytest.mark.parametrize("faults", [None, "7,0.2,0.2,0.2"], ids=["fault-free", "faulted"])
+def test_a_job_is_priced_exactly_once(faults, bsbm_small, monkeypatch):
+    """Traced and metered at once, an executed job still evaluates the
+    cost model's job formula one time: the tracer's phase spans, the
+    registry's histograms and the job's own cost all read that list."""
+    from repro import obs
+    from repro.bench.catalog import get_query
+    from repro.core.engines import run_query
+    from repro.mapreduce.cost import CostModel
+    from repro.mapreduce.faults import FaultPlan
+    from repro.obs import metrics
+
+    calls = []
+    priced = CostModel.job_cost_phases
+
+    def counting(self, cluster, **volumes):
+        phases = priced(self, cluster, **volumes)
+        calls.append(phases)
+        return phases
+
+    monkeypatch.setattr(CostModel, "job_cost_phases", counting)
+    plan = FaultPlan.from_spec(faults) if faults else None
+    with obs.tracing() as tracer, metrics.collecting() as registry:
+        report = run_query(
+            get_query("MG1").sparql, bsbm_small, engine="rapid-analytics", faults=plan
+        )
+    assert len(calls) == report.cycles > 0
+    phase_spans = [s for s in tracer.spans if s.kind == "phase" and s.name != "recovery"]
+    assert [(s.name, s.sim_dur) for s in phase_spans] == [
+        (name, pytest.approx(seconds)) for phases in calls for name, seconds in phases
+    ]
+    families = {family.name: family for family in registry.families()}
+    assert "mr_phase_sim_seconds" in families and "mr_job_cost_sim_seconds" in families

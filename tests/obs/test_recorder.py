@@ -1,13 +1,13 @@
-"""Unit tests for the trace recorder, hooks, and Stopwatch."""
+"""Unit tests for the trace recorder and hooks."""
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
 import pytest
 
 from repro import obs
-from repro.obs import Stopwatch, TraceRecorder
+from repro.obs import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -46,6 +46,19 @@ class TestTraceRecorder:
         assert phase.sim_end == 3.5
         # closed spans never become the current span
         assert recorder.current() is recorder.root
+        # ... and without a measured interval are a wall-clock instant
+        assert phase.wall_dur == 0.0
+
+    def test_closed_span_carries_a_measured_wall_interval(self):
+        recorder = TraceRecorder()
+        job = recorder.begin_span("job", "job")
+        started = perf_counter()
+        ended = perf_counter()
+        phase = recorder.add_closed_span("map", "phase", wall=(started, ended))
+        recorder.end_span(job)
+        # perf_counter readings, stored relative to the trace's origin
+        assert phase.wall_dur == pytest.approx(ended - started)
+        assert job.wall_start <= phase.wall_start <= phase.wall_end <= job.wall_end
 
     def test_count_lands_on_innermost_span(self):
         recorder = TraceRecorder()
@@ -119,24 +132,3 @@ class TestHooks:
                 with obs.span("boom", "job"):
                     raise RuntimeError("boom")
             assert recorder.current() is recorder.root
-
-
-class TestStopwatch:
-    def test_start_stop(self):
-        watch = Stopwatch().start()
-        time.sleep(0.005)
-        elapsed = watch.stop()
-        assert elapsed > 0
-        assert watch.seconds == elapsed  # frozen after stop
-
-    def test_context_manager(self):
-        with Stopwatch() as watch:
-            time.sleep(0.005)
-        assert watch.seconds > 0
-
-    def test_live_reading_while_running(self):
-        watch = Stopwatch().start()
-        first = watch.seconds
-        time.sleep(0.002)
-        assert watch.seconds >= first
-        watch.stop()

@@ -108,6 +108,40 @@ class TestDeterminism:
         assert any(r["type"] == "event" for r in first)
 
 
+class TestPhaseWallClock:
+    """Both clocks on every span: a job's phase spans carry the wall
+    interval the runner measured for their stage."""
+
+    STAGES = ("map", "shuffle", "reduce", "materialize")
+
+    def test_phase_spans_tile_their_job_on_the_wall_clock(self, bsbm_small):
+        from repro.bench.catalog import get_query
+
+        with obs.tracing() as recorder:
+            run_all_engines(
+                get_query("MG1").sparql, bsbm_small, engines=("hive-naive", "rapid-analytics")
+            )
+        jobs = {span.id: span for span in recorder.spans if span.kind == "job"}
+        phases: dict[int, list] = {job: [] for job in jobs}
+        for span in recorder.spans:
+            if span.kind == "phase":
+                assert span.name in self.STAGES
+                phases[span.parent].append(span)
+        assert jobs and all(phases.values())
+        for job_id, spans in phases.items():
+            job = jobs[job_id]
+            assert [s.name for s in spans] in (list(self.STAGES), ["map", "materialize"])
+            end = job.wall_start
+            for span in spans:  # in creation order = timeline order
+                assert span.wall_dur >= 0
+                assert span.wall_start >= end  # inside the job, after its predecessor
+                end = span.wall_end
+            assert end <= job.wall_end
+            assert sum(s.wall_dur for s in spans) <= job.wall_dur
+        # ... and the stages that run mappers and reducers took measurable time.
+        assert any(span.wall_dur > 0 for spans in phases.values() for span in spans)
+
+
 class TestPaperMechanism:
     """ISSUE acceptance: the trace alone shows why rapid-analytics wins."""
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.bench.catalog import get_query
 from repro.cli import main
 from repro.core.engines import make_engine, to_analytical
@@ -156,21 +156,18 @@ def trace_shape(recorder):
 
 @pytest.mark.parametrize("engine_name", ["hive-naive", "hive-mqo"])
 def test_hive_explain_leaves_no_trace(engine_name, bsbm_tiny):
-    """``explain(); run()`` must equal a cold ``run()`` on every sink —
+    """``explain(); run()`` must equal a cold ``run()`` on both sinks —
     spans, counters and simulated clocks in the trace, every instrument
-    in the metrics registry, every phase in the perf recorder: the probe
-    execution is fully detached."""
+    in the metrics registry: the probe execution is fully detached."""
     query = to_analytical(get_query("MG1").sparql)
     engine = make_engine(engine_name)
 
     def observed(do_explain):
         with obs.tracing() as tracer, metrics.collecting() as registry:
-            with perf.recording() as recorder:
-                if do_explain:
-                    explain(query, engine=engine_name, graph=bsbm_tiny)
-                engine.execute(query, bsbm_tiny, EngineConfig())
-                phases = sorted(recorder.end_run(0.0).phases)
-        return trace_shape(tracer), metrics.snapshot_dict(registry), phases
+            if do_explain:
+                explain(query, engine=engine_name, graph=bsbm_tiny)
+            engine.execute(query, bsbm_tiny, EngineConfig())
+        return trace_shape(tracer), metrics.snapshot_dict(registry)
 
     assert observed(do_explain=True) == observed(do_explain=False)
 
@@ -180,32 +177,15 @@ def test_explain_alone_reaches_no_sink(bsbm_tiny):
     ``mr_jobs_total`` and the ``mr_*_seconds`` histograms in an installed
     registry, because there was no third ``detached()`` to call."""
     with obs.tracing() as tracer, metrics.collecting() as registry:
-        with perf.recording() as recorder:
-            explain(get_query("MG1").sparql, engine="hive-naive", graph=bsbm_tiny)
-            explain_report(
-                get_query("MG1").sparql,
-                engine="rapid-analytics",
-                graph=bsbm_tiny,
-                config=EngineConfig(planner="cost"),
-            )
+        explain(get_query("MG1").sparql, engine="hive-naive", graph=bsbm_tiny)
+        explain_report(
+            get_query("MG1").sparql,
+            engine="rapid-analytics",
+            graph=bsbm_tiny,
+            config=EngineConfig(planner="cost"),
+        )
     assert trace_shape(tracer) == ([("trace", "root", 0.0, 0.0, ())], [], 0.0)
     assert registry.families(include_volatile=True) == []
-    assert recorder.runs == [] and recorder._current is None
-
-
-def test_hive_explain_leaves_no_phase_time(bsbm_tiny):
-    query = to_analytical(get_query("MG1").sparql)
-    engine = make_engine("hive-naive")
-
-    def phases(do_explain):
-        with perf.recording() as recorder:
-            if do_explain:
-                explain(query, engine="hive-naive", graph=bsbm_tiny)
-            engine.execute(query, bsbm_tiny, EngineConfig())
-            flushed = recorder.end_run(0.0)
-        return sorted(flushed.phases)
-
-    assert phases(do_explain=True) == phases(do_explain=False)
 
 
 def test_planner_section_leaves_no_trace(bsbm_tiny):
