@@ -32,7 +32,7 @@ from repro.sparql.expressions import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropKey:
     """The paper's notion of a star-pattern "property".
 
@@ -40,6 +40,10 @@ class PropKey:
     ``rdf:type`` patterns with a concrete class the key also carries the
     class (the paper writes ``ty18`` for ``rdf:type PT18``): Definition
     3.1 requires type objects to agree for stars to overlap.
+
+    The engines obtain keys from :func:`prop_key`, which interns them; a
+    key built by hand is a distinct instance that compares and hashes
+    equal to the interned one.
     """
 
     property: IRI
@@ -53,6 +57,26 @@ class PropKey:
 
     def __str__(self) -> str:
         return self.short()
+
+
+#: ``(property, type_object) -> the one PropKey`` handed out for it.
+#: Process-level like :func:`repro.ntga.factorized.schema_for`'s table: it
+#: holds vocabulary (a few keys per dataset), never plans or data.
+_PROP_KEYS: dict[tuple[IRI, Term | None], PropKey] = {}
+
+
+def prop_key(property: IRI, type_object: Term | None = None) -> PropKey:
+    """The interned :class:`PropKey` for ``(property, type_object)``.
+
+    Every key that reaches a ``props()`` set, a star schema or a plan's
+    key set comes from here, so the subset tests and schema probes the
+    operators run per record find their keys by identity instead of
+    falling back to a Python-level ``__eq__`` per matched key.
+    """
+    key = _PROP_KEYS.get((property, type_object))
+    if key is None:
+        key = _PROP_KEYS[(property, type_object)] = PropKey(property, type_object)
+    return key
 
 
 @lru_cache(maxsize=None)
@@ -69,8 +93,8 @@ def prop_key_of(pattern: TriplePattern) -> PropKey:
             f"(pattern {pattern})"
         )
     if pattern.is_rdf_type() and not isinstance(pattern.object, Variable):
-        return PropKey(prop, pattern.object)
-    return PropKey(prop)
+        return prop_key(prop, pattern.object)
+    return prop_key(prop)
 
 
 @dataclass(frozen=True)

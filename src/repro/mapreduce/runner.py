@@ -18,6 +18,7 @@ exact simulated byte/record volumes.
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -335,6 +336,51 @@ def _trace_job(
         )
         offset += seconds
     tracer.advance_sim(stats.cost_seconds)
+
+
+class _OlderHeapSetAside:
+    """Keeps the collector off everything allocated before a workflow.
+
+    The heap that outlives a query -- the graph, its derived layouts,
+    their per-group memos, rows the caller still holds -- is immutable
+    and acyclic, yet every collection a workflow triggers re-walks the
+    part of it in the collected generation, a full one all of it.
+    Freezing it moves it out of the collector's sight for the duration;
+    unfreezing puts it back when the outermost workflow ends, however it
+    ends.  The collector itself stays on: whatever the workflow
+    allocates is tracked and collected as ever.  A process that has
+    frozen its own heap keeps it: nothing is added to or released from a
+    freeze this did not make.
+
+    One instance per process, because what it tracks -- the collector's
+    permanent generation -- is one per process.  ``depth`` counts the
+    ``run_workflow`` calls in flight (a ``submit`` may re-enter it):
+    asking ``gc.get_freeze_count()`` again instead would walk every
+    frozen object on each entry.  Unlocked, under the concurrency
+    contract of :mod:`repro.ambient`: nothing under ``src/`` starts a
+    thread.
+    """
+
+    __slots__ = ("depth", "froze")
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self.froze = False  # by the outermost entry (not by the embedder)
+
+    def __enter__(self) -> None:
+        if self.depth == 0:
+            self.froze = gc.get_freeze_count() == 0
+            if self.froze:
+                gc.freeze()
+        self.depth += 1
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.depth -= 1
+        if self.depth == 0 and self.froze:
+            gc.unfreeze()
+
+
+_older_heap_set_aside = _OlderHeapSetAside()
 
 
 class MapReduceRunner:
@@ -981,20 +1027,21 @@ class MapReduceRunner:
         # is discarded wholesale (it still travels on the error).
         in_place = recovery is None and stats is not None
         failures = 0
-        while True:
-            attempt = stats if in_place else WorkflowStats()
-            try:
-                submit(jobs, attempt)
-            except TaskFailedError as error:
-                # Keep the committed prefix's accounting reachable from
-                # the error instead of losing it with the raise.
-                error.partial_stats = attempt
-                if recovery is None:
-                    raise
-                failures += 1
-                self.note_workflow_failure(error, recovery, failures)
-                continue
-            break
+        with _older_heap_set_aside:
+            while True:
+                attempt = stats if in_place else WorkflowStats()
+                try:
+                    submit(jobs, attempt)
+                except TaskFailedError as error:
+                    # Keep the committed prefix's accounting reachable from
+                    # the error instead of losing it with the raise.
+                    error.partial_stats = attempt
+                    if recovery is None:
+                        raise
+                    failures += 1
+                    self.note_workflow_failure(error, recovery, failures)
+                    continue
+                break
         if stats is None or in_place:
             return attempt
         stats.jobs.extend(attempt.jobs)

@@ -43,9 +43,9 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro import ambient, obs
 from repro.ambient import REPRESENTATION
-from repro.core.query_model import PropKey
+from repro.core.query_model import PropKey, prop_key
 from repro.mapreduce import cost
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Term, Variable, cache_slot
 from repro.rdf.triples import RDF_TYPE
 
 if TYPE_CHECKING:
@@ -128,7 +128,7 @@ def _schema_sort_key(key: PropKey) -> tuple[str, str]:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class StarSchema:
     """The ordered property keys of one composite star.
 
@@ -142,12 +142,14 @@ class StarSchema:
     """
 
     keys: tuple[PropKey, ...]
+    _index: dict | None = cache_slot()
 
     def position(self, key: PropKey) -> int | None:
-        index = self.__dict__.get("_index")
+        index = self._index if cost.SIZE_CACHE_ENABLED else None
         if index is None:
             index = {key: position for position, key in enumerate(self.keys)}
-            object.__setattr__(self, "_index", index)
+            if cost.SIZE_CACHE_ENABLED:
+                object.__setattr__(self, "_index", index)
         return index.get(key)
 
     def column_for(self, key: PropKey) -> tuple[int, Term | None]:
@@ -163,7 +165,7 @@ class StarSchema:
         if position is not None:
             return position, None
         if key.type_object is not None:
-            plain = self.position(PropKey(key.property))
+            plain = self.position(prop_key(key.property))
             if plain is not None:
                 return plain, key.type_object
         return -1, None
@@ -171,8 +173,10 @@ class StarSchema:
 
 @lru_cache(maxsize=None)
 def schema_for(keys: frozenset) -> StarSchema:
-    """The interned schema for a property-key set."""
-    return StarSchema(tuple(sorted(keys, key=_schema_sort_key)))
+    """The interned schema for a property-key set, over interned keys
+    (a caller may probe with keys it built by hand)."""
+    interned = [prop_key(key.property, key.type_object) for key in keys]
+    return StarSchema(tuple(sorted(interned, key=_schema_sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def schema_for(keys: frozenset) -> StarSchema:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactorizedRelation:
     """A star match kept as columns instead of triples.
 
@@ -196,6 +200,9 @@ class FactorizedRelation:
     subject: Term
     schema: StarSchema
     columns: tuple[tuple[Term, ...], ...]
+    _props: frozenset | None = cache_slot()
+    _projections: dict | None = cache_slot()
+    _size: int | None = cache_slot()
 
     @classmethod
     def from_triplegroup(
@@ -207,7 +214,7 @@ class FactorizedRelation:
         outlive an execution, and every job re-filters the same groups.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cache = group.__dict__.get("_factorized")
+            cache = group._factorized
             if cache is None:
                 cache = {}
                 object.__setattr__(group, "_factorized", cache)
@@ -231,7 +238,7 @@ class FactorizedRelation:
         reports them: a plain ``rdf:type`` column contributes one
         type-qualified key per distinct class value."""
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_props")
+            cached = self._props
             if cached is not None:
                 return cached
         keys = set()
@@ -240,7 +247,7 @@ class FactorizedRelation:
                 continue
             if key.type_object is None and key.property == RDF_TYPE:
                 for value in column:
-                    keys.add(PropKey(key.property, value))
+                    keys.add(prop_key(key.property, value))
             else:
                 keys.add(key)
         result = frozenset(keys)
@@ -264,7 +271,7 @@ class FactorizedRelation:
         """Keep only the named keys (columns absent from the schema
         project to empty, as a triplegroup projection would drop them)."""
         if cost.SIZE_CACHE_ENABLED:
-            cache = self.__dict__.get("_projections")
+            cache = self._projections
             if cache is None:
                 cache = {}
                 object.__setattr__(self, "_projections", cache)
@@ -294,7 +301,7 @@ class FactorizedRelation:
         ``tests/ntga/test_factorized.py`` pins both directions).
         """
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_size")
+            cached = self._size
             if cached is not None:
                 return cached
         estimate_size = cost.estimate_size
@@ -367,7 +374,7 @@ def _compatible(left: dict, right_items: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RowFactor:
     """A final-join output kept as (base row × candidate parts).
 
@@ -383,10 +390,11 @@ class RowFactor:
 
     base: tuple[tuple[Variable, Term], ...]
     parts: tuple[tuple[tuple[tuple[Variable, Term], ...], ...], ...] = ()
+    _size: int | None = cache_slot()
 
     def estimated_size(self) -> int:
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_size")
+            cached = self._size
             if cached is not None:
                 return cached
         estimate_size = cost.estimate_size

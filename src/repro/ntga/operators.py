@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.query_model import AggregateSpec, PropKey, StarPattern
+from repro.core.query_model import AggregateSpec, PropKey, StarPattern, prop_key
 from repro.errors import PlanningError
 from repro.ntga.triplegroup import JoinedTripleGroup, JoinPlan, TripleGroup
 from repro.rdf.terms import IRI, Term, Variable
@@ -87,7 +87,7 @@ def optional_group_filter(
         if constraints:
             kept = []
             for triple in projected.triples:
-                key = PropKey(triple.property)
+                key = prop_key(triple.property)
                 required = constraints.get(key)
                 if required is not None and triple.object != required:
                     continue

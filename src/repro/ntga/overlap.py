@@ -134,6 +134,36 @@ def _join_structure_compatible(
     return mapped_edges1 == set(edges2)
 
 
+def _backtrack(
+    pattern1: GraphPattern,
+    pattern2: GraphPattern,
+    candidates: list[list[int]],
+    assignment: list[int],
+    used: set[int],
+) -> StarCorrespondence | None:
+    """Extend *assignment* (GP2 star per GP1 star, so far) to a full,
+    join-compatible bijection.  A module-level function on purpose: a
+    recursive closure refers to itself through its own cell, a cycle that
+    strands both patterns until a collection finds them."""
+    index = len(assignment)
+    if index == len(candidates):
+        pairs = tuple(assignment)
+        if _join_structure_compatible(pattern1, pattern2, pairs):
+            return StarCorrespondence(pairs)
+        return None
+    for option in candidates[index]:
+        if option in used:
+            continue
+        used.add(option)
+        assignment.append(option)
+        result = _backtrack(pattern1, pattern2, candidates, assignment, used)
+        if result is not None:
+            return result
+        assignment.pop()
+        used.discard(option)
+    return None
+
+
 def find_correspondence(
     pattern1: GraphPattern, pattern2: GraphPattern
 ) -> StarCorrespondence | None:
@@ -152,29 +182,7 @@ def find_correspondence(
     ]
     if any(not options for options in candidates):
         return None
-
-    assignment: list[int] = []
-    used: set[int] = set()
-
-    def backtrack(index: int) -> StarCorrespondence | None:
-        if index == n:
-            pairs = tuple(assignment)
-            if _join_structure_compatible(pattern1, pattern2, pairs):
-                return StarCorrespondence(pairs)
-            return None
-        for option in candidates[index]:
-            if option in used:
-                continue
-            used.add(option)
-            assignment.append(option)
-            result = backtrack(index + 1)
-            if result is not None:
-                return result
-            assignment.pop()
-            used.discard(option)
-        return None
-
-    return backtrack(0)
+    return _backtrack(pattern1, pattern2, candidates, [], set())
 
 
 def patterns_overlap(pattern1: GraphPattern, pattern2: GraphPattern) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from repro import ambient, obs
-from repro.core.query_model import PropKey, StarPattern
+from repro.core.query_model import PropKey, StarPattern, prop_key
 from repro.errors import PlanningError
 from repro.mapreduce import cost
 from repro.mapreduce.hdfs import HDFS
@@ -35,7 +35,7 @@ from repro.ntga.triplegroup import (
     group_by_subject,
 )
 from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Term, Variable, term_sort_key
+from repro.rdf.terms import IRI, Literal, Term, Variable, cache_slot, term_sort_key
 from repro.rdf.triples import RDF_TYPE
 from repro.sparql.aggregates import UNBOUND, accumulator_factory, make_accumulator
 from repro.sparql.expressions import evaluate_filter, expression_variables, term_value
@@ -392,7 +392,7 @@ def _presence_mask(
     checks = []
     for key, bit in bits.items():
         column, only = schema.column_for(key)
-        if column >= 0 and key != PropKey(RDF_TYPE):
+        if column >= 0 and key != prop_key(RDF_TYPE):
             checks.append((column, only, bit))
     if not checks:
         return None
@@ -755,19 +755,20 @@ def build_alpha_join_job(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AggRow:
     """An aggregated-triplegroup record on HDFS."""
 
     subquery_id: int
     row: tuple[tuple[Variable, Term], ...]
+    _size: int | None = cache_slot()
 
     def as_dict(self) -> dict[Variable, Term]:
         return dict(self.row)
 
     def estimated_size(self) -> int:
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_size")
+            cached = self._size
             if cached is not None:
                 return cached
         size = 4 + sum(cost.estimate_size(v) + cost.estimate_size(t) for v, t in self.row)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.query_model import PropKey, StarPattern, prop_key_of
+from repro.core.query_model import PropKey, StarPattern, prop_key, prop_key_of
 from repro.errors import ReproError
 from repro.mapreduce import cost
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Term, Variable, cache_slot
 from repro.rdf.triples import RDF_TYPE, Triple
 
 
@@ -42,12 +42,20 @@ def _split_prop_keys(
     return plain, typed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleGroup:
     """Triples sharing one subject."""
 
     subject: Term
     triples: tuple[Triple, ...]
+    # Memos, pinned on first use (``object.__setattr__``); the last is
+    # :meth:`FactorizedRelation.from_triplegroup`'s, kept on its source.
+    _props: frozenset | None = cache_slot()
+    _objects: dict | None = cache_slot()
+    _projections: dict | None = cache_slot()
+    _size: int | None = cache_slot()
+    _fsize: int | None = cache_slot()
+    _factorized: dict | None = cache_slot()
 
     #: A flat group has no column schema (a class constant, not a field):
     #: how expansion tells it from a
@@ -73,15 +81,15 @@ class TripleGroup:
         group); :func:`repro.perf.reference_mode` disables the memo.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_props")
+            cached = self._props
             if cached is not None:
                 return cached
         keys = set()
         for triple in self.triples:
             if triple.property == RDF_TYPE:
-                keys.add(PropKey(triple.property, triple.object))
+                keys.add(prop_key(triple.property, triple.object))
             else:
-                keys.add(PropKey(triple.property))
+                keys.add(prop_key(triple.property))
         result = frozenset(keys)
         if cost.SIZE_CACHE_ENABLED:
             object.__setattr__(self, "_props", result)
@@ -94,7 +102,7 @@ class TripleGroup:
         once per star pattern, re-scanning the triple list each time.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cache = self.__dict__.get("_objects")
+            cache = self._objects
             if cache is None:
                 cache = {}
                 object.__setattr__(self, "_objects", cache)
@@ -125,7 +133,7 @@ class TripleGroup:
         memos accumulate instead of being rebuilt for each fresh copy.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cache = self.__dict__.get("_projections")
+            cache = self._projections
             if cache is None:
                 cache = {}
                 object.__setattr__(self, "_projections", cache)
@@ -153,7 +161,7 @@ class TripleGroup:
         instance; disabled in :func:`repro.perf.reference_mode`.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_size")
+            cached = self._size
             if cached is not None:
                 return cached
         estimate_size = cost.estimate_size
@@ -178,7 +186,7 @@ class TripleGroup:
         that price the ``"auto"`` representation choice.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_fsize")
+            cached = self._fsize
             if cached is not None:
                 return cached
         estimate_size = cost.estimate_size
@@ -200,7 +208,7 @@ class TripleGroup:
         return iter(self.triples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinedTripleGroup:
     """A match of (part of) a composite graph pattern.
 
@@ -213,6 +221,8 @@ class JoinedTripleGroup:
 
     components: tuple[tuple[int, TripleGroup], ...]
     fixed: tuple[tuple[Variable, Term], ...] = ()
+    _props: frozenset | None = cache_slot()
+    _size: int | None = cache_slot()
 
     def component(self, star_index: int) -> TripleGroup | None:
         for index, group in self.components:
@@ -227,7 +237,7 @@ class JoinedTripleGroup:
         immutable once built.
         """
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_props")
+            cached = self._props
             if cached is not None:
                 return cached
         keys: frozenset[PropKey] = frozenset()
@@ -250,7 +260,7 @@ class JoinedTripleGroup:
 
     def estimated_size(self) -> int:
         if cost.SIZE_CACHE_ENABLED:
-            cached = self.__dict__.get("_size")
+            cached = self._size
             if cached is not None:
                 return cached
         size = sum(group.estimated_size() for _, group in self.components)

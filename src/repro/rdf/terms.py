@@ -12,12 +12,14 @@ from typing import Union
 
 from repro.errors import RDFError
 
-#: Hidden per-instance cache slot shared by the term dataclasses below.
-#: Terms are immutable value objects, so derived values (serialized-size
-#: estimates, interned sort keys) are computed once and pinned to the
-#: instance; the field is excluded from __init__/__repr__/__eq__/__hash__
-#: so the public value semantics are unchanged.  See docs/performance.md.
-def _cache_slot():
+#: Hidden per-instance cache slot: the one memo idiom of every frozen,
+#: slotted record type (the terms below, triples, triplegroups, factorized
+#: relations, aggregated rows).  They are immutable value objects, so derived
+#: values (serialized-size estimates, interned sort keys, property-key sets)
+#: are computed once and pinned to the instance with ``object.__setattr__``;
+#: the field is excluded from __init__/__repr__/__eq__/__hash__ so the
+#: public value semantics are unchanged.  See docs/performance.md.
+def cache_slot():
     return field(default=None, init=False, repr=False, compare=False)
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
@@ -48,9 +50,9 @@ class IRI:
     """An IRI reference, e.g. ``IRI("http://example.org/p1")``."""
 
     value: str
-    _size: int | None = _cache_slot()
-    _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
+    _size: int | None = cache_slot()
+    _skey: tuple | None = cache_slot()
+    _hash: int | None = cache_slot()
 
     def __post_init__(self) -> None:
         if not self.value:
@@ -76,9 +78,9 @@ class BNode:
     """A blank node with a local label, e.g. ``BNode("b0")``."""
 
     label: str
-    _size: int | None = _cache_slot()
-    _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
+    _size: int | None = cache_slot()
+    _skey: tuple | None = cache_slot()
+    _hash: int | None = cache_slot()
 
     def __post_init__(self) -> None:
         if not self.label:
@@ -102,9 +104,9 @@ class Literal:
     lexical: str
     datatype: str | None = None
     language: str | None = None
-    _size: int | None = _cache_slot()
-    _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
+    _size: int | None = cache_slot()
+    _skey: tuple | None = cache_slot()
+    _hash: int | None = cache_slot()
 
     def __post_init__(self) -> None:
         if self.datatype is not None and self.language is not None:
@@ -175,9 +177,9 @@ class Variable:
     """A SPARQL query variable, e.g. ``Variable("price")`` for ``?price``."""
 
     name: str
-    _size: int | None = _cache_slot()
-    _skey: tuple | None = _cache_slot()
-    _hash: int | None = _cache_slot()
+    _size: int | None = cache_slot()
+    _skey: tuple | None = cache_slot()
+    _hash: int | None = cache_slot()
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import RDFError
@@ -13,6 +13,7 @@ from repro.rdf.terms import (
     Term,
     TermOrVar,
     Variable,
+    cache_slot,
     is_concrete,
 )
 
@@ -32,8 +33,8 @@ class Triple:
     #: Lazily-computed serialized-size estimate (see repro.mapreduce.cost)
     #: and memoized hash; hidden from __init__/__repr__/__eq__/__hash__
     #: like the term caches.
-    _size: int | None = field(default=None, init=False, repr=False, compare=False)
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _size: int | None = cache_slot()
+    _hash: int | None = cache_slot()
 
     def __post_init__(self) -> None:
         if isinstance(self.subject, Literal):

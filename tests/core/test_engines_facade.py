@@ -1,10 +1,13 @@
 """Tests for the public facade (run_query / run_all_engines / coercions)."""
 
+import gc
+
 import pytest
 
 from repro import run_all_engines, run_query
-from repro.core.engines import make_engine, to_analytical
+from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
 from repro.core.query_model import AnalyticalQuery
+from repro.core.results import EngineConfig
 from repro.errors import PlanningError
 from repro.sparql.parser import parse_query
 from tests.conftest import MG1_STYLE_QUERY, canonical_rows
@@ -55,3 +58,27 @@ def test_readme_quickstart_shape(bsbm_small):
     sparql = get_query("MG1").sparql
     assert run_query(sparql, bsbm_small, engine="rapid-analytics").cycles == 3
     assert run_query(sparql, bsbm_small, engine="hive-naive").cycles == 9
+
+
+@pytest.mark.parametrize("qid", ["MG1", "MG2", "MG3", "MG4"])
+@pytest.mark.parametrize(
+    "engine, knobs",
+    [(engine, {}) for engine in PAPER_ENGINES] + [("rapid-analytics", {"shards": 2})],
+    ids=[*PAPER_ENGINES, "rapid-analytics-2-shards"],
+)
+def test_a_query_leaves_no_cyclic_garbage(engine, knobs, qid, bsbm_small):
+    """What a query allocates dies by reference count: nothing is left
+    for the collector, which therefore need not look (DESIGN.md §5).  A
+    recursive closure in the overlap check used to strand both graph
+    patterns of every multi-grouping query."""
+    from repro.bench.catalog import get_query
+
+    sparql, config = get_query(qid).sparql, EngineConfig(**knobs)
+    run_query(sparql, bsbm_small, engine=engine, config=config)  # fill the caches
+    gc.collect()
+    gc.disable()
+    try:
+        run_query(sparql, bsbm_small, engine=engine, config=config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

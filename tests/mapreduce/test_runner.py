@@ -1,20 +1,28 @@
 """Unit and property tests for the MapReduce runner."""
 
+import gc
 from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MapReduceError
+from repro.errors import MapReduceError, TaskFailedError, WorkflowAbortedError
+from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.cost import ClusterConfig
+from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner
 
 
-def make_runner(hdfs=None, **cluster_kwargs):
-    return MapReduceRunner(hdfs or HDFS(), ClusterConfig(**cluster_kwargs))
+def make_runner(hdfs=None, fault_plan=None, recovery=None, **cluster_kwargs):
+    return MapReduceRunner(
+        hdfs or HDFS(),
+        ClusterConfig(**cluster_kwargs),
+        fault_plan=fault_plan,
+        recovery=recovery,
+    )
 
 
 def wordcount_job(combiner=False):
@@ -242,6 +250,160 @@ class TestWorkflow:
         stats = make_runner(hdfs).run_workflow([wordcount_job()])
         assert stats.counters["mr_cycles"] == 1
         assert stats.counters["map_input_records"] == 2
+
+
+# -- the collector's scope -------------------------------------------------------
+#
+# ``run_workflow`` sets the heap it did not allocate aside (``gc.freeze``)
+# for as long as it runs and puts it back (``gc.unfreeze``) however it
+# ends; the collector itself is never switched off.
+
+
+def probe_job(seen, name="probe", inputs=("in",), output="out"):
+    """A map-only job whose mapper notes the collector's state."""
+
+    def mapper(record):
+        seen.append((gc.get_freeze_count(), gc.isenabled()))
+        return [record]
+
+    return MapReduceJob(name=name, inputs=inputs, output=output, mapper=mapper)
+
+
+def probed_hdfs():
+    hdfs = HDFS()
+    hdfs.write("in", ["a", "b", "a"])
+    return hdfs
+
+
+def jobs_observed(monkeypatch):
+    """Note the collector's state at the start of every executed job."""
+    seen = []
+    execute = MapReduceRunner._execute_job
+
+    def observed(self, job, counters, span):
+        seen.append((gc.get_freeze_count(), gc.isenabled()))
+        return execute(self, job, counters, span)
+
+    monkeypatch.setattr(MapReduceRunner, "_execute_job", observed)
+    return seen
+
+
+@pytest.fixture
+def thawed():
+    """The suite runs on a thawed heap and leaves it thawed."""
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    yield
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+
+class TestCollectorScope:
+    def test_a_mapper_sees_the_older_heap_frozen_and_the_collector_on(self, thawed):
+        seen = []
+        make_runner(probed_hdfs()).run_workflow([probe_job(seen)])
+        assert len(seen) == 3
+        assert all(frozen > 0 and enabled for frozen, enabled in seen)
+
+    def test_a_job_run_on_its_own_is_not_scoped(self, thawed):
+        """The scope belongs to the workflow loop, its one call site."""
+        seen = []
+        make_runner(probed_hdfs()).run_job(probe_job(seen))
+        assert seen and all(frozen == 0 and enabled for frozen, enabled in seen)
+
+    def test_thawed_after_a_task_failure(self, thawed):
+        plan = FaultPlan(seed=11, task_failure_rate=0.97, max_attempts=1)
+        seen = []
+        with pytest.raises(TaskFailedError):
+            make_runner(probed_hdfs(), fault_plan=plan).run_workflow([probe_job(seen)])
+        assert seen and all(frozen > 0 for frozen, _ in seen)
+
+    def test_thawed_after_the_recovery_budget_is_exhausted(self, thawed):
+        plan = FaultPlan(seed=1, task_failure_rate=0.97, max_attempts=1)
+        seen = []
+        runner = make_runner(
+            probed_hdfs(), fault_plan=plan, recovery=RecoveryPolicy(max_resubmissions=1)
+        )
+        with pytest.raises(WorkflowAbortedError):
+            runner.run_workflow([probe_job(seen)])
+        # Both submissions ran inside the one scope.
+        assert len(seen) == 6 and all(frozen > 0 for frozen, _ in seen)
+
+    def test_a_nested_workflow_does_not_thaw_the_outer_one(self, thawed):
+        hdfs = probed_hdfs()
+        runner = make_runner(hdfs)
+        seen = []
+
+        def submit(jobs, stats):
+            runner.run_workflow([probe_job(seen, "inner", output="mid")])
+            seen.append("inner returned")
+            runner._submit(jobs, stats)
+
+        runner.run_workflow([probe_job(seen, "outer", ("mid",))], submit=submit)
+        after_inner = seen[seen.index("inner returned") + 1 :]
+        assert len(after_inner) == 3
+        assert all(frozen > 0 and enabled for frozen, enabled in after_inner)
+
+    def test_an_embedders_own_freeze_is_neither_added_to_nor_released(self):
+        assert gc.get_freeze_count() == 0
+        gc.collect()
+        gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            # Allocated after the embedder's freeze: a freeze by the
+            # workflow would move these into the permanent generation.
+            ballast = [[] for _ in range(20_000)]
+            seen = []
+            make_runner(probed_hdfs()).run_workflow([probe_job(seen)])
+            after = gc.get_freeze_count()
+            # Nothing but ``gc.freeze`` adds to the count; frozen objects
+            # that die in between leave it.
+            assert seen and all(0 < frozen <= before for frozen, _ in seen)
+            assert before - 1_000 < after <= before
+            del ballast
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize(
+        "engine, knobs",
+        [
+            ("rapid-analytics", {}),
+            ("rapid-analytics", {"shards": 2}),
+            ("hive-naive", {}),
+            ("hive-mqo", {}),
+        ],
+        ids=["ntga", "sharded", "hive-naive", "hive-mqo"],
+    )
+    def test_every_engines_jobs_run_inside_the_scope(
+        self, engine, knobs, bsbm_small, monkeypatch, thawed
+    ):
+        from repro.bench.catalog import get_query
+        from repro.core.engines import run_query
+        from repro.core.results import EngineConfig
+
+        seen = jobs_observed(monkeypatch)
+        report = run_query(
+            get_query("MG1").sparql, bsbm_small, engine=engine, config=EngineConfig(**knobs)
+        )
+        assert len(seen) >= report.cycles > 0
+        assert all(frozen > 0 and enabled for frozen, enabled in seen)
+
+    def test_served_jobs_run_inside_the_scope(self, chem_tiny, monkeypatch, thawed):
+        from repro.bench.harness import chem_config
+        from repro.serve import OK, QueryService, ServiceConfig
+        from repro.serve.workload import WorkloadSpec, workload_requests
+
+        seen = jobs_observed(monkeypatch)
+        requests = workload_requests(
+            WorkloadSpec(seeds=1, clients=2, mix="chem-overlap", requests=6), seed=7
+        )
+        service = QueryService(chem_tiny, ServiceConfig(engine_config=chem_config()))
+        assert all(response.status == OK for response in service.serve(requests))
+        assert seen and all(frozen > 0 and enabled for frozen, enabled in seen)
+
+    def test_a_cli_command_leaves_the_heap_thawed(self, capsys, thawed):
+        from repro.cli import main
+
+        assert main(["run", "MG1", "--dataset", "bsbm", "--preset", "tiny"]) == 0
+        capsys.readouterr()
 
 
 # -- property tests ------------------------------------------------------------

@@ -5,11 +5,14 @@
 strategies and check against oracles written the slow, obvious way.
 """
 
+import copy
+
 from hypothesis import strategies as st
 
 from repro.core.query_model import PropKey, StarPattern, prop_key_of
 from repro.ntga.factorized import FactorizedRelation, schema_for
 from repro.ntga.triplegroup import TripleGroup
+from repro.perf import reference_mode
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import RDF_TYPE, Triple, TriplePattern
 
@@ -19,6 +22,39 @@ PT = IRI("urn:PT1")
 
 def tg(subject, *pairs):
     return TripleGroup(subject, tuple(Triple(subject, p, o) for p, o in pairs))
+
+
+# ---------------------------------------------------------------------------
+# The memo contract of the frozen, slotted record types
+# ---------------------------------------------------------------------------
+
+
+def memo_slots(record):
+    """The hidden cache slots of *record* and what each holds."""
+    return {name: getattr(record, name) for name in type(record).__slots__ if name[0] == "_"}
+
+
+def assert_memos_stay_hidden(make, fill, value=lambda record: record):
+    """*make* builds a fresh record, *fill* calls every memoized method
+    on one.  No instance ever grows a ``__dict__``; a record with every
+    memo filled still compares, hashes, prints and deep-copies like a
+    cold one (by *value*, for a class that compares by identity); and
+    under ``reference_mode()`` no memo slot is written."""
+    cold, warm = make(), make()
+    assert not hasattr(cold, "__dict__")
+    assert all(memo is None for memo in memo_slots(warm).values())
+    fill(warm)
+    assert not hasattr(warm, "__dict__")
+    assert all(memo is not None for memo in memo_slots(warm).values()), memo_slots(warm)
+    assert value(warm) == value(cold) and hash(value(warm)) == hash(value(cold))
+    assert repr(warm) == repr(cold)
+    clone = copy.deepcopy(warm)
+    assert value(clone) == value(cold) and repr(clone) == repr(cold)
+    assert not hasattr(clone, "__dict__")
+    with reference_mode():
+        fresh = make()
+        fill(fresh)
+        assert all(memo is None for memo in memo_slots(fresh).values()), memo_slots(fresh)
 
 
 # ---------------------------------------------------------------------------

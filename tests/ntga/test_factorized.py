@@ -23,6 +23,7 @@ from repro.ntga.factorized import (
     REPRESENTATIONS,
     FactorizedRelation,
     RowFactor,
+    StarSchema,
     _compatible,
     active_representation,
     ambient_representation,
@@ -33,6 +34,7 @@ from repro.ntga.factorized import (
 from repro.ntga.triplegroup import TripleGroup, star_solutions
 from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import RDF_TYPE, Triple, TriplePattern
+from tests.ntga.strategies import assert_memos_stay_hidden
 
 SUBJECT = IRI("urn:s")
 
@@ -163,6 +165,45 @@ class TestRdfType:
         )
         assert projected.objects_for(PropKey(IRI("urn:p1"))) == ()
         assert len(projected) == 2
+
+
+class TestMemos:
+    """One memo idiom: hidden slots on frozen records (DESIGN.md §7.3)."""
+
+    P0, P1 = PropKey(IRI("urn:p0")), PropKey(IRI("urn:p1"))
+
+    def test_factorized_relation(self):
+        def make():
+            return FactorizedRelation(
+                SUBJECT,
+                schema_for(frozenset({self.P0, self.P1})),
+                ((IRI("urn:a"), IRI("urn:b")), (IRI("urn:c"),)),
+            )
+
+        def fill(fact):
+            fact.props()
+            fact.project(frozenset({self.P0}))
+            fact.estimated_size()
+
+        # A deep copy's schema is a copy too, and schemas compare by identity.
+        assert_memos_stay_hidden(
+            make, fill, value=lambda fact: (fact.subject, fact.schema.keys, fact.columns)
+        )
+
+    def test_star_schema(self):
+        # Built directly: ``schema_for`` would hand back the one instance.
+        assert_memos_stay_hidden(
+            lambda: StarSchema((self.P0, self.P1)),
+            lambda schema: schema.position(self.P1),
+            value=lambda schema: schema.keys,
+        )
+
+    def test_row_factor(self):
+        x, y = Variable("x"), Variable("y")
+        assert_memos_stay_hidden(
+            lambda: RowFactor(((x, IRI("urn:a")),), ((((y, IRI("urn:b")),),),)),
+            lambda factor: factor.estimated_size(),
+        )
 
 
 def _variables(names):

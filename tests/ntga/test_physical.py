@@ -505,6 +505,45 @@ def test_residual_filter_hashes_only_its_own_variables(bsbm_two_sizes):
     assert 0 < grown <= 2 * filter_variables * (large_solutions - small_solutions)
 
 
+# The same rule for property keys: keys are interned (``prop_key``), so
+# the subset tests of σ^γopt and α find theirs by identity.  A Python-
+# level ``PropKey.__eq__`` is a plan-time event.
+
+
+def prop_key_comparisons(sparql, graph, representation):
+    """Python-level ``PropKey.__eq__`` calls of one cold run (layouts
+    derived, every ``props()`` set built), and the records it read."""
+    calls = 0
+    plain_eq = PropKey.__eq__
+
+    def counting_eq(key, other):
+        nonlocal calls
+        calls += 1
+        return plain_eq(key, other)
+
+    with patch.object(PropKey, "__eq__", counting_eq):
+        report = run_query(
+            sparql,
+            graph,
+            engine="rapid-analytics",
+            config=EngineConfig(representation=representation),
+        )
+    return calls, report.stats.counters["map_input_records"]
+
+
+@pytest.mark.parametrize("representation", ["flat", "factorized"])
+def test_prop_keys_are_compared_by_identity_per_record(representation):
+    small, large = (
+        bsbm.generate(bsbm.BSBMConfig(products=products, vendors=8, offers_per_product=2))
+        for products in (100, 400)
+    )
+    sparql = CATALOG["MG1"].sparql
+    small_calls, small_records = prop_key_comparisons(sparql, small, representation)
+    large_calls, large_records = prop_key_comparisons(sparql, large, representation)
+    assert large_records > 3 * small_records  # the data did grow
+    assert large_calls == small_calls <= 64
+
+
 class TestEmptyGroupRows:
     def test_rollup_defaults(self, composite):
         rows = empty_group_rows(composite)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.query_model import PropKey, StarPattern
+from repro.core.query_model import PropKey, StarPattern, prop_key_of
 from repro.errors import ReproError
+from repro.ntga.factorized import FactorizedRelation, schema_for
 from repro.ntga.triplegroup import (
     JoinedTripleGroup,
     JoinPlan,
@@ -18,7 +19,15 @@ from repro.ntga.triplegroup import (
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import Triple, TriplePattern
 from tests.ntga import strategies
-from tests.ntga.strategies import PT, TY, decoded, naive_joined, naive_star, tg
+from tests.ntga.strategies import (
+    PT,
+    TY,
+    assert_memos_stay_hidden,
+    decoded,
+    naive_joined,
+    naive_star,
+    tg,
+)
 
 S1 = IRI("urn:s1")
 PF, PC = IRI("urn:pf"), IRI("urn:pc")
@@ -56,6 +65,65 @@ class TestTripleGroup:
         two = tg(S1, (PF, IRI("urn:f1")), (PF, IRI("urn:f2")))
         # Adding a triple grows size by less than a full triple (subject shared).
         assert two.estimated_size() - one.estimated_size() < one.estimated_size()
+
+
+class TestMemos:
+    """One memo idiom: hidden slots on frozen records (DESIGN.md §7.3)."""
+
+    def test_triplegroup(self):
+        keys = frozenset({PropKey(PF), PropKey(TY, PT)})
+
+        def fill(group):
+            group.props()
+            group.objects_for(PropKey(PF))
+            group.project(keys)
+            group.estimated_size()
+            group.factorized_size()
+            FactorizedRelation.from_triplegroup(group, schema_for(keys))
+
+        assert_memos_stay_hidden(
+            lambda: tg(S1, (TY, PT), (PF, IRI("urn:f1")), (PC, Literal("5"))), fill
+        )
+
+    def test_joined_triplegroup(self):
+        def fill(joined):
+            joined.props()
+            joined.estimated_size()
+
+        assert_memos_stay_hidden(
+            lambda: JoinedTripleGroup(
+                ((0, tg(S1, (PF, IRI("urn:f1")))), (1, tg(IRI("urn:s2"), (PC, Literal("5"))))),
+                ((Variable("j"), IRI("urn:f1")),),
+            ),
+            fill,
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_prop_key_a_record_reports_is_the_interned_one(data):
+    """``props()`` of a group, of its projections and of its factorized
+    form hold *the* key ``prop_key_of`` hands the planner, so the subset
+    tests between them are identity hits; a key built by hand is another
+    instance that still equals it."""
+    star = data.draw(strategies.stars())
+    group = data.draw(strategies.groups(star))
+    fact = strategies.factorized(data.draw, star, group)
+    some = frozenset(sorted(group.props(), key=str)[:2])
+    records = [
+        group,
+        group.project(star.props()),
+        group.project(some),
+        fact,
+        fact.project(some),
+        JoinedTripleGroup(((0, group), (1, fact))),
+    ]
+    reported = [key for record in records for key in record.props()]
+    for key in reported + list(fact.schema.keys) + list(star.props()):
+        obj = Variable("o") if key.type_object is None else key.type_object
+        assert key is prop_key_of(TriplePattern(Variable("s"), key.property, obj))
+        twin = PropKey(key.property, key.type_object)
+        assert twin is not key and twin == key and hash(twin) == hash(key)
 
 
 def test_group_by_subject():

@@ -7,15 +7,19 @@ on first call, on repeat calls (cache hits), and across structurally
 equal copies.
 """
 
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.query_model import PropKey
 from repro.mapreduce import cost
 from repro.mapreduce.cost import _reference_estimate_size, estimate_size
 from repro.ntga.triplegroup import JoinedTripleGroup, TripleGroup
 from repro.perf import reference_mode
 from repro.rdf.terms import BNode, IRI, Literal, Variable
 from repro.rdf.triples import Triple
+from tests.ntga.strategies import assert_memos_stay_hidden
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -117,6 +121,32 @@ def test_structurally_equal_triplegroups_report_equal_sizes(group):
     assert group == copy
     assert copy.estimated_size() == group.estimated_size()
     assert copy.props() == group.props()
+
+
+def test_agg_row_pins_its_size_in_a_hidden_slot():
+    from repro.ntga.physical import AggRow
+
+    assert_memos_stay_hidden(
+        lambda: AggRow(1, ((Variable("n"), Literal("3")),)),
+        lambda row: row.estimated_size(),
+    )
+
+
+def test_a_prop_key_carries_no_instance_dict():
+    assert not hasattr(PropKey(IRI("urn:p")), "__dict__")
+
+
+def test_no_record_memo_goes_through_an_instance_dict():
+    """The memo idiom is a declared slot (``rdf.terms.cache_slot``);
+    probing ``__dict__`` is what used to materialise one per record."""
+    src = Path(cost.__file__).resolve().parents[1]
+    offenders = [
+        str(path.relative_to(src))
+        for package in ("ntga", "core")
+        for path in sorted((src / package).rglob("*.py"))
+        if "__dict__" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
 
 
 def test_mutable_estimated_size_objects_are_never_cached():
@@ -267,7 +297,7 @@ def test_alpha_join_pins_sizes_equal_to_the_reference_derivation(left, right, re
     )
 
     def assert_pinned(record):
-        pinned = record.__dict__["_size"]
+        pinned = record._size
         with reference_mode():
             assert record.estimated_size() == pinned
 
