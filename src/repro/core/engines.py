@@ -120,9 +120,11 @@ def run_query(
     resubmission budget is exhausted.
     """
     config = _with_faults(config, faults, recovery)
+    # Resolved first: an unknown engine is unknown, not "unshardable".
+    executor = make_engine(engine)
     check_supported(engine, config)
     with obs.span("query", "query", {"qid": "query"}):
-        return make_engine(engine).execute(to_analytical(query), graph, config)
+        return executor.execute(to_analytical(query), graph, config)
 
 
 def run_all_engines(
@@ -136,10 +138,11 @@ def run_all_engines(
     """Run the same query on several engines (the paper's comparisons)."""
     analytical = to_analytical(query)
     config = _with_faults(config, faults, recovery)
+    executors = {name: make_engine(name) for name in engines}
     for name in engines:
         check_supported(name, config)
     with obs.span("query", "query", {"qid": "query"}):
         return {
-            name: make_engine(name).execute(analytical, graph, config)
-            for name in engines
+            name: executor.execute(analytical, graph, config)
+            for name, executor in executors.items()
         }

@@ -116,19 +116,12 @@ class EngineConfig:
 SHARD_CAPABLE_ENGINES = ("rapid-plus", "rapid-analytics")
 
 
-def check_supported(
-    engine: str, config: EngineConfig | None, batch: bool = False
-) -> None:
-    """Reject a combination of engine, config and (MQO) batch execution
-    that would otherwise be silently ignored — the one place such a
-    combination is declared unsupported."""
+def check_supported(engine: str, config: EngineConfig | None) -> None:
+    """Reject a combination of engine and config that would otherwise be
+    silently ignored — the one place such a combination is declared
+    unsupported."""
     if config is None or not config.sharded:
         return
-    if batch:
-        raise ShardError(
-            "MQO batch execution does not support sharded execution yet; "
-            "run the queries solo with shards > 1 or batch them unsharded"
-        )
     if engine not in SHARD_CAPABLE_ENGINES:
         known = ", ".join(SHARD_CAPABLE_ENGINES)
         raise ShardError(

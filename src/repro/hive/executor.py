@@ -42,24 +42,19 @@ from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
 from repro.ntga.composite import CanonicalSubquery, build_composite_n
-from repro.ntga.physical import AggRow
-from repro.ntga.planner import build_multi_file_result_join
+from repro.ntga.engine import deliver_rows
+from repro.ntga.physical import AggRow, finish_group, merge_partials
+from repro.ntga.planner import build_result_join
 from repro.hive.tables import VPStore
-from repro.rdf.terms import IRI, Literal, Term, Variable
+from repro.rdf.terms import IRI, Term, Variable
 from repro.rdf.triples import TriplePattern
-from repro.sparql.aggregates import UNBOUND, AccumulatorTuple
+from repro.sparql.aggregates import AccumulatorTuple
 from repro.sparql.expressions import (
     Expression,
     evaluate_filter,
     expression_variables,
     term_value,
 )
-
-
-def _to_term(value: object) -> Term:
-    if isinstance(value, (IRI, Literal)):
-        return value
-    return Literal.from_python(value)  # type: ignore[arg-type]
 
 
 def _compatible_merge(left: Row, right: Row) -> Row | None:
@@ -586,52 +581,31 @@ class HiveExecutor:
                 accumulator.update(value.value if isinstance(value, IRI) else value)
             yield key, bundle
 
-        def combiner(key: tuple, values: list) -> Iterable[tuple[tuple, AccumulatorTuple]]:
-            merged = values[0]
-            for value in values[1:]:
-                merged.merge(value)
-            yield key, merged
-
         def reducer(key: tuple, values: list) -> Iterable[AggRow]:
-            merged = values[0]
-            for value in values[1:]:
-                merged.merge(value)
-            row: list[tuple[Variable, Term]] = []
-            for variable, term in zip(output_group_by, key):
-                if term is not None:
-                    row.append((variable, term))
-            for accumulator, agg in zip(merged.accumulators, aggregates):
-                result = accumulator.result()
-                if result is UNBOUND:
-                    continue
-                row.append((agg.alias, _to_term(result)))
-            if having is not None and not evaluate_filter(having, dict(row)):
-                return
-            yield AggRow(0, tuple(row))
+            ((_, merged),) = merge_partials(key, values)
+            row = finish_group(
+                0, output_group_by, key, merged.accumulators, aggregates, having
+            )
+            if row is not None:
+                yield row
 
         job = MapReduceJob(
             name=f"{self.prefix}:{label}:group-by",
             inputs=(rows_path,),
             output=output,
             mapper=mapper,
-            combiner=combiner,
+            combiner=merge_partials,
             reducer=reducer,
             labels=("group-by",),
         )
         path = self._run(job)
         if not group_by and not self.hdfs.read(path).records:
             # SPARQL's GROUP-BY-ALL default row over empty input.
-            defaults: list[tuple[Variable, Term]] = []
-            for func, distinct, agg in (
-                (a.func, a.distinct, a) for a in aggregates
-            ):
-                from repro.sparql.aggregates import make_accumulator
-
-                result = make_accumulator(func, distinct).result()
-                if result is not UNBOUND:
-                    defaults.append((agg.alias, _to_term(result)))
-            if having is None or evaluate_filter(having, dict(defaults)):
-                self.hdfs.write(path, [AggRow(0, tuple(defaults))])
+            default = finish_group(
+                0, (), (), AccumulatorTuple.fresh(agg_specs).accumulators, aggregates, having
+            )
+            if default is not None:
+                self.hdfs.write(path, [default])
         return path
 
     # -- DISTINCT extraction (MQO phase 2a) -----------------------------------------
@@ -925,11 +899,11 @@ class HiveExecutor:
         if len(agg_outputs) == 1 and not query.outer_extends:
             return agg_outputs[0]
         output = f"{self.prefix}/result"
-        job = build_multi_file_result_join(
-            name=f"{self.prefix}:final-combination",
-            query=query,
-            agg_outputs=agg_outputs,
-            output=output,
+        job = build_result_join(
+            f"{self.prefix}:final-combination",
+            query,
+            [(path, None) for path in agg_outputs],
+            output,
         )
         self._run(job)
         return output
@@ -942,17 +916,4 @@ class HiveExecutor:
             final = self._run_naive(query)
         else:
             final = self._run_mqo(query)
-        projection = set(query.projection)
-        rows: list[Row] = []
-        for record in self.hdfs.read(final).records:
-            if isinstance(record, AggRow):
-                rows.append({v: t for v, t in record.as_dict().items() if v in projection})
-            elif isinstance(record, dict):
-                rows.append(record)
-        if query.distinct:
-            from repro.ntga.engine import deduplicate_rows
-
-            rows = deduplicate_rows(rows)
-        from repro.core.reference import apply_result_modifiers
-
-        return apply_result_modifiers(query, rows), final
+        return deliver_rows(self.hdfs, query, final), final

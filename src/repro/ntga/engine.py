@@ -10,7 +10,7 @@ from typing import Callable, Iterator
 from repro import ambient, obs
 from repro.ambient import PLANNER
 from repro.core.query_model import AnalyticalQuery
-from repro.core.results import EngineConfig, ExecutionReport, Row, check_supported
+from repro.core.results import EngineConfig, ExecutionReport, Row
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
 from repro.ntga.factorized import (
@@ -20,44 +20,39 @@ from repro.ntga.factorized import (
 )
 from repro.ntga.physical import AggRow, TripleGroupStore, load_triplegroups
 from repro.ntga.planner import (
-    BatchPlan,
     NTGAPlan,
-    _to_term,
+    finish_answer,
     inject_default_rows,
     plan_batch,
     plan_rapid_analytics,
     plan_rapid_plus,
 )
 from repro.rdf.graph import Graph
-from repro.sparql.expressions import (
-    ExpressionError,
-    evaluate as evaluate_expression,
-)
 
 Planner = Callable[[AnalyticalQuery, TripleGroupStore], NTGAPlan]
 
 
-def _collect_output(
+def deliver_rows(
     hdfs: HDFS,
-    path: str,
     query: AnalyticalQuery,
+    path: str,
     subquery_id: int | None = None,
 ) -> list[Row]:
-    """Read one query's answers from *path* and apply DISTINCT plus the
-    result modifiers.  ``subquery_id`` selects a single id's rows out of
-    a shared (batch) agg file; None accepts every aggregated row, the
-    solo-plan shape.
+    """Answer delivery, for every engine: read *query*'s answers from
+    *path*, project aggregated rows, apply DISTINCT and the result
+    modifiers.  ``subquery_id`` selects a single id's rows out of a
+    shared agg file (:func:`repro.ntga.planner.build_result_join`'s
+    source convention); None accepts every aggregated row.
 
-    This is answer delivery: factorized final-join outputs
+    Factorized result-join outputs
     (:class:`~repro.ntga.factorized.RowFactor`) are enumerated here —
     and only here — then get the outer SELECT's expression extensions
     and projection that the flat TG_Join mapper would have applied
     before materializing."""
-    records = hdfs.read(path).records
     rows: list[Row] = []
     projection = set(query.projection)
     extends = query.outer_extends
-    for record in records:
+    for record in hdfs.read(path).records:
         if isinstance(record, AggRow):
             if subquery_id is not None and record.subquery_id != subquery_id:
                 continue
@@ -66,16 +61,7 @@ def _collect_output(
             )
         elif isinstance(record, RowFactor):
             for merged in record.rows():
-                for alias, expression in extends:
-                    try:
-                        merged[alias] = _to_term(
-                            evaluate_expression(expression, merged)
-                        )
-                    except ExpressionError:
-                        pass
-                rows.append(
-                    {v: t for v, t in merged.items() if v in projection}
-                )
+                rows.append(finish_answer(merged, extends, projection))
         elif isinstance(record, dict):
             rows.append(record)
     if query.distinct:
@@ -86,7 +72,7 @@ def _collect_output(
 
 
 def _collect_rows(hdfs: HDFS, plan: NTGAPlan, query: AnalyticalQuery) -> list[Row]:
-    return _collect_output(hdfs, plan.final_output, query)
+    return deliver_rows(hdfs, query, *plan.outputs[0])
 
 
 def deduplicate_rows(rows: list[Row]) -> list[Row]:
@@ -102,7 +88,7 @@ def deduplicate_rows(rows: list[Row]) -> list[Row]:
 
 
 def run_plan(
-    plan: NTGAPlan | BatchPlan,
+    plan: NTGAPlan,
     runner: MapReduceRunner,
     store: TripleGroupStore,
     graph: Graph,
@@ -115,8 +101,8 @@ def run_plan(
     ledger-committed; ``run_workflow`` handles checkpoint/resume).
 
     A sharded config swaps in :class:`ShardedExecutor`'s versions of
-    the same calls and gathers the final output's parts at the end;
-    the sequence is the same.
+    the same calls and gathers the parts of every file an answer is
+    read from at the end; the sequence is the same.
     """
     split = plan.split_index
     sharded = config.sharded
@@ -133,7 +119,8 @@ def run_plan(
     if split < len(plan.jobs):
         stats = run(plan.jobs[split:], stats=stats)
     if sharded:
-        executor.gather(plan.final_output)
+        for path in dict.fromkeys(path for path, _ in plan.outputs):
+            executor.gather(path)
     return runner.finalize(stats)
 
 
@@ -141,10 +128,10 @@ def run_plan(
 def _driven(
     name: str,
     attrs: dict,
-    make_plan: Callable[[TripleGroupStore], NTGAPlan | BatchPlan],
+    make_plan: Callable[[TripleGroupStore], NTGAPlan],
     graph: Graph,
     config: EngineConfig,
-) -> Iterator[tuple[HDFS, TripleGroupStore, NTGAPlan | BatchPlan, WorkflowStats]]:
+) -> Iterator[tuple[HDFS, TripleGroupStore, NTGAPlan, WorkflowStats]]:
     """The one execution driver behind :meth:`NTGAEngine.execute` and
     :func:`execute_batch`: load the triplegroups, plan under the
     config's representation, record the plan on its span, run it.  The
@@ -284,15 +271,14 @@ def execute_batch(
     triplegroup load, one composite plan over every query's subqueries
     (:func:`repro.ntga.planner.plan_batch`), shared α-join + fused
     TG_AgJ cycles run once, then per-query map-only split joins — with
-    the same empty-group default injection, fault-plan, and checkpointed
-    recovery semantics as a solo run (the split joins continue the same
-    :class:`~repro.mapreduce.runner.WorkflowStats`).
+    the same empty-group default injection, fault-plan, checkpointed
+    recovery and sharding semantics as a solo run (the split joins
+    continue the same :class:`~repro.mapreduce.runner.WorkflowStats`).
 
     Raises :class:`~repro.errors.OverlapError` when the queries' graph
     patterns do not all overlap; callers fall back to solo execution.
     """
     config = config or EngineConfig()
-    check_supported("rapid-analytics", config, batch=True)
     with _driven(
         "mqo-batch",
         {"engine": "rapid-analytics", "queries": len(queries)},
@@ -304,8 +290,8 @@ def execute_batch(
             engine="rapid-analytics",
             queries=list(queries),
             rows_by_query=[
-                _collect_output(hdfs, path, query, subquery_id)
-                for query, (path, subquery_id) in zip(queries, plan.outputs)
+                deliver_rows(hdfs, query, *output)
+                for query, output in zip(queries, plan.outputs)
             ],
             stats=stats,
             plan=[job.name for job in plan.jobs],

@@ -37,8 +37,19 @@ from repro.ntga.triplegroup import (
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, Variable, cache_slot, term_sort_key
 from repro.rdf.triples import RDF_TYPE
-from repro.sparql.aggregates import UNBOUND, accumulator_factory, make_accumulator
-from repro.sparql.expressions import evaluate_filter, expression_variables, term_value
+from repro.sparql.aggregates import (
+    UNBOUND,
+    Accumulator,
+    AccumulatorTuple,
+    accumulator_factory,
+    make_accumulator,
+)
+from repro.sparql.expressions import (
+    Expression,
+    evaluate_filter,
+    expression_variables,
+    term_value,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -777,15 +788,49 @@ class AggRow:
         return size
 
 
-# Shuffle value for TG_AgJ: one accumulator per aggregation (shared with
-# the Hive engines — both model mapper-side hash partial aggregation).
-from repro.sparql.aggregates import AccumulatorTuple  # noqa: E402  (placed here for reading order)
-
-
-def _to_term(value: object) -> Term:
+def to_term(value: object) -> Term:
+    """An aggregate's or expression's python result as an RDF term."""
     if isinstance(value, (IRI, Literal)):
         return value
     return Literal.from_python(value)  # type: ignore[arg-type]
+
+
+def merge_partials(
+    key: tuple, values: list[AccumulatorTuple]
+) -> Iterable[tuple[tuple, AccumulatorTuple]]:
+    """The grouping combiner of the NTGA and Hive engines alike — both
+    model mapper-side hash partial aggregation, one accumulator per
+    aggregation as the shuffle value: a group's partials merged into the
+    first."""
+    merged = values[0]
+    for value in values[1:]:
+        merged.merge(value)
+    yield key, merged
+
+
+def finish_group(
+    subquery_id: int,
+    group_vars: tuple[Variable, ...],
+    group_key: tuple,
+    accumulators: Iterable[Accumulator],
+    aggregates: tuple,
+    having: Expression | None,
+) -> AggRow | None:
+    """One finished group as an :class:`AggRow`: its bound group
+    variables, then each aggregate's result under its alias (an unbound
+    result leaves the alias out); None when HAVING rejects the group."""
+    row = [
+        (variable, term)
+        for variable, term in zip(group_vars, group_key)
+        if term is not None
+    ]
+    for accumulator, agg in zip(accumulators, aggregates):
+        result = accumulator.result()
+        if result is not UNBOUND:
+            row.append((agg.alias, to_term(result)))
+    if having is not None and not evaluate_filter(having, dict(row)):
+        return None
+    return AggRow(subquery_id, tuple(row))
 
 
 def build_agg_join_job(
@@ -894,12 +939,6 @@ def build_agg_join_job(
                     AccumulatorTuple(accumulators),
                 )
 
-    def combiner(key: tuple, values: list) -> Iterable[tuple[tuple, AccumulatorTuple]]:
-        merged = values[0]
-        for value in values[1:]:
-            merged.merge(value)
-        yield key, merged
-
     subquery_by_id = {sq.subquery_id: sq for sq in subqueries}
 
     def reducer(key: tuple, values: list) -> Iterable[AggRow]:
@@ -912,27 +951,23 @@ def build_agg_join_job(
         merged = values[0].copy()
         for value in values[1:]:
             merged.merge(value)
-        row: list[tuple[Variable, Term]] = []
-        for variable, term in zip(subquery.output_group_by, group_key):
-            if term is not None:
-                row.append((variable, term))
-        for accumulator, agg in zip(merged.accumulators, subquery.aggregates):
-            result = accumulator.result()
-            if result is UNBOUND:
-                continue
-            row.append((agg.alias, _to_term(result)))
-        if subquery.having is not None and not evaluate_filter(
-            subquery.having, dict(row)
-        ):
-            return
-        yield AggRow(subquery_id, tuple(row))
+        row = finish_group(
+            subquery_id,
+            subquery.output_group_by,
+            group_key,
+            merged.accumulators,
+            subquery.aggregates,
+            subquery.having,
+        )
+        if row is not None:
+            yield row
 
     return MapReduceJob(
         name=name,
         inputs=inputs,
         output=output,
         mapper=mapper,
-        combiner=combiner,
+        combiner=merge_partials,
         reducer=reducer,
         labels=("TG_AgJ",),
         representation=representation,
@@ -946,20 +981,16 @@ def empty_group_rows(plan: CompositePlan) -> list[AggRow]:
     injects these default rows (COUNT=0, SUM=0) to preserve reference
     semantics for roll-up subqueries.
     """
-    rows = []
-    for subquery in plan.subqueries:
-        if subquery.group_by:
-            continue
-        row: list[tuple[Variable, Term]] = []
-        for agg in subquery.aggregates:
-            accumulator = make_accumulator(agg.func, agg.distinct)
-            result = accumulator.result()
-            if result is UNBOUND:
-                continue
-            row.append((agg.alias, _to_term(result)))
-        if subquery.having is not None and not evaluate_filter(
-            subquery.having, dict(row)
-        ):
-            continue
-        rows.append(AggRow(subquery.subquery_id, tuple(row)))
-    return rows
+    rows = (
+        finish_group(
+            subquery.subquery_id,
+            (),
+            (),
+            [make_accumulator(agg.func, agg.distinct) for agg in subquery.aggregates],
+            subquery.aggregates,
+            subquery.having,
+        )
+        for subquery in plan.subqueries
+        if not subquery.group_by
+    )
+    return [row for row in rows if row is not None]

@@ -47,12 +47,7 @@ from repro.ntga.composite import (
     single_pattern_plan,
 )
 from repro.ntga.physical import derive_join_steps, shared_prefilters
-from repro.ntga.planner import (
-    NTGAPlan,
-    build_multi_file_result_join,
-    plan_rapid_analytics,
-    plan_rapid_plus,
-)
+from repro.ntga.planner import NTGAPlan, plan_rapid_analytics, plan_rapid_plus
 from repro.plan.cardinality import CardinalityEstimator, StarEstimate
 from repro.rdf.stats import GraphStats
 
@@ -670,24 +665,7 @@ def build_candidate(
     if name == "sequential":
         return plan_rapid_plus(query, store)
     if name.startswith("sequential:stream="):
-        streamed = int(name.split("=", 1)[1])
-        plan = plan_rapid_plus(query, store)
-        if plan.final_join_index is not None and streamed:
-            agg_outputs = [path for _composite, path in plan.defaults_by_plan]
-            rotated = (agg_outputs[streamed],) + tuple(
-                path
-                for index, path in enumerate(agg_outputs)
-                if index != streamed
-            )
-            plan.jobs[plan.final_join_index] = build_multi_file_result_join(
-                name="rp:final-join",
-                query=query,
-                agg_outputs=rotated,
-                output=plan.final_output,
-                representation=plan.representation,
-            )
-            plan.description += f"; final join streams subquery {streamed}"
-        return plan
+        return plan_rapid_plus(query, store, streamed=int(name.split("=", 1)[1]))
     raise PlanningError(f"unknown candidate plan {name!r}")
 
 

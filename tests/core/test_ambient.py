@@ -192,9 +192,11 @@ def test_check_supported_is_the_one_combination_validator():
     check_supported("rapid-plus", EngineConfig(shards=2))
     with pytest.raises(ShardError, match="does not support sharded"):
         check_supported("hive-naive", EngineConfig(partitioner="hash"))
-    with pytest.raises(ShardError, match="batch"):
-        check_supported("rapid-analytics", EngineConfig(shards=2), batch=True)
-    check_supported("rapid-analytics", EngineConfig(), batch=True)
+    # Engine x config is all there is to validate: a merged MQO batch is
+    # an NTGA plan like any other, so "batch" is not a dimension.
+    import inspect
+
+    assert list(inspect.signature(check_supported).parameters) == ["engine", "config"]
 
 
 # -- the spec grammar -----------------------------------------------------------
@@ -346,3 +348,18 @@ def test_spec_and_knob_logic_is_not_re_implemented():
         if re.search(r"^def validate_(representation|planner|partitioner)\b", text, re.MULTILINE)
     ]
     assert (tokenizers, validators) == ([], [])
+
+
+def test_there_is_one_plan_shape():
+    """A solo query is a batch of one (DESIGN.md, "One plan shape"): the
+    second plan record, the two result-join builders it needed and the
+    batch x shards fence stay deleted."""
+    gone = re.compile(
+        r"BatchPlan|build_final_join_job|build_multi_file_result_join|batch=True"
+    )
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if gone.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro.bench.catalog import CATALOG
 from repro.core.query_model import parse_analytical
+from repro.errors import OverlapError
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
-from repro.ntga.planner import plan_rapid_analytics, plan_rapid_plus
+from repro.ntga.planner import (
+    build_result_join,
+    plan_batch,
+    plan_rapid_analytics,
+    plan_rapid_plus,
+)
+from repro.plan.ab import DEFAULT_QUERIES as PLANNER_AB_QUERIES
+from repro.plan.enumerator import build_candidate
 
 
 @pytest.fixture
@@ -207,3 +216,143 @@ class TestPlanBatch:
         assert one.outputs == two.outputs
         assert one.split_index == two.split_index
         assert one.description == two.description
+
+
+def shape(plan):
+    """What a plan asks the runner to do, job for job."""
+    return [
+        (job.name, job.inputs, job.side_inputs, job.output, job.labels)
+        for job in plan.jobs
+    ]
+
+
+@pytest.fixture(scope="module")
+def catalog_stores(bsbm_small, chem_tiny, pubmed_tiny):
+    graphs = {"bsbm": bsbm_small, "chem": chem_tiny, "pubmed": pubmed_tiny}
+    return {name: load_triplegroups(graph, HDFS()) for name, graph in graphs.items()}
+
+
+class TestOnePlanShape:
+    """A solo query is a batch of one; every result join is one builder
+    (DESIGN.md, "One plan shape")."""
+
+    @pytest.mark.parametrize("qid", sorted(CATALOG))
+    def test_a_solo_plan_is_the_batch_of_one(self, qid, catalog_stores):
+        query = parse_analytical(CATALOG[qid].sparql)
+        store = catalog_stores[CATALOG[qid].dataset]
+        solo = plan_rapid_analytics(query, store)
+        try:
+            batch = plan_batch([query], store, prefix="ra")
+        except OverlapError:
+            assert shape(solo) == shape(plan_rapid_plus(query, store, prefix="ra"))
+            return
+        assert shape(solo) == shape(batch)
+        assert (solo.outputs, solo.split_index, solo.description) == (
+            batch.outputs,
+            batch.split_index,
+            batch.description,
+        )
+        assert solo.merged_ids == [tuple(range(len(query.subqueries)))]
+        # Solo views of the record: where the answers are, and the cut.
+        assert solo.final_output == solo.outputs[0][0]
+        assert solo.final_join_index == (
+            solo.split_index if shape(solo)[-1][-1] == ("TG_Join",) else None
+        )
+
+    OUTER_BIND = """
+    PREFIX ex: <http://ex.org/>
+    SELECT ?f ?avg {
+      { SELECT ?f (SUM(?pr) AS ?s) (COUNT(?pr) AS ?c) {
+          ?p a ex:PT1 ; ex:feature ?f .
+          ?o ex:product ?p ; ex:price ?pr .
+        } GROUP BY ?f
+      }
+    }
+    """.replace("?f ?avg {", "?f (?s / ?c AS ?avg) {")
+
+    #: What is charged must not move: a shared TG_AgJ file is side-loaded
+    #: even when it is also the stream (so the fused plan reads its agg
+    #: file twice, which ``plan.enumerator`` prices on purpose); a whole
+    #: file only when it is not the stream.
+    RESULT_JOIN_SHAPES = {
+        "fused two-id": (
+            [("agg", 0), ("agg", 1)], ("agg",), ("agg",)
+        ),
+        "single id + outer BIND": (
+            [("agg", 0)], ("agg",), ("agg",)
+        ),
+        "unfused ablation": (
+            [("agg0", 0), ("agg1", 1)], ("agg0",), ("agg0", "agg1")
+        ),
+        "whole files, streamed=0": (
+            [("sq0", None), ("sq1", None), ("sq2", None)], ("sq0",), ("sq1", "sq2")
+        ),
+        "whole files, streamed=1": (
+            [("sq1", None), ("sq0", None), ("sq2", None)], ("sq1",), ("sq0", "sq2")
+        ),
+    }
+
+    @pytest.mark.parametrize("label", RESULT_JOIN_SHAPES)
+    def test_result_join_inputs_per_source_shape(self, label, mg1_style_query):
+        sources, inputs, side_inputs = self.RESULT_JOIN_SHAPES[label]
+        job = build_result_join(
+            "join", parse_analytical(mg1_style_query), sources, "result"
+        )
+        assert (job.inputs, job.side_inputs) == (inputs, side_inputs)
+        assert job.is_map_only and job.labels == ("TG_Join",)
+
+    def test_the_planners_hand_the_result_join_those_shapes(
+        self, store, mg1_style_query
+    ):
+        mg1 = parse_analytical(mg1_style_query)
+        planned = {
+            "fused two-id": plan_rapid_analytics(mg1, store),
+            "single id + outer BIND": plan_rapid_analytics(
+                parse_analytical(self.OUTER_BIND), store
+            ),
+            "unfused ablation": plan_rapid_analytics(
+                mg1, store, fuse_aggregations=False
+            ),
+            "whole files, streamed=0": plan_rapid_plus(mg1, store),
+            "whole files, streamed=1": plan_rapid_plus(mg1, store, streamed=1),
+        }
+        joins = {
+            label: (plan.jobs[plan.final_join_index].inputs,
+                    plan.jobs[plan.final_join_index].side_inputs)
+            for label, plan in planned.items()
+        }
+        assert joins == {
+            "fused two-id": (("ra/agg",), ("ra/agg",)),
+            "single id + outer BIND": (("ra/agg",), ("ra/agg",)),
+            "unfused ablation": (("ra/agg0",), ("ra/agg0", "ra/agg1")),
+            "whole files, streamed=0": (("rp/sq0/agg",), ("rp/sq1/agg",)),
+            "whole files, streamed=1": (("rp/sq1/agg",), ("rp/sq0/agg",)),
+        }
+
+    @pytest.mark.parametrize("qid", PLANNER_AB_QUERIES)
+    def test_streamed_rapid_plus_is_the_rotated_final_join(self, qid, catalog_stores):
+        """``sequential:stream=k`` used to be job surgery on a finished
+        plan: the final join cut out and one that streams file *k* and
+        side-loads the rest, in order, spliced in."""
+        query = parse_analytical(CATALOG[qid].sparql)
+        store = catalog_stores["bsbm"]
+        base = plan_rapid_plus(query, store)
+        files = [path for _plan, path in base.defaults_by_plan]
+        assert len(files) > 1
+        for streamed in range(len(files)):
+            plan = plan_rapid_plus(query, store, streamed=streamed)
+            assert shape(plan)[:-1] == shape(base)[:-1]
+            assert shape(plan)[-1] == (
+                "rp:final-join",
+                (files[streamed],),
+                tuple(path for path in files if path != files[streamed]),
+                "rp/result",
+                ("TG_Join",),
+            )
+            assert plan.description == base.description + (
+                f"; final join streams subquery {streamed}" if streamed else ""
+            )
+            name = f"sequential:stream={streamed}" if streamed else "sequential"
+            candidate = build_candidate(query, store, name)
+            assert shape(candidate) == shape(plan)
+            assert candidate.description == plan.description

@@ -3,18 +3,19 @@ and the small pure helpers the driver leans on.
 
 These are the contracts the differential suite does not exercise — the
 facade's refusal to hand a sharded config to an engine that would
-silently ignore it, the MQO batch guard, the ``--shards`` spec parser,
-the per-shard cluster slicing, and the EXPLAIN sharding section.
+silently ignore it (or to one that does not exist), the ``--shards``
+spec parser, the per-shard cluster slicing, and the EXPLAIN sharding
+section.
 """
 
 import pytest
 from dataclasses import replace
 
 from repro.bench.catalog import get_query
-from repro.core.engines import run_query, to_analytical
+from repro.core.engines import run_all_engines, run_query, to_analytical
 from repro.core.explain import explain, explain_report
 from repro.core.results import EngineConfig
-from repro.errors import ShardError
+from repro.errors import PlanningError, ShardError
 from repro.mapreduce.cost import ClusterConfig
 from repro.shard.ab import parse_shard_spec, rows_digest
 from repro.shard.execution import shard_cluster
@@ -27,7 +28,7 @@ def mg1(bsbm_small):
 
 
 class TestFacadeGuards:
-    @pytest.mark.parametrize("engine", ["sparql-reference", "hive-baseline"])
+    @pytest.mark.parametrize("engine", ["reference", "hive-naive", "hive-mqo"])
     def test_non_ntga_engines_reject_sharded_configs(self, engine, mg1):
         query, graph = mg1
         with pytest.raises(ShardError, match="does not support sharded"):
@@ -36,8 +37,15 @@ class TestFacadeGuards:
     def test_partitioner_alone_triggers_the_guard(self, mg1):
         query, graph = mg1
         with pytest.raises(ShardError, match="sharding is available on"):
-            run_query(
-                query, graph, "sparql-reference", EngineConfig(partitioner="hash")
+            run_query(query, graph, "reference", EngineConfig(partitioner="hash"))
+
+    def test_an_unknown_engine_is_diagnosed_as_unknown(self, mg1):
+        query, graph = mg1
+        with pytest.raises(PlanningError, match=r"unknown engine .* \(known: "):
+            run_query(query, graph, "no-such-engine", EngineConfig(shards=2))
+        with pytest.raises(PlanningError, match="unknown engine"):
+            run_all_engines(
+                query, graph, EngineConfig(shards=2), engines=("rapid-plus", "nope")
             )
 
     def test_ntga_engines_accept_sharded_configs(self, mg1):
@@ -45,12 +53,16 @@ class TestFacadeGuards:
         report = run_query(query, graph, "rapid-plus", EngineConfig(shards=2))
         assert report.rows
 
-    def test_batch_execution_rejects_sharded_configs(self, mg1):
+    def test_batch_execution_runs_sharded(self, mg1):
+        """A merged batch is a plan like any other: the sharded driver
+        runs it (``tests/integration/test_shard_differential.py`` has the
+        generated matrix)."""
         from repro.ntga.engine import execute_batch
 
         query, graph = mg1
-        with pytest.raises(ShardError, match="batch"):
-            execute_batch([query, query], graph, EngineConfig(shards=2))
+        solo = run_query(query, graph).rows
+        batch = execute_batch([query, query], graph, EngineConfig(shards=2))
+        assert batch.rows_by_query == [solo, solo]
 
 
 class TestShardSpecParser:
