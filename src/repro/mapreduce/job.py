@@ -63,6 +63,13 @@ class MapReduceJob:
     #: the CostModel's ``exchange_rate`` and surfaced as its own phase
     #: in the cost decomposition.  Zero on unsharded runs.
     exchange_bytes: int = 0
+    #: The byte volume of this job's shuffle, when its submitter has
+    #: already sized every pair the mapper will emit (the sharded
+    #: driver's assemble jobs re-emit envelopes it sized at the wrap).
+    #: Must equal what the runner would compute; consumed like
+    #: ``HDFS.write``'s ``raw_hint`` and ignored with the caches off,
+    #: where the runner recomputes the volume -- the tests' reference.
+    shuffle_bytes_hint: int | None = None
     #: Per-job cluster override: sharded execution runs each shard's
     #: jobs on a slice of the global cluster (``nodes // shards``), so
     #: per-shard parallelism — and therefore cost — reflects the

@@ -38,6 +38,7 @@ from repro.mapreduce.checkpoint import (
     RecoveryStats,
     fingerprint_inputs,
 )
+from repro.mapreduce import cost
 from repro.mapreduce.cost import (
     ClusterConfig,
     CostModel,
@@ -278,10 +279,12 @@ def _sort_shuffle(
     # multiplied by its multiplicity — arithmetic identical to
     # the seed's per-pair sum (equal keys have value-derived,
     # hence equal, sizes).
-    shuffle_bytes = sum(
-        estimate_size(key) * len(values) + estimate_total_size(values)
-        for key, values in by_key.items()
-    )
+    shuffle_bytes = job.shuffle_bytes_hint
+    if shuffle_bytes is None or not cost.SIZE_CACHE_ENABLED:
+        shuffle_bytes = sum(
+            estimate_size(key) * len(values) + estimate_total_size(values)
+            for key, values in by_key.items()
+        )
     counters.increment("shuffle_bytes", shuffle_bytes)
     counters.increment("reduce_input_records", len(shuffle_pairs))
     return by_key, shuffle_bytes

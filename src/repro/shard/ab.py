@@ -47,16 +47,19 @@ def parse_shard_spec(spec: str) -> tuple[int, tuple[str, ...]]:
     ``"N,strategy"`` (one strategy).  Raises :class:`ShardError` on
     malformed input — the CLI turns that into a one-line exit-2
     diagnostic, like ``--faults``."""
-    head, _, tail = spec.partition(",")
+    malformed = ShardError(
+        f"malformed --shards spec {spec!r}: expected N or N,strategy"
+    )
+    head, comma, tail = spec.partition(",")
     try:
         shards = int(head)
     except ValueError:
-        raise ShardError(
-            f"malformed --shards spec {spec!r}: expected N or N,strategy"
-        ) from None
+        raise malformed from None
+    if comma and (not tail.strip() or "," in tail):
+        raise malformed
     if shards < 1:
         raise ShardError(f"--shards count must be >= 1, got {shards}")
-    if not tail:
+    if not comma:
         return shards, PARTITIONERS
     return shards, (validate_partitioner(tail.strip()),)
 

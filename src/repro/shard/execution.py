@@ -35,6 +35,14 @@ jobs run on a ``nodes // N`` slice of the cluster, and each expansion
 group credits ``sum(costs) - max(costs)`` back as overlap (shards run
 concurrently; only the slowest is on the critical path).
 
+**Accounting.**  Every simulated byte is what ``estimate_size`` of the
+decoded record says, but the driver sizes each emission once, where it
+wraps it: the envelope carries its part-file size and its weight in the
+assemble job's shuffle, the exchange sums the latter into the job's
+``shuffle_bytes_hint``, and the store's parts are a cached layout of
+``(graph.version, strategy, shards)`` written with ``raw_hint``.  With
+the caches off (``reference_mode()``) everything is recomputed.
+
 **Recovery.**  A sharded run is one submission to
 :meth:`~repro.mapreduce.runner.MapReduceRunner.run_workflow`'s retry
 loop: per-shard jobs checkpoint-commit individually, exchange files are
@@ -45,8 +53,8 @@ committed jobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from dataclasses import replace
+from typing import Any
 
 from repro import ambient, obs
 from repro.core.results import EngineConfig
@@ -67,13 +75,12 @@ from repro.shard.partition import Partition, build_partition
 _ENVELOPE_OVERHEAD = 12
 
 
-@dataclass(slots=True)
 class ShardRecord:
     """One sharded record: a payload plus its global order tag.
 
-    Immutable by convention, not ``frozen``: a sharded pass wraps every
-    record it moves, and a frozen dataclass pays one
-    ``object.__setattr__`` per field per instance.
+    Immutable by convention.  Hand-slotted, not a dataclass: a sharded
+    pass wraps every record it moves, and whoever wraps one usually
+    knows its sizes already, so the constructor takes the pins.
 
     Tags are tuples built so that sorting a logical file's records by
     tag across all parts reproduces the unsharded file's record order:
@@ -85,13 +92,37 @@ class ShardRecord:
     append-at-end.
     """
 
-    order: tuple
-    payload: Any
-    #: Size pin (hidden from __init__/__repr__/__eq__ like the term caches).
-    _size: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("order", "payload", "_size", "_wire", "_order_size")
+
+    def __init__(
+        self,
+        order: tuple,
+        payload: Any,
+        size: int | None = None,
+        wire: int | None = None,
+    ):
+        self.order = order
+        self.payload = payload
+        #: File-size pin: ``estimate_size(payload) + _ENVELOPE_OVERHEAD``
+        #: (hidden from repr and equality like the term caches).
+        self._size = size
+        #: Wire-size pin of a partial ``(key, value)`` emission: what the
+        #: pair weighs in its assemble job's shuffle, where it travels as
+        #: ``(key, (order, value))``.  ``None`` off the exchange path.
+        self._wire = wire
+        self._order_size: int | None = None
+
+    def __repr__(self) -> str:
+        return f"ShardRecord(order={self.order!r}, payload={self.payload!r})"
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not ShardRecord:
+            return NotImplemented
+        return self.order == other.order and self.payload == other.payload
 
     def estimated_size(self) -> int:
-        """Payload size plus the envelope charge, sized once and pinned
+        """Payload size plus the envelope charge, sized once -- by the
+        wrapper that built the envelope, else on first call -- and pinned
         like :class:`~repro.ntga.physical.AggRow`: the same envelope is
         sized for its partial-output write, the exchange's cross-shard
         tally and its exchange-file write.  The pin is sound because an
@@ -104,6 +135,15 @@ class ShardRecord:
         size = self._size
         if size is None:
             size = self._size = cost.estimate_size(self.payload) + _ENVELOPE_OVERHEAD
+        return size
+
+    def order_size(self) -> int:
+        """The order tag's size, pinned for the partial mapper that tags
+        each of this record's emissions with it (a store part's is read
+        by every query)."""
+        size = self._order_size
+        if size is None or not cost.SIZE_CACHE_ENABLED:
+            size = self._order_size = cost.estimate_size(self.order)
         return size
 
 
@@ -154,19 +194,39 @@ class ShardedExecutor:
     def _write_store_parts(self, store: TripleGroupStore) -> None:
         """Distribute the equivalence-class files: each shard's part
         holds the triplegroups whose subject it owns, tagged with the
-        group's position in the logical EC file."""
-        assignment = self.partition.assignment
+        group's position in the logical EC file.
+
+        The parts are a derived layout of ``(graph.version, strategy,
+        shards)``: built and sized once, kept on the partition (whose
+        lifetime is the graph's) and written with ``raw_hint`` by every
+        later query, which shares the envelopes.  With the caches off
+        they are rebuilt, and so re-sized, per query.
+        """
+        layout = self.partition.store_parts if cost.SIZE_CACHE_ENABLED else {}
         paths = sorted(store.paths_by_class.values())
         if store.empty_path:
             paths.append(store.empty_path)
         for path in paths:
-            records = self.hdfs.read(path).records
-            parts: list[list[ShardRecord]] = [[] for _ in range(self.shards)]
-            for position, group in enumerate(records):
-                shard = assignment[group.subject]
-                parts[shard].append(ShardRecord((position,), group))
+            entry = layout.get(path)
+            if entry is None:
+                entry = layout[path] = self._store_parts(self.hdfs.read(path).records)
+            parts, totals = entry
             for shard in range(self.shards):
-                self.hdfs.write(_part(path, shard), parts[shard])
+                self.hdfs.write(_part(path, shard), parts[shard], raw_hint=totals[shard])
+
+    def _store_parts(
+        self, groups: list[Any]
+    ) -> tuple[list[list[ShardRecord]], list[int]]:
+        """One EC file's per-shard envelope lists and their byte totals."""
+        assignment = self.partition.assignment
+        parts: list[list[ShardRecord]] = [[] for _ in range(self.shards)]
+        totals = [0] * self.shards
+        for position, group in enumerate(groups):
+            shard = assignment[group.subject]
+            size = cost.estimate_size(group) + _ENVELOPE_OVERHEAD
+            parts[shard].append(ShardRecord((position,), group, size))
+            totals[shard] += size
+        return parts, totals
 
     def gather(self, path: str, compressed: bool = False) -> None:
         """Merge a logical file's parts back into HDFS at *path* itself,
@@ -242,11 +302,32 @@ class ShardedExecutor:
         logical_mapper = job.mapper
         assert logical_mapper is not None
 
-        def partial_mapper(tagged: tuple[str, ShardRecord]) -> Iterable[ShardRecord]:
+        estimate_total_size = cost.estimate_total_size
+
+        def partial_mapper(tagged: tuple[str, ShardRecord]) -> list[ShardRecord]:
+            # Each emission is sized here, once, for both of its trips:
+            # into a part file (the pair plus the envelope charge) and
+            # through its assemble job's shuffle as (key, (order, value)).
             path, record = tagged
             slot = slot_of[path]
+            producer = record.order
+            # The tuples around key and value on the wire: 8 for
+            # (order, value), and for the order tag (slot, producer,
+            # index) 8 + 8 + |producer| + 8.
+            framing = 32 + record.order_size()
+            wrapped = []
             for index, emission in enumerate(logical_mapper(record.payload)):
-                yield ShardRecord((slot, record.order, index), emission)
+                # |key| + |value|: the sizes of the pair's two items.
+                pair = estimate_total_size(emission)
+                wrapped.append(
+                    ShardRecord(
+                        (slot, producer, index),
+                        emission,
+                        8 + pair + _ENVELOPE_OVERHEAD,
+                        pair + framing,
+                    )
+                )
+            return wrapped
 
         return [
             MapReduceJob(
@@ -262,13 +343,15 @@ class ShardedExecutor:
             for shard in range(self.shards)
         ]
 
-    def _exchange(self, job: MapReduceJob) -> list[int]:
+    def _exchange(self, job: MapReduceJob) -> tuple[list[int], list[int]]:
         """Route every partial emission to its key's owner shard.
 
         Writes one exchange file per owner (sorted by order tag, so the
         file bytes are a pure function of the partial outputs — stable
-        checkpoint fingerprints across re-submissions) and returns the
-        per-owner *cross-shard* byte volumes: the priced communication.
+        checkpoint fingerprints across re-submissions) and returns, per
+        owner, the *cross-shard* byte volume (the priced communication)
+        and the volume its assemble job will shuffle: the sum of the
+        wire sizes pinned at the wrap.
         """
         owner_for_key = self.partition.owner_for_key
         # Many emissions share a key (every solution of one group): each
@@ -276,6 +359,7 @@ class ShardedExecutor:
         owners: dict[Any, int] = {}
         per_owner: list[list[ShardRecord]] = [[] for _ in range(self.shards)]
         inbound_cross = [0] * self.shards
+        shuffle_bytes = [0] * self.shards
         cross_records = 0
         for shard in range(self.shards):
             for record in self.hdfs.read(_partial_out(job.output, shard)).records:
@@ -284,6 +368,7 @@ class ShardedExecutor:
                 if owner is None:
                     owner = owners[key] = owner_for_key(key)
                 per_owner[owner].append(record)
+                shuffle_bytes[owner] += record._wire
                 if owner != shard:
                     inbound_cross[owner] += record.estimated_size()
                     cross_records += 1
@@ -299,22 +384,27 @@ class ShardedExecutor:
                     "cross_shard_records": cross_records,
                 },
             )
-        return inbound_cross
+        return inbound_cross, shuffle_bytes
 
     def _assemble_jobs(
-        self, job: MapReduceJob, inbound_cross: list[int]
+        self,
+        job: MapReduceJob,
+        inbound_cross: list[int],
+        shuffle_bytes: list[int] | None = None,
     ) -> list[MapReduceJob]:
-        """N full jobs running the logical reducer over owned keys."""
+        """N full jobs running the logical reducer over owned keys;
+        *shuffle_bytes* is the exchange's per-owner shuffle volume, when
+        the exchange was just run."""
         logical_reducer = job.reducer
         assert logical_reducer is not None
 
         def assemble_mapper(
             record: ShardRecord,
-        ) -> Iterable[tuple[Any, tuple[tuple, Any]]]:
+        ) -> tuple[tuple[Any, tuple[tuple, Any]]]:
             key, value = record.payload
-            yield key, (record.order, value)
+            return ((key, (record.order, value)),)
 
-        def assemble_reducer(key: Any, tagged: list) -> Iterable[ShardRecord]:
+        def assemble_reducer(key: Any, tagged: list) -> list[ShardRecord]:
             # Tag order across shards is the unsharded emission order,
             # so the reducer sees exactly the single-cluster value list.
             tagged = sorted(tagged, key=lambda item: item[0])
@@ -323,8 +413,10 @@ class ShardedExecutor:
             # reducers never merge into their inputs (TG_AgJ copies first).
             values = [value for _, value in tagged]
             key_tag = _sort_key(key)
-            for index, emission in enumerate(logical_reducer(key, values)):
-                yield ShardRecord((0, key_tag, index), emission)
+            return [
+                ShardRecord((0, key_tag, index), emission)
+                for index, emission in enumerate(logical_reducer(key, values))
+            ]
 
         return [
             MapReduceJob(
@@ -336,6 +428,7 @@ class ShardedExecutor:
                 labels=job.labels + (f"shard:{shard}", "assemble"),
                 representation=job.representation,
                 exchange_bytes=inbound_cross[shard],
+                shuffle_bytes_hint=None if shuffle_bytes is None else shuffle_bytes[shard],
                 cluster=self.cluster,
             )
             for shard in range(self.shards)
@@ -358,9 +451,12 @@ class ShardedExecutor:
             def factory(side_data: dict[str, list[Any]]):
                 logical_mapper = job.resolve_mapper(side_data)
 
-                def partial_mapper(record: ShardRecord) -> Iterable[ShardRecord]:
-                    for index, emission in enumerate(logical_mapper(record.payload)):
-                        yield ShardRecord((record.order, index), emission)
+                def partial_mapper(record: ShardRecord) -> list[ShardRecord]:
+                    order = record.order
+                    return [
+                        ShardRecord((order, index), emission)
+                        for index, emission in enumerate(logical_mapper(record.payload))
+                    ]
 
                 return partial_mapper
 
@@ -401,8 +497,7 @@ class ShardedExecutor:
                 self._run_group(self._broadcast_jobs(job), stats)
                 continue
             self._run_group(self._partial_jobs(job), stats)
-            inbound_cross = self._exchange(job)
-            self._run_group(self._assemble_jobs(job, inbound_cross), stats)
+            self._run_group(self._assemble_jobs(job, *self._exchange(job)), stats)
 
     def run(
         self,

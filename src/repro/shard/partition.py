@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.ambient import PARTITIONER
 from repro.errors import ShardError
@@ -92,6 +93,12 @@ class Partition:
     #: out of all such edges in the graph.
     cut_edges: int
     total_edges: int
+    #: The sharded driver's store parts under this assignment, by
+    #: logical EC path (see ``ShardedExecutor._write_store_parts``).
+    #: Kept here so they live exactly as long as the partition does:
+    #: ``_PARTITION_CACHE``'s entry, weakly keyed by the graph and
+    #: replaced when ``graph.version`` moves.
+    store_parts: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def cut_fraction(self) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from repro.errors import SparqlEvaluationError
+from repro.mapreduce.cost import estimate_size
 
 Number = Union[int, float]
 
@@ -265,6 +266,7 @@ class AccumulatorTuple:
         return AccumulatorTuple([a.copy() for a in self.accumulators])
 
     def estimated_size(self) -> int:
-        from repro.mapreduce.cost import estimate_size
-
-        return 4 + sum(estimate_size(a.partial()) for a in self.accumulators)
+        size = 4
+        for accumulator in self.accumulators:
+            size += estimate_size(accumulator.partial())
+        return size

@@ -10,6 +10,8 @@ section.
 
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.catalog import get_query
 from repro.core.engines import run_all_engines, run_query, to_analytical
@@ -76,6 +78,38 @@ class TestShardSpecParser:
     def test_malformed_specs_raise(self, spec):
         with pytest.raises(ShardError):
             parse_shard_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["4,", "4, ", "4,hash,extra", "4,,hash", ",hash"])
+    def test_a_spec_off_the_grammar_is_malformed_not_defaulted(self, spec):
+        """A trailing comma used to run with the default partitioner and
+        a third field to be blamed on the partitioner's name."""
+        with pytest.raises(ShardError, match="malformed --shards spec .*: expected N or N,strategy"):
+            parse_shard_spec(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=12),
+            # Near misses: the grammar's own pieces, glued arbitrarily.
+            st.lists(
+                st.sampled_from(
+                    [",", " ", "0", "1", "4", "-", "+", "_", "hash", "locality",
+                     "min-edge-cut", "metis", "\u0664", "\n"]
+                ),
+                max_size=6,
+            ).map("".join),
+        )
+    )
+    def test_any_text_parses_to_a_valid_pair_or_a_shard_error(self, spec):
+        try:
+            shards, strategies = parse_shard_spec(spec)
+        except ShardError as error:
+            assert "\n" not in str(error)  # the CLI prints it on one line
+            return
+        assert type(shards) is int and shards >= 1
+        assert strategies and set(strategies) <= set(PARTITIONERS)
+        assert spec.count(",") <= 1
+        assert strategies == PARTITIONERS or len(strategies) == 1
 
 
 class TestShardCluster:
