@@ -1,7 +1,6 @@
 """Benchmark harness: workload catalog, experiment runners, reporting."""
 
 from repro.bench.ablations import (
-    AblationPoint,
     combiner_ablation,
     ec_pruning_ablation,
     mapjoin_threshold_sweep,
@@ -33,7 +32,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import render_cost_table, render_gains_table, render_io_table
 
 __all__ = [
-    "AblationPoint",
     "combiner_ablation",
     "ec_pruning_ablation",
     "mapjoin_threshold_sweep",

@@ -23,7 +23,7 @@ from repro.core.query_model import (
     parse_analytical,
     prop_key_of,
 )
-from repro.core.reference import ReferenceEngine, evaluate_analytical, evaluate_subquery
+from repro.core.reference import ReferenceEngine, evaluate_analytical
 from repro.core.results import EngineConfig, ExecutionReport, Row
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "StarPattern",
     "decompose_stars",
     "evaluate_analytical",
-    "evaluate_subquery",
     "from_select_query",
     "make_engine",
     "parse_analytical",

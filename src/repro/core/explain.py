@@ -156,11 +156,14 @@ def _render_choice(choice) -> str:
     lines = [f"planner ({choice.mode} mode): chose {choice.chosen!r}"]
     for candidate in choice.candidates:
         marker = "*" if candidate.name == choice.chosen else " "
-        status = "" if candidate.executable else ", informational"
         lines.append(
             f"  {marker} {candidate.name}: cost={candidate.total_cost:.3f}s "
-            f"({len(candidate.jobs)} cycles{status}) — {candidate.description}"
+            f"({len(candidate.jobs)} cycles) — {candidate.description}"
         )
+    lines.append(
+        "  (Hive plans are measured, not priced: explain --engine "
+        "hive-naive|hive-mqo, or repro compare)"
+    )
     if choice.star_estimates:
         lines.append("estimated cardinalities:")
         for star in choice.star_estimates:
@@ -288,48 +291,52 @@ def _decomposition_dict(query: AnalyticalQuery) -> dict:
     }
 
 
-def _estimated_vs_actual(choice, run: ExecutionReport) -> list[dict]:
-    """Per-cycle estimate/actual comparison, aligned by job name."""
-    chosen = choice.candidate(choice.chosen)
-    if chosen is None or run.stats is None:
+def estimated_vs_actual(run: ExecutionReport) -> list[dict]:
+    """Per-cycle estimate/actual comparison, read off the executed stats:
+    every job the cost planner priced ran with its estimate on it
+    (:meth:`WorkflowStats.priced_cycles`), so a rule-mode or Hive run
+    compares nothing.
+
+    A sharded run executes one priced cycle as ``parts`` per-shard jobs:
+    the cycle's actual cost is the sum over them, its actual rows what
+    the parts writing its logical output emitted -- the assemble jobs of
+    a full cycle (its partial jobs emit shuffle pairs), every broadcast
+    job of a map-only one; either way the parts of the estimate's own
+    kind."""
+    if run.stats is None:
         return []
-    actual_by_name = {job.name: job for job in run.stats.jobs}
-    comparison = []
-    for estimate in chosen.jobs:
-        actual = actual_by_name.get(estimate.name)
-        comparison.append(
-            {
-                "job": estimate.name,
-                "estimated_rows": round(estimate.output_rows, 3),
-                "actual_rows": actual.output_records if actual else None,
-                "estimated_cost": round(estimate.cost, 6),
-                "actual_cost": (
-                    round(actual.cost_seconds, 6) if actual else None
-                ),
-            }
-        )
-    return comparison
+    return [
+        {
+            "job": estimate.name,
+            "parts": len(parts),
+            "estimated_rows": round(estimate.output_rows, 3),
+            "actual_rows": sum(
+                part.output_records for part in parts if part.map_only == estimate.map_only
+            ),
+            "estimated_cost": round(estimate.cost, 6),
+            "actual_cost": round(sum(part.cost_seconds for part in parts), 6),
+        }
+        for estimate, parts in run.stats.priced_cycles()
+    ]
 
 
 def render_estimated_vs_actual(comparison: list[dict]) -> str:
     """Terminal table for the per-cycle estimate/actual comparison."""
     lines = [
         "estimated vs actual (per MR cycle):",
-        f"  {'job':28s} {'est rows':>10s} {'act rows':>10s} "
+        f"  {'job':28s} {'parts':>5s} {'est rows':>10s} {'act rows':>10s} "
         f"{'est cost':>10s} {'act cost':>10s}",
     ]
     for entry in comparison:
-        actual_rows = (
-            f"{entry['actual_rows']:10d}" if entry["actual_rows"] is not None else f"{'—':>10s}"
-        )
-        actual_cost = (
-            f"{entry['actual_cost']:9.3f}s"
-            if entry["actual_cost"] is not None
-            else f"{'—':>10s}"
-        )
         lines.append(
-            f"  {entry['job']:28s} {entry['estimated_rows']:10.1f} {actual_rows} "
-            f"{entry['estimated_cost']:9.3f}s {actual_cost}"
+            f"  {entry['job']:28s} {entry['parts']:5d} {entry['estimated_rows']:10.1f} "
+            f"{entry['actual_rows']:10d} {entry['estimated_cost']:9.3f}s "
+            f"{entry['actual_cost']:9.3f}s"
+        )
+    if any(entry["parts"] > 1 for entry in comparison):
+        lines.append(
+            "  (estimates price the unsharded cycle: no exchange term, no "
+            "overlap credit; ROADMAP 3(b))"
         )
     return "\n".join(lines)
 
@@ -368,7 +375,7 @@ def explain_report(
     if choice is not None:
         report["choice"] = choice.as_dict()
         if run is not None:
-            report["estimated_vs_actual"] = _estimated_vs_actual(choice, run)
+            report["estimated_vs_actual"] = estimated_vs_actual(run)
     if graph is not None and config.sharded:
         report["sharding"] = _sharding_dict(graph, config)
     return report

@@ -426,16 +426,6 @@ class HiveExecutor:
 
     # -- binary join of row sets ---------------------------------------------------
 
-    def _row_source(
-        self, star: StarPattern, filters: Sequence[Expression]
-    ) -> tuple[str, TriplePattern | None]:
-        """A star's rows: a formed intermediate for multi-pattern stars,
-        or the VP table itself (with its pattern) for single-tp stars."""
-        if len(star.patterns) == 1:
-            tp = star.patterns[0]
-            return self.store.path_for(prop_key_of(tp)), tp
-        raise PlanningError("multi-pattern star must be formed first")
-
     def _join_rows(
         self,
         left_path: str,
@@ -677,74 +667,54 @@ class HiveExecutor:
             )]
         return order
 
-    def _evaluate_pattern_naive(
-        self, subquery: GroupingSubquery, needed: frozenset[Variable], tag: str
+    def _evaluate_pattern(
+        self,
+        stars: Sequence[StarPattern],
+        optional_keys: Sequence[frozenset[PropKey]],
+        pattern,
+        filters: Sequence[Expression],
+        needed: frozenset[Variable] | None,
+        tag: str,
     ) -> str:
-        """Compile and run one graph pattern: star formations then joins.
+        """Compile and run one graph pattern -- *pattern*'s join graph
+        over *stars*, star *i* joining ``optional_keys[i]`` LEFT OUTER:
+        every multi-pattern star formed in index order, star 0 formed
+        if it was not, then the BFS join chain.
 
-        *needed* drives early projection; join variables for pending
-        joins are retained automatically.
+        *needed* drives early projection (join variables of pending
+        joins are retained automatically); ``None`` keeps every column.
         """
-        pattern = subquery.pattern
-        filters = pattern.filters
         order = self._join_order(pattern)
-        pending_join_vars = frozenset(edge.variable for _, edge in order)
+        pending = frozenset(edge.variable for _, edge in order)
 
-        formed: dict[int, str] = {}
-        single_tp: dict[int, TriplePattern] = {}
-        for index, star in enumerate(pattern.stars):
-            if len(star.patterns) >= 2:
-                keep = needed | pending_join_vars
-                formed[index] = self._star_formation(
-                    star,
-                    filters,
-                    frozenset(keep),
-                    optional_keys=star.optional_props,
-                    label=f"{tag}-star{index}",
-                )
-            else:
-                single_tp[index] = star.patterns[0]
-
-        if not order:  # single star
-            (index,) = range(len(pattern.stars))
-            if index in formed:
-                return formed[index]
-            # Single star of one triple pattern: materialize its rows.
+        def form(index: int) -> str:
             return self._star_formation(
-                pattern.stars[0],
+                stars[index],
                 filters,
-                frozenset(needed),
-                optional_keys=pattern.stars[0].optional_props,
-                label=f"{tag}-star0",
+                None if needed is None else needed | pending,
+                optional_keys=optional_keys[index],
+                label=f"{tag}-star{index}",
             )
 
-        current: str | None = formed.get(0)
-        if current is None:
-            current = self._star_formation(
-                pattern.stars[0],
-                filters,
-                frozenset(needed | pending_join_vars),
-                optional_keys=pattern.stars[0].optional_props,
-                label=f"{tag}-star0",
-            )
-        remaining_vars = set(pending_join_vars)
+        formed = {
+            index: form(index) for index, star in enumerate(stars) if len(star.patterns) >= 2
+        }
+        current = formed[0] if 0 in formed else form(0)
+        remaining = set(pending)
         for step, (new_star, edge) in enumerate(order):
-            remaining_vars.discard(edge.variable)
-            keep = frozenset(needed | remaining_vars | {edge.variable})
+            remaining.discard(edge.variable)
             if new_star in formed:
                 right_path, right_tp = formed[new_star], None
-            elif new_star in single_tp:
-                right_path = self.store.path_for(prop_key_of(single_tp[new_star]))
-                right_tp = single_tp[new_star]
-            else:
-                raise PlanningError("unformed multi-pattern star in join order")
+            else:  # a star of one triple pattern joins as its VP table
+                right_tp = stars[new_star].patterns[0]
+                right_path = self.store.path_for(prop_key_of(right_tp))
             current = self._join_rows(
                 current,
                 right_path,
                 right_tp,
                 edge.variable,
                 filters,
-                keep,
+                None if needed is None else needed | remaining | {edge.variable},
                 label=f"{tag}-join{step}",
             )
         return current
@@ -756,7 +726,15 @@ class HiveExecutor:
             needed |= {a.variable for a in subquery.aggregates if a.variable is not None}
             for expression in subquery.pattern.filters:
                 needed |= expression_variables(expression)
-            rows = self._evaluate_pattern_naive(subquery, frozenset(needed), f"sq{index}")
+            pattern = subquery.pattern
+            rows = self._evaluate_pattern(
+                pattern.stars,
+                [star.optional_props for star in pattern.stars],
+                pattern,
+                pattern.filters,
+                frozenset(needed),
+                f"sq{index}",
+            )
             agg_outputs.append(
                 self._grouping(
                     rows,
@@ -790,57 +768,14 @@ class HiveExecutor:
         # Phase 1: evaluate the composite pattern, LEFT OUTER on secondary
         # properties, and materialize it with every column (no early
         # projection — it must serve both original patterns).
-        formed: dict[int, str] = {}
-        single_tp: dict[int, TriplePattern] = {}
-        for index, composite_star in enumerate(composite.stars):
-            star = composite_star.pattern
-            if len(star.patterns) >= 2:
-                formed[index] = self._star_formation(
-                    star,
-                    shared_filters,
-                    keep=None,
-                    optional_keys=composite_star.p_sec,
-                    label=f"mqo-star{index}",
-                )
-            else:
-                single_tp[index] = star.patterns[0]
-
-        composite_pattern = composite.composite_graph_pattern()
-        order = self._join_order(composite_pattern)
-        if order:
-            current = formed.get(0)
-            if current is None:
-                current = self._star_formation(
-                    composite.stars[0].pattern,
-                    shared_filters,
-                    keep=None,
-                    optional_keys=composite.stars[0].p_sec,
-                    label="mqo-star0",
-                )
-            for step, (new_star, edge) in enumerate(order):
-                if new_star in formed:
-                    right_path, right_tp = formed[new_star], None
-                else:
-                    right_path = self.store.path_for(prop_key_of(single_tp[new_star]))
-                    right_tp = single_tp[new_star]
-                current = self._join_rows(
-                    current,
-                    right_path,
-                    right_tp,
-                    edge.variable,
-                    shared_filters,
-                    keep=None,
-                    label=f"mqo-join{step}",
-                )
-            composite_rows = current
-        else:
-            composite_rows = formed.get(0) or self._star_formation(
-                composite.stars[0].pattern,
-                shared_filters,
-                keep=None,
-                optional_keys=composite.stars[0].p_sec,
-                label="mqo-star0",
-            )
+        composite_rows = self._evaluate_pattern(
+            [composite_star.pattern for composite_star in composite.stars],
+            [composite_star.p_sec for composite_star in composite.stars],
+            composite.composite_graph_pattern(),
+            shared_filters,
+            None,
+            "mqo",
+        )
 
         # Phase 2: per original pattern, DISTINCT extraction + aggregation.
         # A pattern whose variables cover the whole composite needs no

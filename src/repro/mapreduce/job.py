@@ -76,6 +76,21 @@ class MapReduceJob:
     #: resources one worker actually owns.  ``None`` uses the runner's
     #: cluster.
     cluster: "ClusterConfig | None" = None
+    #: What leaves this cycle, as its builder states it at plan time:
+    #: ``leaving(estimator, upstream, map_tasks)`` returns the estimated
+    #: shuffle bytes, output rows / bytes and distinct reduce keys (see
+    #: :class:`repro.ntga.physical.CycleVolumes`), given a cardinality
+    #: estimator, ``{path: volumes}`` of the job outputs it reads and
+    #: its map-task count.  Closes over plan-time facts only.  ``None``:
+    #: the builder cannot say before the job runs (the Hive executor
+    #: sizes its joins from tables it has just materialized), so nothing
+    #: prices it.
+    leaving: Callable[[Any, dict, int], Any] | None = None
+    #: The cost planner's estimate of this cycle, left here by whoever
+    #: priced the job list (:func:`repro.plan.enumerator.price_jobs`);
+    #: copied onto the executed :class:`JobStats`, and by the sharded
+    #: driver onto every part it derives from this job.
+    estimate: Any = None
 
     def __post_init__(self) -> None:
         if (self.mapper is None) == (self.mapper_factory is None):
@@ -127,6 +142,9 @@ class JobStats:
     wasted_bytes: int = 0
     #: Bytes received across a shard boundary (zero off the sharded path).
     exchange_bytes: int = 0
+    #: The estimate the executed job carried (``MapReduceJob.estimate``):
+    #: ``None`` for every job nobody priced -- all of rule mode and Hive.
+    estimate: Any = None
 
     def describe(self) -> str:
         kind = "map-only" if self.map_only else "map-reduce"

@@ -76,6 +76,19 @@ class WorkflowStats:
     def cycles(self) -> int:
         return len(self.jobs)
 
+    def priced_cycles(self) -> list[tuple[Any, list[JobStats]]]:
+        """The executed jobs grouped by the estimate they carry, in
+        execution order: one ``(estimate, parts)`` per cycle the cost
+        planner priced (none in rule mode or on Hive).  Unsharded, a
+        cycle is one part; the sharded driver runs it as per-shard parts
+        that inherit its estimate -- the partial and assemble jobs of a
+        full cycle, the broadcast jobs of a map-only one."""
+        cycles: dict[int, tuple[Any, list[JobStats]]] = {}
+        for job in self.jobs:
+            if job.estimate is not None:
+                cycles.setdefault(id(job.estimate), (job.estimate, []))[1].append(job)
+        return list(cycles.values())
+
     @property
     def map_only_cycles(self) -> int:
         return sum(1 for job in self.jobs if job.map_only)
@@ -603,6 +616,7 @@ class MapReduceRunner:
             cost_seconds=fold_phases(phases),
             labels=job.labels,
             exchange_bytes=job.exchange_bytes,
+            estimate=job.estimate,
         )
         return stats, phases
 

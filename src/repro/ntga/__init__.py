@@ -11,7 +11,6 @@ from repro.ntga.composite import (
 from repro.ntga.engine import NTGAEngine, rapid_analytics_engine, rapid_plus_engine
 from repro.ntga.operators import (
     AggJoinSpec,
-    AggregatedTripleGroup,
     AlphaCondition,
     JoinSide,
     agg_join,
@@ -40,7 +39,6 @@ from repro.ntga.triplegroup import (
 
 __all__ = [
     "AggJoinSpec",
-    "AggregatedTripleGroup",
     "AlphaCondition",
     "CanonicalSubquery",
     "CompositePlan",

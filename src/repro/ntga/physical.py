@@ -244,6 +244,37 @@ def shared_prefilters(subqueries: Sequence[CanonicalSubquery]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# What leaves a cycle (plan-time estimates)
+# ---------------------------------------------------------------------------
+
+#: Estimated serialized bytes of one shuffled ``(group key,
+#: accumulator)`` pair of a TG_AgJ cycle.
+AGG_PAIR_BYTES = 48
+#: Estimated serialized bytes of one aggregated output row.
+AGG_ROW_BYTES = 64
+
+
+@dataclass(frozen=True, slots=True)
+class CycleVolumes:
+    """What a job builder states about its cycle before it runs
+    (``MapReduceJob.leaving``): only what *leaves* the cycle.  What
+    enters it is read off the job's ``inputs`` / ``side_inputs`` by
+    whoever prices the job list (:func:`repro.plan.enumerator.price_jobs`),
+    which also hands each builder the volumes of the job outputs it
+    reads.  Floats: a downstream estimate is computed from these, and
+    truncating in between would move it."""
+
+    shuffle_bytes: float
+    output_rows: float
+    output_bytes: float
+    #: Distinct reduce keys (caps the reduce tasks); 0 for a map-only cycle.
+    distinct_keys: float = 0.0
+    #: TG_AgJ only: ``{subquery id: its groups}`` -- what a result join
+    #: reading this file joins.
+    groups: dict[int, float] = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
 # Join planning
 # ---------------------------------------------------------------------------
 
@@ -442,8 +473,8 @@ class AlphaJoinPlan:
     :class:`PlanningError` here, before any job runs.
     """
 
-    __slots__ = ("variable", "ship_fixed", "sources", "left_keys", "bound_at", "extras",
-                 "requirements", "left_masks", "right_mask", "completes")
+    __slots__ = ("variable", "ship_fixed", "layout", "sources", "left_keys", "bound_at",
+                 "extras", "requirements", "left_masks", "right_mask", "completes")
 
     def __init__(
         self,
@@ -470,7 +501,8 @@ class AlphaJoinPlan:
             if is_first_step
             else [s for s in derive_join_steps(plan) if s.new_star in joined_so_far]
         )
-        layout = [first_star] + [s.new_star for s in earlier]
+        #: The stars a left record's ``components`` hold, in slot order.
+        self.layout = layout = [first_star] + [s.new_star for s in earlier]
         fixed_layout: list[Variable] = []
         for edge in (e for s in earlier for e in (s.primary, *s.extras)):
             if edge.variable not in fixed_layout:
@@ -750,6 +782,29 @@ def build_alpha_join_job(
     seen: set[str] = set()
     inputs = [p for p in inputs if not (p in seen or seen.add(p))]
 
+    def leaving(estimator: Any, upstream: dict[str, CycleVolumes], map_tasks: int) -> CycleVolumes:
+        stars = estimator.star_estimates(plan)
+        new = stars[new_star]
+        previous = upstream.get(previous_output)
+        if previous is None:  # the first cycle filters the first star itself
+            left_rows = stars[first_star].groups
+            left_bytes = stars[first_star].filtered_bytes
+        else:
+            left_rows, left_bytes = previous.output_rows, previous.output_bytes
+        left_distinct = estimator.side_distinct(step.primary.left_side, stars, left_rows)
+        right_distinct = estimator.side_distinct(step.primary.right_side, stars, new.groups)
+        rows = estimator.join_rows(left_rows, new.groups, left_distinct, right_distinct)
+        # A joined record is one group of every star joined so far.
+        row_bytes = 0.0
+        for star in (*compiled.layout, new_star):
+            row_bytes += stars[star].bytes_per_group
+        return CycleVolumes(
+            shuffle_bytes=left_bytes + new.filtered_bytes,
+            output_rows=rows,
+            output_bytes=rows * row_bytes,
+            distinct_keys=max(left_distinct, right_distinct),
+        )
+
     return MapReduceJob(
         name=name,
         inputs=tuple(inputs),
@@ -758,6 +813,7 @@ def build_alpha_join_job(
         reducer=compiled.reducer,
         labels=("TG_OptGrpFilter", "TG_AlphaJoin"),
         representation=representation,
+        leaving=leaving,
     )
 
 
@@ -962,6 +1018,30 @@ def build_agg_join_job(
         if row is not None:
             yield row
 
+    def leaving(estimator: Any, upstream: dict[str, CycleVolumes], map_tasks: int) -> CycleVolumes:
+        stars = estimator.star_estimates(plan)
+        detail = upstream.get(detail_input)
+        detail_rows = stars[0].groups if detail is None else detail.output_rows
+        expansion = 1.0
+        for star in stars:
+            expansion *= max(1.0, star.expansion)
+        solutions = detail_rows * expansion
+        groups = {
+            subquery.subquery_id: estimator.group_count(subquery, solutions, stars)
+            for subquery in subqueries
+        }
+        total_groups = sum(groups.values())
+        # Mapper-side hash partial aggregation (the combiner): at most one
+        # shuffled pair per (group, map task).
+        shuffle_rows = min(solutions * len(subqueries), total_groups * map_tasks)
+        return CycleVolumes(
+            shuffle_bytes=shuffle_rows * AGG_PAIR_BYTES,
+            output_rows=total_groups,
+            output_bytes=total_groups * AGG_ROW_BYTES,
+            distinct_keys=total_groups,
+            groups=groups,
+        )
+
     return MapReduceJob(
         name=name,
         inputs=inputs,
@@ -971,6 +1051,7 @@ def build_agg_join_job(
         reducer=reducer,
         labels=("TG_AgJ",),
         representation=representation,
+        leaving=leaving,
     )
 
 

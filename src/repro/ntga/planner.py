@@ -29,7 +29,9 @@ from repro.ntga.composite import (
 )
 from repro.ntga.factorized import RowFactor, _compatible, plan_representation
 from repro.ntga.physical import (
+    AGG_ROW_BYTES,
     AggRow,
+    CycleVolumes,
     TripleGroupStore,
     build_agg_join_job,
     build_alpha_join_job,
@@ -82,8 +84,9 @@ def build_result_join(
     What is charged: a shared file is side-loaded even when it is also
     the stream (its other ids are the join's right-hand sides), a whole
     file only when it is not.  So the fused plan reads its agg file
-    twice, which the cost planner prices on purpose
-    (``plan.enumerator._ntga_candidates``).
+    twice -- and is priced so, because the cost planner reads a cycle's
+    input off this job's ``inputs + side_inputs`` the way the runner
+    does (:func:`repro.plan.enumerator.price_jobs`).
 
     Empty-group default rows are injected into the agg files before this
     job runs (:func:`inject_default_rows`), so they flow through the
@@ -147,6 +150,22 @@ def build_result_join(
 
         return mapper
 
+    def leaving(estimator: Any, upstream: dict[str, CycleVolumes], map_tasks: int) -> CycleVolumes:
+        # Aggregate files join roughly 1:1 on their shared group keys, so
+        # the smallest source bounds the result.
+        groups = [
+            sum(upstream[path].groups.values())
+            if subquery_id is None
+            else upstream[path].groups[subquery_id]
+            for path, subquery_id in sources
+        ]
+        rows = max(1.0, min(groups))
+        return CycleVolumes(
+            shuffle_bytes=0.0,
+            output_rows=rows,
+            output_bytes=rows * AGG_ROW_BYTES * len(sources),
+        )
+
     return MapReduceJob(
         name=name,
         inputs=(sources[0][0],),
@@ -161,6 +180,7 @@ def build_result_join(
         ),
         labels=("TG_Join",),
         representation=representation,
+        leaving=leaving,
     )
 
 

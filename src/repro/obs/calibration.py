@@ -5,9 +5,10 @@ reality; ``repro explain --run`` shows one execution's
 estimated-vs-actual table, but fleet-level monitoring needs the error
 *distribution* across served traffic.  :class:`CalibrationMonitor`
 aggregates exactly the comparison :mod:`repro.core.explain` renders —
-the chosen candidate's per-cycle :class:`~repro.plan.enumerator.JobEstimate`
-against the executed :class:`~repro.mapreduce.runner.JobStats`, aligned
-by job name — into per-(query, engine) **q-error** statistics:
+each executed :class:`~repro.mapreduce.runner.JobStats` against the
+:class:`~repro.plan.enumerator.JobEstimate` its job was priced with and
+carried through the run — into per-(query, engine) **q-error**
+statistics:
 
     ``q(est, act) = max(est, floor) / max(act, floor)`` or its inverse,
     whichever is >= 1
@@ -25,9 +26,9 @@ distribution survives into metrics snapshots.  The monitor's own
 max/mean and a **drift verdict** — ``"ok"`` or ``"drifting"`` per
 (query, engine), against configurable q-error thresholds.
 
-Duck-typed on purpose: estimates need ``.name``/``.output_rows``/``.cost``
-and actuals ``.name``/``.output_records``/``.cost_seconds``, so this
-module imports neither the planner nor the runner.
+Duck-typed on purpose: estimates need ``.output_rows``/``.cost`` and
+actuals ``.output_records``/``.cost_seconds``, so this module imports
+neither the planner nor the runner.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ __all__ = [
 CARDINALITY_DRIFT_THRESHOLD = 4.0
 
 #: Max cost q-error tolerated.  Tighter than cardinality: cost feeds
-#: straight into plan pricing, and the enumerator mirrors the runner's
-#: accounting in shape, so big ratios mean a real model gap.
+#: straight into plan pricing, and the enumerator prices the very jobs
+#: the runner charges, so big ratios mean a real model gap.
 COST_DRIFT_THRESHOLD = 2.0
 
 _ROW_FLOOR = 1.0
@@ -108,23 +109,24 @@ class CalibrationMonitor:
         self,
         query: str,
         engine: str,
-        estimates: Iterable[Any],
-        actuals: Iterable[Any],
+        cycles: Iterable[tuple[Any, list[Any]]],
     ) -> int:
         """Fold one execution's per-cycle comparison into the monitor.
 
-        *estimates* are the chosen candidate's priced jobs, *actuals*
-        the executed job stats; cycles are aligned by job name (an
-        estimate with no matching actual — e.g. a checkpoint-skipped
-        job — is ignored).  Returns the number of cycles compared.
+        *cycles* are ``(estimate, the executed parts that carried it)``
+        pairs (:meth:`WorkflowStats.priced_cycles`).  A cycle of more
+        than one part is skipped, on purpose: a sharded run executes a
+        priced job as per-shard partial / assemble parts whose costs
+        include an exchange the estimate has no term for (ROADMAP 3(b)),
+        and comparing them would read as estimator drift.  Returns the
+        number of cycles compared.
         """
         registry = obs_metrics.active_registry()
-        actual_by_name = {job.name: job for job in actuals}
         compared = 0
-        for estimate in estimates:
-            actual = actual_by_name.get(estimate.name)
-            if actual is None:
+        for estimate, parts in cycles:
+            if len(parts) != 1:
                 continue
+            actual = parts[0]
             compared += 1
             card_q = q_error(estimate.output_rows, actual.output_records, _ROW_FLOOR)
             cost_q = q_error(estimate.cost, actual.cost_seconds, _COST_FLOOR)
@@ -153,17 +155,13 @@ class CalibrationMonitor:
 
     def record_report(self, query: str, report: Any) -> int:
         """Convenience: record from an executed
-        :class:`~repro.core.results.ExecutionReport` carrying a
-        :class:`~repro.plan.enumerator.PlanChoice` (0 cycles when it
-        carries none — rule-mode and Hive runs have nothing to compare).
+        :class:`~repro.core.results.ExecutionReport` (0 cycles when
+        nothing it ran was priced — rule-mode and Hive runs have nothing
+        to compare).
         """
-        choice = getattr(report, "plan_choice", None)
-        if choice is None or report.stats is None:
+        if report.stats is None:
             return 0
-        chosen = choice.candidate(choice.chosen)
-        if chosen is None:
-            return 0
-        return self.record(query, report.engine, chosen.jobs, report.stats.jobs)
+        return self.record(query, report.engine, report.stats.priced_cycles())
 
     # -- reporting ---------------------------------------------------------------
 

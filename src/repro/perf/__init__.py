@@ -23,32 +23,23 @@ from repro.mapreduce import cost, runner
 
 __all__ = [
     "reference_mode",
-    "set_caches_enabled",
     "rows_digest",
 ]
 
 
-def set_caches_enabled(enabled: bool) -> None:
-    """Toggle every hot-path cache at once.
-
-    Covers the size caches consulted by
+@contextmanager
+def reference_mode() -> Iterator[None]:
+    """Run with every hot-path cache disabled — the seed's uncached
+    behavior: the size caches consulted by
     :func:`repro.mapreduce.cost.estimate_size` (term/triple/triplegroup
     memos included) and the interned sort keys in
     :mod:`repro.mapreduce.runner`.
-    """
-    cost.SIZE_CACHE_ENABLED = enabled
-    runner.SORT_KEY_CACHE_ENABLED = enabled
-
-
-@contextmanager
-def reference_mode() -> Iterator[None]:
-    """Run with every cache disabled — the seed's uncached behavior.
 
     The reference side of the golden and size-cache tests: cached and
     uncached executions must produce bit-identical simulated counters.
     """
     previous = (cost.SIZE_CACHE_ENABLED, runner.SORT_KEY_CACHE_ENABLED)
-    set_caches_enabled(False)
+    cost.SIZE_CACHE_ENABLED = runner.SORT_KEY_CACHE_ENABLED = False
     try:
         yield
     finally:

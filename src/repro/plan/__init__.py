@@ -5,9 +5,10 @@ The paper's §6 composite rewrite is applied *rule-based* by
 grouping subqueries overlap, whether or not the rewrite actually wins.
 This package adds the statistics-fed alternative: a cardinality
 estimator over :class:`repro.rdf.stats.GraphStats`
-(:mod:`repro.plan.cardinality`), a plan enumerator that prices the
+(:mod:`repro.plan.cardinality`), a plan enumerator that compiles the
 rule-based candidates — composite rewrite, sequential evaluation,
-final-join order variants, and the Hive baselines — end-to-end with
+final-join order variants — with the planners that run them and prices
+each compiled job list end-to-end with
 :meth:`repro.mapreduce.cost.CostModel.job_cost`
 (:mod:`repro.plan.enumerator`), and a three-mode knob mirroring the
 factorized-representation knob of PR 6:
@@ -15,7 +16,7 @@ factorized-representation knob of PR 6:
 * ``"rule"`` (default) — the original heuristic: composite whenever the
   patterns overlap.  Byte-identical to the pre-planner behavior, which
   is what the goldens pin.
-* ``"cost"`` — always take the cheapest priced executable plan.
+* ``"cost"`` — always take the cheapest priced plan.
 * ``"auto"`` — deviate from the rule plan only when the priced win
   clears a safety margin (see
   :data:`repro.plan.enumerator.AUTO_MARGIN`).

@@ -47,9 +47,7 @@ def _priced_costs(report: ExecutionReport) -> tuple[float, float, str, str]:
     choice = report.plan_choice
     if choice is None:
         return 0.0, 0.0, "", ""
-    executable = [c for c in choice.candidates if c.executable]
-    rule_priced = executable[0].total_cost if executable else 0.0
-    return rule_priced, choice.chosen_cost, choice.chosen, choice.source
+    return choice.candidates[0].total_cost, choice.chosen_cost, choice.chosen, choice.source
 
 
 def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:

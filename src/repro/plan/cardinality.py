@@ -32,11 +32,12 @@ from dataclasses import dataclass
 from repro.core.query_model import PropKey, StarPattern
 from repro.ntga.composite import (
     CanonicalSubquery,
+    CompositePlan,
     CompositeStar,
     object_filters,
 )
 from repro.ntga.operators import JoinSide
-from repro.ntga.physical import TripleGroupStore
+from repro.ntga.physical import TripleGroupStore, shared_prefilters
 from repro.rdf.stats import GraphStats
 from repro.rdf.terms import IRI, Variable
 
@@ -115,6 +116,19 @@ class CardinalityEstimator:
     def __init__(self, stats: GraphStats, store: TripleGroupStore | None = None):
         self.stats = stats
         self.store = store
+        #: ``{path: (stored_bytes, raw_bytes)}`` of every stored file a
+        #: plan can read: the manifest by path, for whoever prices a
+        #: job's ``inputs`` (the empty placeholder holds nothing).
+        self.stored_files: dict[str, tuple[int, int]] = {}
+        if store is not None:
+            self.stored_files = {
+                store.paths_by_class[ec]: volumes
+                for ec, volumes in store.bytes_by_class.items()
+            }
+            self.stored_files[store.empty_path] = (0, 0)
+        #: ``id(composite) -> (composite, its star estimates)``: see
+        #: :meth:`star_estimates`.
+        self._by_plan: dict[int, tuple[CompositePlan, list[StarEstimate]]] = {}
 
     # -- per-property lookups ------------------------------------------
 
@@ -225,6 +239,24 @@ class CardinalityEstimator:
             raw_bytes=raw,
             ordered_keys=tuple((str(key), sel) for key, sel in ordered),
         )
+
+    def star_estimates(self, composite: CompositePlan) -> list[StarEstimate]:
+        """One :meth:`star_estimate` per star of *composite* (under the
+        filters its pipeline pushes into star formation), computed once
+        per plan object for this estimator's life: every job of a
+        pipeline asks for them (``MapReduceJob.leaving``), and they share
+        the plan their builders were handed."""
+        found = self._by_plan.get(id(composite))
+        if found is None:
+            prefilters = shared_prefilters(composite.subqueries)
+            found = self._by_plan[id(composite)] = (
+                composite,
+                [
+                    self.star_estimate(composite_star, index, prefilters)
+                    for index, composite_star in enumerate(composite.stars)
+                ],
+            )
+        return found[1]
 
     # -- join and grouping estimates -----------------------------------
 

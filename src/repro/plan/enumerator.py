@@ -4,31 +4,35 @@ The rule-based planner (:func:`repro.ntga.planner.plan_rapid_analytics`)
 always fires the §6 composite rewrite when the grouping subqueries
 overlap.  That heuristic loses when the composite pattern's secondary
 properties make its α-join cycles scan and shuffle far more than the
-subqueries would individually.  This module enumerates the candidates
-the rules can produce —
+subqueries would individually.  This module compiles the candidates the
+rules can produce, with the planners that run them —
 
 * ``composite`` / ``solo`` — the RAPIDAnalytics rewrite (Figure 6(b));
 * ``sequential`` — per-subquery RAPID+ evaluation (Figure 6(a));
 * ``sequential:stream={k}`` — join-order variants of the sequential
   plan's final map-only join (which aggregate file is streamed vs.
   side-loaded);
-* ``hive-naive`` / ``hive-mapjoin`` — the relational baselines, priced
-  for the EXPLAIN report but never chosen (the NTGA engines do not
-  execute them);
 
-— prices every MR cycle of each with
-:meth:`repro.mapreduce.cost.CostModel.job_cost` using the estimates of
-:class:`repro.plan.cardinality.CardinalityEstimator`, and picks per the
+— prices the job list of each (:func:`price_jobs`) and picks per the
 planner mode: ``rule`` keeps the first (rule-order) candidate, ``cost``
 takes the cheapest, ``auto`` deviates from the rule plan only for a
-win beyond :data:`AUTO_MARGIN`.
+win beyond :data:`AUTO_MARGIN`.  The chosen candidate's compiled plan is
+the plan that runs.
 
-The pricing mirrors the runner's accounting exactly in *shape*
-(``input_bytes`` = raw input + side-input bytes, ``map_tasks`` = split
-count of the stored inputs, ``reduce_tasks`` = distinct keys capped at
-the cluster's reduce slots, ``output_bytes`` = raw output), so a priced
+A plan prices itself.  What *enters* a cycle is read off the job the
+runner is about to execute (``input_bytes`` = raw bytes of ``inputs +
+side_inputs``, ``map_tasks`` = split count of the stored ``inputs`` —
+the shape :meth:`MapReduceRunner._read_inputs` charges), from the store
+manifest or the upstream job's estimate; what *leaves* it (shuffle
+bytes, output rows / bytes, distinct keys, hence ``reduce_tasks``) is
+stated by the job's builder (``MapReduceJob.leaving``).  So a priced
 cost is directly comparable to an executed
-:attr:`repro.mapreduce.runner.JobStats.cost_seconds`.
+:attr:`repro.mapreduce.runner.JobStats.cost_seconds`, and the estimate
+rides on the job into the :class:`JobStats` it is compared with.  No
+builder, no estimate: the Hive executor decides its joins from
+materialized table sizes, so nothing can state its volumes before it
+runs — ``repro explain --engine hive-naive|hive-mqo`` and ``repro
+compare`` report the measured plans instead.
 """
 
 from __future__ import annotations
@@ -39,15 +43,11 @@ from typing import Any, Callable, Sequence
 from repro import obs
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig
-from repro.errors import OverlapError, PlanningError
-from repro.mapreduce.cost import ClusterConfig, CostModel
-from repro.ntga.composite import (
-    CompositePlan,
-    build_composite_n,
-    single_pattern_plan,
-)
-from repro.ntga.physical import derive_join_steps, shared_prefilters
+from repro.errors import PlanningError
+from repro.mapreduce.job import MapReduceJob
+from repro.ntga.physical import TripleGroupStore
 from repro.ntga.planner import NTGAPlan, plan_rapid_analytics, plan_rapid_plus
+from repro.obs.model import TraceEvent
 from repro.plan.cardinality import CardinalityEstimator, StarEstimate
 from repro.rdf.stats import GraphStats
 
@@ -55,15 +55,6 @@ from repro.rdf.stats import GraphStats
 #: priced cost beats it by more than this fraction — estimation noise
 #: should not flap the plan.
 AUTO_MARGIN = 0.1
-
-#: Estimated serialized bytes of one shuffled ``(group key,
-#: accumulator)`` pair of a TG_AgJ / group-by cycle.
-AGG_PAIR_BYTES = 48
-#: Estimated serialized bytes of one aggregated output row.
-AGG_ROW_BYTES = 64
-#: Estimated serialized bytes of one Hive intermediate row per bound
-#: column.
-HIVE_COLUMN_BYTES = 24
 
 
 @dataclass(frozen=True)
@@ -101,11 +92,7 @@ class CandidatePlan:
     """One enumerated alternative with its end-to-end priced cost."""
 
     name: str
-    #: ``"ntga"`` or ``"hive"`` — hive candidates are informational
-    #: (priced for EXPLAIN, never executed by an NTGA engine).
-    kind: str
     description: str
-    executable: bool
     jobs: tuple[JobEstimate, ...]
 
     @property
@@ -115,9 +102,7 @@ class CandidatePlan:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "kind": self.kind,
             "description": self.description,
-            "executable": self.executable,
             "cost": round(self.total_cost, 6),
             "jobs": [job.as_dict() for job in self.jobs],
         }
@@ -156,464 +141,116 @@ class PlanChoice:
         }
 
 
-def _job(
-    model: CostModel,
-    cluster: ClusterConfig,
-    *,
-    name: str,
-    input_bytes: float,
-    shuffle_bytes: float,
-    output_bytes: float,
-    map_tasks: int,
-    reduce_tasks: int,
-    output_rows: float,
-) -> JobEstimate:
-    map_tasks = max(1, map_tasks)
-    cost = model.job_cost(
-        cluster,
-        input_bytes=int(input_bytes),
-        shuffle_bytes=int(shuffle_bytes),
-        output_bytes=int(output_bytes),
-        map_tasks=map_tasks,
-        reduce_tasks=reduce_tasks,
-    )
-    return JobEstimate(
-        name=name,
-        map_only=reduce_tasks == 0,
-        input_bytes=int(input_bytes),
-        shuffle_bytes=int(shuffle_bytes),
-        output_bytes=int(output_bytes),
-        map_tasks=map_tasks,
-        reduce_tasks=reduce_tasks,
-        output_rows=output_rows,
-        cost=cost,
-    )
-
-
-def _reduce_tasks(cluster: ClusterConfig, distinct_keys: float) -> int:
-    return max(1, min(int(max(1.0, distinct_keys)), cluster.reduce_slots))
-
-
-def _pipeline_estimates(
-    composite: CompositePlan,
+def price_jobs(
+    jobs: Sequence[MapReduceJob],
     estimator: CardinalityEstimator,
     config: EngineConfig,
-    join_name: Callable[[int], str],
-    agg_name: str,
-) -> tuple[list[JobEstimate], list[StarEstimate], dict[int, float], float]:
-    """Price one composite pipeline: α-join cycles plus the fused TG_AgJ.
+) -> tuple[JobEstimate, ...]:
+    """Price a job list in the order it will run, leaving each
+    :class:`JobEstimate` on its job.
 
-    Returns ``(jobs, star estimates, groups per subquery id, agg output
-    bytes)``.
-    """
+    Every path a job reads is either a stored equivalence-class file
+    (exact ``(stored, raw)`` bytes from the store manifest,
+    :attr:`CardinalityEstimator.stored_files`) or the output of an
+    earlier job of the list (its estimated volumes, uncompressed, carried
+    as floats)."""
     cluster, model = config.cluster, config.cost_model
-    prefilters = shared_prefilters(composite.subqueries)
-    stars = [
-        estimator.star_estimate(composite_star, index, prefilters)
-        for index, composite_star in enumerate(composite.stars)
-    ]
-    jobs: list[JobEstimate] = []
-    detail_rows = stars[0].groups
-    detail_bytes = stars[0].filtered_bytes
-    row_bytes = stars[0].bytes_per_group
-
-    if len(composite.stars) > 1:
-        steps = derive_join_steps(composite)
-        previous_bytes: float | None = None
-        for index, step in enumerate(steps):
-            new = stars[step.new_star]
-            new_files = estimator.star_classes(composite.stars[step.new_star].p_prim)
-            if previous_bytes is None:
-                files = dict(estimator.star_classes(composite.stars[0].p_prim))
-                files.update(new_files)
-                input_bytes = float(sum(raw for _stored, raw in files.values()))
-                map_tasks = sum(
-                    cluster.splits_for(stored) for stored, _raw in files.values()
-                )
-                shuffle = stars[0].filtered_bytes + new.filtered_bytes
+    produced: dict[str, Any] = {}  # path -> the volumes leaving its job
+    estimates = []
+    for job in jobs:
+        if job.leaving is None:
+            raise PlanningError(
+                f"job {job.name!r} cannot be priced: its builder states no volumes"
+            )
+        stored_input = map_tasks = 0
+        upstream_input = 0.0
+        for index, path in enumerate(job.inputs + job.side_inputs):
+            upstream = produced.get(path)
+            if upstream is None:
+                stored, raw = estimator.stored_files[path]
+                stored_input += raw
             else:
-                input_bytes = previous_bytes + sum(
-                    raw for _stored, raw in new_files.values()
-                )
-                map_tasks = cluster.splits_for(int(previous_bytes)) + sum(
-                    cluster.splits_for(stored) for stored, _raw in new_files.values()
-                )
-                shuffle = previous_bytes + new.filtered_bytes
-            left_distinct = estimator.side_distinct(
-                step.primary.left_side, stars, detail_rows
-            )
-            right_distinct = estimator.side_distinct(
-                step.primary.right_side, stars, new.groups
-            )
-            out_rows = estimator.join_rows(
-                detail_rows, new.groups, left_distinct, right_distinct
-            )
-            out_bytes = out_rows * (row_bytes + new.bytes_per_group)
-            jobs.append(
-                _job(
-                    model,
-                    cluster,
-                    name=join_name(index),
-                    input_bytes=input_bytes,
-                    shuffle_bytes=shuffle,
-                    output_bytes=out_bytes,
-                    map_tasks=map_tasks,
-                    reduce_tasks=_reduce_tasks(
-                        cluster, max(left_distinct, right_distinct)
-                    ),
-                    output_rows=out_rows,
-                )
-            )
-            detail_rows = out_rows
-            detail_bytes = out_bytes
-            row_bytes = row_bytes + new.bytes_per_group
-            previous_bytes = out_bytes
-        agg_input = detail_bytes
-        agg_map_tasks = cluster.splits_for(int(detail_bytes))
-    else:
-        files = estimator.star_classes(composite.stars[0].p_prim)
-        agg_input = float(sum(raw for _stored, raw in files.values()))
-        agg_map_tasks = sum(
-            cluster.splits_for(stored) for stored, _raw in files.values()
+                stored = int(upstream.output_bytes)
+                upstream_input += upstream.output_bytes
+            if index < len(job.inputs):  # side inputs are broadcast, not split
+                map_tasks += cluster.splits_for(stored)
+        map_tasks = max(1, map_tasks)
+        leaving = job.leaving(estimator, produced, map_tasks)
+        produced[job.output] = leaving
+        reduce_tasks = (
+            0
+            if job.is_map_only
+            else max(1, min(int(max(1.0, leaving.distinct_keys)), cluster.reduce_slots))
         )
+        volumes = dict(
+            input_bytes=int(upstream_input + stored_input),
+            shuffle_bytes=int(leaving.shuffle_bytes),
+            output_bytes=int(leaving.output_bytes),
+            map_tasks=map_tasks,
+            reduce_tasks=reduce_tasks,
+        )
+        job.estimate = JobEstimate(
+            name=job.name,
+            map_only=job.is_map_only,
+            output_rows=leaving.output_rows,
+            cost=model.job_cost(cluster, **volumes),
+            **volumes,
+        )
+        estimates.append(job.estimate)
+    return tuple(estimates)
 
-    expansion = 1.0
-    for star in stars:
-        expansion *= max(1.0, star.expansion)
-    solutions = detail_rows * expansion
-    groups_by_subquery: dict[int, float] = {}
-    for subquery in composite.subqueries:
-        groups_by_subquery[subquery.subquery_id] = estimator.group_count(
-            subquery, solutions, stars
-        )
-    total_groups = sum(groups_by_subquery.values())
-    emitted = solutions * len(composite.subqueries)
-    agg_map_tasks = max(1, agg_map_tasks)
-    # Mapper-side hash partial aggregation (the combiner): at most one
-    # shuffled pair per (group, map task).
-    shuffle_rows = min(emitted, total_groups * agg_map_tasks)
-    agg_out_bytes = total_groups * AGG_ROW_BYTES
-    jobs.append(
-        _job(
-            model,
-            cluster,
-            name=agg_name,
-            input_bytes=agg_input,
-            shuffle_bytes=shuffle_rows * AGG_PAIR_BYTES,
-            output_bytes=agg_out_bytes,
-            map_tasks=agg_map_tasks,
-            reduce_tasks=_reduce_tasks(cluster, total_groups),
-            output_rows=total_groups,
-        )
+
+def _held(planner: Callable[..., NTGAPlan], *args: Any, **kwargs: Any):
+    """Compile one candidate with its planner events (``composite``,
+    ``rewrite-fallback``, ``representation``) held back: only the chosen
+    plan's reach the trace (:func:`plan_adaptive` replays them)."""
+    with obs.tracing() as held:
+        plan = planner(*args, **kwargs)
+    return plan, held.events
+
+
+def _compiled_candidates(
+    query: AnalyticalQuery,
+    store: TripleGroupStore,
+    stats: GraphStats,
+    config: EngineConfig,
+) -> tuple[
+    list[tuple[CandidatePlan, NTGAPlan, list[TraceEvent]]], tuple[StarEstimate, ...]
+]:
+    """Every candidate -- compiled by the planner that would run it,
+    priced off the compiled jobs, with its held-back planner events --
+    rule order first, and the rule plan's star estimates."""
+    estimator = CardinalityEstimator(stats, store)
+    count = len(query.subqueries)
+    # candidates[0] is what the rule planner builds, by construction.
+    rule, events = _held(plan_rapid_analytics, query, store)
+    if not rule.merged_ids:
+        # No composite formed (OverlapError): the rule plan *is* the
+        # sequential evaluation, streaming subquery 0.
+        compiled = [("sequential", rule.description, rule, events)]
+    elif count == 1:
+        description = "single grouping subquery (no rewrite applicable)"
+        compiled = [("solo", description, rule, events)]
+    else:
+        description = "composite rewrite: shared α-joins + fused TG_AgJ"
+        compiled = [("composite", description, rule, events)]
+    if count > 1:
+        for streamed in range(0 if rule.merged_ids else 1, count):
+            plan, events = _held(plan_rapid_plus, query, store, streamed=streamed)
+            name = f"sequential:stream={streamed}" if streamed else "sequential"
+            compiled.append((name, plan.description, plan, events))
+    priced = [
+        (CandidatePlan(name, description, price_jobs(plan.jobs, estimator, config)), plan, events)
+        for name, description, plan, events in compiled
+    ]
+    # What the rule plan's builders asked the estimator for, pipeline by
+    # pipeline (memoized there: nothing is estimated again).
+    star_estimates = tuple(
+        star
+        for composite, _output in rule.defaults_by_plan
+        for star in estimator.star_estimates(composite)
     )
-    return jobs, stars, groups_by_subquery, agg_out_bytes
-
-
-def _result_rows(groups: Sequence[float]) -> float:
-    """Final-join output estimate: aggregate files join roughly 1:1 on
-    their shared group keys, so the smallest file bounds the result."""
-    return max(1.0, min(groups)) if groups else 1.0
-
-
-def _ntga_candidates(
-    query: AnalyticalQuery,
-    estimator: CardinalityEstimator,
-    config: EngineConfig,
-) -> tuple[list[CandidatePlan], tuple[StarEstimate, ...]]:
-    cluster, model = config.cluster, config.cost_model
-    candidates: list[CandidatePlan] = []
-    star_estimates: tuple[StarEstimate, ...] = ()
-
-    composite: CompositePlan | None = None
-    composite_name = "composite"
-    if len(query.subqueries) == 1:
-        composite = single_pattern_plan(query.subqueries[0])
-        composite_name = "solo"
-    else:
-        try:
-            composite = build_composite_n(query.subqueries)
-        except OverlapError:
-            composite = None
-
-    if composite is not None:
-        jobs, stars, groups_by_subquery, agg_bytes = _pipeline_estimates(
-            composite,
-            estimator,
-            config,
-            lambda index: f"ra:alpha-join-{index}",
-            "ra:agg-join",
-        )
-        star_estimates = tuple(stars)
-        if len(query.subqueries) > 1 or query.outer_extends:
-            rows = _result_rows(list(groups_by_subquery.values()))
-            jobs.append(
-                _job(
-                    model,
-                    cluster,
-                    name="ra:final-join",
-                    # The fused agg file is both the streamed input and a
-                    # side input of the map-only TG_Join (the runner
-                    # charges it twice).
-                    input_bytes=2 * agg_bytes,
-                    shuffle_bytes=0,
-                    output_bytes=rows * AGG_ROW_BYTES * max(1, len(query.subqueries)),
-                    map_tasks=cluster.splits_for(int(agg_bytes)),
-                    reduce_tasks=0,
-                    output_rows=rows,
-                )
-            )
-        candidates.append(
-            CandidatePlan(
-                name=composite_name,
-                kind="ntga",
-                description=(
-                    "composite rewrite: shared α-joins + fused TG_AgJ"
-                    if composite_name == "composite"
-                    else "single grouping subquery (no rewrite applicable)"
-                ),
-                executable=True,
-                jobs=tuple(jobs),
-            )
-        )
-
-    if len(query.subqueries) > 1:
-        shared_jobs: list[JobEstimate] = []
-        sequential_stars: list[StarEstimate] = []
-        agg_bytes_list: list[float] = []
-        groups_list: list[float] = []
-        for index, subquery in enumerate(query.subqueries):
-            sub = single_pattern_plan(subquery)
-            jobs, stars, groups_by_subquery, agg_bytes = _pipeline_estimates(
-                sub,
-                estimator,
-                config,
-                lambda step, index=index: f"rp:sq{index}:join-{step}",
-                f"rp:sq{index}:agg",
-            )
-            shared_jobs.extend(jobs)
-            sequential_stars.extend(stars)
-            agg_bytes_list.append(agg_bytes)
-            groups_list.append(sum(groups_by_subquery.values()))
-        if not star_estimates:
-            star_estimates = tuple(sequential_stars)
-        rows = _result_rows(groups_list)
-        out_bytes = rows * AGG_ROW_BYTES * len(query.subqueries)
-        total_in = sum(agg_bytes_list)
-        for streamed in range(len(query.subqueries)):
-            final = _job(
-                model,
-                cluster,
-                name="rp:final-join",
-                input_bytes=total_in,
-                shuffle_bytes=0,
-                output_bytes=out_bytes,
-                map_tasks=cluster.splits_for(int(agg_bytes_list[streamed])),
-                reduce_tasks=0,
-                output_rows=rows,
-            )
-            name = "sequential" if streamed == 0 else f"sequential:stream={streamed}"
-            description = (
-                f"sequential evaluation of {len(query.subqueries)} subqueries"
-            )
-            if streamed:
-                description += f"; final join streams subquery {streamed}"
-            candidates.append(
-                CandidatePlan(
-                    name=name,
-                    kind="ntga",
-                    description=description,
-                    executable=True,
-                    jobs=tuple(shared_jobs) + (final,),
-                )
-            )
-    return candidates, star_estimates
-
-
-def _hive_candidates(
-    query: AnalyticalQuery,
-    estimator: CardinalityEstimator,
-    config: EngineConfig,
-) -> list[CandidatePlan]:
-    """Informational pricing of the relational baselines over VP tables."""
-    cluster, model = config.cluster, config.cost_model
-    candidates: list[CandidatePlan] = []
-    for forced, name, description in (
-        (False, "hive-naive", "Hive over VP tables, threshold map-joins"),
-        (True, "hive-mapjoin", "Hive over VP tables, all joins broadcast"),
-    ):
-        jobs: list[JobEstimate] = []
-        agg_bytes_list: list[float] = []
-        groups_list: list[float] = []
-        for query_index, subquery in enumerate(query.subqueries):
-            sub = single_pattern_plan(subquery)
-            prefilters = shared_prefilters(sub.subqueries)
-            stars = [
-                estimator.star_estimate(composite_star, index, prefilters)
-                for index, composite_star in enumerate(sub.stars)
-            ]
-            star_rows: list[float] = []
-            star_bytes: list[float] = []
-            for star_index, (composite_star, star) in enumerate(zip(sub.stars, stars)):
-                tables = [
-                    float(max(1, estimator.payload_bytes(key.property)))
-                    for key in sorted(composite_star.pattern.props(), key=str)
-                ]
-                rows = star.groups * star.expansion
-                width = max(1, len(composite_star.pattern.props()))
-                out_bytes = rows * HIVE_COLUMN_BYTES * width
-                star_rows.append(rows)
-                star_bytes.append(out_bytes)
-                label = f"hive:sq{query_index}-star{star_index}"
-                if len(tables) == 1:
-                    jobs.append(
-                        _job(
-                            model,
-                            cluster,
-                            name=f"{label}:scan",
-                            input_bytes=tables[0],
-                            shuffle_bytes=0,
-                            output_bytes=out_bytes,
-                            map_tasks=cluster.splits_for(int(tables[0])),
-                            reduce_tasks=0,
-                            output_rows=rows,
-                        )
-                    )
-                    continue
-                streamed = max(tables)
-                sides = sum(tables) - streamed
-                mapjoin = forced or all(
-                    table <= config.mapjoin_threshold
-                    for table in tables
-                    if table != streamed
-                )
-                if mapjoin:
-                    jobs.append(
-                        _job(
-                            model,
-                            cluster,
-                            name=f"{label}:map-join",
-                            input_bytes=streamed + sides,
-                            shuffle_bytes=0,
-                            output_bytes=out_bytes,
-                            map_tasks=cluster.splits_for(int(streamed)),
-                            reduce_tasks=0,
-                            output_rows=rows,
-                        )
-                    )
-                else:
-                    jobs.append(
-                        _job(
-                            model,
-                            cluster,
-                            name=f"{label}:reduce-join",
-                            input_bytes=streamed + sides,
-                            shuffle_bytes=streamed + sides,
-                            output_bytes=out_bytes,
-                            map_tasks=sum(
-                                cluster.splits_for(int(table)) for table in tables
-                            ),
-                            reduce_tasks=_reduce_tasks(cluster, float(star.subjects)),
-                            output_rows=rows,
-                        )
-                    )
-            rows = star_rows[0]
-            bytes_ = star_bytes[0]
-            if len(sub.stars) > 1:
-                for step_index, step in enumerate(derive_join_steps(sub)):
-                    new_rows = star_rows[step.new_star]
-                    new_bytes = star_bytes[step.new_star]
-                    left_distinct = estimator.side_distinct(
-                        step.primary.left_side, stars, rows
-                    )
-                    right_distinct = estimator.side_distinct(
-                        step.primary.right_side, stars, new_rows
-                    )
-                    out_rows = estimator.join_rows(
-                        rows, new_rows, left_distinct, right_distinct
-                    )
-                    out_bytes = out_rows * (
-                        (bytes_ / max(rows, 1.0)) + (new_bytes / max(new_rows, 1.0))
-                    )
-                    label = f"hive:sq{query_index}-join{step_index}"
-                    if forced or min(bytes_, new_bytes) <= config.mapjoin_threshold:
-                        jobs.append(
-                            _job(
-                                model,
-                                cluster,
-                                name=f"{label}:map-join",
-                                input_bytes=bytes_ + new_bytes,
-                                shuffle_bytes=0,
-                                output_bytes=out_bytes,
-                                map_tasks=cluster.splits_for(
-                                    int(max(bytes_, new_bytes))
-                                ),
-                                reduce_tasks=0,
-                                output_rows=out_rows,
-                            )
-                        )
-                    else:
-                        jobs.append(
-                            _job(
-                                model,
-                                cluster,
-                                name=f"{label}:reduce-join",
-                                input_bytes=bytes_ + new_bytes,
-                                shuffle_bytes=bytes_ + new_bytes,
-                                output_bytes=out_bytes,
-                                map_tasks=cluster.splits_for(int(bytes_))
-                                + cluster.splits_for(int(new_bytes)),
-                                reduce_tasks=_reduce_tasks(
-                                    cluster, max(left_distinct, right_distinct)
-                                ),
-                                output_rows=out_rows,
-                            )
-                        )
-                    rows = out_rows
-                    bytes_ = out_bytes
-            groups = estimator.group_count(sub.subqueries[0], rows, stars)
-            map_tasks = max(1, cluster.splits_for(int(bytes_)))
-            shuffle_rows = min(rows, groups * map_tasks)
-            agg_out = groups * AGG_ROW_BYTES
-            jobs.append(
-                _job(
-                    model,
-                    cluster,
-                    name=f"hive:sq{query_index}:group-by",
-                    input_bytes=bytes_,
-                    shuffle_bytes=shuffle_rows * AGG_PAIR_BYTES,
-                    output_bytes=agg_out,
-                    map_tasks=map_tasks,
-                    reduce_tasks=_reduce_tasks(cluster, groups),
-                    output_rows=groups,
-                )
-            )
-            agg_bytes_list.append(agg_out)
-            groups_list.append(groups)
-        if len(query.subqueries) > 1 or query.outer_extends:
-            rows = _result_rows(groups_list)
-            jobs.append(
-                _job(
-                    model,
-                    cluster,
-                    name="hive:final-combination",
-                    input_bytes=sum(agg_bytes_list),
-                    shuffle_bytes=0,
-                    output_bytes=rows * AGG_ROW_BYTES * max(1, len(query.subqueries)),
-                    map_tasks=cluster.splits_for(int(agg_bytes_list[0])),
-                    reduce_tasks=0,
-                    output_rows=rows,
-                )
-            )
-        candidates.append(
-            CandidatePlan(
-                name=name,
-                kind="hive",
-                description=description,
-                executable=False,
-                jobs=tuple(jobs),
-            )
-        )
-    return candidates
+    return priced, star_estimates
 
 
 def enumerate_candidates(
@@ -622,51 +259,32 @@ def enumerate_candidates(
     stats: GraphStats,
     config: EngineConfig,
 ) -> tuple[list[CandidatePlan], tuple[StarEstimate, ...]]:
-    """Every candidate the planner prices, rule-order first.
+    """Every candidate the planner prices, rule-order first, and the
+    rule plan's star estimates.
 
-    ``candidates[0]`` is always what the rule-based planner would build
+    ``candidates[0]`` is always what the rule-based planner builds
     (composite/solo when applicable, sequential otherwise), so
     :func:`choose` can fall back to it byte-identically.
     """
-    estimator = CardinalityEstimator(stats, store)
-    candidates, star_estimates = _ntga_candidates(query, estimator, config)
-    candidates.extend(_hive_candidates(query, estimator, config))
-    if not any(candidate.executable for candidate in candidates):
-        raise PlanningError("no executable candidate plan for query")
-    return candidates, star_estimates
+    compiled, star_estimates = _compiled_candidates(query, store, stats, config)
+    return [candidate for candidate, _plan, _events in compiled], star_estimates
 
 
 def choose(candidates: Sequence[CandidatePlan], mode: str) -> CandidatePlan:
-    """Pick per the planner mode over the executable candidates.
+    """Pick per the planner mode.
 
     Ties go to the earliest candidate (rule order), so equal-cost
     alternatives never flip the plan.
     """
-    executable = [candidate for candidate in candidates if candidate.executable]
-    if not executable:
-        raise PlanningError("no executable candidate plan")
-    rule = executable[0]
+    rule = candidates[0]
     if mode == "rule":
         return rule
-    best = min(executable, key=lambda candidate: candidate.total_cost)
+    best = min(candidates, key=lambda candidate: candidate.total_cost)
     if mode == "cost":
         return best
     if best.total_cost < rule.total_cost * (1.0 - AUTO_MARGIN):
         return best
     return rule
-
-
-def build_candidate(
-    query: AnalyticalQuery, store: Any, name: str
-) -> NTGAPlan:
-    """Compile the candidate *name* into an executable NTGA plan."""
-    if name in ("composite", "solo"):
-        return plan_rapid_analytics(query, store)
-    if name == "sequential":
-        return plan_rapid_plus(query, store)
-    if name.startswith("sequential:stream="):
-        return plan_rapid_plus(query, store, streamed=int(name.split("=", 1)[1]))
-    raise PlanningError(f"unknown candidate plan {name!r}")
 
 
 def plan_adaptive(
@@ -677,30 +295,24 @@ def plan_adaptive(
     mode: str,
     decision: str | None = None,
 ) -> NTGAPlan:
-    """Enumerate, price, pick, and compile — the cost-based entry point.
+    """Compile and price every candidate, pick one — the cost-based
+    entry point.  Returns the chosen candidate's compiled plan.
 
     *decision* (a candidate name from the serve layer's plan cache)
     short-circuits the pick: the candidates are still priced for the
     EXPLAIN report, but the cached choice wins as long as it still names
-    an executable candidate.
+    a candidate.
     """
-    candidates, star_estimates = enumerate_candidates(query, store, stats, config)
-    source = "priced"
-    chosen: CandidatePlan | None = None
-    if decision is not None:
-        chosen = next(
-            (
-                candidate
-                for candidate in candidates
-                if candidate.name == decision and candidate.executable
-            ),
-            None,
-        )
-        if chosen is not None:
-            source = "cached"
+    compiled, star_estimates = _compiled_candidates(query, store, stats, config)
+    candidates = [candidate for candidate, _plan, _events in compiled]
+    source = "cached"
+    chosen = next((c for c in candidates if c.name == decision), None)
     if chosen is None:
+        source = "priced"
         chosen = choose(candidates, mode)
-    plan = build_candidate(query, store, chosen.name)
+    _, plan, events = compiled[candidates.index(chosen)]
+    for held in events:
+        obs.event(held.name, held.attrs)
     plan.choice = PlanChoice(
         mode=mode,
         chosen=chosen.name,

@@ -19,7 +19,6 @@ from repro.serve.resilience import (
     DegradationPolicy,
     ResilienceConfig,
     RetryPolicy,
-    render_resilience_report,
     serve_resilience_report,
 )
 from repro.serve.service import (
@@ -73,7 +72,6 @@ __all__ = [
     "default_slo",
     "evaluate_slo",
     "fingerprint_query",
-    "render_resilience_report",
     "render_serve_report",
     "serve_resilience_report",
     "serve_workload_report",

@@ -339,6 +339,7 @@ class ShardedExecutor:
                 labels=job.labels + (f"shard:{shard}", "partial"),
                 representation=job.representation,
                 cluster=self.cluster,
+                estimate=job.estimate,
             )
             for shard in range(self.shards)
         ]
@@ -430,6 +431,7 @@ class ShardedExecutor:
                 exchange_bytes=inbound_cross[shard],
                 shuffle_bytes_hint=None if shuffle_bytes is None else shuffle_bytes[shard],
                 cluster=self.cluster,
+                estimate=job.estimate,
             )
             for shard in range(self.shards)
         ]
@@ -472,6 +474,7 @@ class ShardedExecutor:
                 labels=job.labels + (f"shard:{shard}", "partial"),
                 representation=job.representation,
                 cluster=self.cluster,
+                estimate=job.estimate,
             )
             for shard in range(self.shards)
         ]

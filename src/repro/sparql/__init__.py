@@ -19,7 +19,6 @@ from repro.sparql.ast import (
 )
 from repro.sparql.algebra import translate_group, translate_query
 from repro.sparql.evaluator import (
-    evaluate_algebra,
     evaluate_bgp,
     evaluate_query,
     rows_to_multiset,
@@ -63,7 +62,6 @@ __all__ = [
     "UnionPattern",
     "VarExpr",
     "aggregate_values",
-    "evaluate_algebra",
     "evaluate_bgp",
     "evaluate_filter",
     "evaluate_query",

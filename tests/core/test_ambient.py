@@ -365,6 +365,31 @@ def test_there_is_one_plan_shape():
     assert offenders == []
 
 
+def test_a_plan_prices_itself():
+    """The enumerator prices the jobs the planners compile (docs/cost_model.md,
+    "The plan enumerator"): the second write-up of each plan's structure,
+    the Hive pricing nothing could choose and the by-name re-join of
+    estimates with actuals stay deleted -- and ``repro.plan`` spells no
+    job name, the planners own them."""
+    gone = re.compile(
+        r"_pipeline_estimates|_ntga_candidates|_hive_candidates|HIVE_COLUMN_BYTES"
+        r"|build_candidate|actual_by_name|_row_source|\.executable\b"
+    )
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if gone.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    job_name = re.compile(r'"(ra|rp|hive):|f"(ra|rp):')
+    plan_modules = sorted((SRC / "plan").glob("*.py"))
+    assert len(plan_modules) >= 4
+    spelled = [
+        path.name for path in plan_modules if job_name.search(path.read_text(encoding="utf-8"))
+    ]
+    assert spelled == []
+
+
 def test_no_module_level_container_holds_shard_layouts(bsbm_small):
     """Partitions and the store parts derived from them belong to their
     graph: they hang on ``_PARTITION_CACHE``'s weakly keyed entry and

@@ -11,11 +11,22 @@ service must leave nothing behind.
 
 import gc
 import sys
+from types import FunctionType, ModuleType
 
+import pytest
+
+from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
+from repro.core.engines import to_analytical
 from repro.core.query_model import StarPattern
+from repro.core.results import EngineConfig
+from repro.mapreduce.hdfs import HDFS
 from repro.ntga.composite import CanonicalSubquery
-from repro.ntga.physical import AlphaJoinPlan
+from repro.ntga.physical import AlphaJoinPlan, TripleGroupStore, load_triplegroups
+from repro.ntga.planner import plan_rapid_analytics
+from repro.plan import CardinalityEstimator, plan_adaptive
+from repro.rdf.graph import Graph
+from repro.rdf.stats import GraphStats, cached_profile
 from repro.ntga.triplegroup import JoinPlan, StarPlan
 from repro.serve import OK, QueryService, ServiceConfig
 from repro.serve.workload import WorkloadSpec, workload_requests
@@ -66,3 +77,41 @@ def test_serving_a_stream_again_leaves_no_plan_behind(chem_tiny):
     assert containers_2  # the scan does see repro.ntga's containers
     assert containers_3 == containers_2
     assert live_3 == live_2
+
+
+def _reachable(roots) -> list:
+    """Every object reachable from *roots* through attributes, containers
+    and closure cells -- not through a function's globals: what a plan
+    *holds*, not what its code can name."""
+    seen: dict[int, object] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, str, bytes, int, float)):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += obj.__defaults__ or ()
+        else:
+            stack += gc.get_referents(obj)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("mode", ["rule", "cost"])
+def test_a_plan_holds_no_data_and_no_statistics(mode, chem_tiny):
+    """A plan is handed to caches and reports that outlive the query.  A
+    priced one went through the estimator -- every job's ``leaving`` was
+    called with it, and left a ``JobEstimate`` behind -- and must come out
+    holding plan-time facts only, like the rule planner's."""
+    query = to_analytical(get_query("MG6").sparql)
+    store = load_triplegroups(chem_tiny, HDFS())
+    if mode == "rule":
+        plan = plan_rapid_analytics(query, store)
+    else:
+        plan = plan_adaptive(query, store, cached_profile(chem_tiny), EngineConfig(), mode)
+        assert all(job.estimate is not None for job in plan.jobs)
+    held = _reachable([plan])
+    assert any(isinstance(obj, AlphaJoinPlan) for obj in held)  # the walk does descend
+    leaked = (Graph, GraphStats, CardinalityEstimator, TripleGroupStore)
+    assert [type(obj).__name__ for obj in held if isinstance(obj, leaked)] == []

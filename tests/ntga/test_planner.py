@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.catalog import CATALOG
 from repro.core.query_model import parse_analytical
+from repro.core.results import EngineConfig
 from repro.errors import OverlapError
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
@@ -14,7 +15,8 @@ from repro.ntga.planner import (
     plan_rapid_plus,
 )
 from repro.plan.ab import DEFAULT_QUERIES as PLANNER_AB_QUERIES
-from repro.plan.enumerator import build_candidate
+from repro.plan import plan_adaptive
+from repro.rdf.stats import cached_profile
 
 
 @pytest.fixture
@@ -330,7 +332,9 @@ class TestOnePlanShape:
         }
 
     @pytest.mark.parametrize("qid", PLANNER_AB_QUERIES)
-    def test_streamed_rapid_plus_is_the_rotated_final_join(self, qid, catalog_stores):
+    def test_streamed_rapid_plus_is_the_rotated_final_join(
+        self, qid, catalog_stores, bsbm_small
+    ):
         """``sequential:stream=k`` used to be job surgery on a finished
         plan: the final join cut out and one that streams file *k* and
         side-loads the rest, in order, spliced in."""
@@ -353,6 +357,10 @@ class TestOnePlanShape:
                 f"; final join streams subquery {streamed}" if streamed else ""
             )
             name = f"sequential:stream={streamed}" if streamed else "sequential"
-            candidate = build_candidate(query, store, name)
+            # ... and it is the plan the cost planner runs under that name.
+            candidate = plan_adaptive(
+                query, store, cached_profile(bsbm_small), EngineConfig(), "cost", decision=name
+            )
+            assert candidate.choice.chosen == name
             assert shape(candidate) == shape(plan)
             assert candidate.description == plan.description

@@ -26,15 +26,17 @@ def test_q_error_is_symmetric_and_floored():
     assert q_error(0.0005, 0.002, floor=0.001) == 2.0  # cost floor
 
 
-def _estimate(name, rows, cost):
-    return SimpleNamespace(name=name, output_rows=rows, cost=cost)
+def _cycle(rows, cost, *actuals):
+    """One priced cycle: its estimate and the ``(records, cost)`` of each
+    executed part that carried it."""
+    estimate = SimpleNamespace(output_rows=rows, cost=cost)
+    return estimate, [
+        SimpleNamespace(output_records=records, cost_seconds=seconds)
+        for records, seconds in actuals
+    ]
 
 
-def _actual(name, records, cost):
-    return SimpleNamespace(name=name, output_records=records, cost_seconds=cost)
-
-
-def test_record_aligns_by_job_name_and_feeds_registry():
+def test_record_compares_each_cycle_with_its_one_part_and_feeds_registry():
     monitor = CalibrationMonitor()
     registry = MetricsRegistry()
     with collecting(registry):
@@ -42,11 +44,12 @@ def test_record_aligns_by_job_name_and_feeds_registry():
             "MG1",
             "rapid-analytics",
             [
-                _estimate("job-1", 100, 10.0),
-                _estimate("job-2", 50, 5.0),
-                _estimate("job-skipped", 1, 1.0),  # no matching actual
+                _cycle(100, 10.0, (100, 10.0)),
+                _cycle(50, 5.0, (10, 2.5)),
+                # A sharded cycle (partial + assemble parts) is skipped on
+                # purpose: its parts' costs include an unpriced exchange.
+                _cycle(1, 1.0, (0, 0.5), (0, 0.5), (1, 0.7), (0, 0.7)),
             ],
-            [_actual("job-1", 100, 10.0), _actual("job-2", 10, 2.5)],
         )
     assert compared == 2
     assert monitor.observations == 2
@@ -64,20 +67,17 @@ def test_report_verdicts_against_thresholds():
     monitor.record(
         "good",
         "rapid-analytics",
-        [_estimate("a", 10, 1.0)],
-        [_actual("a", 12, 1.1)],
+        [_cycle(10, 1.0, (12, 1.1))],
     )
     monitor.record(
         "card-drift",
         "rapid-analytics",
-        [_estimate("a", 100, 1.0)],
-        [_actual("a", 2, 1.0)],  # 50x cardinality miss
+        [_cycle(100, 1.0, (2, 1.0))],  # 50x cardinality miss
     )
     monitor.record(
         "cost-drift",
         "rapid-analytics",
-        [_estimate("a", 10, 30.0)],
-        [_actual("a", 10, 10.0)],  # 3x cost miss
+        [_cycle(10, 30.0, (10, 10.0))],  # 3x cost miss
     )
     report = monitor.report()
     assert report["thresholds"] == {
@@ -95,11 +95,27 @@ def test_report_verdicts_against_thresholds():
     assert [e["query"] for e in report["queries"]] == sorted(verdicts)
 
 
-def test_record_report_requires_a_plan_choice():
+def test_record_report_requires_a_plan_choice(bsbm_small):
+    """Nothing a Hive or rule-mode run executed was priced."""
     monitor = CalibrationMonitor()
     bare = SimpleNamespace(plan_choice=None, stats=None, engine="hive-mqo")
     assert monitor.record_report("G8", bare) == 0
+    rule_run = make_engine("rapid-analytics").execute(
+        to_analytical(get_query("MG1").sparql), bsbm_small, EngineConfig(planner="rule")
+    )
+    assert monitor.record_report("MG1", rule_run) == 0
     assert monitor.observations == 0
+
+
+def test_record_report_skips_a_sharded_run_on_purpose(bsbm_small):
+    """Every priced cycle of a sharded run executes as several parts."""
+    report = make_engine("rapid-analytics").execute(
+        to_analytical(get_query("MG1").sparql),
+        bsbm_small,
+        EngineConfig(planner="cost", shards=2),
+    )
+    assert all(len(parts) > 1 for _, parts in report.stats.priced_cycles())
+    assert CalibrationMonitor().record_report("MG1", report) == 0
 
 
 @pytest.mark.parametrize("qid", ["MG1"])

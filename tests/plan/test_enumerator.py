@@ -1,4 +1,4 @@
-"""Plan enumerator: candidate pricing, mode choice, and compilation.
+"""Plan enumerator: candidate pricing, mode choice, and the chosen plan.
 
 The composite-loses decision logic is exercised with synthetic
 candidates: on this simulator the fused composite plan prices below
@@ -11,11 +11,11 @@ where that decision lives.
 
 import pytest
 
+from repro import obs
 from repro.bench.catalog import get_query
 from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig
 from repro.datasets import bsbm
-from repro.errors import PlanningError
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
 from repro.plan import (
@@ -26,7 +26,6 @@ from repro.plan import (
     enumerate_candidates,
     plan_adaptive,
 )
-from repro.plan.enumerator import build_candidate
 from repro.rdf.graph import Graph
 from repro.rdf.stats import profile
 from repro.rdf.terms import IRI, Literal
@@ -35,7 +34,7 @@ from repro.rdf.triples import RDF_TYPE, Triple
 from tests.conftest import canonical_rows
 
 
-def candidate(name, cost, executable=True, kind="ntga"):
+def candidate(name, cost):
     job = JobEstimate(
         name=f"{name}:job",
         map_only=False,
@@ -47,9 +46,7 @@ def candidate(name, cost, executable=True, kind="ntga"):
         output_rows=1.0,
         cost=cost,
     )
-    return CandidatePlan(
-        name=name, kind=kind, description="synthetic", executable=executable, jobs=(job,)
-    )
+    return CandidatePlan(name=name, description="synthetic", jobs=(job,))
 
 
 class TestChoose:
@@ -83,18 +80,6 @@ class TestChoose:
         ]
         assert choose(beyond, "auto").name == "sequential"
 
-    def test_informational_candidates_never_win(self):
-        candidates = [
-            candidate("composite", 100.0),
-            candidate("hive-mapjoin", 1.0, executable=False, kind="hive"),
-        ]
-        assert choose(candidates, "cost").name == "composite"
-
-    def test_no_executable_candidate_raises(self):
-        candidates = [candidate("hive-naive", 1.0, executable=False, kind="hive")]
-        with pytest.raises(PlanningError, match="no executable candidate"):
-            choose(candidates, "cost")
-
 
 @pytest.fixture(scope="module")
 def bsbm_tiny():
@@ -117,22 +102,9 @@ class TestEnumerateMG1:
         names = [c.name for c in candidates]
         # Rule order first: the composite rewrite is what the rule
         # planner builds for MG1.
-        assert names[0] == "composite"
-        assert "sequential" in names
-        assert "sequential:stream=1" in names
-        assert {"hive-naive", "hive-mapjoin"} <= set(names)
+        # No builder, no estimate: nothing prices a Hive plan.
+        assert names == ["composite", "sequential", "sequential:stream=1"]
         assert star_estimates  # one estimate per star of the pattern
-
-    def test_hive_candidates_are_informational(self, mg1_setup):
-        query, store, stats = mg1_setup
-        candidates, _ = enumerate_candidates(query, store, stats, EngineConfig())
-        by_name = {c.name: c for c in candidates}
-        for name in ("hive-naive", "hive-mapjoin"):
-            assert by_name[name].kind == "hive"
-            assert not by_name[name].executable
-        for name in ("composite", "sequential"):
-            assert by_name[name].kind == "ntga"
-            assert by_name[name].executable
 
     def test_composite_prices_below_sequential(self, mg1_setup):
         """On this simulator the fused plan is a subset workload of the
@@ -151,18 +123,19 @@ class TestEnumerateMG1:
 
 
 class TestBuildCandidate:
+    """A candidate name selects the plan its planner compiled."""
+
     def test_stream_variant_rotates_final_join(self, mg1_setup):
-        query, store, _ = mg1_setup
-        base = build_candidate(query, store, "sequential")
-        rotated = build_candidate(query, store, "sequential:stream=1")
+        query, store, stats = mg1_setup
+        config = EngineConfig()
+        base = plan_adaptive(query, store, stats, config, "cost", decision="sequential")
+        rotated = plan_adaptive(
+            query, store, stats, config, "cost", decision="sequential:stream=1"
+        )
         assert "streams subquery 1" in rotated.description
         assert "streams subquery" not in base.description
         assert len(rotated.jobs) == len(base.jobs)
-
-    def test_unknown_name_raises(self, mg1_setup):
-        query, store, _ = mg1_setup
-        with pytest.raises(PlanningError, match="unknown candidate plan"):
-            build_candidate(query, store, "zigzag")
+        assert rotated.jobs[-1].inputs != base.jobs[-1].inputs
 
 
 class TestPlanAdaptive:
@@ -192,13 +165,15 @@ class TestPlanAdaptive:
         assert plan.choice.source == "priced"
         assert plan.choice.chosen == "composite"
 
-    def test_non_executable_decision_is_ignored(self, mg1_setup):
+    def test_the_chosen_plan_carries_its_own_estimates(self, mg1_setup):
+        """The plan that runs is the plan that was priced: each job holds
+        the very estimate its candidate lists."""
         query, store, stats = mg1_setup
-        plan = plan_adaptive(
-            query, store, stats, EngineConfig(), "cost", decision="hive-naive"
-        )
-        assert plan.choice.source == "priced"
-        assert plan.choice.chosen == "composite"
+        plan = plan_adaptive(query, store, stats, EngineConfig(), "cost")
+        chosen = plan.choice.candidate(plan.choice.chosen)
+        assert len(plan.jobs) == len(chosen.jobs)
+        for job, estimate in zip(plan.jobs, chosen.jobs):
+            assert job.estimate is estimate
 
 
 # -- the fallback path: when the rewrite cannot fire at all -------------------
@@ -250,3 +225,43 @@ class TestOverlapFallback:
         assert choice is not None
         assert choice.chosen == "sequential"
         assert choice.candidate("composite") is None
+        # candidates[0] is the rule planner's own fallback plan, job for
+        # job what rule mode ran.
+        assert [c.name for c in choice.candidates] == ["sequential", "sequential:stream=1"]
+        assert cost_run.plan == rule_run.plan
+
+
+class TestPlannerEvents:
+    """Every candidate is compiled by a planner that announces itself
+    (``composite`` / ``rewrite-fallback`` events); a traced cost-mode
+    execution shows the chosen plan's announcement only, and exactly the
+    spans it showed when candidates were priced without compiling them
+    (counts as at a3f7170)."""
+
+    @staticmethod
+    def traced(query, graph, **fields):
+        with obs.tracing() as recorder:
+            make_engine("rapid-analytics").execute(
+                to_analytical(query), graph, EngineConfig(planner="cost", **fields)
+            )
+        names = [event.name for event in recorder.events]
+        return names, len(recorder.spans)
+
+    def test_overlapping_query(self, bsbm_tiny):
+        events, spans = self.traced(get_query("MG1").sparql, bsbm_tiny)
+        assert events == ["composite", "planner-choice"]
+        assert spans == 17
+
+    def test_a_rejected_candidates_events_stay_out(self, bsbm_tiny):
+        events, _ = self.traced(
+            get_query("MG1").sparql, bsbm_tiny, plan_decision="sequential"
+        )
+        assert events == ["planner-choice"]  # RAPID+ announces nothing
+
+    def test_non_overlapping_query(self):
+        # The rule plan -- candidates[0], the one chosen here -- is the
+        # rule planner's own fallback, so its event is in the trace (the
+        # mirrored pricing ran a plan_rapid_plus of its own and lost it).
+        events, spans = self.traced(FALLBACK_QUERY, fallback_graph())
+        assert events == ["rewrite-fallback", "planner-choice"]
+        assert spans == 27

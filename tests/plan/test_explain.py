@@ -72,7 +72,9 @@ class TestExplainText:
         )
         assert "planner (rule mode): chose 'composite'" in text
         assert "sequential" in text
-        assert "informational" in text  # the Hive baselines are priced too
+        # Hive plans are measured by running them, never priced.
+        assert "hive-naive:" not in text and "informational" not in text
+        assert "explain --engine hive-naive|hive-mqo" in text
         assert "estimated cardinalities:" in text
         assert "evaluation order:" in text
 
@@ -103,13 +105,49 @@ class TestExplainReport:
             query, engine="rapid-analytics", graph=bsbm_tiny, config=config, run=run
         )
         comparison = report["estimated_vs_actual"]
-        assert comparison, "chosen candidate should price every cycle"
-        # The adaptive run attached its own PlanChoice; every estimated
-        # cycle must find its executed counterpart by job name.
-        for entry in comparison:
-            assert entry["actual_rows"] is not None
-            assert entry["actual_cost"] is not None
+        # Every executed job carried the estimate it was priced with.
+        assert [entry["job"] for entry in comparison] == run.plan
+        for entry, actual in zip(comparison, run.stats.jobs):
+            assert entry["parts"] == 1
+            assert entry["actual_rows"] == actual.output_records
+            assert entry["actual_cost"] == round(actual.cost_seconds, 6)
             assert entry["estimated_cost"] > 0.0
+
+    def test_a_rule_mode_run_has_nothing_to_compare(self, bsbm_tiny):
+        """Nobody priced a rule-mode plan: no job carries an estimate."""
+        config = EngineConfig(planner="rule")
+        query = to_analytical(get_query("MG1").sparql)
+        run = make_engine("rapid-analytics").execute(query, bsbm_tiny, config)
+        assert all(job.estimate is None for job in run.stats.jobs)
+        report = explain_report(
+            query, engine="rapid-analytics", graph=bsbm_tiny, config=config, run=run
+        )
+        assert report["estimated_vs_actual"] == []
+
+    def test_sharded_run_groups_the_parts_of_each_priced_cycle(self, bsbm_tiny):
+        """The parts the sharded driver derives from a priced job inherit
+        its estimate, so the comparison finds them whatever they are
+        called (it glued by job name, and ``ra:alpha-join-0@s0`` matched
+        nothing: every actual was ``None``)."""
+        query = to_analytical(get_query("MG3").sparql)
+        engine = make_engine("rapid-analytics")
+        solo = engine.execute(query, bsbm_tiny, EngineConfig(planner="cost"))
+        sharded = engine.execute(
+            query, bsbm_tiny, EngineConfig(planner="cost", shards=2)
+        )
+        comparison = explain_report(
+            query, engine="rapid-analytics", graph=bsbm_tiny, run=sharded
+        )["estimated_vs_actual"]
+        assert [entry["job"] for entry in comparison] == solo.plan
+        for entry, unsharded in zip(comparison, solo.stats.jobs):
+            # partial + assemble per shard for a full cycle, one
+            # broadcast job per shard for a map-only one
+            assert entry["parts"] == (2 if unsharded.map_only else 4)
+            assert entry["actual_rows"] == unsharded.output_records
+            assert entry["actual_cost"] > 0.0
+        assert sum(entry["actual_cost"] for entry in comparison) == pytest.approx(
+            sum(job.cost_seconds for job in sharded.stats.jobs)
+        )
 
     def test_cli_run_appends_estimated_vs_actual(self, capsys):
         code = main(
@@ -120,6 +158,17 @@ class TestExplainReport:
         assert "estimated vs actual (per MR cycle):" in out
         assert "ra:agg-join" in out
         assert "executed: " in out
+
+    def test_cli_sharded_run_fills_every_actual(self, capsys):
+        code = main(
+            ["explain", "MG3", "--preset", "tiny", "--planner", "cost", "--run",
+             "--shards", "2"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        table = out[out.index("estimated vs actual (per MR cycle):"):]
+        assert "—" not in table
+        assert "no exchange term" in table
 
     def test_cli_json_emits_schema(self, capsys):
         code = main(
