@@ -4,8 +4,8 @@ Each function isolates one optimization and measures the system with it
 turned off:
 
 * **combiner ablation** — TG_AgJ's mapper-side hash partial aggregation
-  (Algorithm 3's ``multiAggMap``): without it every expanded solution
-  is shuffled;
+  (Algorithm 3's ``multiAggMap``, the job's fold): without it every
+  expanded solution is shuffled;
 * **equivalence-class pruning ablation** — storing triplegroups per
   equivalence class lets a star pattern scan only matching files;
 * **map-join threshold sweep** — Hive's small-table optimization;
@@ -21,7 +21,6 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig
 from repro.mapreduce.hdfs import HDFS
-from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner
 from repro.ntga.engine import run_plan
 from repro.ntga.physical import load_triplegroups
@@ -50,19 +49,7 @@ def _ablation_point(
     plan = plan_rapid_analytics(query, store, fuse_aggregations=fuse_aggregations)
     if strip_combiners:
         plan.jobs = [
-            MapReduceJob(
-                name=job.name,
-                inputs=job.inputs,
-                output=job.output,
-                mapper=job.mapper,
-                mapper_factory=job.mapper_factory,
-                reducer=job.reducer,
-                combiner=None,
-                side_inputs=job.side_inputs,
-                output_compressed=job.output_compressed,
-                tag_inputs=job.tag_inputs,
-                labels=job.labels,
-            )
+            dataclass_replace(job, mapper=job.unfolded_mapper(), fold=None) if job.fold else job
             for job in plan.jobs
         ]
     runner = MapReduceRunner(

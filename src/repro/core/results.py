@@ -33,7 +33,7 @@ def rows_digest(rows: list[dict]) -> str:
     """A stable fingerprint of an engine's result rows, **in order**.
 
     Row order is part of the fingerprint on purpose: the sort-key
-    overhaul must not reorder combiner/reducer output, and any reorder
+    overhaul must not reorder fold/reducer output, and any reorder
     shows up here even when the row multiset is unchanged.
     """
     hasher = hashlib.sha256()

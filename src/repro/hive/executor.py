@@ -43,7 +43,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
 from repro.ntga.composite import CanonicalSubquery, build_composite_n
 from repro.ntga.engine import deliver_rows
-from repro.ntga.physical import AggRow, finish_group, merge_partials
+from repro.ntga.physical import AggRow, finish_group
 from repro.ntga.planner import build_result_join
 from repro.hive.tables import VPStore
 from repro.rdf.terms import IRI, Term, Variable
@@ -171,6 +171,24 @@ def _vp_row_builder(tp: TriplePattern, filters: Sequence[Expression]):
         return row
 
     return build
+
+
+def _matched(star: StarPattern, tp: TriplePattern) -> Variable:
+    """The column saying that *star*'s LEFT OUTER concrete-object
+    pattern *tp* matched a subject: such a pattern binds no variable, so
+    nothing else in a joined row records it (no SPARQL name has a space)."""
+    return Variable(f"matched {star.subject} {prop_key_of(tp)}")
+
+
+def _marking(build, marker: Variable, term: Term):
+    """*build*, with every row it makes binding *marker*."""
+    flag = Row({marker: term})
+
+    def marked(record: tuple) -> Row | None:
+        row = build(record)
+        return None if row is None else _compatible_merge(row, flag)
+
+    return marked
 
 
 @dataclass(frozen=True)
@@ -306,7 +324,12 @@ class HiveExecutor:
         by_path: dict[str, list[int]] = {}
         for index, (_, path, _, _) in enumerate(entries):
             by_path.setdefault(path, []).append(index)
-        builders = [_vp_row_builder(tp, pushed) for tp, _, pushed, _ in entries]
+        builders = [
+            _vp_row_builder(tp, pushed)
+            if not optional or isinstance(tp.object, Variable)
+            else _marking(_vp_row_builder(tp, pushed), _matched(star, tp), tp.object)
+            for tp, _, pushed, optional in entries
+        ]
         output = f"{self.prefix}/{self._counter.next(label)}"
 
         required = [i for i, e in enumerate(entries) if not e[3]]
@@ -553,14 +576,15 @@ class HiveExecutor:
                 return record.get(condition.variable) is not None
             return evaluate_filter(condition, record)
 
-        def mapper(record: Any) -> Iterable[tuple[tuple, AccumulatorTuple]]:
+        def mapper(record: Any) -> Iterable[tuple[tuple, dict]]:
             if not isinstance(record, dict):
                 return
             if filters and not all(passes(record, f) for f in filters):
                 return
-            key = tuple(record.get(v) for v in group_by)
-            bundle = AccumulatorTuple.fresh(agg_specs)
-            for accumulator, agg in zip(bundle.accumulators, aggregates):
+            yield tuple(record.get(v) for v in group_by), record
+
+        def step(partial: AccumulatorTuple, record: dict) -> None:
+            for accumulator, agg in zip(partial.accumulators, aggregates):
                 if agg.variable is None:
                     accumulator.update(None)
                     continue
@@ -569,12 +593,11 @@ class HiveExecutor:
                     continue
                 value = term_value(term)
                 accumulator.update(value.value if isinstance(value, IRI) else value)
-            yield key, bundle
 
         def reducer(key: tuple, values: list) -> Iterable[AggRow]:
-            ((_, merged),) = merge_partials(key, values)
             row = finish_group(
-                0, output_group_by, key, merged.accumulators, aggregates, having
+                0, output_group_by, key, AccumulatorTuple.merged(values).accumulators,
+                aggregates, having,
             )
             if row is not None:
                 yield row
@@ -584,7 +607,7 @@ class HiveExecutor:
             inputs=(rows_path,),
             output=output,
             mapper=mapper,
-            combiner=merge_partials,
+            fold=(lambda record: AccumulatorTuple.fresh(agg_specs), step),
             reducer=reducer,
             labels=("group-by",),
         )
@@ -605,10 +628,12 @@ class HiveExecutor:
         composite_rows: str,
         subquery: CanonicalSubquery,
         label: str,
+        matched: tuple[Variable, ...],
     ) -> str:
         """Extract one original pattern's distinct solutions from the
         materialized composite table (a full MR cycle: DISTINCT needs a
-        shuffle)."""
+        shuffle); *matched* are the columns of the LEFT OUTER
+        concrete-object patterns it requires."""
         output = f"{self.prefix}/{self._counter.next(label)}"
         variables: set[Variable] = set()
         optional_vars: set[Variable] = set()
@@ -618,7 +643,7 @@ class HiveExecutor:
                 if star.is_optional(pattern) and isinstance(pattern.object, Variable):
                     optional_vars.add(pattern.object)
         ordered = tuple(sorted(variables, key=lambda v: v.name))
-        required = tuple(v for v in ordered if v not in optional_vars)
+        required = tuple(v for v in ordered if v not in optional_vars) + matched
         filters = subquery.filters
 
         def mapper(record: Any) -> Iterable[tuple[tuple, None]]:
@@ -784,6 +809,7 @@ class HiveExecutor:
         # aggregation's map phase.  This is what lets MQO evaluate
         # identical-pattern queries (e.g. MG6) without dedup cycles.
         composite_vars = composite.composite_graph_pattern().variables()
+        stars = composite.stars
         agg_outputs: list[str] = []
         for subquery in composite.subqueries:
             subquery_vars: set[Variable] = set()
@@ -793,10 +819,19 @@ class HiveExecutor:
                 for pattern in star.patterns:
                     if star.is_optional(pattern) and isinstance(pattern.object, Variable):
                         optional_vars.add(pattern.object)
+            # The secondary concrete-object patterns this subquery
+            # requires: their match is a column of the composite rows.
+            matched = tuple(
+                _matched(stars[index].pattern, tp)
+                for star, index in zip(subquery.stars, subquery.star_indices)
+                for tp in stars[index].pattern.patterns
+                if not isinstance(tp.object, Variable)
+                and prop_key_of(tp) in stars[index].p_sec & star.required_props()
+            )
             if subquery_vars >= composite_vars:
                 bound_required = tuple(
                     sorted(subquery_vars - optional_vars, key=lambda v: v.name)
-                )
+                ) + matched
                 filters = subquery.filters + tuple(
                     _BoundFilter(v) for v in bound_required
                 )
@@ -813,7 +848,7 @@ class HiveExecutor:
                 )
                 continue
             extracted = self._extraction(
-                composite_rows, subquery, label=f"mqo-extract{subquery.subquery_id}"
+                composite_rows, subquery, f"mqo-extract{subquery.subquery_id}", matched
             )
             agg_outputs.append(
                 self._grouping(

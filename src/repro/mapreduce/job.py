@@ -1,6 +1,6 @@
 """MapReduce job descriptions.
 
-A job names its HDFS inputs and output and supplies the map / combine /
+A job names its HDFS inputs and output and supplies the map / fold /
 reduce functions.  Map-only jobs (``reducer is None``) emit output
 records directly from the mapper; full jobs emit ``(key, value)`` pairs
 that are shuffled, grouped, and reduced.
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cost imports rdf)
 
 Mapper = Callable[[Any], Iterable[Any]]
 Reducer = Callable[[Any, list[Any]], Iterable[Any]]
-Combiner = Callable[[Any, list[Any]], Iterable[tuple[Any, Any]]]
+Fold = tuple[Callable[[Any], Any], Callable[[Any, Any], None]]
 MapperFactory = Callable[[dict[str, list[Any]]], Mapper]
 
 
@@ -38,7 +38,11 @@ class MapReduceJob:
     mapper: Mapper | None = None
     mapper_factory: MapperFactory | None = None
     reducer: Reducer | None = None
-    combiner: Combiner | None = None
+    #: Mapper-side hash aggregation, ``(zero, step)``: the mapper emits
+    #: ``(key, item)`` and each map task keeps one partial per key --
+    #: ``zero`` of its first item, then ``step(partial, item)`` in place
+    #: for every item in emission order -- and ships ``(key, partial)``.
+    fold: Fold | None = None
     side_inputs: tuple[str, ...] = ()
     output_compressed: bool = False
     #: When True the mapper receives ``(input_path, record)`` pairs so it
@@ -101,8 +105,8 @@ class MapReduceJob:
             raise MapReduceError(
                 f"job {self.name!r} declares side inputs but no mapper_factory"
             )
-        if self.combiner is not None and self.reducer is None:
-            raise MapReduceError(f"map-only job {self.name!r} cannot have a combiner")
+        if self.fold is not None and self.reducer is None:
+            raise MapReduceError(f"map-only job {self.name!r} cannot have a fold")
         if not self.inputs:
             raise MapReduceError(f"job {self.name!r} needs at least one input")
 
@@ -115,6 +119,27 @@ class MapReduceJob:
             return self.mapper
         assert self.mapper_factory is not None
         return self.mapper_factory(side_data)
+
+    def unfolded_mapper(self) -> Mapper:
+        """The mapper as it runs where nothing folds (the sharded
+        driver's partial jobs, the combiner ablation): each emitted item
+        becomes its partial of one, ``step(zero(item), item)`` -- the
+        value a folded task's partial starts from."""
+        mapper = self.mapper
+        assert mapper is not None
+        if self.fold is None:
+            return mapper
+        zero, step = self.fold
+
+        def unfolded(record: Any) -> list[tuple[Any, Any]]:
+            pairs = []
+            for key, item in mapper(record):
+                partial = zero(item)
+                step(partial, item)
+                pairs.append((key, partial))
+            return pairs
+
+        return unfolded
 
 
 @dataclass

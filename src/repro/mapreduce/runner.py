@@ -4,8 +4,8 @@ The runner faithfully models the dataflow of one Hadoop cycle:
 
 1. the inputs are divided into splits (one map task per block);
 2. each map task runs the mapper over its records;
-3. with a combiner, each map task groups its own output by key and
-   pre-aggregates it before anything is shuffled — this is exactly the
+3. with a fold, each map task aggregates its own output in place, one
+   partial per key, before anything is shuffled — this is exactly the
    mapper-side hash aggregation the paper's TG_AgJ operator relies on;
 4. map output is shuffled (grouped by key across all tasks) and the
    reducer runs per key;
@@ -244,31 +244,38 @@ def _map_combine(
     job: MapReduceJob, inputs: _JobInputs, counters: Counters
 ) -> list[tuple[Any, Any]]:
     """The map stage of a full job, one task (input chunk) at a time;
-    with a combiner, each task pre-aggregates its own output by key."""
+    with a fold, each task folds its emissions into one partial per key
+    and ships those in shuffle-key order."""
     mapper = inputs.mapper
     shuffle_pairs: list[tuple[Any, Any]] = []
     for chunk in _chunk(inputs.records, inputs.map_tasks):
-        task_output: list[tuple[Any, Any]] = []
+        if job.fold is None:
+            emitted = len(shuffle_pairs)
+            for record in chunk:
+                shuffle_pairs.extend(mapper(record))
+            counters.increment("map_output_records", len(shuffle_pairs) - emitted)
+            continue
+        zero, step = job.fold
+        partials: dict[Any, Any] = {}
+        emitted = 0
         for record in chunk:
-            task_output.extend(mapper(record))
-        counters.increment("map_output_records", len(task_output))
-        if job.combiner is not None:
-            grouped: dict[Any, list[Any]] = defaultdict(list)
-            try:
-                for key, value in task_output:
-                    grouped[key].append(value)
-            except (TypeError, ValueError):
-                raise MapReduceError(
-                    f"job {job.name!r}: mapper of a full MR job must "
-                    f"emit (key, value) pairs"
-                ) from None
-            counters.increment("combine_input_records", len(task_output))
-            combined: list[tuple[Any, Any]] = []
-            for key in sorted(grouped, key=_sort_key):
-                combined.extend(job.combiner(key, grouped[key]))
-            counters.increment("combine_output_records", len(combined))
-            task_output = combined
-        shuffle_pairs.extend(task_output)
+            for pair in mapper(record):
+                try:
+                    key, item = pair
+                except (TypeError, ValueError):
+                    raise MapReduceError(
+                        f"job {job.name!r}: mapper of a full MR job must "
+                        f"emit (key, value) pairs"
+                    ) from None
+                emitted += 1
+                partial = partials.get(key)
+                if partial is None:
+                    partial = partials[key] = zero(item)
+                step(partial, item)
+        counters.increment("map_output_records", emitted)
+        counters.increment("combine_input_records", emitted)
+        counters.increment("combine_output_records", len(partials))
+        shuffle_pairs.extend([(key, partials[key]) for key in sorted(partials, key=_sort_key)])
     return shuffle_pairs
 
 

@@ -9,7 +9,7 @@ simulated MapReduce jobs:
   pattern (Algorithm 2), pruning combinations that satisfy no α;
 * **TG_AgJ** is one full MR cycle computing *all* requested
   grouping-aggregations in parallel (Algorithm 3), with mapper-side
-  hash partial aggregation modeled by the combiner;
+  hash partial aggregation as the job's fold;
 * **TG_Join** of aggregated triplegroups is a final map-only cycle.
 """
 
@@ -44,12 +44,7 @@ from repro.sparql.aggregates import (
     accumulator_factory,
     make_accumulator,
 )
-from repro.sparql.expressions import (
-    Expression,
-    evaluate_filter,
-    expression_variables,
-    term_value,
-)
+from repro.sparql.expressions import Expression, evaluate_filter, expression_variables
 
 
 # ---------------------------------------------------------------------------
@@ -851,19 +846,6 @@ def to_term(value: object) -> Term:
     return Literal.from_python(value)  # type: ignore[arg-type]
 
 
-def merge_partials(
-    key: tuple, values: list[AccumulatorTuple]
-) -> Iterable[tuple[tuple, AccumulatorTuple]]:
-    """The grouping combiner of the NTGA and Hive engines alike — both
-    model mapper-side hash partial aggregation, one accumulator per
-    aggregation as the shuffle value: a group's partials merged into the
-    first."""
-    merged = values[0]
-    for value in values[1:]:
-        merged.merge(value)
-    yield key, merged
-
-
 def finish_group(
     subquery_id: int,
     group_vars: tuple[Variable, ...],
@@ -938,17 +920,20 @@ def build_agg_join_job(
             subquery.filters,
             tuple((variable, expansion.slot(variable)) for variable in mentioned),
             tuple(expansion.slot(variable) for variable in subquery.group_by),
-            tuple(accumulator_factory(a.func, a.distinct) for a in subquery.aggregates),
-            # -1: the aggregate reads no variable (COUNT(*)).
-            tuple(
-                -1 if a.variable is None else expansion.slot(a.variable)
-                for a in subquery.aggregates
+            # What the fold reads of an emitted solution: the aggregates'
+            # factories and input slots (-1: COUNT(*) reads no variable).
+            (
+                tuple(accumulator_factory(a.func, a.distinct) for a in subquery.aggregates),
+                tuple(
+                    -1 if a.variable is None else expansion.slot(a.variable)
+                    for a in subquery.aggregates
+                ),
             ),
         )
 
     compiled = tuple(compile_subquery(subquery) for subquery in subqueries)
 
-    def mapper(record: Any) -> Iterable[tuple[tuple, AccumulatorTuple]]:
+    def mapper(record: Any) -> Iterable[tuple[tuple, tuple]]:
         if isinstance(record, TripleGroup):
             assert single_star_filter is not None
             filtered = single_star_filter(record)
@@ -961,7 +946,7 @@ def build_agg_join_job(
             return
         props = joined.props()
         for (
-            subquery_id, alpha, expand, filters, filter_slots, group_slots, factories, input_slots
+            subquery_id, alpha, expand, filters, filter_slots, group_slots, aggregation
         ) in compiled:
             if not alpha(props):
                 # The paper's superfluous-combination pruning: this
@@ -980,20 +965,27 @@ def build_agg_join_job(
                     }
                     if not all(evaluate_filter(f, bindings) for f in filters):
                         continue
-                accumulators = [factory() for factory in factories]
-                for accumulator, slot in zip(accumulators, input_slots):
-                    if slot < 0:
-                        accumulator.update(None)
-                        continue
-                    term = row[slot]
-                    if term is None:
-                        continue
-                    value = term_value(term)
-                    accumulator.update(value.value if isinstance(value, IRI) else value)
-                yield (
-                    (subquery_id, tuple([row[slot] for slot in group_slots])),
-                    AccumulatorTuple(accumulators),
-                )
+                yield (subquery_id, tuple([row[slot] for slot in group_slots])), (aggregation, row)
+
+    # Mapper-side hash aggregation (Algorithm 3's multiAggMap): a map
+    # task keeps one accumulator tuple per group and feeds it each of
+    # the group's solutions in place.
+    def zero(item: tuple) -> AccumulatorTuple:
+        factories, _ = item[0]
+        return AccumulatorTuple([factory() for factory in factories])
+
+    def step(partial: AccumulatorTuple, item: tuple) -> None:
+        (_, input_slots), row = item
+        for accumulator, slot in zip(partial.accumulators, input_slots):
+            if slot < 0:
+                accumulator.update(None)
+                continue
+            # An aggregate reads a term's value (``term_value``), an IRI's text.
+            term = row[slot]
+            if term.__class__ is Literal:
+                accumulator.update(term.python_value())
+            elif term is not None:
+                accumulator.update(term.value if term.__class__ is IRI else term)
 
     subquery_by_id = {sq.subquery_id: sq for sq in subqueries}
 
@@ -1002,16 +994,11 @@ def build_agg_join_job(
             obs.count("agg_join_groups")
         subquery_id, group_key = key
         subquery = subquery_by_id[subquery_id]
-        # Merge into a copy: a reducer's inputs may be stored records (the
-        # sharded driver's exchange files) that a re-run must find intact.
-        merged = values[0].copy()
-        for value in values[1:]:
-            merged.merge(value)
         row = finish_group(
             subquery_id,
             subquery.output_group_by,
             group_key,
-            merged.accumulators,
+            AccumulatorTuple.merged(values).accumulators,
             subquery.aggregates,
             subquery.having,
         )
@@ -1031,7 +1018,7 @@ def build_agg_join_job(
             for subquery in subqueries
         }
         total_groups = sum(groups.values())
-        # Mapper-side hash partial aggregation (the combiner): at most one
+        # Mapper-side hash partial aggregation (the fold): at most one
         # shuffled pair per (group, map task).
         shuffle_rows = min(solutions * len(subqueries), total_groups * map_tasks)
         return CycleVolumes(
@@ -1047,7 +1034,7 @@ def build_agg_join_job(
         inputs=inputs,
         output=output,
         mapper=mapper,
-        combiner=merge_partials,
+        fold=(zero, step),
         reducer=reducer,
         labels=("TG_AgJ",),
         representation=representation,

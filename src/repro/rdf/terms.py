@@ -107,6 +107,7 @@ class Literal:
     _size: int | None = cache_slot()
     _skey: tuple | None = cache_slot()
     _hash: int | None = cache_slot()
+    _value: int | float | bool | str | None = cache_slot()
 
     def __post_init__(self) -> None:
         if self.datatype is not None and self.language is not None:
@@ -129,11 +130,16 @@ class Literal:
         return self.datatype in _NUMERIC_DATATYPES
 
     def python_value(self) -> Union[int, float, bool, str]:
-        """Convert to the closest native Python value.
+        """Convert to the closest native Python value, parsed once and
+        pinned like the hash (a lexical form that does not parse under
+        the declared datatype raises :class:`RDFError`, every time)."""
+        value = self._value
+        if value is None:
+            value = self._parse()
+            object.__setattr__(self, "_value", value)
+        return value
 
-        Raises :class:`RDFError` when the lexical form does not parse
-        under the declared datatype.
-        """
+    def _parse(self) -> Union[int, float, bool, str]:
         if self.datatype == XSD_BOOLEAN:
             if self.lexical in ("true", "1"):
                 return True
@@ -278,8 +284,8 @@ def term_interned_sort_key(term: TermOrVar) -> tuple[str, str]:
     This is exactly the key the runner historically rebuilt for every
     comparison pass; interning it on the immutable term means a term
     appearing in many sorts pays the (slow) dataclass ``repr`` once.
-    Because the key *is* the historical key, reducer/combiner processing
-    order — and with it every simulated counter and result row — is
+    Because the key *is* the historical key, reduce and map-side fold
+    output order — and with it every simulated counter and result row — is
     provably unchanged.  Component-tuple keys (as in
     :func:`term_sort_key`) would not be safe here: repr-string ordering
     differs from component ordering whenever a value contains characters

@@ -24,8 +24,10 @@ reproduces the single-cluster record sequence exactly, and the
 per-owner reducer sorts its value list by tag, so value-order-
 sensitive reducers (the α-join cross product) see precisely the
 unsharded value order.  Partial jobs ship *raw* mapper emissions — no
-combiner — which makes the reconstruction provable for every reducer,
-not just commutative aggregation.
+fold; a folded job's item travels as its partial of one
+(:meth:`~repro.mapreduce.job.MapReduceJob.unfolded_mapper`) — which
+makes the reconstruction provable for every reducer, not just
+commutative aggregation.
 
 **Pricing.**  Bytes whose producing shard differs from their owner are
 cross-shard traffic: the assemble job carries them as
@@ -290,7 +292,7 @@ class ShardedExecutor:
 
     def _partial_jobs(self, job: MapReduceJob) -> list[MapReduceJob]:
         """N map-only jobs running the logical mapper over local parts,
-        shipping raw tagged emissions (no combiner — see module doc)."""
+        shipping raw tagged emissions (no fold — see module doc)."""
         # Part path -> logical input slot, for every shard's parts: built
         # once per job, so no record re-parses its path (and a logical
         # path that itself contains "@s" cannot be mis-slotted).
@@ -299,9 +301,7 @@ class ShardedExecutor:
             for slot, path in enumerate(job.inputs)
             for shard in range(self.shards)
         }
-        logical_mapper = job.mapper
-        assert logical_mapper is not None
-
+        logical_mapper = job.unfolded_mapper()
         estimate_total_size = cost.estimate_total_size
 
         def partial_mapper(tagged: tuple[str, ShardRecord]) -> list[ShardRecord]:

@@ -2,7 +2,8 @@
 
 Each accumulator supports incremental ``update``, associative ``merge``
 (the property that makes mapper-side partial aggregation — the paper's
-hash-based local combiner — correct), and ``result``.
+hash-based aggregation in mappers, a map task's fold — correct), and
+``result``.
 
 ``AVG`` is *algebraic*: its partial state is (sum, count), so it can be
 partially aggregated and merged exactly like the distributive
@@ -12,6 +13,7 @@ the value set, which is what makes it shuffle-heavy on MapReduce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -68,51 +70,100 @@ class CountAccumulator(Accumulator):
         return self.count
 
 
+#: Every finite double is a whole number of 2**-1074 units (the least
+#: subnormal), so a count of them sums doubles exactly.
+_UNIT_BITS = 1074
+
+
 class SumAccumulator(Accumulator):
+    """SUM.  Integers add on the plain ``+=`` path.  The first float
+    switches the state to an exact one -- the sum as a count of 2**-1074
+    units, infinities and NaN apart in float arithmetic -- so merging is
+    exact and the result, rounded once, does not depend on how the
+    values were split over map tasks or shards."""
+
+    func = "SUM"
+
     def __init__(self) -> None:
-        self.total: Number = 0
+        self.total = 0
+        self.units: int | None = None  # the exact state, from the first float
+        self.special = 0.0  # its non-finite part
 
     def update(self, value: object) -> None:
+        if value.__class__ is int and self.units is None:
+            self.total += value
+            return
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SparqlEvaluationError(f"SUM over non-numeric value {value!r}")
-        self.total += value
+            raise SparqlEvaluationError(f"{self.func} over non-numeric value {value!r}")
+        if self.units is None:
+            if isinstance(value, int):
+                self.total += value
+                return
+            self.units = self.total << _UNIT_BITS
+        if isinstance(value, int):
+            self.units += value << _UNIT_BITS
+        elif math.isfinite(value):
+            numerator, denominator = value.as_integer_ratio()
+            self.units += numerator << (_UNIT_BITS + 1 - denominator.bit_length())
+        else:
+            self.special += value
 
     def merge(self, other: Accumulator) -> None:
-        if not isinstance(other, SumAccumulator):
-            raise SparqlEvaluationError("cannot merge SUM with other aggregate state")
-        self.total += other.total
+        if type(other) is not type(self):
+            raise SparqlEvaluationError(f"cannot merge {self.func} with other aggregate state")
+        assert isinstance(other, SumAccumulator)
+        if self.units is None and other.units is None:
+            self.total += other.total
+            return
+        if self.units is None:
+            self.units = self.total << _UNIT_BITS
+        self.units += other.total << _UNIT_BITS if other.units is None else other.units
+        self.special += other.special
+
+    def _rounded(self, count: int | None = None) -> Number:
+        """The sum (over *count*, for AVG): the int total, or the exact
+        state rounded once."""
+        if self.units is None:
+            return self.total if count is None else self.total / count
+        if self.special:
+            return self.special
+        try:  # int / int is correctly rounded
+            return self.units / ((count or 1) << _UNIT_BITS)
+        except OverflowError:
+            return math.inf if self.units > 0 else -math.inf
 
     def result(self) -> Number:
-        return self.total
+        return self._rounded()
 
     def partial(self) -> Number:
-        return self.total
+        return self._rounded()
 
 
-class AvgAccumulator(Accumulator):
+class AvgAccumulator(SumAccumulator):
+    """AVG: SUM's state plus a count, the quotient rounded once."""
+
+    func = "AVG"
+
     def __init__(self) -> None:
-        self.total: Number = 0
+        super().__init__()
         self.count = 0
 
     def update(self, value: object) -> None:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SparqlEvaluationError(f"AVG over non-numeric value {value!r}")
-        self.total += value
+        super().update(value)
         self.count += 1
 
     def merge(self, other: Accumulator) -> None:
-        if not isinstance(other, AvgAccumulator):
-            raise SparqlEvaluationError("cannot merge AVG with other aggregate state")
-        self.total += other.total
+        super().merge(other)
+        assert isinstance(other, AvgAccumulator)
         self.count += other.count
 
     def result(self) -> Number:
         if self.count == 0:
             return 0
-        return self.total / self.count
+        return self._rounded(self.count)
 
     def partial(self) -> tuple[Number, int]:
-        return (self.total, self.count)
+        return (self._rounded(), self.count)
 
 
 @dataclass
@@ -239,9 +290,9 @@ def aggregate_values(func: str, values: Iterable[object], distinct: bool = False
 class AccumulatorTuple:
     """A shuffle-friendly bundle of accumulators (one per aggregation).
 
-    Used as the map-output value in aggregation MR cycles by every
-    engine; the combiner merges tuples within a map task (hash-based
-    partial aggregation), the reducer merges across tasks.
+    The partial of a group in aggregation MR cycles of every engine: a
+    map task's fold updates one tuple per group in place (hash-based
+    partial aggregation), the reducer merges the tasks' tuples.
     """
 
     __slots__ = ("accumulators",)
@@ -256,6 +307,15 @@ class AccumulatorTuple:
     def merge(self, other: "AccumulatorTuple") -> None:
         for mine, theirs in zip(self.accumulators, other.accumulators):
             mine.merge(theirs)
+
+    @staticmethod
+    def merged(partials: list["AccumulatorTuple"]) -> "AccumulatorTuple":
+        """The partials merged, in order, into a copy of the first: a
+        reducer's inputs may be stored records a re-run must find intact."""
+        merged = partials[0].copy()
+        for partial in partials[1:]:
+            merged.merge(partial)
+        return merged
 
     def results(self) -> list[object]:
         return [accumulator.result() for accumulator in self.accumulators]

@@ -251,7 +251,10 @@ def _evaluate_function(expr: FunctionExpr, bindings: Bindings) -> object:
                 raise ExpressionError("REGEX flags must be a string")
             if "i" in flag_text:
                 flags |= re.IGNORECASE
-        return re.search(pattern, text, flags) is not None
+        try:
+            return re.search(pattern, text, flags) is not None
+        except re.error as exc:  # a SPARQL expression error: FILTER is false
+            raise ExpressionError(f"REGEX pattern {pattern!r}: {exc}") from None
     raise ExpressionError(f"unsupported function {name!r}")
 
 

@@ -24,6 +24,24 @@ def test_combiner_cuts_shuffle_volume(bsbm_small, mg1_style_query):
     assert with_combiner.cost_seconds < without_combiner.cost_seconds
 
 
+def test_combiner_ablation_bytes_and_cost_are_pinned():
+    """MG1 on the BSBM tiny preset, with and without TG_AgJ's map-side
+    aggregation: the values captured when the combine stage was still a
+    combiner over per-solution accumulators.  The fold and a partial of
+    one per emission must reproduce both to the byte."""
+    from repro.bench.catalog import get_query
+    from repro.datasets import bsbm
+
+    graph = bsbm.generate(bsbm.preset("tiny"))
+    with_fold, without_fold = combiner_ablation(graph, get_query("MG1").sparql)
+    assert (with_fold.shuffle_bytes, with_fold.cost_seconds) == (32806, 28.34278767903646)
+    assert (without_fold.shuffle_bytes, without_fold.cost_seconds) == (
+        41495,
+        28.448854573567708,
+    )
+    assert with_fold.cycles == without_fold.cycles == 3
+
+
 def test_combiner_does_not_change_results(product_graph, mg1_style_query):
     # combiner_ablation runs the same plan twice; equality of aggregates is
     # covered by the runner property tests — here we just confirm both

@@ -390,6 +390,19 @@ def test_a_plan_prices_itself():
     assert spelled == []
 
 
+def test_the_combine_stage_is_a_fold():
+    """Map tasks aggregate in place (docs/performance.md, "TG_AgJ
+    aggregates in place"): the combiner over grouped per-solution
+    accumulators, its job field and its merge function stay deleted."""
+    gone = re.compile(r"merge_partials|combiner=|\bCombiner\b")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if gone.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
 def test_no_module_level_container_holds_shard_layouts(bsbm_small):
     """Partitions and the store parts derived from them belong to their
     graph: they hang on ``_PARTITION_CACHE``'s weakly keyed entry and

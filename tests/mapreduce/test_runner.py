@@ -25,14 +25,27 @@ def make_runner(hdfs=None, fault_plan=None, recovery=None, **cluster_kwargs):
     )
 
 
-def wordcount_job(combiner=False):
+def _add(total, value):
+    total[0] += value
+
+
+#: A running sum as a fold: a map task's partial is a one-element list.
+SUM_FOLD = (lambda value: [0], _add)
+
+
+def _sum(values):
+    """Sum raw emissions and folded partials alike."""
+    return sum(value if type(value) is int else value[0] for value in values)
+
+
+def wordcount_job(fold=False):
     return MapReduceJob(
         name="wc",
         inputs=("in",),
         output="out",
         mapper=lambda record: [(record, 1)],
-        reducer=lambda key, values: [(key, sum(values))],
-        combiner=(lambda key, values: [(key, sum(values))]) if combiner else None,
+        reducer=lambda key, values: [(key, _sum(values))],
+        fold=SUM_FOLD if fold else None,
     )
 
 
@@ -202,7 +215,7 @@ class TestJobValidation:
                 inputs=("a",),
                 output="o",
                 mapper=lambda r: [],
-                combiner=lambda k, v: [],
+                fold=SUM_FOLD,
             )
 
     def test_needs_input(self):
@@ -211,15 +224,74 @@ class TestJobValidation:
 
 
 class TestCombiner:
+    """The combine stage is a fold: one partial per key and map task."""
+
     def test_combiner_reduces_shuffle(self):
         records = ["a"] * 100 + ["b"] * 50
         hdfs1, hdfs2 = HDFS(), HDFS()
         hdfs1.write("in", records)
         hdfs2.write("in", records)
-        plain = make_runner(hdfs1, block_size=64).run_job(wordcount_job(combiner=False))
-        combined = make_runner(hdfs2, block_size=64).run_job(wordcount_job(combiner=True))
+        plain = make_runner(hdfs1, block_size=64).run_job(wordcount_job(fold=False))
+        combined = make_runner(hdfs2, block_size=64).run_job(wordcount_job(fold=True))
         assert combined.shuffle_bytes < plain.shuffle_bytes
         assert hdfs1.read("out").records == hdfs2.read("out").records
+
+    def test_counters_count_emissions_in_and_keys_out(self):
+        records = ["b", "a", "b", "c", "a", "b"] * 20
+        hdfs = HDFS()
+        hdfs.write("in", records)
+        runner = make_runner(hdfs, block_size=64)
+        stats = runner.run_workflow([wordcount_job(fold=True)])
+        counters = stats.counters
+        tasks = stats.jobs[0].map_tasks
+        assert tasks > 1
+        assert counters["map_output_records"] == counters["combine_input_records"] == 120
+        # Every task sees all three words, so each ships three partials.
+        assert counters["combine_output_records"] == 3 * tasks
+        assert counters["reduce_input_records"] == 3 * tasks
+        assert dict(hdfs.read("out").records) == {"a": 40, "b": 60, "c": 20}
+
+    def test_each_task_steps_its_items_in_emission_order(self):
+        hdfs = HDFS()
+        hdfs.write("in", list(range(40)))
+        seen = []
+
+        def step(partial, item):
+            partial.append(item)
+            seen.append(item)
+
+        job = MapReduceJob(
+            name="order",
+            inputs=("in",),
+            output="out",
+            mapper=lambda record: [(record % 3, record)],
+            reducer=lambda key, values: [(key, [item for partial in values for item in partial])],
+            fold=(lambda item: [], step),
+        )
+        make_runner(hdfs, block_size=32).run_job(job)
+        assert seen == list(range(40))
+        for key, items in hdfs.read("out").records:
+            assert items == [item for item in range(40) if item % 3 == key]
+
+    def test_a_folded_mapper_must_emit_pairs(self):
+        hdfs = HDFS()
+        hdfs.write("in", [1])
+        job = MapReduceJob(
+            name="bad-fold",
+            inputs=("in",),
+            output="out",
+            mapper=lambda r: [r],
+            reducer=lambda k, v: [],
+            fold=SUM_FOLD,
+        )
+        with pytest.raises(MapReduceError, match="bad-fold"):
+            make_runner(hdfs).run_job(job)
+
+    def test_unfolded_mapper_emits_partials_of_one(self):
+        job = wordcount_job(fold=True)
+        assert job.unfolded_mapper()("a") == [("a", [1])]
+        plain = wordcount_job(fold=False)
+        assert plain.unfolded_mapper() is plain.mapper
 
 
 class TestWorkflow:
@@ -413,10 +485,10 @@ class TestCollectorScope:
 @given(
     records=st.lists(st.tuples(st.sampled_from("abcdef"), st.integers(-100, 100)), max_size=80),
     block_size=st.integers(16, 4096),
-    use_combiner=st.booleans(),
+    use_fold=st.booleans(),
 )
-def test_mapreduce_groupby_equals_in_memory(records, block_size, use_combiner):
-    """map+shuffle+reduce ≡ in-memory groupby-sum, combiner or not."""
+def test_mapreduce_groupby_equals_in_memory(records, block_size, use_fold):
+    """map+shuffle+reduce ≡ in-memory groupby-sum, folded or not."""
     hdfs = HDFS()
     hdfs.write("in", records)
     job = MapReduceJob(
@@ -424,8 +496,8 @@ def test_mapreduce_groupby_equals_in_memory(records, block_size, use_combiner):
         inputs=("in",),
         output="out",
         mapper=lambda pair: [pair],
-        reducer=lambda key, values: [(key, sum(values))],
-        combiner=(lambda key, values: [(key, sum(values))]) if use_combiner else None,
+        reducer=lambda key, values: [(key, _sum(values))],
+        fold=SUM_FOLD if use_fold else None,
     )
     make_runner(hdfs, block_size=block_size).run_job(job)
     expected = defaultdict(int)
@@ -449,7 +521,7 @@ def test_map_only_preserves_multiset(records, block_size):
 def test_stats_invariants(records):
     hdfs = HDFS()
     hdfs.write("in", records)
-    stats = make_runner(hdfs, block_size=32).run_job(wordcount_job(combiner=True))
+    stats = make_runner(hdfs, block_size=32).run_job(wordcount_job(fold=True))
     assert stats.map_tasks >= 1
     assert stats.reduce_tasks >= 1
     assert stats.cost_seconds > 0

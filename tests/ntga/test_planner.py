@@ -39,10 +39,11 @@ class TestRapidAnalyticsPlan:
         assert plan.final_join_index == 2
         assert plan.jobs[2].is_map_only
 
-    def test_agg_job_has_combiner(self, store, mg1_style_query):
+    def test_only_the_agg_job_folds_in_its_map_tasks(self, store, mg1_style_query):
         plan = plan_rapid_analytics(parse_analytical(mg1_style_query), store)
-        agg_job = plan.jobs[1]
-        assert agg_job.combiner is not None  # mapper-side hash aggregation
+        alpha_job, agg_job, final_job = plan.jobs
+        assert agg_job.fold is not None  # mapper-side hash aggregation
+        assert alpha_job.fold is None and final_job.fold is None
 
     def test_single_grouping_two_jobs(self, store):
         query = parse_analytical(

@@ -104,6 +104,59 @@ class TestLiteral:
         assert not Literal("5").is_numeric()
 
 
+class TestParsedOnce:
+    """``python_value`` pins its parse in a hidden cache slot."""
+
+    def test_the_value_is_parsed_once(self, monkeypatch):
+        parses = []
+        parse = Literal._parse
+        monkeypatch.setattr(Literal, "_parse", lambda self: parses.append(self) or parse(self))
+        literal = Literal("2.5", datatype=XSD_DOUBLE)
+        assert [literal.python_value() for _ in range(3)] == [2.5] * 3
+        assert parses == [literal]
+
+    def test_value_semantics_ignore_the_cache(self):
+        parsed, fresh = Literal("7", datatype=XSD_INTEGER), Literal("7", datatype=XSD_INTEGER)
+        before = (repr(parsed), hash(parsed))
+        assert parsed.python_value() == 7
+        assert (repr(parsed), hash(parsed)) == before
+        assert parsed == fresh and repr(parsed) == repr(fresh)
+
+    def test_a_bad_lexical_form_raises_every_time(self):
+        literal = Literal("abc", datatype=XSD_INTEGER)
+        for _ in range(2):
+            with pytest.raises(RDFError):
+                literal.python_value()
+        assert literal._value is None
+
+    def test_false_and_zero_are_cached_values(self):
+        false, zero = Literal("false", datatype=XSD_BOOLEAN), Literal("0", datatype=XSD_INTEGER)
+        assert false.python_value() is False and zero.python_value() == 0
+        assert false._value is False and zero._value == 0
+
+    def test_an_ntga_pass_parses_each_literal_it_reads_once(self, monkeypatch):
+        """MG1-MG4 read every price once per aggregate and query that
+        wants it; each literal object is parsed on its first read only."""
+        from repro import run_query
+        from repro.bench.catalog import CATALOG
+        from repro.datasets import bsbm
+
+        graph = bsbm.generate(bsbm.BSBMConfig(products=60, vendors=8, offers_per_product=2))
+        parsed, reads = [], [0]
+        parse, value = Literal._parse, Literal.python_value
+
+        def reading(self):
+            reads[0] += 1
+            return value(self)
+
+        monkeypatch.setattr(Literal, "_parse", lambda self: parsed.append(self) or parse(self))
+        monkeypatch.setattr(Literal, "python_value", reading)
+        for qid in ("MG1", "MG2", "MG3", "MG4"):
+            run_query(CATALOG[qid].sparql, graph)
+        assert len({id(literal) for literal in parsed}) == len(parsed) > 0
+        assert reads[0] > 2 * len(parsed)
+
+
 class TestVariable:
     def test_n3(self):
         assert Variable("x").n3() == "?x"

@@ -173,6 +173,80 @@ def test_accumulator_tuple_merge(values, split):
     assert avg == pytest.approx(sum(values) / len(values)) if values else avg == 0
 
 
+_numbers = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, 0.1, 2**53 + 1]),
+)
+
+
+def _exact(values):
+    """The correctly rounded sum of *values* (finite, at least one float)."""
+    from fractions import Fraction
+
+    total = sum(Fraction(value) for value in values)
+    try:
+        return float(total)
+    except OverflowError:
+        return float("inf") if total > 0 else float("-inf")
+
+
+class TestExactFloatSums:
+    """SUM / AVG over floats: exact, rounded once, split-independent."""
+
+    def test_ints_stay_on_the_int_path(self):
+        accumulator = make_accumulator("SUM")
+        for value in (2**70, -3, 5):
+            accumulator.update(value)
+        assert accumulator.result() == 2**70 + 2 and type(accumulator.result()) is int
+        assert accumulator.units is None
+        assert aggregate_values("AVG", [1]) == 1.0 and type(aggregate_values("AVG", [1])) is float
+
+    def test_a_float_sum_is_rounded_once(self):
+        # Added left to right, 0.1 + 0.2 + 0.3 == 0.6000000000000001.
+        assert aggregate_values("SUM", [0.1, 0.2, 0.3]) == 0.6
+        assert aggregate_values("SUM", [1e100, 1.0, -1e100]) == 1.0
+        assert aggregate_values("AVG", [0.1, 0.2, 0.3]) == 0.2
+
+    def test_non_finite_values(self):
+        inf = float("inf")
+        assert aggregate_values("SUM", [1.0, inf, 2]) == inf
+        assert aggregate_values("SUM", [inf, -inf]) != aggregate_values("SUM", [inf, -inf])  # NaN
+        assert aggregate_values("SUM", [1e308, 1e308]) == inf
+        assert aggregate_values("AVG", [-inf, 3.0]) == -inf
+
+    def test_negative_zero_sums_to_zero(self):
+        assert repr(aggregate_values("SUM", [-0.0])) == "0.0"
+
+    def test_the_partial_stays_a_scalar(self):
+        total, average = make_accumulator("SUM"), make_accumulator("AVG")
+        for value in (1, 0.5):
+            total.update(value)
+            average.update(value)
+        assert total.partial() == 1.5 and average.partial() == (1.5, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        func=st.sampled_from(["SUM", "AVG"]),
+        values=st.lists(_numbers, min_size=1, max_size=30),
+        tasks=st.lists(st.integers(0, 4), min_size=30, max_size=30),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_any_split_in_any_order_is_the_exact_result(self, func, values, tasks, order):
+        partials = [make_accumulator(func) for _ in range(5)]
+        for value, task in zip(values, tasks):
+            partials[task].update(value)
+        order.shuffle(partials)
+        merged = partials[0]
+        for partial in partials[1:]:
+            merged.merge(partial)
+        result = merged.result()
+        assert repr(result) == repr(aggregate_values(func, values))
+        if func == "SUM":
+            expected = sum(values) if all(type(v) is int for v in values) else _exact(values)
+            assert repr(result) == repr(expected)
+
+
 def test_accumulator_tuple_estimated_size_positive():
     bundle = AccumulatorTuple.fresh([("SUM", False), ("COUNT", True)])
     bundle.accumulators[0].update(5)

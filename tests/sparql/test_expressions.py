@@ -125,6 +125,16 @@ class TestFunctions:
         with pytest.raises(ExpressionError):
             evaluate(expr, {})
 
+    def test_regex_invalid_pattern_is_an_expression_error(self):
+        """An unbalanced pattern is a SPARQL expression error -- FILTER
+        false -- not a raw ``re.error``."""
+        expr = FunctionExpr(
+            "REGEX", (const("MAPK signaling"), const("MAPK) signaling"), const("i"))
+        )
+        with pytest.raises(ExpressionError, match="REGEX pattern"):
+            evaluate(expr, {})
+        assert evaluate_filter(expr, {}) is False
+
     def test_unknown_function(self):
         with pytest.raises(ExpressionError):
             evaluate(FunctionExpr("NOPE", ()), {})
