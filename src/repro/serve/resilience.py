@@ -215,10 +215,6 @@ class CircuitBreaker:
         self._probes_left = 0
         self._now = 0.0
 
-    @property
-    def enabled(self) -> bool:
-        return self.policy.threshold > 0
-
     def _event(self, kind: str) -> None:
         obs.event(
             f"breaker-{kind}", {"engine": self.engine, "at": round(self._now, 6)}
@@ -233,8 +229,6 @@ class CircuitBreaker:
 
     def state(self, now: float) -> str:
         """Current state at simulated time *now* (advances cooldown)."""
-        if not self.enabled:
-            return self.CLOSED
         self._now = max(self._now, now)
         if (
             self._state == self.OPEN
@@ -260,8 +254,6 @@ class CircuitBreaker:
         return False
 
     def record_success(self, now: float) -> None:
-        if not self.enabled:
-            return
         self._now = max(self._now, now)
         if self._state == self.HALF_OPEN:
             self._state = self.CLOSED
@@ -270,7 +262,7 @@ class CircuitBreaker:
             self._event("close")
 
     def record_failure(self, now: float) -> None:
-        if not self.enabled:
+        if self.policy.threshold == 0:  # disabled: never trips
             return
         self._now = max(self._now, now)
         if self._state == self.HALF_OPEN:
@@ -368,18 +360,6 @@ class ResilienceConfig:
 # -- the fault-injected A/B report --------------------------------------------
 
 
-def _fault_plan_dict(plan: FaultPlan) -> dict[str, Any]:
-    return {
-        "seed": plan.seed,
-        "task_failure_rate": plan.task_failure_rate,
-        "straggler_rate": plan.straggler_rate,
-        "straggler_slowdown": plan.straggler_slowdown,
-        "hdfs_write_failure_rate": plan.hdfs_write_failure_rate,
-        "max_attempts": plan.max_attempts,
-        "speculation": plan.speculation,
-    }
-
-
 def prioritized_requests(spec: Any, seed: int) -> list:
     """The workload's arrival sequence with deterministic priorities.
 
@@ -415,12 +395,12 @@ def serve_resilience_report(
     above off.  The SLO verdict (error-budget burn included) is computed
     over the resilient arm's answered latencies.
     """
-    from repro.core.results import rows_digest
     from repro.serve.service import DEGRADED, OK, QueryService
-    from repro.serve.slo import SLOSpec, evaluate_slo
+    from repro.serve.slo import evaluate_slo
     from repro.serve.workload import (
         WORKLOAD_MIXES,
         _latency_summary,
+        _tally_seed,
         default_slo,
         solo_baseline,
     )
@@ -433,16 +413,10 @@ def serve_resilience_report(
         graph = generate(dataset, preset)
     engine_config = spec.engine_config()
     slo = slo or default_slo(spec.mix)
-    if isinstance(slo, dict):
-        slo = SLOSpec(**slo)
 
     baseline = solo_baseline(spec, graph, engine_config)
 
     faulty_config = replace(engine_config, fault_plan=fault_plan)
-    arms: tuple[tuple[str, ResilienceConfig | None], ...] = (
-        ("off", None),
-        ("on", resilience),
-    )
     runs: list[dict[str, Any]] = []
     available = {"off": 0, "on": 0}
     total = {"off": 0, "on": 0}
@@ -461,61 +435,40 @@ def serve_resilience_report(
     for seed in range(1, spec.seeds + 1):
         requests = prioritized_requests(spec, seed)
         entry: dict[str, Any] = {"seed": seed}
-        for arm, arm_resilience in arms:
+        for arm, arm_resilience in (("off", None), ("on", resilience)):
             service = QueryService(
                 graph,
                 replace(spec.service_config(faulty_config), resilience=arm_resilience),
             )
             responses = service.serve(requests)
-            statuses: dict[str, int] = {}
-            sources: dict[str, int] = {}
-            latencies: list[float] = []
-            for response in responses:
-                statuses[response.status] = statuses.get(response.status, 0) + 1
-                if response.source is not None:
-                    sources[response.source] = sources.get(response.source, 0) + 1
-                if response.status in (OK, DEGRADED):
-                    available[arm] += 1
-                    latencies.append(response.latency)
-                    digest = rows_digest(response.rows)
-                    if digest != baseline[response.label]["digest"]:
-                        if response.status == OK:
-                            ok_mismatches.append(response.request_id)
-                        else:
-                            degraded_mismatches.append(response.request_id)
+            tally = _tally_seed(responses, baseline, answered=(OK, DEGRADED))
+            available[arm] += len(tally.latencies)
+            ok_mismatches += tally.mismatches.get(OK, [])
+            degraded_mismatches += tally.mismatches.get(DEGRADED, [])
             total[arm] += len(responses)
             counters = service.counter_snapshot()
             if arm == "on":
-                pooled_on_latencies.extend(latencies)
+                pooled_on_latencies.extend(tally.latencies)
                 for key in totals_on:
                     totals_on[key] += int(counters.get(key, 0))
-            answered = statuses.get(OK, 0) + statuses.get(DEGRADED, 0)
             entry[arm] = {
                 "requests": len(responses),
-                "statuses": dict(sorted(statuses.items())),
-                "sources": dict(sorted(sources.items())),
-                "availability": round(answered / len(responses), 6)
-                if responses
-                else None,
-                "latency": _latency_summary(latencies),
+                "statuses": tally.statuses,
+                "sources": tally.sources,
+                "availability": round(len(tally.latencies) / len(responses), 6),
+                "latency": _latency_summary(tally.latencies),
                 "served_cost_seconds": round(service.executed_cost_seconds, 6),
                 "counters": dict(sorted(counters.items())),
             }
         runs.append(entry)
 
-    availability = {
-        arm: round(available[arm] / total[arm], 6) if total[arm] else None
-        for arm in ("off", "on")
-    }
+    # A spec has at least one seed and one request: no arm is empty.
+    availability = {arm: round(available[arm] / total[arm], 6) for arm in ("off", "on")}
     slo_on = evaluate_slo(slo, pooled_on_latencies)
     verdicts = {
         # The headline: resilience strictly buys availability under the
         # pinned fault plan.
-        "availability_strictly_improved": (
-            availability["on"] is not None
-            and availability["off"] is not None
-            and availability["on"] > availability["off"]
-        ),
+        "availability_strictly_improved": availability["on"] > availability["off"],
         # The guard rail: it never buys it by changing answers.
         "ok_rows_match_fault_free": not ok_mismatches,
         "degraded_rows_match_fault_free": not degraded_mismatches,
@@ -528,8 +481,8 @@ def serve_resilience_report(
         "dataset": dataset,
         "preset": preset,
         "queries": list(qids),
-        "workload": spec.as_dict(),
-        "faults": _fault_plan_dict(fault_plan),
+        "workload": asdict(spec),
+        "faults": asdict(fault_plan),
         "resilience": resilience.as_dict(),
         "baseline": baseline,
         "runs": runs,
@@ -538,9 +491,7 @@ def serve_resilience_report(
             "requests_per_arm": total["on"],
             "availability_off": availability["off"],
             "availability_on": availability["on"],
-            "availability_gain": round(availability["on"] - availability["off"], 6)
-            if availability["on"] is not None and availability["off"] is not None
-            else None,
+            "availability_gain": round(availability["on"] - availability["off"], 6),
             **{key: value for key, value in sorted(totals_on.items())},
         },
         "verdicts": verdicts,

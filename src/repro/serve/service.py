@@ -35,20 +35,26 @@ checkpointed recovery compose — a batch resubmits exactly like a solo
 workflow); pattern-merge batching itself engages on the
 ``rapid-analytics`` engine, the only planner with a composite operator.
 
-Every window is dispatched through one attempt queue governed by a
-:class:`~repro.serve.resilience.ResilienceConfig`: deterministic
-retries, a per-engine circuit breaker, and graceful degradation (stale
-answers, batching bypass, load shedding) — see the "dispatch" section
-below.  ``ServiceConfig.resilience=None`` is not a second path but the
-null policy of that queue (:data:`_FAIL_FAST`): zero retries, a breaker
-that never trips, no degradation tier.
+Each batching window runs one chain of stage functions — admit, shed,
+resolve, answer from the result cache, expire at dispatch, form units,
+dispatch attempts — and each stage hands on only the requests it lets
+through.  Every request a stage ends goes to :meth:`QueryService._settle`,
+the one place a :class:`ServeResponse` is built, recorded, counted and
+announced (docs/serving.md, "Stages and the one settle path").  Dispatch
+runs under a :class:`~repro.serve.resilience.ResilienceConfig` —
+deterministic retries, a per-engine circuit breaker, graceful
+degradation; ``ServiceConfig.resilience=None`` is not a second path but
+the null policy :data:`_FAIL_FAST`: zero retries, a breaker that never
+trips, no degradation tier.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple
 
 from repro import obs
 from repro.ambient import PLANNER
@@ -81,6 +87,10 @@ DEGRADED = "degraded"
 #: or cluster cost was spent.
 SHED = "shed"
 
+#: Plan-cache capacity: raw texts, canonical forms and cost-mode plan
+#: choices share it.
+_PLAN_CACHE_SIZE = 128
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -96,7 +106,6 @@ class ServiceConfig:
     #: Batching window length; arrivals inside one window are scheduled
     #: together at its close.
     batch_window: float = 0.25
-    plan_cache_size: int = 128
     result_cache_size: int = 256
     enable_result_cache: bool = True
     enable_batching: bool = True
@@ -117,15 +126,18 @@ class ServiceConfig:
             raise ServeError(f"workers must be >= 1: {self.workers!r}")
         if self.max_pending < 1:
             raise ServeError(f"max_pending must be >= 1: {self.max_pending!r}")
-        if not self.batch_window > 0.0:
-            raise ServeError(f"batch_window must be > 0: {self.batch_window!r}")
+        if not 0.0 < self.batch_window < math.inf:
+            raise ServeError(
+                f"batch_window must be > 0 and finite: {self.batch_window!r}"
+            )
         if self.deadline is not None and not self.deadline > 0.0:
             raise ServeError(f"deadline must be > 0: {self.deadline!r}")
 
 
 @dataclass(frozen=True)
 class ServeRequest:
-    """One query submission.  ``arrival`` is on the simulated clock;
+    """One query submission.  ``arrival`` is on the simulated clock,
+    finite and >= 0 (checked here, so ``serve()`` never fails halfway);
     arrivals earlier than windows the service already closed are clamped
     forward (you cannot submit into the past)."""
 
@@ -138,10 +150,10 @@ class ServeRequest:
     priority: int = 0
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.arrival < math.inf:
+            raise ServeError(f"arrival must be >= 0 and finite: {self.arrival!r}")
         if self.deadline is not None and not self.deadline > 0.0:
-            raise ServeError(
-                f"request deadline must be > 0: {self.deadline!r}"
-            )
+            raise ServeError(f"request deadline must be > 0: {self.deadline!r}")
 
 
 @dataclass
@@ -176,52 +188,36 @@ class ServeResponse:
     stale_version: int | None = None
 
 
-class _Group:
+#: Admitted requests, numbered: ``(request id, request)``.
+_Members = list[tuple[int, ServeRequest]]
+
+
+class _Group(NamedTuple):
     """All same-window requests for one distinct fingerprint."""
 
-    __slots__ = ("fp", "requests")
-
-    def __init__(self, fp: Fingerprint):
-        self.fp = fp
-        self.requests: list[tuple[int, ServeRequest]] = []
+    fp: Fingerprint
+    requests: _Members
 
 
-class _Unit:
-    """One scheduled execution of a solo query or a merged batch in the
-    dispatch queue, and what it produced.  ``attempt`` is 1-based;
-    ``not_before`` is the earliest simulated start (window close, or
-    failure time + backoff)."""
+class _Unit(NamedTuple):
+    """One scheduled attempt of a solo query or a merged batch in the
+    dispatch queue.  ``attempt`` is 1-based; ``not_before`` is the
+    earliest simulated start (window close, or failure time + backoff)."""
 
-    __slots__ = (
-        "groups",
-        "attempt",
-        "not_before",
-        "backoff_total",
-        "rows_by_group",
-        "cost",
-        "wall",
-        "error",
-        "failed_cost",
-    )
+    groups: list[_Group]
+    not_before: float
+    attempt: int = 1
+    backoff_total: float = 0.0
 
-    def __init__(
-        self,
-        groups: list[_Group],
-        attempt: int,
-        not_before: float,
-        backoff_total: float,
-    ):
-        self.groups = groups
-        self.attempt = attempt
-        self.not_before = not_before
-        self.backoff_total = backoff_total
-        self.rows_by_group: list[list[Row]] | None = None
-        self.cost = 0.0
-        self.wall = 0.0  # real seconds spent executing (diagnostic only)
-        self.error: str | None = None
-        #: Simulated seconds the cluster burned before a failed attempt
-        #: aborted (committed prefix + wasted work); 0.0 on success.
-        self.failed_cost = 0.0
+
+class _Run(NamedTuple):
+    """What one attempt produced: the answers (None on failure) and the
+    simulated seconds the cluster spent — for a failed attempt, the
+    committed prefix plus the aborted job's wasted work."""
+
+    rows_by_group: list[list[Row]] | None
+    cost: float
+    error: str | None = None
 
 
 #: What ``ServiceConfig.resilience=None`` resolves to: fail fast.  The
@@ -230,9 +226,7 @@ class _Unit:
 _FAIL_FAST = ResilienceConfig(
     retry=RetryPolicy(retries=0),
     breaker=BreakerPolicy(threshold=0),
-    degradation=DegradationPolicy(
-        stale=False, bypass_batching=False, shed_threshold=None
-    ),
+    degradation=DegradationPolicy(stale=False, bypass_batching=False),
 )
 
 _COUNTER_KEYS = (
@@ -258,6 +252,22 @@ _COUNTER_KEYS = (
     "degraded_stale",
 )
 
+#: How settling a request with each status is announced and counted.  A
+#: request is only ever *settled* ``deadline-exceeded`` at dispatch; an
+#: answer that lands late is downgraded by ``_settle`` and counts
+#: ``deadline_exceeded`` alone.
+_ENDINGS: dict[str, tuple[str | None, tuple[str, ...]]] = {
+    OK: (None, ()),
+    REJECTED: ("request-reject", ("rejected",)),
+    SHED: ("request-shed", ("shed_requests",)),
+    FAILED: ("request-failed", ("failed",)),
+    DEADLINE: (
+        "request-deadline",
+        ("deadline_exceeded", "deadline_exceeded_at_dispatch"),
+    ),
+    DEGRADED: (None, ("degraded_stale",)),
+}
+
 
 class QueryService:
     """Deterministic concurrent scheduler over one shared graph."""
@@ -273,7 +283,7 @@ class QueryService:
         #: Optional planner-calibration sink: solo adaptive executions
         #: feed their estimate-vs-actual comparison into it.
         self.calibration = calibration
-        self.plan_cache = LRUCache(self.config.plan_cache_size)
+        self.plan_cache = LRUCache(_PLAN_CACHE_SIZE)
         self.result_cache = LRUCache(self.config.result_cache_size)
         #: The policies every window is dispatched under.
         self._resilience = self.config.resilience or _FAIL_FAST
@@ -287,38 +297,53 @@ class QueryService:
         self._breaker = CircuitBreaker(
             self._resilience.breaker, engine=self.config.engine
         )
+        retries = ("serve_retries_total", "serve-layer retries by outcome")
+        #: Counters the metrics registry mirrors: key -> (metric, help,
+        #: labels).  ``retry_failures`` is a series with no counter.
+        self._mirrors: dict[str, tuple[str, str, dict[str, str]]] = {
+            "shed_requests": ("serve_shed_total", "requests shed under load", {}),
+            "degraded_stale": (
+                "serve_degraded_total",
+                "degraded answers by tier",
+                {"tier": "stale-cache"},
+            ),
+            "breaker_fast_fails": (
+                "serve_breaker_events_total",
+                "circuit-breaker transitions and fast-fails",
+                {"engine": self.config.engine, "event": "fast-fail"},
+            ),
+            "retry_successes": (*retries, {"outcome": "success"}),
+            "retry_failures": (*retries, {"outcome": "failed"}),
+            "retries_abandoned_deadline": (*retries, {"outcome": "abandoned-deadline"}),
+        }
         self._next_id = 0
         self._floor = 0.0  # close time of the last processed window
         self._worker_free = [0.0] * self.config.workers
         self._open: list[float] = []  # completion times of admitted work
+        #: Responses the ``serve()`` call in progress has settled, by id.
+        self._settled: dict[int, ServeResponse] = {}
 
     # -- public API --------------------------------------------------------------
 
     def serve(self, requests: list[ServeRequest]) -> list[ServeResponse]:
         """Process a batch of submissions; responses in request order."""
         window = self.config.batch_window
-        numbered: list[tuple[int, ServeRequest]] = []
+        numbered: _Members = []
         for request in requests:
-            if request.arrival < 0.0:
-                raise ServeError(f"arrival must be >= 0: {request.arrival!r}")
             if request.arrival < self._floor:
                 request = replace(request, arrival=self._floor)
-            numbered.append((self._next_id, request))
-            self._next_id += 1
-
-        by_window: dict[int, list[tuple[int, ServeRequest]]] = {}
+            numbered.append((self._next_id + len(numbered), request))
+        self._next_id += len(numbered)
+        by_window: dict[int, _Members] = {}
         for rid, request in sorted(numbered, key=lambda r: (r[1].arrival, r[0])):
             by_window.setdefault(int(request.arrival // window), []).append(
                 (rid, request)
             )
-
-        responses: dict[int, ServeResponse] = {}
         for index in sorted(by_window):
             close = (index + 1) * window
-            for response in self._run_window(by_window[index], close):
-                responses[response.request_id] = response
+            self._run_window(by_window[index], close)
             self._floor = max(self._floor, close)
-        ordered = [responses[rid] for rid, _ in numbered]
+        ordered = [self._settled.pop(rid) for rid, _ in numbered]
         registry = obs_metrics.active_registry()
         if registry is not None:
             self._publish_metrics(registry, ordered)
@@ -373,11 +398,7 @@ class QueryService:
             statuses.labels(status=response.status).inc()
             if response.source is not None:
                 answers.labels(source=response.source).inc()
-            if response.latency is not None and response.status in (
-                OK,
-                DEADLINE,
-                DEGRADED,
-            ):
+            if response.status in (OK, DEADLINE, DEGRADED):  # they all completed
                 latency.labels(engine=self.config.engine).observe(response.latency)
             if response.started is not None:
                 wait.labels().observe(max(0.0, response.started - response.arrival))
@@ -391,33 +412,38 @@ class QueryService:
                     f"serve_cache_{key}", f"LRU cache {key}", ("cache",)
                 ).labels(cache=name).set(value)
 
-    # -- one batching window -----------------------------------------------------
+    def _tally(self, key: str) -> None:
+        """Bump counter *key* and the metric series mirroring it."""
+        if key in self.counters:
+            self.counters[key] += 1
+        registry = obs_metrics.active_registry()
+        if registry is not None and key in self._mirrors:
+            name, help_text, labels = self._mirrors[key]
+            registry.counter(name, help_text, tuple(sorted(labels))).labels(
+                **labels
+            ).inc()
 
-    def _run_window(
-        self, arrivals: list[tuple[int, ServeRequest]], close: float
-    ) -> list[ServeResponse]:
-        config = self.config
-        responses: list[ServeResponse] = []
-        admitted: list[tuple[int, ServeRequest]] = []
+    # -- the stages of one batching window ---------------------------------------
 
+    def _run_window(self, arrivals: _Members, close: float) -> None:
+        admitted = self._shed(self._admit(arrivals, close), close)
+        groups = self._answer_cached(self._resolve(admitted, close), close)
+        self._dispatch(self._expire(groups, close), close)
+
+    def _admit(self, arrivals: _Members, close: float) -> _Members:
+        """Admission control, at each arrival: reject it while queued plus
+        still-running work has reached ``max_pending``."""
+        admitted: _Members = []
         for rid, request in arrivals:
             self.counters["requests"] += 1
             self._open = [t for t in self._open if t > request.arrival]
             pending = len(self._open) + len(admitted)
-            if pending >= config.max_pending:
-                self.counters["rejected"] += 1
-                obs.event(
-                    "request-reject",
-                    {"request": rid, "arrival": request.arrival, "pending": pending},
-                )
-                responses.append(
-                    ServeResponse(
-                        request_id=rid,
-                        label=request.label,
-                        status=REJECTED,
-                        arrival=request.arrival,
-                        error=f"admission control: {pending} requests pending",
-                    )
+            if pending >= self.config.max_pending:
+                self._settle(
+                    [(rid, request)],
+                    REJECTED,
+                    error=f"admission control: {pending} requests pending",
+                    detail={"arrival": request.arrival, "pending": pending},
                 )
                 continue
             self.counters["admitted"] += 1
@@ -426,7 +452,6 @@ class QueryService:
                 {"request": rid, "arrival": request.arrival, "close": close},
             )
             admitted.append((rid, request))
-
         if admitted:
             self.counters["batch_windows"] += 1
         registry = obs_metrics.active_registry()
@@ -434,20 +459,9 @@ class QueryService:
             registry.histogram(
                 "serve_window_admitted", "requests admitted per batching window"
             ).labels().observe(len(admitted))
-        admitted, shed = self._shed_lowest_priority(admitted, close)
-        responses.extend(shed)
-        groups, failed = self._resolve_plans(admitted, close)
-        responses.extend(failed)
-        groups, cached = self._consult_result_cache(groups, close)
-        responses.extend(cached)
-        groups, expired = self._enforce_dispatch_deadlines(groups, close)
-        responses.extend(expired)
-        responses.extend(self._dispatch(groups, close))
-        return responses
+        return admitted
 
-    def _shed_lowest_priority(
-        self, admitted: list[tuple[int, ServeRequest]], close: float
-    ) -> tuple[list[tuple[int, ServeRequest]], list[ServeResponse]]:
+    def _shed(self, admitted: _Members, close: float) -> _Members:
         """The load-shedding degradation tier: when admitted plus
         still-running work at the window close crosses the threshold,
         drop the overflow — lowest priority first, latest arrival first
@@ -456,132 +470,48 @@ class QueryService:
         as deterministic as everything else."""
         threshold = self._resilience.degradation.shed_threshold
         if threshold is None or not admitted:
-            return admitted, []
-        in_flight = sum(1 for t in self._open if t > close)
-        overflow = in_flight + len(admitted) - threshold
-        if overflow <= 0:
-            return admitted, []
+            return admitted
+        depth = sum(1 for t in self._open if t > close) + len(admitted)
+        if depth <= threshold:
+            return admitted
         ranked = sorted(
             admitted, key=lambda item: (-item[1].priority, item[1].arrival, item[0])
         )
-        keep_ids = {rid for rid, _ in ranked[: len(admitted) - overflow]}
-        kept: list[tuple[int, ServeRequest]] = []
-        responses: list[ServeResponse] = []
+        keep_ids = {rid for rid, _ in ranked[: len(admitted) - (depth - threshold)]}
         for rid, request in admitted:
-            if rid in keep_ids:
-                kept.append((rid, request))
-                continue
-            self.counters["shed_requests"] += 1
-            self._resilience_metric("serve_shed_total", "requests shed under load")
-            obs.event(
-                "request-shed",
-                {
-                    "request": rid,
-                    "priority": request.priority,
-                    "depth": in_flight + len(admitted),
-                    "threshold": threshold,
-                },
-            )
-            responses.append(
-                ServeResponse(
-                    request_id=rid,
-                    label=request.label,
-                    status=SHED,
-                    arrival=request.arrival,
+            if rid not in keep_ids:
+                self._settle(
+                    [(rid, request)],
+                    SHED,
+                    close,
                     error=(
-                        f"load shed: queue depth {in_flight + len(admitted)} > "
+                        f"load shed: queue depth {depth} > "
                         f"{threshold} (priority {request.priority})"
                     ),
-                    completed=close,
-                    latency=close - request.arrival,
-                )
-            )
-        return kept, responses
-
-    def _enforce_dispatch_deadlines(
-        self, groups: list[_Group], close: float
-    ) -> tuple[list[_Group], list[ServeResponse]]:
-        """Fail requests whose queue wait already exceeds their deadline
-        *before* any cluster cost is charged.  The check uses the window
-        close (the earliest possible start), so it is conservative:
-        requests that only blow their deadline while queued behind
-        earlier units are still caught post-execution by ``_finish``."""
-        kept: list[_Group] = []
-        responses: list[ServeResponse] = []
-        for group in groups:
-            survivors: list[tuple[int, ServeRequest]] = []
-            for rid, request in group.requests:
-                deadline = self._deadline(request)
-                wait = close - request.arrival
-                if deadline is None or wait <= deadline:
-                    survivors.append((rid, request))
-                    continue
-                self.counters["deadline_exceeded"] += 1
-                self.counters["deadline_exceeded_at_dispatch"] += 1
-                self._open.append(close)
-                obs.event(
-                    "request-deadline",
-                    {
-                        "request": rid,
-                        "latency": wait,
-                        "deadline": deadline,
-                        "stage": "dispatch",
+                    detail={
+                        "priority": request.priority,
+                        "depth": depth,
+                        "threshold": threshold,
                     },
                 )
-                responses.append(
-                    ServeResponse(
-                        request_id=rid,
-                        label=request.label,
-                        status=DEADLINE,
-                        arrival=request.arrival,
-                        fingerprint=group.fp.digest,
-                        error=(
-                            f"deadline exceeded before dispatch: "
-                            f"{wait:.6f}s queued > {deadline:.6f}s"
-                        ),
-                        started=close,
-                        completed=close,
-                        latency=wait,
-                    )
-                )
-            if survivors:
-                group.requests = survivors
-                kept.append(group)
-        return kept, responses
+        return [item for item in admitted if item[0] in keep_ids]
 
-    def _deadline(self, request: ServeRequest) -> float | None:
-        """The request's own deadline, else the config default."""
-        if request.deadline is not None:
-            return request.deadline
-        return self.config.deadline
-
-    def _resilience_metric(self, name: str, help_text: str, **labels: str) -> None:
-        registry = obs_metrics.active_registry()
-        if registry is not None:
-            registry.counter(name, help_text, tuple(sorted(labels))).labels(
-                **labels
-            ).inc()
-
-    def _resolve_plans(
-        self, admitted: list[tuple[int, ServeRequest]], close: float
-    ) -> tuple[list[_Group], list[ServeResponse]]:
-        """Fingerprint + decompose each admitted request (plan cache),
-        collapsing same-fingerprint requests into one group."""
+    def _resolve(self, admitted: _Members, close: float) -> list[_Group]:
+        """Fingerprint each admitted request (plan cache), collapsing
+        same-fingerprint requests into one group (dedup); a query that
+        does not parse fails here."""
         groups: dict[str, _Group] = {}
-        failures: list[ServeResponse] = []
         for rid, request in admitted:
             try:
                 fp = self._fingerprint(request.text)
             except SparqlError as error:
-                failures.append(self._fail(rid, request, close, str(error)))
+                self._settle([(rid, request)], FAILED, close, error=str(error))
                 continue
-            group = groups.get(fp.digest)
-            if group is None:
-                group = groups[fp.digest] = _Group(fp)
-            else:
+            group = groups.setdefault(fp.digest, _Group(fp, []))
+            if group.requests:
                 self.counters["dedup_requests"] += 1
             group.requests.append((rid, request))
-        return list(groups.values()), failures
+        return list(groups.values())
 
     def _fingerprint(self, text: str) -> Fingerprint:
         hit = self.plan_cache.peek(text)
@@ -604,13 +534,12 @@ class QueryService:
     def _result_key(self, digest: str) -> tuple[str, int, str]:
         return (digest, self.graph.version, self.config.engine)
 
-    def _consult_result_cache(
-        self, groups: list[_Group], close: float
-    ) -> tuple[list[_Group], list[ServeResponse]]:
+    def _answer_cached(self, groups: list[_Group], close: float) -> list[_Group]:
+        """Answer every group whose result is cached, at the window close
+        and at no cost."""
         if not self.config.enable_result_cache:
-            return groups, []
+            return groups
         misses: list[_Group] = []
-        responses: list[ServeResponse] = []
         for group in groups:
             rows = self.result_cache.get(self._result_key(group.fp.digest))
             if rows is None:
@@ -624,27 +553,56 @@ class QueryService:
                     "requests": len(group.requests),
                 },
             )
-            for rid, request in group.requests:
-                self._open.append(close)
-                responses.append(
-                    self._finish(
-                        rid,
-                        request,
-                        group,
-                        rows,
-                        started=close,
-                        completed=close,
-                        source="result-cache",
-                        batch_size=0,
-                        unit_cost=0.0,
-                    )
-                )
-        return misses, responses
+            self._settle(
+                group.requests,
+                OK,
+                close,
+                group.fp,
+                rows=rows,
+                started=close,
+                source="result-cache",
+            )
+        return misses
 
-    # -- unit formation and execution --------------------------------------------
+    def _expire(self, groups: list[_Group], close: float) -> list[_Group]:
+        """Fail requests whose queue wait already exceeds their deadline
+        *before* any cluster cost is charged.  The check uses the window
+        close (the earliest possible start), so it is conservative:
+        requests that only blow their deadline while queued behind
+        earlier units are downgraded when their answer settles."""
+        kept: list[_Group] = []
+        for group in groups:
+            survivors: _Members = []
+            for rid, request in group.requests:
+                deadline = self._deadline(request)
+                wait = close - request.arrival
+                if deadline is None or wait <= deadline:
+                    survivors.append((rid, request))
+                    continue
+                self._settle(
+                    [(rid, request)],
+                    DEADLINE,
+                    close,
+                    group.fp,
+                    started=close,
+                    error=(
+                        f"deadline exceeded before dispatch: "
+                        f"{wait:.6f}s queued > {deadline:.6f}s"
+                    ),
+                    detail={"latency": wait, "deadline": deadline, "stage": "dispatch"},
+                )
+            if survivors:
+                kept.append(_Group(group.fp, survivors))
+        return kept
+
+    def _deadline(self, request: ServeRequest) -> float | None:
+        """The request's own deadline, else the config default."""
+        if request.deadline is not None:
+            return request.deadline
+        return self.config.deadline
 
     def _form_units(
-        self, groups: list[_Group], close: float, force_solo: bool = False
+        self, groups: list[_Group], close: float, force_solo: bool
     ) -> list[_Unit]:
         """Partition the window's distinct queries into first-attempt
         units, greedily merging overlapping patterns when batching is
@@ -656,151 +614,74 @@ class QueryService:
             or self.config.engine != "rapid-analytics"
             or len(groups) < 2
         ):
-            return [_Unit([group], 1, close, 0.0) for group in groups]
+            return [_Unit([group], close) for group in groups]
 
         from repro.ntga.composite import build_composite_n
 
         batches: list[list[_Group]] = []
         for group in groups:
-            placed = False
             for batch in batches:
                 subqueries = [
-                    sq for member in batch for sq in member.fp.query.subqueries
+                    sq for member in [*batch, group] for sq in member.fp.query.subqueries
                 ]
-                subqueries.extend(group.fp.query.subqueries)
                 try:
                     if len(subqueries) > 1:
                         build_composite_n(subqueries)
-                    placed = True
                 except OverlapError:
                     continue
                 batch.append(group)
                 break
-            if not placed:
+            else:
                 batches.append([group])
 
-        units = []
         for batch in batches:
-            units.append(_Unit(batch, 1, close, 0.0))
             if len(batch) > 1:
+                requests = sum(len(member.requests) for member in batch)
                 self.counters["batch_merges"] += 1
-                self.counters["batch_merged_requests"] += sum(
-                    len(member.requests) for member in batch
-                )
+                self.counters["batch_merged_requests"] += requests
                 obs.event(
                     "batch-merge",
                     {
                         "close": close,
                         "queries": [member.fp.digest for member in batch],
-                        "requests": sum(len(m.requests) for m in batch),
+                        "requests": requests,
                     },
                 )
-        return units
-
-    def _plan_decision_key(self, digest: str) -> tuple[str, str, int, str]:
-        return ("plan-choice", digest, self.graph.version, self.config.engine)
-
-    def _cached_plan_decision(self, digest: str) -> tuple[bool, str | None]:
-        """Whether the adaptive planner applies to solo runs here, and
-        the fingerprint's cached candidate name if one is stored.
-
-        Rule mode never touches the plan cache — its counters are pinned
-        by the serve-workload goldens."""
-        if self.config.engine != "rapid-analytics":
-            return False, None
-        if PLANNER.resolve(self.config.engine_config.planner) == "rule":
-            return False, None
-        decision = self.plan_cache.get(self._plan_decision_key(digest))
-        if decision is not None:
-            obs.event(
-                "cache-hit", {"cache": "plan-choice", "digest": digest}
-            )
-        return True, decision
-
-    def _attempt_engine_config(self, unit: _Unit) -> EngineConfig:
-        """The engine config for one attempt: the base config, except
-        that re-executions under a fault plan derive a fresh seed — a
-        resubmitted workflow gets fresh task fates, not a replay of the
-        exact crash that killed it (see RetryPolicy.fault_seed)."""
-        base = self.config.engine_config
-        if unit.attempt == 1 or base.fault_plan is None:
-            return base
-        seed = self._resilience.retry.fault_seed(
-            base.fault_plan.seed, unit.groups[0].fp.digest, unit.attempt
-        )
-        return replace(base, fault_plan=replace(base.fault_plan, seed=seed))
-
-    def _run_unit(self, unit: _Unit) -> None:
-        config = self.config
-        base_config = self._attempt_engine_config(unit)
-        wall_start = time.perf_counter()
-        try:
-            if len(unit.groups) == 1:
-                digest = unit.groups[0].fp.digest
-                solo_config = base_config
-                adaptive, decision = self._cached_plan_decision(digest)
-                if decision is not None:
-                    solo_config = replace(solo_config, plan_decision=decision)
-                report = make_engine(config.engine).execute(
-                    unit.groups[0].fp.query, self.graph, solo_config
-                )
-                if (
-                    adaptive
-                    and report.plan_choice is not None
-                    and report.plan_choice.source == "priced"
-                ):
-                    self.plan_cache.put(
-                        self._plan_decision_key(digest), report.plan_choice.chosen
-                    )
-                if self.calibration is not None and report.plan_choice is not None:
-                    label = unit.groups[0].requests[0][1].label or digest[:12]
-                    self.calibration.record_report(label, report)
-                unit.rows_by_group = [report.rows]
-                unit.cost = report.cost_seconds
-            else:
-                batch = execute_batch(
-                    [group.fp.query for group in unit.groups],
-                    self.graph,
-                    base_config,
-                )
-                unit.rows_by_group = batch.rows_by_query
-                unit.cost = batch.cost_seconds
-        except ReproError as error:
-            unit.error = f"{type(error).__name__}: {error}"
-            # The cluster still burned real simulated time before the
-            # abort: the committed prefix's cost plus the aborted
-            # attempt's wasted seconds (attached by the runner).
-            partial = getattr(error, "partial_stats", None)
-            unit.failed_cost = getattr(error, "wasted_seconds", 0.0) + (
-                partial.total_cost if partial is not None else 0.0
-            )
-        finally:
-            unit.wall = time.perf_counter() - wall_start
+        return [_Unit(batch, close) for batch in batches]
 
     # -- dispatch ------------------------------------------------------------------
-    #
-    # The window's units run through one deterministic work queue on the
-    # caller's thread: attempts are sequenced, each gated by the circuit
-    # breaker at its simulated start time, failures feed the breaker's
-    # sliding window, and failed units re-enter the queue per the retry
-    # schedule.  A failed *batch* is split into solo re-executions
-    # (blast-radius isolation) so one poisoned query cannot take down
-    # its whole window.  Everything stays a pure function of (graph,
-    # config, request sequence) — the queue order, worker assignment,
-    # and breaker transitions are all driven by simulated times.  Under
-    # the fail-fast null policy the queue degenerates to "run each unit
-    # once, in order": nothing is re-enqueued, the breaker always
-    # allows, and a failed unit's members fail.
 
-    def _dispatch(self, groups: list[_Group], close: float) -> list[ServeResponse]:
-        responses: list[ServeResponse] = []
+    def _dispatch(self, groups: list[_Group], close: float) -> None:
+        """Run the window's units through one deterministic work queue on
+        the caller's thread.  Attempts are sequenced, each gated by the
+        circuit breaker at its simulated start time; failures feed the
+        breaker's sliding window, and failed units re-enter the queue
+        per the retry schedule.  A failed *batch* is split into solo
+        re-executions (blast-radius isolation), so one poisoned query
+        cannot take down its whole window.  Queue order, worker
+        assignment and breaker transitions are all driven by simulated
+        times.  Every group the queue is done with — answered, turned
+        away by the breaker, or out of retries — goes to ``_settle``.
+        Under the fail-fast null policy the queue degenerates to "run
+        each unit once, in order": nothing is re-enqueued, the breaker
+        always allows, and a failed unit's members fail."""
         if not groups:
-            return responses
+            return
+        turned_away = f"circuit breaker open for engine {self.config.engine!r}"
         state = self._breaker.state(close)
         if state == CircuitBreaker.OPEN:
             for group in groups:
-                responses.extend(self._fast_fail(group, close, 0, 0.0))
-            return responses
+                self._settle(
+                    group.requests,
+                    FAILED,
+                    close,
+                    group.fp,
+                    started=close,
+                    error=turned_away,
+                    attempts=0,
+                    tally="breaker_fast_fails",
+                )
+            return
         force_solo = (
             state == CircuitBreaker.HALF_OPEN
             and self._resilience.degradation.bypass_batching
@@ -812,7 +693,7 @@ class QueryService:
                 {"close": close, "queries": [g.fp.digest for g in groups]},
             )
         registry = obs_metrics.active_registry()
-        queue = deque(self._form_units(groups, close, force_solo=force_solo))
+        queue = deque(self._form_units(groups, close, force_solo))
         while queue:
             unit = queue.popleft()
             worker = min(
@@ -821,13 +702,21 @@ class QueryService:
             started = max(unit.not_before, self._worker_free[worker])
             if not self._breaker.allow(started):
                 for group in unit.groups:
-                    responses.extend(
-                        self._fast_fail(
-                            group, started, unit.attempt - 1, unit.backoff_total
-                        )
+                    self._settle(
+                        group.requests,
+                        FAILED,
+                        started,
+                        group.fp,
+                        started=started,
+                        error=turned_away,
+                        attempts=unit.attempt - 1,
+                        retry_backoff=unit.backoff_total,
+                        tally="breaker_fast_fails",
                     )
                 continue
-            self._run_unit(unit)
+            wall_start = time.perf_counter()
+            run = self._run_unit(unit)
+            wall = time.perf_counter() - wall_start  # diagnostic only
             resubmit = 0.0
             if unit.attempt > 1:
                 # Each re-execution is a fresh workflow submission; the
@@ -837,10 +726,8 @@ class QueryService:
                     committed_jobs=0, committed_bytes=0
                 )
                 self.retry_cost_seconds += resubmit
-            if len(unit.groups) > 1:
-                self.counters["units_batch"] += 1
-            else:
-                self.counters["units_solo"] += 1
+            batched = len(unit.groups) > 1
+            self.counters["units_batch" if batched else "units_solo"] += 1
             if registry is not None:
                 registry.histogram(
                     "serve_unit_queries", "distinct queries per executed unit"
@@ -848,98 +735,127 @@ class QueryService:
                 unit_sim, unit_wall = registry.dual_histogram(
                     "serve_unit_cost", "executed unit cost"
                 )
-                unit_sim.labels().observe(unit.cost)
-                unit_wall.labels().observe(unit.wall)
+                unit_sim.labels().observe(run.cost if run.error is None else 0.0)
+                unit_wall.labels().observe(wall)
             # A failed unit occupies its worker too: the cluster burned
-            # failed_cost simulated seconds before the abort.
-            cost = (unit.cost if unit.error is None else unit.failed_cost) + resubmit
+            # run.cost simulated seconds before the abort.
+            cost = run.cost + resubmit
             completed = started + cost
             self._worker_free[worker] = completed
             self.executed_cost_seconds += cost
-            if unit.error is None:
+            if run.error is None:
                 self._breaker.record_success(completed)
                 if unit.attempt > 1:
-                    self.counters["retry_successes"] += 1
-                    self._resilience_metric(
-                        "serve_retries_total",
-                        "serve-layer retries by outcome",
-                        outcome="success",
+                    self._tally("retry_successes")
+                for group, rows in zip(unit.groups, run.rows_by_group):
+                    self._settle(
+                        group.requests,
+                        OK,
+                        completed,
+                        group.fp,
+                        rows=rows,
+                        started=started,
+                        source="batch" if batched else "solo",
+                        batch_size=len(unit.groups),
+                        unit_cost=run.cost,
+                        attempts=unit.attempt,
+                        retry_backoff=unit.backoff_total,
                     )
-                responses.extend(self._settle_success(unit, started, completed))
                 continue
             self._breaker.record_failure(completed)
             if unit.attempt > 1:
-                self._resilience_metric(
-                    "serve_retries_total",
-                    "serve-layer retries by outcome",
-                    outcome="failed",
-                )
+                self._tally("retry_failures")
             digests = [group.fp.digest for group in unit.groups]
             obs.event(
                 "unit-failed",
-                {"queries": digests, "attempt": unit.attempt, "error": unit.error},
+                {"queries": digests, "attempt": unit.attempt, "error": run.error},
             )
-            if len(unit.groups) > 1:
+            if batched:
                 # Blast-radius isolation: the members survive the batch.
-                obs.event("batch-isolation", {"queries": digests, "error": unit.error})
+                obs.event("batch-isolation", {"queries": digests, "error": run.error})
                 self.counters["isolated_groups"] += len(unit.groups)
             for group in unit.groups:
-                self._schedule_retry(group, unit, completed, queue, responses)
-        return responses
+                self._retry(group, unit, run.error, completed, queue)
 
-    def _fast_fail(
-        self, group: _Group, now: float, attempts: int, backoff_total: float
-    ) -> list[ServeResponse]:
-        """Turn *group* away at an open breaker (counted per member),
-        then let the degradation tiers answer it if they can."""
-        for _ in group.requests:
-            self.counters["breaker_fast_fails"] += 1
-            self._resilience_metric(
-                "serve_breaker_events_total",
-                "circuit-breaker transitions and fast-fails",
-                engine=self.config.engine,
-                event="fast-fail",
+    def _run_unit(self, unit: _Unit) -> _Run:
+        """Execute one attempt.  A :class:`ReproError` is an outcome
+        here, not an exception: the failed run carries what it burned.
+
+        A re-execution under a fault plan derives a fresh seed — a
+        resubmitted workflow gets fresh task fates, not a replay of the
+        crash that killed it (see RetryPolicy.fault_seed).  A solo run
+        under a non-rule planner replays the candidate the plan cache
+        holds for its fingerprint, or stores the one it priced; rule
+        mode never touches that cache (the serve goldens pin its
+        counters)."""
+        config = self.config.engine_config
+        first = unit.groups[0]
+        if unit.attempt > 1 and config.fault_plan is not None:
+            seed = self._resilience.retry.fault_seed(
+                config.fault_plan.seed, first.fp.digest, unit.attempt
             )
-        return self._degrade_group(
-            group,
-            now,
-            f"circuit breaker open for engine {self.config.engine!r}",
-            attempts,
-            backoff_total,
-        )
+            config = replace(config, fault_plan=replace(config.fault_plan, seed=seed))
+        try:
+            if len(unit.groups) > 1:
+                batch = execute_batch(
+                    [group.fp.query for group in unit.groups], self.graph, config
+                )
+                rows_by_group, cost = batch.rows_by_query, batch.cost_seconds
+            else:
+                key = (
+                    "plan-choice",
+                    first.fp.digest,
+                    self.graph.version,
+                    self.config.engine,
+                )
+                adaptive = (
+                    self.config.engine == "rapid-analytics"
+                    and PLANNER.resolve(config.planner) != "rule"
+                )
+                decision = self.plan_cache.get(key) if adaptive else None
+                if decision is not None:
+                    obs.event(
+                        "cache-hit", {"cache": "plan-choice", "digest": first.fp.digest}
+                    )
+                    config = replace(config, plan_decision=decision)
+                report = make_engine(self.config.engine).execute(
+                    first.fp.query, self.graph, config
+                )
+                choice = report.plan_choice
+                if adaptive and choice is not None and choice.source == "priced":
+                    self.plan_cache.put(key, choice.chosen)
+                if self.calibration is not None and choice is not None:
+                    label = first.requests[0][1].label or first.fp.digest[:12]
+                    self.calibration.record_report(label, report)
+                rows_by_group, cost = [report.rows], report.cost_seconds
+        except ReproError as error:
+            # The cluster still burned real simulated time before the
+            # abort: the committed prefix's cost plus the aborted
+            # attempt's wasted seconds (attached by the runner).
+            partial = getattr(error, "partial_stats", None)
+            burnt = getattr(error, "wasted_seconds", 0.0) + (
+                partial.total_cost if partial is not None else 0.0
+            )
+            return _Run(None, burnt, f"{type(error).__name__}: {error}")
+        return _Run(rows_by_group, cost)
 
-    def _deadline_limit(self, group: _Group) -> float | None:
-        """Latest simulated time any member can still be answered in
-        time (min over members of arrival + deadline); None when no
-        member has a deadline."""
-        limits = []
-        for _, request in group.requests:
-            deadline = self._deadline(request)
-            if deadline is not None:
-                limits.append(request.arrival + deadline)
-        return min(limits) if limits else None
-
-    def _schedule_retry(
-        self,
-        group: _Group,
-        unit: _Unit,
-        failed_at: float,
-        queue: deque,
-        responses: list[ServeResponse],
+    def _retry(
+        self, group: _Group, unit: _Unit, error: str, failed_at: float, queue: deque
     ) -> None:
-        """Re-enqueue one group of failed *unit* per the retry schedule,
-        or hand it to the degradation tiers when the budget (or the
-        deadline) is spent.  A retry whose backoff lands past every
-        member's deadline is never scheduled — the deadline budget
-        bounds the schedule."""
+        """Re-enqueue one group of failed *unit* — solo — per the retry
+        schedule, or settle it when the budget is spent.  A retry whose
+        backoff lands past every member's deadline is never scheduled —
+        the deadline budget bounds the schedule."""
         retry = self._resilience.retry
-        error = unit.error
-        retry_index = unit.attempt  # retry k follows attempt k
-        if retry_index <= retry.retries:
-            backoff = retry.backoff(group.fp.digest, retry_index)
+        if unit.attempt <= retry.retries:  # retry k follows attempt k
+            backoff = retry.backoff(group.fp.digest, unit.attempt)
             not_before = failed_at + backoff
-            limit = self._deadline_limit(group)
-            if limit is None or not_before <= limit:
+            limits = [
+                request.arrival + deadline
+                for _, request in group.requests
+                if (deadline := self._deadline(request)) is not None
+            ]
+            if not limits or not_before <= min(limits):
                 self.counters["retries"] += 1
                 registry = obs_metrics.active_registry()
                 if registry is not None:
@@ -959,210 +875,120 @@ class QueryService:
                 queue.append(
                     _Unit(
                         [group],
-                        unit.attempt + 1,
                         not_before,
+                        unit.attempt + 1,
                         unit.backoff_total + backoff,
                     )
                 )
                 return
-            self.counters["retries_abandoned_deadline"] += 1
-            self._resilience_metric(
-                "serve_retries_total",
-                "serve-layer retries by outcome",
-                outcome="abandoned-deadline",
-            )
+            self._tally("retries_abandoned_deadline")
             error = f"{error} (retry abandoned: backoff lands past deadline)"
-        responses.extend(
-            self._degrade_group(
-                group, failed_at, error, unit.attempt, unit.backoff_total
-            )
-        )
-
-    def _degrade_group(
-        self,
-        group: _Group,
-        now: float,
-        reason: str,
-        attempts: int,
-        backoff_total: float,
-    ) -> list[ServeResponse]:
-        """The end of the line for a group that cannot be executed: the
-        stale tier answers from the last-known-good store (marked
-        ``degraded``, charged ``stale_serve_overhead``); without a
-        stored answer the members fail."""
-        stale = (
-            self.stale_results.lookup(group.fp.digest, self.config.engine)
-            if self._resilience.degradation.stale
-            else None
-        )
-        if stale is not None:
-            version, rows = stale
-            overhead = self.config.engine_config.cost_model.stale_serve_overhead
-            completed = now + overhead
-            self.executed_cost_seconds += overhead
-            obs.event(
-                "request-degraded",
-                {
-                    "digest": group.fp.digest,
-                    "stale_version": version,
-                    "requests": len(group.requests),
-                    "reason": reason,
-                },
-            )
-            responses = []
-            for rid, request in group.requests:
-                self._open.append(completed)
-                self.counters["degraded_stale"] += 1
-                self._resilience_metric(
-                    "serve_degraded_total",
-                    "degraded answers by tier",
-                    tier="stale-cache",
-                )
-                responses.append(
-                    self._finish(
-                        rid,
-                        request,
-                        group,
-                        rows,
-                        started=now,
-                        completed=completed,
-                        source="stale-cache",
-                        batch_size=0,
-                        unit_cost=0.0,
-                        attempts=attempts,
-                        retry_backoff=backoff_total,
-                        stale_version=version,
-                    )
-                )
-            return responses
-        return [
-            self._fail(rid, request, now, reason, group, attempts, backoff_total)
-            for rid, request in group.requests
-        ]
-
-    def _fail(
-        self,
-        rid: int,
-        request: ServeRequest,
-        now: float,
-        error: str,
-        group: _Group | None = None,
-        attempts: int = 1,
-        retry_backoff: float = 0.0,
-    ) -> ServeResponse:
-        """One failed request, settled at *now*.  *group* is None for a
-        query that never parsed: it has no fingerprint and never
-        started."""
-        self._open.append(now)
-        self.counters["failed"] += 1
-        obs.event("request-failed", {"request": rid, "error": error})
-        return ServeResponse(
-            request_id=rid,
-            label=request.label,
-            status=FAILED,
-            arrival=request.arrival,
-            fingerprint=None if group is None else group.fp.digest,
+        self._settle(
+            group.requests,
+            FAILED,
+            failed_at,
+            group.fp,
+            started=failed_at,
             error=error,
-            started=None if group is None else now,
-            completed=now,
-            latency=now - request.arrival,
-            attempts=attempts,
-            retry_backoff=retry_backoff,
+            attempts=unit.attempt,
+            retry_backoff=unit.backoff_total,
         )
 
-    def _settle_success(
-        self, unit: _Unit, started: float, completed: float
-    ) -> list[ServeResponse]:
-        """Fan one successful (possibly retried) unit out to its
-        members; with the stale tier on, successful rows also refresh
-        the stale store so the degraded tier always holds the
-        last-known-good answer."""
-        responses: list[ServeResponse] = []
-        source = "batch" if len(unit.groups) > 1 else "solo"
-        for group, rows in zip(unit.groups, unit.rows_by_group):
-            if len(unit.groups) > 1:
+    # -- settle --------------------------------------------------------------------
+
+    def _settle(
+        self,
+        members: _Members,
+        status: str,
+        completed: float | None = None,
+        fp: Fingerprint | None = None,
+        *,
+        rows: list[Row] | None = None,
+        error: str | None = None,
+        source: str | None = None,
+        detail: dict[str, Any] | None = None,
+        tally: str | None = None,
+        **fields: Any,
+    ) -> None:
+        """End *members*, all the same way: every response the service
+        returns is built, recorded as open work until *completed*,
+        counted and announced here.
+
+        An executed answer (source ``solo`` or ``batch``) is split out
+        of its batch and remembered by the result cache and, with the
+        stale tier on, the stale store; the first requester's execution
+        answers the rest of its group (``dedup``).  A group that could
+        not be executed (``failed`` with a fingerprint) is first offered
+        to the stale tier: answered from the last-known-good store as
+        ``degraded``, charged ``stale_serve_overhead``.  An answer
+        (``ok`` or ``degraded``) that lands past its request's deadline
+        is downgraded to ``deadline-exceeded``.  *detail* is the status
+        event's attributes beyond the request id (default: the error);
+        *tally* names one more counter to bump per request."""
+        executed = source in ("solo", "batch")
+        if executed:
+            if source == "batch":
                 obs.event(
                     "batch-split",
-                    {
-                        "digest": group.fp.digest,
-                        "rows": len(rows),
-                        "requests": len(group.requests),
-                    },
+                    {"digest": fp.digest, "rows": len(rows), "requests": len(members)},
                 )
             if self.config.enable_result_cache:
-                self.result_cache.put(self._result_key(group.fp.digest), rows)
+                self.result_cache.put(self._result_key(fp.digest), rows)
             if self._resilience.degradation.stale:
                 self.stale_results.put(
-                    group.fp.digest, self.config.engine, self.graph.version, rows
+                    fp.digest, self.config.engine, self.graph.version, rows
                 )
-            for position, (rid, request) in enumerate(group.requests):
-                self._open.append(completed)
-                responses.append(
-                    self._finish(
-                        rid,
-                        request,
-                        group,
-                        rows,
-                        started=started,
-                        completed=completed,
-                        source=source if position == 0 else "dedup",
-                        batch_size=len(unit.groups),
-                        unit_cost=unit.cost,
-                        attempts=unit.attempt,
-                        retry_backoff=unit.backoff_total,
-                    )
+        if status == FAILED and fp is not None and self._resilience.degradation.stale:
+            stale = self.stale_results.lookup(fp.digest, self.config.engine)
+            if stale is not None:
+                fields["stale_version"], rows = stale
+                overhead = self.config.engine_config.cost_model.stale_serve_overhead
+                self.executed_cost_seconds += overhead
+                obs.event(
+                    "request-degraded",
+                    {
+                        "digest": fp.digest,
+                        "stale_version": fields["stale_version"],
+                        "requests": len(members),
+                        "reason": error,
+                    },
                 )
-        return responses
-
-    def _finish(
-        self,
-        rid: int,
-        request: ServeRequest,
-        group: _Group,
-        rows: list[Row],
-        *,
-        started: float,
-        completed: float,
-        source: str,
-        batch_size: int,
-        unit_cost: float,
-        attempts: int = 1,
-        retry_backoff: float = 0.0,
-        stale_version: int | None = None,
-    ) -> ServeResponse:
-        """One answered request: ``ok``, or ``degraded`` when the rows
-        come from the stale store (*stale_version* set) — unless the
-        answer lands past the request's deadline."""
-        latency = completed - request.arrival
-        deadline = self._deadline(request)
-        response = ServeResponse(
-            request_id=rid,
-            label=request.label,
-            status=OK if stale_version is None else DEGRADED,
-            arrival=request.arrival,
-            fingerprint=group.fp.digest,
-            rows=list(rows),
-            started=started,
-            completed=completed,
-            latency=latency,
-            source=source,
-            batch_size=batch_size,
-            unit_cost=unit_cost,
-            attempts=attempts,
-            retry_backoff=retry_backoff,
-            stale_version=stale_version,
-        )
-        if deadline is not None and latency > deadline:
-            self.counters["deadline_exceeded"] += 1
-            obs.event(
-                "request-deadline",
-                {"request": rid, "latency": latency, "deadline": deadline},
+                status, completed, error = DEGRADED, completed + overhead, None
+                source = "stale-cache"
+        event, counters = _ENDINGS[status]
+        for position, (rid, request) in enumerate(members):
+            response = ServeResponse(
+                rid,
+                request.label,
+                status,
+                request.arrival,
+                fingerprint=None if fp is None else fp.digest,
+                rows=None if rows is None else list(rows),
+                error=error,
+                completed=completed,
+                latency=None if completed is None else completed - request.arrival,
+                source="dedup" if executed and position else source,
+                **fields,
             )
-            response.status = DEADLINE
-            response.rows = None
-            response.error = f"deadline exceeded: {latency:.6f}s > {deadline:.6f}s"
-            if stale_version is not None:
-                # A late stale answer is no answer: it names no source.
-                response.source = None
-                response.stale_version = None
-        return response
+            self._settled[rid] = response
+            if completed is not None:
+                self._open.append(completed)
+            for key in counters if tally is None else (*counters, tally):
+                self._tally(key)
+            if event is not None:
+                obs.event(event, {"request": rid, **(detail or {"error": error})})
+            deadline = self._deadline(request)
+            answered = status in (OK, DEGRADED) and deadline is not None
+            if answered and response.latency > deadline:
+                self.counters["deadline_exceeded"] += 1
+                obs.event(
+                    "request-deadline",
+                    {"request": rid, "latency": response.latency, "deadline": deadline},
+                )
+                response.status, response.rows = DEADLINE, None
+                response.error = (
+                    f"deadline exceeded: {response.latency:.6f}s > {deadline:.6f}s"
+                )
+                if status == DEGRADED:
+                    # A late stale answer is no answer: it names no source.
+                    response.source = response.stale_version = None

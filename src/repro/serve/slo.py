@@ -60,14 +60,9 @@ class SLOSpec:
 
     @property
     def strictest_bound(self) -> float:
-        """The tail bound that burns error budget (p99 first)."""
-        for value in (self.p99, self.p95, self.p50):
-            if value is not None:
-                return value
-        raise ServeError("slo spec has no targets")  # unreachable
-
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The tail bound that burns error budget (p99 first); validation
+        guarantees there is one."""
+        return next(v for v in (self.p99, self.p95, self.p50) if v is not None)
 
 
 #: Per-mix default objectives, calibrated against the committed serve
@@ -115,7 +110,7 @@ def evaluate_slo(spec: SLOSpec, latencies: list[float]) -> dict[str, Any]:
     burn = round(over / len(ordered), 6) if ordered else 0.0
     objectives["budget"] = burn <= spec.budget
     return {
-        "targets": spec.as_dict(),
+        "targets": asdict(spec),
         "achieved": achieved,
         "count": len(ordered),
         "violations": over,

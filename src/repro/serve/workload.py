@@ -29,10 +29,11 @@ Mixes are named slices of the catalog:
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.bench.catalog import get_query
 from repro.bench.harness import bsbm_config, chem_config, pubmed_config
@@ -50,6 +51,7 @@ from repro.serve.service import (
     OK,
     QueryService,
     ServeRequest,
+    ServeResponse,
     ServiceConfig,
 )
 from repro.serve.slo import DEFAULT_SLOS, SLOSpec, _percentile, evaluate_slo
@@ -119,9 +121,10 @@ class WorkloadSpec:
         if self.mix not in WORKLOAD_MIXES:
             known = ", ".join(sorted(WORKLOAD_MIXES))
             raise ServeError(f"unknown mix {self.mix!r} (known: {known})")
-        for name in ("window", "rate"):
-            if not getattr(self, name) > 0.0:
-                raise ServeError(f"{name} must be > 0")
+        if not 0.0 < self.window < math.inf:
+            raise ServeError("window must be > 0 and finite")
+        if not self.rate > 0.0:
+            raise ServeError("rate must be > 0")
 
     @classmethod
     def from_spec(cls, text: str) -> "WorkloadSpec":
@@ -148,9 +151,6 @@ class WorkloadSpec:
         can only come from the sharing layers, never from the
         representation or a re-litigated plan choice."""
         return replace(WORKLOAD_MIXES[self.mix][3](), **knob_overrides(self))
-
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def workload_requests(spec: WorkloadSpec, seed: int) -> list[ServeRequest]:
@@ -185,6 +185,49 @@ def _latency_summary(latencies: list[float]) -> dict[str, float]:
         "p99": round(_percentile(ordered, 99), 6),
         "max": round(ordered[-1], 6) if ordered else 0.0,
     }
+
+
+class _SeedTally(NamedTuple):
+    """One seed's responses, folded the way both serve reports read them."""
+
+    statuses: dict[str, int]
+    sources: dict[str, int]
+    #: Latencies, and summed cold solo cost, of the *answered* statuses.
+    latencies: list[float]
+    baseline_cost: float
+    #: Per status, the ids of responses whose rows differ from the solo
+    #: baseline's (order-sensitive digest).
+    mismatches: dict[str, list[int]]
+
+
+def _tally_seed(
+    responses: list[ServeResponse],
+    baseline: dict[str, dict[str, Any]],
+    answered: tuple[str, ...],
+) -> _SeedTally:
+    statuses: dict[str, int] = {}
+    sources: dict[str, int] = {}
+    latencies: list[float] = []
+    baseline_cost = 0.0
+    mismatches: dict[str, list[int]] = {}
+    for response in responses:
+        statuses[response.status] = statuses.get(response.status, 0) + 1
+        if response.source is not None:
+            sources[response.source] = sources.get(response.source, 0) + 1
+        if response.status in answered:
+            baseline_cost += baseline[response.label]["cost_seconds"]
+            latencies.append(response.latency)
+        if response.rows is not None and (
+            rows_digest(response.rows) != baseline[response.label]["digest"]
+        ):
+            mismatches.setdefault(response.status, []).append(response.request_id)
+    return _SeedTally(
+        dict(sorted(statuses.items())),
+        dict(sorted(sources.items())),
+        latencies,
+        baseline_cost,
+        mismatches,
+    )
 
 
 def default_slo(mix: str) -> SLOSpec:
@@ -247,7 +290,6 @@ def serve_workload_report(
 
     runs: list[dict[str, Any]] = []
     total_baseline = total_served = 0.0
-    all_rows_match = True
     per_seed_reduced: list[bool] = []
     per_seed_slo: list[dict[str, Any]] = []
     pooled_latencies: list[float] = []
@@ -260,29 +302,11 @@ def serve_workload_report(
                 graph, spec.service_config(engine_config), calibration=calibration
             )
             responses = service.serve(workload_requests(spec, seed))
-
-            statuses: dict[str, int] = {}
-            sources: dict[str, int] = {}
-            mismatches: list[int] = []
-            baseline_cost = 0.0
-            latencies: list[float] = []
-            for response in responses:
-                statuses[response.status] = statuses.get(response.status, 0) + 1
-                if response.source is not None:
-                    sources[response.source] = sources.get(response.source, 0) + 1
-                if response.status in (OK, DEADLINE):
-                    baseline_cost += baseline[response.label]["cost_seconds"]
-                    latencies.append(response.latency)
-                if response.status == OK and (
-                    rows_digest(response.rows)
-                    != baseline[response.label]["digest"]
-                ):
-                    mismatches.append(response.request_id)
-
+            tally = _tally_seed(responses, baseline, answered=(OK, DEADLINE))
+            # Without a resilience policy only ``ok`` answers carry rows.
+            mismatches = tally.mismatches.get(OK, [])
+            baseline_cost, latencies = tally.baseline_cost, tally.latencies
             served_cost = service.executed_cost_seconds
-            counters = service.counter_snapshot()
-            rows_match = not mismatches
-            all_rows_match = all_rows_match and rows_match
             total_baseline += baseline_cost
             total_served += served_cost
             per_seed_reduced.append(served_cost < baseline_cost)
@@ -292,8 +316,8 @@ def serve_workload_report(
                 {
                     "seed": seed,
                     "requests": len(responses),
-                    "statuses": dict(sorted(statuses.items())),
-                    "sources": dict(sorted(sources.items())),
+                    "statuses": tally.statuses,
+                    "sources": tally.sources,
                     "latency": _latency_summary(latencies),
                     "baseline_cost_seconds": round(baseline_cost, 6),
                     "served_cost_seconds": round(served_cost, 6),
@@ -301,15 +325,15 @@ def serve_workload_report(
                     "saved_ratio": round(1.0 - served_cost / baseline_cost, 6)
                     if baseline_cost
                     else None,
-                    "rows_match_solo": rows_match,
+                    "rows_match_solo": not mismatches,
                     "mismatched_requests": mismatches,
-                    "counters": dict(sorted(counters.items())),
+                    "counters": service.counter_snapshot(),
                 }
             )
 
     overall_slo = evaluate_slo(slo, pooled_latencies)
     verdicts = {
-        "all_rows_match": all_rows_match,
+        "all_rows_match": all(run["rows_match_solo"] for run in runs),
         # The tentpole claim: sharing strictly reduces total simulated
         # cost on every seed (meaningless with both levers off).
         "cost_strictly_reduced": all(per_seed_reduced)
@@ -323,7 +347,7 @@ def serve_workload_report(
         "dataset": dataset,
         "preset": preset,
         "queries": list(qids),
-        "workload": spec.as_dict(),
+        "workload": asdict(spec),
         "baseline": baseline,
         "runs": runs,
         "slo": {

@@ -220,6 +220,7 @@ MALFORMED = [
     ("workload", "seeds=1,clients=1,mix=chem-overlap,batch=maybe", "batch must be on/off, got 'maybe'"),
     ("workload", "seeds=0,clients=1,mix=chem-overlap", "seeds must be >= 1"),
     ("workload", "seeds=1,clients=1,mix=chem-overlap,window=nan", "window must be > 0"),
+    ("workload", "seeds=1,clients=1,mix=chem-overlap,window=inf", "window must be > 0 and finite"),
     ("workload", "seeds=1,clients=1,mix=nope", "unknown mix 'nope' (known: "),
     ("workload", "seeds=1,clients=1,mix=chem-overlap,representation=wide", "invalid representation 'wide'"),
     ("workload", "seeds=1,clients=1,mix=chem-overlap,planner=Cost", "invalid planner 'Cost'"),
@@ -395,6 +396,29 @@ def test_the_combine_stage_is_a_fold():
     aggregates in place"): the combiner over grouped per-solution
     accumulators, its job field and its merge function stay deleted."""
     gone = re.compile(r"merge_partials|combiner=|\bCombiner\b")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if gone.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_every_request_ends_in_one_settle_path():
+    """``QueryService`` ends a request in one place (docs/serving.md, "The
+    scheduler model"): one ``ServeResponse(`` construction under ``src/``,
+    and the five settle functions and the metric mirror it replaced stay
+    deleted."""
+    built = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "ServeResponse(" in text
+    ]
+    assert len(built) == 1 and built[0].startswith("serve/service.py:"), built
+    gone = re.compile(
+        r"\b_(fast_fail|degrade_group|fail|settle_success|finish|resilience_metric)\b"
+    )
     offenders = [
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))

@@ -200,6 +200,21 @@ def test_negative_arrival_rejected(chem_tiny, chem_service_config):
         service.serve([ServeRequest(sparql("MG6"), arrival=-1.0)])
 
 
+@pytest.mark.parametrize("arrival", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_arrival_rejected_where_the_request_is_built(arrival):
+    with pytest.raises(ServeError, match="arrival must be >= 0 and finite"):
+        ServeRequest(sparql("MG6"), arrival=arrival)
+
+
+def test_a_rejected_batch_burns_no_request_id(chem_tiny, chem_service_config):
+    service = QueryService(chem_tiny, chem_service_config)
+    with pytest.raises(ServeError, match="arrival"):
+        service.serve(
+            [ServeRequest(sparql("MG6"), arrival=0.01), ServeRequest(sparql("MG7"), arrival=-1.0)]
+        )
+    assert service.query(sparql("MG6")).request_id == 0
+
+
 def test_arrivals_cannot_land_in_closed_windows(chem_tiny, chem_service_config):
     service = QueryService(chem_tiny, chem_service_config)
     service.query(sparql("MG6"))
@@ -215,6 +230,8 @@ def test_invalid_config_rejected():
         ServiceConfig(workers=0)
     with pytest.raises(ServeError):
         ServiceConfig(batch_window=0.0)
+    with pytest.raises(ServeError, match="batch_window must be > 0 and finite"):
+        ServiceConfig(batch_window=float("inf"))
     with pytest.raises(ServeError):
         ServiceConfig(deadline=-1.0)
 

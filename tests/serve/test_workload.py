@@ -45,6 +45,7 @@ def test_from_spec_full():
         "seeds=1,clients=0,mix=chem-overlap",  # clients < 1
         "seeds=1,clients=1,mix=chem-overlap,requests=0",
         "seeds=1,clients=1,mix=chem-overlap,window=0",
+        "seeds=1,clients=1,mix=chem-overlap,window=inf",  # Infinity in the report
         "seeds=1,clients=1,mix=chem-overlap,rate=-1",
         "seeds=1,clients=1,mix=chem-overlap,batch=maybe",  # bad flag
         "seeds 1,clients=1,mix=chem-overlap",  # not key=value
