@@ -5,7 +5,8 @@ cardinality and cost estimates; :mod:`repro.obs.calibration` watches how
 far those estimates drift from the executed
 :class:`~repro.mapreduce.runner.JobStats` in live serving.  This module
 pins the *baseline*: each catalog query is run once on RAPIDAnalytics
-under the cost planner and the per-cycle estimate-vs-actual q-errors are
+under the cost planner (the A/B loop's one ``cost`` arm,
+:mod:`repro.bench.arms`) and the per-cycle estimate-vs-actual q-errors are
 summarised per query — count, mean, max, and the drift verdict the
 monitor would emit.
 
@@ -20,69 +21,41 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.bench.catalog import get_query
-from repro.core.engines import make_engine, to_analytical
+from repro.bench.arms import CATALOG_ENGINE, DEFAULT_QUERIES, catalog_runs
 from repro.core.results import EngineConfig
-from repro.datasets import generate
 from repro.obs.calibration import CalibrationMonitor
-from repro.rdf.graph import Graph
 from repro.report import ReportKind
 
 CALIBRATION_SCHEMA = "repro-calibration/v1"
 
-#: Same slice the planner A/B pins: the BSBM multi-grouping queries
-#: whose composite rewrite the cost planner second-guesses.
-DEFAULT_QUERIES = ("MG1", "MG2", "MG3", "MG4")
-
-_PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
-
-_ENGINE = "rapid-analytics"
-
-
 def calibration_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
     """Run *qids* under the cost planner and summarise per-query q-errors."""
-    graphs: dict[str, Graph] = {}
+    qids = list(qids)
     monitor = CalibrationMonitor()
     runs: list[dict[str, Any]] = []
-    for qid in qids:
-        query = get_query(qid)
-        preset = _PRESET_BY_DATASET[query.dataset]
-        if query.dataset not in graphs:
-            graphs[query.dataset] = generate(query.dataset, preset)
-        analytical = to_analytical(query.sparql)
-        engine = make_engine(_ENGINE)
-        report = engine.execute(
-            analytical, graphs[query.dataset], EngineConfig(planner="cost")
-        )
-        compared = monitor.record_report(qid, report)
-        choice = report.plan_choice
+    for run in catalog_runs(qids, {"cost": EngineConfig(planner="cost")}):
+        report = run.reports["cost"]
         runs.append(
             {
-                "qid": qid,
-                "dataset": query.dataset,
-                "preset": preset,
-                "chosen": choice.chosen if choice else "",
-                "source": choice.source if choice else "",
+                **run.head,
+                "chosen": report.plan_choice.chosen,
+                "source": report.plan_choice.source,
                 "cycles": report.cycles,
-                "cycles_compared": compared,
+                "cycles_compared": monitor.record_report(run.head["qid"], report),
                 "rows": len(report.rows),
             }
         )
     calibration = monitor.report()
     by_query = {entry["query"]: entry for entry in calibration["queries"]}
     for run in runs:
-        entry = by_query.get(run["qid"])
-        run["cardinality_q_error"] = (
-            entry["cardinality_q_error"] if entry else {"count": 0, "mean": 0.0, "max": 1.0}
-        )
-        run["cost_q_error"] = (
-            entry["cost_q_error"] if entry else {"count": 0, "mean": 0.0, "max": 1.0}
-        )
-        run["verdict"] = entry["verdict"] if entry else "ok"
+        entry = by_query[run["qid"]]
+        run["cardinality_q_error"] = entry["cardinality_q_error"]
+        run["cost_q_error"] = entry["cost_q_error"]
+        run["verdict"] = entry["verdict"]
     return {
         "schema": CALIBRATION_SCHEMA,
-        "engine": _ENGINE,
-        "queries": list(qids),
+        "engine": CATALOG_ENGINE,
+        "queries": qids,
         "runs": runs,
         "thresholds": calibration["thresholds"],
         "summary": {

@@ -21,14 +21,12 @@ committed report doubles as a golden (:data:`KIND`, checked by
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.ambient import Field, parse_spec
-from repro.bench.catalog import get_query
-from repro.bench.faults import _base_counters
-from repro.bench.harness import QueryMeasurement, paper_experiment, run_experiment
-from repro.datasets import generate
+from repro.bench.arms import experiment_runs, versus_baseline
 from repro.errors import CheckpointError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
@@ -36,18 +34,6 @@ from repro.report import ReportKind
 
 #: Schema tag for the chaos soak report (bump on shape changes).
 CHAOS_SCHEMA = "repro-chaos-soak/v1"
-
-#: RecoveryStats fields summed per engine across the soak matrix.
-_RECOVERY_FIELDS = (
-    "resubmissions",
-    "jobs_skipped",
-    "salvaged_bytes",
-    "salvaged_seconds",
-    "wasted_seconds",
-    "wasted_bytes",
-    "overhead_seconds",
-)
-
 
 #: ``--chaos`` keys (DESIGN.md §7.5 has the grammar).
 _SPEC_FIELDS = {
@@ -83,10 +69,10 @@ class ChaosSpec:
     def __post_init__(self) -> None:
         if self.seeds < 1:
             raise CheckpointError("seeds must be >= 1")
-        if not 0.0 <= self.rate < 1.0:
-            raise CheckpointError("rate must be in [0, 1)")
-        if self.attempts < 1:
-            raise CheckpointError("attempts must be >= 1")
+        # The plan's and the policy's own validators check everything
+        # else before anything runs.
+        self.plan_for_seed(1)
+        self.policy()
 
     @classmethod
     def from_spec(cls, text: str) -> "ChaosSpec":
@@ -113,6 +99,44 @@ def _per_failure(total: float, failures: int) -> float | None:
     return round(total / failures, 6) if failures else None
 
 
+def _summary(runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """One engine's rows across the soak matrix, rolled up."""
+    done = [run for run in runs if run["completed"]]
+    # RecoveryStats fields, summed.
+    totals: dict[str, float] = defaultdict(float)
+    for run in done:
+        for name, value in run["recovery"].items():
+            totals[name] += float(value)
+    failures = int(totals["resubmissions"])
+    lost = totals["wasted_seconds"] + totals["overhead_seconds"]
+    at_risk = totals["salvaged_seconds"] + lost
+    return {
+        "runs": len(runs),
+        "completed": len(done),
+        "bit_identical": all(
+            run["rows_match_baseline"] and run["base_counters_match_baseline"]
+            for run in runs
+        ),
+        "failures": failures,
+        "jobs_skipped": int(totals["jobs_skipped"]),
+        "salvaged_bytes": int(totals["salvaged_bytes"]),
+        "salvaged_seconds": round(totals["salvaged_seconds"], 6),
+        "wasted_seconds": round(totals["wasted_seconds"], 6),
+        "overhead_seconds": round(totals["overhead_seconds"], 6),
+        "lost_seconds": round(lost, 6),
+        # The headline comparison: how much simulated work one failure
+        # costs this engine (the aborted attempt's waste plus the
+        # resubmission's checkpoint-validation overhead).  Long workflows
+        # run bigger jobs and carry bigger ledgers, so hive-naive loses
+        # strictly more here than rapid-analytics.
+        "lost_seconds_per_failure": _per_failure(lost, failures),
+        "salvaged_seconds_per_failure": _per_failure(totals["salvaged_seconds"], failures),
+        # Fraction of at-risk work (salvaged + lost) the checkpoints
+        # actually saved across the matrix.
+        "salvage_ratio": round(totals["salvaged_seconds"] / at_risk, 6) if at_risk else None,
+    }
+
+
 def chaos_soak_report(
     experiment: str,
     spec: ChaosSpec,
@@ -125,137 +149,51 @@ def chaos_soak_report(
     its salvage accounting is recorded, and per-engine totals summarize
     how much work the checkpoints saved versus lost per failure.
     """
-    _, dataset, preset, qids, engines, config_factory = paper_experiment(
-        experiment, "chaos experiment"
-    )
-    graph = graph if graph is not None else generate(dataset, preset)
-    config = config_factory()
-    queries = [get_query(qid) for qid in qids]
-
-    baseline = run_experiment(
-        f"{experiment}-fault-free", "fault-free baseline",
-        queries, graph, engines, config, verify=False,
-    )
-    base_runs: dict[tuple[str, str], QueryMeasurement] = {
-        (m.qid, m.engine): m for m in baseline.measurements
+    seeds = range(1, spec.seeds + 1)
+    variants = {
+        f"seed{seed}": {"fault_plan": spec.plan_for_seed(seed), "recovery": spec.policy()}
+        for seed in seeds
     }
-
+    exp, outcomes = experiment_runs(experiment, "chaos experiment", variants, graph)
     runs: list[dict[str, Any]] = []
-    totals: dict[str, dict[str, float]] = {
-        engine: {field: 0.0 for field in _RECOVERY_FIELDS} for engine in engines
-    }
-    completed: dict[str, int] = {engine: 0 for engine in engines}
-    matched: dict[str, int] = {engine: 0 for engine in engines}
-    per_engine_runs: dict[str, int] = {engine: 0 for engine in engines}
-
-    for seed in range(1, spec.seeds + 1):
-        chaos_config = replace(
-            config, fault_plan=spec.plan_for_seed(seed), recovery=spec.policy()
-        )
-        soak = run_experiment(
-            f"{experiment}-chaos-seed{seed}", f"chaos soak, seed {seed}",
-            queries, graph, engines, chaos_config, verify=False,
-        )
-        for measurement in soak.measurements:
-            base = base_runs[(measurement.qid, measurement.engine)]
-            per_engine_runs[measurement.engine] += 1
-            entry: dict[str, Any] = {
-                "seed": seed,
-                "qid": measurement.qid,
-                "engine": measurement.engine,
-                "completed": not measurement.failed,
-                "failed": measurement.failed,
-                "rows": measurement.rows,
-                "recovery": dict(measurement.recovery),
-            }
-            if measurement.failed:
-                entry["rows_match_baseline"] = False
-                entry["base_counters_match_baseline"] = False
-                entry["baseline_cost_seconds"] = repr(base.cost_seconds)
-                entry["chaos_cost_seconds"] = None
-                entry["extra_cost_seconds"] = None
-                runs.append(entry)
-                continue
-            rows_ok = measurement.rows_digest == base.rows_digest
-            counters_ok = _base_counters(measurement) == _base_counters(base)
-            entry["rows_match_baseline"] = rows_ok
-            entry["base_counters_match_baseline"] = counters_ok
-            entry["baseline_cost_seconds"] = repr(base.cost_seconds)
-            entry["chaos_cost_seconds"] = repr(measurement.cost_seconds)
-            entry["extra_cost_seconds"] = round(
-                measurement.cost_seconds - base.cost_seconds, 6
-            )
-            runs.append(entry)
-            completed[measurement.engine] += 1
-            if rows_ok and counters_ok:
-                matched[measurement.engine] += 1
-            for field in _RECOVERY_FIELDS:
-                totals[measurement.engine][field] += float(
-                    measurement.recovery.get(field, 0)
+    for seed in seeds:
+        for qid in exp.queries:
+            for engine in exp.engines:
+                run = outcomes[f"seed{seed}", qid, engine]
+                runs.append(
+                    {
+                        **versus_baseline(run, outcomes["baseline", qid, engine]),
+                        "seed": seed,
+                        "completed": not run.failed,
+                        "recovery": run.recovery,
+                        "chaos_cost_seconds": None
+                        if run.failed
+                        else repr(run.cost_seconds),
+                    }
                 )
-
-    summary: dict[str, Any] = {}
-    for engine in engines:
-        engine_totals = totals[engine]
-        failures = int(engine_totals["resubmissions"])
-        lost = engine_totals["wasted_seconds"] + engine_totals["overhead_seconds"]
-        at_risk = engine_totals["salvaged_seconds"] + lost
-        summary[engine] = {
-            "runs": per_engine_runs[engine],
-            "completed": completed[engine],
-            "bit_identical": matched[engine] == per_engine_runs[engine],
-            "failures": failures,
-            "jobs_skipped": int(engine_totals["jobs_skipped"]),
-            "salvaged_bytes": int(engine_totals["salvaged_bytes"]),
-            "salvaged_seconds": round(engine_totals["salvaged_seconds"], 6),
-            "wasted_seconds": round(engine_totals["wasted_seconds"], 6),
-            "overhead_seconds": round(engine_totals["overhead_seconds"], 6),
-            "lost_seconds": round(lost, 6),
-            # The headline comparison: how much simulated work one
-            # failure costs this engine (the aborted attempt's waste plus
-            # the resubmission's checkpoint-validation overhead).  Long
-            # workflows run bigger jobs and carry bigger ledgers, so
-            # hive-naive loses strictly more here than rapid-analytics.
-            "lost_seconds_per_failure": _per_failure(lost, failures),
-            "salvaged_seconds_per_failure": _per_failure(
-                engine_totals["salvaged_seconds"], failures
-            ),
-            # Fraction of at-risk work (salvaged + lost) the checkpoints
-            # actually saved across the matrix.
-            "salvage_ratio": round(engine_totals["salvaged_seconds"] / at_risk, 6)
-            if at_risk
-            else None,
-        }
-
-    verdicts: dict[str, Any] = {
-        "all_complete": all(run["completed"] for run in runs),
-        "all_bit_identical": all(
-            run["rows_match_baseline"] and run["base_counters_match_baseline"]
-            for run in runs
-        ),
+    summary = {
+        engine: _summary([run for run in runs if run["engine"] == engine])
+        for engine in exp.engines
     }
-    naive = summary.get("hive-naive")
-    rapid = summary.get("rapid-analytics")
-    if (
-        naive is not None
-        and rapid is not None
-        and naive["lost_seconds_per_failure"] is not None
-        and rapid["lost_seconds_per_failure"] is not None
-    ):
-        verdicts["hive_naive_loses_more_per_failure"] = (
-            naive["lost_seconds_per_failure"] > rapid["lost_seconds_per_failure"]
-        )
-    else:
-        verdicts["hive_naive_loses_more_per_failure"] = None
-
+    naive, rapid = (
+        summary.get(engine, {}).get("lost_seconds_per_failure")
+        for engine in ("hive-naive", "rapid-analytics")
+    )
+    verdicts = {
+        "all_complete": all(run["completed"] for run in runs),
+        "all_bit_identical": all(stats["bit_identical"] for stats in summary.values()),
+        "hive_naive_loses_more_per_failure": naive > rapid
+        if naive is not None and rapid is not None
+        else None,
+    }
     return {
         "schema": CHAOS_SCHEMA,
         "experiment": experiment,
-        "dataset": dataset,
-        "preset": preset,
+        "dataset": exp.dataset,
+        "preset": exp.preset,
         "chaos": spec.as_dict(),
-        "engines": list(engines),
-        "queries": list(qids),
+        "engines": list(exp.engines),
+        "queries": list(exp.queries),
         "runs": runs,
         "summary": summary,
         "verdicts": verdicts,
@@ -299,8 +237,8 @@ def _violations(report: dict[str, Any]) -> list[str]:
     bad = [
         f"seed{run['seed']}:{run['qid']}/{run['engine']}"
         for run in report["runs"]
-        if not run["completed"]
-        or not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
+        # An aborted run matches nothing.
+        if not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
     ]
     return [f"chaos runs not bit-identical to fault-free: {bad}"] if bad else []
 

@@ -1,7 +1,8 @@
 """Fault-resilience benchmark: ``repro bench <experiment> --faults``.
 
 Runs one paper experiment twice on the same graph — fault-free, then
-under a seeded :class:`~repro.mapreduce.faults.FaultPlan` — and reports
+under a seeded :class:`~repro.mapreduce.faults.FaultPlan`: the
+``baseline`` and ``faulted`` arms of :mod:`repro.bench.arms` — and reports
 per-(query, engine) cost degradation.  This reproduces the argument the
 paper makes structurally: RAPIDAnalytics' shorter workflows (3-4 MR
 cycles vs naive Hive's 9-13) expose fewer tasks and fewer materialized
@@ -15,13 +16,10 @@ recovery-path regressions on every push.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict
 from typing import Any
 
-from repro.bench.catalog import get_query
-from repro.bench.harness import QueryMeasurement, paper_experiment, run_experiment
-from repro.datasets import generate
-from repro.mapreduce.checkpoint import RECOVERY_COUNTERS
+from repro.bench.arms import experiment_runs, versus_baseline
 from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
 from repro.rdf.graph import Graph
 from repro.report import ReportKind
@@ -29,23 +27,24 @@ from repro.report import ReportKind
 #: Schema tag for the resilience report (bump on shape changes).
 FAULTS_SCHEMA = "repro-fault-resilience/v1"
 
-def _base_counters(measurement: QueryMeasurement) -> dict[str, int]:
-    # Base = everything the fault layer AND the checkpoint/resume layer
-    # do not own; this is the subset required to stay bit-identical to
-    # the fault-free run (under recovery, resumed runs add the
-    # RECOVERY_COUNTERS on top of an identical base).
-    return {
-        name: value
-        for name, value in measurement.counters.items()
-        if name not in FAULT_COUNTERS and name not in RECOVERY_COUNTERS
-    }
 
-
-def _fault_counters(measurement: QueryMeasurement) -> dict[str, int]:
+def _summary(runs: list[dict[str, Any]]) -> dict[str, Any]:
+    """One engine's rows, rolled up."""
+    done = [run for run in runs if not run["failed"]]
+    degradations = [run["degradation"] for run in done]
+    extras = [run["extra_cost_seconds"] for run in done]
     return {
-        name: value
-        for name, value in measurement.counters.items()
-        if name in FAULT_COUNTERS
+        "mean_degradation": round(sum(degradations) / len(degradations), 6)
+        if done
+        else None,
+        "max_degradation": round(max(degradations), 6) if done else None,
+        # Absolute recovery overhead in simulated seconds — the headline
+        # "degrades more gracefully" metric: a short workflow exposes
+        # fewer tasks and fewer materialized bytes, so the same plan
+        # costs it fewer extra seconds.
+        "mean_extra_cost_seconds": round(sum(extras) / len(extras), 6) if done else None,
+        "total_extra_cost_seconds": round(sum(extras), 6) if done else None,
+        "aborted_runs": len(runs) - len(done),
     }
 
 
@@ -61,92 +60,41 @@ def fault_resilience_report(
     two invariant verdicts: the faulted run's result rows and its base
     (non-fault) counters must match the fault-free run exactly.
     """
-    _, dataset, preset, qids, engines, config_factory = paper_experiment(
-        experiment, "fault experiment"
+    exp, outcomes = experiment_runs(
+        experiment, "fault experiment", {"faulted": {"fault_plan": plan}}, graph
     )
-    graph = graph if graph is not None else generate(dataset, preset)
-    config = config_factory()
-    queries = [get_query(qid) for qid in qids]
-
-    baseline = run_experiment(
-        f"{experiment}-fault-free", "fault-free baseline",
-        queries, graph, engines, config, verify=False,
-    )
-    faulted = run_experiment(
-        f"{experiment}-faulted", "seeded fault plan",
-        queries, graph, engines, replace(config, fault_plan=plan), verify=False,
-    )
-
-    base_runs = {(m.qid, m.engine): m for m in baseline.measurements}
     runs: list[dict[str, Any]] = []
-    degradations: dict[str, list[float]] = {engine: [] for engine in engines}
-    extras: dict[str, list[float]] = {engine: [] for engine in engines}
-    for measurement in faulted.measurements:
-        base = base_runs[(measurement.qid, measurement.engine)]
-        entry: dict[str, Any] = {
-            "qid": measurement.qid,
-            "engine": measurement.engine,
-            "rows": measurement.rows,
-            "cycles": measurement.cycles,
-            "failed": measurement.failed,
-            "baseline_cost_seconds": repr(base.cost_seconds),
-            "faulted_cost_seconds": repr(measurement.cost_seconds),
-            "fault_counters": dict(sorted(_fault_counters(measurement).items())),
-            "rows_match_baseline": measurement.rows_digest == base.rows_digest,
-            "base_counters_match_baseline": _base_counters(measurement)
-            == _base_counters(base),
-        }
-        if measurement.failed:
-            # Aborted: no finite cost to compare.
-            entry["degradation"] = None
-            entry["extra_cost_seconds"] = None
-        else:
-            extra = round(measurement.cost_seconds - base.cost_seconds, 6)
-            degradation = round(measurement.cost_seconds / base.cost_seconds, 6)
-            entry["degradation"] = degradation
-            entry["extra_cost_seconds"] = extra
-            degradations[measurement.engine].append(degradation)
-            extras[measurement.engine].append(extra)
-        runs.append(entry)
-
-    summary = {
-        engine: {
-            "mean_degradation": round(sum(values) / len(values), 6) if values else None,
-            "max_degradation": round(max(values), 6) if values else None,
-            # Absolute recovery overhead in simulated seconds — the
-            # headline "degrades more gracefully" metric: a short
-            # workflow exposes fewer tasks and fewer materialized bytes,
-            # so the same plan costs it fewer extra seconds.
-            "mean_extra_cost_seconds": round(
-                sum(extras[engine]) / len(extras[engine]), 6
+    for qid in exp.queries:
+        for engine in exp.engines:
+            run, base = outcomes["faulted", qid, engine], outcomes["baseline", qid, engine]
+            runs.append(
+                {
+                    **versus_baseline(run, base),
+                    "cycles": run.cycles,
+                    "faulted_cost_seconds": repr(run.cost_seconds),
+                    "fault_counters": {
+                        name: value
+                        for name, value in run.counters.items()
+                        if name in FAULT_COUNTERS
+                    },
+                    # Aborted: no finite cost to compare.
+                    "degradation": None
+                    if run.failed
+                    else round(run.cost_seconds / base.cost_seconds, 6),
+                }
             )
-            if extras[engine]
-            else None,
-            "total_extra_cost_seconds": round(sum(extras[engine]), 6)
-            if extras[engine]
-            else None,
-            "aborted_runs": sum(
-                1 for r in runs if r["engine"] == engine and r["failed"]
-            ),
-        }
-        for engine, values in degradations.items()
+    summary = {
+        engine: _summary([run for run in runs if run["engine"] == engine])
+        for engine in exp.engines
     }
     return {
         "schema": FAULTS_SCHEMA,
         "experiment": experiment,
-        "dataset": dataset,
-        "preset": preset,
-        "fault_plan": {
-            "seed": plan.seed,
-            "task_failure_rate": plan.task_failure_rate,
-            "straggler_rate": plan.straggler_rate,
-            "straggler_slowdown": plan.straggler_slowdown,
-            "hdfs_write_failure_rate": plan.hdfs_write_failure_rate,
-            "max_attempts": plan.max_attempts,
-            "speculation": plan.speculation,
-        },
-        "engines": list(engines),
-        "queries": list(qids),
+        "dataset": exp.dataset,
+        "preset": exp.preset,
+        "fault_plan": asdict(plan),
+        "engines": list(exp.engines),
+        "queries": list(exp.queries),
         "runs": runs,
         "summary": summary,
     }
@@ -186,12 +134,7 @@ def render_fault_report(report: dict[str, Any]) -> str:
         f"{engine}={stats['mean_degradation']}x"
         for engine, stats in sorted(report["summary"].items())
     ))
-    invariant_ok = all(
-        run["rows_match_baseline"] and run["base_counters_match_baseline"]
-        for run in report["runs"]
-        if not run["failed"]
-    )
-    lines.append(f"results identical to fault-free run: {invariant_ok}")
+    lines.append(f"results identical to fault-free run: {not _violations(report)}")
     return "\n".join(lines)
 
 

@@ -4,8 +4,9 @@ Each row of :data:`EXPERIMENTS` declares one paper artifact — its
 slice of the workload, its synthetic dataset, its engine columns and
 its environment; :func:`run_paper_experiment` runs a row and returns an
 :class:`ExperimentResult` whose rows mirror the artifact (same queries,
-same engine columns).  The fault, chaos and golden harnesses read the
-same table.
+same engine columns).  The fault and chaos reports
+(:mod:`repro.bench.arms`, baseline vs variant arms of one experiment)
+and the golden capturer's per-dataset environments read the same table.
 
 Per-dataset execution configs encode the paper's environment:
 
@@ -23,10 +24,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from repro import obs
 from repro.bench.catalog import CatalogQuery, get_query
 from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
-from repro.core.results import EngineConfig, ExecutionReport, rows_digest
+from repro.core.results import EngineConfig, ExecutionReport
 from repro.datasets import generate
 from repro.errors import ReproError
 from repro.mapreduce.cost import ClusterConfig
@@ -52,6 +52,8 @@ class QueryMeasurement:
     #: (:meth:`repro.mapreduce.RecoveryStats.as_dict`); empty unless the
     #: engine ran under a :class:`repro.mapreduce.RecoveryPolicy`.
     recovery: dict[str, object] = field(default_factory=dict)
+    #: The run's full report (None when it aborted), for the A/B row builders.
+    report: ExecutionReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def full_cycles(self) -> int:
@@ -103,60 +105,28 @@ def run_experiment(
     config: EngineConfig,
     verify: bool = True,
 ) -> ExperimentResult:
-    """Run each query on each engine, measuring the simulated workflow.
+    """Run each query on each engine, measuring the simulated workflow:
+    :func:`repro.bench.arms.run_arms` with the one arm *exp_id*.
 
     With ``verify`` set, every engine's row multiset is checked against
     the reference evaluator; mismatches are recorded (they fail tests).
-    Engines that abort (e.g. simulated HDFS exhaustion) record a failed
-    measurement rather than raising — the paper reports naive Hive's
-    MG13 failure the same way.
+    An engine that aborts records a failed measurement.
     """
-    result = ExperimentResult(exp_id, title, engines)
+    # Imported here: the A/B loop stays off ``import repro.cli``'s path.
+    from repro.bench.arms import run_arms
+
+    graphs = {query.dataset: graph for query in queries}
+    outcomes = run_arms(queries, engines, graphs, {exp_id: config})
+    result = ExperimentResult(exp_id, title, engines, list(outcomes.values()))
+    if not verify:
+        return result
     for query in queries:
-        analytical = to_analytical(query.sparql)
-        expected = None
-        if verify:
-            expected = _canonical(make_engine("reference").execute(analytical, graph))
-        with obs.span(query.qid, "query", {"qid": query.qid, "experiment": exp_id}):
-            for engine_name in engines:
-                engine = make_engine(engine_name)
-                try:
-                    report = engine.execute(analytical, graph, config)
-                except ReproError as error:
-                    result.measurements.append(
-                        QueryMeasurement(
-                            qid=query.qid,
-                            engine=engine_name,
-                            rows=0,
-                            cycles=0,
-                            map_only_cycles=0,
-                            cost_seconds=float("inf"),
-                            shuffle_bytes=0,
-                            materialized_bytes=0,
-                            failed=type(error).__name__,
-                        )
-                    )
-                    continue
-                if expected is not None and _canonical(report) != expected:
-                    result.mismatches.append((query.qid, engine_name))
-                stats = report.stats
-                result.measurements.append(
-                    QueryMeasurement(
-                        qid=query.qid,
-                        engine=engine_name,
-                        rows=len(report.rows),
-                        cycles=report.cycles,
-                        map_only_cycles=report.map_only_cycles,
-                        cost_seconds=report.cost_seconds,
-                        shuffle_bytes=stats.total_shuffle_bytes if stats else 0,
-                        materialized_bytes=stats.total_materialized_bytes if stats else 0,
-                        counters=dict(sorted(stats.counters.as_dict().items())) if stats else {},
-                        rows_digest=rows_digest(report.rows),
-                        recovery=stats.recovery.as_dict()
-                        if stats is not None and stats.recovery is not None
-                        else {},
-                    )
-                )
+        reference = make_engine("reference").execute(to_analytical(query.sparql), graph)
+        expected = _canonical(reference)
+        for engine in engines:
+            report = outcomes[exp_id, query.qid, engine].report
+            if report is not None and _canonical(report) != expected:
+                result.mismatches.append((query.qid, engine))
     return result
 
 

@@ -127,7 +127,7 @@ def _shard_fields(args: argparse.Namespace) -> dict:
     given).  A bare ``N`` means the default (hash) partition."""
     if not getattr(args, "shards", None):
         return {}
-    from repro.shard.ab import parse_shard_spec
+    from repro.shard.partition import parse_shard_spec
 
     shards, strategies = parse_shard_spec(args.shards)
     return {
@@ -299,15 +299,22 @@ def _report_mode(args: argparse.Namespace, kind, produce) -> int:
     return 1 if violations else 0
 
 
-def _catalog_qids(text: str, default: tuple[str, ...], alias: str) -> list[str]:
-    """The query list of an A/B mode: ``mg`` / ``all`` / the mode's own
-    name for its default slice, else a comma-separated catalog qid list."""
-    if text in ("mg", "all", alias):
-        return list(default)
+def _catalog_qids(text: str) -> list[str]:
+    """The query list of a catalog A/B mode: ``mg`` for the default
+    slice, else a comma-separated list of distinct catalog qids."""
+    from repro.bench.arms import DEFAULT_QUERIES
+
+    if text == "mg":
+        return list(DEFAULT_QUERIES)
     qids = [qid.strip() for qid in text.split(",") if qid.strip()]
     unknown = [qid for qid in qids if qid not in CATALOG]
     if unknown:
         raise ReproError(f"unknown catalog queries {unknown}")
+    if not qids:
+        raise ReproError(f"no catalog queries in {text!r}")
+    repeated = sorted({qid for qid in qids if qids.count(qid) > 1})
+    if repeated:
+        raise ReproError(f"catalog queries listed more than once: {repeated}")
     return qids
 
 
@@ -341,7 +348,7 @@ def _planner_ab_mode(args: argparse.Namespace):
     cost plan must never lose, with identical answers."""
     from repro.plan import ab
 
-    qids = _catalog_qids(args.experiment, ab.DEFAULT_QUERIES, "planner-ab")
+    qids = _catalog_qids(args.experiment)
     return ab.KIND, lambda: ab.planner_ab_report(qids)
 
 
@@ -350,7 +357,7 @@ def _calibration_mode(args: argparse.Namespace):
     under the cost planner, with drift verdicts."""
     from repro.bench import calibration
 
-    qids = _catalog_qids(args.experiment, calibration.DEFAULT_QUERIES, "calibration")
+    qids = _catalog_qids(args.experiment)
     return calibration.KIND, lambda: calibration.calibration_report(qids)
 
 
@@ -358,9 +365,10 @@ def _shards_mode(args: argparse.Namespace):
     """``--shards N[,strategy]``: unsharded baseline vs each partitioning
     strategy at N shards — exchange bytes, edge cuts, costs."""
     from repro.shard import ab
+    from repro.shard.partition import parse_shard_spec
 
-    shards, strategies = ab.parse_shard_spec(args.shards)
-    qids = _catalog_qids(args.experiment, ab.DEFAULT_QUERIES, "shards")
+    shards, strategies = parse_shard_spec(args.shards)
+    qids = _catalog_qids(args.experiment)
     return ab.KIND, lambda: ab.shard_ab_report(qids, shards, strategies)
 
 

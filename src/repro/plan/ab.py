@@ -1,10 +1,11 @@
-"""Planner A/B harness: rule vs cost mode on the multi-grouping workload.
+"""Planner A/B: rule vs cost mode on the multi-grouping workload.
 
-For each query the harness runs RAPIDAnalytics twice — once under the
-rule-based planner (the composite rewrite always fires when it can) and
-once under the cost-based planner — and records both the *priced* costs
-the enumerator compared and the *actual* simulated workflow costs the
-runs produced, plus an order-insensitive digest of each answer set.
+For each query RAPIDAnalytics runs under two arms of the A/B loop
+(:mod:`repro.bench.arms`) — the rule-based planner (the composite
+rewrite always fires when it can) and the cost-based planner — and the
+row records both the *priced* costs the enumerator compared and the
+*actual* simulated workflow costs the runs produced, plus an
+order-insensitive digest of each answer set.
 
 The report (``repro-planner-ab/v1``) is what
 ``benchmarks/golden/BENCH_PR7.json`` pins: the cost planner must never
@@ -17,77 +18,48 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.bench.catalog import get_query
-from repro.core.engines import make_engine, to_analytical
-from repro.core.results import EngineConfig, ExecutionReport
-from repro.datasets import generate
-from repro.rdf.graph import Graph
+from repro.bench.arms import DEFAULT_QUERIES, catalog_runs
+from repro.core.results import EngineConfig
 from repro.report import ReportKind, rows_digest
 
 AB_SCHEMA = "repro-planner-ab/v1"
-
-#: The paper's BSBM multi-grouping slice — the queries whose composite
-#: rewrite the cost planner second-guesses.
-DEFAULT_QUERIES = ("MG1", "MG2", "MG3", "MG4")
-
-#: Small presets: the A/B verdicts are about plan choice, not scale.
-_PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
 
 #: Actual-cost slack: both runs price the same deterministic simulation,
 #: so anything beyond float noise is a genuine regression.
 _COST_TOLERANCE = 1e-6
 
-
-def _priced_costs(report: ExecutionReport) -> tuple[float, float, str, str]:
-    """(priced rule cost, priced chosen cost, chosen name, source) from a
-    cost-mode run's attached :class:`~repro.plan.enumerator.PlanChoice`.
-
-    ``candidates[0]`` is the rule-order candidate by the enumerator's
-    contract, so the comparison needs no second enumeration."""
-    choice = report.plan_choice
-    if choice is None:
-        return 0.0, 0.0, "", ""
-    return choice.candidates[0].total_cost, choice.chosen_cost, choice.chosen, choice.source
+_ARMS = {"rule": EngineConfig(planner="rule"), "cost": EngineConfig(planner="cost")}
 
 
 def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
     """Run the rule-vs-cost A/B over *qids* and report per-query verdicts."""
-    graphs: dict[str, Graph] = {}
+    qids = list(qids)
     runs: list[dict[str, Any]] = []
-    for qid in qids:
-        query = get_query(qid)
-        preset = _PRESET_BY_DATASET[query.dataset]
-        if query.dataset not in graphs:
-            graphs[query.dataset] = generate(query.dataset, preset)
-        graph = graphs[query.dataset]
-        analytical = to_analytical(query.sparql)
-        engine = make_engine("rapid-analytics")
-        rule_run = engine.execute(analytical, graph, EngineConfig(planner="rule"))
-        cost_run = engine.execute(analytical, graph, EngineConfig(planner="cost"))
-        rule_priced, cost_priced, chosen, source = _priced_costs(cost_run)
-        rule_digest = rows_digest(rule_run.rows)
-        cost_digest = rows_digest(cost_run.rows)
+    for run in catalog_runs(qids, _ARMS):
+        rule, cost = run.reports["rule"], run.reports["cost"]
+        choice = cost.plan_choice
+        rule_digest = rows_digest(rule.rows)
         runs.append(
             {
-                "qid": qid,
-                "dataset": query.dataset,
-                "preset": preset,
-                "chosen": chosen,
-                "source": source,
+                **run.head,
+                "chosen": choice.chosen,
+                "source": choice.source,
+                # ``candidates[0]`` is the rule-order candidate by the
+                # enumerator's contract: no second enumeration needed.
                 "priced_cost": {
-                    "rule": round(rule_priced, 6),
-                    "cost": round(cost_priced, 6),
+                    "rule": round(choice.candidates[0].total_cost, 6),
+                    "cost": round(choice.chosen_cost, 6),
                 },
                 "actual_cost": {
-                    "rule": round(rule_run.cost_seconds, 6),
-                    "cost": round(cost_run.cost_seconds, 6),
+                    "rule": round(rule.cost_seconds, 6),
+                    "cost": round(cost.cost_seconds, 6),
                 },
-                "cycles": {"rule": rule_run.cycles, "cost": cost_run.cycles},
-                "rows": len(rule_run.rows),
+                "cycles": {"rule": rule.cycles, "cost": cost.cycles},
+                "rows": len(rule.rows),
                 "rows_digest": rule_digest,
-                "answers_match": rule_digest == cost_digest,
-                "cost_not_worse": cost_run.cost_seconds
-                <= rule_run.cost_seconds + _COST_TOLERANCE,
+                "answers_match": rule_digest == rows_digest(cost.rows),
+                "cost_not_worse": cost.cost_seconds
+                <= rule.cost_seconds + _COST_TOLERANCE,
             }
         )
     summary = {
@@ -104,7 +76,7 @@ def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
     }
     return {
         "schema": AB_SCHEMA,
-        "queries": list(qids),
+        "queries": qids,
         "runs": runs,
         "summary": summary,
         "verdicts": verdicts,

@@ -1,8 +1,9 @@
-"""Shard A/B harness: partitioning strategies head to head.
+"""Shard A/B: partitioning strategies head to head.
 
-For each query the harness runs RAPIDAnalytics once unsharded (the
-answer oracle and the cost baseline) and once per partitioning strategy
-at N shards, recording each strategy's cross-shard exchange volume, its
+For each query RAPIDAnalytics runs under the arms of the A/B loop
+(:mod:`repro.bench.arms`) — once unsharded (the answer oracle and the
+cost baseline) and once per partitioning strategy at N shards — and
+the row records each strategy's cross-shard exchange volume, its
 edge-cut statistics, and the priced workflow cost.
 
 The report (``repro-shard-ab/v1``) is what
@@ -20,77 +21,35 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.bench.catalog import get_query
-from repro.core.engines import make_engine, to_analytical
+from repro.bench.arms import DEFAULT_QUERIES, catalog_runs
 from repro.core.results import EngineConfig
-from repro.datasets import generate
-from repro.errors import ShardError
-from repro.rdf.graph import Graph
 from repro.report import ReportKind, rows_digest
-from repro.shard.partition import PARTITIONERS, build_partition, validate_partitioner
+from repro.shard.partition import PARTITIONERS, build_partition
 
 SHARD_AB_SCHEMA = "repro-shard-ab/v1"
-
-#: The paper's BSBM multi-grouping slice — star-heavy queries whose
-#: inter-star joins make partitioning quality visible.
-DEFAULT_QUERIES = ("MG1", "MG2", "MG3", "MG4")
-
-DEFAULT_SHARDS = 4
-
-#: Small presets: the A/B verdicts are about cross-shard traffic
-#: ratios, not scale.
-_PRESET_BY_DATASET = {"bsbm": "tiny", "chem": "tiny", "pubmed": "tiny"}
-
-
-def parse_shard_spec(spec: str) -> tuple[int, tuple[str, ...]]:
-    """Parse a ``--shards`` spec: ``"N"`` (all strategies) or
-    ``"N,strategy"`` (one strategy).  Raises :class:`ShardError` on
-    malformed input — the CLI turns that into a one-line exit-2
-    diagnostic, like ``--faults``."""
-    malformed = ShardError(
-        f"malformed --shards spec {spec!r}: expected N or N,strategy"
-    )
-    head, comma, tail = spec.partition(",")
-    try:
-        shards = int(head)
-    except ValueError:
-        raise malformed from None
-    if comma and (not tail.strip() or "," in tail):
-        raise malformed
-    if shards < 1:
-        raise ShardError(f"--shards count must be >= 1, got {shards}")
-    if not comma:
-        return shards, PARTITIONERS
-    return shards, (validate_partitioner(tail.strip()),)
 
 
 def shard_ab_report(
     qids: Iterable[str] = DEFAULT_QUERIES,
-    shards: int = DEFAULT_SHARDS,
+    shards: int = 4,
     strategies: tuple[str, ...] = PARTITIONERS,
 ) -> dict[str, Any]:
     """Run the partitioner A/B over *qids* at *shards* workers."""
+    qids = list(qids)
     # Built before anything runs: a config validates itself.
-    configs = {
-        strategy: EngineConfig(shards=shards, partitioner=strategy)
+    arms = {"unsharded": EngineConfig()}
+    arms.update(
+        (strategy, EngineConfig(shards=shards, partitioner=strategy))
         for strategy in strategies
-    }
-    graphs: dict[str, Graph] = {}
+    )
     runs: list[dict[str, Any]] = []
-    for qid in qids:
-        query = get_query(qid)
-        preset = _PRESET_BY_DATASET[query.dataset]
-        if query.dataset not in graphs:
-            graphs[query.dataset] = generate(query.dataset, preset)
-        graph = graphs[query.dataset]
-        analytical = to_analytical(query.sparql)
-        engine = make_engine("rapid-analytics")
-        base = engine.execute(analytical, graph, EngineConfig())
+    for run in catalog_runs(qids, arms):
+        base = run.reports["unsharded"]
         base_digest = rows_digest(base.rows)
         by_strategy: dict[str, Any] = {}
-        for strategy, config in configs.items():
-            partition = build_partition(graph, strategy, shards)
-            report = engine.execute(analytical, graph, config)
+        for strategy in strategies:
+            partition = build_partition(run.graph, strategy, shards)
+            report = run.reports[strategy]
             by_strategy[strategy] = {
                 "exchange_bytes": report.stats.total_exchange_bytes,
                 "cut_edges": partition.cut_edges,
@@ -104,9 +63,7 @@ def shard_ab_report(
         )
         runs.append(
             {
-                "qid": qid,
-                "dataset": query.dataset,
-                "preset": preset,
+                **run.head,
                 "rows": len(base.rows),
                 "rows_digest": base_digest,
                 "unsharded_cost": round(base.cost_seconds, 6),
@@ -138,7 +95,7 @@ def shard_ab_report(
     }
     return {
         "schema": SHARD_AB_SCHEMA,
-        "queries": list(qids),
+        "queries": qids,
         "shards": shards,
         "strategies": list(strategies),
         "runs": runs,

@@ -48,6 +48,29 @@ from repro.rdf.terms import Term, term_sort_key
 PARTITIONERS = PARTITIONER.choices
 validate_partitioner = PARTITIONER.validate
 
+
+def parse_shard_spec(spec: str) -> tuple[int, tuple[str, ...]]:
+    """Parse a ``--shards`` spec: ``"N"`` (all strategies) or
+    ``"N,strategy"`` (one strategy).  Raises :class:`ShardError` on
+    malformed input — the CLI turns that into a one-line exit-2
+    diagnostic, like ``--faults``."""
+    malformed = ShardError(
+        f"malformed --shards spec {spec!r}: expected N or N,strategy"
+    )
+    head, comma, tail = spec.partition(",")
+    try:
+        shards = int(head)
+    except ValueError:
+        raise malformed from None
+    if comma and (not tail.strip() or "," in tail):
+        raise malformed
+    if shards < 1:
+        raise ShardError(f"--shards count must be >= 1, got {shards}")
+    if not comma:
+        return shards, PARTITIONERS
+    return shards, (validate_partitioner(tail.strip()),)
+
+
 #: Relaxed balance factor for the greedy min-edge-cut heuristic: a
 #: shard may grow to 1.25x the perfectly even share before the
 #: heuristic stops placing neighbors on it.  METIS's default ufactor

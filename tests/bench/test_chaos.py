@@ -53,6 +53,11 @@ class TestSpecParsing:
             "seeds=0,rate=0.1",       # seeds < 1
             "seeds=3,rate=1.5",       # rate out of range
             "seeds=3,rate=0.1,attempts=0",
+            # Checked by the recovery policy's and the fault plan's own
+            # validators, before any run.
+            "seeds=1,rate=0.1,budget=0",
+            "seeds=1,rate=0.1,write=1.5",
+            "seeds=1,rate=0.1,straggler=-1",
             "seeds=x,rate=0.1",       # unparseable int
             "seeds=3,rate=0.1,typo=4",
         ],

@@ -14,7 +14,7 @@ from repro.ntga.planner import (
     plan_rapid_analytics,
     plan_rapid_plus,
 )
-from repro.plan.ab import DEFAULT_QUERIES as PLANNER_AB_QUERIES
+from repro.bench.arms import DEFAULT_QUERIES as PLANNER_AB_QUERIES
 from repro.plan import plan_adaptive
 from repro.rdf.stats import cached_profile
 

@@ -11,14 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.plan.ab import (
-    AB_SCHEMA,
-    DEFAULT_QUERIES,
-    planner_ab_report,
-    render_ab_report,
-    rows_digest,
-)
+from repro.bench.arms import DEFAULT_QUERIES
+from repro.plan.ab import AB_SCHEMA, planner_ab_report, render_ab_report
 from repro.rdf.terms import Literal, Variable
+from repro.report import rows_digest
 
 BENCH_GOLDEN = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "golden" / "BENCH_PR7.json"
@@ -104,6 +100,42 @@ class TestBenchCLI:
         code = main(["bench", "MG99", "--planner-ab"])
         assert code == 2
         assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode", ["--planner-ab", "--calibration", "--shards=2,hash"]
+    )
+    @pytest.mark.parametrize(
+        "qids, fragment",
+        [
+            (",", "no catalog queries"),
+            (" , ", "no catalog queries"),
+            ("MG1,MG1", "listed more than once: ['MG1']"),
+            ("MG2,MG1,MG2", "listed more than once: ['MG2']"),
+        ],
+    )
+    def test_empty_or_repeated_query_list_exits_2(self, capsys, qids, fragment, mode):
+        from repro.cli import main
+
+        code = main(["bench", qids, mode])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "alias, mode",
+        [
+            ("all", "--planner-ab"),
+            ("planner-ab", "--planner-ab"),
+            ("calibration", "--calibration"),
+            ("shards", "--shards=2,hash"),
+        ],
+    )
+    def test_only_mg_names_the_default_slice(self, capsys, alias, mode):
+        from repro.cli import main
+
+        assert main(["bench", alias, mode]) == 2
+        assert f"unknown catalog queries ['{alias}']" in capsys.readouterr().err
 
     def test_golden_mismatch_exits_1(self, capsys, tmp_path):
         from repro.cli import main

@@ -19,9 +19,9 @@ from repro.core.explain import explain, explain_report
 from repro.core.results import EngineConfig
 from repro.errors import PlanningError, ShardError
 from repro.mapreduce.cost import ClusterConfig
-from repro.shard.ab import parse_shard_spec, rows_digest
+from repro.report import rows_digest
 from repro.shard.execution import shard_cluster
-from repro.shard.partition import PARTITIONERS, build_partition
+from repro.shard.partition import PARTITIONERS, build_partition, parse_shard_spec
 
 
 @pytest.fixture(scope="module")
