@@ -39,7 +39,13 @@ from repro.core.engines import (
 from repro.core.explain import explain
 from repro.core.results import EngineConfig, check_supported
 from repro.datasets import generate as generate_dataset
-from repro.errors import CheckpointError, ReproError, ServeError, WorkflowAbortedError
+from repro.errors import (
+    CheckpointError,
+    ReproError,
+    ServeError,
+    ShardError,
+    WorkflowAbortedError,
+)
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
 from repro.rdf import ntriples
@@ -122,38 +128,33 @@ def _tracing_to(path: str | None) -> Iterator[None]:
     print(f"wrote trace {path}", file=sys.stderr)
 
 
-def _shard_fields(args: argparse.Namespace) -> dict:
-    """``--shards N[,strategy]`` as ``EngineConfig`` fields ({} when not
-    given).  A bare ``N`` means the default (hash) partition."""
-    if not getattr(args, "shards", None):
-        return {}
-    from repro.shard.partition import parse_shard_spec
+def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
+    """The EngineConfig ``run`` and ``explain`` hand ``--engine``: the
+    knob flags, ``--shards N[,strategy]`` (a bare ``N`` means the default
+    hash partition) and ``run``'s ``--faults``/``--recover`` — None when
+    none is given, so the default-config path is untouched.  A bad value,
+    or a combination the engine does not support, is a ``ReproError``."""
+    fields: dict = knob_overrides(args)
+    if args.shards:
+        from repro.shard.partition import parse_shard_spec
 
-    shards, strategies = parse_shard_spec(args.shards)
-    return {
-        "shards": shards,
-        "partitioner": strategies[0] if len(strategies) == 1 else None,
-    }
-
-
-def _run_config(args: argparse.Namespace) -> EngineConfig | None:
-    """Build the EngineConfig for ``repro run`` from
-    --faults/--recover/--representation/--planner/--shards (None when
-    none is given, so the default-config path is untouched)."""
-    fields = {**knob_overrides(args), **_shard_fields(args)}
-    if args.faults:
+        fields["shards"], strategies = parse_shard_spec(args.shards)
+        if len(strategies) == 1:
+            fields["partitioner"] = strategies[0]
+    if getattr(args, "faults", None):
         fields["fault_plan"] = FaultPlan.from_spec(args.faults)
-    if args.recover is not None:
+    if getattr(args, "recover", None) is not None:
         fields["recovery"] = RecoveryPolicy(max_resubmissions=args.recover)
-    return EngineConfig(**fields) if fields else None
+    config = EngineConfig(**fields) if fields else None
+    check_supported(args.engine, config)
+    return config
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro import obs
 
     try:
-        config = _run_config(args)
-        check_supported(args.engine, config)
+        config = _engine_config(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -212,7 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     try:
-        fields = {**knob_overrides(args), **_shard_fields(args)}
+        config = _engine_config(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -232,7 +233,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     if needs_graph:
         graph = _load_graph(args)
-    config = EngineConfig(**fields) if fields else None
     run = None
     if args.run:
         run = make_engine(args.engine).execute(
@@ -961,11 +961,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WorkflowAbortedError, CheckpointError, ServeError) as error:
-        # Typed recovery/serving failures get their own exit code so
-        # scripts can distinguish "budget exhausted" / "bad ledger,
-        # chaos, or workload spec" from ordinary errors; the messages
-        # are already self-describing one-liners.
+    except (WorkflowAbortedError, CheckpointError, ServeError, ShardError) as error:
+        # Typed recovery/serving/sharding failures get their own exit
+        # code so scripts can distinguish "budget exhausted" / "bad
+        # ledger, chaos, or workload spec" / "engine cannot shard" from
+        # ordinary errors; the messages are already self-describing
+        # one-liners.
         print(f"error: {error}", file=sys.stderr)
         return 2
     except ReproError as error:

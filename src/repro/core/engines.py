@@ -13,7 +13,7 @@ from typing import Callable, Protocol
 from repro import obs
 from repro.core.query_model import AnalyticalQuery, from_select_query
 from repro.core.reference import ReferenceEngine
-from repro.core.results import EngineConfig, ExecutionReport, check_supported
+from repro.core.results import EngineConfig, ExecutionReport
 from repro.errors import PlanningError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
@@ -120,9 +120,7 @@ def run_query(
     resubmission budget is exhausted.
     """
     config = _with_faults(config, faults, recovery)
-    # Resolved first: an unknown engine is unknown, not "unshardable".
     executor = make_engine(engine)
-    check_supported(engine, config)
     with obs.span("query", "query", {"qid": "query"}):
         return executor.execute(to_analytical(query), graph, config)
 
@@ -139,8 +137,6 @@ def run_all_engines(
     analytical = to_analytical(query)
     config = _with_faults(config, faults, recovery)
     executors = {name: make_engine(name) for name in engines}
-    for name in engines:
-        check_supported(name, config)
     with obs.span("query", "query", {"qid": "query"}):
         return {
             name: executor.execute(analytical, graph, config)

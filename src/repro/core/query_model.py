@@ -274,11 +274,6 @@ class GroupingSubquery:
     def projected_variables(self) -> tuple[Variable, ...]:
         return self.group_by + tuple(spec.alias for spec in self.aggregates)
 
-    def aggregation_variables(self) -> frozenset[Variable]:
-        return frozenset(
-            spec.variable for spec in self.aggregates if spec.variable is not None
-        )
-
 
 @dataclass(frozen=True)
 class AnalyticalQuery:

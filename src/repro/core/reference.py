@@ -8,7 +8,7 @@ distributed engine must reproduce this engine's row multiset.
 from __future__ import annotations
 
 from repro.core.query_model import AnalyticalQuery, GroupingSubquery
-from repro.core.results import EngineConfig, ExecutionReport, Row
+from repro.core.results import EngineConfig, ExecutionReport, Row, check_supported
 from repro.rdf.graph import Graph
 from repro.sparql.algebra import Aggregate
 from repro.sparql.ast import AggregateExpr
@@ -123,6 +123,7 @@ class ReferenceEngine:
     ) -> ExecutionReport:
         from repro import obs
 
+        check_supported(self.name, config)
         with obs.span(self.name, "engine", {"engine": self.name}):
             return ExecutionReport(
                 engine=self.name,

@@ -112,7 +112,7 @@ class EngineConfig:
 
 #: Engines that understand ``EngineConfig.shards`` / ``partitioner``
 #: (the NTGA engines route through :mod:`repro.shard`); the reference
-#: and Hive engines would silently ignore the knobs.
+#: and Hive engines never read the knobs, so their ``execute`` refuses them.
 SHARD_CAPABLE_ENGINES = ("rapid-plus", "rapid-analytics")
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.query_model import AnalyticalQuery
-from repro.core.results import EngineConfig, ExecutionReport, Row
+from repro.core.results import EngineConfig, ExecutionReport, Row, check_supported
 from repro.hive.executor import HiveExecutor
 from repro.hive.tables import load_vertical_partitions
 from repro.mapreduce.hdfs import HDFS
@@ -22,6 +22,7 @@ class HiveEngine:
     def execute(
         self, query: AnalyticalQuery, graph: Graph, config: EngineConfig | None = None
     ) -> ExecutionReport:
+        check_supported(self.name, config)
         config = config or EngineConfig()
         hdfs = HDFS(capacity=config.hdfs_capacity)
         with obs.span(self.name, "engine", {"engine": self.name}):

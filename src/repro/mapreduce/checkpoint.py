@@ -179,10 +179,6 @@ class CommitLedger:
     def total_bytes(self) -> int:
         return sum(entry.output_bytes for entry in self._entries.values())
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(entry.cost_seconds for entry in self._entries.values())
-
     def entry_stats(self, entry: LedgerEntry) -> "JobStats":
         """A defensive copy of the stored stats for re-appending."""
         return replace(entry.stats)

@@ -132,10 +132,6 @@ class CardinalityEstimator:
 
     # -- per-property lookups ------------------------------------------
 
-    def property_triples(self, prop: IRI) -> int:
-        found = self.stats.property_stats(prop)
-        return found.triples if found is not None else 0
-
     def distinct_subjects(self, prop: IRI) -> int:
         found = self.stats.property_stats(prop)
         return found.distinct_subjects if found is not None else 0

@@ -98,9 +98,6 @@ class TriplePattern:
         """The bound property IRI, or None when the property is a variable."""
         return self.property if isinstance(self.property, IRI) else None
 
-    def is_bound_property(self) -> bool:
-        return isinstance(self.property, IRI)
-
     def is_rdf_type(self) -> bool:
         return self.property == RDF_TYPE
 

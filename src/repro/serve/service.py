@@ -59,7 +59,7 @@ from typing import Any, NamedTuple
 from repro import obs
 from repro.ambient import PLANNER
 from repro.core.engines import make_engine
-from repro.core.results import EngineConfig, Row
+from repro.core.results import EngineConfig, Row, check_supported
 from repro.errors import OverlapError, ReproError, ServeError, SparqlError
 from repro.ntga.engine import execute_batch
 from repro.obs import metrics as obs_metrics
@@ -122,6 +122,7 @@ class ServiceConfig:
         if self.engine not in ENGINE_FACTORIES:
             known = ", ".join(sorted(ENGINE_FACTORIES))
             raise ServeError(f"unknown engine {self.engine!r} (known: {known})")
+        check_supported(self.engine, self.engine_config)
         if self.workers < 1:
             raise ServeError(f"workers must be >= 1: {self.workers!r}")
         if self.max_pending < 1:

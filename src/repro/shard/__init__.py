@@ -23,8 +23,9 @@ Queries*):
 Sharded answers are bit-identical to single-cluster runs — every
 record carries a deterministic order tag, so reassembled files
 reproduce the unsharded record sequence exactly.  The partition
-invariance is enforced by ``tests/integration/test_shard_differential.py``
-over every catalog query, partitioner, and shard count.
+invariance is enforced by ``tests/integration/test_composition_matrix.py``
+over every catalog query, partitioner, and shard count, and for merged
+batches by ``tests/integration/test_shard_differential.py``.
 """
 
 from repro.shard.partition import (

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import SparqlSyntaxError
 
@@ -110,10 +109,3 @@ def tokenize(query: str) -> list[Token]:
         position = match.end()
     tokens.append(Token("EOF", "", length))
     return tokens
-
-
-def iter_significant(tokens: list[Token]) -> Iterator[Token]:
-    """All tokens except the trailing EOF (convenience for tests)."""
-    for token in tokens:
-        if token.kind != "EOF":
-            yield token

@@ -1,11 +1,18 @@
-"""Shared fixtures: small benchmark graphs and row-comparison helpers."""
+"""Shared fixtures: small benchmark graphs, the catalog's graphs,
+configs and base runs, and row-comparison helpers."""
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 import pytest
 
+from repro.bench.catalog import CATALOG
+from repro.bench.harness import dataset_config
+from repro.core.engines import make_engine, to_analytical
+from repro.core.query_model import AnalyticalQuery
+from repro.core.results import EngineConfig, ExecutionReport
 from repro.datasets import bsbm, chem2bio2rdf, pubmed
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal
@@ -50,6 +57,55 @@ def chem_tiny() -> Graph:
 @pytest.fixture(scope="session")
 def pubmed_tiny() -> Graph:
     return pubmed.generate(pubmed.preset("tiny"))
+
+
+#: The session graph fixture each catalog dataset runs on.
+_DATASET_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
+
+
+def catalog_graph(request, qid: str) -> Graph:
+    """The session graph catalog query *qid* runs on."""
+    return request.getfixturevalue(_DATASET_FIXTURE[CATALOG[qid].dataset])
+
+
+def bench_config(qid: str) -> EngineConfig:
+    """The per-dataset environment (cluster size, map-join threshold)
+    the paper's experiments and ``repro serve`` run *qid* under."""
+    return dataset_config(CATALOG[qid].dataset)
+
+
+@cache
+def catalog_query(qid: str) -> AnalyticalQuery:
+    return to_analytical(CATALOG[qid].sparql)
+
+
+#: The configs every variant of a catalog run is stated against.
+BASES = {"default": lambda qid: EngineConfig(), "bench": bench_config}
+
+
+@pytest.fixture(scope="session")
+def base_run(request):
+    """``base_run(qid, engine, base)``: the one run of *qid* on *engine*
+    under a :data:`BASES` config, shared by the whole session.  The
+    reference reads no config, so it runs once per qid."""
+    runs: dict[tuple[str, str, str], ExecutionReport] = {}
+
+    def run(qid: str, engine: str, base: str = "bench") -> ExecutionReport:
+        key = (qid, engine, "default" if engine == "reference" else base)
+        if key not in runs:
+            runs[key] = make_engine(engine).execute(
+                catalog_query(qid), catalog_graph(request, qid), BASES[key[2]](qid)
+            )
+        return runs[key]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def checked_cells() -> dict:
+    """The composition matrix's outcome per cell, kept for the session
+    so a cell several test ids name is run and checked once."""
+    return {}
 
 
 @pytest.fixture(scope="session")

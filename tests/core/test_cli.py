@@ -508,6 +508,30 @@ def test_run_sharded_rejects_non_ntga_engine(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, engine, flags",
+    [
+        ("explain", "hive-naive", ()),
+        ("explain", "hive-naive", ("--run",)),
+        ("explain", "reference", ()),
+        ("run", "reference", ()),
+    ],
+)
+def test_sharded_non_ntga_engine_exits_2_with_one_line(capsys, command, engine, flags):
+    """``run`` and ``explain`` share one config helper: a sharded config
+    for an engine that would ignore it is refused before anything runs."""
+    code, out, err = run_cli(
+        capsys,
+        command, "MG1", "--dataset", "bsbm", "--preset", "tiny",
+        "--engine", engine, "--shards", "2", *flags,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: engine {engine!r} does not support sharded execution (shards=2); "
+        "sharding is available on: rapid-plus, rapid-analytics\n"
+    )
+
+
 def test_run_bad_shards_spec_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "run", "MG1", "--preset", "tiny", "--shards", "4,metis"

@@ -10,12 +10,9 @@ import pytest
 
 from repro.bench.catalog import CATALOG
 from repro.core.explain import explain
-from repro.core.engines import make_engine, to_analytical
 from repro.core.query_model import from_select_query
 from repro.sparql.parser import parse_query
 from repro.sparql.serializer import serialize_query
-
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
 
 
 @pytest.mark.parametrize("qid", sorted(CATALOG))
@@ -28,11 +25,8 @@ def test_catalog_query_serializer_round_trip(qid):
 
 @pytest.mark.parametrize("engine", ["rapid-analytics", "rapid-plus"])
 @pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_explain_cycle_count_matches_execution(request, qid, engine):
-    query = CATALOG[qid]
-    text = explain(query.sparql, engine=engine)
+def test_explain_cycle_count_matches_execution(qid, engine, base_run):
+    text = explain(CATALOG[qid].sparql, engine=engine)
     # "rapid-analytics plan (3 MR cycles):"
     declared = int(text.split("plan (")[1].split(" MR cycles")[0])
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    report = make_engine(engine).execute(to_analytical(query.sparql), graph)
-    assert declared == report.cycles, text
+    assert declared == base_run(qid, engine, "default").cycles, text

@@ -1,78 +1,13 @@
-"""Engine-level checkpoint/resume invariance over the whole catalog.
+"""The composition matrix's ``recovery`` cells, under this suite's old ids
+(``test_composition_matrix`` owns the cells, checks and runs)."""
 
-The acceptance bar for the recovery layer: under an abort-prone fault
-plan (``max_attempts=1`` turns every injected task failure into a job
-abort), every engine running with a :class:`RecoveryPolicy` completes
-every catalog query and returns exactly the rows — and exactly the base
-counters — of its fault-free run.  Recovery may only add the
-``RECOVERY_COUNTERS`` and grow cost.
+from tests.integration import test_composition_matrix as matrix
+from tests.integration.test_composition_matrix import AXIS, PAPER_ENGINES, QIDS, Cell
 
-The plan's seed is fixed so the injected aborts (and hence the
-exercised resume paths) are the same on every run.
-"""
-
-import pytest
-
-from repro.bench.catalog import CATALOG
-from repro.core.engines import PAPER_ENGINES, run_query
-from repro.mapreduce.checkpoint import RECOVERY_COUNTERS, RecoveryPolicy
-from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
-
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-
-# max_attempts=1: any injected task failure aborts its job, so this plan
-# exercises workflow resubmission, not per-task retry absorption.
-PLAN = FaultPlan(seed=13, task_failure_rate=0.1, max_attempts=1)
-POLICY = RecoveryPolicy(max_resubmissions=32)
-
-
-def _base_counters(report):
-    if report.stats is None:
-        return {}
-    return {
-        name: value
-        for name, value in report.stats.counters.as_dict().items()
-        if name not in FAULT_COUNTERS and name not in RECOVERY_COUNTERS
-    }
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_resumed_run_matches_fault_free(request, qid, engine):
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    clean = run_query(query.sparql, graph, engine=engine)
-    resumed = run_query(
-        query.sparql, graph, engine=engine, faults=PLAN, recovery=POLICY
-    )
-    assert resumed.row_multiset() == clean.row_multiset()
-    assert resumed.cycles == clean.cycles
-    assert _base_counters(resumed) == _base_counters(clean)
-    assert resumed.cost_seconds >= clean.cost_seconds
-    recovery = resumed.stats.recovery
-    assert recovery is not None
-    # Checkpoint replay is accounted, never invented: salvage cannot
-    # exceed what failures put at risk, and waste implies a failure.
-    assert recovery.extra_seconds >= 0.0
-    if recovery.resubmissions == 0:
-        assert recovery.wasted_seconds == 0.0
-        assert recovery.jobs_skipped == 0
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-def test_plan_actually_aborts_and_resumes_somewhere(request, engine):
-    """The invariance above is vacuous if no job ever aborts: across the
-    catalog every engine must resubmit at least one workflow and skip at
-    least one checkpointed job on resume."""
-    resubmissions = skipped = 0
-    for qid in sorted(CATALOG):
-        query = CATALOG[qid]
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-        report = run_query(
-            query.sparql, graph, engine=engine, faults=PLAN, recovery=POLICY
-        )
-        recovery = report.stats.recovery
-        resubmissions += recovery.resubmissions
-        skipped += recovery.jobs_skipped
-    assert resubmissions > 0
-    assert skipped > 0
+test_resumed_run_matches_fault_free = matrix.view(
+    lambda qid, engine: [Cell(qid, engine, "default", AXIS["default", "recovery"])],
+    [(qid, engine) for qid in QIDS for engine in PAPER_ENGINES],
+)
+test_plan_actually_aborts_and_resumes_somewhere = (
+    matrix.test_the_recovery_plan_aborts_and_resumes
+)

@@ -1,68 +1,11 @@
-"""Cross-engine differential suite: every catalog query on every engine
-versus the reference oracle, compared in sorted canonical row form.
+"""The composition matrix's ``bench`` base cells, under this suite's old ids
+(``test_composition_matrix`` owns the cells, checks and runs)."""
 
-Complements test_engine_equivalence (Counter multisets under the
-default config) along two axes: results are compared as *sorted
-canonical rows* — bag-equality with readable diffs, the same oracle
-form the scheduler tests reuse (:func:`tests.conftest.canonical_sorted_rows`)
-— and every engine runs under the per-dataset bench configs
-(map-join thresholds, cluster sizes) that ``repro serve`` workloads
-use, so the serving layer's execution environment is itself covered by
-the differential oracle.
-"""
+from tests.integration import test_composition_matrix as matrix
+from tests.integration.test_composition_matrix import PAPER_ENGINES, QIDS, Cell
 
-import pytest
-
-from repro.bench.catalog import CATALOG
-from repro.bench.harness import bsbm_config, chem_config, pubmed_config
-from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
-from tests.conftest import canonical_sorted_rows
-
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-_CONFIG_FACTORY = {"bsbm": bsbm_config, "chem": chem_config, "pubmed": pubmed_config}
-
-
-@pytest.fixture(scope="module")
-def analytical_cache():
-    return {qid: to_analytical(query.sparql) for qid, query in CATALOG.items()}
-
-
-@pytest.fixture(scope="module")
-def bench_configs():
-    return {dataset: factory() for dataset, factory in _CONFIG_FACTORY.items()}
-
-
-@pytest.fixture(scope="module")
-def oracle_rows(request, analytical_cache, bench_configs):
-    """Reference-engine answers for every catalog query, in sorted
-    canonical form (the config does not affect the reference, but the
-    suite runs it the same way for symmetry)."""
-    cache = {}
-    for qid, query in CATALOG.items():
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-        report = make_engine("reference").execute(
-            analytical_cache[qid], graph, bench_configs[query.dataset]
-        )
-        cache[qid] = canonical_sorted_rows(report.rows)
-    return cache
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_engine_row_bags_match_reference(
-    request, engine, qid, analytical_cache, bench_configs, oracle_rows
-):
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    report = make_engine(engine).execute(
-        analytical_cache[qid], graph, bench_configs[query.dataset]
-    )
-    assert canonical_sorted_rows(report.rows) == oracle_rows[qid], (
-        f"{engine} row bag diverges from the reference on {qid} "
-        f"under the {query.dataset} bench config"
-    )
-
-
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_oracle_non_vacuous(qid, oracle_rows):
-    assert oracle_rows[qid], f"{qid} returned no rows on the test dataset"
+test_engine_row_bags_match_reference = matrix.view(
+    lambda qid, engine: [Cell(qid, engine, "bench")],
+    [(qid, engine) for qid in QIDS for engine in PAPER_ENGINES],
+)
+test_oracle_non_vacuous = matrix.test_reference_is_non_vacuous

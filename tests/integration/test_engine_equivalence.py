@@ -1,47 +1,11 @@
-"""Integration: every engine returns the oracle's row multiset on every
-catalog query (the library's central correctness claim)."""
+"""The composition matrix's ``default`` base cells, under this suite's old ids
+(``test_composition_matrix`` owns the cells, checks and runs)."""
 
-import pytest
+from tests.integration import test_composition_matrix as matrix
+from tests.integration.test_composition_matrix import PAPER_ENGINES, QIDS, Cell
 
-from repro.bench.catalog import CATALOG
-from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
-from tests.conftest import canonical_rows
-
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-
-
-@pytest.fixture(scope="module")
-def analytical_cache():
-    return {qid: to_analytical(query.sparql) for qid, query in CATALOG.items()}
-
-
-@pytest.fixture(scope="module")
-def reference_cache(request, analytical_cache):
-    cache = {}
-    for qid, query in CATALOG.items():
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-        report = make_engine("reference").execute(analytical_cache[qid], graph)
-        cache[qid] = canonical_rows(report.rows)
-    return cache
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_engine_matches_reference(
-    request, engine, qid, analytical_cache, reference_cache
-):
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    report = make_engine(engine).execute(analytical_cache[qid], graph)
-    assert canonical_rows(report.rows) == reference_cache[qid], (
-        f"{engine} diverges from the reference on {qid}"
-    )
-
-
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_reference_returns_rows(qid, reference_cache):
-    """Sanity: the tiny datasets exercise every query non-vacuously.
-
-    (GROUP BY ALL queries always return at least one row; grouped ones
-    must find at least one group on the generated data.)"""
-    assert reference_cache[qid], f"{qid} returned no rows on the test dataset"
+test_engine_matches_reference = matrix.view(
+    lambda qid, engine: [Cell(qid, engine, "default")],
+    [(qid, engine) for qid in QIDS for engine in PAPER_ENGINES],
+)
+test_reference_returns_rows = matrix.test_reference_is_non_vacuous

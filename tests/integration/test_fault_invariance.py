@@ -1,61 +1,11 @@
-"""Engine-level fault invariance over the whole catalog.
+"""The composition matrix's ``faults`` cells, under this suite's old ids
+(``test_composition_matrix`` owns the cells, checks and runs)."""
 
-The acceptance bar for the fault layer: under a seeded 5% fault plan,
-every engine returns exactly the rows of its fault-free run on every
-catalog query — faults may only move cost and fault counters.  The
-plan's seed is fixed so the injected faults (and hence the exercised
-recovery paths) are the same on every run.
-"""
+from tests.integration import test_composition_matrix as matrix
+from tests.integration.test_composition_matrix import AXIS, PAPER_ENGINES, QIDS, Cell
 
-import pytest
-
-from repro.bench.catalog import CATALOG
-from repro.core.engines import PAPER_ENGINES, run_query
-from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
-
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-
-PLAN = FaultPlan.from_spec("7,0.05")
-
-
-def _counters(report):
-    return report.stats.counters.as_dict() if report.stats is not None else {}
-
-
-def _split_counters(report):
-    counters = _counters(report)
-    base = {k: v for k, v in counters.items() if k not in FAULT_COUNTERS}
-    faults = {k: v for k, v in counters.items() if k in FAULT_COUNTERS}
-    return base, faults
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_faulted_run_matches_fault_free(request, qid, engine):
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    clean = run_query(query.sparql, graph, engine=engine)
-    faulted = run_query(query.sparql, graph, engine=engine, faults=PLAN)
-    assert faulted.row_multiset() == clean.row_multiset()
-    assert faulted.cycles == clean.cycles
-    clean_base, clean_faults = _split_counters(clean)
-    faulted_base, faulted_faults = _split_counters(faulted)
-    assert not clean_faults  # fault counters never exist without a plan
-    assert faulted_base == clean_base
-    assert faulted.cost_seconds >= clean.cost_seconds
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-def test_plan_actually_injects_faults_somewhere(request, engine):
-    """The invariance above is vacuous if the plan never fires: across
-    the catalog every engine must hit retries and speculation."""
-    retried = speculative = 0
-    for qid in sorted(CATALOG):
-        query = CATALOG[qid]
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-        report = run_query(query.sparql, graph, engine=engine, faults=PLAN)
-        _, faults = _split_counters(report)
-        retried += faults.get("retried_tasks", 0)
-        speculative += faults.get("speculative_tasks", 0)
-    assert retried > 0
-    assert speculative > 0
+test_faulted_run_matches_fault_free = matrix.view(
+    lambda qid, engine: [Cell(qid, engine, "default", AXIS["default", "faults"])],
+    [(qid, engine) for qid in QIDS for engine in PAPER_ENGINES],
+)
+test_plan_actually_injects_faults_somewhere = matrix.test_the_fault_plan_fires

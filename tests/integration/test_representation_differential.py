@@ -1,86 +1,45 @@
-"""Factorized-vs-flat differential regression.
+"""Factorized-vs-flat regression beyond the composition matrix.
 
 The factorized representation changes *bytes moved*, never *rows
-produced*: every catalog query on both NTGA engines must deliver
-byte-identical answers (values and order) with factorization on and
-off, the factorized run must never shuffle more, and the serving
-layer's sharing machinery (fingerprint cache keys, batching decisions,
-solo oracles) must be representation-blind.
+produced*: the matrix's ``flat`` cells pin every catalog query on both
+NTGA engines to its factorized answers.  Here: factorization must
+actually save bytes on the multi-valued stars, and the serving layer's
+sharing machinery (fingerprint cache keys, batching decisions, solo
+oracles) must be representation-blind.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro import perf
 from repro.bench.catalog import CATALOG
-from repro.bench.harness import bsbm_config, chem_config, pubmed_config
-from repro.core.engines import make_engine, to_analytical
+from repro.core.engines import make_engine
 from repro.ntga.factorized import active_representation
 from repro.serve.fingerprint import fingerprint_query
 from repro.serve.workload import WorkloadSpec, serve_workload_report
+from tests.conftest import bench_config, catalog_graph, catalog_query
+from tests.integration import test_composition_matrix as matrix
+from tests.integration.test_composition_matrix import AXIS, QIDS, Cell
 
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-_CONFIG_FACTORY = {"bsbm": bsbm_config, "chem": chem_config, "pubmed": pubmed_config}
-
-NTGA_ENGINES = ("rapid-plus", "rapid-analytics")
-
-
-@pytest.fixture(scope="module")
-def analytical_cache():
-    return {qid: to_analytical(query.sparql) for qid, query in CATALOG.items()}
-
-
-@pytest.fixture(scope="module")
-def bench_configs():
-    return {dataset: factory() for dataset, factory in _CONFIG_FACTORY.items()}
+#: The matrix's ``flat`` cells under this suite's ids: answers identical
+#: in values and order, cycles equal, the factorized run never shuffling more.
+test_answers_bit_identical_and_shuffle_never_larger = matrix.view(
+    lambda qid, engine: [Cell(qid, engine, "bench", AXIS["bench", "flat"])],
+    [(qid, engine) for qid in QIDS for engine in ("rapid-plus", "rapid-analytics")],
+)
 
 
-def _run(request, engine, qid, analytical_cache, bench_configs, representation):
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    config = replace(
-        bench_configs[query.dataset], representation=representation
-    )
-    return make_engine(engine).execute(analytical_cache[qid], graph, config)
-
-
-@pytest.mark.parametrize("engine", NTGA_ENGINES)
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_answers_bit_identical_and_shuffle_never_larger(
-    request, engine, qid, analytical_cache, bench_configs
-):
-    factorized = _run(
-        request, engine, qid, analytical_cache, bench_configs, "factorized"
-    )
-    flat = _run(request, engine, qid, analytical_cache, bench_configs, "flat")
-    # Order-sensitive equality — the whole point of the fixed
-    # enumeration order — plus the digest the goldens pin.
-    assert factorized.rows == flat.rows
-    assert perf.rows_digest(factorized.rows) == perf.rows_digest(flat.rows)
-    assert (
-        factorized.stats.total_shuffle_bytes <= flat.stats.total_shuffle_bytes
-    ), f"{engine}/{qid}: factorized run shuffled MORE than flat"
-    assert factorized.cycles == flat.cycles
-
-
-def test_multivalued_queries_reduce_shuffle(
-    request, analytical_cache, bench_configs
-):
+def test_multivalued_queries_reduce_shuffle(request, base_run):
     """On the MG-class BSBM stars factorization must actually save bytes,
-    not just break even."""
+    not just break even (the composition matrix's ``flat`` cells check
+    it never costs bytes)."""
     reduced = []
     for qid in ("MG1", "MG2", "MG3", "MG4"):
-        factorized = _run(
-            request,
-            "rapid-analytics",
-            qid,
-            analytical_cache,
-            bench_configs,
-            "factorized",
-        )
-        flat = _run(
-            request, "rapid-analytics", qid, analytical_cache, bench_configs, "flat"
+        factorized = base_run(qid, "rapid-analytics", "bench")
+        flat = make_engine("rapid-analytics").execute(
+            catalog_query(qid),
+            catalog_graph(request, qid),
+            replace(bench_config(qid), representation="flat"),
         )
         if factorized.stats.total_shuffle_bytes < flat.stats.total_shuffle_bytes:
             reduced.append(qid)

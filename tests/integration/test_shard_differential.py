@@ -1,134 +1,54 @@
-"""Partition-invariance differential suite.
+"""Partition invariance for merged MQO batches and the served path.
 
-Every catalog query, under every partitioning strategy and shard count
-in the matrix, must produce answers **bit-identical** to the unsharded
-single-cluster run — not just bag-equal: the sharded driver's order
-tags promise the exact row list, including row order and duplicate
-placement, so the comparison is ``==`` on the raw row lists.
-
-The CI ``shard-smoke`` job re-runs the MG1–MG4 slice of this matrix
-under two ``PYTHONHASHSEED`` values and compares the emitted report
-bytes, which pins the suite's determinism across hash seeds.
+The composition matrix pins every catalog query, partitioner and shard
+count to the unsharded run.  A merged batch is an NTGA plan like any
+other, so the same invariance holds for it: the cases are generated,
+not listed -- every pair of catalog queries the composite rewrite can
+merge, under one shard configuration per partitioner -- and the sharded
+answers must be **bit-identical** to the unsharded batch and the solo
+runs (``==`` on the raw row lists, order included).
 """
 
-import pytest
 from dataclasses import replace
+from itertools import combinations
+
+import pytest
 
 from repro.bench.catalog import CATALOG
-from repro.bench.harness import bsbm_config, chem_config, pubmed_config
-from repro.core.engines import make_engine, to_analytical
+from repro.errors import OverlapError
+from repro.ntga.composite import build_composite_n
+from repro.ntga.engine import execute_batch
 from repro.shard.partition import PARTITIONERS
+from tests.conftest import bench_config, catalog_graph, catalog_query
+from tests.integration import test_composition_matrix as matrix
+from tests.integration.test_composition_matrix import AXIS, QIDS, SHARD_COUNTS, Cell
 
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-_CONFIG_FACTORY = {"bsbm": bsbm_config, "chem": chem_config, "pubmed": pubmed_config}
-
-SHARD_COUNTS = (1, 2, 4, 7)
-
-
-@pytest.fixture(scope="module")
-def analytical_cache():
-    return {qid: to_analytical(query.sparql) for qid, query in CATALOG.items()}
-
-
-@pytest.fixture(scope="module")
-def bench_configs():
-    return {dataset: factory() for dataset, factory in _CONFIG_FACTORY.items()}
-
-
-@pytest.fixture(scope="module")
-def engine():
-    return make_engine("rapid-analytics")
-
-
-@pytest.fixture(scope="module")
-def unsharded_baseline(request, analytical_cache, bench_configs, engine):
-    """The single-cluster answer rows for every catalog query — the
-    oracle every sharded combination must reproduce exactly."""
-    cache = {}
-    for qid, query in CATALOG.items():
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-        report = engine.execute(
-            analytical_cache[qid], graph, bench_configs[query.dataset]
-        )
-        cache[qid] = report.rows
-    return cache
-
-
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-@pytest.mark.parametrize("strategy", PARTITIONERS)
-@pytest.mark.parametrize("qid", sorted(CATALOG))
-def test_sharded_rows_bit_identical_to_unsharded(
-    request,
-    qid,
-    strategy,
-    shards,
-    analytical_cache,
-    bench_configs,
-    engine,
-    unsharded_baseline,
-):
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    config = replace(
-        bench_configs[query.dataset], shards=shards, partitioner=strategy
-    )
-    report = engine.execute(analytical_cache[qid], graph, config)
-    assert report.rows == unsharded_baseline[qid], (
-        f"{qid} under {strategy}/shards={shards} diverged from the "
-        f"unsharded run (sharded {len(report.rows)} rows, unsharded "
-        f"{len(unsharded_baseline[qid])})"
-    )
-    if shards == 1:
-        assert report.stats.total_exchange_bytes == 0
-    else:
-        # N-way execution expands every logical cycle into per-shard
-        # jobs; the job list must reflect the expansion.
-        assert any("@s" in job.name for job in report.stats.jobs)
-
-
-@pytest.mark.parametrize("qid", ["MG1", "MG6", "MG11"])
-def test_rapid_plus_sharded_matches_unsharded(request, qid, analytical_cache):
-    """The non-adaptive NTGA engine shares the sharded driver; one
-    query per dataset pins that path too."""
-    query = CATALOG[qid]
-    graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-    engine = make_engine("rapid-plus")
-    base = engine.execute(analytical_cache[qid], graph)
-    from repro.core.results import EngineConfig
-
-    for strategy in PARTITIONERS:
-        report = engine.execute(
-            analytical_cache[qid],
-            graph,
-            EngineConfig(shards=4, partitioner=strategy),
-        )
-        assert report.rows == base.rows
-
-
-# -- merged MQO batches through the sharded driver ------------------------------
-#
-# A merged batch is an NTGA plan like any other, so the same invariance
-# holds for it.  The cases are generated, not listed: every pair of
-# catalog queries the composite rewrite can merge, under one shard
-# configuration per partitioner.
+#: The matrix's shard cells under this suite's ids.
+test_sharded_rows_bit_identical_to_unsharded = matrix.view(
+    lambda qid, strategy, shards: [
+        Cell(qid, "rapid-analytics", "bench", AXIS["bench", f"shards={shards},{strategy}"])
+    ],
+    [(q, p, n) for q in QIDS for p in PARTITIONERS for n in SHARD_COUNTS],
+)
+test_rapid_plus_sharded_matches_unsharded = matrix.view(
+    lambda qid: [
+        Cell(qid, "rapid-plus", "default", AXIS["default", f"shards=4,{strategy}"])
+        for strategy in PARTITIONERS
+    ],
+    [("MG1",), ("MG6",), ("MG11",)],
+)
 
 BATCH_SHARDINGS = ((2, "hash"), (3, "locality"), (4, "min-edge-cut"))
 
 
 def _mergeable_pairs():
-    from itertools import combinations
-
-    from repro.errors import OverlapError
-    from repro.ntga.composite import build_composite_n
-
-    analytical = {qid: to_analytical(query.sparql) for qid, query in CATALOG.items()}
     pairs = []
     for first, second in combinations(sorted(CATALOG), 2):
         if CATALOG[first].dataset != CATALOG[second].dataset:
             continue
         try:
             build_composite_n(
-                [*analytical[first].subqueries, *analytical[second].subqueries]
+                [*catalog_query(first).subqueries, *catalog_query(second).subqueries]
             )
         except OverlapError:
             continue
@@ -140,27 +60,24 @@ MERGEABLE_PAIRS = _mergeable_pairs()
 
 
 def test_the_generator_covers_every_dataset_and_partitioner():
-    assert {CATALOG[first].dataset for first, _ in MERGEABLE_PAIRS} == set(
-        _GRAPH_FIXTURE
-    )
+    assert {CATALOG[first].dataset for first, _ in MERGEABLE_PAIRS} == {
+        query.dataset for query in CATALOG.values()
+    }
     assert len(MERGEABLE_PAIRS) >= 20
     assert {strategy for _, strategy in BATCH_SHARDINGS} == set(PARTITIONERS)
 
 
 @pytest.fixture(scope="module")
-def batch_cases(request, analytical_cache, bench_configs, unsharded_baseline):
+def batch_cases(request, base_run):
     """Per mergeable pair: its queries, graph, config and the unsharded
     batch's per-query rows -- themselves checked against the solo runs."""
-    from repro.ntga.engine import execute_batch
-
     cases = {}
     for pair in MERGEABLE_PAIRS:
-        dataset = CATALOG[pair[0]].dataset
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[dataset])
-        queries = [analytical_cache[qid] for qid in pair]
-        rows = execute_batch(queries, graph, bench_configs[dataset]).rows_by_query
-        assert rows == [unsharded_baseline[qid] for qid in pair], pair
-        cases[pair] = (queries, graph, bench_configs[dataset], rows)
+        graph, config = catalog_graph(request, pair[0]), bench_config(pair[0])
+        queries = [catalog_query(qid) for qid in pair]
+        rows = execute_batch(queries, graph, config).rows_by_query
+        assert rows == [base_run(qid, "rapid-analytics").rows for qid in pair], pair
+        cases[pair] = (queries, graph, config, rows)
     return cases
 
 
@@ -169,8 +86,6 @@ def batch_cases(request, analytical_cache, bench_configs, unsharded_baseline):
 def test_sharded_batch_rows_bit_identical_to_unsharded_and_solo(
     pair, shards, strategy, batch_cases
 ):
-    from repro.ntga.engine import execute_batch
-
     queries, graph, config, expected = batch_cases[pair]
     batch = execute_batch(
         queries, graph, replace(config, shards=shards, partitioner=strategy)
@@ -189,7 +104,6 @@ def test_sharded_batch_under_faults_recovers_or_aborts_typed(
     from repro.errors import WorkflowAbortedError
     from repro.mapreduce.checkpoint import RecoveryPolicy
     from repro.mapreduce.faults import FaultPlan
-    from repro.ntga.engine import execute_batch
 
     aborted, resubmissions = [], 0
     for pair, (queries, graph, config, expected) in batch_cases.items():
@@ -213,9 +127,7 @@ def test_sharded_batch_under_faults_recovers_or_aborts_typed(
     assert len(aborted) <= len(batch_cases) // 4, aborted
 
 
-def test_served_overlapping_requests_merge_over_a_sharded_engine(
-    chem_tiny, unsharded_baseline
-):
+def test_served_overlapping_requests_merge_over_a_sharded_engine(chem_tiny, base_run):
     """The fence this replaced was a live bug: two overlapping requests
     in one window over ``shards=2`` both came back ``failed`` while
     either alone succeeded."""
@@ -226,7 +138,7 @@ def test_served_overlapping_requests_merge_over_a_sharded_engine(
     assert pair in MERGEABLE_PAIRS
     service = QueryService(
         chem_tiny,
-        ServiceConfig(engine_config=replace(chem_config(), shards=2)),
+        ServiceConfig(engine_config=replace(bench_config("MG6"), shards=2)),
     )
     responses = service.serve(
         [
@@ -239,5 +151,5 @@ def test_served_overlapping_requests_merge_over_a_sharded_engine(
     ] * 2
     for response in responses:
         assert rows_digest(response.rows) == rows_digest(
-            unsharded_baseline[response.label]
+            base_run(response.label, "rapid-analytics").rows
         )

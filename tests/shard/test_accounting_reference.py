@@ -16,9 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.catalog import CATALOG
-from repro.bench.harness import bsbm_config, chem_config, pubmed_config
-from repro.core.engines import make_engine, to_analytical
+from repro.core.engines import make_engine
 from repro.mapreduce import runner
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.cost import estimate_size, estimate_total_size
@@ -27,9 +25,7 @@ from repro.mapreduce.hdfs import HDFS
 from repro.ntga.engine import execute_batch
 from repro.perf import reference_mode
 from repro.shard.partition import PARTITIONERS
-
-_GRAPH_FIXTURE = {"bsbm": "bsbm_small", "chem": "chem_tiny", "pubmed": "pubmed_tiny"}
-_CONFIG = {"bsbm": bsbm_config, "chem": chem_config, "pubmed": pubmed_config}
+from tests.conftest import bench_config, catalog_graph, catalog_query
 
 #: A slice of the catalog: single- and multi-grouping queries of each
 #: dataset, α-joins with and without a TG_Join (broadcast) cycle.
@@ -91,10 +87,8 @@ def cases(request):
     engine = make_engine("rapid-analytics")
 
     def run(qid, **sharding):
-        query = CATALOG[qid]
-        graph = request.getfixturevalue(_GRAPH_FIXTURE[query.dataset])
-        config = replace(_CONFIG[query.dataset](), **sharding)
-        return engine.execute(to_analytical(query.sparql), graph, config)
+        config = replace(bench_config(qid), **sharding)
+        return engine.execute(catalog_query(qid), catalog_graph(request, qid), config)
 
     return run
 
@@ -118,8 +112,8 @@ def test_sharded_accounting_equals_the_reference_recomputation(
 
 
 def test_a_merged_batch_accounts_like_its_reference(chem_tiny, hint_audit):
-    queries = [to_analytical(CATALOG[qid].sparql) for qid in ("MG6", "MG7")]
-    config = replace(chem_config(), shards=3, partitioner="locality")
+    queries = [catalog_query(qid) for qid in ("MG6", "MG7")]
+    config = replace(bench_config("MG6"), shards=3, partitioner="locality")
     cached = execute_batch(queries, chem_tiny, config)
     with reference_mode():
         reference = execute_batch(queries, chem_tiny, config)
@@ -132,14 +126,14 @@ def test_a_recovered_run_accounts_like_its_reference(bsbm_small, hint_audit):
     """A resubmission re-derives every hint from the stored envelopes;
     skipped jobs replay their committed stats."""
     config = replace(
-        bsbm_config(),
+        bench_config("MG1"),
         shards=4,
         partitioner="hash",
         fault_plan=FaultPlan(seed=7, task_failure_rate=0.15, max_attempts=2),
         recovery=RecoveryPolicy(),
     )
     engine = make_engine("rapid-analytics")
-    query = to_analytical(CATALOG["MG1"].sparql)
+    query = catalog_query("MG1")
     cached = engine.execute(query, bsbm_small, config)
     with reference_mode():
         reference = engine.execute(query, bsbm_small, config)

@@ -1,8 +1,8 @@
 """Edge-of-the-shard-subsystem guards: what rejects, what degrades,
 and the small pure helpers the driver leans on.
 
-These are the contracts the differential suite does not exercise — the
-facade's refusal to hand a sharded config to an engine that would
+These are the contracts the composition matrix does not exercise — every
+door's refusal to hand a sharded config to an engine that would
 silently ignore it (or to one that does not exist), the ``--shards``
 spec parser, the per-shard cluster slicing, and the EXPLAIN sharding
 section.
@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.catalog import get_query
-from repro.core.engines import run_all_engines, run_query, to_analytical
+from repro.core.engines import make_engine, run_all_engines, run_query, to_analytical
 from repro.core.explain import explain, explain_report
 from repro.core.results import EngineConfig
 from repro.errors import PlanningError, ShardError
 from repro.mapreduce.cost import ClusterConfig
 from repro.report import rows_digest
+from repro.serve import QueryService, ServiceConfig
 from repro.shard.execution import shard_cluster
 from repro.shard.partition import PARTITIONERS, build_partition, parse_shard_spec
 
@@ -35,6 +36,37 @@ class TestFacadeGuards:
         query, graph = mg1
         with pytest.raises(ShardError, match="does not support sharded"):
             run_query(query, graph, engine, EngineConfig(shards=2))
+
+    #: Every place a config meets an engine.
+    DOORS = {
+        "run_query": lambda e, q, g, c: run_query(q, g, e, c),
+        "run_all_engines": lambda e, q, g, c: run_all_engines(q, g, c, engines=(e,)),
+        "execute": lambda e, q, g, c: make_engine(e).execute(q, g, c),
+        "service": lambda e, q, g, c: QueryService(g, ServiceConfig(e, c)),
+        # A reference explanation runs nothing.
+        "explain": lambda e, q, g, c: explain(q, e, g, c),
+        "explain_report": lambda e, q, g, c: explain_report(q, e, g, c),
+    }
+
+    @pytest.mark.parametrize(
+        "door, engine",
+        [
+            (door, engine)
+            for door in DOORS
+            for engine in ("hive-naive", "hive-mqo", "reference")
+            if not (door.startswith("explain") and engine == "reference")
+        ],
+    )
+    def test_every_door_rejects_with_the_one_line(self, door, engine, mg1):
+        """Hive and the reference never read ``shards``: wherever a
+        sharded config reaches them, the same one-line error -- not the
+        unsharded answers."""
+        with pytest.raises(ShardError) as caught:
+            self.DOORS[door](engine, *mg1, EngineConfig(shards=2))
+        assert str(caught.value) == (
+            f"engine {engine!r} does not support sharded execution (shards=2); "
+            "sharding is available on: rapid-plus, rapid-analytics"
+        )
 
     def test_partitioner_alone_triggers_the_guard(self, mg1):
         query, graph = mg1
@@ -58,7 +90,7 @@ class TestFacadeGuards:
     def test_batch_execution_runs_sharded(self, mg1):
         """A merged batch is a plan like any other: the sharded driver
         runs it (``tests/integration/test_shard_differential.py`` has the
-        generated matrix)."""
+        generated pairs)."""
         from repro.ntga.engine import execute_batch
 
         query, graph = mg1
