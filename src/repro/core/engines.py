@@ -7,7 +7,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Protocol
 
 from repro import obs
@@ -15,8 +14,6 @@ from repro.core.query_model import AnalyticalQuery, from_select_query
 from repro.core.reference import ReferenceEngine
 from repro.core.results import EngineConfig, ExecutionReport
 from repro.errors import PlanningError
-from repro.mapreduce.checkpoint import RecoveryPolicy
-from repro.mapreduce.faults import FaultPlan
 from repro.rdf.graph import Graph
 from repro.sparql.ast import SelectQuery
 from repro.sparql.parser import parse_query
@@ -84,42 +81,17 @@ def to_analytical(query: str | SelectQuery | AnalyticalQuery) -> AnalyticalQuery
     return from_select_query(parse_query(query), source_text=query)
 
 
-def _with_faults(
-    config: EngineConfig | None,
-    faults: FaultPlan | None,
-    recovery: RecoveryPolicy | None = None,
-) -> EngineConfig | None:
-    """Overlay a fault plan / recovery policy on a config (building a
-    default if needed)."""
-    if faults is None and recovery is None:
-        return config
-    overrides: dict[str, object] = {}
-    if faults is not None:
-        overrides["fault_plan"] = faults
-    if recovery is not None:
-        overrides["recovery"] = recovery
-    return replace(config or EngineConfig(), **overrides)
-
-
 def run_query(
     query: str | SelectQuery | AnalyticalQuery,
     graph: Graph,
     engine: str = "rapid-analytics",
     config: EngineConfig | None = None,
-    faults: FaultPlan | None = None,
-    recovery: RecoveryPolicy | None = None,
 ) -> ExecutionReport:
     """Parse (if needed), plan, and execute *query* on the named engine.
 
-    *faults* injects a seeded fault plan (task crashes, stragglers,
-    transient write failures) into the simulated cluster; results are
-    identical to the fault-free run, only cost and fault counters grow.
-    *recovery* additionally turns job aborts into checkpointed workflow
-    re-submissions (see :class:`repro.mapreduce.RecoveryPolicy`), so a
-    faulted query completes with the fault-free rows unless the
-    resubmission budget is exhausted.
+    Faults and recovery are knobs of *config* like any other:
+    ``EngineConfig(fault_plan=..., recovery=...)``.
     """
-    config = _with_faults(config, faults, recovery)
     executor = make_engine(engine)
     with obs.span("query", "query", {"qid": "query"}):
         return executor.execute(to_analytical(query), graph, config)
@@ -130,12 +102,9 @@ def run_all_engines(
     graph: Graph,
     config: EngineConfig | None = None,
     engines: tuple[str, ...] = PAPER_ENGINES,
-    faults: FaultPlan | None = None,
-    recovery: RecoveryPolicy | None = None,
 ) -> dict[str, ExecutionReport]:
     """Run the same query on several engines (the paper's comparisons)."""
     analytical = to_analytical(query)
-    config = _with_faults(config, faults, recovery)
     executors = {name: make_engine(name) for name in engines}
     with obs.span("query", "query", {"qid": "query"}):
         return {

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.core.query_model import AnalyticalQuery, GroupingSubquery
 from repro.core.results import EngineConfig, ExecutionReport, Row, check_supported
 from repro.rdf.graph import Graph
-from repro.sparql.algebra import Aggregate
 from repro.sparql.ast import AggregateExpr
 from repro.sparql.evaluator import (
     evaluate_aggregate,
@@ -18,6 +17,7 @@ from repro.sparql.evaluator import (
     hash_join,
     left_join,
     _python_to_term,
+    _sort_rows,
 )
 from repro.sparql.expressions import (
     ExpressionError,
@@ -37,7 +37,7 @@ def evaluate_subquery(subquery: GroupingSubquery, graph: Graph) -> list[Row]:
             (optional if star.is_optional(pattern) else required).append(pattern)
     rows = evaluate_bgp(required, graph)
     for pattern in optional:
-        rows = left_join(rows, evaluate_bgp([pattern], graph), None)
+        rows = left_join(rows, evaluate_bgp([pattern], graph))
     for expression in subquery.pattern.filters:
         rows = [row for row in rows if evaluate_filter(expression, row)]
     bindings = []
@@ -48,12 +48,7 @@ def evaluate_subquery(subquery: GroupingSubquery, graph: Graph) -> list[Row]:
         bindings.append(
             (spec.alias, AggregateExpr(spec.func, argument, spec.distinct))
         )
-    node = Aggregate(
-        input=None,  # type: ignore[arg-type]  # evaluated directly below
-        group_vars=subquery.group_by or None,
-        bindings=tuple(bindings),
-    )
-    aggregated = evaluate_aggregate(node, rows)
+    aggregated = evaluate_aggregate(subquery.group_by, bindings, rows)
     if subquery.having is not None:
         aggregated = [
             row for row in aggregated if evaluate_filter(subquery.having, row)
@@ -106,8 +101,6 @@ def apply_result_modifiers(query: AnalyticalQuery, rows: list[Row]) -> list[Row]
         return rows
     rows = sorted(rows, key=_canonical_row_key)
     if query.order_by:
-        from repro.sparql.evaluator import _sort_rows
-
         rows = _sort_rows(rows, tuple(query.order_by))
     end = None if query.limit is None else query.offset + query.limit
     return rows[query.offset : end]

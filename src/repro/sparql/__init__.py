@@ -1,4 +1,5 @@
-"""SPARQL front end: tokenizer, parser, algebra, reference evaluator."""
+"""SPARQL front end: tokenizer, parser, AST, serializer, and the
+reference engine's in-memory operators (:mod:`repro.sparql.evaluator`)."""
 
 from repro.sparql.aggregates import (
     Accumulator,
@@ -17,12 +18,7 @@ from repro.sparql.ast import (
     TriplesBlock,
     UnionPattern,
 )
-from repro.sparql.algebra import translate_group, translate_query
-from repro.sparql.evaluator import (
-    evaluate_bgp,
-    evaluate_query,
-    rows_to_multiset,
-)
+from repro.sparql.evaluator import evaluate_bgp
 from repro.sparql.expressions import (
     BinaryExpr,
     Bindings,
@@ -64,11 +60,7 @@ __all__ = [
     "aggregate_values",
     "evaluate_bgp",
     "evaluate_filter",
-    "evaluate_query",
     "make_accumulator",
     "parse_query",
-    "rows_to_multiset",
     "tokenize",
-    "translate_group",
-    "translate_query",
 ]

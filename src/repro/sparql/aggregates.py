@@ -209,29 +209,41 @@ class MaxAccumulator(_Extremum):
         super().__init__(is_min=False)
 
 
+def _canonical(value: object) -> tuple:
+    """A total order over aggregate inputs: ints, then floats and the
+    other types, booleans last; then by type name and ``repr``."""
+    return (isinstance(value, bool), not isinstance(value, int), type(value).__name__, repr(value))
+
+
 class DistinctAccumulator(Accumulator):
     """Wraps another accumulator, feeding it each distinct value once.
 
-    Holistic: the partial state is the full distinct value set.
+    Holistic: the partial state is the full distinct value set.  Of
+    value-equal inputs (``1`` and ``1.0``, ``0.0`` and ``-0.0``) the
+    canonical one is kept, and ``result`` / ``partial`` go in canonical
+    order, so neither depends on the order inputs arrive or partials
+    merge -- nor, therefore, on map-task splits or shards.
     """
 
     def __init__(self, inner: Accumulator):
         self.inner = inner
-        self.seen: set = set()
+        self.seen: dict = {}  # value -> the canonical member of its class
 
     def update(self, value: object) -> None:
-        if value not in self.seen:
-            self.seen.add(value)
-            # Defer feeding the inner accumulator until result() so merge
-            # never double-counts; the seen-set is the real state.
+        # Defer feeding the inner accumulator until result() so merge
+        # never double-counts; the seen members are the real state.
+        kept = self.seen.setdefault(value, value)
+        if kept is not value and _canonical(value) < _canonical(kept):
+            self.seen[value] = value
 
     def merge(self, other: Accumulator) -> None:
         if not isinstance(other, DistinctAccumulator):
             raise SparqlEvaluationError("cannot merge DISTINCT with plain aggregate state")
-        self.seen |= other.seen
+        for value in other.seen.values():
+            self.update(value)
 
     def result(self) -> object:
-        for value in self.seen:
+        for value in self.partial():
             self.inner.update(value)
         try:
             return self.inner.result()
@@ -239,12 +251,12 @@ class DistinctAccumulator(Accumulator):
             # Rebuild the inner accumulator so result() stays idempotent.
             self.inner = type(self.inner)()
 
-    def partial(self) -> object:
-        return frozenset(self.seen)
+    def partial(self) -> tuple:
+        return tuple(sorted(self.seen.values(), key=_canonical))
 
     def copy(self) -> "DistinctAccumulator":
         clone = DistinctAccumulator(self.inner.copy())
-        clone.seen = set(self.seen)
+        clone.seen = dict(self.seen)
         return clone
 
 

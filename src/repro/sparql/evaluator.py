@@ -1,50 +1,29 @@
-"""Reference in-memory evaluator for the SPARQL algebra.
+"""The reference engine's in-memory operators.
 
-This evaluator is the correctness oracle: every distributed engine in
-the library (Hive naive, Hive MQO, RAPID+, RAPIDAnalytics) must return
-the same multiset of solutions as this evaluator on every query.  It
-favours clarity over performance; the engines are where the paper's
+:mod:`repro.core.reference` evaluates an analytical query's grouping
+subqueries with these: basic graph pattern matching, the hash join and
+left join of solution sequences, grouping with aggregates, and the
+ORDER BY sort every engine's result modifiers share.  They favour
+clarity over performance; the engines are where the paper's
 optimizations live.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import SparqlEvaluationError
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, IRI, Literal, Term, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql.aggregates import UNBOUND, make_accumulator
-from repro.sparql.algebra import (
-    Aggregate,
-    AlgebraNode,
-    AlgebraUnion,
-    BGP,
-    Distinct,
-    Extend,
-    Filter,
-    Join,
-    LeftJoin,
-    OrderBy,
-    Project,
-    Slice,
-    translate_query,
-)
-from repro.sparql.ast import AggregateExpr, OrderCondition, SelectQuery
+from repro.sparql.ast import AggregateExpr, OrderCondition, ProjectionExpression
 from repro.sparql.expressions import (
-    BinaryExpr,
     Bindings,
-    ConstExpr,
-    Expression,
     ExpressionError,
-    FunctionExpr,
-    UnaryExpr,
     evaluate as evaluate_expression,
-    evaluate_filter,
 )
-from repro.sparql.parser import parse_query
 
 Row = Bindings  # Variable -> Term
 Rows = list[Row]
@@ -155,16 +134,13 @@ def hash_join(left: Rows, right: Rows) -> Rows:
     return output
 
 
-def left_join(left: Rows, right: Rows, condition: Expression | None) -> Rows:
+def left_join(left: Rows, right: Rows) -> Rows:
     output: Rows = []
     for l in left:
         matched = False
         for r in right:
-            if not compatible(l, r):
-                continue
-            merged = merge_rows(l, r)
-            if condition is None or evaluate_filter(condition, merged):
-                output.append(merged)
+            if compatible(l, r):
+                output.append(merge_rows(l, r))
                 matched = True
         if not matched:
             output.append(dict(l))
@@ -191,61 +167,39 @@ def _compute_aggregate(aggregate: AggregateExpr, rows: Rows) -> object:
             value = evaluate_expression(aggregate.arg, row)
         except ExpressionError:
             continue  # unbound/erroring rows do not contribute
-        if isinstance(value, IRI):
-            value = value  # IRIs count for COUNT/MIN/MAX-on-strings? keep term
-        accumulator.update(value if not isinstance(value, IRI) else value.value)
+        accumulator.update(value.value if isinstance(value, IRI) else value)
     return accumulator.result()
 
 
-def _resolve_aggregates(expression, group_rows: Rows):
-    """Replace AggregateExpr nodes with computed constants."""
-    if isinstance(expression, AggregateExpr):
-        value = _compute_aggregate(expression, group_rows)
-        if value is UNBOUND:
-            return None
-        return ConstExpr(_python_to_term(value))
-    if isinstance(expression, UnaryExpr):
-        inner = _resolve_aggregates(expression.operand, group_rows)
-        return None if inner is None else UnaryExpr(expression.op, inner)
-    if isinstance(expression, BinaryExpr):
-        left = _resolve_aggregates(expression.left, group_rows)
-        right = _resolve_aggregates(expression.right, group_rows)
-        if left is None or right is None:
-            return None
-        return BinaryExpr(expression.op, left, right)
-    if isinstance(expression, FunctionExpr):
-        resolved = tuple(_resolve_aggregates(a, group_rows) for a in expression.args)
-        if any(r is None for r in resolved):
-            return None
-        return FunctionExpr(expression.name, resolved)
-    return expression
-
-
-def evaluate_aggregate(node: Aggregate, rows: Rows) -> Rows:
-    if node.group_vars is None:
-        groups: dict[tuple, Rows] = {(): rows}  # GROUP BY ALL: always one group
-        group_vars: tuple[Variable, ...] = ()
-    else:
-        group_vars = node.group_vars
-        groups = defaultdict(list)
-        for row in rows:
-            groups[_group_key(row, group_vars)].append(row)
-        if not rows:
-            groups = {}
+def evaluate_aggregate(
+    group_vars: tuple[Variable, ...],
+    bindings: Sequence[tuple[Variable, ProjectionExpression]],
+    rows: Rows,
+) -> Rows:
+    """Group *rows* on *group_vars* and bind, per group, each alias of
+    *bindings* to a group variable's key or an aggregate's result.  No
+    group variables is GROUP BY ALL: one group, even over no rows."""
+    groups: dict[tuple, Rows] = defaultdict(list)
+    if not group_vars:
+        groups[()] = []
+    for row in rows:
+        groups[_group_key(row, group_vars)].append(row)
     output: Rows = []
     for key, group_rows in groups.items():
         representative: Row = {
             variable: term for variable, term in zip(group_vars, key) if term is not None
         }
         result_row: Row = {}
-        for alias, expression in node.bindings:
-            resolved = _resolve_aggregates(expression, group_rows)
-            if resolved is None:
-                continue  # aggregate produced no value (e.g. MIN of empty)
-            try:
-                value = evaluate_expression(resolved, representative)
-            except ExpressionError:
-                continue  # leave the alias unbound, per SPARQL extend semantics
+        for alias, expression in bindings:
+            if isinstance(expression, AggregateExpr):
+                value = _compute_aggregate(expression, group_rows)
+                if value is UNBOUND:
+                    continue  # aggregate produced no value (e.g. MIN of empty)
+            else:
+                try:
+                    value = evaluate_expression(expression, representative)
+                except ExpressionError:
+                    continue  # an unbound group key leaves the alias unbound
             result_row[alias] = _python_to_term(value)
         output.append(result_row)
     return output
@@ -302,81 +256,3 @@ def _sort_rows(rows: Rows, conditions: tuple[OrderCondition, ...]) -> Rows:
         if condition.descending:
             ordered.reverse()
     return ordered
-
-
-# ---------------------------------------------------------------------------
-# Main dispatch
-# ---------------------------------------------------------------------------
-
-
-def evaluate_algebra(node: AlgebraNode, graph: Graph) -> Rows:
-    """Evaluate an algebra tree over *graph*, returning solution rows."""
-    if isinstance(node, BGP):
-        return evaluate_bgp(node.patterns, graph)
-    if isinstance(node, Join):
-        return hash_join(evaluate_algebra(node.left, graph), evaluate_algebra(node.right, graph))
-    if isinstance(node, LeftJoin):
-        return left_join(
-            evaluate_algebra(node.left, graph),
-            evaluate_algebra(node.right, graph),
-            node.condition,
-        )
-    if isinstance(node, AlgebraUnion):
-        return evaluate_algebra(node.left, graph) + evaluate_algebra(node.right, graph)
-    if isinstance(node, Filter):
-        return [
-            row
-            for row in evaluate_algebra(node.input, graph)
-            if evaluate_filter(node.condition, row)
-        ]
-    if isinstance(node, Aggregate):
-        return evaluate_aggregate(node, evaluate_algebra(node.input, graph))
-    if isinstance(node, Extend):
-        output: Rows = []
-        for row in evaluate_algebra(node.input, graph):
-            extended = dict(row)
-            try:
-                extended[node.variable] = _python_to_term(
-                    evaluate_expression(node.expression, row)
-                )
-            except ExpressionError:
-                pass  # leave unbound
-            output.append(extended)
-        return output
-    if isinstance(node, Project):
-        keep = set(node.variables)
-        return [
-            {variable: term for variable, term in row.items() if variable in keep}
-            for row in evaluate_algebra(node.input, graph)
-        ]
-    if isinstance(node, Distinct):
-        seen: set[frozenset] = set()
-        output = []
-        for row in evaluate_algebra(node.input, graph):
-            key = frozenset(row.items())
-            if key not in seen:
-                seen.add(key)
-                output.append(row)
-        return output
-    if isinstance(node, OrderBy):
-        return _sort_rows(evaluate_algebra(node.input, graph), node.conditions)
-    if isinstance(node, Slice):
-        rows = evaluate_algebra(node.input, graph)
-        end = None if node.limit is None else node.offset + node.limit
-        return rows[node.offset : end]
-    raise SparqlEvaluationError(f"unknown algebra node {type(node).__name__}")
-
-
-def evaluate_query(query: SelectQuery | str, graph: Graph) -> Rows:
-    """Parse (if needed), translate, and evaluate a query over *graph*."""
-    if isinstance(query, str):
-        query = parse_query(query)
-    return evaluate_algebra(translate_query(query), graph)
-
-
-def rows_to_multiset(rows: Iterable[Row]) -> dict[frozenset, int]:
-    """Canonical multiset form of a solution sequence (for comparisons)."""
-    counts: dict[frozenset, int] = defaultdict(int)
-    for row in rows:
-        counts[frozenset(row.items())] += 1
-    return dict(counts)

@@ -361,10 +361,9 @@ CLI_IMPORT_SURFACE = frozenset(
     repro.ntga.physical repro.ntga.planner repro.ntga.triplegroup repro.obs
     repro.obs.metrics repro.obs.model repro.rdf repro.rdf.graph
     repro.rdf.namespaces repro.rdf.ntriples repro.rdf.stats repro.rdf.terms
-    repro.rdf.triples repro.sparql repro.sparql.aggregates
-    repro.sparql.algebra repro.sparql.ast repro.sparql.evaluator
-    repro.sparql.expressions repro.sparql.parser repro.sparql.serializer
-    repro.sparql.tokenizer
+    repro.rdf.triples repro.sparql repro.sparql.aggregates repro.sparql.ast
+    repro.sparql.evaluator repro.sparql.expressions repro.sparql.parser
+    repro.sparql.serializer repro.sparql.tokenizer
     """.split()
 )
 
@@ -379,7 +378,7 @@ def test_import_repro_cli_loads_no_report_producer():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(done.stdout.split())
-    assert len(CLI_IMPORT_SURFACE) == 57
+    assert len(CLI_IMPORT_SURFACE) == 56
     assert loaded - CLI_IMPORT_SURFACE == set()
     for module in ("repro.report", *KIND_MODULES.values()):
         assert module not in loaded

@@ -537,6 +537,7 @@ def test_a_job_is_priced_exactly_once(faults, bsbm_small, monkeypatch):
     from repro import obs
     from repro.bench.catalog import get_query
     from repro.core.engines import run_query
+    from repro.core.results import EngineConfig
     from repro.mapreduce.cost import CostModel
     from repro.mapreduce.faults import FaultPlan
     from repro.obs import metrics
@@ -553,7 +554,8 @@ def test_a_job_is_priced_exactly_once(faults, bsbm_small, monkeypatch):
     plan = FaultPlan.from_spec(faults) if faults else None
     with obs.tracing() as tracer, metrics.collecting() as registry:
         report = run_query(
-            get_query("MG1").sparql, bsbm_small, engine="rapid-analytics", faults=plan
+            get_query("MG1").sparql, bsbm_small, engine="rapid-analytics",
+            config=EngineConfig(fault_plan=plan),
         )
     assert len(calls) == report.cycles > 0
     phase_spans = [s for s in tracer.spans if s.kind == "phase" and s.name != "recovery"]

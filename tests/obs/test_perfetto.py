@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.core.engines import run_all_engines, run_query
+from repro.core.results import EngineConfig
 from repro.obs.perfetto import to_chrome_trace, validate_chrome_trace
 from repro.obs.sink import trace_records
 
@@ -62,7 +63,8 @@ class TestExport:
         plan = FaultPlan(seed=7, task_failure_rate=0.3)
         with obs.tracing() as recorder:
             run_query(
-                mg1_style_query, product_graph, engine="rapid-analytics", faults=plan
+                mg1_style_query, product_graph, engine="rapid-analytics",
+                config=EngineConfig(fault_plan=plan),
             )
         records = trace_records(recorder)
         assert any(

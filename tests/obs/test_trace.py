@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.core.engines import run_all_engines, run_query
+from repro.core.results import EngineConfig
 from repro.errors import ReproError
 from repro.obs.sink import (
     TRACE_SCHEMA,
@@ -98,7 +99,7 @@ class TestDeterminism:
             with obs.tracing() as recorder:
                 run_query(
                     mg1_style_query, product_graph,
-                    engine="rapid-analytics", faults=plan,
+                    engine="rapid-analytics", config=EngineConfig(fault_plan=plan),
                 )
             return trace_records(recorder)
 

@@ -251,3 +251,42 @@ def test_accumulator_tuple_estimated_size_positive():
     bundle = AccumulatorTuple.fresh([("SUM", False), ("COUNT", True)])
     bundle.accumulators[0].update(5)
     assert bundle.estimated_size() > 0
+
+
+class TestDistinctIsOrderFree:
+    """Of value-equal inputs a DISTINCT aggregate keeps one canonical
+    member, so its partial and result do not depend on the order the
+    inputs arrive or the split they are merged from."""
+
+    @pytest.mark.parametrize(
+        "func, pair",
+        [("SUM", (1, 1.0)), ("AVG", (1, 1.0)), ("MIN", (0.0, -0.0)), ("MAX", (0.0, -0.0))],
+    )
+    def test_value_equal_inputs_in_either_order(self, func, pair):
+        forward, backward = (aggregate_values(func, p, distinct=True) for p in (pair, pair[::-1]))
+        assert repr(forward) == repr(backward)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        func=st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+        values=st.lists(
+            st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, -1, -1.0]), min_size=1, max_size=12
+        ),
+    )
+    def test_any_arrival_order_and_merge_split_agree(self, data, func, values):
+        def rendered(accumulator):
+            return repr(accumulator.partial()), repr(accumulator.result())
+
+        sequential = make_accumulator(func, distinct=True)
+        for value in values:
+            sequential.update(value)
+        arrival = data.draw(st.permutations(values))
+        tasks = data.draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
+        partials = [make_accumulator(func, distinct=True) for _ in range(4)]
+        for value, task in zip(arrival, tasks):
+            partials[task].update(value)
+        first, *rest = [partials[i] for i in data.draw(st.permutations(range(4)))]
+        for partial in rest:
+            first.merge(partial)
+        assert rendered(first) == rendered(sequential)

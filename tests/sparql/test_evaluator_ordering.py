@@ -1,84 +1,60 @@
-"""ORDER BY edge cases in the reference evaluator."""
+"""ORDER BY edge cases, and LIMIT / OFFSET, as
+:func:`~repro.core.reference.apply_result_modifiers` applies them: the
+one result-modifier step every engine's rows go through."""
 
-import pytest
-
-from repro.rdf.graph import Graph
+from repro.core.query_model import parse_analytical
+from repro.core.reference import apply_result_modifiers
 from repro.rdf.terms import IRI, Literal, Variable
-from repro.rdf.triples import Triple
-from repro.sparql.evaluator import evaluate_query
+
+G, V = Variable("g"), Variable("v")
 
 
-def iri(name):
-    return IRI("urn:" + name)
-
-
-@pytest.fixture
-def mixed_graph():
-    g = Graph()
-    g.add_all(
-        [
-            Triple(iri("a"), iri("p"), Literal.from_python(10)),
-            Triple(iri("b"), iri("p"), Literal("text")),
-            Triple(iri("c"), iri("p"), iri("other")),
-            Triple(iri("d"), iri("p"), Literal.from_python(2)),
-        ]
+def modified(rows, modifiers):
+    query = parse_analytical(
+        "SELECT ?g ?v (COUNT(?s) AS ?n) { ?s <urn:g> ?g ; <urn:v> ?v } GROUP BY ?g ?v "
+        + modifiers
     )
-    return g
+    return apply_result_modifiers(query, rows)
 
 
-def values(rows, name):
-    return [row.get(Variable(name)) for row in rows]
+def column(rows, variable=V):
+    return [row.get(variable) for row in rows]
 
 
-def test_mixed_types_order_by_type_rank(mixed_graph):
-    rows = evaluate_query("SELECT ?s ?o { ?s <urn:p> ?o } ORDER BY ?o", mixed_graph)
-    objects = values(rows, "o")
-    # Numbers before strings before IRIs (deterministic type ranking).
-    assert objects[0] == Literal.from_python(2)
-    assert objects[1] == Literal.from_python(10)
-    assert objects[2] == Literal("text")
-    assert objects[3] == iri("other")
+def test_mixed_types_order_by_type_rank():
+    values = [Literal.from_python(10), Literal("text"), IRI("urn:other"), Literal.from_python(2)]
+    ordered = modified([{V: value} for value in values], "ORDER BY ?v")
+    # Numbers before strings before IRIs.
+    assert column(ordered) == [values[3], values[0], values[1], values[2]]
 
 
 def test_descending_strings():
-    g = Graph(
-        [
-            Triple(iri("a"), iri("p"), Literal("alpha")),
-            Triple(iri("b"), iri("p"), Literal("beta")),
-            Triple(iri("c"), iri("p"), Literal("gamma")),
-        ]
-    )
-    rows = evaluate_query("SELECT ?o { ?s <urn:p> ?o } ORDER BY DESC(?o)", g)
-    assert [r[Variable("o")].lexical for r in rows] == ["gamma", "beta", "alpha"]
+    rows = [{V: Literal(text)} for text in ("beta", "alpha", "gamma")]
+    ordered = modified(rows, "ORDER BY DESC(?v)")
+    assert [term.lexical for term in column(ordered)] == ["gamma", "beta", "alpha"]
 
 
 def test_multi_key_ordering():
-    g = Graph(
-        [
-            Triple(iri("a"), iri("g"), Literal("x")),
-            Triple(iri("a"), iri("v"), Literal.from_python(2)),
-            Triple(iri("b"), iri("g"), Literal("x")),
-            Triple(iri("b"), iri("v"), Literal.from_python(1)),
-            Triple(iri("c"), iri("g"), Literal("w")),
-            Triple(iri("c"), iri("v"), Literal.from_python(9)),
-        ]
-    )
-    rows = evaluate_query(
-        "SELECT ?g ?v { ?s <urn:g> ?g ; <urn:v> ?v } ORDER BY ?g DESC(?v)", g
-    )
-    pairs = [(r[Variable("g")].lexical, r[Variable("v")].python_value()) for r in rows]
+    rows = [
+        {G: Literal("x"), V: Literal.from_python(2)},
+        {G: Literal("x"), V: Literal.from_python(1)},
+        {G: Literal("w"), V: Literal.from_python(9)},
+    ]
+    ordered = modified(rows, "ORDER BY ?g DESC(?v)")
+    pairs = [(row[G].lexical, row[V].python_value()) for row in ordered]
     assert pairs == [("w", 9), ("x", 2), ("x", 1)]
 
 
 def test_unbound_sorts_first():
-    g = Graph(
-        [
-            Triple(iri("a"), iri("p"), Literal("x")),
-            Triple(iri("a"), iri("q"), Literal("extra")),
-            Triple(iri("b"), iri("p"), Literal("y")),
-        ]
-    )
-    rows = evaluate_query(
-        "SELECT ?s ?e { ?s <urn:p> ?o OPTIONAL { ?s <urn:q> ?e } } ORDER BY ?e", g
-    )
-    assert Variable("e") not in rows[0]
+    rows = [{G: Literal("x"), V: Literal("extra")}, {G: Literal("y")}]
+    assert column(modified(rows, "ORDER BY ?v")) == [None, Literal("extra")]
+
+
+def test_limit_and_offset_slice_the_ordered_rows():
+    rows = [{V: Literal.from_python(age)} for age in (30, 25, 35)]
+    for modifiers, expected in [
+        ("ORDER BY ?v LIMIT 1 OFFSET 1", [30]),
+        ("ORDER BY DESC(?v) LIMIT 2", [35, 30]),
+        ("ORDER BY ?v OFFSET 2", [35]),
+    ]:
+        assert [term.python_value() for term in column(modified(rows, modifiers))] == expected
