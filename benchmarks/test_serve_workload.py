@@ -6,7 +6,7 @@ queries), the concurrent service — result cache + dedup + MQO batching —
 must answer every request bit-identical to a cold solo execution while
 spending strictly less total simulated cost than the no-sharing
 baseline on every seed.  Mirrors the committed golden
-``benchmarks/golden/serve-chem-overlap.json`` (also ``BENCH_PR5.json``).
+``benchmarks/golden/serve-chem-overlap.json``.
 """
 
 import pytest

@@ -17,16 +17,20 @@ Two modes reproduce the paper's baselines:
 Joins compile to map-only cycles when every non-streamed input fits
 under the map-join threshold, mirroring Hive 0.12's conditional tasks —
 decided at run time from actual file sizes, which is why this module is
-a stepwise *executor* rather than a static planner.
+a stepwise *executor* rather than a static planner.  Each star-formation
+and star-join job compiles its plan when it is built: VP records travel
+raw, and a solution Row is built only for a combination that survives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product
 from typing import Any, Iterable, Sequence
 
 from repro.core.query_model import (
     AnalyticalQuery,
+    GraphPattern,
     GroupingSubquery,
     PropKey,
     StarPattern,
@@ -57,138 +61,107 @@ from repro.sparql.expressions import (
 )
 
 
-def _compatible_merge(left: Row, right: Row) -> Row | None:
-    # Rows carry their size estimate from birth (see Row): the merge
-    # extends the left size by the entries actually added.  A variable
-    # bound on both sides keeps the left term — the terms compare equal,
-    # so every simulated byte count, comparison, and rendered result is
-    # unchanged by not replacing it.
-    merged = Row(left)
-    left_size = getattr(left, "_size", None)
-    incremental = type(left_size) is int and cost.SIZE_CACHE_ENABLED
-    added = 0
-    for variable, term in right.items():
-        existing = merged.get(variable)
-        if existing is not None:
-            if existing != term:
-                return None
-            continue
-        merged[variable] = term
-        if incremental:
-            # Variables and terms are slotted value objects; peek their
-            # _size cache directly and only call into the estimator on a
-            # cold instance.
-            size = variable._size
-            added += size if size is not None else estimate_size(variable)
-            size = term._size
-            added += size if size is not None else estimate_size(term)
-    if incremental:
-        merged._size = left_size + added
-    return merged
+class _Shipped:
+    """A record crossing the shuffle -- a raw VP record or a Row -- with
+    the tag of the source it came from.  It is sized as the ``(tag, Row)``
+    pair it stands for, so every shuffle byte is the pair's."""
+
+    __slots__ = ("tag", "record", "_size")
+
+    def __init__(self, tag: Any, record: Any, size: int):
+        self.tag = tag
+        self.record = record
+        self._size = size
+
+    def estimated_size(self) -> int:
+        return self._size
 
 
-def _vp_row(tp: TriplePattern, record: tuple, filters: Sequence[Expression]) -> Row | None:
-    """Convert one VP-table record to a solution row for *tp*.
+def _sized(items: Iterable[Any]) -> int:
+    """The summed size of terms (or variables), peeking their caches."""
+    total = 0
+    for item in items:
+        size = item._size
+        total += size if size is not None else estimate_size(item)
+    return total
 
-    Type-table records are 1-tuples ``(subject,)``; others are
-    ``(subject, object)``.  Returns None when a concrete component or a
-    pushed filter rejects the record.
-    """
-    row = Row()
-    subject = record[0]
-    size = _POINTER
-    if isinstance(tp.subject, Variable):
-        row[tp.subject] = subject
-        part = tp.subject._size
-        size += part if part is not None else estimate_size(tp.subject)
-        part = subject._size
-        size += part if part is not None else estimate_size(subject)
-    elif tp.subject != subject:
-        return None
-    if len(record) > 1:
-        obj = record[1]
-        if isinstance(tp.object, Variable):
-            existing = row.get(tp.object)
-            if existing is not None:
-                if existing != obj:
-                    return None
-            else:
-                row[tp.object] = obj
-                part = tp.object._size
-                size += part if part is not None else estimate_size(tp.object)
-                part = obj._size
-                size += part if part is not None else estimate_size(obj)
-        elif tp.object != obj:
-            return None
-    for expression in filters:
-        if not evaluate_filter(expression, row):
-            return None
+
+def _sized_row(pairs: list[tuple[Variable, Term]]) -> Row:
+    """One result Row, its size summed from its variables and terms."""
+    row = Row(pairs)
     if cost.SIZE_CACHE_ENABLED:
-        row._size = size
+        total = _POINTER
+        for variable, term in pairs:
+            size = variable._size
+            total += size if size is not None else estimate_size(variable)
+            size = term._size
+            total += size if size is not None else estimate_size(term)
+        row._size = total
     return row
 
 
-def _vp_row_builder(tp: TriplePattern, filters: Sequence[Expression]):
-    """A per-pattern specialization of :func:`_vp_row`.
+def _joined(first: dict, second: dict, keep: frozenset[Variable] | None) -> Row | None:
+    """*first* and *second* merged and projected on *keep* (None: every
+    column) in one Row, *first*'s bindings first; None when they bind a
+    shared variable to different terms."""
+    pairs = [(v, t) for v, t in first.items() if keep is None or v in keep]
+    for variable, term in second.items():
+        existing = first.get(variable)
+        if existing is None:
+            if keep is None or variable in keep:
+                pairs.append((variable, term))
+        elif existing is not term and existing != term:
+            return None
+    return _sized_row(pairs)
 
-    A VP scan converts every record of a table through the same pattern,
-    so the pattern's shape (variable vs concrete components) and the
-    sizes of its variables are fixed across the whole loop.  The common
-    shape — distinct subject and object variables — reduces to two dict
-    stores and a size add per record.  Rare shapes (concrete components,
-    subject and object the same variable) and reference mode fall back
-    to the generic converter, which re-derives everything per record.
-    """
-    subject_var, object_var = tp.subject, tp.object
-    if (
-        not cost.SIZE_CACHE_ENABLED
-        or not isinstance(subject_var, Variable)
-        or not isinstance(object_var, Variable)
-        or subject_var == object_var
-    ):
-        return lambda record: _vp_row(tp, record, filters)
-    base = _POINTER + estimate_size(subject_var)
-    object_var_size = estimate_size(object_var)
-    filters = tuple(filters)
 
-    def build(record: tuple) -> Row | None:
-        row = Row()
-        subject = record[0]
-        row[subject_var] = subject
-        part = subject._size
-        size = base + (part if part is not None else estimate_size(subject))
-        if len(record) > 1:
-            obj = record[1]
-            row[object_var] = obj
-            part = obj._size
-            size += object_var_size + (
-                part if part is not None else estimate_size(obj)
-            )
-        for expression in filters:
-            if not evaluate_filter(expression, row):
-                return None
-        row._size = size
-        return row
+def _binds(tp: TriplePattern) -> tuple[tuple[Variable, int], ...]:
+    """The variables a VP record of *tp* binds, with the record column
+    (0 subject, 1 object) each is read from, in binding order."""
+    binds = []
+    if isinstance(tp.subject, Variable):
+        binds.append((tp.subject, 0))
+    if isinstance(tp.object, Variable) and tp.object != tp.subject:
+        binds.append((tp.object, 1))
+    return tuple(binds)
 
-    return build
+
+def _accepts(tp: TriplePattern, pushed: Sequence[Expression]):
+    """The test a VP record must pass to match *tp* -- its concrete
+    components, a variable repeated as subject and object, and the
+    filters pushed onto its object, on the one binding they read -- or
+    None when every record matches.
+
+    Type-table records are 1-tuples ``(subject,)``; others are
+    ``(subject, object)``."""
+    subject, obj = tp.subject, tp.object
+    tests = []
+    if not isinstance(subject, Variable):
+        tests.append(lambda record: record[0] == subject)
+    if not isinstance(obj, Variable):
+        tests.append(lambda record: len(record) < 2 or record[1] == obj)
+    elif obj == subject:
+        tests.append(lambda record: record[1] == record[0])
+    for expression in pushed:
+        tests.append(
+            lambda record, e=expression: evaluate_filter(e, {obj: record[1]})
+        )
+    if not tests:
+        return None
+    if len(tests) == 1:
+        return tests[0]
+    return lambda record: all(test(record) for test in tests)
 
 
 def _matched(star: StarPattern, tp: TriplePattern) -> Variable:
     """The column saying that *star*'s LEFT OUTER concrete-object
     pattern *tp* matched a subject: such a pattern binds no variable, so
-    nothing else in a joined row records it (no SPARQL name has a space)."""
-    return Variable(f"matched {star.subject} {prop_key_of(tp)}")
-
-
-def _marking(build, marker: Variable, term: Term):
-    """*build*, with every row it makes binding *marker*."""
-    flag = Row({marker: term})
-
-    def marked(record: tuple) -> Row | None:
-        row = build(record)
-        return None if row is None else _compatible_merge(row, flag)
-
-    return marked
+    nothing else in a joined row records it (no SPARQL name has a space).
+    A second distinct pattern of the same property gets its own column."""
+    key = prop_key_of(tp)
+    same = [pattern for pattern in star.patterns if prop_key_of(pattern) == key]
+    nth = same.index(tp)
+    return Variable(f"matched {star.subject} {key}" + (f" {nth}" if nth else ""))
 
 
 @dataclass(frozen=True)
@@ -202,27 +175,6 @@ def _pushable(filters: Sequence[Expression], tp: TriplePattern) -> list[Expressi
     if not isinstance(tp.object, Variable):
         return []
     return [f for f in filters if expression_variables(f) == frozenset((tp.object,))]
-
-
-def _project(row: Row, keep: frozenset[Variable] | None) -> Row:
-    if keep is None:
-        return row
-    projected = Row()
-    if cost.SIZE_CACHE_ENABLED:
-        size = _POINTER
-        for v, t in row.items():
-            if v in keep:
-                projected[v] = t
-                part = v._size
-                size += part if part is not None else estimate_size(v)
-                part = t._size
-                size += part if part is not None else estimate_size(t)
-        projected._size = size
-        return projected
-    for v, t in row.items():
-        if v in keep:
-            projected[v] = t
-    return projected
 
 
 @dataclass
@@ -309,9 +261,11 @@ class HiveExecutor:
         or map-only when the non-streamed tables fit in memory).
 
         ``optional_keys`` marks triple patterns joined LEFT OUTER (the
-        MQO composite's secondary properties).
+        MQO composite's secondary properties).  Records travel raw; the
+        plan compiled here reads each subject's combinations of them
+        straight into the projected Rows.
         """
-        entries = []  # (tp, path, pushed filters, optional?)
+        entries = []  # (path, record test, what a record binds, optional?)
         for tp in star.patterns:
             key = prop_key_of(tp)
             optional = key in optional_keys
@@ -320,46 +274,91 @@ class HiveExecutor:
             # (``!BOUND(?x)`` would hold for every subject); the filter
             # is evaluated over the joined rows.
             pushed = [] if optional else _pushable(filters, tp)
-            entries.append((tp, self.store.path_for(key), pushed, optional))
+            binds = _binds(tp)
+            if optional and not isinstance(tp.object, Variable):
+                binds += ((_matched(star, tp), tp.object),)  # a constant column
+            entries.append((self.store.path_for(key), _accepts(tp, pushed), binds, optional))
         by_path: dict[str, list[int]] = {}
-        for index, (_, path, _, _) in enumerate(entries):
+        for index, (path, _, _, _) in enumerate(entries):
             by_path.setdefault(path, []).append(index)
-        builders = [
-            _vp_row_builder(tp, pushed)
-            if not optional or isinstance(tp.object, Variable)
-            else _marking(_vp_row_builder(tp, pushed), _matched(star, tp), tp.object)
-            for tp, _, pushed, optional in entries
-        ]
-        output = f"{self.prefix}/{self._counter.next(label)}"
-
         required = [i for i, e in enumerate(entries) if not e[3]]
         optional = [i for i, e in enumerate(entries) if e[3]]
+        output = f"{self.prefix}/{self._counter.next(label)}"
 
-        def assemble(rows_by_tp: dict[int, list[Row]]) -> Iterable[Row]:
-            if any(not rows_by_tp.get(i) for i in required):
-                return
-            combos: list[Row] = [Row()]
-            for index in required + optional:
-                rows = rows_by_tp.get(index) or []
-                if not rows and index in optional:
-                    continue  # left outer: keep combos unextended
-                next_combos = []
-                for combo in combos:
-                    for row in rows:
-                        merged = _compatible_merge(combo, row)
-                        if merged is not None:
-                            next_combos.append(merged)
-                combos = next_combos
-                if not combos:
+        # A record shipped for pattern i is sized as the (i, Row) pair
+        # it replaces: tuple and Row pointers, the int tag, the bound
+        # variables and constants, and the terms it carries.
+        shipping = [
+            (
+                2 * _POINTER + 8 + _sized(v for v, c in binds)
+                + _sized(c for _, c in binds if type(c) is not int),
+                tuple(c for _, c in binds if type(c) is int),
+            )
+            for _, _, binds, _ in entries
+        ]
+
+        def ship(index: int, record: tuple) -> _Shipped:
+            size, columns = shipping[index]
+            for column in columns:
+                part = record[column]._size
+                size += part if part is not None else estimate_size(record[column])
+            return _Shipped(index, record, size)
+
+        subject = star.subject if isinstance(star.subject, Variable) else None
+        plans: dict[tuple[int, ...], tuple] = {}
+
+        def compile_plan(present: tuple[int, ...]) -> tuple:
+            """Per position of ``required + present optional``: where
+            each variable is read from (``(position, column)``; constants
+            sit in one extra position), which repeats must be equal --
+            not the star subject, which the grouping already makes equal
+            -- and which first bindings survive *keep*, in binding order."""
+            positions = required + list(present)
+            constants: list[Term] = []
+            seen: dict[Variable, tuple[int, int]] = {}
+            checks, columns = [], []
+            for k, index in enumerate(positions):
+                for variable, column in entries[index][2]:
+                    if type(column) is int:
+                        at = (k, column)
+                    else:
+                        at = (len(positions), len(constants))
+                        constants.append(column)
+                    if variable in seen:
+                        if variable != subject:
+                            checks.append(seen[variable] + at)
+                    else:
+                        seen[variable] = at
+                        if keep is None or variable in keep:
+                            columns.append((variable,) + at)
+            extra = ([tuple(constants)],) if constants else ()
+            return positions, extra, tuple(checks), tuple(columns)
+
+        def assemble(groups: list) -> Iterable[Row]:
+            """The projected Rows of one subject; *groups* holds each
+            pattern's matching records."""
+            for index in required:
+                if not groups[index]:
                     return
-            for combo in combos:
-                yield _project(combo, keep)
+            present = tuple(index for index in optional if groups[index])
+            plan = plans.get(present)
+            if plan is None:
+                plan = plans[present] = compile_plan(present)
+            positions, constants, checks, columns = plan
+            for chosen in product(*[groups[index] for index in positions], *constants):
+                if checks and any(chosen[a][b] != chosen[c][d] for a, b, c, d in checks):
+                    continue
+                yield _sized_row([(v, chosen[k][c]) for v, k, c in columns])
+
+        def matching(index: int, records: Iterable[tuple]) -> list[tuple]:
+            test = entries[index][1]
+            return list(records) if test is None else [r for r in records if test(r)]
 
         sizes = {path: self._size(path) for path in by_path}
         # LEFT OUTER semantics: the streamed (outer) table must back a
         # required triple pattern, else subjects missing from an optional
         # table would never be seen.
-        required_paths = {entries[i][1] for i in required}
+        required_paths = {entries[i][0] for i in required}
         # Scan candidates in by_path (insertion) order so size ties break
         # the same way in every process — set iteration is hash-seeded
         # and the choice leaks into job structure and counters.
@@ -368,16 +367,19 @@ class HiveExecutor:
             key=lambda p: sizes[p],
         )
         side_paths = [p for p in by_path if p != streamed]
-        single_table = not side_paths
+        groups_of = [None] * len(entries)
+        # A mapper sees one streamed record at a time: a table backing
+        # two patterns of the star (a property named twice) must be
+        # grouped by subject, so it is joined reduce-side.
+        several = len(by_path[streamed]) > 1
 
-        if single_table:
-            # One property (possibly several tps on it): a map-only scan.
+        if not side_paths and not several:
+            # A star of one triple pattern: a map-only scan.
             def scan_mapper(record: Any) -> Iterable[Row]:
-                rows_by_tp: dict[int, list[Row]] = {}
+                groups = list(groups_of)
                 for index in by_path[streamed]:
-                    row = builders[index](record)
-                    rows_by_tp[index] = [row] if row is not None else []
-                yield from assemble(rows_by_tp)
+                    groups[index] = matching(index, (record,))
+                yield from assemble(groups)
 
             job = MapReduceJob(
                 name=f"{self.prefix}:{label}:scan",
@@ -388,28 +390,22 @@ class HiveExecutor:
             )
             return self._run(job)
 
-        if self._mapjoin_pays(streamed, side_paths):
+        if not several and side_paths and self._mapjoin_pays(streamed, side_paths):
             def mapper_factory(side_data: dict[str, list[Any]]):
-                index_by_tp: dict[int, dict[Term, list[Row]]] = {}
+                tables: dict[int, dict[Term, list[tuple]]] = {}
                 for path, records in side_data.items():
-                    for tp_index in by_path[path]:
-                        build = builders[tp_index]
-                        table: dict[Term, list[Row]] = {}
-                        for record in records:
-                            row = build(record)
-                            if row is not None:
-                                table.setdefault(record[0], []).append(row)
-                        index_by_tp[tp_index] = table
+                    for index in by_path[path]:
+                        table = tables[index] = {}
+                        for record in matching(index, records):
+                            table.setdefault(record[0], []).append(record)
 
                 def mapper(record: Any) -> Iterable[Row]:
-                    subject = record[0]
-                    rows_by_tp: dict[int, list[Row]] = {}
-                    for tp_index in by_path[streamed]:
-                        row = builders[tp_index](record)
-                        rows_by_tp[tp_index] = [row] if row is not None else []
-                    for tp_index, table in index_by_tp.items():
-                        rows_by_tp[tp_index] = table.get(subject, [])
-                    yield from assemble(rows_by_tp)
+                    groups = list(groups_of)
+                    for index in by_path[streamed]:
+                        groups[index] = matching(index, (record,))
+                    for index, table in tables.items():
+                        groups[index] = table.get(record[0], [])
+                    yield from assemble(groups)
 
                 return mapper
 
@@ -423,18 +419,18 @@ class HiveExecutor:
             )
             return self._run(job)
 
-        def mapper(tagged: Any) -> Iterable[tuple[Term, tuple[int, Row]]]:
+        def mapper(tagged: Any) -> Iterable[tuple[Term, _Shipped]]:
             path, record = tagged
-            for tp_index in by_path[path]:
-                row = builders[tp_index](record)
-                if row is not None:
-                    yield record[0], (tp_index, row)
+            for index in by_path[path]:
+                test = entries[index][1]
+                if test is None or test(record):
+                    yield record[0], ship(index, record)
 
-        def reducer(subject: Term, values: list) -> Iterable[Row]:
-            rows_by_tp: dict[int, list[Row]] = {}
-            for tp_index, row in values:
-                rows_by_tp.setdefault(tp_index, []).append(row)
-            yield from assemble(rows_by_tp)
+        def reducer(key: Term, values: list) -> Iterable[Row]:
+            groups: list = [[] for _ in entries]
+            for shipped in values:
+                groups[shipped.tag].append(shipped.record)
+            yield from assemble(groups)
 
         job = MapReduceJob(
             name=f"{self.prefix}:{label}:reduce-join",
@@ -459,17 +455,33 @@ class HiveExecutor:
         keep: frozenset[Variable] | None,
         label: str = "join",
     ) -> str:
-        """One star-join cycle (reduce-side, or map-only via map-join)."""
-        output = f"{self.prefix}/{self._counter.next(label)}"
-        pushed = _pushable(filters, right_tp) if right_tp is not None else []
-        right_build = (
-            _vp_row_builder(right_tp, pushed) if right_tp is not None else None
-        )
+        """One star-join cycle (reduce-side, or map-only via map-join).
 
-        def to_right_row(record: Any) -> Row | None:
-            if right_build is None:
-                return record if variable in record else None
-            return right_build(record)
+        The right source is a formed star's Rows, or (*right_tp*) a VP
+        table whose records are read through the pattern compiled here;
+        every surviving pair becomes one projected Row."""
+        output = f"{self.prefix}/{self._counter.next(label)}"
+        if right_tp is None:
+            test, binds = None, ()
+        else:
+            test, binds = _accepts(right_tp, _pushable(filters, right_tp)), _binds(right_tp)
+        key_column = dict(binds).get(variable)
+        # A VP record shipped right is sized as the ("R", Row) pair it
+        # replaces: tuple and Row pointers, the tag, the bound variables.
+        right_base = 2 * _POINTER + 2 + _sized(v for v, _ in binds)
+
+        def right_key(record: Any) -> Term | None:
+            """The join term of one right record; None when it has none."""
+            if right_tp is None:
+                return record.get(variable)
+            if key_column is None or (test is not None and not test(record)):
+                return None
+            return record[key_column]
+
+        def right_row(record: Any) -> dict:
+            if right_tp is None:
+                return record
+            return {v: record[c] for v, c in binds}
 
         # Map-join streams the larger side and broadcasts the smaller.
         stream_left = self._size(left_path) >= self._size(right_path)
@@ -487,27 +499,25 @@ class HiveExecutor:
         if mapjoin:
 
             def mapper_factory(side_data: dict[str, list[Any]]):
-                table: dict[Term, list[Row]] = {}
+                # The side is the right source when the left rows are
+                # streamed, and vice versa.
+                table: dict[Term, list[dict]] = {}
                 for record in side_data[side]:
-                    # The side is the right source when the left rows are
-                    # streamed, and vice versa.
-                    converted = to_right_row(record) if stream_left else (
-                        record if variable in record else None
-                    )
-                    if converted is not None and variable in converted:
-                        table.setdefault(converted[variable], []).append(converted)
+                    key = right_key(record) if stream_left else record.get(variable)
+                    if key is not None:
+                        table.setdefault(key, []).append(
+                            right_row(record) if stream_left else record
+                        )
 
                 def mapper(record: Any) -> Iterable[Row]:
-                    row = record if stream_left else to_right_row(record)
-                    if row is None:
-                        return
-                    key = row.get(variable)
+                    key = record.get(variable) if stream_left else right_key(record)
                     if key is None:
                         return
+                    row = record if stream_left else right_row(record)
                     for match in table.get(key, ()):
-                        merged = _compatible_merge(row, match)
-                        if merged is not None:
-                            yield _project(merged, keep)
+                        joined = _joined(row, match, keep)
+                        if joined is not None:
+                            yield joined
 
                 return mapper
 
@@ -521,25 +531,30 @@ class HiveExecutor:
             )
             return self._run(job)
 
-        def mapper(tagged: Any) -> Iterable[tuple[Term, tuple[str, Row]]]:
+        def mapper(tagged: Any) -> Iterable[tuple[Term, _Shipped]]:
             path, record = tagged
             if path == left_path:
                 key = record.get(variable)
                 if key is not None:
-                    yield key, ("L", record)
+                    yield key, _Shipped("L", record, _POINTER + 2 + estimate_size(record))
+                return
+            key = right_key(record)
+            if key is None:
+                return
+            if right_tp is None:
+                size = _POINTER + 2 + estimate_size(record)
             else:
-                row = to_right_row(record)
-                if row is not None and variable in row:
-                    yield row[variable], ("R", row)
+                size = right_base + _sized([record[c] for _, c in binds])
+            yield key, _Shipped("R", record, size)
 
         def reducer(key: Term, values: list) -> Iterable[Row]:
-            lefts = [row for tag, row in values if tag == "L"]
-            rights = [row for tag, row in values if tag == "R"]
+            lefts = [shipped.record for shipped in values if shipped.tag == "L"]
+            rights = [right_row(shipped.record) for shipped in values if shipped.tag == "R"]
             for left in lefts:
                 for right in rights:
-                    merged = _compatible_merge(left, right)
-                    if merged is not None:
-                        yield _project(merged, keep)
+                    joined = _joined(left, right, keep)
+                    if joined is not None:
+                        yield joined
 
         job = MapReduceJob(
             name=f"{self.prefix}:{label}:reduce-join",
@@ -793,10 +808,22 @@ class HiveExecutor:
         # Phase 1: evaluate the composite pattern, LEFT OUTER on secondary
         # properties, and materialize it with every column (no early
         # projection — it must serve both original patterns).
+        # A composite star keeps one pattern per property; each star here
+        # also carries every other distinct pattern its subqueries name,
+        # so a property named twice binds one column per pattern.
+        stars = []
+        for index, composite_star in enumerate(composite.stars):
+            patterns = dict.fromkeys(composite_star.pattern.patterns)
+            for subquery in composite.subqueries:
+                for star, at in zip(subquery.stars, subquery.star_indices):
+                    if at == index:
+                        patterns.update(dict.fromkeys(star.patterns))
+            stars.append(replace(composite_star.pattern, patterns=tuple(patterns)))
+        pattern = GraphPattern(tuple(stars))
         composite_rows = self._evaluate_pattern(
-            [composite_star.pattern for composite_star in composite.stars],
+            stars,
             [composite_star.p_sec for composite_star in composite.stars],
-            composite.composite_graph_pattern(),
+            pattern,
             shared_filters,
             None,
             "mqo",
@@ -808,8 +835,7 @@ class HiveExecutor:
         # property can multiply its rows, so α-filtering fuses into the
         # aggregation's map phase.  This is what lets MQO evaluate
         # identical-pattern queries (e.g. MG6) without dedup cycles.
-        composite_vars = composite.composite_graph_pattern().variables()
-        stars = composite.stars
+        composite_vars = pattern.variables()
         agg_outputs: list[str] = []
         for subquery in composite.subqueries:
             subquery_vars: set[Variable] = set()
@@ -822,11 +848,11 @@ class HiveExecutor:
             # The secondary concrete-object patterns this subquery
             # requires: their match is a column of the composite rows.
             matched = tuple(
-                _matched(stars[index].pattern, tp)
+                _matched(stars[index], tp)
                 for star, index in zip(subquery.stars, subquery.star_indices)
-                for tp in stars[index].pattern.patterns
+                for tp in star.patterns
                 if not isinstance(tp.object, Variable)
-                and prop_key_of(tp) in stars[index].p_sec & star.required_props()
+                and prop_key_of(tp) in composite.stars[index].p_sec & star.required_props()
             )
             if subquery_vars >= composite_vars:
                 bound_required = tuple(

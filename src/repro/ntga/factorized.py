@@ -277,12 +277,12 @@ class FactorizedRelation:
                 object.__setattr__(self, "_projections", cache)
             projected = cache.get(keys)
             if projected is None:
-                projected = self._compute_project(keys)
+                projected = self._compute_projection(keys)
                 cache[keys] = projected
             return projected
-        return self._compute_project(keys)
+        return self._compute_projection(keys)
 
-    def _compute_project(self, keys: frozenset[PropKey]) -> "FactorizedRelation":
+    def _compute_projection(self, keys: frozenset[PropKey]) -> "FactorizedRelation":
         schema = schema_for(frozenset(keys))
         return FactorizedRelation(
             self.subject,

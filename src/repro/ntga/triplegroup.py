@@ -139,12 +139,12 @@ class TripleGroup:
                 object.__setattr__(self, "_projections", cache)
             projected = cache.get(keys)
             if projected is None:
-                projected = self._compute_project(keys)
+                projected = self._compute_projection(keys)
                 cache[keys] = projected
             return projected
-        return self._compute_project(keys)
+        return self._compute_projection(keys)
 
-    def _compute_project(self, keys: frozenset[PropKey]) -> "TripleGroup":
+    def _compute_projection(self, keys: frozenset[PropKey]) -> "TripleGroup":
         plain, typed = _split_prop_keys(keys)
         kept = []
         for triple in self.triples:

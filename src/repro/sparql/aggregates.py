@@ -222,19 +222,22 @@ class DistinctAccumulator(Accumulator):
     value-equal inputs (``1`` and ``1.0``, ``0.0`` and ``-0.0``) the
     canonical one is kept, and ``result`` / ``partial`` go in canonical
     order, so neither depends on the order inputs arrive or partials
-    merge -- nor, therefore, on map-task splits or shards.
+    merge -- nor, therefore, on map-task splits or shards.  Booleans
+    form classes of their own: Python's ``True == 1``, but the boolean
+    and numeric value spaces are disjoint.
     """
 
     def __init__(self, inner: Accumulator):
         self.inner = inner
-        self.seen: dict = {}  # value -> the canonical member of its class
+        self.seen: dict = {}  # (is bool, value) -> the canonical member of its class
 
     def update(self, value: object) -> None:
         # Defer feeding the inner accumulator until result() so merge
         # never double-counts; the seen members are the real state.
-        kept = self.seen.setdefault(value, value)
+        key = (isinstance(value, bool), value)
+        kept = self.seen.setdefault(key, value)
         if kept is not value and _canonical(value) < _canonical(kept):
-            self.seen[value] = value
+            self.seen[key] = value
 
     def merge(self, other: Accumulator) -> None:
         if not isinstance(other, DistinctAccumulator):

@@ -127,6 +127,13 @@ def effective_boolean_value(value: object) -> bool:
 
 
 def _compare(op: str, left: object, right: object) -> bool:
+    # Python's bool is an int, but SPARQL's boolean and numeric value
+    # spaces are disjoint: no operator compares them, and RDFterm-equal
+    # (SPARQL 1.1 §17.4.1.7) is a type error between distinct literals.
+    if isinstance(left, bool) != isinstance(right, bool) and isinstance(
+        left, (int, float)
+    ) and isinstance(right, (int, float)):
+        raise ExpressionError(f"cannot compare {left!r} and {right!r}")
     if op == "=":
         return left == right
     if op == "!=":

@@ -140,3 +140,15 @@ class TestGroupByAllDefaults:
             report = make_engine(engine).execute(to_analytical(query), product_graph)
             assert canonical_rows(report.rows) == reference_rows(query, product_graph)
             assert len(report.rows) == 1
+
+
+def test_a_star_naming_one_property_twice_pairs_every_record(product_graph):
+    """Both patterns read one VP table, which a map-only scan saw one
+    record at a time: it paired each feature only with itself."""
+    query = """
+    PREFIX ex: <http://ex.org/>
+    SELECT (COUNT(*) AS ?c) { ?p ex:feature ?f1 ; ex:feature ?f2 . }
+    """
+    for engine in ("hive-naive", "hive-mqo"):
+        report = make_engine(engine).execute(to_analytical(query), product_graph)
+        assert canonical_rows(report.rows) == reference_rows(query, product_graph)

@@ -126,8 +126,6 @@ def test_a_mutated_query_is_answered_alike_or_rejected(tiny_graphs, mutation):
     if any(isinstance(answer, ReproError) for answer in answers.values()):
         return
     for engine in PAPER_ENGINES:
-        if engine == "hive-mqo" and names_a_property_twice(text):
-            continue  # known: test_hive_mqo_answers_a_star_naming_one_property_twice
         assert answers[engine] == answers["reference"], engine
 
 
@@ -139,16 +137,12 @@ def names_a_property_twice(text: str) -> bool:
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="hive-mqo keeps one pattern per property of a composite star (ROADMAP item 5)",
-)
 def test_hive_mqo_answers_a_star_naming_one_property_twice(tiny_graphs):
     """Found by the fuzzer above.  The composite star keeps the first
     pattern of each property key, so a subquery whose star names a
-    property twice has a variable the composite rows never bind: its
-    extraction requires it and drops every row (``cntT`` 0, not 116).
-    NTGA expands each subquery's own stars and answers right."""
+    property twice had a variable the composite rows never bound: its
+    extraction required it and dropped every row (``cntT`` 0, not 116).
+    Hive's composite stars now carry every distinct pattern."""
     base = CATALOG["MG11"].sparql
     text = base.replace(
         "?g1 pm:grant_agency ?ga1 .", "?g1 pm:grant_agency ?ga1 ; pm:grant_agency ?ga2 ."

@@ -71,6 +71,15 @@ class TestDistinct:
     def test_sum_distinct(self):
         assert aggregate_values("SUM", [5, 5, 3], distinct=True) == 8
 
+    @pytest.mark.parametrize(
+        "values, count",
+        [([True, 1, 1.0], 2), ([1.0, True, 1], 2), ([False, 0, True, 1, 0.0], 4)],
+    )
+    def test_count_distinct_keeps_booleans_apart_from_numbers(self, values, count):
+        """Boolean and numeric value spaces are disjoint, though Python's
+        ``True == 1``: ``true``, ``1`` and ``1.0`` are two classes."""
+        assert aggregate_values("COUNT", values, distinct=True) == count
+
     def test_result_idempotent(self):
         accumulator = make_accumulator("COUNT", distinct=True)
         for value in ("a", "b", "a"):

@@ -160,6 +160,20 @@ class TestEvaluateFilter:
     def test_error_is_false(self):
         assert not evaluate_filter(var("missing"), {})
 
+    @pytest.mark.parametrize("op", ["=", "!=", "<", ">="])
+    @pytest.mark.parametrize("number", [1, 0, 1.0])
+    def test_a_boolean_against_a_number_is_a_type_error(self, op, number):
+        """SPARQL 1.1 has no boolean x numeric operator, and RDFterm-equal
+        (§17.4.1.7) is a type error: the FILTER is false either way."""
+        expression = BinaryExpr(op, var("b"), const(number))
+        with pytest.raises(ExpressionError):
+            evaluate(expression, {Variable("b"): Literal.from_python(True)})
+        assert not evaluate_filter(expression, {Variable("b"): Literal.from_python(True)})
+
+    def test_booleans_still_compare_with_booleans(self):
+        assert evaluate_filter(BinaryExpr("=", const(True), const(True)), {})
+        assert evaluate_filter(BinaryExpr("!=", const(True), const(False)), {})
+
 
 def test_expression_variables():
     expr = BinaryExpr("+", var("x"), FunctionExpr("STR", (var("y"),)))
