@@ -72,9 +72,9 @@ class Graph:
         del self._triples[triple]
         self._version += 1
         s, p, o = triple.subject, triple.property, triple.object
-        self._spo[s][p].pop(o, None)
-        self._pos[p][o].pop(s, None)
-        self._osp[o][s].pop(p, None)
+        _unindex(self._spo, s, p, o)
+        _unindex(self._pos, p, o, s)
+        _unindex(self._osp, o, s, p)
         return True
 
     @property
@@ -100,52 +100,63 @@ class Graph:
         """Iterate triples matching the given concrete components.
 
         ``None`` means "any".  The most selective available index is
-        chosen based on which components are bound.
+        chosen based on which components are bound (see :meth:`walk`).
         """
-        s, p, o = subject, property, object
+        for s, p, o in self.walk(subject, property, object):
+            yield Triple(s, p, o)
+
+    def walk(
+        self, s: Term | None, p: Term | None, o: Term | None
+    ) -> Iterator[tuple[Term, Term, Term]]:
+        """The index walk behind :meth:`triples`: raw ``(s, p, o)`` tuples,
+        no :class:`Triple` built.  SPO when *s* is given, else POS when *p*
+        is, else OSP when *o* is, else every triple; each in insertion order."""
         if s is not None:
             by_property = self._spo.get(s)
             if not by_property:
                 return
-            properties = (p,) if p is not None else tuple(by_property)
+            properties = (p,) if p is not None else by_property
             for prop in properties:
                 for obj in by_property.get(prop, ()):
                     if o is None or obj == o:
-                        yield Triple(s, prop, obj)
+                        yield s, prop, obj
         elif p is not None:
             by_object = self._pos.get(p)
             if not by_object:
                 return
-            objects = (o,) if o is not None else tuple(by_object)
+            objects = (o,) if o is not None else by_object
             for obj in objects:
                 for subj in by_object.get(obj, ()):
-                    yield Triple(subj, p, obj)
+                    yield subj, p, obj
         elif o is not None:
             by_subject = self._osp.get(o)
             if not by_subject:
                 return
             for subj, props in by_subject.items():
                 for prop in props:
-                    yield Triple(subj, prop, o)
+                    yield subj, prop, o
         else:
-            yield from self._triples
+            for triple in self._triples:
+                yield triple.subject, triple.property, triple.object
 
     def match(self, pattern: TriplePattern) -> Iterator[dict[Variable, Term]]:
-        """All variable bindings under which *pattern* matches the graph."""
-        lookup = [
-            component if not isinstance(component, Variable) else None
-            for component in pattern
-        ]
-        for triple in self.triples(*lookup):
-            bindings = pattern.bind(triple)
-            if bindings is not None:
+        """All variable bindings under which *pattern* matches the graph;
+        a variable repeated in *pattern* must match the same term."""
+        lookup = [None if isinstance(c, Variable) else c for c in pattern]
+        for terms in self.walk(*lookup):
+            bindings: dict[Variable, Term] = {}
+            for component, term in zip(pattern, terms):
+                if isinstance(component, Variable):
+                    if bindings.setdefault(component, term) != term:
+                        break
+            else:
                 yield bindings
 
     def subjects(self, property: Term | None = None, object: Term | None = None) -> set[Term]:
-        return {t.subject for t in self.triples(None, property, object)}
+        return {s for s, _, _ in self.walk(None, property, object)}
 
     def objects(self, subject: Term | None = None, property: Term | None = None) -> set[Term]:
-        return {t.object for t in self.triples(subject, property, None)}
+        return {o for _, _, o in self.walk(subject, property, None)}
 
     def properties(self) -> set[IRI]:
         """All distinct property IRIs in the graph."""
@@ -171,3 +182,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples)"
+
+
+def _unindex(index: dict, a: Term, b: Term, c: Term) -> None:
+    """Remove ``index[a][b][c]``, pruning the levels it leaves empty."""
+    inner = index[a]
+    del inner[b][c]
+    if not inner[b]:
+        del inner[b]
+        if not inner:
+            del index[a]

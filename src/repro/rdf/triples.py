@@ -113,33 +113,6 @@ class TriplePattern:
                 return role
         raise RDFError(f"{variable} does not occur in {self}")
 
-    def matches(self, triple: Triple) -> bool:
-        """True when *triple* matches this pattern (ignoring cross-component
-        variable consistency, which :meth:`bind` enforces)."""
-        return self.bind(triple) is not None
-
-    def bind(self, triple: Triple) -> dict[Variable, Term] | None:
-        """Match against a concrete triple, returning variable bindings.
-
-        Returns None when the triple does not match, including the case
-        where one variable would need two different values.
-        """
-        bindings: dict[Variable, Term] = {}
-        for pattern_component, triple_component in (
-            (self.subject, triple.subject),
-            (self.property, triple.property),
-            (self.object, triple.object),
-        ):
-            if isinstance(pattern_component, Variable):
-                bound = bindings.get(pattern_component)
-                if bound is None:
-                    bindings[pattern_component] = triple_component
-                elif bound != triple_component:
-                    return None
-            elif pattern_component != triple_component:
-                return None
-        return bindings
-
     def n3(self) -> str:
         return f"{self.subject.n3()} {self.property.n3()} {self.object.n3()} ."
 

@@ -3,9 +3,15 @@
 :mod:`repro.core.reference` evaluates an analytical query's grouping
 subqueries with these: basic graph pattern matching, the hash join and
 left join of solution sequences, grouping with aggregates, and the
-ORDER BY sort every engine's result modifiers share.  They favour
-clarity over performance; the engines are where the paper's
-optimizations live.
+ORDER BY sort every engine's result modifiers share.
+
+A basic graph pattern is matched as index nested-loop joins: patterns
+are taken greedily, most bound components first; each step is compiled
+once from the variables bound so far, then every row walks the graph's
+SPO, POS or OSP index (:meth:`Graph.walk`) with its bound terms and is
+extended once per match.  Rows, and the keys in each row, come out in
+the order of that walk, which follows the graph's insertion order.  The
+engines, not this module, are where the paper's optimizations live.
 """
 
 from __future__ import annotations
@@ -51,31 +57,57 @@ def _pattern_selectivity(pattern: TriplePattern, bound: set[Variable]) -> int:
     return score
 
 
-def _substitute(pattern: TriplePattern, row: Row) -> TriplePattern:
-    def resolve(component):
-        if isinstance(component, Variable):
-            return row.get(component, component)
-        return component
+def _compile_step(pattern: TriplePattern, bound: set[Variable]):
+    """Fix, once per step, where each component of *pattern* comes from
+    (every row at a step binds the same variables, *bound*).
 
-    return TriplePattern(resolve(pattern.subject), resolve(pattern.property), resolve(pattern.object))
+    The first three results are a ``(constant, variable)`` pair per
+    position: a constant is looked up as given, a bound variable is read
+    from the row, and a new variable (``(None, None)``) matches anything.
+    Then each new variable with the position it first occurs at, in
+    order, and the ``(later, first)`` positions of a new variable that
+    repeats, whose terms must be equal."""
+    lookup: list[tuple[Term | None, Variable | None]] = []
+    first: dict[Variable, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for position, component in enumerate(pattern):
+        if not isinstance(component, Variable):
+            lookup.append((component, None))
+        elif component in bound:
+            lookup.append((None, component))
+        else:
+            lookup.append((None, None))
+            if component in first:
+                repeats.append((position, first[component]))
+            else:
+                first[component] = position
+    return (*lookup, tuple(first.items()), repeats)
 
 
 def evaluate_bgp(patterns: Sequence[TriplePattern], graph: Graph) -> Rows:
-    """Match a basic graph pattern, choosing join order greedily by
-    the number of bound components."""
+    """Match a basic graph pattern as index nested-loop joins, choosing
+    the join order greedily by the number of bound components."""
     rows: Rows = [{}]
     remaining = list(patterns)
     bound: set[Variable] = set()
     while remaining:
-        remaining.sort(key=lambda p: _pattern_selectivity(p, bound), reverse=True)
+        remaining.sort(key=lambda step: _pattern_selectivity(step, bound), reverse=True)
         pattern = remaining.pop(0)
+        (s, read_s), (p, read_p), (o, read_o), new, repeats = _compile_step(pattern, bound)
         next_rows: Rows = []
         for row in rows:
-            concrete = _substitute(pattern, row)
-            for bindings in graph.match(concrete):
-                merged = dict(row)
-                merged.update(bindings)
-                next_rows.append(merged)
+            walk = graph.walk(
+                s if read_s is None else row[read_s],
+                p if read_p is None else row[read_p],
+                o if read_o is None else row[read_o],
+            )
+            for terms in walk:
+                if repeats and any(terms[i] != terms[j] for i, j in repeats):
+                    continue
+                extended = dict(row)
+                for variable, position in new:
+                    extended[variable] = terms[position]
+                next_rows.append(extended)
         rows = next_rows
         if not rows:
             return []

@@ -73,6 +73,61 @@ def test_match_repeated_variable(graph):
     assert matches == [{Variable("x"): IRI("urn:d")}]
 
 
+def test_match_repeated_variable_consistency():
+    s, p, o = IRI("urn:s"), IRI("urn:p"), IRI("urn:o")
+    pattern = TriplePattern(Variable("x"), p, Variable("x"))
+    assert list(Graph([Triple(s, p, o)]).match(pattern)) == []
+    assert list(Graph([Triple(s, p, s)]).match(pattern)) == [{Variable("x"): s}]
+
+
+def test_match_constant_mismatch(graph):
+    pattern = TriplePattern(Variable("s"), IRI("urn:zz"), Variable("o"))
+    assert list(graph.match(pattern)) == []
+    pattern = TriplePattern(IRI("urn:a"), IRI("urn:p1"), IRI("urn:c"))
+    assert list(graph.match(pattern)) == []
+
+
+def test_match_binds_in_component_order(graph):
+    pattern = TriplePattern(Variable("s"), IRI("urn:p1"), Variable("o"))
+    assert [list(b.items()) for b in graph.match(pattern)] == [
+        [(Variable("s"), IRI("urn:a")), (Variable("o"), IRI("urn:b"))],
+        [(Variable("s"), IRI("urn:b")), (Variable("o"), IRI("urn:c"))],
+    ]
+
+
+def test_match_constant_components(graph):
+    s = Variable("s")
+    assert list(graph.match(TriplePattern(s, IRI("urn:p1"), IRI("urn:b")))) == [
+        {s: IRI("urn:a")}
+    ]
+    assert list(graph.match(TriplePattern(s, IRI("urn:p1"), IRI("urn:x")))) == []
+    assert list(graph.match(TriplePattern(IRI("urn:a"), IRI("urn:p1"), IRI("urn:b")))) == [{}]
+
+
+def test_discard_prunes_emptied_index_entries():
+    graph = Graph()
+    triple = Triple(IRI("urn:s"), IRI("urn:p"), IRI("urn:o"))
+    graph.add(triple)
+    graph.discard(triple)
+    assert len(graph) == 0
+    assert graph.properties() == set()
+    assert graph.property_counts() == {}
+    assert graph.subjects() == set() and graph.objects() == set()
+
+
+def test_walk_yields_raw_components_in_index_order(graph):
+    graph.add(Triple(IRI("urn:c"), IRI("urn:p1"), IRI("urn:b")))
+    # POS: grouped by object, subjects in insertion order within each.
+    assert list(graph.walk(None, IRI("urn:p1"), None)) == [
+        (IRI("urn:a"), IRI("urn:p1"), IRI("urn:b")),
+        (IRI("urn:c"), IRI("urn:p1"), IRI("urn:b")),
+        (IRI("urn:b"), IRI("urn:p1"), IRI("urn:c")),
+    ]
+    assert list(graph.triples(None, IRI("urn:p1"), None)) == [
+        Triple(*terms) for terms in graph.walk(None, IRI("urn:p1"), None)
+    ]
+
+
 def test_subjects_objects_properties(graph):
     assert graph.subjects(IRI("urn:p1")) == {IRI("urn:a"), IRI("urn:b")}
     assert graph.objects(IRI("urn:a")) == {IRI("urn:b"), Literal("x")}

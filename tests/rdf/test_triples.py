@@ -55,24 +55,6 @@ class TestTriplePattern:
         with pytest.raises(RDFError):
             pattern.role_of(Variable("zz"))
 
-    def test_bind_success(self):
-        pattern = TriplePattern(Variable("s"), P, Variable("o"))
-        bindings = pattern.bind(Triple(S, P, O))
-        assert bindings == {Variable("s"): S, Variable("o"): O}
-
-    def test_bind_property_mismatch(self):
-        pattern = TriplePattern(Variable("s"), IRI("urn:other"), Variable("o"))
-        assert pattern.bind(Triple(S, P, O)) is None
-
-    def test_bind_repeated_variable_consistency(self):
-        pattern = TriplePattern(Variable("x"), P, Variable("x"))
-        assert pattern.bind(Triple(S, P, O)) is None
-        assert pattern.bind(Triple(S, P, S)) == {Variable("x"): S}
-
-    def test_matches(self):
-        assert TriplePattern(Variable("s"), P, O).matches(Triple(S, P, O))
-        assert not TriplePattern(Variable("s"), P, IRI("urn:x")).matches(Triple(S, P, O))
-
 
 def test_join_variables():
     tp1 = TriplePattern(Variable("a"), P, Variable("b"))

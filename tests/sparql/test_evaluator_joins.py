@@ -18,6 +18,7 @@ from repro.sparql.evaluator import (
     left_join,
     merge_rows,
 )
+from tests.sparql.test_bgp_walk import as_lists, substitute_and_bind_bgp
 
 A, B, C = Variable("a"), Variable("b"), Variable("c")
 
@@ -126,8 +127,9 @@ def test_bgp_matches_brute_force(triples, pattern_shape):
     ]
     patterns = shapes[pattern_shape]
     expected = Counter(frozenset(row.items()) for row in _brute_force_bgp(patterns, graph))
-    actual = Counter(frozenset(row.items()) for row in evaluate_bgp(patterns, graph))
-    assert actual == expected
+    actual = evaluate_bgp(patterns, graph)
+    assert Counter(frozenset(row.items()) for row in actual) == expected
+    assert as_lists(actual) == as_lists(substitute_and_bind_bgp(patterns, graph))
 
 
 def test_merge_rows_right_precedence_is_irrelevant_for_compatible():
