@@ -13,6 +13,7 @@ from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig, ExecutionReport, Row
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
+from repro.ntga.composite import CompositePlan
 from repro.ntga.factorized import (
     RowFactor,
     active_representation,
@@ -264,6 +265,7 @@ def execute_batch(
     graph: Graph,
     config: EngineConfig | None = None,
     prefix: str = "mqo",
+    composite: CompositePlan | None = None,
 ) -> BatchReport:
     """Execute several overlapping queries as one shared NTGA workflow.
 
@@ -277,12 +279,14 @@ def execute_batch(
 
     Raises :class:`~repro.errors.OverlapError` when the queries' graph
     patterns do not all overlap; callers fall back to solo execution.
+    A caller that already built the batch's composite
+    (:func:`repro.ntga.planner.batch_composite`) passes it on.
     """
     config = config or EngineConfig()
     with _driven(
         "mqo-batch",
         {"engine": "rapid-analytics", "queries": len(queries)},
-        lambda store: plan_batch(queries, store, prefix=prefix),
+        lambda store: plan_batch(queries, store, prefix=prefix, composite=composite),
         graph,
         config,
     ) as (hdfs, store, plan, stats):

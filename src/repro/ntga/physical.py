@@ -871,6 +871,20 @@ def finish_group(
     return AggRow(subquery_id, tuple(row))
 
 
+def _expand_once(expansion: JoinPlan) -> Callable[[JoinedTripleGroup], list[list]]:
+    """*expansion*'s ``expand``, remembering the last record it was
+    asked about: the subqueries sharing a layout ask in turn about the
+    same record, and the first one expands it."""
+    last: list = [None, None]
+
+    def expand(joined: JoinedTripleGroup) -> list[list]:
+        if last[0] is not joined:
+            last[0], last[1] = joined, expansion.expand(joined)
+        return last[1]
+
+    return expand
+
+
 def build_agg_join_job(
     name: str,
     plan: CompositePlan,
@@ -903,11 +917,19 @@ def build_agg_join_job(
 
     # Everything a subquery fixes is compiled here, once per job -- its
     # variables as positions in the rows its plan expands to; the mapper
-    # below only runs it.
+    # below only runs it.  Subqueries over one star layout share one
+    # plan, and a record is expanded once for all of them (a batch often
+    # groups one pattern several ways): their rows are only ever read.
     subqueries = plan.subqueries
+    expansions: dict[tuple, tuple[JoinPlan, Callable]] = {}
+    for subquery in subqueries:
+        layout = (subquery.stars, subquery.star_indices)
+        if layout not in expansions:
+            expansion = JoinPlan(*layout)
+            expansions[layout] = (expansion, _expand_once(expansion))
 
     def compile_subquery(subquery: CanonicalSubquery) -> tuple:
-        expansion = JoinPlan(subquery.stars, subquery.star_indices)
+        expansion, expand = expansions[subquery.stars, subquery.star_indices]
         # Sorted: slot numbering must not depend on set iteration order.
         mentioned = sorted(
             {v for expression in subquery.filters for v in expression_variables(expression)},
@@ -916,7 +938,7 @@ def build_agg_join_job(
         return (
             subquery.subquery_id,
             subquery.alpha.satisfied_by,
-            expansion.expand,
+            expand,
             subquery.filters,
             tuple((variable, expansion.slot(variable)) for variable in mentioned),
             tuple(expansion.slot(variable) for variable in subquery.group_by),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro import obs
-from repro.core.query_model import AnalyticalQuery
+from repro.core.query_model import AnalyticalQuery, GroupingSubquery
 from repro.errors import OverlapError
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
@@ -60,6 +60,41 @@ def finish_answer(merged: dict, extends: tuple, projection: set) -> dict:
     }
 
 
+class _SideIndex:
+    """One side of a result join: its rows in side order, indexed on the
+    variables every row binds.
+
+    A row that disagrees with a partial on one of those variables fails
+    :func:`_compatible`, so :meth:`candidates` hands out only the rows
+    that agree on the ones the partial binds -- still in side order, and
+    still to be checked on everything else.  One index per such subset,
+    built the first time a partial binds exactly it.
+    """
+
+    __slots__ = ("rows", "variables", "_bindings", "_indexes")
+
+    def __init__(self, rows: list, factorized: bool):
+        self.rows = rows
+        self._bindings = [dict(row) for row in rows] if factorized else rows
+        common = list(self._bindings[0]) if rows else []
+        for bindings in self._bindings[1:]:
+            common = [variable for variable in common if variable in bindings]
+        self.variables = tuple(common)
+        self._indexes: dict[tuple, dict[tuple, list]] = {}
+
+    def candidates(self, partial: dict) -> Sequence:
+        """The rows that can be :func:`_compatible` with *partial*."""
+        bound = tuple([v for v in self.variables if partial.get(v) is not None])
+        if not bound:
+            return self.rows
+        index = self._indexes.get(bound)
+        if index is None:
+            index = self._indexes[bound] = {}
+            for row, bindings in zip(self.rows, self._bindings):
+                index.setdefault(tuple([bindings[v] for v in bound]), []).append(row)
+        return index.get(tuple([partial[v] for v in bound]), ())
+
+
 def build_result_join(
     name: str,
     query: AnalyticalQuery,
@@ -90,7 +125,9 @@ def build_result_join(
 
     Empty-group default rows are injected into the agg files before this
     job runs (:func:`inject_default_rows`), so they flow through the
-    normal input stream.
+    normal input stream.  A side's rows are probed through a key index
+    (:class:`_SideIndex`), not scanned: the compatible rows and their
+    order are the scan's.
 
     Under ``representation="factorized"`` the job materializes
     :class:`~repro.ntga.factorized.RowFactor` records — the base row
@@ -106,13 +143,16 @@ def build_result_join(
     streamed_id = sources[0][1]
 
     def mapper_factory(side_data: dict[str, list[Any]]):
-        joined: list[list] = [
-            [
-                record.row if factorized else record.as_dict()
-                for record in side_data.get(path, ())
-                if isinstance(record, AggRow)
-                and (subquery_id is None or record.subquery_id == subquery_id)
-            ]
+        joined = [
+            _SideIndex(
+                [
+                    record.row if factorized else record.as_dict()
+                    for record in side_data.get(path, ())
+                    if isinstance(record, AggRow)
+                    and (subquery_id is None or record.subquery_id == subquery_id)
+                ],
+                factorized,
+            )
             for path, subquery_id in sources[1:]
         ]
 
@@ -124,23 +164,25 @@ def build_result_join(
             base = record.as_dict()
             if factorized:
                 parts = []
-                for rows in joined:
+                for side in joined:
                     # Prefilter against the base bindings only — a stable
                     # filter (merged bindings extend the base), so the
                     # progressive checks in RowFactor.rows() see exactly
                     # the candidates the flat loop would.
-                    part = tuple(row for row in rows if _compatible(base, row))
+                    part = tuple(
+                        row for row in side.candidates(base) if _compatible(base, row)
+                    )
                     if not part:
                         return
                     parts.append(part)
                 yield RowFactor(record.row, tuple(parts))
                 return
             partials = [base]
-            for rows in joined:
+            for side in joined:
                 partials = [
                     {**left, **right}
                     for left in partials
-                    for right in rows
+                    for right in side.candidates(left)
                     if _compatible(left, right.items())
                 ]
                 if not partials:
@@ -311,36 +353,24 @@ def _answers(
     return output, None
 
 
-def plan_batch(
-    queries: list[AnalyticalQuery],
-    store: TripleGroupStore,
-    prefix: str = "mqo",
-    fuse_aggregations: bool = True,
-) -> NTGAPlan:
-    """Compile one or more overlapping queries into one shared workflow
-    (Figure 6(b); a solo RAPIDAnalytics plan is the batch of one).
+def merge_subqueries(
+    queries: Sequence[AnalyticalQuery],
+) -> tuple[list[GroupingSubquery], list[tuple[int, ...]]]:
+    """Every query's grouping subqueries as one merged list, and each
+    query's slice of it.
 
-    Flattens every query's grouping subqueries into one merged list
-    (structurally identical subqueries from different queries collapse
-    to a single entry), rewrites the lot into one composite pattern
-    (:func:`build_composite_n` — raises :class:`OverlapError` when any
-    pattern fails to overlap the base, in which case the caller falls
-    back to solo or sequential execution), evaluates it with shared
-    α-join cycles and a single fused TG_AgJ, then n-splits (χ) per
-    requester with map-only joins over each query's slice of the merged
-    id space.
+    Structurally identical subqueries from different queries collapse to
+    a single entry (GroupingSubquery is hashable post-canonicalization):
+    each maps to the ordered list of merged slots holding a copy of it,
+    and a query that repeats a subquery claims one distinct slot per
+    repetition (the per-query ``used`` counter), so per-query
+    multiplicity is preserved.
     """
-    # Canonical-fingerprint index map: each structurally-identical
-    # subquery (GroupingSubquery is hashable post-canonicalization) maps
-    # to the ordered list of merged slots holding a copy of it.  A query
-    # that repeats a subquery claims one distinct slot per repetition
-    # (the per-query ``used`` counter), so per-query multiplicity is
-    # preserved — same semantics as the old quadratic scan, O(total).
-    merged: list[Any] = []
-    positions: dict[Any, list[int]] = {}
+    merged: list[GroupingSubquery] = []
+    positions: dict[GroupingSubquery, list[int]] = {}
     merged_ids: list[tuple[int, ...]] = []
     for query in queries:
-        used: dict[Any, int] = {}
+        used: dict[GroupingSubquery, int] = {}
         ids: list[int] = []
         for subquery in query.subqueries:
             slots = positions.setdefault(subquery, [])
@@ -354,11 +384,46 @@ def plan_batch(
             used[subquery] = taken + 1
             ids.append(index)
         merged_ids.append(tuple(ids))
+    return merged, merged_ids
 
+
+def batch_composite(queries: Sequence[AnalyticalQuery]) -> CompositePlan:
+    """The composite pattern :func:`plan_batch` evaluates for *queries*:
+    their merged subquery list (:func:`merge_subqueries`) rewritten into
+    one pattern.  Raises :class:`OverlapError` when the patterns do not
+    all overlap."""
+    return _composite_of(merge_subqueries(queries)[0])
+
+
+def _composite_of(merged: list[GroupingSubquery]) -> CompositePlan:
     if len(merged) == 1:
-        composite = single_pattern_plan(merged[0])
-    else:
-        composite = build_composite_n(merged)
+        return single_pattern_plan(merged[0])
+    return build_composite_n(merged)
+
+
+def plan_batch(
+    queries: list[AnalyticalQuery],
+    store: TripleGroupStore,
+    prefix: str = "mqo",
+    fuse_aggregations: bool = True,
+    composite: CompositePlan | None = None,
+) -> NTGAPlan:
+    """Compile one or more overlapping queries into one shared workflow
+    (Figure 6(b); a solo RAPIDAnalytics plan is the batch of one).
+
+    Flattens every query's grouping subqueries into one merged list
+    (:func:`merge_subqueries`), rewrites the lot into one composite
+    pattern (:func:`batch_composite` — raises :class:`OverlapError` when
+    any pattern fails to overlap the base, in which case the caller
+    falls back to solo or sequential execution), evaluates it with
+    shared α-join cycles and a single fused TG_AgJ, then n-splits (χ)
+    per requester with map-only joins over each query's slice of the
+    merged id space.  A caller that already holds *queries*'
+    :func:`batch_composite` passes it as *composite*.
+    """
+    merged, merged_ids = merge_subqueries(queries)
+    if composite is None:
+        composite = _composite_of(merged)
     solo = len(queries) == 1
     attrs = {"stars": len(composite.stars), "subqueries": len(composite.subqueries)}
     if not solo:

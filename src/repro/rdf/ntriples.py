@@ -33,12 +33,19 @@ _UNESCAPE_MAP = {
 _UNESCAPE_RE = re.compile(r"\\[ntr\"\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8}")
 
 
-def _unescape(text: str) -> str:
+def _unescape(text: str, line_number: int) -> str:
     def replace(match: re.Match) -> str:
         token = match.group(0)
         if token in _UNESCAPE_MAP:
             return _UNESCAPE_MAP[token]
-        return chr(int(token[2:], 16))
+        code = int(token[2:], 16)
+        # Past U+10FFFF there is no character; a surrogate is half of a
+        # UTF-16 pair, which text cannot hold alone (nor write as UTF-8).
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise NTriplesParseError(
+                f"escape {token} is not a Unicode scalar value", line_number
+            )
+        return chr(code)
 
     return _UNESCAPE_RE.sub(replace, text)
 
@@ -64,7 +71,7 @@ def _parse_term(text: str, position: int, line_number: int) -> tuple[Term, int]:
         match = _LITERAL_RE.match(text, position)
         if not match:
             raise NTriplesParseError(f"malformed literal at column {position}", line_number)
-        lexical = _unescape(match.group(1))
+        lexical = _unescape(match.group(1), line_number)
         datatype, language = match.group(2), match.group(3)
         return Literal(lexical, datatype=datatype, language=language), match.end()
     raise NTriplesParseError(f"unexpected character {head!r} at column {position}", line_number)

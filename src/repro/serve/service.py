@@ -61,7 +61,9 @@ from repro.ambient import PLANNER
 from repro.core.engines import make_engine
 from repro.core.results import EngineConfig, Row, check_supported
 from repro.errors import OverlapError, ReproError, ServeError, SparqlError
+from repro.ntga.composite import CompositePlan
 from repro.ntga.engine import execute_batch
+from repro.ntga.planner import batch_composite
 from repro.obs import metrics as obs_metrics
 from repro.obs.calibration import CalibrationMonitor
 from repro.rdf.graph import Graph
@@ -209,6 +211,9 @@ class _Unit(NamedTuple):
     not_before: float
     attempt: int = 1
     backoff_total: float = 0.0
+    #: A merged batch's composite, built by the packing trial that
+    #: formed it (:func:`~repro.ntga.planner.batch_composite`).
+    composite: CompositePlan | None = None
 
 
 class _Run(NamedTuple):
@@ -617,23 +622,25 @@ class QueryService:
         ):
             return [_Unit([group], close) for group in groups]
 
-        from repro.ntga.composite import build_composite_n
-
+        # A trial builds the composite of the merged subquery list
+        # plan_batch evaluates; the last one a batch passed is the one
+        # it runs on.
         batches: list[list[_Group]] = []
+        composites: list[CompositePlan | None] = []
         for group in groups:
-            for batch in batches:
-                subqueries = [
-                    sq for member in [*batch, group] for sq in member.fp.query.subqueries
-                ]
+            for index, batch in enumerate(batches):
                 try:
-                    if len(subqueries) > 1:
-                        build_composite_n(subqueries)
+                    composite = batch_composite(
+                        [member.fp.query for member in [*batch, group]]
+                    )
                 except OverlapError:
                     continue
                 batch.append(group)
+                composites[index] = composite
                 break
             else:
                 batches.append([group])
+                composites.append(None)
 
         for batch in batches:
             if len(batch) > 1:
@@ -648,7 +655,10 @@ class QueryService:
                         "requests": requests,
                     },
                 )
-        return [_Unit(batch, close) for batch in batches]
+        return [
+            _Unit(batch, close, composite=composite)
+            for batch, composite in zip(batches, composites)
+        ]
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -799,7 +809,10 @@ class QueryService:
         try:
             if len(unit.groups) > 1:
                 batch = execute_batch(
-                    [group.fp.query for group in unit.groups], self.graph, config
+                    [group.fp.query for group in unit.groups],
+                    self.graph,
+                    config,
+                    composite=unit.composite,
                 )
                 rows_by_group, cost = batch.rows_by_query, batch.cost_seconds
             else:

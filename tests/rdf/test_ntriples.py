@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NTriplesParseError
+from repro.errors import NTriplesParseError, ReproError
 from repro.rdf.graph import Graph
 from repro.rdf.ntriples import parse, parse_graph, parse_line, serialize
 from repro.rdf.terms import BNode, IRI, Literal
@@ -63,6 +63,58 @@ class TestParseLine:
             parse_line("<urn:s> oops", line_number=7)
         assert exc_info.value.line_number == 7
         assert "line 7" in str(exc_info.value)
+
+
+@pytest.mark.parametrize(
+    "escape", [r"\U00110000", r"\UFFFFFFFF", r"\uD800", r"\uDFFF", r"\U0000DC00"]
+)
+def test_escape_of_no_character_is_a_parse_error(escape):
+    """An escape past U+10FFFF names no character, and a lone surrogate
+    is no text one can write back as UTF-8: both are malformed input,
+    reported with the line, never a bare ValueError."""
+    document = '<http://x/a> <http://x/b> "ok" .\n<http://x/a> <http://x/b> "x%s" .\n' % escape
+    with pytest.raises(NTriplesParseError) as exc_info:
+        list(parse(document))
+    assert exc_info.value.line_number == 2
+    assert "line 2" in str(exc_info.value)
+
+
+def test_escape_at_the_edges_of_unicode_parses():
+    triple = parse_line(r'<urn:s> <urn:p> "\U0010FFFF\uD7FF\uE000" .')
+    assert triple.object.lexical == "\U0010FFFF\uD7FF\uE000"
+    assert triple.object.n3().encode("utf-8")
+
+
+_HEX = "0123456789abcdefABCDEF"
+_escapes = st.one_of(
+    st.sampled_from([r"\n", r"\t", r"\r", r'\"', r"\\", "\\", "\\x"]),
+    st.text(st.sampled_from(_HEX), min_size=4, max_size=4).map(lambda h: "\\u" + h),
+    st.text(st.sampled_from(_HEX), min_size=8, max_size=8).map(lambda h: "\\U" + h),
+)
+_lexical = st.lists(st.one_of(st.text(max_size=4), _escapes), max_size=6).map("".join)
+_tails = st.sampled_from([" .", "^^<urn:t> .", "@en .", "@ .", "^^<> .", " . x", ""])
+_lines = st.one_of(
+    st.text(),
+    st.builds(
+        lambda subject, lexical, tail: f'{subject} <urn:p> "{lexical}"{tail}',
+        st.sampled_from(["<urn:s>", "_:b1", "_:", '"s"', "<urn:s"]),
+        _lexical,
+        _tails,
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_lines)
+def test_parse_line_on_arbitrary_text(text):
+    """Whatever the line, the parser answers with a triple, with nothing
+    (blank or comment), or with a library error -- never with an
+    exception of Python's own."""
+    try:
+        result = parse_line(text, line_number=5)
+    except ReproError:
+        return
+    assert result is None or isinstance(result, Triple)
 
 
 def test_parse_multi_line_document():
