@@ -11,11 +11,11 @@ over the aggregate aliases).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import PlanningError, UnsupportedQueryError
-from repro.rdf.terms import IRI, Term, TermOrVar, Variable
+from repro.mapreduce import cost
+from repro.rdf.terms import IRI, Term, TermOrVar, Variable, cache_slot
 from repro.rdf.triples import TriplePattern
 from repro.sparql.ast import (
     AggregateExpr,
@@ -79,13 +79,24 @@ def prop_key(property: IRI, type_object: Term | None = None) -> PropKey:
     return key
 
 
-@lru_cache(maxsize=None)
-def prop_key_of(pattern: TriplePattern) -> PropKey:
-    """The :class:`PropKey` a triple pattern contributes to its star.
+_Fact = TypeVar("_Fact")
 
-    Cached: patterns are frozen value objects and the expansion operators
-    ask for the same few keys once per probed triplegroup.
-    """
+
+def _pinned(record, slot: str, derive: Callable[..., _Fact]) -> _Fact:
+    """*record*'s fact in cache slot *slot*, derived by ``derive(record)``
+    on first use and pinned to the frozen instance (DESIGN.md §7.3's memo
+    idiom); :func:`repro.perf.reference_mode` derives it on every call.
+    A derivation that raises pins nothing."""
+    if not cost.SIZE_CACHE_ENABLED:
+        return derive(record)
+    value = getattr(record, slot)
+    if value is None:
+        value = derive(record)
+        object.__setattr__(record, slot, value)
+    return value
+
+
+def _derive_prop_key(pattern: TriplePattern) -> PropKey:
     prop = pattern.prop()
     if prop is None:
         raise UnsupportedQueryError(
@@ -97,7 +108,19 @@ def prop_key_of(pattern: TriplePattern) -> PropKey:
     return prop_key(prop)
 
 
-@dataclass(frozen=True)
+def prop_key_of(pattern: TriplePattern) -> PropKey:
+    """The :class:`PropKey` a triple pattern contributes to its star,
+    pinned in the pattern's ``_key`` slot, so it lives exactly as long as
+    the pattern does.  Ungated, like the pattern's ``variables()``: an
+    interned key is vocabulary, not an estimate."""
+    key = pattern._key
+    if key is None:
+        key = _derive_prop_key(pattern)
+        object.__setattr__(pattern, "_key", key)
+    return key
+
+
+@dataclass(frozen=True, slots=True)
 class StarPattern:
     """A subject-rooted star: triple patterns sharing one subject.
 
@@ -111,6 +134,12 @@ class StarPattern:
     subject: TermOrVar
     patterns: tuple[TriplePattern, ...]
     optional_props: frozenset[PropKey] = frozenset()
+    #: Pinned derived facts (see :func:`_pinned`); ``==``, ``hash`` and
+    #: ``repr`` do not see them.
+    _props: frozenset[PropKey] | None = cache_slot()
+    _required: frozenset[PropKey] | None = cache_slot()
+    _variables: frozenset[Variable] | None = cache_slot()
+    _type_keys: frozenset[PropKey] | None = cache_slot()
 
     def __post_init__(self) -> None:
         if not self.patterns:
@@ -127,20 +156,17 @@ class StarPattern:
 
     def props(self) -> frozenset[PropKey]:
         """``props(Stp)``: the set of property keys in this star."""
-        return frozenset(prop_key_of(p) for p in self.patterns)
+        return _pinned(self, "_props", _star_props)
 
     def required_props(self) -> frozenset[PropKey]:
         """Properties a matching triplegroup must contain."""
-        return self.props() - self.optional_props
+        return _pinned(self, "_required", _star_required_props)
 
     def is_optional(self, pattern: TriplePattern) -> bool:
         return prop_key_of(pattern) in self.optional_props
 
     def variables(self) -> frozenset[Variable]:
-        result: frozenset[Variable] = frozenset()
-        for pattern in self.patterns:
-            result |= pattern.variables()
-        return result
+        return _pinned(self, "_variables", _star_variables)
 
     def pattern_for(self, key: PropKey) -> TriplePattern:
         for pattern in self.patterns:
@@ -149,10 +175,29 @@ class StarPattern:
         raise PlanningError(f"star has no triple pattern for property {key}")
 
     def type_keys(self) -> frozenset[PropKey]:
-        return frozenset(k for k in self.props() if k.type_object is not None)
+        return _pinned(self, "_type_keys", _star_type_keys)
 
     def __len__(self) -> int:
         return len(self.patterns)
+
+
+def _star_props(star: StarPattern) -> frozenset[PropKey]:
+    return frozenset(prop_key_of(p) for p in star.patterns)
+
+
+def _star_required_props(star: StarPattern) -> frozenset[PropKey]:
+    return star.props() - star.optional_props
+
+
+def _star_variables(star: StarPattern) -> frozenset[Variable]:
+    result: frozenset[Variable] = frozenset()
+    for pattern in star.patterns:
+        result |= pattern.variables()
+    return result
+
+
+def _star_type_keys(star: StarPattern) -> frozenset[PropKey]:
+    return frozenset(k for k in star.props() if k.type_object is not None)
 
 
 @dataclass(frozen=True)
@@ -177,45 +222,32 @@ class StarJoin:
         return self.right_pattern.role_of(self.variable)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GraphPattern:
     """A conjunction of star patterns with optional filters."""
 
     stars: tuple[StarPattern, ...]
     filters: tuple[Expression, ...] = ()
+    #: Pinned derived facts, as on :class:`StarPattern`.
+    _variables: frozenset[Variable] | None = cache_slot()
+    _joins: tuple[StarJoin, ...] | None = cache_slot()
+    _connected: bool | None = cache_slot()
 
     def triple_patterns(self) -> tuple[TriplePattern, ...]:
         return tuple(p for star in self.stars for p in star.patterns)
 
     def variables(self) -> frozenset[Variable]:
-        result: frozenset[Variable] = frozenset()
-        for star in self.stars:
-            result |= star.variables()
-        return result
+        return _pinned(self, "_variables", _pattern_variables)
 
     def star_joins(self) -> tuple[StarJoin, ...]:
-        """Derive the join edges between stars from shared variables.
+        """The join edges between stars, derived from shared variables.
 
         For each star pair and shared variable, one representative
         joining-triple-pattern pair is reported (the first found, in
         pattern order) — sufficient for role-equivalence checks on the
         paper's workload, where join variables appear once per star.
         """
-        joins: list[StarJoin] = []
-        for i, left in enumerate(self.stars):
-            for j in range(i + 1, len(self.stars)):
-                right = self.stars[j]
-                shared = left.variables() & right.variables()
-                for variable in sorted(shared, key=lambda v: v.name):
-                    left_tp = next(
-                        (p for p in left.patterns if variable in p.variables()), None
-                    )
-                    right_tp = next(
-                        (p for p in right.patterns if variable in p.variables()), None
-                    )
-                    if left_tp is not None and right_tp is not None:
-                        joins.append(StarJoin(i, j, variable, left_tp, right_tp))
-        return tuple(joins)
+        return _pinned(self, "_joins", _star_joins)
 
     def join_count(self) -> int:
         """Binary joins a relational plan needs: one per triple pattern
@@ -224,21 +256,52 @@ class GraphPattern:
 
     def is_connected(self) -> bool:
         """True when the stars form one connected join graph."""
-        if len(self.stars) <= 1:
-            return True
-        adjacency: dict[int, set[int]] = {i: set() for i in range(len(self.stars))}
-        for join in self.star_joins():
-            adjacency[join.left_star].add(join.right_star)
-            adjacency[join.right_star].add(join.left_star)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for neighbour in adjacency[node]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return len(seen) == len(self.stars)
+        return _pinned(self, "_connected", _is_connected)
+
+
+def _pattern_variables(pattern: GraphPattern) -> frozenset[Variable]:
+    result: frozenset[Variable] = frozenset()
+    for star in pattern.stars:
+        result |= star.variables()
+    return result
+
+
+def _star_joins(pattern: GraphPattern) -> tuple[StarJoin, ...]:
+    stars = pattern.stars
+    joins: list[StarJoin] = []
+    for i, left in enumerate(stars):
+        for j in range(i + 1, len(stars)):
+            right = stars[j]
+            shared = left.variables() & right.variables()
+            for variable in sorted(shared, key=lambda v: v.name):
+                left_tp = next(
+                    (p for p in left.patterns if variable in p.variables()), None
+                )
+                right_tp = next(
+                    (p for p in right.patterns if variable in p.variables()), None
+                )
+                if left_tp is not None and right_tp is not None:
+                    joins.append(StarJoin(i, j, variable, left_tp, right_tp))
+    return tuple(joins)
+
+
+def _is_connected(pattern: GraphPattern) -> bool:
+    count = len(pattern.stars)
+    if count <= 1:
+        return True
+    adjacency: dict[int, set[int]] = {i: set() for i in range(count)}
+    for join in pattern.star_joins():
+        adjacency[join.left_star].add(join.right_star)
+        adjacency[join.right_star].add(join.left_star)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        node = frontier.pop()
+        for neighbour in adjacency[node]:
+            if neighbour not in seen:
+                seen.add(neighbour)
+                frontier.append(neighbour)
+    return len(seen) == count
 
 
 @dataclass(frozen=True)

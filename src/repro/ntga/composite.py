@@ -24,7 +24,7 @@ from repro.core.query_model import (
 from repro.errors import OverlapError
 from repro.ntga.operators import AlphaCondition
 from repro.ntga.overlap import StarCorrespondence, find_correspondence
-from repro.rdf.terms import Term, Variable
+from repro.rdf.terms import Term, Variable, cache_slot
 from repro.rdf.triples import TriplePattern
 from repro.sparql.expressions import (
     BinaryExpr,
@@ -111,15 +111,21 @@ class CanonicalSubquery:
     having: Expression | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositePlan:
     """The full rewrite: composite stars plus per-pattern extraction info."""
 
     stars: tuple[CompositeStar, ...]
     subqueries: tuple[CanonicalSubquery, ...]
+    #: The composite graph pattern, built with the plan: the join edges
+    #: and connectivity it pins are derived once per plan.
+    _pattern: GraphPattern | None = cache_slot()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_pattern", GraphPattern(tuple(s.pattern for s in self.stars)))
 
     def composite_graph_pattern(self) -> GraphPattern:
-        return GraphPattern(tuple(cs.pattern for cs in self.stars))
+        return self._pattern
 
     def alphas(self) -> tuple[AlphaCondition, ...]:
         return tuple(sq.alpha for sq in self.subqueries)
@@ -473,16 +479,22 @@ def object_filters(
     filter over an OPTIONAL pattern's object is never pushed: dropping
     the triples it rejects leaves the variable unbound, which is a
     different answer (``!BOUND(?x)`` would then hold for every subject);
-    it stays a residual filter over the expanded rows.
+    it stays a residual filter over the expanded rows.  So does a filter
+    over a property the star names in more than one pattern: star
+    formation tests a property's triples against one variable, and
+    dropping the triples ``?a`` rejects would also take away the values
+    another pattern's ``?b`` ranges over.
     """
+    keys = [prop_key_of(pattern) for pattern in star.patterns]
     by_object_var: dict[Variable, PropKey] = {}
-    for pattern in star.patterns:
+    for pattern, key in zip(star.patterns, keys):
         if (
             isinstance(pattern.object, Variable)
             and not pattern.is_rdf_type()
-            and not star.is_optional(pattern)
+            and key not in star.optional_props
+            and keys.count(key) == 1
         ):
-            by_object_var.setdefault(pattern.object, prop_key_of(pattern))
+            by_object_var.setdefault(pattern.object, key)
     pushable: dict[PropKey, list[Expression]] = {}
     for expression in filters:
         variables = expression_variables(expression)

@@ -84,6 +84,13 @@ class TriplePattern:
     subject: TermOrVar
     property: TermOrVar
     object: TermOrVar
+    #: Pinned ``variables()`` and, written by
+    #: :func:`repro.core.query_model.prop_key_of`, the pattern's property
+    #: key.  Hidden like ``Triple``'s slots and, like its hash, pinned
+    #: outside ``reference_mode()``'s reach: this layer sits below that
+    #: switch, and no simulated counter depends on either value.
+    _variables: frozenset[Variable] | None = cache_slot()
+    _key: object = cache_slot()
 
     def __iter__(self) -> Iterator[TermOrVar]:
         yield self.subject
@@ -92,7 +99,11 @@ class TriplePattern:
 
     def variables(self) -> frozenset[Variable]:
         """``var(tp)``: the set of variables in this pattern."""
-        return frozenset(c for c in self if isinstance(c, Variable))
+        found = self._variables
+        if found is None:
+            found = frozenset(c for c in self if isinstance(c, Variable))
+            object.__setattr__(self, "_variables", found)
+        return found
 
     def prop(self) -> IRI | None:
         """The bound property IRI, or None when the property is a variable."""

@@ -119,6 +119,12 @@ def outcome(text, graph, engine):
         ),
     )
 )
+@example(
+    (
+        "G8",
+        CATALOG["G8"].sparql.replace("chem:Score ?s1 ;", "chem:Score ?s0 ; chem:Score ?s1 ;"),
+    )
+)
 def test_a_mutated_query_is_answered_alike_or_rejected(tiny_graphs, mutation):
     qid, text = mutation
     graph = tiny_graphs[CATALOG[qid].dataset]

@@ -6,10 +6,13 @@ themselves.  Keying a module-level container by plan objects instead
 would keep every served unit's plan alive for the life of the process --
 measured at +10% peak RSS on a 400-request stream.  This pins the absence
 of such a container: serving the same stream again through a fresh
-service must leave nothing behind.
+service must leave nothing behind, and neither may planning queries that
+differ only in their variable names (a table keyed by query patterns
+would hold one entry per spelling).
 """
 
 import gc
+import re
 import sys
 from types import FunctionType, ModuleType
 
@@ -34,13 +37,13 @@ from repro.serve.workload import WorkloadSpec, workload_requests
 PLAN_TYPES = (CanonicalSubquery, StarPattern, StarPlan, JoinPlan, AlphaJoinPlan)
 
 
-def _ntga_container_sizes() -> dict[str, int]:
+def _container_sizes() -> dict[str, int]:
     """Size of every module-level container (and ``lru_cache``) defined
-    under ``repro.ntga``."""
+    under ``repro.ntga`` and ``repro.core``."""
     immutable = (str, bytes, tuple, frozenset, type)
     sizes = {}
     for module_name, module in list(sys.modules.items()):
-        if module_name != "repro.ntga" and not module_name.startswith("repro.ntga."):
+        if not re.fullmatch(r"repro\.(ntga|core)(\..*)?", module_name):
             continue
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
@@ -69,7 +72,7 @@ def test_serving_a_stream_again_leaves_no_plan_behind(chem_tiny):
         responses = service.serve(requests)
         assert all(response.status == OK for response in responses)
         del service, responses
-        return _ntga_container_sizes(), _live_plan_objects()
+        return _container_sizes(), _live_plan_objects()
 
     serve_once()  # fills every value-keyed memo (schemas, layouts)
     containers_2, live_2 = serve_once()
@@ -77,6 +80,25 @@ def test_serving_a_stream_again_leaves_no_plan_behind(chem_tiny):
     assert containers_2  # the scan does see repro.ntga's containers
     assert containers_3 == containers_2
     assert live_3 == live_2
+
+
+def test_planning_renamed_queries_grows_no_container(chem_tiny):
+    """Each query pattern carries its derived facts (its property keys
+    among them) on itself, so renaming every variable leaves no entry
+    behind in a module-level table."""
+    store = load_triplegroups(chem_tiny, HDFS())
+    text = get_query("MG6").sparql
+
+    def plan_renamed(suffix: int) -> None:
+        renamed = re.sub(r"\?(\w+)", rf"?\1_{suffix}", text)
+        plan_rapid_analytics(to_analytical(renamed), store)
+
+    plan_renamed(0)  # fills every value-keyed memo (schemas, keys)
+    before = _container_sizes()
+    assert any(name.startswith("repro.core.") for name in before)
+    for suffix in range(1, 5):
+        plan_renamed(suffix)
+    assert _container_sizes() == before
 
 
 def _reachable(roots) -> list:
