@@ -10,7 +10,7 @@ Two pins:
   MG7/MG8 badly (q-error up to 46x) while cost stays calibrated — that
   is real, honest telemetry, and the golden pins it so an estimator
   change shows up as a diff, not silence.
-* ``benchmarks/golden/BENCH_PR8.json`` — per-query q-error summary for
+* ``benchmarks/golden/calibration-mg.json`` — per-query q-error summary for
   MG1-MG4 under the cost planner (``repro-calibration/v1``).
 """
 
@@ -25,7 +25,7 @@ from repro.serve import WorkloadSpec, serve_workload_with_metrics
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 METRICS_GOLDEN = GOLDEN_DIR / "metrics-chem-overlap.json"
-CALIBRATION_GOLDEN = GOLDEN_DIR / "BENCH_PR8.json"
+CALIBRATION_GOLDEN = GOLDEN_DIR / "calibration-mg.json"
 
 SPEC = WorkloadSpec.from_spec(
     "seeds=2,clients=3,mix=chem-overlap,requests=16,planner=cost"

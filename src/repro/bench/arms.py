@@ -3,9 +3,9 @@
 An *arm* is a named :class:`~repro.core.results.EngineConfig`;
 :func:`run_arms` runs every (arm, query, engine) once and returns the
 outcomes keyed by ``(arm, qid, engine)``.  The planner, shard and
-calibration A/Bs are row builders over :func:`catalog_runs`, the fault
-and chaos reports over :func:`experiment_runs` compared by
-:func:`versus_baseline`, and :func:`repro.bench.harness.run_experiment`
+calibration A/Bs are row builders over :func:`catalog_runs`, the
+fault-injection report (:mod:`repro.bench.chaos`) over
+:func:`experiment_runs`, and :func:`repro.bench.harness.run_experiment`
 is the loop's one-arm case.
 """
 
@@ -21,8 +21,6 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig, ExecutionReport, rows_digest
 from repro.datasets import generate
 from repro.errors import ReproError
-from repro.mapreduce.checkpoint import RECOVERY_COUNTERS
-from repro.mapreduce.faults import FAULT_COUNTERS
 from repro.rdf.graph import Graph
 
 #: The catalog A/Bs' default slice: Figure 8's BSBM multi-grouping
@@ -139,31 +137,3 @@ def experiment_runs(
     arms.update((name, replace(config, **fields)) for name, fields in variants.items())
     queries = [get_query(qid) for qid in exp.queries]
     return exp, run_arms(queries, exp.engines, {exp.dataset: graph}, arms)
-
-
-def _base_counters(measurement: QueryMeasurement) -> dict[str, int]:
-    # Everything the fault and checkpoint/resume layers do not own: a
-    # resumed run adds the RECOVERY_COUNTERS on top of an identical base.
-    return {
-        name: value
-        for name, value in measurement.counters.items()
-        if name not in FAULT_COUNTERS and name not in RECOVERY_COUNTERS
-    }
-
-
-def versus_baseline(run: QueryMeasurement, base: QueryMeasurement) -> dict[str, Any]:
-    """The fields a fault or chaos row shares: what *run* was, whether
-    it matches the fault-free *base* — rows digest and base counters —
-    and what it cost on top.  An aborted run matches nothing and has no
-    extra cost."""
-    done = not run.failed
-    return {
-        "qid": run.qid,
-        "engine": run.engine,
-        "rows": run.rows,
-        "failed": run.failed,
-        "rows_match_baseline": done and run.rows_digest == base.rows_digest,
-        "base_counters_match_baseline": done and _base_counters(run) == _base_counters(base),
-        "baseline_cost_seconds": repr(base.cost_seconds),
-        "extra_cost_seconds": round(run.cost_seconds - base.cost_seconds, 6) if done else None,
-    }

@@ -11,7 +11,7 @@ summarised per query — count, mean, max, and the drift verdict the
 monitor would emit.
 
 The report (``repro-calibration/v1``) is what
-``benchmarks/golden/BENCH_PR8.json`` pins.  Any estimator, enumerator,
+``benchmarks/golden/calibration-mg.json`` pins.  Any estimator, enumerator,
 or cost-model change that moves a q-error moves the golden, so the
 calibration telemetry cannot silently rot: a "better" estimator must
 regenerate the golden and show its numbers.

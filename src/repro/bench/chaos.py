@@ -1,21 +1,24 @@
-"""Chaos soak harness: ``repro bench <experiment> --chaos seeds=N,rate=p``.
+"""The fault-injection report: ``repro bench <experiment> --faults`` / ``--chaos``.
 
-Runs one paper experiment across a matrix of seeded fault plans with
-checkpointed recovery enabled, and checks the headline robustness
-contract end to end: **every resumed run completes with rows and base
-counters bit-identical to the fault-free run**, while the salvage
-accounting quantifies how much work each engine's checkpoints saved.
+Runs one paper experiment fault-free — the ``baseline`` arm of
+:mod:`repro.bench.arms` — and once under each of a list of seeded
+:class:`~repro.mapreduce.faults.FaultPlan`\\ s, with checkpointed
+recovery when a :class:`~repro.mapreduce.checkpoint.RecoveryPolicy` is
+given.  ``--faults SPEC`` is the one-plan, no-recovery case; ``--chaos
+seeds=N,rate=p`` soaks one plan per seed with recovery on.
 
 This is the paper's workflow-length argument restated as a resilience
-experiment: naive Hive's 9-13 cycle plans run bigger jobs and carry a
-bigger commit ledger, so each failure wastes more simulated work and
-each re-submission re-validates more committed state than
-RAPIDAnalytics' 3-4 cycle plans — the report's per-engine
-``lost_seconds_per_failure`` makes the gap explicit.
+experiment: naive Hive's 9-13 cycle plans expose more tasks and more
+materialized bytes to each failure than RAPIDAnalytics' 3-4 cycle plans,
+so the same plan costs them more extra seconds (``mean_extra_cost_seconds``)
+and, under recovery, more lost work per failure
+(``lost_seconds_per_failure``).  The contract checked end to end: **every
+completed run keeps the fault-free rows and base counters**, and with
+recovery on every run completes.
 
-The report (schema ``repro-chaos-soak/v1``) is fully deterministic for
-a fixed spec: seeded fault plans, simulated costs, no wall-clock.  A
-committed report doubles as a golden (:data:`KIND`, checked by
+The report (schema ``repro-chaos-soak/v2``) is fully deterministic:
+seeded fault plans, simulated costs, no wall-clock.  A committed report
+doubles as a golden (:data:`KIND`, checked by
 :func:`repro.report.check_golden`).
 """
 
@@ -23,17 +26,18 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.ambient import Field, parse_spec
-from repro.bench.arms import experiment_runs, versus_baseline
-from repro.errors import CheckpointError
-from repro.mapreduce.checkpoint import RecoveryPolicy
-from repro.mapreduce.faults import FaultPlan
+from repro.bench.arms import experiment_runs
+from repro.bench.harness import QueryMeasurement
+from repro.errors import CheckpointError, ReproError
+from repro.mapreduce.checkpoint import RECOVERY_COUNTERS, RecoveryPolicy
+from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
 from repro.report import ReportKind
 
-#: Schema tag for the chaos soak report (bump on shape changes).
-CHAOS_SCHEMA = "repro-chaos-soak/v1"
+#: Schema tag for the fault-injection report (bump on shape changes).
+CHAOS_SCHEMA = "repro-chaos-soak/v2"
 
 #: ``--chaos`` keys (DESIGN.md §7.5 has the grammar).
 _SPEC_FIELDS = {
@@ -71,7 +75,7 @@ class ChaosSpec:
             raise CheckpointError("seeds must be >= 1")
         # The plan's and the policy's own validators check everything
         # else before anything runs.
-        self.plan_for_seed(1)
+        self._plan(1)
         self.policy()
 
     @classmethod
@@ -79,7 +83,7 @@ class ChaosSpec:
         """Parse ``seeds=N,rate=p[,attempts=a][,budget=b][,straggler=s][,write=w]``."""
         return parse_spec(text, "chaos", CheckpointError, _SPEC_FIELDS, cls)
 
-    def plan_for_seed(self, seed: int) -> FaultPlan:
+    def _plan(self, seed: int) -> FaultPlan:
         return FaultPlan(
             seed=seed,
             task_failure_rate=self.rate,
@@ -88,171 +92,230 @@ class ChaosSpec:
             max_attempts=self.attempts,
         )
 
+    def plans(self) -> list[FaultPlan]:
+        return [self._plan(seed) for seed in range(1, self.seeds + 1)]
+
     def policy(self) -> RecoveryPolicy:
         return RecoveryPolicy(max_resubmissions=self.budget)
 
-    def as_dict(self) -> dict[str, Any]:
-        return asdict(self)
+
+def _base_counters(measurement: QueryMeasurement) -> dict[str, int]:
+    # Everything the fault and checkpoint/resume layers do not own: a
+    # resumed run adds the RECOVERY_COUNTERS on top of an identical base.
+    return {
+        name: value
+        for name, value in measurement.counters.items()
+        if name not in FAULT_COUNTERS and name not in RECOVERY_COUNTERS
+    }
 
 
-def _per_failure(total: float, failures: int) -> float | None:
-    return round(total / failures, 6) if failures else None
+def _row(seed: int, run: QueryMeasurement, base: QueryMeasurement) -> dict[str, Any]:
+    """One run under the plan of *seed*, against the fault-free *base*:
+    whether it matches (rows digest and base counters) and what it cost
+    on top.  An aborted run matches nothing and has no cost."""
+    done = not run.failed
+    return {
+        "qid": run.qid,
+        "engine": run.engine,
+        "seed": seed,
+        "rows": run.rows,
+        "failed": run.failed,
+        "rows_match_baseline": done and run.rows_digest == base.rows_digest,
+        "base_counters_match_baseline": done and _base_counters(run) == _base_counters(base),
+        "baseline_cost_seconds": repr(base.cost_seconds),
+        "cost_seconds": repr(run.cost_seconds) if done else None,
+        "extra_cost_seconds": round(run.cost_seconds - base.cost_seconds, 6) if done else None,
+        "cycles": run.cycles,
+        "fault_counters": {
+            name: value for name, value in run.counters.items() if name in FAULT_COUNTERS
+        },
+        "recovery": run.recovery,
+    }
+
+
+def _mean(values: list[float]) -> float | None:
+    return round(sum(values) / len(values), 6) if values else None
 
 
 def _summary(runs: list[dict[str, Any]]) -> dict[str, Any]:
-    """One engine's rows across the soak matrix, rolled up."""
-    done = [run for run in runs if run["completed"]]
-    # RecoveryStats fields, summed.
+    """One engine's rows, rolled up: both headlines, and the recovery
+    accounting behind the second."""
+    done = [run for run in runs if not run["failed"]]
+    # RecoveryStats fields, summed (empty without a recovery policy).
     totals: dict[str, float] = defaultdict(float)
     for run in done:
         for name, value in run["recovery"].items():
             totals[name] += float(value)
     failures = int(totals["resubmissions"])
     lost = totals["wasted_seconds"] + totals["overhead_seconds"]
-    at_risk = totals["salvaged_seconds"] + lost
     return {
         "runs": len(runs),
         "completed": len(done),
-        "bit_identical": all(
-            run["rows_match_baseline"] and run["base_counters_match_baseline"]
-            for run in runs
-        ),
+        # The --faults headline: recovery overhead in simulated seconds.
+        # A short workflow exposes fewer tasks and fewer materialized
+        # bytes, so the same plan costs it fewer extra seconds.
+        "mean_extra_cost_seconds": _mean([run["extra_cost_seconds"] for run in done]),
         "failures": failures,
         "jobs_skipped": int(totals["jobs_skipped"]),
-        "salvaged_bytes": int(totals["salvaged_bytes"]),
         "salvaged_seconds": round(totals["salvaged_seconds"], 6),
         "wasted_seconds": round(totals["wasted_seconds"], 6),
         "overhead_seconds": round(totals["overhead_seconds"], 6),
-        "lost_seconds": round(lost, 6),
-        # The headline comparison: how much simulated work one failure
-        # costs this engine (the aborted attempt's waste plus the
+        # The --chaos headline: how much simulated work one failure costs
+        # this engine (the aborted attempt's waste plus the
         # resubmission's checkpoint-validation overhead).  Long workflows
         # run bigger jobs and carry bigger ledgers, so hive-naive loses
-        # strictly more here than rapid-analytics.
-        "lost_seconds_per_failure": _per_failure(lost, failures),
-        "salvaged_seconds_per_failure": _per_failure(totals["salvaged_seconds"], failures),
-        # Fraction of at-risk work (salvaged + lost) the checkpoints
-        # actually saved across the matrix.
-        "salvage_ratio": round(totals["salvaged_seconds"] / at_risk, 6) if at_risk else None,
+        # more here than rapid-analytics.
+        "lost_seconds_per_failure": round(lost / failures, 6) if failures else None,
     }
 
 
 def chaos_soak_report(
     experiment: str,
-    spec: ChaosSpec,
+    plans: Sequence[FaultPlan],
+    recovery: RecoveryPolicy | None = None,
     graph=None,
 ) -> dict[str, Any]:
-    """Run *experiment* fault-free, then once per seed with recovery on.
+    """Run *experiment* fault-free, then once under each of *plans*
+    (distinct seeds), with *recovery* when given.
 
-    Every chaos run is compared against the fault-free baseline: its
-    rows (order-sensitive digest) and base counters must match exactly,
-    its salvage accounting is recorded, and per-engine totals summarize
-    how much work the checkpoints saved versus lost per failure.
+    Every run is compared against the fault-free baseline: its rows
+    (order-sensitive digest) and base counters must match exactly; its
+    cost (an exact ``repr``, null when it aborted), cycles, fault
+    counters and salvage accounting are recorded.
     """
-    seeds = range(1, spec.seeds + 1)
+    seeds = [plan.seed for plan in plans]
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ReproError(f"fault plans need distinct seeds, got {seeds}")
     variants = {
-        f"seed{seed}": {"fault_plan": spec.plan_for_seed(seed), "recovery": spec.policy()}
-        for seed in seeds
+        f"seed{plan.seed}": {"fault_plan": plan, "recovery": recovery} for plan in plans
     }
     exp, outcomes = experiment_runs(experiment, "chaos experiment", variants, graph)
-    runs: list[dict[str, Any]] = []
-    for seed in seeds:
-        for qid in exp.queries:
-            for engine in exp.engines:
-                run = outcomes[f"seed{seed}", qid, engine]
-                runs.append(
-                    {
-                        **versus_baseline(run, outcomes["baseline", qid, engine]),
-                        "seed": seed,
-                        "completed": not run.failed,
-                        "recovery": run.recovery,
-                        "chaos_cost_seconds": None
-                        if run.failed
-                        else repr(run.cost_seconds),
-                    }
-                )
-    summary = {
-        engine: _summary([run for run in runs if run["engine"] == engine])
+    runs = [
+        _row(seed, outcomes[f"seed{seed}", qid, engine], outcomes["baseline", qid, engine])
+        for seed in seeds
+        for qid in exp.queries
         for engine in exp.engines
-    }
-    naive, rapid = (
-        summary.get(engine, {}).get("lost_seconds_per_failure")
-        for engine in ("hive-naive", "rapid-analytics")
-    )
-    verdicts = {
-        "all_complete": all(run["completed"] for run in runs),
-        "all_bit_identical": all(stats["bit_identical"] for stats in summary.values()),
-        "hive_naive_loses_more_per_failure": naive > rapid
-        if naive is not None and rapid is not None
-        else None,
-    }
+    ]
     return {
         "schema": CHAOS_SCHEMA,
         "experiment": experiment,
         "dataset": exp.dataset,
         "preset": exp.preset,
-        "chaos": spec.as_dict(),
         "engines": list(exp.engines),
         "queries": list(exp.queries),
+        "fault_plans": [asdict(plan) for plan in plans],
+        "recovery": None if recovery is None else asdict(recovery),
         "runs": runs,
-        "summary": summary,
-        "verdicts": verdicts,
+        "summary": {
+            engine: _summary([run for run in runs if run["engine"] == engine])
+            for engine in exp.engines
+        },
     }
 
 
+def _seconds(value: float | str | None, signed: bool = False) -> str:
+    """A column of simulated seconds; ``-`` where there is no value."""
+    if value is None:
+        return f"{'-':>10s}"
+    return f"{float(value):+9.1f}s" if signed else f"{float(value):9.1f}s"
+
+
 def render_chaos_report(report: dict[str, Any]) -> str:
-    """Terminal view: per-engine salvage across the soak matrix."""
-    chaos = report["chaos"]
+    """Terminal view: one line per run, one per engine, then the verdicts.
+    The header shows the first plan's rates: the CLI's plans differ only
+    in seed."""
+    plans, recovery = report["fault_plans"], report["recovery"]
+    plan = plans[0]
     lines = [
         f"{report['experiment']} chaos soak "
-        f"(seeds=1..{chaos['seeds']}, rate={chaos['rate']}, "
-        f"attempts={chaos['attempts']}, budget={chaos['budget']})",
-        f"{'engine':18s} {'runs':>5s} {'fails':>6s} {'skips':>6s} "
-        f"{'salvaged':>11s} {'wasted':>10s} {'overhead':>10s} {'lost/fail':>10s}",
+        f"(seeds={','.join(str(p['seed']) for p in plans)}, "
+        f"rate={plan['task_failure_rate']}, straggler={plan['straggler_rate']}, "
+        f"write={plan['hdfs_write_failure_rate']}, attempts={plan['max_attempts']}, "
+        + (f"budget={recovery['max_resubmissions']})" if recovery else "no recovery)"),
+        f"{'seed':>4s} {'query':6s} {'engine':18s} {'baseline':>10s} {'cost':>10s} "
+        f"{'extra':>10s} {'retries':>7s} {'resubs':>6s}",
     ]
-    for engine in report["engines"]:
-        stats = report["summary"][engine]
-        per_failure = stats["lost_seconds_per_failure"]
+    for run in report["runs"]:
+        head = f"{run['seed']:4d} {run['qid']:6s} {run['engine']:18s}"
+        if run["failed"]:
+            lines.append(f"{head} {'ABORTED':>10s} {run['failed']}")
+            continue
         lines.append(
-            f"{engine:18s} {stats['runs']:5d} {stats['failures']:6d} "
-            f"{stats['jobs_skipped']:6d} {stats['salvaged_seconds']:10.1f}s "
-            f"{stats['wasted_seconds']:9.1f}s {stats['overhead_seconds']:9.1f}s "
-            + (f"{per_failure:9.1f}s" if per_failure is not None else f"{'-':>10s}")
+            f"{head} {_seconds(run['baseline_cost_seconds'])} "
+            f"{_seconds(run['cost_seconds'])} "
+            f"{_seconds(run['extra_cost_seconds'], signed=True)} "
+            f"{run['fault_counters'].get('retried_tasks', 0):7d} "
+            f"{run['recovery'].get('resubmissions', 0):6d}"
         )
-    verdicts = report["verdicts"]
     lines.append(
-        f"all runs completed: {verdicts['all_complete']}; "
-        f"rows+counters bit-identical to fault-free: "
-        f"{verdicts['all_bit_identical']}"
+        f"{'engine':18s} {'runs':>5s} {'done':>5s} {'mean extra':>10s} {'fails':>6s} "
+        f"{'skips':>6s} {'salvaged':>10s} {'wasted':>10s} {'overhead':>10s} "
+        f"{'lost/fail':>10s}"
     )
-    if verdicts["hive_naive_loses_more_per_failure"] is not None:
+    summary = report["summary"]
+    for engine in report["engines"]:
+        stats = summary[engine]
+        lines.append(
+            f"{engine:18s} {stats['runs']:5d} {stats['completed']:5d} "
+            f"{_seconds(stats['mean_extra_cost_seconds'], signed=True)} "
+            f"{stats['failures']:6d} {stats['jobs_skipped']:6d} "
+            f"{_seconds(stats['salvaged_seconds'])} {_seconds(stats['wasted_seconds'])} "
+            f"{_seconds(stats['overhead_seconds'])} "
+            f"{_seconds(stats['lost_seconds_per_failure'])}"
+        )
+    done = [run for run in report["runs"] if not run["failed"]]
+    identical = [
+        run for run in done
+        if run["rows_match_baseline"] and run["base_counters_match_baseline"]
+    ]
+    lines.append(
+        f"completed: {len(done)} of {len(report['runs'])} runs; rows+counters "
+        f"bit-identical to fault-free: {len(identical)} of {len(done)} completed"
+    )
+    naive, rapid = (
+        summary.get(engine, {}).get("lost_seconds_per_failure")
+        for engine in ("hive-naive", "rapid-analytics")
+    )
+    if naive is not None and rapid is not None:
         lines.append(
             "hive-naive loses more work per failure than rapid-analytics: "
-            f"{verdicts['hive_naive_loses_more_per_failure']}"
+            f"{naive > rapid}"
         )
     return "\n".join(lines)
 
 
 def _violations(report: dict[str, Any]) -> list[str]:
-    bad = [
-        f"seed{run['seed']}:{run['qid']}/{run['engine']}"
-        for run in report["runs"]
-        # An aborted run matches nothing.
-        if not (run["rows_match_baseline"] and run["base_counters_match_baseline"])
-    ]
-    return [f"chaos runs not bit-identical to fault-free: {bad}"] if bad else []
+    """A completed run that drifted from the fault-free run is always a
+    violation; an aborted run is one only when recovery was on (without
+    it, an abort is an outcome the report records)."""
+    drifted, aborted = [], []
+    for run in report["runs"]:
+        label = f"seed{run['seed']}:{run['qid']}/{run['engine']}"
+        if run["failed"]:
+            aborted.append(label)
+        elif not (run["rows_match_baseline"] and run["base_counters_match_baseline"]):
+            drifted.append(label)
+    problems = [f"runs drifted from the fault-free run: {drifted}"] if drifted else []
+    if aborted and report["recovery"] is not None:
+        problems.append(f"runs aborted despite recovery: {aborted}")
+    return problems
 
 
-#: A diff against a committed report catches any checkpoint/resume change
-#: that moves a salvage number, a resumed cost, or an invariant verdict.
+#: A diff against a committed report catches any fault, recovery or
+#: checkpoint/resume change that moves a counter, a cost or a salvage number.
 KIND = ReportKind(
     schema=CHAOS_SCHEMA,
     label="chaos golden",
-    head=("schema", "experiment", "dataset", "preset", "chaos", "engines", "queries"),
+    head=(
+        "schema", "experiment", "dataset", "preset", "engines", "queries",
+        "fault_plans", "recovery",
+    ),
     key=("seed", "qid", "engine"),
-    tail=("summary", "verdicts"),
+    tail=("summary",),
     rerun=lambda golden: chaos_soak_report(
-        golden["experiment"], ChaosSpec(**golden["chaos"])
+        golden["experiment"],
+        [FaultPlan(**plan) for plan in golden["fault_plans"]],
+        None if golden["recovery"] is None else RecoveryPolicy(**golden["recovery"]),
     ),
     render=render_chaos_report,
     violations=_violations,

@@ -4,7 +4,7 @@ Each row of :data:`EXPERIMENTS` declares one paper artifact — its
 slice of the workload, its synthetic dataset, its engine columns and
 its environment; :func:`run_paper_experiment` runs a row and returns an
 :class:`ExperimentResult` whose rows mirror the artifact (same queries,
-same engine columns).  The fault and chaos reports
+same engine columns).  The fault-injection report
 (:mod:`repro.bench.arms`, baseline vs variant arms of one experiment)
 and the golden capturer's per-dataset environments read the same table.
 

@@ -323,13 +323,13 @@ def _catalog_qids(text: str) -> list[str]:
 
 
 def _faults_mode(args: argparse.Namespace):
-    """``--faults seed,rate``: the experiment fault-free and under the
-    seeded plan, cost degradation per engine."""
-    from repro.bench import faults
+    """``--faults SPEC``: the chaos soak's one-plan, no-recovery case —
+    the experiment fault-free and under the seeded plan."""
+    from repro.bench import chaos
 
     paper_experiment(args.experiment, "fault experiment")
-    plan = FaultPlan.from_spec(args.faults)
-    return faults.KIND, lambda: faults.fault_resilience_report(args.experiment, plan)
+    plans = [FaultPlan.from_spec(args.faults)]
+    return chaos.KIND, lambda: chaos.chaos_soak_report(args.experiment, plans)
 
 
 def _chaos_mode(args: argparse.Namespace):
@@ -340,7 +340,9 @@ def _chaos_mode(args: argparse.Namespace):
 
     paper_experiment(args.experiment, "chaos experiment")
     spec = chaos.ChaosSpec.from_spec(args.chaos)
-    return chaos.KIND, lambda: chaos.chaos_soak_report(args.experiment, spec)
+    return chaos.KIND, lambda: chaos.chaos_soak_report(
+        args.experiment, spec.plans(), spec.policy()
+    )
 
 
 def _planner_ab_mode(args: argparse.Namespace):
@@ -760,9 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SEED,RATE",
         help="run fault-free and under a seeded fault plan "
-        "('seed,rate[,straggler_rate[,write_rate[,attempts]]]'), report cost "
-        "degradation per engine; --output/--golden write/verify the "
-        "stable JSON report",
+        "('seed,rate[,straggler_rate[,write_rate[,attempts]]]'), no "
+        "recovery: the chaos soak's one-plan case; --output/--golden "
+        "write/verify the repro-chaos-soak/v2 report",
     )
     bench.add_argument(
         "--planner-ab",
@@ -799,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with checkpointed recovery ('seeds=N,rate=p[,attempts=a]"
         "[,budget=b]'); resumed runs must be bit-identical to the "
         "fault-free run; --output/--golden write/verify the "
-        "repro-chaos-soak/v1 report",
+        "repro-chaos-soak/v2 report",
     )
     add_trace_option(bench)
     add_representation_option(bench)

@@ -8,7 +8,7 @@ row records both the *priced* costs the enumerator compared and the
 order-insensitive digest of each answer set.
 
 The report (``repro-planner-ab/v1``) is what
-``benchmarks/golden/BENCH_PR7.json`` pins: the cost planner must never
+``benchmarks/golden/planner-ab-mg.json`` pins: the cost planner must never
 pick a plan whose actual run cost exceeds the rule-based plan's, and
 the answers must be identical (as multisets — join-order variants may
 emit rows in a different order).

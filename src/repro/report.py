@@ -68,8 +68,7 @@ KIND_MODULES = {
     "repro-planner-ab/v1": "repro.plan.ab",
     "repro-shard-ab/v1": "repro.shard.ab",
     "repro-calibration/v1": "repro.bench.calibration",
-    "repro-fault-resilience/v1": "repro.bench.faults",
-    "repro-chaos-soak/v1": "repro.bench.chaos",
+    "repro-chaos-soak/v2": "repro.bench.chaos",
     "repro-serve-workload/v2": "repro.serve.workload",
     "repro-serve-resilience/v1": "repro.serve.resilience",
     "repro-golden/v1": "repro.perf.goldens",

@@ -176,7 +176,6 @@ class ServeResponse:
     #: Where the answer came from: ``result-cache`` / ``dedup`` /
     #: ``batch`` / ``solo`` (None for rejected or failed requests).
     source: str | None = None
-    plan_cached: bool = False
     #: Distinct queries merged into the unit that produced this answer.
     batch_size: int = 0
     #: Simulated cost of that unit (shared across its members).

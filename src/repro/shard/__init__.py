@@ -18,7 +18,7 @@ Queries*):
   N per-owner reduce jobs;
 * :mod:`repro.shard.ab` is the ``repro bench <qids> --shards`` A/B
   harness comparing the partitioners' cross-shard traffic
-  (``repro-shard-ab/v1``, pinned as ``BENCH_PR10.json``).
+  (``repro-shard-ab/v1``, pinned as ``shard-ab-mg-4.json``).
 
 Sharded answers are bit-identical to single-cluster runs — every
 record carries a deterministic order tag, so reassembled files

@@ -7,7 +7,7 @@ the row records each strategy's cross-shard exchange volume, its
 edge-cut statistics, and the priced workflow cost.
 
 The report (``repro-shard-ab/v1``) is what
-``benchmarks/golden/BENCH_PR10.json`` pins: every sharded run must
+``benchmarks/golden/shard-ab-mg-4.json`` pins: every sharded run must
 reproduce the unsharded answers bit-for-bit, and the min-edge-cut
 partitioner must move strictly fewer cross-shard bytes than hash
 partitioning on at least two MG-class queries.  Locality's standing is

@@ -1,13 +1,16 @@
 """Full-report transcript of the A/B producers' non-golden paths.
 
-The five committed goldens (``BENCH_PR7`` / ``PR8`` / ``PR10``,
-``faults-table3-bsbm-tiny`` and ``chaos-figure8a``) pin each producer's
-default cell.  ``ab_transcripts.json`` pins the whole report of one cell
+The five committed goldens (``planner-ab-mg``, ``calibration-mg``,
+``shard-ab-mg-4``, ``faults-table3-bsbm-tiny`` and ``chaos-figure8a``)
+pin each producer's default cell.  ``ab_transcripts.json`` pins the whole report of one cell
 per branch those defaults never reach: several datasets in one catalog
 A/B, a single-strategy shard A/B, one shard, a fault plan that aborts
 every run and a chaos soak whose budget runs out.  It was captured at
 c8906bf, the last commit before the producers became row builders over
 one baseline-vs-variant loop: the loop moved no number of any of them.
+The fault and chaos cells were re-cut when ``--faults`` became the chaos
+soak's one-plan case; ``tests/bench/test_recut_transcription.py`` maps
+them back to the bytes captured here.
 
 Each cell also asserts the branch it exists for, so the matrix cannot
 silently stop covering it.
@@ -28,7 +31,6 @@ import pytest
 
 from repro.bench.calibration import calibration_report
 from repro.bench.chaos import ChaosSpec, chaos_soak_report
-from repro.bench.faults import fault_resilience_report
 from repro.mapreduce.faults import FaultPlan
 from repro.plan.ab import planner_ab_report
 from repro.shard.ab import shard_ab_report
@@ -61,14 +63,22 @@ def _one_shard(report: Report) -> bool:
 
 
 def _every_run_aborts(report: Report) -> bool:
-    return all(run["failed"] and run["degradation"] is None for run in report["runs"]) and all(
-        stats["mean_degradation"] is None for stats in report["summary"].values()
+    return all(
+        run["failed"] and run["cost_seconds"] is None for run in report["runs"]
+    ) and all(
+        stats["completed"] == 0 and stats["mean_extra_cost_seconds"] is None
+        for stats in report["summary"].values()
     )
 
 
 def _budget_runs_out(report: Report) -> bool:
-    incomplete = [run for run in report["runs"] if not run["completed"]]
+    incomplete = [run for run in report["runs"] if run["failed"]]
     return len(report["runs"]) == 16 and len(incomplete) == 15
+
+
+def _chaos(experiment: str, text: str) -> Report:
+    spec = ChaosSpec.from_spec(text)
+    return chaos_soak_report(experiment, spec.plans(), spec.policy())
 
 
 @dataclass(frozen=True)
@@ -90,15 +100,11 @@ CELLS: dict[str, Cell] = {
     ),
     "shards MG1 1": Cell(lambda: shard_ab_report(["MG1"], 1), _one_shard),
     "faults table3-bsbm-tiny 7,0.3,0,0,1": Cell(
-        lambda: fault_resilience_report(
-            "table3-bsbm-tiny", FaultPlan.from_spec("7,0.3,0,0,1")
-        ),
+        lambda: chaos_soak_report("table3-bsbm-tiny", [FaultPlan.from_spec("7,0.3,0,0,1")]),
         _every_run_aborts,
     ),
     "chaos table3-bsbm-tiny seeds=2,rate=0.3,budget=1": Cell(
-        lambda: chaos_soak_report(
-            "table3-bsbm-tiny", ChaosSpec.from_spec("seeds=2,rate=0.3,budget=1")
-        ),
+        lambda: _chaos("table3-bsbm-tiny", "seeds=2,rate=0.3,budget=1"),
         _budget_runs_out,
     ),
 }

@@ -277,10 +277,40 @@ def test_bench_chaos_smoke(capsys, tmp_path):
     )
     assert code == 0
     assert "chaos soak" in out
-    assert "bit-identical to fault-free: True" in out
+    assert "completed: 8 of 8 runs; rows+counters bit-identical to fault-free: 8 of 8" in out
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro-chaos-soak/v1"
-    assert report["verdicts"]["all_bit_identical"] is True
+    assert report["schema"] == "repro-chaos-soak/v2"
+    assert all(
+        run["rows_match_baseline"] and run["base_counters_match_baseline"]
+        for run in report["runs"]
+    )
+
+
+def test_bench_faults_every_run_aborted_claims_nothing(capsys):
+    """Without recovery an abort is an outcome (exit 0), but the table
+    must not print an absent value as ``None`` nor call the results
+    identical: it says how many runs completed."""
+    code, out, err = run_cli(
+        capsys, "bench", "table3-bsbm-tiny", "--faults", "7,0.3,0,0,1"
+    )
+    assert code == 0 and err == ""
+    assert "None" not in out
+    assert "completed: 0 of 8 runs" in out
+    assert "bit-identical to fault-free: 0 of 0 completed" in out
+
+
+def test_bench_chaos_budget_exhausted_runs_are_aborted_not_drifted(capsys):
+    """Runs that ran out of resubmissions aborted; none drifted, and the
+    violation says so."""
+    code, out, err = run_cli(
+        capsys, "bench", "table3-bsbm-tiny", "--chaos", "seeds=2,rate=0.3,budget=1"
+    )
+    assert code == 1
+    assert "completed: 1 of 16 runs" in out
+    (violation,) = err.splitlines()
+    assert violation.startswith("INVARIANT VIOLATION: runs aborted despite recovery: [")
+    assert violation.count("seed") == 15
+    assert "drifted" not in err and "not bit-identical" not in err
 
 
 def test_bench_chaos_golden_roundtrip(capsys, tmp_path):

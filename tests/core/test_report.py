@@ -52,7 +52,13 @@ class Case:
     #: A run field to tamper with, as a path below the run.
     run_field: tuple[str, ...]
     #: A committed golden of *another* mode's schema.
-    foreign: str = "BENCH_PR7.json"
+    foreign: str = "planner-ab-mg.json"
+    #: Names a second case of one kind (another CLI line of the same schema).
+    variant: str = ""
+
+    @property
+    def id(self) -> str:
+        return f"{self.variant}-{self.producer}" if self.variant else self.producer
 
     @property
     def module(self):
@@ -63,12 +69,14 @@ class Case:
         return self.module.KIND
 
 
+_CHAOS = ChaosSpec.from_spec("seeds=1,rate=0.1")
+
 CASES = {
-    case.schema: case
+    case.id: case
     for case in (
         Case(
             "repro-planner-ab/v1", "planner_ab_report", (["MG1"],),
-            ("bench", "MG1", "--planner-ab"), ("chosen",), foreign="BENCH_PR10.json",
+            ("bench", "MG1", "--planner-ab"), ("chosen",), foreign="shard-ab-mg-4.json",
         ),
         Case(
             "repro-shard-ab/v1", "shard_ab_report", (["MG1"], 2, ("hash",)),
@@ -78,16 +86,20 @@ CASES = {
             "repro-calibration/v1", "calibration_report", (["MG1"],),
             ("bench", "MG1", "--calibration"), ("verdict",),
         ),
+        # The fault-injection kind, from both of its command lines:
+        # --chaos (one plan per seed, with recovery) and --faults (one
+        # plan, no recovery).
         Case(
-            "repro-fault-resilience/v1", "fault_resilience_report",
-            ("table3-bsbm-tiny", FaultPlan.from_spec("7,0.05")),
-            ("bench", "table3-bsbm-tiny", "--faults", "7,0.05"), ("rows",),
+            "repro-chaos-soak/v2", "chaos_soak_report",
+            ("table3-bsbm-tiny", _CHAOS.plans(), _CHAOS.policy()),
+            ("bench", "table3-bsbm-tiny", "--chaos", "seeds=1,rate=0.1"),
+            ("cost_seconds",),
         ),
         Case(
-            "repro-chaos-soak/v1", "chaos_soak_report",
-            ("table3-bsbm-tiny", ChaosSpec.from_spec("seeds=1,rate=0.1")),
-            ("bench", "table3-bsbm-tiny", "--chaos", "seeds=1,rate=0.1"),
-            ("chaos_cost_seconds",),
+            "repro-chaos-soak/v2", "chaos_soak_report",
+            ("table3-bsbm-tiny", [FaultPlan.from_spec("7,0.05")]),
+            ("bench", "table3-bsbm-tiny", "--faults", "7,0.05"), ("rows",),
+            variant="faults",
         ),
         Case(
             "repro-serve-workload/v2", "serve_workload_report",
@@ -113,27 +125,27 @@ CASES = {
     )
 }
 
-ALL = pytest.mark.parametrize("case", CASES.values(), ids=lambda c: c.producer)
+ALL = pytest.mark.parametrize("case", CASES.values(), ids=lambda c: c.id)
 MODES = pytest.mark.parametrize(
-    "case", [c for c in CASES.values() if c.argv], ids=lambda c: c.producer
+    "case", [c for c in CASES.values() if c.argv], ids=lambda c: c.id
 )
 
 
 def test_every_registered_kind_has_a_case():
-    assert set(CASES) == set(KIND_MODULES)
+    assert {case.schema for case in CASES.values()} == set(KIND_MODULES)
     for case in CASES.values():
         assert case.kind.schema == case.schema
 
 
 @functools.lru_cache(maxsize=None)
-def _produced(schema: str) -> dict[str, Any]:
-    case = CASES[schema]
+def _produced(case_id: str) -> dict[str, Any]:
+    case = CASES[case_id]
     return getattr(case.module, case.producer)(*case.args)
 
 
 def fresh_report(case: Case) -> dict[str, Any]:
-    """One real report per kind for the whole module, copied per use."""
-    return copy.deepcopy(_produced(case.schema))
+    """One real report per case for the whole module, copied per use."""
+    return copy.deepcopy(_produced(case.id))
 
 
 class Counting:
@@ -192,7 +204,7 @@ def test_tampered_run_field_is_named(case, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", [c for c in CASES.values() if c.kind.tail], ids=lambda c: c.producer
+    "case", [c for c in CASES.values() if c.kind.tail], ids=lambda c: c.id
 )
 def test_tampered_tail_field_is_named(case, tmp_path):
     report, tampered = fresh_report(case), fresh_report(case)
@@ -252,7 +264,7 @@ def test_chaos_smoke_command_line_soaks_once(monkeypatch, capsys):
     """The CI chaos smoke, with the soak stubbed by its own golden."""
     golden = GOLDENS / "chaos-figure8a.json"
     stub = stub_producer(
-        monkeypatch, CASES["repro-chaos-soak/v1"], json.loads(golden.read_text())
+        monkeypatch, CASES["chaos_soak_report"], json.loads(golden.read_text())
     )
     code, out, _ = run_cli(
         capsys, "bench", "figure8a", "--chaos", "seeds=3,rate=0.05", "--golden", golden
@@ -297,7 +309,7 @@ def test_malformed_golden_is_one_line_and_exit_2(
 def test_library_check_of_a_malformed_golden_is_a_typed_error(tmp_path):
     from repro.errors import ReproError
 
-    case = CASES["repro-planner-ab/v1"]
+    case = CASES["planner_ab_report"]
     for flavor, path in _malformed(tmp_path, case).items():
         if flavor != "foreign-kind":
             with pytest.raises(ReproError, match=path.name):
@@ -333,7 +345,7 @@ def test_trace_is_honoured_under_faults_and_leaves_the_golden_alone(tmp_path, ca
         capsys, "bench", "table3-bsbm-tiny", "--faults", "7,0.05",
         "--trace", trace, "--output", output, "--golden", golden,
     )
-    assert code == 0 and f"fault golden ok: {golden}" in out
+    assert code == 0 and f"chaos golden ok: {golden}" in out
     assert f"wrote trace {trace}" in err
     assert json.loads(trace.read_text().splitlines()[0])["schema"] == "repro-trace/v1"
     # The single writer's byte format, pinned against a committed file.

@@ -1,5 +1,5 @@
 """Planner A/B harness: rule vs cost over the MG slice, plus the
-committed ``benchmarks/golden/BENCH_PR7.json`` regression.
+committed ``benchmarks/golden/planner-ab-mg.json`` regression.
 
 The harness is the catalog-level acceptance check for the cost planner:
 bit-identical answers (as multisets) and an actual run cost that never
@@ -17,7 +17,7 @@ from repro.rdf.terms import Literal, Variable
 from repro.report import rows_digest
 
 BENCH_GOLDEN = (
-    Path(__file__).resolve().parents[2] / "benchmarks" / "golden" / "BENCH_PR7.json"
+    Path(__file__).resolve().parents[2] / "benchmarks" / "golden" / "planner-ab-mg.json"
 )
 
 
@@ -155,7 +155,7 @@ class TestBenchCLI:
 
 class TestGolden:
     def test_bench_golden_is_committed_and_current(self, report):
-        """``BENCH_PR7.json`` is exactly what the harness produces today
+        """``planner-ab-mg.json`` is exactly what the harness produces today
         — any estimator drift must come with a golden refresh."""
         golden = json.loads(BENCH_GOLDEN.read_text())
         assert golden == report
