@@ -21,6 +21,7 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig
 from repro.mapreduce.hdfs import HDFS
+from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner
 from repro.ntga.engine import run_plan
 from repro.ntga.physical import load_triplegroups
@@ -37,6 +38,19 @@ class AblationPoint:
     cost_seconds: float
 
 
+def _partials_of_one(job: MapReduceJob) -> MapReduceJob:
+    """*job* without its fold: each item is shuffled as its own partial."""
+    mapper, (zero, step) = job.mapper, job.fold
+
+    def unfolded(record):
+        for key, item in mapper(record):
+            partial = zero(item)
+            step(partial, item)
+            yield key, partial
+
+    return dataclass_replace(job, mapper=unfolded, fold=None)
+
+
 def _ablation_point(
     graph: Graph,
     query: AnalyticalQuery,
@@ -48,10 +62,7 @@ def _ablation_point(
     store = load_triplegroups(graph, hdfs)
     plan = plan_rapid_analytics(query, store, fuse_aggregations=fuse_aggregations)
     if strip_combiners:
-        plan.jobs = [
-            dataclass_replace(job, mapper=job.unfolded_mapper(), fold=None) if job.fold else job
-            for job in plan.jobs
-        ]
+        plan.jobs = [_partials_of_one(job) if job.fold else job for job in plan.jobs]
     runner = MapReduceRunner(
         hdfs, config.cluster, config.cost_model, config.fault_plan
     )

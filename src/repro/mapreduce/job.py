@@ -41,7 +41,9 @@ class MapReduceJob:
     #: Mapper-side hash aggregation, ``(zero, step)``: the mapper emits
     #: ``(key, item)`` and each map task keeps one partial per key --
     #: ``zero`` of its first item, then ``step(partial, item)`` in place
-    #: for every item in emission order -- and ships ``(key, partial)``.
+    #: for every item in emission order -- and ships ``(key, partial)``:
+    #: to the shuffle, or, in a map-only job (which must then declare
+    #: ``emits_pairs``), as its output records.
     fold: Fold | None = None
     side_inputs: tuple[str, ...] = ()
     output_compressed: bool = False
@@ -105,8 +107,9 @@ class MapReduceJob:
             raise MapReduceError(
                 f"job {self.name!r} declares side inputs but no mapper_factory"
             )
-        if self.fold is not None and self.reducer is None:
-            raise MapReduceError(f"map-only job {self.name!r} cannot have a fold")
+        if self.fold is not None and self.reducer is None and not self.emits_pairs:
+            # Like pair-shaped output: a forgotten reducer, unless declared.
+            raise MapReduceError(f"map-only job {self.name!r} folds but emits_pairs is unset")
         if not self.inputs:
             raise MapReduceError(f"job {self.name!r} needs at least one input")
 
@@ -119,27 +122,6 @@ class MapReduceJob:
             return self.mapper
         assert self.mapper_factory is not None
         return self.mapper_factory(side_data)
-
-    def unfolded_mapper(self) -> Mapper:
-        """The mapper as it runs where nothing folds (the sharded
-        driver's partial jobs, the combiner ablation): each emitted item
-        becomes its partial of one, ``step(zero(item), item)`` -- the
-        value a folded task's partial starts from."""
-        mapper = self.mapper
-        assert mapper is not None
-        if self.fold is None:
-            return mapper
-        zero, step = self.fold
-
-        def unfolded(record: Any) -> list[tuple[Any, Any]]:
-            pairs = []
-            for key, item in mapper(record):
-                partial = zero(item)
-                step(partial, item)
-                pairs.append((key, partial))
-            return pairs
-
-        return unfolded
 
 
 @dataclass

@@ -5,8 +5,9 @@ The runner faithfully models the dataflow of one Hadoop cycle:
 1. the inputs are divided into splits (one map task per block);
 2. each map task runs the mapper over its records;
 3. with a fold, each map task aggregates its own output in place, one
-   partial per key, before anything is shuffled — this is exactly the
-   mapper-side hash aggregation the paper's TG_AgJ operator relies on;
+   partial per key, before anything is shuffled (or, in a map-only job,
+   written) — this is exactly the mapper-side hash aggregation the
+   paper's TG_AgJ operator relies on;
 4. map output is shuffled (grouped by key across all tasks) and the
    reducer runs per key;
 5. the reduce (or map, for map-only jobs) output is materialized to
@@ -216,9 +217,14 @@ class _JobInputs(NamedTuple):
 
 
 def _map_only(job: MapReduceJob, inputs: _JobInputs, counters: Counters) -> list[Any]:
-    """The map stage of a map-only job: mapper output is the job output."""
+    """The map stage of a map-only job: mapper output is the job output
+    (with a fold, each map task's ``(key, partial)`` pairs)."""
     mapper = inputs.mapper
     output_records: list[Any] = []
+    if job.fold is not None:
+        for chunk in _chunk(inputs.records, inputs.map_tasks):
+            output_records.extend(_fold_task(job, mapper, chunk, counters).items())
+        return output_records
     for record in inputs.records:
         output_records.extend(mapper(record))
     # A map-only mapper whose every output record is a 2-tuple
@@ -240,12 +246,39 @@ def _map_only(job: MapReduceJob, inputs: _JobInputs, counters: Counters) -> list
     return output_records
 
 
+def _fold_task(
+    job: MapReduceJob, mapper: Mapper, chunk: Sequence[Any], counters: Counters
+) -> dict[Any, Any]:
+    """One map task's hash aggregation (``MapReduceJob.fold``): one
+    partial per key, keyed in first-emission order."""
+    assert job.fold is not None
+    zero, step = job.fold
+    partials: dict[Any, Any] = {}
+    emitted = 0
+    for record in chunk:
+        for pair in mapper(record):
+            try:
+                key, item = pair
+            except (TypeError, ValueError):
+                raise MapReduceError(
+                    f"job {job.name!r}: mapper of a folded job must emit (key, value) pairs"
+                ) from None
+            emitted += 1
+            partial = partials.get(key)
+            if partial is None:
+                partial = partials[key] = zero(item)
+            step(partial, item)
+    counters.increment("map_output_records", emitted)
+    counters.increment("combine_input_records", emitted)
+    counters.increment("combine_output_records", len(partials))
+    return partials
+
+
 def _map_combine(
     job: MapReduceJob, inputs: _JobInputs, counters: Counters
 ) -> list[tuple[Any, Any]]:
     """The map stage of a full job, one task (input chunk) at a time;
-    with a fold, each task folds its emissions into one partial per key
-    and ships those in shuffle-key order."""
+    with a fold, each task ships its partials in shuffle-key order."""
     mapper = inputs.mapper
     shuffle_pairs: list[tuple[Any, Any]] = []
     for chunk in _chunk(inputs.records, inputs.map_tasks):
@@ -255,26 +288,7 @@ def _map_combine(
                 shuffle_pairs.extend(mapper(record))
             counters.increment("map_output_records", len(shuffle_pairs) - emitted)
             continue
-        zero, step = job.fold
-        partials: dict[Any, Any] = {}
-        emitted = 0
-        for record in chunk:
-            for pair in mapper(record):
-                try:
-                    key, item = pair
-                except (TypeError, ValueError):
-                    raise MapReduceError(
-                        f"job {job.name!r}: mapper of a full MR job must "
-                        f"emit (key, value) pairs"
-                    ) from None
-                emitted += 1
-                partial = partials.get(key)
-                if partial is None:
-                    partial = partials[key] = zero(item)
-                step(partial, item)
-        counters.increment("map_output_records", emitted)
-        counters.increment("combine_input_records", emitted)
-        counters.increment("combine_output_records", len(partials))
+        partials = _fold_task(job, mapper, chunk, counters)
         shuffle_pairs.extend([(key, partials[key]) for key in sorted(partials, key=_sort_key)])
     return shuffle_pairs
 

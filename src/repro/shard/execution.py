@@ -7,9 +7,10 @@ partial-evaluation-and-assembly model:
 
 * a **full** logical job (TG_AlphaJoin, TG_AgJ) becomes N map-only
   *partial* jobs — each shard runs the logical mapper over its local
-  part of every input — then a driver-side **exchange** routes the
-  tagged ``(key, value)`` emissions to the shard that owns each key
-  (graph subjects stay with their partition; other keys route by
+  part of every input, and a folded job folds each of its map tasks
+  exactly as the single cluster does — then a driver-side **exchange**
+  routes the tagged ``(key, value)`` pairs to the shard that owns each
+  key (graph subjects stay with their partition; other keys route by
   stable hash), then N per-owner *assemble* jobs run the logical
   reducer over exactly the key range they own;
 * a **map-only** logical job (TG_Join) broadcasts its gathered side
@@ -23,11 +24,10 @@ file or emission sequence.  Merging any logical file's parts by tag
 reproduces the single-cluster record sequence exactly, and the
 per-owner reducer sorts its value list by tag, so value-order-
 sensitive reducers (the α-join cross product) see precisely the
-unsharded value order.  Partial jobs ship *raw* mapper emissions — no
-fold; a folded job's item travels as its partial of one
-(:meth:`~repro.mapreduce.job.MapReduceJob.unfolded_mapper`) — which
-makes the reconstruction provable for every reducer, not just
-commutative aggregation.
+unsharded value order.  A folded job's partial (one per key and map
+task, as the paper's mappers ship) is tagged with its first emission;
+aggregate merges are exact and split-free, so the merged state is the
+unsharded one.
 
 **Pricing.**  Bytes whose producing shard differs from their owner are
 cross-shard traffic: the assemble job carries them as
@@ -38,12 +38,12 @@ group credits ``sum(costs) - max(costs)`` back as overlap (shards run
 concurrently; only the slowest is on the critical path).
 
 **Accounting.**  Every simulated byte is what ``estimate_size`` of the
-decoded record says, but the driver sizes each emission once, where it
-wraps it: the envelope carries its part-file size and its weight in the
-assemble job's shuffle, the exchange sums the latter into the job's
-``shuffle_bytes_hint``, and the store's parts are a cached layout of
-``(graph.version, strategy, shards)`` written with ``raw_hint``.  With
-the caches off (``reference_mode()``) everything is recomputed.
+decoded record says, but each shipped value is sized once: its envelope
+pins that size and its tag's, and the exchange derives from the pins
+the part-file bytes and the assemble job's ``shuffle_bytes_hint``.  The
+store's parts are a cached layout of ``(graph.version, strategy,
+shards)`` written with ``raw_hint``.  With the caches off
+(``reference_mode()``) everything is recomputed.
 
 **Recovery.**  A sharded run is one submission to
 :meth:`~repro.mapreduce.runner.MapReduceRunner.run_workflow`'s retry
@@ -56,7 +56,7 @@ committed jobs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any
+from typing import Any, Iterable
 
 from repro import ambient, obs
 from repro.core.results import EngineConfig
@@ -87,32 +87,30 @@ class ShardRecord:
     Tags are tuples built so that sorting a logical file's records by
     tag across all parts reproduces the unsharded file's record order:
     EC loads tag by position, partial maps tag by ``(input slot,
-    producer tag, emission index)``, assemble reducers tag by
+    producer tag, emission index)`` (a folded partial, by that of its
+    first contributing emission), assemble reducers tag by
     ``(0, shuffle sort key, emission index)`` (matching the runner's
     sorted-key reduce order), and injected default rows tag ``(1, ...)``
     so they sort after every reduced record — the unsharded
     append-at-end.
     """
 
-    __slots__ = ("order", "payload", "_size", "_wire", "_order_size")
+    __slots__ = ("order", "payload", "_size", "_order_size")
 
     def __init__(
         self,
         order: tuple,
         payload: Any,
         size: int | None = None,
-        wire: int | None = None,
+        order_size: int | None = None,
     ):
         self.order = order
         self.payload = payload
         #: File-size pin: ``estimate_size(payload) + _ENVELOPE_OVERHEAD``
         #: (hidden from repr and equality like the term caches).
         self._size = size
-        #: Wire-size pin of a partial ``(key, value)`` emission: what the
-        #: pair weighs in its assemble job's shuffle, where it travels as
-        #: ``(key, (order, value))``.  ``None`` off the exchange path.
-        self._wire = wire
-        self._order_size: int | None = None
+        #: Order-tag size pin: ``estimate_size(order)``.
+        self._order_size = order_size
 
     def __repr__(self) -> str:
         return f"ShardRecord(order={self.order!r}, payload={self.payload!r})"
@@ -128,9 +126,10 @@ class ShardRecord:
         like :class:`~repro.ntga.physical.AggRow`: the same envelope is
         sized for its partial-output write, the exchange's cross-shard
         tally and its exchange-file write.  The pin is sound because an
-        envelope's payload is never mutated once wrapped -- exchange
-        records must already survive a re-submission unchanged, which is
-        why TG_AgJ's reducer merges accumulator state into a copy.
+        envelope's payload is never mutated once sized -- a partial job's
+        fold steps a partial only before the job writes it, and exchange
+        records must survive a re-submission unchanged, which is why
+        TG_AgJ's reducer merges accumulator state into a copy.
         """
         if not cost.SIZE_CACHE_ENABLED:
             return cost.estimate_size(self.payload) + _ENVELOPE_OVERHEAD
@@ -140,9 +139,9 @@ class ShardRecord:
         return size
 
     def order_size(self) -> int:
-        """The order tag's size, pinned for the partial mapper that tags
-        each of this record's emissions with it (a store part's is read
-        by every query)."""
+        """The order tag's size, pinned: a store part's is read by every
+        query's partial mapper, which pins each emission's tag size from
+        it."""
         size = self._order_size
         if size is None or not cost.SIZE_CACHE_ENABLED:
             size = self._order_size = cost.estimate_size(self.order)
@@ -163,7 +162,7 @@ def _part(path: str, shard: int) -> str:
 
 
 def _partial_out(path: str, shard: int) -> str:
-    """Raw mapper emissions of shard *shard* for the job writing *path*."""
+    """Partial-job output of shard *shard* for the job writing *path*."""
     return f"{path}@m{shard}"
 
 
@@ -292,7 +291,8 @@ class ShardedExecutor:
 
     def _partial_jobs(self, job: MapReduceJob) -> list[MapReduceJob]:
         """N map-only jobs running the logical mapper over local parts,
-        shipping raw tagged emissions (no fold — see module doc)."""
+        shipping ``(key, envelope)`` pairs: one per emission, or with a
+        fold one partial per key and map task (folded by the runner)."""
         # Part path -> logical input slot, for every shard's parts: built
         # once per job, so no record re-parses its path (and a logical
         # path that itself contains "@s" cannot be mis-slotted).
@@ -301,33 +301,39 @@ class ShardedExecutor:
             for slot, path in enumerate(job.inputs)
             for shard in range(self.shards)
         }
-        logical_mapper = job.unfolded_mapper()
-        estimate_total_size = cost.estimate_total_size
+        logical_mapper = job.mapper
+        fold = None
+        # An envelope's tag (slot, producer, index) weighs 8 + 8 +
+        # |producer| + 8, with |producer| pinned on the producer.
+        if job.fold is None:
 
-        def partial_mapper(tagged: tuple[str, ShardRecord]) -> list[ShardRecord]:
-            # Each emission is sized here, once, for both of its trips:
-            # into a part file (the pair plus the envelope charge) and
-            # through its assemble job's shuffle as (key, (order, value)).
-            path, record = tagged
-            slot = slot_of[path]
-            producer = record.order
-            # The tuples around key and value on the wire: 8 for
-            # (order, value), and for the order tag (slot, producer,
-            # index) 8 + 8 + |producer| + 8.
-            framing = 32 + record.order_size()
-            wrapped = []
-            for index, emission in enumerate(logical_mapper(record.payload)):
-                # |key| + |value|: the sizes of the pair's two items.
-                pair = estimate_total_size(emission)
-                wrapped.append(
-                    ShardRecord(
-                        (slot, producer, index),
-                        emission,
-                        8 + pair + _ENVELOPE_OVERHEAD,
-                        pair + framing,
-                    )
-                )
-            return wrapped
+            def partial_mapper(tagged: tuple[str, ShardRecord]) -> list[tuple[Any, ShardRecord]]:
+                path, record = tagged
+                slot, producer = slot_of[path], record.order
+                tag_size = 24 + record.order_size()
+                return [
+                    (key, ShardRecord((slot, producer, index), value, None, tag_size))
+                    for index, (key, value) in enumerate(logical_mapper(record.payload))
+                ]
+
+        else:
+            zero, step = job.fold
+
+            def partial_mapper(tagged: tuple[str, ShardRecord]) -> Iterable[tuple[Any, tuple]]:
+                # Each item carries its tag's makings, for its key's first.
+                path, record = tagged
+                origin = (slot_of[path], record.order, 24 + record.order_size())
+                for index, (key, item) in enumerate(logical_mapper(record.payload)):
+                    yield key, (origin, index, item)
+
+            def partial_zero(tagged: tuple) -> ShardRecord:
+                (slot, producer, tag_size), index, item = tagged
+                return ShardRecord((slot, producer, index), zero(item), None, tag_size)
+
+            def partial_step(partial: ShardRecord, tagged: tuple) -> None:
+                step(partial.payload, tagged[2])
+
+            fold = (partial_zero, partial_step)
 
         return [
             MapReduceJob(
@@ -335,7 +341,9 @@ class ShardedExecutor:
                 inputs=tuple(_part(path, shard) for path in job.inputs),
                 output=_partial_out(job.output, shard),
                 mapper=partial_mapper,
+                fold=fold,
                 tag_inputs=True,
+                emits_pairs=True,
                 labels=job.labels + (f"shard:{shard}", "partial"),
                 representation=job.representation,
                 cluster=self.cluster,
@@ -345,37 +353,48 @@ class ShardedExecutor:
         ]
 
     def _exchange(self, job: MapReduceJob) -> tuple[list[int], list[int]]:
-        """Route every partial emission to its key's owner shard.
+        """Route every partial pair to its key's owner shard.
 
         Writes one exchange file per owner (sorted by order tag, so the
         file bytes are a pure function of the partial outputs — stable
         checkpoint fingerprints across re-submissions) and returns, per
         owner, the *cross-shard* byte volume (the priced communication)
-        and the volume its assemble job will shuffle: the sum of the
-        wire sizes pinned at the wrap.
+        and the volume its assemble job will shuffle.
         """
         owner_for_key = self.partition.owner_for_key
-        # Many emissions share a key (every solution of one group): each
-        # distinct key is routed -- for non-subjects, hashed -- once.
-        owners: dict[Any, int] = {}
-        per_owner: list[list[ShardRecord]] = [[] for _ in range(self.shards)]
+        estimate_size = cost.estimate_size
+        # Many pairs share a key (every partial of one group): each
+        # distinct key is routed -- for non-subjects, hashed -- and sized once.
+        routes: dict[Any, tuple[int, int]] = {}
+        per_owner: list[list[tuple[Any, ShardRecord]]] = [[] for _ in range(self.shards)]
         inbound_cross = [0] * self.shards
         shuffle_bytes = [0] * self.shards
+        stored_bytes = [0] * self.shards
         cross_records = 0
         for shard in range(self.shards):
-            for record in self.hdfs.read(_partial_out(job.output, shard)).records:
-                key = record.payload[0]
-                owner = owners.get(key)
-                if owner is None:
-                    owner = owners[key] = owner_for_key(key)
-                per_owner[owner].append(record)
-                shuffle_bytes[owner] += record._wire
+            for pair in self.hdfs.read(_partial_out(job.output, shard)).records:
+                key, record = pair
+                route = routes.get(key)
+                if route is None:
+                    route = routes[key] = (owner_for_key(key), estimate_size(key))
+                owner, key_size = route
+                per_owner[owner].append(pair)
+                # Stored as the pair (key, envelope); shuffled by the
+                # assemble job as (key, (order, value)).
+                size = record.estimated_size()
+                stored = 8 + key_size + size
+                stored_bytes[owner] += stored
+                shuffle_bytes[owner] += (
+                    key_size + 8 + record.order_size() + size - _ENVELOPE_OVERHEAD
+                )
                 if owner != shard:
-                    inbound_cross[owner] += record.estimated_size()
+                    inbound_cross[owner] += stored
                     cross_records += 1
         for shard in range(self.shards):
-            per_owner[shard].sort(key=lambda record: record.order)
-            self.hdfs.write(_exchange_file(job.output, shard), per_owner[shard])
+            per_owner[shard].sort(key=lambda pair: pair[1].order)
+            self.hdfs.write(
+                _exchange_file(job.output, shard), per_owner[shard], raw_hint=stored_bytes[shard]
+            )
         if ambient.tracer is not None:
             obs.event(
                 "shard-exchange",
@@ -400,14 +419,15 @@ class ShardedExecutor:
         assert logical_reducer is not None
 
         def assemble_mapper(
-            record: ShardRecord,
+            pair: tuple[Any, ShardRecord],
         ) -> tuple[tuple[Any, tuple[tuple, Any]]]:
-            key, value = record.payload
-            return ((key, (record.order, value)),)
+            key, record = pair
+            return ((key, (record.order, record.payload)),)
 
         def assemble_reducer(key: Any, tagged: list) -> list[ShardRecord]:
-            # Tag order across shards is the unsharded emission order,
-            # so the reducer sees exactly the single-cluster value list.
+            # Tag order across shards is the unsharded emission order: an
+            # unfolded job's reducer sees exactly the single-cluster value
+            # list, a folded one merges its partials in that order.
             tagged = sorted(tagged, key=lambda item: item[0])
             # The values are the stored exchange records' own payloads, and
             # those must survive a re-submission un-mutated: logical
@@ -449,27 +469,24 @@ class ShardedExecutor:
             )
         stream = job.inputs[0]
 
-        def make_factory(shard: int):
-            def factory(side_data: dict[str, list[Any]]):
-                logical_mapper = job.resolve_mapper(side_data)
+        def factory(side_data: dict[str, list[Any]]):
+            logical_mapper = job.resolve_mapper(side_data)
 
-                def partial_mapper(record: ShardRecord) -> list[ShardRecord]:
-                    order = record.order
-                    return [
-                        ShardRecord((order, index), emission)
-                        for index, emission in enumerate(logical_mapper(record.payload))
-                    ]
+            def partial_mapper(record: ShardRecord) -> list[ShardRecord]:
+                order = record.order
+                return [
+                    ShardRecord((order, index), emission)
+                    for index, emission in enumerate(logical_mapper(record.payload))
+                ]
 
-                return partial_mapper
-
-            return factory
+            return partial_mapper
 
         return [
             MapReduceJob(
                 name=f"{job.name}@s{shard}",
                 inputs=(_part(stream, shard),),
                 output=_part(job.output, shard),
-                mapper_factory=make_factory(shard),
+                mapper_factory=factory,
                 side_inputs=job.side_inputs,
                 labels=job.labels + (f"shard:{shard}", "partial"),
                 representation=job.representation,

@@ -168,22 +168,32 @@ class AvgAccumulator(SumAccumulator):
 
 @dataclass
 class _Extremum(Accumulator):
+    """MIN / MAX of the input multiset, whatever its order or split: of
+    value-equal extremes (``1`` and ``1.0``) the canonical one is kept,
+    as DISTINCT keeps it, and a NaN input makes the result NaN."""
+
     is_min: bool
 
     def __post_init__(self) -> None:
         self.best: object = UNBOUND
 
     def update(self, value: object) -> None:
-        if self.best is UNBOUND:
+        best = self.best
+        if best is UNBOUND:
             self.best = value
             return
         try:
-            smaller = value < self.best  # type: ignore[operator]
+            wins = value < best if self.is_min else best < value  # type: ignore[operator]
         except TypeError as exc:
             raise SparqlEvaluationError(
-                f"cannot compare {value!r} with {self.best!r} in MIN/MAX"
+                f"cannot compare {value!r} with {best!r} in MIN/MAX"
             ) from exc
-        if smaller == self.is_min:
+        if wins:
+            self.best = value
+        elif value == best:
+            if value is not best and _canonical(value) < _canonical(best):
+                self.best = value
+        elif value != value:  # NaN: unordered, and it absorbs
             self.best = value
 
     def merge(self, other: Accumulator) -> None:

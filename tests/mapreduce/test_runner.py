@@ -287,12 +287,6 @@ class TestCombiner:
         with pytest.raises(MapReduceError, match="bad-fold"):
             make_runner(hdfs).run_job(job)
 
-    def test_unfolded_mapper_emits_partials_of_one(self):
-        job = wordcount_job(fold=True)
-        assert job.unfolded_mapper()("a") == [("a", [1])]
-        plain = wordcount_job(fold=False)
-        assert plain.unfolded_mapper() is plain.mapper
-
 
 class TestWorkflow:
     def test_chained_jobs(self):

@@ -5,8 +5,10 @@ the runner keeps one accumulator tuple per group and map task and steps
 it with every row in emission order.  Before the fold, every solution
 became an accumulator tuple of its own and a combiner merged a task's
 tuples into the first -- the same values, merged in the same order.
+A sharded TG_AgJ's partial jobs fold their map tasks the same way.
 """
 
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -18,13 +20,16 @@ from repro.bench.catalog import CATALOG
 from repro.core.query_model import parse_analytical
 from repro.core.results import EngineConfig
 from repro.datasets import bsbm
+from repro.mapreduce.cost import estimate_size
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runner import _chunk, _JobInputs, _map_combine, _sort_key
+from repro.mapreduce.runner import MapReduceRunner, _chunk, _JobInputs, _map_combine, _sort_key
 from repro.ntga.physical import load_triplegroups
 from repro.ntga.planner import plan_rapid_analytics
 from repro.rdf.terms import XSD_DOUBLE, Literal
+from repro.shard.execution import ShardedExecutor, _exchange_file, _partial_out
+from repro.shard.partition import PARTITIONERS
 from repro.sparql.aggregates import AccumulatorTuple, accumulator_factory
 from repro.sparql.expressions import term_value
 
@@ -169,20 +174,67 @@ def test_one_accumulator_tuple_per_group_and_map_task(bsbm_graph):
     assert combined < emitted
 
 
-def test_a_sharded_run_still_ships_one_partial_per_emission(bsbm_graph):
-    unsharded = [run_query(CATALOG[qid].sparql, bsbm_graph) for qid in QIDS]
-    emitted = sum(report.stats.counters["combine_input_records"] for report in unsharded)
+def run_sharded(graph, qid, config):
+    """Run *qid* through the sharded driver; its HDFS, TG_AgJ job and stats."""
+    hdfs = HDFS()
+    store = load_triplegroups(graph, hdfs)
+    plan = plan_rapid_analytics(parse_analytical(CATALOG[qid].sparql), store)
+    stats = ShardedExecutor(MapReduceRunner(hdfs), store, graph, config).run(plan.jobs)
+    (agg_join,) = [job for job in plan.jobs if "TG_AgJ" in job.labels]
+    return hdfs, agg_join, stats
 
-    def run():
-        config = EngineConfig(shards=2)
-        return [run_query(CATALOG[qid].sparql, bsbm_graph, config=config) for qid in QIDS]
 
-    reports, built = count_accumulator_tuples(run)
-    shipped = sum(
-        job.output_records
-        for report in reports
-        for job in report.stats.jobs
-        if "TG_AgJ" in job.labels and "partial" in job.labels
-    )
-    assert built == shipped == emitted
-    assert [r.rows for r in reports] == [r.rows for r in unsharded]
+def test_a_sharded_partial_job_ships_at_most_one_partial_per_key_and_map_task(bsbm_graph):
+    """Each shard's TG_AgJ partial job folds its map tasks as the single
+    cluster does: every accumulator tuple it builds is shipped, and no
+    key is shipped more often than the job has map tasks."""
+    shipped_total = emitted_total = 0
+    for qid in QIDS:
+        (hdfs, agg_join, stats), built = count_accumulator_tuples(
+            lambda: run_sharded(bsbm_graph, qid, EngineConfig(shards=2))
+        )
+        jobs = {job.name: job for job in stats.jobs}
+        shipped = 0
+        for shard in range(2):
+            pairs = hdfs.read(_partial_out(agg_join.output, shard)).records
+            job = jobs[f"{agg_join.name}@s{shard}"]
+            assert job.output_records == len(pairs)
+            per_key = Counter(key for key, _ in pairs)
+            assert max(per_key.values(), default=0) <= job.map_tasks, qid
+            shipped += len(pairs)
+        emitted = stats.counters["combine_input_records"]
+        assert built == shipped <= emitted, qid
+        shipped_total += shipped
+        emitted_total += emitted
+    assert shipped_total < emitted_total
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_the_sharded_assemble_shuffle_is_at_most_n_unsharded_folds(bsbm_graph, shards):
+    """What a sharded TG_AgJ's assemble jobs shuffle -- each partial's
+    key and accumulators -- is at most N times what the unsharded folded
+    job shuffles: each of the N shards ships at most one partial per key
+    and map task.  (Each pair also carries its order tag; that framing
+    is accounted in the same shuffle, and checked to be all the rest.)"""
+    for qid in QIDS:
+        unsharded = run_query(CATALOG[qid].sparql, bsbm_graph)
+        (folded,) = [job for job in unsharded.stats.jobs if "TG_AgJ" in job.labels]
+        for partitioner in PARTITIONERS:
+            config = EngineConfig(shards=shards, partitioner=partitioner)
+            hdfs, agg_join, stats = run_sharded(bsbm_graph, qid, config)
+            pairs = [
+                pair
+                for shard in range(shards)
+                for pair in hdfs.read(_exchange_file(agg_join.output, shard)).records
+            ]
+            shuffled = sum(
+                job.shuffle_bytes
+                for job in stats.jobs
+                if job.name.startswith(f"{agg_join.name}@r")
+            )
+            partials = sum(
+                estimate_size(key) + estimate_size(record.payload) for key, record in pairs
+            )
+            framing = sum(8 + estimate_size(record.order) for _, record in pairs)
+            assert shuffled == partials + framing, (qid, partitioner)
+            assert partials <= shards * folded.shuffle_bytes, (qid, partitioner)

@@ -6,9 +6,9 @@ differently (MG6's two groupings, a G8 batch at several thresholds) --
 share one compiled expansion.  What the job emits must be exactly what
 one expansion *per subquery* gives: every pair below is checked against
 that expansion, written out here from :func:`joined_solutions`, in
-order -- subquery order, then row order -- unfolded (one partial per
-solution, the sharded driver's partial jobs) and folded (a map task's
-partial per group), and the job's output against one job per subquery.
+order -- subquery order, then row order -- as the mapper emits it (one
+item per solution) and folded (a map task's partial per group), and the
+job's output against one job per subquery.
 """
 
 from collections import Counter
@@ -121,11 +121,19 @@ def check_job(composite, job, records, star_filter=None, tasks=3):
     for record in records:
         joined = as_detail(record, star_filter)
         expected.append([] if joined is None else per_subquery(composite, joined))
-    # Unfolded: one partial per emitted solution, record by record.
-    unfolded = job.unfolded_mapper()
-    assert [rendered(list(unfolded(record))) for record in records] == [
-        rendered(pairs) for pairs in expected
-    ]
+    # Emitted: one item per solution, record by record, each stepped
+    # into a fresh partial of its own.
+    zero, step = job.fold
+
+    def partial_of_one(item):
+        partial = zero(item)
+        step(partial, item)
+        return partial
+
+    assert [
+        rendered([(key, partial_of_one(item)) for key, item in job.mapper(record)])
+        for record in records
+    ] == [rendered(pairs) for pairs in expected]
     # Folded: each map task's partials, one per group.
     folded = _map_combine(job, _JobInputs(records, job.mapper, tasks, 0, 0, 0, 0), Counters())
     want = [

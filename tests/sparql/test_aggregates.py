@@ -5,6 +5,9 @@ makes mapper-side partial aggregation — the paper's TG_AgJ local
 combiner — correct, so it gets hypothesis coverage.
 """
 
+import math
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,3 +302,45 @@ class TestDistinctIsOrderFree:
         for partial in rest:
             first.merge(partial)
         assert rendered(first) == rendered(sequential)
+
+
+class TestExtremumIsOrderFree:
+    """MIN and MAX are functions of their input multiset: of value-equal
+    extremes the canonical one wins (``1`` over ``1.0``, ``-0.0`` over
+    ``0.0``, as DISTINCT keeps them), and a NaN makes the result NaN."""
+
+    @pytest.mark.parametrize("func", ["MIN", "MAX"])
+    @pytest.mark.parametrize(
+        "values, expected", [((1, 1.0), "1"), ((0.0, -0.0), "-0.0"), ((1, 1.0, True), "1")]
+    )
+    def test_value_equal_inputs_in_every_order(self, func, values, expected):
+        results = {repr(aggregate_values(func, order)) for order in permutations(values)}
+        assert results == {expected}
+
+    @pytest.mark.parametrize("func", ["MIN", "MAX"])
+    def test_a_nan_input_makes_the_result_nan(self, func):
+        for order in permutations([2.0, float("nan"), 1]):
+            assert math.isnan(aggregate_values(func, order))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        func=st.sampled_from(["MIN", "MAX"]),
+        values=st.lists(
+            st.sampled_from([0, 0.0, -0.0, 1, 1.0, True, 2.5, -1, -1.0, float("nan")]),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_any_arrival_order_and_merge_split_agree(self, data, func, values):
+        sequential = repr(aggregate_values(func, values))
+        arrival = data.draw(st.permutations(values))
+        assert repr(aggregate_values(func, arrival)) == sequential
+        tasks = data.draw(st.lists(st.integers(0, 3), min_size=len(values), max_size=len(values)))
+        partials = [make_accumulator(func) for _ in range(4)]
+        for value, task in zip(arrival, tasks):
+            partials[task].update(value)
+        first, *rest = [partials[i] for i in data.draw(st.permutations(range(4)))]
+        for partial in rest:
+            first.merge(partial)
+        assert repr(first.result()) == sequential

@@ -1,4 +1,6 @@
-"""Transcription of the one golden re-cut: no simulated number moved.
+"""Transcription of the golden re-cuts.
+
+**The fault re-cut: no simulated number moved.**
 
 ``--faults`` became the one-plan, no-recovery case of the chaos soak:
 the fault report kind was folded into ``repro-chaos-soak/v2``, and
@@ -8,6 +10,14 @@ every old name, and the never-set response field as ``False`` -- and
 checks the result against a SHA-256 of the earlier file's bytes, held
 below.  A re-cut that moved a cycle, a byte, a cost or a row would not
 hash back.
+
+**The fold re-cut: only the sharded exchange moved.**  A sharded TG_AgJ
+ships one partial per key and map task instead of one per solution, so
+the shard A/B reports' ``exchange_bytes`` and ``actual_cost`` (and the
+per-strategy exchange sums) moved, and nothing else: answers, digests,
+cycles, edge cuts, unsharded costs, rankings and verdicts are the
+parent's.  ``FOLD_MOVED`` holds the parent's values of the moved fields;
+put back, each re-cut file hashes to the parent's bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ REPO = Path(__file__).resolve().parents[1]
 FAULTS_GOLDEN = REPO / "benchmarks" / "golden" / "faults-table3-bsbm-tiny.json"
 CHAOS_GOLDEN = REPO / "benchmarks" / "golden" / "chaos-figure8a.json"
 AB_TRANSCRIPTS = REPO / "tests" / "bench" / "ab_transcripts.json"
+SHARD_GOLDEN = REPO / "benchmarks" / "golden" / "shard-ab-mg-4.json"
 SERVE_TRANSCRIPTS = REPO / "tests" / "serve" / "transcripts.json"
 
 #: SHA-256 of each file's bytes before the re-cut.
@@ -223,6 +234,113 @@ def _load(path: Path) -> Report:
     return json.loads(path.read_text())
 
 
+# -- the fold re-cut -------------------------------------------------------------
+
+#: SHA-256 of each file's bytes before the fold re-cut.
+BEFORE_FOLD = {
+    SHARD_GOLDEN: "d7f27de6b435c2d15f29bfaa6b472e425a7844bd28b140aad30e03ca3e1fd313",
+    AB_TRANSCRIPTS: "6bae3b2c1ea62ab7abaddb336967efe9130bd35bff959aa1d5424d3b8bec565d",
+}
+SHARD_CELLS = ("shards MG1 1", "shards MG6 2,locality")
+
+#: The parent's ``(exchange_bytes, actual_cost)`` per report, qid and
+#: strategy: the only per-strategy fields the fold moved.
+FOLD_MOVED = {
+    "shard-ab-mg-4": {
+        "MG1": {
+            "hash": (30873, 39.111235),
+            "locality": (37910, 41.931262),
+            "min-edge-cut": (23459, 37.885272),
+        },
+        "MG2": {
+            "hash": (22129, 36.270211),
+            "locality": (27890, 38.479439),
+            "min-edge-cut": (13513, 35.227008),
+        },
+        "MG3": {
+            "hash": (61053, 61.98269),
+            "locality": (56919, 67.173792),
+            "min-edge-cut": (47799, 58.232894),
+        },
+        "MG4": {
+            "hash": (27681, 51.287581),
+            "locality": (33795, 54.218062),
+            "min-edge-cut": (17518, 50.057876),
+        },
+    },
+    "shards MG1 1": {
+        "MG1": {strategy: (0, 44.000543) for strategy in ("hash", "locality", "min-edge-cut")},
+    },
+    "shards MG6 2,locality": {"MG6": {"locality": (49863, 66.27711)}},
+}
+
+#: What the fold must not move in the 4-shard golden, as the parent had
+#: it: per qid the rows, their digest, the unsharded cost and per
+#: strategy ``(cycles, cut_edges, total_edges, rows_match)``; and the
+#: verdicts.
+FOLD_UNMOVED = {
+    "MG1": (23, "0e8ec837842f02d4", 28.342788, (20, 20, 20)),
+    "MG2": (4, "8cd28bba404a89d9", 26.00274, (20, 20, 20)),
+    "MG3": (68, "8ea128f942715309", 43.602591, (28, 28, 28)),
+    "MG4": (8, "447859bb616ee927", 35.688877, (28, 28, 28)),
+}
+FOLD_EDGES = {"hash": (231, 300), "locality": (271, 300), "min-edge-cut": (98, 300)}
+FOLD_VERDICTS = {
+    "answers_all_match": True,
+    "min_cut_beats_hash_on_two": True,
+    "min_cut_beats_hash_queries": ["MG1", "MG2", "MG3", "MG4"],
+}
+
+
+def unfolded_form(report: Report, moved: dict[str, dict[str, tuple]]) -> Report:
+    """A shard A/B report with the parent's moved fields put back: the
+    per-strategy exchange sums are re-derived from the restored rows."""
+    old = json.loads(json.dumps(report))
+    totals: dict[str, int] = defaultdict(int)
+    for run in old["runs"]:
+        for strategy, cell in run["strategies"].items():
+            cell["exchange_bytes"], cell["actual_cost"] = moved[run["qid"]][strategy]
+            totals[strategy] += cell["exchange_bytes"]
+    assert old["summary"]["per_strategy_exchange_bytes"].keys() == totals.keys()
+    old["summary"]["per_strategy_exchange_bytes"] = dict(totals)
+    return old
+
+
+def test_the_fold_recut_golden_maps_back_to_the_parent_bytes():
+    parent = unfolded_form(_load(SHARD_GOLDEN), FOLD_MOVED["shard-ab-mg-4"])
+    assert _sha(_report_bytes(parent)) == BEFORE_FOLD[SHARD_GOLDEN]
+
+
+def test_the_fold_recut_transcripts_map_back_to_the_parent_bytes():
+    cells = _load(AB_TRANSCRIPTS)
+    for cell in SHARD_CELLS:
+        cells[cell] = unfolded_form(cells[cell], FOLD_MOVED[cell])
+    text = json.dumps(cells, indent=1, sort_keys=True) + "\n"
+    assert _sha(text) == BEFORE_FOLD[AB_TRANSCRIPTS]
+
+
+def test_the_fold_moved_no_answer_cycle_cut_cost_base_or_verdict():
+    report = _load(SHARD_GOLDEN)
+    assert [run["qid"] for run in report["runs"]] == list(FOLD_UNMOVED)
+    for run in report["runs"]:
+        rows, digest, unsharded_cost, cycles = FOLD_UNMOVED[run["qid"]]
+        assert (run["rows"], run["rows_digest"], run["unsharded_cost"]) == (
+            rows, digest, unsharded_cost,
+        )
+        strategies = run["strategies"]
+        assert tuple(strategies[s]["cycles"] for s in sorted(strategies)) == cycles
+        for strategy, cell in strategies.items():
+            assert (cell["cut_edges"], cell["total_edges"]) == FOLD_EDGES[strategy]
+            assert cell["rows_match"] is True
+    assert report["verdicts"] == FOLD_VERDICTS
+    # And what did move, moved down: the fold only removes exchange.
+    for run in report["runs"]:
+        for strategy, cell in run["strategies"].items():
+            bytes_before, cost_before = FOLD_MOVED["shard-ab-mg-4"][run["qid"]][strategy]
+            assert cell["exchange_bytes"] <= bytes_before
+            assert cell["actual_cost"] <= cost_before
+
+
 @pytest.mark.parametrize(
     "path, form",
     [(FAULTS_GOLDEN, fault_form), (CHAOS_GOLDEN, chaos_form)],
@@ -238,6 +356,8 @@ def test_the_ab_transcripts_map_back_to_their_earlier_bytes():
     chaos = "chaos table3-bsbm-tiny seeds=2,rate=0.3,budget=1"
     cells[faults] = fault_form(cells[faults])
     cells[chaos] = chaos_form(cells[chaos])
+    for cell in SHARD_CELLS:  # the fold re-cut, undone first
+        cells[cell] = unfolded_form(cells[cell], FOLD_MOVED[cell])
     text = json.dumps(cells, indent=1, sort_keys=True) + "\n"
     assert _sha(text) == EARLIER[AB_TRANSCRIPTS]
 
