@@ -19,6 +19,7 @@ simulation scale (see :func:`preset`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.datasets.seeds import make_rng, weighted_choice, zipf_weights
 from repro.errors import DatasetError
@@ -61,26 +62,33 @@ def product_type(index: int) -> IRI:
     return BSBM_NS.term(f"ProductType{index}")
 
 
+#: The vocabulary, built once: ``BSBM_NS.price`` builds a new IRI on
+#: every access, and a load mentions each property once per triple.
+_PRODUCT_TYPES = tuple(product_type(i) for i in range(1, len(_TYPE_SHARES) + 1))
+_COUNTRY_IRIS = tuple(IRI(f"http://downlode.org/rdf/iso-3166/countries#{c}") for c in COUNTRIES)
+_V = SimpleNamespace(**{
+    name: BSBM_NS.term(name)
+    for name in ("country", "vendorLabel", "producerLabel", "label", "producer",
+                 "productFeature", "product", "price", "vendor", "validTo")
+})
+
+
 def generate(config: BSBMConfig = BSBMConfig()) -> Graph:
     """Generate a BSBM-BI graph."""
     rng = make_rng(config.seed)
     graph = Graph()
     add = graph.add
 
-    vendor_country: dict[IRI, str] = {}
-    for v in range(config.vendors):
-        vendor = BSBM_INST_NS.term(f"Vendor{v}")
-        country = COUNTRIES[v % len(COUNTRIES)]
-        vendor_country[vendor] = country
-        add(Triple(vendor, BSBM_NS.country, IRI(f"http://downlode.org/rdf/iso-3166/countries#{country}")))
-        add(Triple(vendor, BSBM_NS.vendorLabel, Literal(f"vendor {v}")))
+    vendors = [BSBM_INST_NS.term(f"Vendor{v}") for v in range(config.vendors)]
+    for v, vendor in enumerate(vendors):
+        add(Triple(vendor, _V.country, _COUNTRY_IRIS[v % len(COUNTRIES)]))
+        add(Triple(vendor, _V.vendorLabel, Literal(f"vendor {v}")))
 
-    for p in range(config.producers):
-        producer = BSBM_INST_NS.term(f"Producer{p}")
-        add(Triple(producer, BSBM_NS.producerLabel, Literal(f"producer {p}")))
+    producers = [BSBM_INST_NS.term(f"Producer{p}") for p in range(config.producers)]
+    for p, producer in enumerate(producers):
+        add(Triple(producer, _V.producerLabel, Literal(f"producer {p}")))
 
     type_weights = list(_TYPE_SHARES)
-    type_indices = list(range(1, len(_TYPE_SHARES) + 1))
     feature_weights = zipf_weights(config.feature_pool, skew=0.7)
     features = [BSBM_INST_NS.term(f"ProductFeature{f}") for f in range(config.feature_pool)]
 
@@ -89,13 +97,13 @@ def generate(config: BSBMConfig = BSBMConfig()) -> Graph:
         product = BSBM_INST_NS.term(f"Product{p}")
         # The first len(_TYPE_SHARES) products deterministically cover every
         # type so high-selectivity queries (ProductType9) are never empty.
-        if p < len(type_indices):
-            type_index = type_indices[p]
+        if p < len(_PRODUCT_TYPES):
+            type_iri = _PRODUCT_TYPES[p]
         else:
-            type_index = weighted_choice(rng, type_indices, type_weights)
-        add(Triple(product, RDF_TYPE, product_type(type_index)))
-        add(Triple(product, BSBM_NS.label, Literal(f"product {p}")))
-        add(Triple(product, BSBM_NS.producer, BSBM_INST_NS.term(f"Producer{p % config.producers}")))
+            type_iri = weighted_choice(rng, _PRODUCT_TYPES, type_weights)
+        add(Triple(product, RDF_TYPE, type_iri))
+        add(Triple(product, _V.label, Literal(f"product {p}")))
+        add(Triple(product, _V.producer, producers[p % config.producers]))
         feature_count = rng.randint(config.min_features, config.max_features)
         # Draw-ordered dict, not a set: iteration order must be a function
         # of the rng stream, never of PYTHONHASHSEED — triple insertion
@@ -104,16 +112,16 @@ def generate(config: BSBMConfig = BSBMConfig()) -> Graph:
         while len(chosen) < feature_count:
             chosen[weighted_choice(rng, features, feature_weights)] = None
         for feature in chosen:
-            add(Triple(product, BSBM_NS.productFeature, feature))
+            add(Triple(product, _V.productFeature, feature))
         for _ in range(config.offers_per_product):
             offer = BSBM_INST_NS.term(f"Offer{offer_counter}")
             offer_counter += 1
-            vendor = BSBM_INST_NS.term(f"Vendor{rng.randrange(config.vendors)}")
+            vendor = vendors[rng.randrange(config.vendors)]
             price = rng.randint(10, 10000)
-            add(Triple(offer, BSBM_NS.product, product))
-            add(Triple(offer, BSBM_NS.price, Literal.from_python(price)))
-            add(Triple(offer, BSBM_NS.vendor, vendor))
-            add(Triple(offer, BSBM_NS.validTo, Literal(f"2016-{1 + rng.randrange(12):02d}-01")))
+            add(Triple(offer, _V.product, product))
+            add(Triple(offer, _V.price, Literal.from_python(price)))
+            add(Triple(offer, _V.vendor, vendor))
+            add(Triple(offer, _V.validTo, Literal(f"2016-{1 + rng.randrange(12):02d}-01")))
     return graph
 
 

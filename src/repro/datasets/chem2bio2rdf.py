@@ -16,6 +16,7 @@ are large, forcing full MR cycles on G9/MG9/MG10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.datasets.seeds import make_rng, weighted_choice, zipf_weights
 from repro.errors import DatasetError
@@ -65,6 +66,20 @@ DISEASES = (
 )
 
 
+#: The vocabulary, built once: ``CHEM_NS.gi`` builds a new IRI on every
+#: access, and a load mentions each property once per triple.
+_V = SimpleNamespace(**{name: CHEM_NS.term(name) for name in (
+    "geneSymbol", "gene", "gi", "CID", "outcome", "Score",
+    "Generic_Name", "DBID", "SwissProt_ID", "Pathway_name", "pathwayid", "protein",
+    "side_effect", "cid", "disease",
+)})
+_SIDE_EFFECTS = tuple(map(Literal, SIDE_EFFECTS))
+_PATHWAY_NAMES = tuple(map(Literal, PATHWAY_NAMES))
+_DRUG_NAMES = tuple(map(Literal, DRUG_NAMES))
+_DISEASES = tuple(map(Literal, DISEASES))
+_OUTCOME_ACTIVE, _OUTCOME_INACTIVE = Literal("active"), Literal("inactive")
+
+
 @dataclass(frozen=True)
 class ChemConfig:
     """Generator knobs.
@@ -106,63 +121,63 @@ def generate(config: ChemConfig = ChemConfig()) -> Graph:
     # Gene nodes carry the symbol vocabulary (publication queries join
     # publications to genes through these).
     for node, symbol in zip(gene_nodes, symbols):
-        add(Triple(node, CHEM_NS.geneSymbol, symbol))
+        add(Triple(node, _V.geneSymbol, symbol))
 
     # Proteins: gi number + gene symbol (PubChem-to-UniProt bridge).
     for index, protein in enumerate(proteins):
-        add(Triple(protein, CHEM_NS.gi, gis[index]))
-        add(Triple(protein, CHEM_NS.geneSymbol, symbols[index % config.genes]))
+        add(Triple(protein, _V.gi, gis[index]))
+        add(Triple(protein, _V.geneSymbol, symbols[index % config.genes]))
 
     # Bioassays: compound, outcome, score, target gi.
     cid_weights = zipf_weights(config.compounds, skew=0.8)
     for a in range(config.assays):
         assay = CHEM_INST_NS.term(f"assay{a}")
-        add(Triple(assay, CHEM_NS.CID, weighted_choice(rng, cids, cid_weights)))
-        add(Triple(assay, CHEM_NS.outcome, Literal("active" if rng.random() < 0.6 else "inactive")))
-        add(Triple(assay, CHEM_NS.Score, Literal.from_python(rng.randint(1, 100))))
-        add(Triple(assay, CHEM_NS.gi, gis[rng.randrange(config.proteins)]))
+        add(Triple(assay, _V.CID, weighted_choice(rng, cids, cid_weights)))
+        add(Triple(assay, _V.outcome, _OUTCOME_ACTIVE if rng.random() < 0.6 else _OUTCOME_INACTIVE))
+        add(Triple(assay, _V.Score, Literal.from_python(rng.randint(1, 100))))
+        add(Triple(assay, _V.gi, gis[rng.randrange(config.proteins)]))
 
     # Drugs: generic name + associated compound.
     for index, drug in enumerate(drugs):
-        add(Triple(drug, CHEM_NS.Generic_Name, Literal(DRUG_NAMES[index % len(DRUG_NAMES)])))
-        add(Triple(drug, CHEM_NS.CID, cids[rng.randrange(config.compounds)]))
+        add(Triple(drug, _V.Generic_Name, _DRUG_NAMES[index % len(DRUG_NAMES)]))
+        add(Triple(drug, _V.CID, cids[rng.randrange(config.compounds)]))
 
     # DrugBank drug-gene interactions.
     for i in range(config.interactions):
         interaction = CHEM_INST_NS.term(f"dgi{i}")
-        add(Triple(interaction, CHEM_NS.gene, symbols[rng.randrange(config.genes)]))
-        add(Triple(interaction, CHEM_NS.DBID, drugs[rng.randrange(config.drugs)]))
+        add(Triple(interaction, _V.gene, symbols[rng.randrange(config.genes)]))
+        add(Triple(interaction, _V.DBID, drugs[rng.randrange(config.drugs)]))
 
     # Drug targets (DrugBank → UniProt).
     for t in range(config.targets):
         target = CHEM_INST_NS.term(f"target{t}")
-        add(Triple(target, CHEM_NS.DBID, drugs[rng.randrange(config.drugs)]))
-        add(Triple(target, CHEM_NS.SwissProt_ID, proteins[rng.randrange(config.proteins)]))
+        add(Triple(target, _V.DBID, drugs[rng.randrange(config.drugs)]))
+        add(Triple(target, _V.SwissProt_ID, proteins[rng.randrange(config.proteins)]))
 
     # KEGG pathways with protein membership (multi-valued).
     for p in range(config.pathways):
         pathway = CHEM_INST_NS.term(f"pathway{p}")
-        add(Triple(pathway, CHEM_NS.Pathway_name, Literal(PATHWAY_NAMES[p % len(PATHWAY_NAMES)])))
-        add(Triple(pathway, CHEM_NS.pathwayid, CHEM_INST_NS.term(f"pid{p}")))
+        add(Triple(pathway, _V.Pathway_name, _PATHWAY_NAMES[p % len(PATHWAY_NAMES)]))
+        add(Triple(pathway, _V.pathwayid, CHEM_INST_NS.term(f"pid{p}")))
         for protein in rng.sample(proteins, k=min(rng.randint(3, 8), len(proteins))):
-            add(Triple(pathway, CHEM_NS.protein, protein))
+            add(Triple(pathway, _V.protein, protein))
 
     # SIDER side-effect records: effect + compound.
     for s in range(config.siders):
         sider = CHEM_INST_NS.term(f"sider{s}")
-        add(Triple(sider, CHEM_NS.side_effect, Literal(SIDE_EFFECTS[rng.randrange(len(SIDE_EFFECTS))])))
-        add(Triple(sider, CHEM_NS.cid, cids[rng.randrange(config.compounds)]))
+        add(Triple(sider, _V.side_effect, _SIDE_EFFECTS[rng.randrange(len(SIDE_EFFECTS))]))
+        add(Triple(sider, _V.cid, cids[rng.randrange(config.compounds)]))
 
     # Medline-style publications: the LARGE tables (gene, side_effect,
     # disease are multi-valued per record).
     for m in range(config.publications):
         pub = CHEM_INST_NS.term(f"pmid{m}")
         for node in rng.sample(gene_nodes, k=min(rng.randint(1, 3), len(gene_nodes))):
-            add(Triple(pub, CHEM_NS.gene, node))
+            add(Triple(pub, _V.gene, node))
         for _ in range(rng.randint(1, 2)):
-            add(Triple(pub, CHEM_NS.side_effect, Literal(SIDE_EFFECTS[rng.randrange(len(SIDE_EFFECTS))])))
+            add(Triple(pub, _V.side_effect, _SIDE_EFFECTS[rng.randrange(len(SIDE_EFFECTS))]))
         if rng.random() < 0.7:
-            add(Triple(pub, CHEM_NS.disease, Literal(DISEASES[rng.randrange(len(DISEASES))])))
+            add(Triple(pub, _V.disease, _DISEASES[rng.randrange(len(DISEASES))]))
     return graph
 
 

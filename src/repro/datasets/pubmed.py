@@ -17,6 +17,7 @@ Two properties drive the paper's findings and are preserved here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.datasets.seeds import make_rng, weighted_choice, zipf_weights
 from repro.errors import DatasetError
@@ -46,6 +47,17 @@ LAST_NAMES = (
 )
 
 
+#: The vocabulary, built once: ``PUBMED_NS.author`` builds a new IRI on
+#: every access, and a load mentions each property once per triple.
+_V = SimpleNamespace(**{name: PUBMED_NS.term(name) for name in (
+    "last_name", "pub_type", "journal", "grant", "grant_agency",
+    "grant_country", "author", "mesh_heading", "chemical",
+)})
+_PUB_TYPES = tuple(map(Literal, PUB_TYPES))
+_COUNTRIES = tuple(map(Literal, COUNTRIES))
+_LAST_NAMES = tuple(map(Literal, LAST_NAMES))
+
+
 @dataclass(frozen=True)
 class PubMedConfig:
     publications: int = 800
@@ -73,7 +85,7 @@ def generate(config: PubMedConfig = PubMedConfig()) -> Graph:
     journals = [PUBMED_INST_NS.term(f"journal{j}") for j in range(config.journals)]
     authors = [PUBMED_INST_NS.term(f"author{a}") for a in range(config.authors)]
     for index, author in enumerate(authors):
-        add(Triple(author, PUBMED_NS.last_name, Literal(LAST_NAMES[index % len(LAST_NAMES)])))
+        add(Triple(author, _V.last_name, _LAST_NAMES[index % len(LAST_NAMES)]))
 
     agencies = [PUBMED_INST_NS.term(f"agency{a}") for a in range(config.agencies)]
     mesh_terms = [Literal(f"MeSH heading {m}") for m in range(config.mesh_pool)]
@@ -84,24 +96,24 @@ def generate(config: PubMedConfig = PubMedConfig()) -> Graph:
     grant_counter = 0
     for p in range(config.publications):
         pub = PUBMED_INST_NS.term(f"pmid{p}")
-        pub_type = weighted_choice(rng, PUB_TYPES, PUB_TYPE_WEIGHTS)
-        add(Triple(pub, PUBMED_NS.pub_type, Literal(pub_type)))
-        add(Triple(pub, PUBMED_NS.journal, journals[rng.randrange(config.journals)]))
+        pub_type = weighted_choice(rng, _PUB_TYPES, PUB_TYPE_WEIGHTS)
+        add(Triple(pub, _V.pub_type, pub_type))
+        add(Triple(pub, _V.journal, journals[rng.randrange(config.journals)]))
         for _ in range(rng.randint(0, 2)):
             grant = PUBMED_INST_NS.term(f"grant{grant_counter}")
             grant_counter += 1
             agency_index = rng.randrange(config.agencies)
-            add(Triple(pub, PUBMED_NS.grant, grant))
-            add(Triple(grant, PUBMED_NS.grant_agency, agencies[agency_index]))
+            add(Triple(pub, _V.grant, grant))
+            add(Triple(grant, _V.grant_agency, agencies[agency_index]))
             add(
                 Triple(
                     grant,
-                    PUBMED_NS.grant_country,
-                    Literal(COUNTRIES[agency_index % len(COUNTRIES)]),
+                    _V.grant_country,
+                    _COUNTRIES[agency_index % len(COUNTRIES)],
                 )
             )
         for author in rng.sample(authors, k=min(rng.randint(1, 5), len(authors))):
-            add(Triple(pub, PUBMED_NS.author, author))
+            add(Triple(pub, _V.author, author))
         mesh_count = rng.randint(config.min_mesh, config.max_mesh)
         # Draw-ordered dict, not a set: iteration order must be a function
         # of the rng stream, never of PYTHONHASHSEED — triple insertion
@@ -110,9 +122,9 @@ def generate(config: PubMedConfig = PubMedConfig()) -> Graph:
         while len(chosen_mesh) < mesh_count:
             chosen_mesh[weighted_choice(rng, mesh_terms, mesh_weights)] = None
         for term in chosen_mesh:
-            add(Triple(pub, PUBMED_NS.mesh_heading, term))
+            add(Triple(pub, _V.mesh_heading, term))
         for _ in range(rng.randint(0, 6)):
-            add(Triple(pub, PUBMED_NS.chemical, weighted_choice(rng, chemicals, chem_weights)))
+            add(Triple(pub, _V.chemical, weighted_choice(rng, chemicals, chem_weights)))
     return graph
 
 

@@ -1,10 +1,14 @@
 """An in-memory, indexed RDF graph.
 
-The graph maintains three hash indexes (SPO, POS, OSP) so that any
-triple-pattern lookup touches only matching candidates.  It is the
-storage substrate for the reference SPARQL evaluator, and the source
-from which the engines derive their physical layouts (vertically
-partitioned tables for Hive, subject triplegroups for NTGA).
+The graph is an insertion-ordered set of triples with three hash indexes
+(SPO, POS, OSP), so that any triple-pattern lookup touches only matching
+candidates.  The indexes are derived state: they are built on the first
+index read (:meth:`Graph.walk`, :meth:`Graph.properties`,
+:meth:`Graph.property_counts`) and maintained by every mutation after
+it.  Only the reference SPARQL evaluator reads them; the engines derive
+their physical layouts (vertically partitioned tables for Hive, subject
+triplegroups for NTGA) from the triples alone, so a graph they run over
+never pays for its indexes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.rdf.triples import Triple, TriplePattern
 
 
 class Graph:
-    """A set of triples with SPO/POS/OSP indexes.
+    """A set of triples with SPO/POS/OSP indexes, built on first read.
 
     >>> g = Graph()
     >>> _ = g.add(Triple(IRI("urn:s"), IRI("urn:p"), IRI("urn:o")))
@@ -31,23 +35,34 @@ class Graph:
         # of the data, never of PYTHONHASHSEED, because load order reaches
         # the engines' physical layouts and from there every simulated
         # counter.  Same O(1) membership/insert/delete as a set.
-        self._triples: dict[Triple, None] = {}
+        self._triples: dict[Triple, None] = dict.fromkeys(triples)
         #: Monotonic mutation counter.  Derived physical layouts (VP
         #: tables, subject triplegroups) are pure functions of the triple
         #: set; engines cache them keyed on (graph, version) so repeated
         #: executions over an unchanged graph reuse one derivation.
-        self._version = 0
-        self._spo: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
-            lambda: defaultdict(dict)
-        )
-        self._pos: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
-            lambda: defaultdict(dict)
-        )
-        self._osp: dict[Term, dict[Term, dict[Term, None]]] = defaultdict(
-            lambda: defaultdict(dict)
-        )
-        for triple in triples:
-            self.add(triple)
+        self._version = len(self._triples)
+        #: SPO/POS/OSP, or None until the first index read (see _indexes).
+        self._spo: _Index | None = None
+        self._pos: _Index | None = None
+        self._osp: _Index | None = None
+
+    def _indexes(self) -> tuple[_Index, _Index, _Index]:
+        """SPO/POS/OSP, built from the triple dict on first use.  Built in
+        insertion order, they equal what maintaining them from the first
+        ``add`` would have left, provided no triple was removed before:
+        :meth:`discard` builds them first (a build after a removal would
+        put a property whose first triple went behind later ones)."""
+        if self._spo is None:
+            self._spo, self._pos, self._osp = _new_index(), _new_index(), _new_index()
+            for triple in self._triples:
+                self._index(triple)
+        return self._spo, self._pos, self._osp
+
+    def _index(self, triple: Triple) -> None:
+        s, p, o = triple.subject, triple.property, triple.object
+        self._spo[s][p][o] = None
+        self._pos[p][o][s] = None
+        self._osp[o][s][p] = None
 
     def add(self, triple: Triple) -> bool:
         """Insert a triple; returns False when it was already present."""
@@ -55,10 +70,8 @@ class Graph:
             return False
         self._triples[triple] = None
         self._version += 1
-        s, p, o = triple.subject, triple.property, triple.object
-        self._spo[s][p][o] = None
-        self._pos[p][o][s] = None
-        self._osp[o][s][p] = None
+        if self._spo is not None:
+            self._index(triple)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -69,12 +82,13 @@ class Graph:
         """Remove a triple; returns False when it was not present."""
         if triple not in self._triples:
             return False
+        spo, pos, osp = self._indexes()
         del self._triples[triple]
         self._version += 1
         s, p, o = triple.subject, triple.property, triple.object
-        _unindex(self._spo, s, p, o)
-        _unindex(self._pos, p, o, s)
-        _unindex(self._osp, o, s, p)
+        _unindex(spo, s, p, o)
+        _unindex(pos, p, o, s)
+        _unindex(osp, o, s, p)
         return True
 
     @property
@@ -111,6 +125,8 @@ class Graph:
         """The index walk behind :meth:`triples`: raw ``(s, p, o)`` tuples,
         no :class:`Triple` built.  SPO when *s* is given, else POS when *p*
         is, else OSP when *o* is, else every triple; each in insertion order."""
+        if self._spo is None:
+            self._indexes()
         if s is not None:
             by_property = self._spo.get(s)
             if not by_property:
@@ -160,12 +176,12 @@ class Graph:
 
     def properties(self) -> set[IRI]:
         """All distinct property IRIs in the graph."""
-        return {p for p in self._pos if isinstance(p, IRI)}
+        return {p for p in self._indexes()[1] if isinstance(p, IRI)}
 
     def property_counts(self) -> dict[IRI, int]:
         """Triple count per property — the VP table sizes for Hive."""
         counts: dict[IRI, int] = {}
-        for prop, by_object in self._pos.items():
+        for prop, by_object in self._indexes()[1].items():
             if isinstance(prop, IRI):
                 counts[prop] = sum(len(subjects) for subjects in by_object.values())
         return counts
@@ -182,6 +198,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples)"
+
+
+_Index = dict[Term, dict[Term, dict[Term, None]]]
+
+
+def _new_index() -> _Index:
+    return defaultdict(lambda: defaultdict(dict))
 
 
 def _unindex(index: dict, a: Term, b: Term, c: Term) -> None:

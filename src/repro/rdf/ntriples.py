@@ -23,6 +23,9 @@ _LITERAL_RE = re.compile(
     r"(?:\^\^<([^<>\s]+)>|@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?"  # datatype or lang
 )
 
+#: What may follow the terminating '.': white space, then a comment.
+_END_RE = re.compile(r"\.[ \t]*(?:#.*)?")
+
 _UNESCAPE_MAP = {
     "\\n": "\n",
     "\\r": "\r",
@@ -50,8 +53,11 @@ def _unescape(text: str, line_number: int) -> str:
     return _UNESCAPE_RE.sub(replace, text)
 
 
-def _parse_term(text: str, position: int, line_number: int) -> tuple[Term, int]:
-    """Parse one term starting at *position*; returns (term, next position)."""
+def _parse_term(
+    text: str, position: int, line_number: int, iris: dict[str, IRI]
+) -> tuple[Term, int]:
+    """Parse one term starting at *position*; returns (term, next position).
+    *iris* maps IRI text to the term already built for it."""
     while position < len(text) and text[position] in " \t":
         position += 1
     if position >= len(text):
@@ -61,7 +67,11 @@ def _parse_term(text: str, position: int, line_number: int) -> tuple[Term, int]:
         match = _IRI_RE.match(text, position)
         if not match:
             raise NTriplesParseError(f"malformed IRI at column {position}", line_number)
-        return IRI(match.group(1)), match.end()
+        value = match.group(1)
+        iri = iris.get(value)
+        if iri is None:
+            iri = iris[value] = IRI(value)
+        return iri, match.end()
     if head == "_":
         match = _BNODE_RE.match(text, position)
         if not match:
@@ -78,28 +88,35 @@ def _parse_term(text: str, position: int, line_number: int) -> tuple[Term, int]:
 
 
 def parse_line(line: str, line_number: int = 0) -> Triple | None:
-    """Parse one N-Triples line; returns None for blank/comment lines."""
+    """Parse one N-Triples line; returns None for blank/comment lines.
+    A comment may also follow the terminating '.'."""
+    return _parse_line(line, line_number, {})
+
+
+def _parse_line(line: str, line_number: int, iris: dict[str, IRI]) -> Triple | None:
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
-    subject, position = _parse_term(stripped, 0, line_number)
+    subject, position = _parse_term(stripped, 0, line_number, iris)
     if isinstance(subject, Literal):
         raise NTriplesParseError("literal in subject position", line_number)
-    prop, position = _parse_term(stripped, position, line_number)
+    prop, position = _parse_term(stripped, position, line_number, iris)
     if not isinstance(prop, IRI):
         raise NTriplesParseError("property must be an IRI", line_number)
-    obj, position = _parse_term(stripped, position, line_number)
+    obj, position = _parse_term(stripped, position, line_number, iris)
     remainder = stripped[position:].strip()
-    if remainder != ".":
+    if not _END_RE.fullmatch(remainder):
         raise NTriplesParseError(f"expected terminating '.', got {remainder!r}", line_number)
     return Triple(subject, prop, obj)
 
 
 def parse(source: str | IO[str]) -> Iterator[Triple]:
-    """Parse N-Triples text (a string or readable file object)."""
+    """Parse N-Triples text (a string or readable file object).  Each IRI
+    is built once per call: every later mention reuses that term."""
     stream = io.StringIO(source) if isinstance(source, str) else source
+    iris: dict[str, IRI] = {}
     for line_number, line in enumerate(stream, start=1):
-        triple = parse_line(line, line_number)
+        triple = _parse_line(line, line_number, iris)
         if triple is not None:
             yield triple
 

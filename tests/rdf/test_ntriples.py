@@ -1,7 +1,7 @@
 """Unit and property tests for N-Triples parsing/serialization."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NTriplesParseError, ReproError
@@ -52,11 +52,30 @@ class TestParseLine:
             '"lit" <urn:p> <urn:o> .',  # literal subject
             "<urn:s> _:b <urn:o> .",  # bnode property
             "<urn:s> <urn:p> <urn:o> . extra",  # trailing junk
+            "<urn:s> <urn:p> <urn:o> . junk # note",  # junk before the comment
+            "<urn:s> <urn:p> <urn:o> # note",  # a comment is no '.'
+            "<urn:s> <urn:p> <urn:o> # c .",
         ],
     )
     def test_malformed(self, bad):
         with pytest.raises(NTriplesParseError):
             parse_line(bad, line_number=3)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "<urn:s> <urn:p> <urn:o> . # note",
+            '<urn:s> <urn:p> "x" .# c',
+            "<urn:s> <urn:p> <urn:o> .\t#",
+            '<urn:s> <urn:p> "a # b" . # c',
+            "<urn:s> <urn:p> <urn:o#frag> . #",
+        ],
+    )
+    def test_comment_after_the_terminating_dot(self, line):
+        """RDF 1.1 N-Triples reads a comment as white space."""
+        triple = parse_line(line)
+        assert triple.subject == IRI("urn:s") and triple.property == IRI("urn:p")
+        assert list(parse(line + "\n")) == [triple]
 
     def test_error_carries_line_number(self):
         with pytest.raises(NTriplesParseError) as exc_info:
@@ -92,7 +111,9 @@ _escapes = st.one_of(
     st.text(st.sampled_from(_HEX), min_size=8, max_size=8).map(lambda h: "\\U" + h),
 )
 _lexical = st.lists(st.one_of(st.text(max_size=4), _escapes), max_size=6).map("".join)
-_tails = st.sampled_from([" .", "^^<urn:t> .", "@en .", "@ .", "^^<> .", " . x", ""])
+_tails = st.sampled_from(
+    [" .", "^^<urn:t> .", "@en .", "@ .", "^^<> .", " . x", "", " . # c", ".#", " # c ."]
+)
 _lines = st.one_of(
     st.text(),
     st.builds(
@@ -106,6 +127,8 @@ _lines = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(_lines)
+@example("<urn:s> <urn:p> <urn:o> . # note")
+@example('<urn:s> <urn:p> "x" .# c')
 def test_parse_line_on_arbitrary_text(text):
     """Whatever the line, the parser answers with a triple, with nothing
     (blank or comment), or with a library error -- never with an
