@@ -16,7 +16,8 @@ from repro.mapreduce.faults import FaultPlan
 
 QUERIES = ("MG1", "MG2", "MG3", "MG4")
 
-PLAN = FaultPlan.from_spec("7,0.05")
+#: Fault identities are keyed by volume: re-derive the seed when sizes move.
+PLAN = FaultPlan.from_spec("1,0.05")
 
 
 @pytest.fixture(scope="module")

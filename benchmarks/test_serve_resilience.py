@@ -4,7 +4,7 @@ bit-identical to the fault-free baseline.
 The tentpole claim of the resilience layer, replayed as a
 benchmark-shaped check on the same pinned configuration as the
 committed golden ``benchmarks/golden/serve-resilience-chem.json``:
-identical fault-injected traffic (seed 11, 2% task crashes, no
+identical fault-injected traffic (seed 19, 2% task crashes, no
 in-workflow reattempts) served twice — resilience off, then on with
 the default retry/breaker/degradation policies.  Resilience must
 strictly raise availability on every seed while every successful
@@ -18,7 +18,7 @@ from repro.mapreduce.faults import FaultPlan
 from repro.serve import ResilienceConfig, WorkloadSpec, serve_resilience_report
 
 SPEC = WorkloadSpec.from_spec("seeds=2,clients=3,mix=chem-overlap,requests=16")
-FAULTS = FaultPlan.from_spec("11,0.02,0,0,1")
+FAULTS = FaultPlan.from_spec("19,0.02,0,0,1")
 
 
 @pytest.fixture(scope="module")

@@ -9,11 +9,10 @@ case — at cluster scale it ran out of HDFS space, reproduced here by
 import pytest
 
 from benchmarks.conftest import run_benchmark
-from repro.bench.harness import mg13_disk_exhaustion, pubmed_config
+from repro.bench.harness import MG13_CAPACITY, mg13_disk_exhaustion, pubmed_config
 from repro.core.engines import PAPER_ENGINES, make_engine
 
 QUERIES = ("MG11", "MG12", "MG13", "MG14", "MG15", "MG16", "MG17", "MG18")
-MG13_CAPACITY = 11_000_000
 
 
 @pytest.mark.parametrize("engine", PAPER_ENGINES)

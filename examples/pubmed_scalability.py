@@ -10,13 +10,11 @@ Run:  python examples/pubmed_scalability.py
 """
 
 from repro.bench.catalog import get_query
-from repro.bench.harness import pubmed_config, run_experiment
+from repro.bench.harness import MG13_CAPACITY, pubmed_config, run_experiment
 from repro.bench.reporting import render_cost_table, render_io_table
 from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
 from repro.datasets import pubmed
 from repro.errors import HDFSOutOfSpaceError
-
-CAPACITY = 11_000_000  # simulated HDFS bytes
 
 
 def main() -> None:
@@ -38,10 +36,10 @@ def main() -> None:
     print(render_io_table(result))
     print()
 
-    print(f"--- MG13 under an HDFS capacity of {CAPACITY:,} bytes ---")
+    print(f"--- MG13 under an HDFS capacity of {MG13_CAPACITY:,} bytes ---")
     analytical = to_analytical(get_query("MG13").sparql)
     for engine in PAPER_ENGINES:
-        config = pubmed_config(hdfs_capacity=CAPACITY)
+        config = pubmed_config(hdfs_capacity=MG13_CAPACITY)
         try:
             report = make_engine(engine).execute(analytical, graph, config)
         except HDFSOutOfSpaceError as error:

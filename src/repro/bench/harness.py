@@ -262,6 +262,11 @@ def table3_bsbm(
     return run_paper_experiment(f"table3-bsbm-{scale}", verify, graph)
 
 
+#: MG13's HDFS capacity (bytes): mid-window between what Hive MQO (6,871,918)
+#: and naive Hive (8,777,805) load and materialize at the ``paper`` preset.
+MG13_CAPACITY = 7_825_000
+
+
 def mg13_disk_exhaustion(capacity: int) -> ExperimentResult:
     """The paper's MG13 stress case: naive Hive exhausts HDFS space while
     materializing the expanded MeSH-heading join twice; RAPIDAnalytics

@@ -41,7 +41,7 @@ from repro.ambient import PLANNER
 from repro.core.results import EngineConfig, Row
 from repro.errors import OverlapError, PlanningError
 from repro.mapreduce import cost
-from repro.mapreduce.cost import _POINTER, estimate_size
+from repro.mapreduce.cost import _POINTER, COLUMN_BYTES, estimate_size
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
@@ -78,7 +78,7 @@ class _Shipped:
 
 
 def _sized(items: Iterable[Any]) -> int:
-    """The summed size of terms (or variables), peeking their caches."""
+    """The summed size of terms, peeking their caches."""
     total = 0
     for item in items:
         size = item._size
@@ -87,13 +87,11 @@ def _sized(items: Iterable[Any]) -> int:
 
 
 def _sized_row(pairs: list[tuple[Variable, Term]]) -> Row:
-    """One result Row, its size summed from its variables and terms."""
+    """One result Row, its size summed from its terms and column charges."""
     row = Row(pairs)
     if cost.SIZE_CACHE_ENABLED:
-        total = _POINTER
-        for variable, term in pairs:
-            size = variable._size
-            total += size if size is not None else estimate_size(variable)
+        total = _POINTER + COLUMN_BYTES * len(pairs)
+        for _, term in pairs:
             size = term._size
             total += size if size is not None else estimate_size(term)
         row._size = total
@@ -286,11 +284,11 @@ class HiveExecutor:
         output = f"{self.prefix}/{self._counter.next(label)}"
 
         # A record shipped for pattern i is sized as the (i, Row) pair
-        # it replaces: tuple and Row pointers, the int tag, the bound
-        # variables and constants, and the terms it carries.
+        # it replaces: tuple and Row pointers, the int tag, the column
+        # charges, the constants, and the terms it carries.
         shipping = [
             (
-                2 * _POINTER + 8 + _sized(v for v, c in binds)
+                2 * _POINTER + 8 + COLUMN_BYTES * len(binds)
                 + _sized(c for _, c in binds if type(c) is not int),
                 tuple(c for _, c in binds if type(c) is int),
             )
@@ -467,8 +465,8 @@ class HiveExecutor:
             test, binds = _accepts(right_tp, _pushable(filters, right_tp)), _binds(right_tp)
         key_column = dict(binds).get(variable)
         # A VP record shipped right is sized as the ("R", Row) pair it
-        # replaces: tuple and Row pointers, the tag, the bound variables.
-        right_base = 2 * _POINTER + 2 + _sized(v for v, _ in binds)
+        # replaces: tuple and Row pointers, the tag, the column charges.
+        right_base = 2 * _POINTER + 2 + COLUMN_BYTES * len(binds)
 
         def right_key(record: Any) -> Term | None:
             """The join term of one right record; None when it has none."""

@@ -19,6 +19,10 @@ from repro.rdf.triples import Triple
 
 _POINTER = 8
 
+#: A variable's size: one column of a solution row costs a pointer; its name
+#: lives in the plan's schema, so no size depends on how a query spells it.
+COLUMN_BYTES = _POINTER
+
 #: Master switch for the size caches (term/triple ``_size`` slots, the
 #: per-class dispatch table below, and the triplegroup memos that
 #: consult this flag).  :func:`repro.perf.reference_mode` flips it off
@@ -51,6 +55,8 @@ def _reference_estimate_size(record: Any) -> int:
         if record.language:
             size += len(record.language) + 1
         return size
+    if isinstance(record, Variable):
+        return COLUMN_BYTES
     if isinstance(record, Triple):
         return (
             _reference_estimate_size(record.subject)
@@ -119,16 +125,6 @@ def _triple_size(record: Triple) -> int:
             + estimate_size(record.object)
             + 2
         )
-        object.__setattr__(record, "_size", size)
-    return size
-
-
-def _variable_size(record: Variable) -> int:
-    # The reference path sizes variables (solution-dict keys) through the
-    # generic repr fallback; the dataclass repr is slow, so cache it.
-    size = record._size
-    if size is None:
-        size = _POINTER + len(repr(record))
         object.__setattr__(record, "_size", size)
     return size
 
@@ -209,7 +205,7 @@ _HANDLERS: dict[type, Any] = {
     BNode: _bnode_size,
     Literal: _literal_size,
     Triple: _triple_size,
-    Variable: _variable_size,
+    Variable: lambda record: COLUMN_BYTES,
     tuple: _sequence_size,
     list: _sequence_size,
     set: _sequence_size,

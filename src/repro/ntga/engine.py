@@ -101,12 +101,13 @@ def run_plan(
     prefix's outputs are already durable and, if recovery is on,
     ledger-committed; ``run_workflow`` handles checkpoint/resume).
 
-    A sharded config swaps in :class:`ShardedExecutor`'s versions of
+    More than one shard swaps in :class:`ShardedExecutor`'s versions of
     the same calls and gathers the parts of every file an answer is
-    read from at the end; the sequence is the same.
+    read from at the end; the sequence is the same (one shard is one
+    cluster).
     """
     split = plan.split_index
-    sharded = config.sharded
+    sharded = config.shards > 1
     if sharded:
         from repro.shard.execution import ShardedExecutor
 

@@ -183,7 +183,6 @@ class Variable:
     """A SPARQL query variable, e.g. ``Variable("price")`` for ``?price``."""
 
     name: str
-    _size: int | None = cache_slot()
     _skey: tuple | None = cache_slot()
     _hash: int | None = cache_slot()
 

@@ -303,7 +303,7 @@ def test_bench_chaos_budget_exhausted_runs_are_aborted_not_drifted(capsys):
     """Runs that ran out of resubmissions aborted; none drifted, and the
     violation says so."""
     code, out, err = run_cli(
-        capsys, "bench", "table3-bsbm-tiny", "--chaos", "seeds=2,rate=0.3,budget=1"
+        capsys, "bench", "table3-bsbm-tiny", "--chaos", "seeds=2,rate=0.25,budget=1"
     )
     assert code == 1
     assert "completed: 1 of 16 runs" in out

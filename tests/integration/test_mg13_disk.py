@@ -11,12 +11,10 @@ shared execution) the least.
 import pytest
 
 from repro.bench.catalog import get_query
-from repro.bench.harness import mg13_disk_exhaustion, pubmed_config
+from repro.bench.harness import MG13_CAPACITY, mg13_disk_exhaustion, pubmed_config
 from repro.core.engines import make_engine, to_analytical
 from repro.datasets import pubmed
 from repro.errors import HDFSOutOfSpaceError
-
-CAPACITY = 11_000_000  # bytes; between naive's demand and the others'
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +45,7 @@ def test_naive_fails_under_capacity_others_complete(pubmed_paper, mg13):
         ("rapid-plus", True),
         ("rapid-analytics", True),
     ):
-        config = pubmed_config(hdfs_capacity=CAPACITY)
+        config = pubmed_config(hdfs_capacity=MG13_CAPACITY)
         if should_complete:
             report = make_engine(engine).execute(mg13, pubmed_paper, config)
             assert report.rows
@@ -57,7 +55,7 @@ def test_naive_fails_under_capacity_others_complete(pubmed_paper, mg13):
 
 
 def test_harness_records_failure_instead_of_raising():
-    result = mg13_disk_exhaustion(CAPACITY)
+    result = mg13_disk_exhaustion(MG13_CAPACITY)
     by_engine = result.for_query("MG13")
     assert by_engine["hive-naive"].failed == "HDFSOutOfSpaceError"
     assert by_engine["rapid-analytics"].failed == ""

@@ -12,114 +12,9 @@ that the fixed workload can't reach.
 from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.core.engines import PAPER_ENGINES, make_engine
-from repro.core.query_model import (
-    AggregateSpec,
-    AnalyticalQuery,
-    GraphPattern,
-    GroupingSubquery,
-    StarPattern,
-)
-from repro.rdf.graph import Graph
-from repro.rdf.terms import IRI, Literal, Variable
-from repro.rdf.triples import RDF_TYPE, Triple, TriplePattern
-
-EX = "http://rc.org/"
-TYPE_C = IRI(EX + "C")
-LABEL, FEAT, LINK, VAL, TAG = (
-    IRI(EX + "label"),
-    IRI(EX + "feat"),
-    IRI(EX + "link"),
-    IRI(EX + "val"),
-    IRI(EX + "tag"),
-)
-
-
-def _build_subquery(
-    suffix: str,
-    with_label: bool,
-    with_feat: bool,
-    with_tag: bool,
-    group_feat: bool,
-    group_tag: bool,
-    shared_names: bool,
-) -> GroupingSubquery:
-    def var(name: str, groupable: bool = False) -> Variable:
-        if groupable and shared_names:
-            return Variable(name)  # same name in both subqueries → outer join key
-        return Variable(name + suffix)
-
-    s, o = var("s"), var("o")
-    star1 = [TriplePattern(s, RDF_TYPE, TYPE_C)]
-    if with_label:
-        star1.append(TriplePattern(s, LABEL, var("l")))
-    feat_var = var("f", groupable=True)
-    if with_feat:
-        star1.append(TriplePattern(s, FEAT, feat_var))
-    star2 = [TriplePattern(o, LINK, s), TriplePattern(o, VAL, var("v"))]
-    tag_var = var("t", groupable=True)
-    if with_tag:
-        star2.append(TriplePattern(o, TAG, tag_var))
-    pattern = GraphPattern(
-        (StarPattern(s, tuple(star1)), StarPattern(o, tuple(star2)))
-    )
-    group_by = []
-    if group_feat and with_feat:
-        group_by.append(feat_var)
-    if group_tag and with_tag:
-        group_by.append(tag_var)
-    aggregates = (
-        AggregateSpec(var("cnt"), "COUNT", var("v")),
-        AggregateSpec(var("sum"), "SUM", var("v")),
-    )
-    return GroupingSubquery(pattern, tuple(group_by), aggregates)
-
-
-@st.composite
-def analytical_queries(draw):
-    shared_names = draw(st.booleans())
-    subqueries = []
-    for suffix in ("1", "2"):
-        subqueries.append(
-            _build_subquery(
-                suffix,
-                with_label=draw(st.booleans()),
-                with_feat=draw(st.booleans()),
-                with_tag=draw(st.booleans()),
-                group_feat=draw(st.booleans()),
-                group_tag=draw(st.booleans()),
-                shared_names=shared_names,
-            )
-        )
-    projection = []
-    for subquery in subqueries:
-        for variable in subquery.projected_variables():
-            if variable not in projection:
-                projection.append(variable)
-    return AnalyticalQuery(tuple(subqueries), tuple(projection))
-
-
-@st.composite
-def graphs(draw):
-    graph = Graph()
-    subject_count = draw(st.integers(0, 5))
-    for index in range(subject_count):
-        subject = IRI(EX + f"s{index}")
-        if draw(st.booleans()):
-            graph.add(Triple(subject, RDF_TYPE, TYPE_C))
-        if draw(st.booleans()):
-            graph.add(Triple(subject, LABEL, Literal(f"l{index}")))
-        for feature in draw(st.lists(st.integers(0, 2), max_size=2)):
-            graph.add(Triple(subject, FEAT, IRI(EX + f"f{feature}")))
-        for object_index in range(draw(st.integers(0, 2))):
-            obj = IRI(EX + f"o{index}_{object_index}")
-            graph.add(Triple(obj, LINK, subject))
-            graph.add(Triple(obj, VAL, Literal.from_python(draw(st.integers(1, 50)))))
-            for tag in draw(st.lists(st.integers(0, 1), max_size=2)):
-                graph.add(Triple(obj, TAG, Literal(f"t{tag}")))
-    return graph
+from tests.ntga.strategies import analytical_queries, composite_graphs
 
 
 def canonical(rows):
@@ -134,7 +29,7 @@ def canonical(rows):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(query=analytical_queries(), graph=graphs())
+@given(query=analytical_queries(), graph=composite_graphs())
 def test_random_composite_queries_match_oracle(query, graph):
     expected = canonical(make_engine("reference").execute(query, graph).rows)
     for engine in PAPER_ENGINES:

@@ -3,18 +3,30 @@
 ``test_triplegroup.py`` (compiled expansion) and ``test_physical.py``
 (compiled α-join) draw their stars and triplegroups from the same
 strategies and check against oracles written the slow, obvious way.
+Whole analytical queries (two overlapping grouping subqueries) and
+graphs for them close the file, for the engine-level property tests.
 """
 
 import copy
 
 from hypothesis import strategies as st
 
-from repro.core.query_model import PropKey, StarPattern, prop_key_of
+from repro.core.query_model import (
+    AggregateSpec,
+    AnalyticalQuery,
+    GraphPattern,
+    GroupingSubquery,
+    PropKey,
+    StarPattern,
+    prop_key_of,
+)
 from repro.ntga.factorized import FactorizedRelation, schema_for
 from repro.ntga.triplegroup import TripleGroup
 from repro.perf import reference_mode
+from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import RDF_TYPE, Triple, TriplePattern
+from repro.sparql.expressions import BinaryExpr, ConstExpr, VarExpr
 
 TY = RDF_TYPE
 PT = IRI("urn:PT1")
@@ -238,3 +250,119 @@ def factorized(draw, star, group):
         keys = {PropKey(TY) if key.type_object is not None else key for key in keys}
     keys = frozenset(keys)
     return FactorizedRelation.from_triplegroup(group.project(keys), schema_for(keys))
+
+
+# ---------------------------------------------------------------------------
+# Whole analytical queries: random pairs of overlapping grouping subqueries
+# ---------------------------------------------------------------------------
+
+EX = "http://rc.org/"
+TYPE_C = IRI(EX + "C")
+LABEL, FEAT, LINK, VAL, TAG = (
+    IRI(EX + "label"),
+    IRI(EX + "feat"),
+    IRI(EX + "link"),
+    IRI(EX + "val"),
+    IRI(EX + "tag"),
+)
+
+
+def _build_subquery(
+    suffix: str,
+    with_label: bool,
+    with_feat: bool,
+    with_tag: bool,
+    group_feat: bool,
+    group_tag: bool,
+    shared_names: bool,
+    filtered: bool = False,
+) -> GroupingSubquery:
+    def var(name: str, groupable: bool = False) -> Variable:
+        if groupable and shared_names:
+            return Variable(name)  # same name in both subqueries → outer join key
+        return Variable(name + suffix)
+
+    s, o = var("s"), var("o")
+    star1 = [TriplePattern(s, RDF_TYPE, TYPE_C)]
+    if with_label:
+        star1.append(TriplePattern(s, LABEL, var("l")))
+    feat_var = var("f", groupable=True)
+    if with_feat:
+        star1.append(TriplePattern(s, FEAT, feat_var))
+    star2 = [TriplePattern(o, LINK, s), TriplePattern(o, VAL, var("v"))]
+    tag_var = var("t", groupable=True)
+    if with_tag:
+        star2.append(TriplePattern(o, TAG, tag_var))
+    filters = ()
+    if filtered:  # two FILTER clauses, the first a conjunction
+        v = VarExpr(var("v"))
+        filters = (
+            BinaryExpr(
+                "&&",
+                BinaryExpr(">", v, ConstExpr(Literal.from_python(5))),
+                BinaryExpr("<", v, ConstExpr(Literal.from_python(45))),
+            ),
+            BinaryExpr("!=", v, ConstExpr(Literal.from_python(7))),
+        )
+    pattern = GraphPattern(
+        (StarPattern(s, tuple(star1)), StarPattern(o, tuple(star2))), filters
+    )
+    group_by = []
+    if group_feat and with_feat:
+        group_by.append(feat_var)
+    if group_tag and with_tag:
+        group_by.append(tag_var)
+    aggregates = (
+        AggregateSpec(var("cnt"), "COUNT", var("v")),
+        AggregateSpec(var("sum"), "SUM", var("v")),
+    )
+    return GroupingSubquery(pattern, tuple(group_by), aggregates)
+
+
+@st.composite
+def analytical_queries(draw, filtered=False):
+    """Two overlapping grouping subqueries over :func:`composite_graphs`'
+    vocabulary; *filtered* lets each subquery draw FILTERs on its
+    measured value."""
+    shared_names = draw(st.booleans())
+    subqueries = []
+    for suffix in ("1", "2"):
+        subqueries.append(
+            _build_subquery(
+                suffix,
+                with_label=draw(st.booleans()),
+                with_feat=draw(st.booleans()),
+                with_tag=draw(st.booleans()),
+                group_feat=draw(st.booleans()),
+                group_tag=draw(st.booleans()),
+                shared_names=shared_names,
+                filtered=filtered and draw(st.booleans()),
+            )
+        )
+    projection = []
+    for subquery in subqueries:
+        for variable in subquery.projected_variables():
+            if variable not in projection:
+                projection.append(variable)
+    return AnalyticalQuery(tuple(subqueries), tuple(projection))
+
+
+@st.composite
+def composite_graphs(draw):
+    graph = Graph()
+    subject_count = draw(st.integers(0, 5))
+    for index in range(subject_count):
+        subject = IRI(EX + f"s{index}")
+        if draw(st.booleans()):
+            graph.add(Triple(subject, RDF_TYPE, TYPE_C))
+        if draw(st.booleans()):
+            graph.add(Triple(subject, LABEL, Literal(f"l{index}")))
+        for feature in draw(st.lists(st.integers(0, 2), max_size=2)):
+            graph.add(Triple(subject, FEAT, IRI(EX + f"f{feature}")))
+        for object_index in range(draw(st.integers(0, 2))):
+            obj = IRI(EX + f"o{index}_{object_index}")
+            graph.add(Triple(obj, LINK, subject))
+            graph.add(Triple(obj, VAL, Literal.from_python(draw(st.integers(1, 50)))))
+            for tag in draw(st.lists(st.integers(0, 1), max_size=2)):
+                graph.add(Triple(obj, TAG, Literal(f"t{tag}")))
+    return graph

@@ -5,6 +5,7 @@ the Prometheus exposition of a reference registry matches a committed
 golden byte-for-byte."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,6 @@ def test_prometheus_exposition_matches_committed_golden():
             text=True,
             check=True,
             cwd=Path(__file__).parent.parent.parent,
-            env={"PYTHONHASHSEED": hashseed, "PATH": "/usr/bin:/bin"},
+            env={**os.environ, "PYTHONHASHSEED": hashseed},
         )
         assert result.stdout == expected, f"drifted under PYTHONHASHSEED={hashseed}"

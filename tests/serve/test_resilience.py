@@ -373,10 +373,10 @@ def test_successful_answers_refresh_the_stale_store(chem_tiny):
 
 # -- blast-radius isolation ----------------------------------------------------
 
-# Pinned empirically: under FaultPlan(seed=4, rate=0.01, max_attempts=1)
+# Pinned empirically: under FaultPlan(seed=30, rate=0.01, max_attempts=1)
 # the merged four-query batch crashes, and each member's solo
 # re-execution (fresh derived fault seed) succeeds first try.
-_ISOLATION_PLAN = FaultPlan(seed=4, task_failure_rate=0.01, max_attempts=1)
+_ISOLATION_PLAN = FaultPlan(seed=30, task_failure_rate=0.01, max_attempts=1)
 
 
 def _chem_requests():

@@ -73,6 +73,13 @@ class TestFacadeGuards:
         with pytest.raises(ShardError, match="sharding is available on"):
             run_query(query, graph, "reference", EngineConfig(partitioner="hash"))
 
+    def test_one_shard_with_a_partitioner_is_still_rejected_on_hive(self, mg1):
+        """One shard runs the single-cluster path, but the combination
+        stays unsupported where the engine never reads the knobs."""
+        query, graph = mg1
+        with pytest.raises(ShardError, match="sharding is available on"):
+            run_query(query, graph, "hive-naive", EngineConfig(shards=1, partitioner="hash"))
+
     def test_an_unknown_engine_is_diagnosed_as_unknown(self, mg1):
         query, graph = mg1
         with pytest.raises(PlanningError, match=r"unknown engine .* \(known: "):

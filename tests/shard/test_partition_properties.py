@@ -138,9 +138,9 @@ class TestSingleShard:
         assert set(partition.assignment.values()) == {0}
 
     def test_one_shard_execution_exchanges_zero_bytes(self):
-        """A real sharded execution at shards=1 runs the full
-        partial/exchange/assemble machinery yet moves nothing across a
-        partition boundary."""
+        """One shard, whatever the partitioner, is the single-cluster
+        path: nothing crosses a partition boundary, and the run's rows,
+        cycles and cost are the unsharded run's."""
         from repro.core.engines import make_engine, to_analytical
         from repro.core.results import EngineConfig
         from repro.bench.catalog import get_query
@@ -149,12 +149,17 @@ class TestSingleShard:
         graph = bsbm.generate(bsbm.preset("tiny"))
         query = to_analytical(get_query("MG1").sparql)
         engine = make_engine("rapid-analytics")
+        unsharded = engine.execute(query, graph, EngineConfig())
         for strategy in PARTITIONERS:
             report = engine.execute(
                 query, graph, EngineConfig(shards=1, partitioner=strategy)
             )
             assert report.stats.total_exchange_bytes == 0
             assert "exchange_bytes" not in report.stats.counters.as_dict()
+            assert report.rows == unsharded.rows
+            assert (report.cycles, report.cost_seconds) == (
+                unsharded.cycles, unsharded.cost_seconds,
+            )
 
 
 class TestMinEdgeCutQuality:

@@ -2,8 +2,8 @@
 evaluation recovers through the checkpoint ledger without re-running
 other shards' committed jobs.
 
-The scenario is fully deterministic: FaultPlan spec ``46,0.08,0,0,1``
-(seed 46, 8% crash rate, max_attempts=1 so every injected crash aborts
+The scenario is fully deterministic: FaultPlan spec ``223,0.03,0,0,1``
+(seed 223, 3% crash rate, max_attempts=1 so every injected crash aborts
 its job) against MG1 on the tiny BSBM preset at shards=4/min-edge-cut
 crashes exactly one per-shard job — the TG_AgJ partial on shard 2
 (``ra:agg-join@s2``) — after the α-join's eight per-shard jobs and the
@@ -22,7 +22,7 @@ from repro.datasets import bsbm
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
 
-FAULT_SPEC = "46,0.08,0,0,1"
+FAULT_SPEC = "223,0.03,0,0,1"
 CRASHED_JOB = "ra:agg-join@s2"
 #: The jobs durably committed before the crash: every per-shard job of
 #: the α-join cycle plus the agg-join partials that ran ahead of the

@@ -18,6 +18,19 @@ per-strategy exchange sums) moved, and nothing else: answers, digests,
 cycles, edge cuts, unsharded costs, rankings and verdicts are the
 parent's.  ``FOLD_MOVED`` holds the parent's values of the moved fields;
 put back, each re-cut file hashes to the parent's bytes.
+
+**The sizing re-cut: bytes and costs moved, answers did not.**  A
+solution row is sized by its terms plus a fixed charge per column, no
+longer by the ``repr`` of its variable names, so every byte and cost
+figure sized from a row moved, and with them what follows from a cost
+(simulated times, latency histograms, deadline verdicts) and what is
+keyed by a volume (which task an injected fault hits).
+``golden_recut_sizing.json`` holds the parent's value of every leaf that
+moved in each re-cut file; put back, each hashes to the parent's bytes.
+No moved leaf is a row, digest, cycle, record count or cut edge, save
+the few :data:`SIZING_EXCEPTIONS` name with their cause.  The earlier
+transcriptions read each file through the sizing re-cut first
+(:func:`_load`), so they still hash back to their own earlier bytes.
 """
 
 from __future__ import annotations
@@ -231,7 +244,139 @@ def serve_form(transcripts: Report) -> Report:
 
 
 def _load(path: Path) -> Report:
-    return json.loads(path.read_text())
+    """*path* as the parent of the sizing re-cut wrote it."""
+    return sized_back(path, json.loads(path.read_text()))
+
+
+# -- the sizing re-cut -----------------------------------------------------------
+
+SIZING_MOVED = json.loads((REPO / "tests" / "golden_recut_sizing.json").read_text())
+
+#: SHA-256 of each file's bytes before the sizing re-cut.
+BEFORE_SIZING = {
+    "benchmarks/golden/calibration-mg.json": "5c500cd73ad8c7165a1d65ea5de88c243a55b66a77f4dd0173966b20ef8b92a0",
+    "benchmarks/golden/chaos-figure8a.json": "83c57c9e2ddf18aed9406eb1503cff3d17853576ba1fe85be02452639fb47652",
+    "benchmarks/golden/faults-table3-bsbm-tiny.json": "71e0a8f2aa55285edd361550afde3875fcdb690087eea4f14a36b7f8f14d9954",
+    "benchmarks/golden/metrics-chem-overlap.json": "a2bed0b0d031f3c9e5e160f708eb2ba894953a97a2679ecb8ec20be8b07e95c3",
+    "benchmarks/golden/planner-ab-mg.json": "499c8ee07be3e32fa1e501df651906139ef69165b9ffc3b451b1cf5ffb52998a",
+    "benchmarks/golden/serve-chem-overlap.json": "cb903c0f25dd8be41c11df10efdb7f6281daeddc91488d6e96862a5522035bd3",
+    "benchmarks/golden/serve-resilience-chem.json": "58f7ad2e334c23731431fa2f65fab732a371cdc1e7ab7986c96f6ea963fc03ca",
+    "benchmarks/golden/shard-ab-mg-4.json": "53341a624a216b3eca15344da9a382174ba3e8e10ed2dd30e19f65cd50ef7ce0",
+    "benchmarks/golden/table3-bsbm-tiny.json": "80b501023210ac608c228d9a69df64e477aaee0228334d883620d6cc343d937c",
+    "tests/golden/bsbm-tiny.json": "d64df47119b5567e7eb1271f4a105b879f2774347a662697a13a059c5e83fa93",
+    "tests/golden/chem-tiny.json": "138222deb3e3f73bb9f594e99050bfebe17ba74465e574c5e4f4be685c6973fb",
+    "tests/golden/pubmed-tiny.json": "ca703e2c34e844337290c6169ab7450618ee7ad18ce3fded7befa294bd02d836",
+    "tests/bench/ab_transcripts.json": "6949c6bbdc5bad84865c099af29275fa70cce18deba056b3658781a6c7e38ab4",
+    "tests/serve/transcripts.json": "98d7dac9a027f195fdcf994234d89b2ac38e15923986a937b1671d0a37a6741e",
+}
+
+#: What a re-cut never moves: answers, cycles, record and task counts,
+#: plan shapes, cut edges, run outcomes.
+UNMOVED = {
+    "rows", "rows_digest", "digest", "rows_match", "answers_all_match", "failed",
+    "cycles", "map_only_cycles", "map_only", "name", "map_tasks", "reduce_tasks",
+    "input_records", "output_records", "map_input_records", "map_output_records",
+    "reduce_input_records", "reduce_output_records", "cut_edges", "total_edges",
+}
+#: Fields of a pinned serve response that may move: its simulated times
+#: and costs, and its error text (a deadline message quotes seconds, a
+#: fault message the task the fault hit).
+RESPONSE_MOVABLE = {"started", "completed", "latency", "unit_cost", "retry_backoff", "error"}
+
+#: ``(file, path prefix)`` -> why an UNMOVED field moved there.
+SIZING_EXCEPTIONS = {
+    ("benchmarks/golden/table3-bsbm-tiny.json", ("runs", 6)): (
+        "G4 on hive-naive: the formed star its join reads as a side table "
+        "now sizes 478 B, under BSBM's 512 B map-join threshold, so the rule "
+        "planner runs the join map-only (map-only cycles 1 -> 2)"
+    ),
+    ("tests/golden/bsbm-tiny.json", ("runs", 0)): (
+        "MG2 on hive-naive: the same map-join decision in its first subquery "
+        "(map-only cycles 4 -> 5)"
+    ),
+    ("tests/bench/ab_transcripts.json", ("shards MG1 1",)): (
+        "one shard runs the single-cluster path: 3 cycles, not the sharded "
+        "tree's 5"
+    ),
+    ("tests/bench/ab_transcripts.json", ("chaos table3-bsbm-tiny seeds=2,rate=0.3,budget=1",)): (
+        "the cell was re-derived as rate=0.25, so that a budget of one still "
+        "runs out on 15 of 16 runs once faults hit other tasks"
+    ),
+    ("tests/serve/transcripts.json", ("retries",)): (
+        "the faulty cells' plan was re-derived as seed 33; in this cell one "
+        "unit needs one retry fewer (4 -> 3 retries, 7 -> 6 solo units)"
+    ),
+}
+
+#: Transcripts are written with indent 1, by folder sorted or not;
+#: every other re-cut file in the report writer's format.
+_TRANSCRIPT_SORT_KEYS = {"tests/bench": True, "tests/serve": False}
+
+
+def _file_bytes(name: str, report: Report) -> str:
+    folder = name.rsplit("/", 1)[0]
+    if folder in _TRANSCRIPT_SORT_KEYS:
+        return json.dumps(report, indent=1, sort_keys=_TRANSCRIPT_SORT_KEYS[folder]) + "\n"
+    return _report_bytes(report)
+
+
+def _name(path: Path) -> str:
+    return path.relative_to(REPO).as_posix()
+
+
+def _at(report: Report, keys: list) -> Any:
+    for key in keys:
+        report = report[key]
+    return report
+
+
+def sized_back(path: Path, report: Report) -> Report:
+    """*report* (read from *path*) with the parent's value of every leaf
+    the sizing re-cut moved put back, and every leaf it added dropped."""
+    moved = SIZING_MOVED.get(_name(path), {})
+    for (*parents, last), value in moved.get("set", ()):
+        node = _at(report, parents)
+        if isinstance(node, list) and last == len(node):
+            node.append(value)
+        else:
+            node[last] = value
+    for *parents, last in reversed(moved.get("drop", ())):
+        del _at(report, parents)[last]
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE_SIZING))
+def test_the_sizing_recut_maps_back_to_the_parent_bytes(name):
+    text = _file_bytes(name, _load(REPO / name))
+    assert _sha(text) == BEFORE_SIZING[name]
+
+
+def test_the_sizing_recut_moved_no_answer_cycle_record_or_cut():
+    from dataclasses import fields
+
+    from repro.serve import ServeResponse
+
+    response_fields = [f.name for f in fields(ServeResponse)]
+    used = set()
+    for name, moved in SIZING_MOVED.items():
+        current = json.loads((REPO / name).read_text())
+        touched = [*moved.get("set", ()), *([keys, None] for keys in moved.get("drop", ()))]
+        for keys, was in touched:
+            excuses = {
+                (file, prefix) for file, prefix in SIZING_EXCEPTIONS
+                if file == name and tuple(keys[: len(prefix)]) == prefix
+            }
+            used |= excuses
+            if excuses:
+                continue
+            field = [key for key in keys if isinstance(key, str)][-1]
+            assert field not in UNMOVED, (name, keys)
+            if field == "responses":
+                before = dict(zip(response_fields, literal_eval(was)))
+                after = dict(zip(response_fields, literal_eval(_at(current, keys))))
+                changed = {f for f in response_fields if before[f] != after[f]}
+                assert changed <= RESPONSE_MOVABLE, (name, keys, changed)
+    assert used == set(SIZING_EXCEPTIONS)
 
 
 # -- the fold re-cut -------------------------------------------------------------
@@ -353,7 +498,7 @@ def test_a_recut_golden_maps_back_to_its_earlier_bytes(path, form):
 def test_the_ab_transcripts_map_back_to_their_earlier_bytes():
     cells = _load(AB_TRANSCRIPTS)
     faults = "faults table3-bsbm-tiny 7,0.3,0,0,1"
-    chaos = "chaos table3-bsbm-tiny seeds=2,rate=0.3,budget=1"
+    chaos = "chaos table3-bsbm-tiny seeds=2,rate=0.3,budget=1"  # before its re-derivation
     cells[faults] = fault_form(cells[faults])
     cells[chaos] = chaos_form(cells[chaos])
     for cell in SHARD_CELLS:  # the fold re-cut, undone first
