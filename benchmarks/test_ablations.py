@@ -1,4 +1,8 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out."""
+"""Ablation benchmarks for the design choices DESIGN.md calls out.
+
+The figures EXPERIMENTS.md's "Ablations" section prints are asserted
+here exactly, so the section cannot drift from what the code measures.
+"""
 
 import pytest
 
@@ -26,7 +30,7 @@ def test_ablation_agg_join_combiner(benchmark, bsbm_500k):
     # the Agg-Join cycle's own saving.
     reduction = 1 - with_combiner.shuffle_bytes / without_combiner.shuffle_bytes
     benchmark.extra_info["shuffle_reduction_pct"] = round(reduction * 100)
-    assert reduction > 0.1
+    assert round(reduction * 100) == 28
 
 
 def test_ablation_ec_pruning(benchmark, chem_paper):
@@ -39,7 +43,7 @@ def test_ablation_ec_pruning(benchmark, chem_paper):
     pruned, unpruned = result
     reduction = 1 - pruned.input_bytes / unpruned.input_bytes
     benchmark.extra_info["input_reduction_pct"] = round(reduction * 100)
-    assert reduction > 0
+    assert round(reduction * 100) == 12
 
 
 def test_ablation_mapjoin_threshold(benchmark, chem_paper):
@@ -70,10 +74,9 @@ def test_ablation_parallel_aggregation(benchmark, bsbm_500k):
     parallel, sequential = result
     benchmark.extra_info["parallel_cycles"] = parallel.cycles
     benchmark.extra_info["sequential_cycles"] = sequential.cycles
-    benchmark.extra_info["cost_saving_pct"] = round(
-        (1 - parallel.cost_seconds / sequential.cost_seconds) * 100
-    )
-    assert parallel.cycles < sequential.cycles
+    saving = round((1 - parallel.cost_seconds / sequential.cost_seconds) * 100)
+    benchmark.extra_info["cost_saving_pct"] = saving
+    assert (parallel.cycles, sequential.cycles, saving) == (3, 4, 24)
 
 
 def test_ablation_shared_scan(benchmark, bsbm_500k):
@@ -86,4 +89,4 @@ def test_ablation_shared_scan(benchmark, bsbm_500k):
     analytics, plus = result["rapid-analytics"], result["rapid-plus"]
     benchmark.extra_info["input_bytes_ra"] = analytics.input_bytes
     benchmark.extra_info["input_bytes_rapid_plus"] = plus.input_bytes
-    assert analytics.input_bytes < plus.input_bytes
+    assert (analytics.input_bytes, plus.input_bytes) == (1_102_174, 2_121_048)

@@ -1,12 +1,5 @@
 """Benchmark harness: workload catalog, experiment runners, reporting."""
 
-from repro.bench.ablations import (
-    combiner_ablation,
-    ec_pruning_ablation,
-    mapjoin_threshold_sweep,
-    parallel_aggregation_ablation,
-    shared_scan_benefit,
-)
 from repro.bench.catalog import (
     CATALOG,
     CatalogQuery,
@@ -32,11 +25,6 @@ from repro.bench.harness import (
 from repro.bench.reporting import render_cost_table, render_gains_table, render_io_table
 
 __all__ = [
-    "combiner_ablation",
-    "ec_pruning_ablation",
-    "mapjoin_threshold_sweep",
-    "parallel_aggregation_ablation",
-    "shared_scan_benefit",
     "CATALOG",
     "CatalogQuery",
     "EXPERIMENTS",

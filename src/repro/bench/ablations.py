@@ -6,26 +6,32 @@ turned off:
 * **combiner ablation** — TG_AgJ's mapper-side hash partial aggregation
   (Algorithm 3's ``multiAggMap``, the job's fold): without it every
   expanded solution is shuffled;
+* **parallel aggregation ablation** — Figure 6(b)'s fused Agg-Join vs
+  Figure 6(a)'s one Agg-Join cycle per subquery;
 * **equivalence-class pruning ablation** — storing triplegroups per
   equivalence class lets a star pattern scan only matching files;
 * **map-join threshold sweep** — Hive's small-table optimization;
 * **shared-scan benefit** — composite (RAPIDAnalytics) vs sequential
   (RAPID+) input volumes on the same query.
+
+Every point is one engine execution under the caller's config: an NTGA
+counterfactual is a planner handed to :class:`NTGAEngine`, so it runs
+through the same driver, representation, faults and recovery as any
+engine run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclass_replace
+from functools import partial
 
 from repro.core.engines import make_engine, to_analytical
 from repro.core.query_model import AnalyticalQuery
-from repro.core.results import EngineConfig
-from repro.mapreduce.hdfs import HDFS
+from repro.core.results import EngineConfig, ExecutionReport
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runner import MapReduceRunner
-from repro.ntga.engine import run_plan
-from repro.ntga.physical import load_triplegroups
-from repro.ntga.planner import plan_rapid_analytics
+from repro.ntga.engine import NTGAEngine, Planner
+from repro.ntga.physical import TripleGroupStore
+from repro.ntga.planner import NTGAPlan, plan_rapid_analytics
 from repro.rdf.graph import Graph
 
 
@@ -36,6 +42,16 @@ class AblationPoint:
     shuffle_bytes: int
     input_bytes: int
     cost_seconds: float
+
+
+def _point(label: str, report: ExecutionReport) -> AblationPoint:
+    return AblationPoint(
+        label=label,
+        cycles=report.cycles,
+        shuffle_bytes=report.stats.total_shuffle_bytes,
+        input_bytes=sum(job.input_bytes for job in report.stats.jobs),
+        cost_seconds=report.cost_seconds,
+    )
 
 
 def _partials_of_one(job: MapReduceJob) -> MapReduceJob:
@@ -51,29 +67,38 @@ def _partials_of_one(job: MapReduceJob) -> MapReduceJob:
     return dataclass_replace(job, mapper=unfolded, fold=None)
 
 
-def _ablation_point(
+def _without_folds(query: AnalyticalQuery, store: TripleGroupStore) -> NTGAPlan:
+    plan = plan_rapid_analytics(query, store)
+    plan.jobs = [_partials_of_one(job) if job.fold else job for job in plan.jobs]
+    return plan
+
+
+class _FullScanStore(TripleGroupStore):
+    """The same stored files, but every star scans all of them."""
+
+    def paths_for(self, p_prim) -> tuple[str, ...]:
+        return tuple(sorted(self.paths_by_class.values()))
+
+
+def _full_scan(query: AnalyticalQuery, store: TripleGroupStore) -> NTGAPlan:
+    return plan_rapid_analytics(query, _FullScanStore(**vars(store)))
+
+
+def _against(
     graph: Graph,
-    query: AnalyticalQuery,
-    config: EngineConfig,
-    strip_combiners: bool,
-    fuse_aggregations: bool = True,
-) -> AblationPoint:
-    hdfs = HDFS(capacity=config.hdfs_capacity)
-    store = load_triplegroups(graph, hdfs)
-    plan = plan_rapid_analytics(query, store, fuse_aggregations=fuse_aggregations)
-    if strip_combiners:
-        plan.jobs = [_partials_of_one(job) if job.fold else job for job in plan.jobs]
-    runner = MapReduceRunner(
-        hdfs, config.cluster, config.cost_model, config.fault_plan
+    sparql: str,
+    config: EngineConfig | None,
+    labels: tuple[str, str],
+    counterfactual: Planner,
+) -> tuple[AblationPoint, AblationPoint]:
+    """RAPIDAnalytics' rule plan, then *counterfactual*'s, each one
+    engine execution of *sparql* under *config*."""
+    query = to_analytical(sparql)
+    on, off = (
+        _point(label, NTGAEngine(label, planner).execute(query, graph, config))
+        for label, planner in zip(labels, (plan_rapid_analytics, counterfactual))
     )
-    stats = run_plan(plan, runner, store, graph, config)
-    return AblationPoint(
-        label="without combiner" if strip_combiners else "with combiner",
-        cycles=stats.cycles,
-        shuffle_bytes=stats.total_shuffle_bytes,
-        input_bytes=sum(job.input_bytes for job in stats.jobs),
-        cost_seconds=stats.total_cost,
-    )
+    return on, off
 
 
 def combiner_ablation(
@@ -84,11 +109,8 @@ def combiner_ablation(
     Returns (with_combiner, without_combiner); the shuffle volume gap is
     the saving Algorithm 3's per-mapper hash aggregation buys.
     """
-    config = config or EngineConfig()
-    query = to_analytical(sparql)
-    return (
-        _ablation_point(graph, query, config, strip_combiners=False),
-        _ablation_point(graph, query, config, strip_combiners=True),
+    return _against(
+        graph, sparql, config, ("with combiner", "without combiner"), _without_folds
     )
 
 
@@ -103,15 +125,12 @@ def parallel_aggregation_ablation(
     from the composite-pattern sharing (both variants share the
     composite evaluation).
     """
-    config = config or EngineConfig()
-    query = to_analytical(sparql)
-    parallel = _ablation_point(graph, query, config, strip_combiners=False)
-    sequential = _ablation_point(
-        graph, query, config, strip_combiners=False, fuse_aggregations=False
-    )
-    return (
-        AblationPoint("fused parallel Agg-Join", parallel.cycles, parallel.shuffle_bytes, parallel.input_bytes, parallel.cost_seconds),
-        AblationPoint("sequential Agg-Joins", sequential.cycles, sequential.shuffle_bytes, sequential.input_bytes, sequential.cost_seconds),
+    return _against(
+        graph,
+        sparql,
+        config,
+        ("fused parallel Agg-Join", "sequential Agg-Joins"),
+        partial(plan_rapid_analytics, fuse_aggregations=False),
     )
 
 
@@ -123,34 +142,7 @@ def ec_pruning_ablation(
     Returns (pruned, unpruned); the input-bytes gap is the benefit of the
     per-equivalence-class triplegroup layout.
     """
-    config = config or EngineConfig()
-    query = to_analytical(sparql)
-    pruned = _ablation_point(graph, query, config, strip_combiners=False)
-
-    hdfs = HDFS(capacity=config.hdfs_capacity)
-    store = load_triplegroups(graph, hdfs)
-    all_paths = tuple(sorted(store.paths_by_class.values()))
-    original = type(store).paths_for
-    try:
-        type(store).paths_for = lambda self, p_prim: all_paths  # type: ignore[method-assign]
-        plan = plan_rapid_analytics(query, store)
-        runner = MapReduceRunner(
-            hdfs, config.cluster, config.cost_model, config.fault_plan
-        )
-        stats = run_plan(plan, runner, store, graph, config)
-    finally:
-        type(store).paths_for = original  # type: ignore[method-assign]
-    unpruned = AblationPoint(
-        label="full scan",
-        cycles=stats.cycles,
-        shuffle_bytes=stats.total_shuffle_bytes,
-        input_bytes=sum(job.input_bytes for job in stats.jobs),
-        cost_seconds=stats.total_cost,
-    )
-    return (
-        AblationPoint("EC-pruned scan", pruned.cycles, pruned.shuffle_bytes, pruned.input_bytes, pruned.cost_seconds),
-        unpruned,
-    )
+    return _against(graph, sparql, config, ("EC-pruned scan", "full scan"), _full_scan)
 
 
 def mapjoin_threshold_sweep(
@@ -166,18 +158,7 @@ def mapjoin_threshold_sweep(
     for threshold in thresholds:
         config = dataclass_replace(base_config, mapjoin_threshold=threshold)
         report = make_engine("hive-naive").execute(query, graph, config)
-        points.append(
-            (
-                threshold,
-                AblationPoint(
-                    label=f"threshold={threshold}",
-                    cycles=report.cycles,
-                    shuffle_bytes=report.stats.total_shuffle_bytes,
-                    input_bytes=sum(job.input_bytes for job in report.stats.jobs),
-                    cost_seconds=report.cost_seconds,
-                ),
-            )
-        )
+        points.append((threshold, _point(f"threshold={threshold}", report)))
     return points
 
 
@@ -185,16 +166,8 @@ def shared_scan_benefit(
     graph: Graph, sparql: str, config: EngineConfig | None = None
 ) -> dict[str, AblationPoint]:
     """Composite (shared) vs sequential pattern evaluation input volume."""
-    config = config or EngineConfig()
     query = to_analytical(sparql)
-    points: dict[str, AblationPoint] = {}
-    for engine in ("rapid-analytics", "rapid-plus"):
-        report = make_engine(engine).execute(query, graph, config)
-        points[engine] = AblationPoint(
-            label=engine,
-            cycles=report.cycles,
-            shuffle_bytes=report.stats.total_shuffle_bytes,
-            input_bytes=sum(job.input_bytes for job in report.stats.jobs),
-            cost_seconds=report.cost_seconds,
-        )
-    return points
+    return {
+        engine: _point(engine, make_engine(engine).execute(query, graph, config))
+        for engine in ("rapid-analytics", "rapid-plus")
+    }

@@ -3,19 +3,30 @@
 import pytest
 
 from repro.bench.ablations import (
+    AblationPoint,
     combiner_ablation,
     ec_pruning_ablation,
     mapjoin_threshold_sweep,
     parallel_aggregation_ablation,
     shared_scan_benefit,
 )
+from repro.bench.catalog import get_query
 from repro.bench.harness import bsbm_config
-from tests.conftest import MG1_STYLE_QUERY
+from repro.core.engines import make_engine, to_analytical
+from repro.core.results import EngineConfig
+from repro.datasets import bsbm
+from repro.mapreduce.checkpoint import RecoveryPolicy
+from repro.mapreduce.faults import FaultPlan
+
+NTGA_ABLATIONS = (combiner_ablation, parallel_aggregation_ablation, ec_pruning_ablation)
+
+
+@pytest.fixture(scope="module")
+def bsbm_tiny():
+    return bsbm.generate(bsbm.preset("tiny"))
 
 
 def test_combiner_cuts_shuffle_volume(bsbm_small, mg1_style_query):
-    from repro.bench.catalog import get_query
-
     with_combiner, without_combiner = combiner_ablation(
         bsbm_small, get_query("MG1").sparql, bsbm_config()
     )
@@ -24,24 +35,104 @@ def test_combiner_cuts_shuffle_volume(bsbm_small, mg1_style_query):
     assert with_combiner.cost_seconds < without_combiner.cost_seconds
 
 
-def test_combiner_ablation_bytes_and_cost_are_pinned():
-    """MG1 on the BSBM tiny preset, with and without TG_AgJ's map-side
-    aggregation: the values captured when the combine stage was still a
-    combiner over per-solution accumulators.  The fold and a partial of
-    one per emission must reproduce both to the byte.  (The costs were
-    re-cut when a solution row stopped being sized by its variable
-    names: the materialized answer shrank; the shuffle did not move.)"""
-    from repro.bench.catalog import get_query
-    from repro.datasets import bsbm
+#: Every point of every ablation, on the BSBM and Chem2Bio2RDF tiny
+#: presets under the default config.  The combiner's pair was captured
+#: when the combine stage was still a combiner over per-solution
+#: accumulators: the fold and a partial of one per emission reproduce it
+#: to the byte (its costs were re-cut when a solution row stopped being
+#: sized by its variable names; the shuffle did not move).
+PINNED = {
+    "combiner": (
+        "bsbm", combiner_ablation, "MG1",
+        (
+            AblationPoint("with combiner", 3, 32806, 100167, 27.96671346028646),
+            AblationPoint("without combiner", 3, 41495, 100167, 28.07278035481771),
+        ),
+    ),
+    "parallel": (
+        "bsbm", parallel_aggregation_ablation, "MG1",
+        (
+            AblationPoint("fused parallel Agg-Join", 3, 32806, 100167, 27.96671346028646),
+            AblationPoint("sequential Agg-Joins", 4, 32806, 116406, 37.97119344075521),
+        ),
+    ),
+    "ec-pruning-G9": (
+        "chem", ec_pruning_ablation, "G9",
+        (
+            AblationPoint("EC-pruned scan", 2, 81310, 156511, 26.011357625325523),
+            AblationPoint("full scan", 2, 81310, 246490, 25.910933430989584),
+        ),
+    ),
+    "ec-pruning-MG6": (
+        "chem", ec_pruning_ablation, "MG6",
+        (
+            AblationPoint("EC-pruned scan", 4, 64823, 164534, 42.84962565104167),
+            AblationPoint("full scan", 4, 64823, 436096, 42.612855853456445),
+        ),
+    ),
+    "mapjoin-G5": (
+        "chem",
+        lambda graph, sparql: mapjoin_threshold_sweep(graph, sparql, (0, 1024, 10**7)),
+        "G5",
+        [
+            (0, AblationPoint("threshold=0", 7, 241022, 59562, 70.43976745605468)),
+            (1024, AblationPoint("threshold=1024", 7, 123303, 56997, 60.2179443359375)),
+            (
+                10**7,
+                AblationPoint("threshold=10000000", 7, 546, 45936, 51.416876220703124),
+            ),
+        ],
+    ),
+    "shared-scan": (
+        "bsbm", shared_scan_benefit, "MG1",
+        {
+            "rapid-analytics": AblationPoint(
+                "rapid-analytics", 3, 32806, 100167, 27.96671346028646
+            ),
+            "rapid-plus": AblationPoint("rapid-plus", 5, 60784, 190943, 49.27718912760417),
+        },
+    ),
+}
 
-    graph = bsbm.generate(bsbm.preset("tiny"))
-    with_fold, without_fold = combiner_ablation(graph, get_query("MG1").sparql)
-    assert (with_fold.shuffle_bytes, with_fold.cost_seconds) == (32806, 27.96671346028646)
-    assert (without_fold.shuffle_bytes, without_fold.cost_seconds) == (
-        41495,
-        28.07278035481771,
+
+@pytest.mark.parametrize("case", PINNED)
+def test_ablation_points_are_pinned(case, bsbm_tiny, chem_tiny):
+    dataset, ablation, qid, expected = PINNED[case]
+    graph = {"bsbm": bsbm_tiny, "chem": chem_tiny}[dataset]
+    assert ablation(graph, get_query(qid).sparql) == expected
+
+
+def _assert_on_point_is_the_engine_run(ablation, graph, config):
+    """The ablation's "on" point is RAPIDAnalytics' own run under *config*."""
+    sparql = get_query("MG1").sparql
+    on, _off = ablation(graph, sparql, config)
+    report = make_engine("rapid-analytics").execute(to_analytical(sparql), graph, config)
+    assert (on.cycles, on.shuffle_bytes, on.input_bytes, on.cost_seconds) == (
+        report.cycles,
+        report.stats.total_shuffle_bytes,
+        sum(job.input_bytes for job in report.stats.jobs),
+        report.cost_seconds,
     )
-    assert with_fold.cycles == without_fold.cycles == 3
+
+
+@pytest.mark.parametrize("ablation", NTGA_ABLATIONS, ids=lambda f: f.__name__)
+def test_ablation_honours_the_configs_representation(ablation, bsbm_tiny):
+    """A flat-representation config reaches the ablation's planner: MG1's
+    flat run shuffles 53,482 B, not the default config's 32,806 B."""
+    _assert_on_point_is_the_engine_run(
+        ablation, bsbm_tiny, EngineConfig(representation="flat")
+    )
+
+
+@pytest.mark.parametrize("ablation", NTGA_ABLATIONS, ids=lambda f: f.__name__)
+def test_ablation_honours_the_configs_recovery(ablation, bsbm_tiny):
+    """A single-attempt fault plan aborts a job of MG1; with recovery on,
+    the engine resumes it and completes, and so must the ablation."""
+    config = EngineConfig(
+        fault_plan=FaultPlan(seed=1, task_failure_rate=0.05, max_attempts=1),
+        recovery=RecoveryPolicy(),
+    )
+    _assert_on_point_is_the_engine_run(ablation, bsbm_tiny, config)
 
 
 def test_combiner_does_not_change_results(product_graph, mg1_style_query):
@@ -57,8 +148,6 @@ def test_ec_pruning_reduces_input(chem_tiny):
     the chemogenomics files entirely.  (Cost is not asserted: many small
     files also mean more mappers, a real Hadoop-era trade-off the paper
     acknowledges by grouping type triples into fewer files.)"""
-    from repro.bench.catalog import get_query
-
     pruned, unpruned = ec_pruning_ablation(
         chem_tiny, get_query("G9").sparql, bsbm_config()
     )
@@ -67,8 +156,6 @@ def test_ec_pruning_reduces_input(chem_tiny):
 
 
 def test_mapjoin_sweep_monotone_map_only(chem_tiny):
-    from repro.bench.catalog import get_query
-
     points = mapjoin_threshold_sweep(
         chem_tiny, get_query("G5").sparql, (0, 1024, 10**7)
     )
@@ -82,12 +169,9 @@ def test_mapjoin_sweep_monotone_map_only(chem_tiny):
     assert points[-1][1].shuffle_bytes > 0
 
 
-
 def test_parallel_aggregation_saves_a_cycle_and_a_scan(bsbm_small):
     """Figure 6(b) vs 6(a): fusing the two Agg-Joins drops one full MR
     cycle and one scan of the composite detail."""
-    from repro.bench.catalog import get_query
-
     parallel, sequential = parallel_aggregation_ablation(
         bsbm_small, get_query("MG1").sparql, bsbm_config()
     )
@@ -98,8 +182,6 @@ def test_parallel_aggregation_saves_a_cycle_and_a_scan(bsbm_small):
 
 
 def test_shared_scan_beats_sequential(bsbm_small):
-    from repro.bench.catalog import get_query
-
     points = shared_scan_benefit(bsbm_small, get_query("MG1").sparql, bsbm_config())
     analytics, plus = points["rapid-analytics"], points["rapid-plus"]
     assert analytics.cycles < plus.cycles

@@ -360,9 +360,9 @@ def test_trace_is_honoured_under_faults_and_leaves_the_golden_alone(tmp_path, ca
 #: ``cold-cli`` workload pays for each, six times per cycle).
 CLI_IMPORT_SURFACE = frozenset(
     """
-    repro repro.ambient repro.bench repro.bench.ablations repro.bench.catalog
-    repro.bench.harness repro.bench.reporting repro.cli repro.core
-    repro.core.engines repro.core.explain repro.core.olap
+    repro repro.ambient repro.bench repro.bench.catalog repro.bench.harness
+    repro.bench.reporting repro.cli repro.core repro.core.engines
+    repro.core.explain repro.core.olap
     repro.core.query_model repro.core.reference repro.core.results
     repro.datasets repro.datasets.bsbm repro.datasets.chem2bio2rdf
     repro.datasets.pubmed repro.datasets.seeds repro.errors repro.mapreduce
@@ -390,8 +390,8 @@ def test_import_repro_cli_loads_no_report_producer():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = set(done.stdout.split())
-    assert len(CLI_IMPORT_SURFACE) == 56
+    assert len(CLI_IMPORT_SURFACE) == 55
     assert loaded - CLI_IMPORT_SURFACE == set()
-    for module in ("repro.report", *KIND_MODULES.values()):
+    for module in ("repro.report", "repro.bench.ablations", *KIND_MODULES.values()):
         assert module not in loaded
     assert not any(name.startswith(("repro.serve", "repro.shard")) for name in loaded)
