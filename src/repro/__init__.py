@@ -21,39 +21,23 @@ Quickstart::
     print(report.cycles, "MR cycles,", report.cost_seconds, "simulated seconds")
 """
 
-from repro.core.engines import (
-    PAPER_ENGINES,
-    make_engine,
-    run_all_engines,
-    run_query,
-)
-from repro.core.query_model import AnalyticalQuery, parse_analytical
-from repro.core.results import EngineConfig, ExecutionReport
-from repro.errors import ReproError
-from repro.rdf.graph import Graph
-from repro.rdf.terms import BNode, IRI, Literal, Variable
-from repro.rdf.triples import Triple, TriplePattern
-from repro.sparql.parser import parse_query
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalyticalQuery",
-    "BNode",
-    "EngineConfig",
-    "ExecutionReport",
-    "Graph",
-    "IRI",
-    "Literal",
-    "PAPER_ENGINES",
-    "ReproError",
-    "Triple",
-    "TriplePattern",
-    "Variable",
-    "__version__",
-    "make_engine",
-    "parse_analytical",
-    "parse_query",
-    "run_all_engines",
-    "run_query",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.engines": (
+            "PAPER_ENGINES", "make_engine", "run_all_engines", "run_query"
+        ),
+        "repro.core.query_model": ("AnalyticalQuery", "parse_analytical"),
+        "repro.core.results": ("EngineConfig", "ExecutionReport"),
+        "repro.errors": ("ReproError",),
+        "repro.rdf.graph": ("Graph",),
+        "repro.rdf.terms": ("BNode", "IRI", "Literal", "Variable"),
+        "repro.rdf.triples": ("Triple", "TriplePattern"),
+        "repro.sparql.parser": ("parse_query",),
+    },
+)
+__all__ += ["__version__"]

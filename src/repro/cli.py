@@ -23,22 +23,11 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro import ambient
-from repro.ambient import knob_overrides
+# Each command imports what it runs in its own body: ``repro catalog``
+# loads no engine, and ``run`` only the engine it names.
 from repro.bench.catalog import CATALOG, get_query
-from repro.bench.harness import EXPERIMENTS, paper_experiment, run_paper_experiment
-from repro.bench.reporting import render_cost_table, render_gains_table
-from repro.core.engines import (
-    ENGINE_FACTORIES,
-    PAPER_ENGINES,
-    make_engine,
-    to_analytical,
-)
-from repro.core.explain import explain
-from repro.core.results import EngineConfig, check_supported
-from repro.datasets import generate as generate_dataset
 from repro.errors import (
     CheckpointError,
     ReproError,
@@ -46,18 +35,22 @@ from repro.errors import (
     ShardError,
     WorkflowAbortedError,
 )
-from repro.mapreduce.checkpoint import RecoveryPolicy
-from repro.mapreduce.faults import FaultPlan
-from repro.rdf import ntriples
-from repro.rdf.graph import Graph
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.results import EngineConfig
+    from repro.rdf.graph import Graph
 
 _DEFAULT_PRESETS = {"bsbm": "500k", "chem": "paper", "pubmed": "paper"}
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
     if getattr(args, "data", None):
+        from repro.rdf import ntriples
+
         with open(args.data, encoding="utf-8") as handle:
             return ntriples.parse_graph(handle)
+    from repro.datasets import generate as generate_dataset
+
     dataset = args.dataset
     preset = args.preset or _DEFAULT_PRESETS[dataset]
     return generate_dataset(dataset, preset)
@@ -134,6 +127,9 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
     hash partition) and ``run``'s ``--faults``/``--recover`` — None when
     none is given, so the default-config path is untouched.  A bad value,
     or a combination the engine does not support, is a ``ReproError``."""
+    from repro.ambient import knob_overrides
+    from repro.core.results import EngineConfig, check_supported
+
     fields: dict = knob_overrides(args)
     if args.shards:
         from repro.shard.partition import parse_shard_spec
@@ -142,8 +138,12 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
         if len(strategies) == 1:
             fields["partitioner"] = strategies[0]
     if getattr(args, "faults", None):
+        from repro.mapreduce.faults import FaultPlan
+
         fields["fault_plan"] = FaultPlan.from_spec(args.faults)
     if getattr(args, "recover", None) is not None:
+        from repro.mapreduce.checkpoint import RecoveryPolicy
+
         fields["recovery"] = RecoveryPolicy(max_resubmissions=args.recover)
     config = EngineConfig(**fields) if fields else None
     check_supported(args.engine, config)
@@ -152,6 +152,7 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig | None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro import obs
+    from repro.core.engines import make_engine, to_analytical
 
     try:
         config = _engine_config(args)
@@ -160,12 +161,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     _infer_dataset(args)
     qid, sparql = _resolve_query_text(args)
+    # The engine is imported before the graph is built: with no bytecode
+    # cache its modules compile, and that garbage would otherwise land on
+    # top of the resident graph in the process's peak.
+    engine = make_engine(args.engine)
     graph = _load_graph(args)
     with _tracing_to(args.trace):
         with obs.span(qid, "query", {"qid": qid}):
-            report = make_engine(args.engine).execute(
-                to_analytical(sparql), graph, config
-            )
+            report = engine.execute(to_analytical(sparql), graph, config)
     if args.format == "csv":
         print(_rows_to_csv(report.rows), end="")
         return 0
@@ -188,7 +191,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro import obs
+    from repro import ambient, obs
+    from repro.ambient import knob_overrides
+    from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
 
     try:
         overrides = knob_overrides(args)
@@ -212,6 +217,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    from repro.core.engines import make_engine, to_analytical
+    from repro.core.explain import explain
+
     try:
         config = _engine_config(args)
     except ReproError as error:
@@ -326,6 +334,8 @@ def _faults_mode(args: argparse.Namespace):
     """``--faults SPEC``: the chaos soak's one-plan, no-recovery case —
     the experiment fault-free and under the seeded plan."""
     from repro.bench import chaos
+    from repro.bench.harness import paper_experiment
+    from repro.mapreduce.faults import FaultPlan
 
     paper_experiment(args.experiment, "fault experiment")
     plans = [FaultPlan.from_spec(args.faults)]
@@ -337,6 +347,7 @@ def _chaos_mode(args: argparse.Namespace):
     checkpointed recovery; every resumed run must stay bit-identical to
     the fault-free run."""
     from repro.bench import chaos
+    from repro.bench.harness import paper_experiment
 
     paper_experiment(args.experiment, "chaos experiment")
     spec = chaos.ChaosSpec.from_spec(args.chaos)
@@ -384,6 +395,11 @@ _REPORT_MODES = {
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro import ambient
+    from repro.ambient import knob_overrides
+    from repro.bench.harness import paper_experiment, run_paper_experiment
+    from repro.bench.reporting import render_cost_table, render_gains_table
+
     modes = [flag for flag in _REPORT_MODES if getattr(args, flag)]
     flags = [mode.replace("_", "-") for mode in modes]
     try:
@@ -445,6 +461,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--metrics`` additionally collects a repro-metrics/v1 snapshot;
     ``--faults`` switches to the resilience A/B
     (repro-serve-resilience/v1), optionally tuned by ``--resilience``."""
+    from repro.mapreduce.faults import FaultPlan
     from repro.serve import ResilienceConfig, WorkloadSpec, resilience, workload
     from repro.serve.slo import SLOSpec
 
@@ -610,6 +627,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datasets import generate as generate_dataset
+    from repro.rdf import ntriples
+
     preset = args.preset or _DEFAULT_PRESETS[args.dataset]
     graph = generate_dataset(args.dataset, preset)
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -618,12 +638,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Command(argparse.ArgumentParser):
+    """A command's parser.  Its ``declare``, when given, adds the
+    command's options the first time the command is parsed: ``run`` and
+    ``explain`` list ``ENGINE_FACTORIES`` as ``--engine`` choices and
+    ``bench`` lists ``EXPERIMENTS`` in its help, so only those commands
+    import those registries."""
+
+    def __init__(self, *args, declare=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RAPIDAnalytics reproduction (EDBT 2016) command line",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     def add_query_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("query", help="catalog query id (e.g. MG1) or a SPARQL file")
@@ -659,46 +697,50 @@ def build_parser() -> argparse.ArgumentParser:
             "a margin)",
         )
 
-    run = sub.add_parser("run", help="execute a query on one engine")
-    add_query_options(run)
-    run.add_argument("--engine", choices=sorted(ENGINE_FACTORIES), default="rapid-analytics")
-    run.add_argument("--limit", type=int, default=10, help="rows to print")
-    run.add_argument("--format", choices=("text", "csv"), default="text")
-    run.add_argument(
-        "--verbose",
-        "-v",
-        action="store_true",
-        help="also print the per-job workflow breakdown and counters",
-    )
-    run.add_argument(
-        "--faults",
-        default=None,
-        metavar="SEED,RATE",
-        help="run under a seeded fault plan "
-        "('seed,rate[,straggler_rate[,write_rate[,attempts]]]')",
-    )
-    run.add_argument(
-        "--recover",
-        nargs="?",
-        type=int,
-        const=8,
-        default=None,
-        metavar="BUDGET",
-        help="recover job aborts via checkpointed workflow resubmission "
-        "(optional resubmission budget, default 8)",
-    )
-    run.add_argument(
-        "--shards",
-        default=None,
-        metavar="SPEC",
-        help="execute sharded across N workers: N (default hash "
-        "partition) or N,strategy (hash, locality, min-edge-cut); "
-        "NTGA engines only",
-    )
-    add_trace_option(run)
-    add_representation_option(run)
-    add_planner_option(run)
-    run.set_defaults(func=cmd_run)
+    def run_options(run: argparse.ArgumentParser) -> None:
+        from repro.core.engines import ENGINE_FACTORIES
+
+        add_query_options(run)
+        run.add_argument("--engine", choices=sorted(ENGINE_FACTORIES), default="rapid-analytics")
+        run.add_argument("--limit", type=int, default=10, help="rows to print")
+        run.add_argument("--format", choices=("text", "csv"), default="text")
+        run.add_argument(
+            "--verbose",
+            "-v",
+            action="store_true",
+            help="also print the per-job workflow breakdown and counters",
+        )
+        run.add_argument(
+            "--faults",
+            default=None,
+            metavar="SEED,RATE",
+            help="run under a seeded fault plan "
+            "('seed,rate[,straggler_rate[,write_rate[,attempts]]]')",
+        )
+        run.add_argument(
+            "--recover",
+            nargs="?",
+            type=int,
+            const=8,
+            default=None,
+            metavar="BUDGET",
+            help="recover job aborts via checkpointed workflow resubmission "
+            "(optional resubmission budget, default 8)",
+        )
+        run.add_argument(
+            "--shards",
+            default=None,
+            metavar="SPEC",
+            help="execute sharded across N workers: N (default hash "
+            "partition) or N,strategy (hash, locality, min-edge-cut); "
+            "NTGA engines only",
+        )
+        add_trace_option(run)
+        add_representation_option(run)
+        add_planner_option(run)
+        run.set_defaults(func=cmd_run)
+
+    sub.add_parser("run", help="execute a query on one engine", declare=run_options)
 
     compare = sub.add_parser("compare", help="run a query on all four engines")
     add_query_options(compare)
@@ -707,105 +749,115 @@ def build_parser() -> argparse.ArgumentParser:
     add_planner_option(compare)
     compare.set_defaults(func=cmd_compare)
 
-    explain_cmd = sub.add_parser(
-        "explain", help="show decomposition, MR plan, and priced candidates"
-    )
-    add_query_options(explain_cmd)
-    explain_cmd.add_argument(
-        "--engine", choices=sorted(ENGINE_FACTORIES), default="rapid-analytics"
-    )
-    add_planner_option(explain_cmd)
-    explain_cmd.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro-explain/v1 report as JSON",
-    )
-    explain_cmd.add_argument(
-        "--plan-only",
-        action="store_true",
-        help="skip the graph build and planner pricing; show just the "
-        "structural plan",
-    )
-    explain_cmd.add_argument(
-        "--run",
-        action="store_true",
-        help="also execute the query and append estimated-vs-actual "
-        "cardinalities per MR cycle",
-    )
-    explain_cmd.add_argument(
-        "--shards",
-        default=None,
-        metavar="SPEC",
-        help="add the sharded-execution section: N (default hash "
-        "partition) or N,strategy; shows per-shard cardinalities, the "
-        "edge cut, and estimated exchange bytes",
-    )
-    explain_cmd.set_defaults(func=cmd_explain)
+    def explain_options(explain_cmd: argparse.ArgumentParser) -> None:
+        from repro.core.engines import ENGINE_FACTORIES
 
-    bench = sub.add_parser("bench", help="regenerate a paper table/figure")
-    bench.add_argument("experiment", help=", ".join(sorted(EXPERIMENTS)))
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="write the report mode's JSON report here (needs --faults, "
-        "--chaos, --planner-ab, --calibration or --shards)",
+        add_query_options(explain_cmd)
+        explain_cmd.add_argument(
+            "--engine", choices=sorted(ENGINE_FACTORIES), default="rapid-analytics"
+        )
+        add_planner_option(explain_cmd)
+        explain_cmd.add_argument(
+            "--json",
+            action="store_true",
+            help="emit the repro-explain/v1 report as JSON",
+        )
+        explain_cmd.add_argument(
+            "--plan-only",
+            action="store_true",
+            help="skip the graph build and planner pricing; show just the "
+            "structural plan",
+        )
+        explain_cmd.add_argument(
+            "--run",
+            action="store_true",
+            help="also execute the query and append estimated-vs-actual "
+            "cardinalities per MR cycle",
+        )
+        explain_cmd.add_argument(
+            "--shards",
+            default=None,
+            metavar="SPEC",
+            help="add the sharded-execution section: N (default hash "
+            "partition) or N,strategy; shows per-shard cardinalities, the "
+            "edge cut, and estimated exchange bytes",
+        )
+        explain_cmd.set_defaults(func=cmd_explain)
+
+    sub.add_parser(
+        "explain",
+        help="show decomposition, MR plan, and priced candidates",
+        declare=explain_options,
     )
-    bench.add_argument(
-        "--golden",
-        default=None,
-        help="also diff the report just produced against a committed golden "
-        "of the same schema (exit 1 on a difference, exit 2 on a file of "
-        "another schema)",
-    )
-    bench.add_argument(
-        "--faults",
-        default=None,
-        metavar="SEED,RATE",
-        help="run fault-free and under a seeded fault plan "
-        "('seed,rate[,straggler_rate[,write_rate[,attempts]]]'), no "
-        "recovery: the chaos soak's one-plan case; --output/--golden "
-        "write/verify the repro-chaos-soak/v2 report",
-    )
-    bench.add_argument(
-        "--planner-ab",
-        action="store_true",
-        help="rule-vs-cost planner A/B on rapid-analytics (experiment is "
-        "'mg' for MG1-MG4 or a comma-separated qid list); --output/"
-        "--golden write/verify the repro-planner-ab/v1 report",
-    )
-    bench.add_argument(
-        "--calibration",
-        action="store_true",
-        help="cost-planner calibration baseline: per-query estimate-vs-"
-        "actual q-error stats with drift verdicts (experiment is 'mg' "
-        "for MG1-MG4 or a comma-separated qid list); --output/--golden "
-        "write/verify the repro-calibration/v1 report",
-    )
-    bench.add_argument(
-        "--shards",
-        default=None,
-        metavar="SPEC",
-        help="partitioner A/B on rapid-analytics: 'N' compares all three "
-        "strategies (hash, locality, min-edge-cut) at N shards, "
-        "'N,strategy' runs one; every sharded run is checked "
-        "bit-identical to the unsharded baseline and cross-shard "
-        "exchange bytes are reported per strategy (experiment is 'mg' "
-        "for MG1-MG4 or a comma-separated qid list); --output/--golden "
-        "write/verify the repro-shard-ab/v1 report",
-    )
-    bench.add_argument(
-        "--chaos",
-        default=None,
-        metavar="SPEC",
-        help="chaos soak: run the experiment across a seeded fault matrix "
-        "with checkpointed recovery ('seeds=N,rate=p[,attempts=a]"
-        "[,budget=b]'); resumed runs must be bit-identical to the "
-        "fault-free run; --output/--golden write/verify the "
-        "repro-chaos-soak/v2 report",
-    )
-    add_trace_option(bench)
-    add_representation_option(bench)
-    bench.set_defaults(func=cmd_bench)
+
+    def bench_options(bench: argparse.ArgumentParser) -> None:
+        from repro.bench.harness import EXPERIMENTS
+
+        bench.add_argument("experiment", help=", ".join(sorted(EXPERIMENTS)))
+        bench.add_argument(
+            "--output",
+            default=None,
+            help="write the report mode's JSON report here (needs --faults, "
+            "--chaos, --planner-ab, --calibration or --shards)",
+        )
+        bench.add_argument(
+            "--golden",
+            default=None,
+            help="also diff the report just produced against a committed golden "
+            "of the same schema (exit 1 on a difference, exit 2 on a file of "
+            "another schema)",
+        )
+        bench.add_argument(
+            "--faults",
+            default=None,
+            metavar="SEED,RATE",
+            help="run fault-free and under a seeded fault plan "
+            "('seed,rate[,straggler_rate[,write_rate[,attempts]]]'), no "
+            "recovery: the chaos soak's one-plan case; --output/--golden "
+            "write/verify the repro-chaos-soak/v2 report",
+        )
+        bench.add_argument(
+            "--planner-ab",
+            action="store_true",
+            help="rule-vs-cost planner A/B on rapid-analytics (experiment is "
+            "'mg' for MG1-MG4 or a comma-separated qid list); --output/"
+            "--golden write/verify the repro-planner-ab/v1 report",
+        )
+        bench.add_argument(
+            "--calibration",
+            action="store_true",
+            help="cost-planner calibration baseline: per-query estimate-vs-"
+            "actual q-error stats with drift verdicts (experiment is 'mg' "
+            "for MG1-MG4 or a comma-separated qid list); --output/--golden "
+            "write/verify the repro-calibration/v1 report",
+        )
+        bench.add_argument(
+            "--shards",
+            default=None,
+            metavar="SPEC",
+            help="partitioner A/B on rapid-analytics: 'N' compares all three "
+            "strategies (hash, locality, min-edge-cut) at N shards, "
+            "'N,strategy' runs one; every sharded run is checked "
+            "bit-identical to the unsharded baseline and cross-shard "
+            "exchange bytes are reported per strategy (experiment is 'mg' "
+            "for MG1-MG4 or a comma-separated qid list); --output/--golden "
+            "write/verify the repro-shard-ab/v1 report",
+        )
+        bench.add_argument(
+            "--chaos",
+            default=None,
+            metavar="SPEC",
+            help="chaos soak: run the experiment across a seeded fault matrix "
+            "with checkpointed recovery ('seeds=N,rate=p[,attempts=a]"
+            "[,budget=b]'); resumed runs must be bit-identical to the "
+            "fault-free run; --output/--golden write/verify the "
+            "repro-chaos-soak/v2 report",
+        )
+        add_trace_option(bench)
+        add_representation_option(bench)
+        bench.set_defaults(func=cmd_bench)
+
+    sub.add_parser("bench", help="regenerate a paper table/figure", declare=bench_options)
 
     serve = sub.add_parser(
         "serve", help="simulate the concurrent query service on a seeded workload"

@@ -11,7 +11,6 @@ from typing import Callable, Protocol
 
 from repro import obs
 from repro.core.query_model import AnalyticalQuery, from_select_query
-from repro.core.reference import ReferenceEngine
 from repro.core.results import EngineConfig, ExecutionReport
 from repro.errors import PlanningError
 from repro.rdf.graph import Graph
@@ -26,6 +25,12 @@ class Engine(Protocol):
         self, query: AnalyticalQuery, graph: Graph, config: EngineConfig | None = None
     ) -> ExecutionReport:
         ...
+
+
+def _reference() -> Engine:
+    from repro.core.reference import ReferenceEngine
+
+    return ReferenceEngine()
 
 
 def _rapid_plus() -> Engine:
@@ -53,7 +58,7 @@ def _hive_mqo() -> Engine:
 
 
 ENGINE_FACTORIES: dict[str, Callable[[], Engine]] = {
-    "reference": ReferenceEngine,
+    "reference": _reference,
     "hive-naive": _hive_naive,
     "hive-mqo": _hive_mqo,
     "rapid-plus": _rapid_plus,

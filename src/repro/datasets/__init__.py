@@ -1,32 +1,38 @@
 """Synthetic benchmark dataset generators (BSBM-BI, Chem2Bio2RDF, PubMed)."""
 
-from repro.datasets import bsbm, chem2bio2rdf, pubmed
-from repro.datasets.bsbm import BSBMConfig
-from repro.datasets.chem2bio2rdf import ChemConfig
-from repro.datasets.pubmed import PubMedConfig
+from __future__ import annotations
+
+from importlib import import_module
+from typing import TYPE_CHECKING
+
 from repro.errors import DatasetError
-from repro.rdf.graph import Graph
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BSBMConfig",
-    "ChemConfig",
-    "PubMedConfig",
-    "bsbm",
-    "chem2bio2rdf",
-    "generate",
-    "pubmed",
-]
+if TYPE_CHECKING:
+    from repro.rdf.graph import Graph
 
-_GENERATORS = {"bsbm": bsbm, "chem": chem2bio2rdf, "pubmed": pubmed}
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        __name__: ("bsbm", "chem2bio2rdf", "pubmed"),
+        "repro.datasets.bsbm": ("BSBMConfig",),
+        "repro.datasets.chem2bio2rdf": ("ChemConfig",),
+        "repro.datasets.pubmed": ("PubMedConfig",),
+    },
+)
+__all__ += ["generate"]
+
+_GENERATORS = {"bsbm": "bsbm", "chem": "chem2bio2rdf", "pubmed": "pubmed"}
 
 
 def generate(dataset: str, preset: str) -> Graph:
     """The synthetic graph a ``(dataset, preset)`` pair names — how every
     report and golden records the data it ran on."""
     try:
-        module = _GENERATORS[dataset]
+        name = _GENERATORS[dataset]
     except KeyError:
         raise DatasetError(
             f"unknown dataset {dataset!r} (known: {', '.join(_GENERATORS)})"
         ) from None
+    module = import_module(f"{__name__}.{name}")
     return module.generate(module.preset(preset))

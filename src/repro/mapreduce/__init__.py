@@ -2,36 +2,23 @@
 seeded fault injection with Hadoop-style recovery, and workflow-level
 checkpoint/resume via the HDFS commit ledger."""
 
-from repro.mapreduce.checkpoint import (
-    RECOVERY_COUNTERS,
-    CommitLedger,
-    LedgerEntry,
-    RecoveryPolicy,
-    RecoveryStats,
-)
-from repro.mapreduce.cost import ClusterConfig, CostModel, estimate_size
-from repro.mapreduce.counters import Counters
-from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
-from repro.mapreduce.hdfs import HDFS, HDFSFile
-from repro.mapreduce.job import JobStats, MapReduceJob
-from repro.mapreduce.runner import MapReduceRunner, WorkflowStats
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "CommitLedger",
-    "CostModel",
-    "Counters",
-    "FAULT_COUNTERS",
-    "FaultPlan",
-    "HDFS",
-    "HDFSFile",
-    "JobStats",
-    "LedgerEntry",
-    "MapReduceJob",
-    "MapReduceRunner",
-    "RECOVERY_COUNTERS",
-    "RecoveryPolicy",
-    "RecoveryStats",
-    "WorkflowStats",
-    "estimate_size",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.mapreduce.checkpoint": (
+            "RECOVERY_COUNTERS",
+            "CommitLedger",
+            "LedgerEntry",
+            "RecoveryPolicy",
+            "RecoveryStats",
+        ),
+        "repro.mapreduce.cost": ("ClusterConfig", "CostModel", "estimate_size"),
+        "repro.mapreduce.counters": ("Counters",),
+        "repro.mapreduce.faults": ("FAULT_COUNTERS", "FaultPlan"),
+        "repro.mapreduce.hdfs": ("HDFS", "HDFSFile"),
+        "repro.mapreduce.job": ("JobStats", "MapReduceJob"),
+        "repro.mapreduce.runner": ("MapReduceRunner", "WorkflowStats"),
+    },
+)

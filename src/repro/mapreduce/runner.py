@@ -23,10 +23,9 @@ import gc
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 from repro import ambient, obs
-from repro.obs import metrics as obs_metrics
 from repro.errors import (
     CheckpointError,
     MapReduceError,
@@ -52,6 +51,9 @@ from repro.mapreduce.faults import FaultPlan
 from repro.mapreduce.hdfs import HDFS, HDFSFile
 from repro.mapreduce.job import JobStats, Mapper, MapReduceJob
 from repro.rdf.terms import BNode, IRI, Literal, Variable, term_interned_sort_key
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -695,7 +697,7 @@ class MapReduceRunner:
 
     def _record_job_metrics(
         self,
-        registry: obs_metrics.MetricsRegistry,
+        registry: MetricsRegistry,
         stats: JobStats,
         phases: list[tuple[str, float]],
         recovery: float,

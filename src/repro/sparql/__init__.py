@@ -1,66 +1,39 @@
 """SPARQL front end: tokenizer, parser, AST, serializer, and the
 reference engine's in-memory operators (:mod:`repro.sparql.evaluator`)."""
 
-from repro.sparql.aggregates import (
-    Accumulator,
-    UNBOUND,
-    aggregate_values,
-    make_accumulator,
-)
-from repro.sparql.ast import (
-    AggregateExpr,
-    FilterPattern,
-    GroupGraphPattern,
-    OptionalPattern,
-    ProjectionItem,
-    SelectQuery,
-    SubSelect,
-    TriplesBlock,
-    UnionPattern,
-)
-from repro.sparql.evaluator import evaluate_bgp
-from repro.sparql.expressions import (
-    BinaryExpr,
-    Bindings,
-    ConstExpr,
-    Expression,
-    ExpressionError,
-    FunctionExpr,
-    UnaryExpr,
-    VarExpr,
-    evaluate_filter,
-)
-from repro.sparql.parser import parse_query
-from repro.sparql.serializer import expression_text, serialize_query
-from repro.sparql.tokenizer import Token, tokenize
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "expression_text",
-    "serialize_query",
-    "Accumulator",
-    "AggregateExpr",
-    "BinaryExpr",
-    "Bindings",
-    "ConstExpr",
-    "Expression",
-    "ExpressionError",
-    "FilterPattern",
-    "FunctionExpr",
-    "GroupGraphPattern",
-    "OptionalPattern",
-    "ProjectionItem",
-    "SelectQuery",
-    "SubSelect",
-    "Token",
-    "TriplesBlock",
-    "UNBOUND",
-    "UnaryExpr",
-    "UnionPattern",
-    "VarExpr",
-    "aggregate_values",
-    "evaluate_bgp",
-    "evaluate_filter",
-    "make_accumulator",
-    "parse_query",
-    "tokenize",
-]
+__getattr__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sparql.aggregates": (
+            "Accumulator", "UNBOUND", "aggregate_values", "make_accumulator"
+        ),
+        "repro.sparql.ast": (
+            "AggregateExpr",
+            "FilterPattern",
+            "GroupGraphPattern",
+            "OptionalPattern",
+            "ProjectionItem",
+            "SelectQuery",
+            "SubSelect",
+            "TriplesBlock",
+            "UnionPattern",
+        ),
+        "repro.sparql.evaluator": ("evaluate_bgp",),
+        "repro.sparql.expressions": (
+            "BinaryExpr",
+            "Bindings",
+            "ConstExpr",
+            "Expression",
+            "ExpressionError",
+            "FunctionExpr",
+            "UnaryExpr",
+            "VarExpr",
+            "evaluate_filter",
+        ),
+        "repro.sparql.parser": ("parse_query",),
+        "repro.sparql.serializer": ("expression_text", "serialize_query"),
+        "repro.sparql.tokenizer": ("Token", "tokenize"),
+    },
+)

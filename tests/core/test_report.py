@@ -353,45 +353,132 @@ def test_trace_is_honoured_under_faults_and_leaves_the_golden_alone(tmp_path, ca
 
 
 # ---------------------------------------------------------------------------
-# Start-up: the harness must not pull report producers into `import repro.cli`
+# Start-up: each command loads only the modules it runs
 # ---------------------------------------------------------------------------
 
-#: Every ``repro`` module ``import repro.cli`` loads (the ledger's
-#: ``cold-cli`` workload pays for each, six times per cycle).
-CLI_IMPORT_SURFACE = frozenset(
+#: ``import repro.cli``: the parser, the catalog, the error types.
+_CLI = frozenset(
+    "repro repro.lazy repro.errors repro.cli repro.bench repro.bench.catalog".split()
+)
+#: What every query command runs: the engines facade, the SPARQL front
+#: end, the RDF model and the MapReduce simulator.
+_QUERY = _CLI | frozenset(
     """
-    repro repro.ambient repro.bench repro.bench.catalog repro.bench.harness
-    repro.bench.reporting repro.cli repro.core repro.core.engines
-    repro.core.explain repro.core.olap
-    repro.core.query_model repro.core.reference repro.core.results
-    repro.datasets repro.datasets.bsbm repro.datasets.chem2bio2rdf
-    repro.datasets.pubmed repro.datasets.seeds repro.errors repro.mapreduce
-    repro.mapreduce.checkpoint repro.mapreduce.cost repro.mapreduce.counters
-    repro.mapreduce.faults repro.mapreduce.hdfs repro.mapreduce.job
-    repro.mapreduce.runner repro.ntga repro.ntga.composite repro.ntga.engine
-    repro.ntga.factorized repro.ntga.operators repro.ntga.overlap
-    repro.ntga.physical repro.ntga.planner repro.ntga.triplegroup repro.obs
-    repro.obs.metrics repro.obs.model repro.rdf repro.rdf.graph
-    repro.rdf.namespaces repro.rdf.ntriples repro.rdf.stats repro.rdf.terms
+    repro.ambient repro.core repro.core.engines repro.core.query_model
+    repro.core.results repro.mapreduce repro.mapreduce.checkpoint
+    repro.mapreduce.cost repro.mapreduce.counters repro.mapreduce.faults
+    repro.mapreduce.hdfs repro.mapreduce.job repro.mapreduce.runner
+    repro.obs repro.obs.model repro.rdf repro.rdf.graph repro.rdf.terms
     repro.rdf.triples repro.sparql repro.sparql.aggregates repro.sparql.ast
-    repro.sparql.evaluator repro.sparql.expressions repro.sparql.parser
-    repro.sparql.serializer repro.sparql.tokenizer
+    repro.sparql.expressions repro.sparql.parser repro.sparql.tokenizer
     """.split()
+)
+#: The NTGA planner and physical operators (RAPIDAnalytics, RAPID+).
+_NTGA = frozenset(
+    """
+    repro.ntga repro.ntga.composite repro.ntga.factorized repro.ntga.operators
+    repro.ntga.overlap repro.ntga.physical repro.ntga.planner
+    repro.ntga.triplegroup
+    """.split()
+)
+#: Running an engine (answer modifiers come from the reference evaluator).
+_ENGINE = frozenset(
+    "repro.ntga.engine repro.core.reference repro.sparql.evaluator".split()
+)
+#: A generated BSBM graph.
+_BSBM = frozenset(
+    "repro.datasets repro.datasets.bsbm repro.datasets.seeds repro.rdf.namespaces".split()
+)
+_RUN = _QUERY | _NTGA | _ENGINE | _BSBM
+
+
+@dataclass(frozen=True)
+class Startup:
+    argv: tuple[str, ...]
+    #: Every ``repro`` module the command may load.
+    pinned: frozenset[str]
+    #: Packages or modules it must not load, whatever the pinned set says.
+    kept_out: tuple[str, ...] = ()
+
+
+#: One case per shape of the ledger's ``cold-cli`` commands, at ``tiny``.
+STARTUPS = {
+    "catalog": Startup(
+        ("catalog",),
+        _CLI,
+        ("repro.core", "repro.ntga", "repro.mapreduce", "repro.hive",
+         "repro.shard", "repro.serve", "repro.plan"),
+    ),
+    "explain": Startup(
+        ("explain", "MG3", "--preset", "tiny"),
+        _QUERY | _NTGA | _BSBM | frozenset(
+            """
+            repro.core.explain repro.plan repro.plan.cardinality
+            repro.plan.enumerator repro.rdf.stats
+            """.split()
+        ),
+    ),
+    "run-ntga": Startup(
+        ("run", "MG1", "--preset", "tiny"),
+        _RUN,
+        ("repro.hive", "repro.shard", "repro.serve", "repro.plan",
+         "repro.obs.metrics", "repro.bench.harness", "repro.core.explain",
+         "repro.sparql.serializer"),
+    ),
+    "run-hive": Startup(
+        ("run", "MG1", "--preset", "tiny", "--engine", "hive-naive"),
+        _RUN | frozenset("repro.hive repro.hive.engine repro.hive.executor repro.hive.tables".split()),
+        ("repro.shard", "repro.serve"),
+    ),
+    "run-sharded": Startup(
+        ("run", "MG1", "--preset", "tiny", "--shards", "2,hash"),
+        _RUN | frozenset("repro.shard repro.shard.execution repro.shard.partition".split()),
+        ("repro.hive",),
+    ),
+    "run-ntriples": Startup(
+        ("run", "G3", "--data", "{data}"),
+        _QUERY | _NTGA | _ENGINE | frozenset(("repro.rdf.ntriples",)),
+    ),
+}
+
+_LOADED = (
+    "import sys\n"
+    "from repro.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'repro'), file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
 )
 
 
-def test_import_repro_cli_loads_no_report_producer():
-    code = (
-        "import sys, repro.cli; "
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'repro'))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+@pytest.fixture(scope="module")
+def ntriples_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("startup") / "bsbm-tiny.nt"
+    assert main(["generate", "bsbm", str(path), "--preset", "tiny"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(STARTUPS))
+def test_each_command_loads_only_what_it_runs(name, ntriples_file, capsys):
+    startup = STARTUPS[name]
+    argv = [arg.format(data=ntriples_file) for arg in startup.argv]
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(REPO_ROOT / "src"),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _LOADED, *argv], env=env, capture_output=True, text=True
     )
-    loaded = set(done.stdout.split())
-    assert len(CLI_IMPORT_SURFACE) == 55
-    assert loaded - CLI_IMPORT_SURFACE == set()
-    for module in ("repro.report", "repro.bench.ablations", *KIND_MODULES.values()):
-        assert module not in loaded
-    assert not any(name.startswith(("repro.serve", "repro.shard")) for name in loaded)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.splitlines()[-1].split())
+    assert loaded - startup.pinned == set()
+    assert not [
+        module
+        for module in loaded
+        for out in startup.kept_out
+        if module == out or module.startswith(out + ".")
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
