@@ -15,7 +15,7 @@ import pytest
 from benchmarks.conftest import run_benchmark
 from repro.bench.harness import bsbm_config
 from repro.core.engines import PAPER_ENGINES, make_engine
-from repro.perf import rows_digest
+from repro.core.results import rows_digest
 
 QUERIES = ("MG1", "MG2", "MG3", "MG4")
 

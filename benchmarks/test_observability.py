@@ -21,7 +21,7 @@ import pytest
 
 from repro.obs.metrics import validate_prometheus, render_prometheus
 from repro.report import check_golden
-from repro.serve import WorkloadSpec, serve_workload_with_metrics
+from repro.serve.workload import WorkloadSpec, serve_workload_with_metrics
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 METRICS_GOLDEN = GOLDEN_DIR / "metrics-chem-overlap.json"

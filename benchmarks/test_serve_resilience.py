@@ -15,7 +15,8 @@ come only from the last-known-good store.
 import pytest
 
 from repro.mapreduce.faults import FaultPlan
-from repro.serve import ResilienceConfig, WorkloadSpec, serve_resilience_report
+from repro.serve.resilience import ResilienceConfig, serve_resilience_report
+from repro.serve.workload import WorkloadSpec
 
 SPEC = WorkloadSpec.from_spec("seeds=2,clients=3,mix=chem-overlap,requests=16")
 FAULTS = FaultPlan.from_spec("19,0.02,0,0,1")

@@ -11,7 +11,7 @@ baseline on every seed.  Mirrors the committed golden
 
 import pytest
 
-from repro.serve import WorkloadSpec, serve_workload_report
+from repro.serve.workload import WorkloadSpec, serve_workload_report
 
 # The golden's spec: two seeds, three simulated clients, sixteen
 # requests drawn uniformly from MG6/MG7/MG8/G8.

@@ -28,15 +28,11 @@ __version__ = "1.0.0"
 __getattr__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.core.engines": (
-            "PAPER_ENGINES", "make_engine", "run_all_engines", "run_query"
-        ),
-        "repro.core.query_model": ("AnalyticalQuery", "parse_analytical"),
-        "repro.core.results": ("EngineConfig", "ExecutionReport"),
-        "repro.errors": ("ReproError",),
+        "repro.core.engines": ("make_engine", "run_query"),
+        "repro.core.results": ("EngineConfig",),
         "repro.rdf.graph": ("Graph",),
-        "repro.rdf.terms": ("BNode", "IRI", "Literal", "Variable"),
-        "repro.rdf.triples": ("Triple", "TriplePattern"),
+        "repro.rdf.terms": ("IRI", "Literal"),
+        "repro.rdf.triples": ("Triple",),
         "repro.sparql.parser": ("parse_query",),
     },
 )

@@ -49,8 +49,9 @@ class QueryMeasurement:
     #: Order-sensitive fingerprint of the result rows.
     rows_digest: str = ""
     #: Checkpoint/resume salvage accounting
-    #: (:meth:`repro.mapreduce.RecoveryStats.as_dict`); empty unless the
-    #: engine ran under a :class:`repro.mapreduce.RecoveryPolicy`.
+    #: (:meth:`repro.mapreduce.checkpoint.RecoveryStats.as_dict`); empty
+    #: unless the engine ran under a
+    #: :class:`repro.mapreduce.checkpoint.RecoveryPolicy`.
     recovery: dict[str, object] = field(default_factory=dict)
     #: The run's full report (None when it aborted), for the A/B row builders.
     report: ExecutionReport | None = field(default=None, repr=False, compare=False)
@@ -85,9 +86,6 @@ class ExperimentResult:
         if base is None or target is None or target.cost_seconds == 0:
             raise ReproError(f"no measurements to compare for {qid}")
         return base.cost_seconds / target.cost_seconds
-
-    def gain_percent(self, qid: str, baseline: str, engine: str = "rapid-analytics") -> float:
-        return (1 - 1 / self.speedup(qid, baseline, engine)) * 100
 
 
 def _canonical(report: ExecutionReport) -> Counter:

@@ -462,12 +462,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--faults`` switches to the resilience A/B
     (repro-serve-resilience/v1), optionally tuned by ``--resilience``."""
     from repro.mapreduce.faults import FaultPlan
-    from repro.serve import ResilienceConfig, WorkloadSpec, resilience, workload
+    from repro.serve import resilience, workload
     from repro.serve.slo import SLOSpec
 
     snapshot = None
     try:
-        spec = WorkloadSpec.from_spec(args.workload)
+        spec = workload.WorkloadSpec.from_spec(args.workload)
         slo = SLOSpec.from_spec(args.slo) if args.slo else None
         if args.faults:
             if args.metrics:
@@ -477,9 +477,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 )
             fault_plan = FaultPlan.from_spec(args.faults)
             policies = (
-                ResilienceConfig.from_spec(args.resilience)
+                resilience.ResilienceConfig.from_spec(args.resilience)
                 if args.resilience is not None
-                else ResilienceConfig()
+                else resilience.ResilienceConfig()
             )
             kind = resilience.KIND
 

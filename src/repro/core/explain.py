@@ -127,15 +127,10 @@ def _plan_choice(
     Returns a :class:`repro.plan.enumerator.PlanChoice` reflecting the
     resolved planner mode (under ``"rule"`` the choice is the rule-order
     candidate, priced for comparison)."""
-    from repro.plan import (
-        PlanChoice,
-        choose,
-        enumerate_candidates,
-        resolve_planner,
-    )
+    from repro.plan.enumerator import PlanChoice, choose, enumerate_candidates
     from repro.rdf.stats import cached_profile
 
-    mode = resolve_planner(config.planner)
+    mode = ambient.PLANNER.resolve(config.planner)
     with ambient.detached():
         hdfs = HDFS()
         store = load_triplegroups(graph, hdfs)

@@ -215,12 +215,6 @@ class StarJoin:
     left_pattern: TriplePattern
     right_pattern: TriplePattern
 
-    def left_role(self) -> str:
-        return self.left_pattern.role_of(self.variable)
-
-    def right_role(self) -> str:
-        return self.right_pattern.role_of(self.variable)
-
 
 @dataclass(frozen=True, slots=True)
 class GraphPattern:
@@ -248,11 +242,6 @@ class GraphPattern:
         paper's workload, where join variables appear once per star.
         """
         return _pinned(self, "_joins", _star_joins)
-
-    def join_count(self) -> int:
-        """Binary joins a relational plan needs: one per triple pattern
-        beyond the first (the paper's per-starjoin MR-cycle count)."""
-        return max(0, len(self.triple_patterns()) - 1)
 
     def is_connected(self) -> bool:
         """True when the stars form one connected join graph."""
@@ -596,18 +585,3 @@ def parse_analytical(text: str, prefixes: dict[str, str] | None = None) -> Analy
     from repro.sparql.parser import parse_query
 
     return from_select_query(parse_query(text, prefixes), source_text=text)
-
-
-def literal_filters_for_star(star: StarPattern) -> dict[PropKey, Term]:
-    """Concrete-object constraints of a star (e.g. ``pub_type "News"``).
-
-    These behave like selections pushed into star formation; they matter
-    for the selectivity-sensitive experiments (MG15 vs MG16).
-    """
-    constraints: dict[PropKey, Term] = {}
-    for pattern in star.patterns:
-        if pattern.is_rdf_type():
-            continue  # type constraints are part of the PropKey itself
-        if not isinstance(pattern.object, Variable):
-            constraints[prop_key_of(pattern)] = pattern.object  # type: ignore[assignment]
-    return constraints

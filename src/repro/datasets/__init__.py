@@ -6,21 +6,11 @@ from importlib import import_module
 from typing import TYPE_CHECKING
 
 from repro.errors import DatasetError
-from repro.lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.rdf.graph import Graph
 
-__getattr__, __all__ = lazy_exports(
-    __name__,
-    {
-        __name__: ("bsbm", "chem2bio2rdf", "pubmed"),
-        "repro.datasets.bsbm": ("BSBMConfig",),
-        "repro.datasets.chem2bio2rdf": ("ChemConfig",),
-        "repro.datasets.pubmed": ("PubMedConfig",),
-    },
-)
-__all__ += ["generate"]
+__all__ = ["generate"]
 
 _GENERATORS = {"bsbm": "bsbm", "chem": "chem2bio2rdf", "pubmed": "pubmed"}
 

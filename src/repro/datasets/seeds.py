@@ -25,10 +25,3 @@ def zipf_weights(n: int, skew: float = 1.0) -> list[float]:
 
 def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
     return rng.choices(items, weights=weights, k=1)[0]
-
-
-def sample_without_replacement(
-    rng: random.Random, items: Sequence[T], count: int
-) -> list[T]:
-    count = min(count, len(items))
-    return rng.sample(list(items), count)

@@ -1,14 +1,1 @@
 """Hive-style baselines: VP tables, naive and MQO planners."""
-
-from repro.hive.engine import HiveEngine, hive_mqo_engine, hive_naive_engine
-from repro.hive.executor import HiveExecutor
-from repro.hive.tables import VPStore, load_vertical_partitions
-
-__all__ = [
-    "HiveEngine",
-    "HiveExecutor",
-    "VPStore",
-    "hive_mqo_engine",
-    "hive_naive_engine",
-    "load_vertical_partitions",
-]

@@ -14,13 +14,11 @@ def lazy_exports(
     package: str, exports: dict[str, tuple[str, ...]]
 ) -> tuple[Callable[[str], Any], list[str]]:
     """The module ``__getattr__`` of *package* for *exports*, ``{defining
-    module: names}``, and those names, for its ``__all__``; names listed
-    under *package* itself are its submodules.  Reading a name imports
-    its module once and binds every name that module exports in the
-    package, so later reads are plain attribute lookups.  An unknown name
-    is an :class:`AttributeError`, which lets ``from package import
-    submodule`` import the submodule.  The table stays readable as the
-    function's ``exports``."""
+    module: names}``, and those names, for its ``__all__``.  Reading a
+    name imports its module once and binds every name that module exports
+    in the package, so later reads are plain attribute lookups.  An
+    unknown name is an :class:`AttributeError`, which lets ``from package
+    import submodule`` import the submodule."""
     namespace = sys.modules[package].__dict__
     homes = {name: home for home, names in exports.items() for name in names}
 
@@ -28,12 +26,9 @@ def lazy_exports(
         home = homes.get(name)
         if home is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        if home == package:
-            return import_module(f"{package}.{name}")
         module = import_module(home)
         for each in exports[home]:
             namespace[each] = getattr(module, each)
         return namespace[name]
 
-    __getattr__.exports = exports
     return __getattr__, list(homes)

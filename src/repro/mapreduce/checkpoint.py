@@ -169,9 +169,6 @@ class CommitLedger:
             return None
         return entry
 
-    def invalidate(self, job_name: str, output: str) -> None:
-        self._entries.pop((job_name, output), None)
-
     def committed_jobs(self) -> tuple[str, ...]:
         return tuple(entry.job_name for entry in self._entries.values())
 
@@ -207,15 +204,6 @@ class RecoveryStats:
     def extra_seconds(self) -> float:
         """Extra simulated seconds the recovery added to the workflow."""
         return self.wasted_seconds + self.overhead_seconds
-
-    @property
-    def salvage_ratio(self) -> float | None:
-        """Fraction of at-risk work the checkpoints saved (None until a
-        failure has actually occurred)."""
-        at_risk = self.salvaged_seconds + self.extra_seconds
-        if at_risk == 0.0:
-            return None
-        return self.salvaged_seconds / at_risk
 
     def as_dict(self) -> dict[str, object]:
         """Deterministic report form (floats rounded for stable JSON)."""

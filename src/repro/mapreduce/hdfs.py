@@ -66,11 +66,6 @@ class HDFS:
     def used_bytes(self) -> int:
         return self._used_bytes
 
-    def available_bytes(self) -> int | None:
-        if self.capacity is None:
-            return None
-        return self.capacity - self.used_bytes()
-
     def write(
         self,
         path: str,
@@ -128,6 +123,3 @@ class HDFS:
         return sorted(
             p for p in self._files if p == directory or p.startswith(marker)
         )
-
-    def total_records(self) -> int:
-        return sum(len(f.records) for f in self._files.values())

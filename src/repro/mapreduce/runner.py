@@ -54,6 +54,7 @@ from repro.rdf.terms import BNode, IRI, Literal, Variable, term_interned_sort_ke
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.model import Span
 
 
 @dataclass
@@ -339,7 +340,7 @@ def _reduce(
 
 
 def _trace_job(
-    span: obs.Span,
+    span: Span,
     stats: JobStats,
     phases: list[tuple[str, float]],
     walls: dict[str, tuple[float, float]],
@@ -496,7 +497,7 @@ class MapReduceRunner:
         self,
         job: MapReduceJob,
         counters: Counters,
-        span: obs.Span | None,
+        span: Span | None,
     ) -> JobStats:
         """One job through its stages — read, map(+combine),
         sort-shuffle, reduce, materialize — then priced once (that one
@@ -650,7 +651,7 @@ class MapReduceRunner:
         stats: JobStats,
         inputs: _JobInputs,
         output_file: HDFSFile,
-        span: obs.Span | None,
+        span: Span | None,
     ) -> float:
         """Replay the fault plan over the finished job and fold what
         recovery cost into *stats*; returns the recovery seconds."""

@@ -193,7 +193,7 @@ class NTGAEngine:
         if self._adaptive:
             mode = PLANNER.resolve(config.planner)
             if mode != "rule":
-                from repro.plan import plan_adaptive
+                from repro.plan.enumerator import plan_adaptive
                 from repro.rdf.stats import cached_profile
 
                 plan = plan_adaptive(

@@ -38,8 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro import ambient, obs
 from repro.ambient import REPRESENTATION
@@ -71,10 +70,6 @@ REPRESENTATIONS = REPRESENTATION.choices
 DEFAULT_REPRESENTATION = REPRESENTATION.default
 validate_representation = REPRESENTATION.validate
 resolve_representation = REPRESENTATION.resolve
-
-
-def ambient_representation() -> str | None:
-    return ambient.representation
 
 
 def active_representation(mode: str, cost_model: "CostModel | None" = None):
@@ -332,27 +327,6 @@ class FactorizedRelation:
                     estimate_size(value) + 2 for value in column
                 )
         return size
-
-    def enumerate_rows(self) -> Iterator[tuple[tuple[PropKey, Term], ...]]:
-        """Lazy cartesian enumeration of the flat rows.
-
-        Deterministic: rows are laid out in schema key order, and value
-        choices iterate in column (= source triple) order, rightmost
-        column fastest — the fixed enumeration order the bit-identity
-        guarantee relies on.  Empty columns are skipped (their key is
-        simply absent from every row).
-        """
-        tracing = ambient.tracer is not None
-        present = [
-            (key, column)
-            for key, column in zip(self.schema.keys, self.columns)
-            if column
-        ]
-        keys = tuple(key for key, _ in present)
-        for combination in iter_product(*(column for _, column in present)):
-            if tracing:
-                obs.count("enumeration_rows")
-            yield tuple(zip(keys, combination))
 
     def __len__(self) -> int:
         return sum(len(column) for column in self.columns)

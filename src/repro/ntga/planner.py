@@ -258,11 +258,6 @@ class NTGAPlan:
     choice: Any = None
 
     @property
-    def final_output(self) -> str:
-        """Where the first (a solo plan's only) query's answers are."""
-        return self.outputs[0][0]
-
-    @property
     def final_join_index(self) -> int | None:
         """The first result join, if the plan has any."""
         return self.split_index if self.split_index < len(self.jobs) else None

@@ -247,9 +247,6 @@ class JoinedTripleGroup:
             object.__setattr__(self, "_props", keys)
         return keys
 
-    def fixed_bindings(self) -> dict[Variable, Term]:
-        return dict(self.fixed)
-
     def merge(
         self, other: "JoinedTripleGroup", extra_fixed: Iterable[tuple[Variable, Term]] = ()
     ) -> "JoinedTripleGroup":

@@ -34,24 +34,9 @@ from contextlib import closing, contextmanager
 from typing import Any, Iterator
 
 from repro import ambient
-from repro.obs.model import Span, TraceEvent, TraceRecorder
+from repro.obs.model import Span, TraceRecorder
 
-__all__ = [
-    "Span",
-    "TraceEvent",
-    "TraceRecorder",
-    "active_tracer",
-    "tracing",
-    "detached",
-    "span",
-    "event",
-    "count",
-    "annotate",
-]
-
-
-def active_tracer() -> TraceRecorder | None:
-    return ambient.tracer
+__all__ = ["tracing", "span", "event", "count"]
 
 
 @contextmanager
@@ -64,11 +49,6 @@ def tracing(recorder: TraceRecorder | None = None) -> Iterator[TraceRecorder]:
     recorder = recorder if recorder is not None else TraceRecorder()
     with ambient.installed(tracer=recorder), closing(recorder):
         yield recorder
-
-
-#: Suspend telemetry for the duration — every sink, not only the tracer
-#: (see :func:`repro.ambient.detached`).
-detached = ambient.detached
 
 
 @contextmanager
@@ -103,10 +83,3 @@ def count(name: str, amount: int = 1) -> None:
     recorder = ambient.tracer
     if recorder is not None:
         recorder.count(name, amount)
-
-
-def annotate(**attrs: Any) -> None:
-    """Attach attributes to the current span."""
-    recorder = ambient.tracer
-    if recorder is not None:
-        recorder.annotate(**attrs)

@@ -186,10 +186,6 @@ class TraceRecorder:
         metrics = self._stack[-1].metrics
         metrics[name] = metrics.get(name, 0) + amount
 
-    def annotate(self, **attrs: Any) -> None:
-        """Attach attributes to the innermost open span."""
-        self._stack[-1].attrs.update(attrs)
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:

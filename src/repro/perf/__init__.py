@@ -7,8 +7,6 @@
   invariant this repository's cost model depends on.  It is not a
   timing tool: wall-clock claims go through the ledger
   (``ledger/README.md``).
-* :func:`rows_digest` — the order-sensitive answer fingerprint of
-  :mod:`repro.core.results`, under the name the goldens know it by.
 * :mod:`repro.perf.goldens` (imported explicitly) — capture/compare
   golden counters and rows.
 """
@@ -18,13 +16,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.core.results import rows_digest
 from repro.mapreduce import cost, runner
 
-__all__ = [
-    "reference_mode",
-    "rows_digest",
-]
+__all__ = ["reference_mode"]
 
 
 @contextmanager

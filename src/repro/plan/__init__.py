@@ -21,60 +21,14 @@ factorized-representation knob of PR 6:
   clears a safety margin (see
   :data:`repro.plan.enumerator.AUTO_MARGIN`).
 
-Like the representation knob, the mode is a row of the knob table in
-:mod:`repro.ambient` (DESIGN.md §7.5) with the one precedence rule: an
-explicit :attr:`repro.core.results.EngineConfig.planner` (the serve
-layer) wins over the ambient context installed by :func:`active_planner`
-(the CLI), which wins over :data:`DEFAULT_PLANNER`.
+Like the representation knob, the mode is a row of the knob table,
+:data:`repro.ambient.PLANNER` (DESIGN.md §7.5), with the one precedence
+rule: an explicit :attr:`repro.core.results.EngineConfig.planner` (the
+serve layer) wins over the ambient ``planner`` slot (the CLI installs it
+with :func:`repro.ambient.installed`), which wins over the knob's
+default.
 """
 
-from __future__ import annotations
+from repro.plan.enumerator import enumerate_candidates
 
-from repro import ambient
-from repro.ambient import PLANNER
-from repro.plan.cardinality import (
-    FILTER_SELECTIVITY,
-    CardinalityEstimator,
-    StarEstimate,
-)
-from repro.plan.enumerator import (
-    AUTO_MARGIN,
-    CandidatePlan,
-    JobEstimate,
-    PlanChoice,
-    choose,
-    enumerate_candidates,
-    plan_adaptive,
-)
-
-__all__ = [
-    "PLANNERS",
-    "DEFAULT_PLANNER",
-    "validate_planner",
-    "active_planner",
-    "resolve_planner",
-    "FILTER_SELECTIVITY",
-    "CardinalityEstimator",
-    "StarEstimate",
-    "AUTO_MARGIN",
-    "CandidatePlan",
-    "JobEstimate",
-    "PlanChoice",
-    "choose",
-    "enumerate_candidates",
-    "plan_adaptive",
-]
-
-#: The knob is a row of the table: the modes an engine accepts, the
-#: default (the original rule-based behavior, which the goldens pin),
-#: ``validate`` (an exact mode name or a one-line :class:`ReproError`)
-#: and ``resolve`` (explicit config > ambient context > default).
-PLANNERS = PLANNER.choices
-DEFAULT_PLANNER = PLANNER.default
-validate_planner = PLANNER.validate
-resolve_planner = PLANNER.resolve
-
-
-def active_planner(mode: str):
-    """Install *mode* as the ambient planner for the duration."""
-    return ambient.installed(planner=validate_planner(mode))
+__all__ = ["enumerate_candidates"]

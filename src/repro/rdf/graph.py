@@ -186,13 +186,6 @@ class Graph:
                 counts[prop] = sum(len(subjects) for subjects in by_object.values())
         return counts
 
-    def subject_grouped(self) -> dict[Term, list[Triple]]:
-        """Triples grouped by subject — the NTGA pre-processing layout."""
-        grouped: dict[Term, list[Triple]] = defaultdict(list)
-        for triple in self._triples:
-            grouped[triple.subject].append(triple)
-        return dict(grouped)
-
     def copy(self) -> "Graph":
         return Graph(self._triples)
 

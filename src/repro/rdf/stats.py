@@ -87,12 +87,6 @@ class GraphStats:
             return max(UNKNOWN_CLASS_SELECTIVITY, 0.5 / total)
         return size / total
 
-    def most_multi_valued(self, limit: int = 5) -> list[PropertyStats]:
-        ranked = sorted(
-            self.properties.values(), key=lambda s: s.avg_fanout, reverse=True
-        )
-        return ranked[:limit]
-
     def largest_properties(self, limit: int = 5) -> list[PropertyStats]:
         ranked = sorted(
             self.properties.values(), key=lambda s: s.triples, reverse=True

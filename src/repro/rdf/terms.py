@@ -126,9 +126,6 @@ class Literal:
             return cls(value)
         raise RDFError(f"cannot convert {type(value).__name__} to an RDF literal")
 
-    def is_numeric(self) -> bool:
-        return self.datatype in _NUMERIC_DATATYPES
-
     def python_value(self) -> Union[int, float, bool, str]:
         """Convert to the closest native Python value, parsed once and
         pinned like the hash (a lexical form that does not parse under

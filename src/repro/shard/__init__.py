@@ -27,19 +27,3 @@ invariance is enforced by ``tests/integration/test_composition_matrix.py``
 over every catalog query, partitioner, and shard count, and for merged
 batches by ``tests/integration/test_shard_differential.py``.
 """
-
-from repro.shard.partition import (
-    PARTITIONERS,
-    Partition,
-    build_partition,
-    stable_key_hash,
-    validate_partitioner,
-)
-
-__all__ = [
-    "PARTITIONERS",
-    "Partition",
-    "build_partition",
-    "stable_key_hash",
-    "validate_partitioner",
-]

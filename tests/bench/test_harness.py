@@ -46,12 +46,8 @@ class TestRunExperiment:
             assert measurement.rows > 0
             assert not measurement.failed
 
-    def test_speedup_and_gain(self, small_result):
-        speedup = small_result.speedup("MG1", "hive-naive")
-        assert speedup > 1
-        gain = small_result.gain_percent("MG1", "hive-naive")
-        assert 0 < gain < 100
-        assert gain == pytest.approx((1 - 1 / speedup) * 100)
+    def test_speedup(self, small_result):
+        assert small_result.speedup("MG1", "hive-naive") > 1
 
     def test_paper_performance_ordering(self, small_result):
         """The paper's Figure 8 ordering: RA < RAPID+ < naive Hive, and

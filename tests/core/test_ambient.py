@@ -37,7 +37,6 @@ from repro.errors import (
 )
 from repro.ntga.factorized import active_representation
 from repro.obs import metrics
-from repro.plan import active_planner
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.slo import SLOSpec
 from repro.serve.workload import WorkloadSpec
@@ -93,15 +92,11 @@ def test_unknown_slot_is_rejected_before_anything_is_set():
 def test_detached_suspends_every_sink_and_only_the_sinks():
     assert ambient.SINKS == ("tracer", "registry")
     with obs.tracing() as tracer, metrics.collecting() as registry:
-        with active_representation("flat"), active_planner("cost"):
+        with active_representation("flat"), ambient.installed(planner="cost"):
             with ambient.detached():
                 assert (ambient.tracer, ambient.registry) == (None, None)
                 assert (ambient.representation, ambient.planner) == ("flat", "cost")
             assert (ambient.tracer, ambient.registry) == (tracer, registry)
-
-
-def test_public_wrappers_are_the_one_detach():
-    assert obs.detached is ambient.detached
 
 
 @pytest.mark.parametrize(

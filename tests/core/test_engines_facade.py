@@ -4,8 +4,13 @@ import gc
 
 import pytest
 
-from repro import run_all_engines, run_query
-from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
+from repro.core.engines import (
+    PAPER_ENGINES,
+    make_engine,
+    run_all_engines,
+    run_query,
+    to_analytical,
+)
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig
 from repro.errors import PlanningError

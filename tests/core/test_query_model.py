@@ -9,12 +9,11 @@ from repro.core.query_model import (
     StarPattern,
     decompose_stars,
     from_select_query,
-    literal_filters_for_star,
     parse_analytical,
     prop_key_of,
 )
 from repro.errors import PlanningError, UnsupportedQueryError
-from repro.rdf.terms import IRI, Literal, Variable
+from repro.rdf.terms import IRI, Variable
 from repro.rdf.triples import RDF_TYPE, TriplePattern
 from repro.sparql.parser import parse_query
 
@@ -88,11 +87,6 @@ class TestGraphPattern:
         joins = self._two_star().star_joins()
         assert len(joins) == 1
         assert joins[0].variable == T
-        assert joins[0].left_role() == "object"
-        assert joins[0].right_role() == "subject"
-
-    def test_join_count(self):
-        assert self._two_star().join_count() == 1
 
     def test_connectivity(self):
         assert self._two_star().is_connected()
@@ -172,11 +166,3 @@ class TestAnalyticalDecomposition:
     def test_from_select_query_matches_parse(self, mg1_style_query):
         parsed = parse_query(mg1_style_query)
         assert isinstance(from_select_query(parsed), AnalyticalQuery)
-
-
-def test_literal_filters_for_star():
-    star = StarPattern(
-        S, (tp(S, P1, Literal("News")), tp(S, P2, O), tp(S, RDF_TYPE, IRI("urn:C")))
-    )
-    constraints = literal_filters_for_star(star)
-    assert constraints == {PropKey(P1): Literal("News")}

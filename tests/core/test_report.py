@@ -34,7 +34,8 @@ from repro.report import (
     load_report,
     write_report,
 )
-from repro.serve import ResilienceConfig, WorkloadSpec
+from repro.serve.resilience import ResilienceConfig
+from repro.serve.workload import WorkloadSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDENS = REPO_ROOT / "benchmarks" / "golden"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets import bsbm, chem2bio2rdf, pubmed
-from repro.datasets.seeds import make_rng, sample_without_replacement, weighted_choice, zipf_weights
+from repro.datasets.seeds import make_rng, weighted_choice, zipf_weights
 from repro.errors import DatasetError
 from repro.rdf.namespaces import BSBM_NS, CHEM_NS, PUBMED_NS
 from repro.rdf.terms import Literal
@@ -26,9 +26,6 @@ class TestSeeds:
         assert weighted_choice(make_rng(1), items, weights) == weighted_choice(
             make_rng(1), items, weights
         )
-
-    def test_sample_without_replacement_caps_count(self):
-        assert len(sample_without_replacement(make_rng(1), [1, 2], 10)) == 2
 
 
 class TestBSBM:

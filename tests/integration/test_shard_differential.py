@@ -132,7 +132,7 @@ def test_served_overlapping_requests_merge_over_a_sharded_engine(chem_tiny, base
     in one window over ``shards=2`` both came back ``failed`` while
     either alone succeeded."""
     from repro.core.results import rows_digest
-    from repro.serve import OK, QueryService, ServeRequest, ServiceConfig
+    from repro.serve.service import OK, QueryService, ServeRequest, ServiceConfig
 
     pair = ("G8", "MG6")
     assert pair in MERGEABLE_PAIRS

@@ -154,12 +154,6 @@ class TestCommitLedger:
         assert ledger.lookup("j1", "out", "old") is None
         assert len(ledger) == 0
 
-    def test_invalidate(self):
-        ledger = CommitLedger()
-        ledger.commit(self.entry())
-        ledger.invalidate("j1", "out")
-        assert ledger.lookup("j1", "out", "fp") is None
-
 
 class TestCheckpointSkip:
     def test_second_run_skips_committed_job(self):
@@ -371,6 +365,3 @@ class TestRecoveryStats:
         assert set(data) >= {
             "salvaged_seconds", "wasted_seconds", "overhead_seconds",
         }
-
-    def test_salvage_ratio_none_when_nothing_at_risk(self):
-        assert RecoveryStats().salvage_ratio is None

@@ -60,14 +60,6 @@ def test_capacity_counts_replaced_file_as_freed():
     assert hdfs.exists("a")
 
 
-def test_available_bytes():
-    hdfs = HDFS(capacity=1000)
-    assert hdfs.available_bytes() == 1000
-    hdfs.write("a", [1])
-    assert hdfs.available_bytes() < 1000
-    assert HDFS().available_bytes() is None
-
-
 def test_listdir_prefix():
     hdfs = HDFS()
     hdfs.write("vp/a", [])
@@ -88,13 +80,6 @@ def test_listdir_respects_directory_boundaries():
     assert hdfs.listdir("vp/") == ["vp", "vp/a"]
     assert hdfs.listdir("vp2") == ["vp2/x"]
     assert hdfs.listdir() == ["vp", "vp/a", "vp2/x", "vpextra"]
-
-
-def test_total_records():
-    hdfs = HDFS()
-    hdfs.write("a", [1, 2])
-    hdfs.write("b", [3])
-    assert hdfs.total_records() == 3
 
 
 def test_incremental_used_bytes_matches_recount():
@@ -126,6 +111,6 @@ def test_capacity_overflow_after_many_writes():
     assert not hdfs.exists(f"tmp/{path}")
     # Deleting one file frees exactly one file's worth of space again.
     hdfs.delete("tmp/0")
-    assert hdfs.available_bytes() == 100
+    assert hdfs.used_bytes() == 900
     hdfs.write("tmp/again", ["x" * 99])
     assert hdfs.used_bytes() == 1000

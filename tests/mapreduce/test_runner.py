@@ -454,7 +454,7 @@ class TestCollectorScope:
 
     def test_served_jobs_run_inside_the_scope(self, chem_tiny, monkeypatch, thawed):
         from repro.bench.harness import chem_config
-        from repro.serve import OK, QueryService, ServiceConfig
+        from repro.serve.service import OK, QueryService, ServiceConfig
         from repro.serve.workload import WorkloadSpec, workload_requests
 
         seen = jobs_observed(monkeypatch)

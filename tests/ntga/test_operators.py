@@ -166,7 +166,7 @@ class TestAlphaJoin:
         left_side, right_side = self._sides()
         joined = alpha_join(products, offers, left_side, right_side, Variable("p"))
         assert len(joined) == 1
-        assert joined[0].fixed_bindings()[Variable("p")] == IRI("urn:p1")
+        assert dict(joined[0].fixed)[Variable("p")] == IRI("urn:p1")
 
     def test_alpha_prunes_unmatched_combinations(self):
         """A combination matching no original pattern is not materialized."""
@@ -195,7 +195,7 @@ class TestAlphaJoin:
             Variable("p"),
         )
         assert len(joined) == 2
-        values = {j.fixed_bindings()[Variable("p")] for j in joined}
+        values = {dict(j.fixed)[Variable("p")] for j in joined}
         assert values == {IRI("urn:p1"), IRI("urn:p2")}
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro import obs, run_query
 from repro.bench.catalog import CATALOG
 from repro.core.query_model import PropKey, parse_analytical
-from repro.core.results import EngineConfig
+from repro.core.results import EngineConfig, rows_digest
 from repro.datasets import bsbm
 from repro.errors import PlanningError
 from repro.mapreduce.counters import Counters
@@ -28,7 +28,6 @@ from repro.ntga.physical import (
     shared_prefilters,
 )
 from repro.ntga.triplegroup import JoinedTripleGroup, TripleGroup
-from repro.perf import rows_digest
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.rdf.triples import RDF_TYPE, Triple

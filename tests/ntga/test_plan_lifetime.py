@@ -27,11 +27,12 @@ from repro.mapreduce.hdfs import HDFS
 from repro.ntga.composite import CanonicalSubquery
 from repro.ntga.physical import AlphaJoinPlan, TripleGroupStore, load_triplegroups
 from repro.ntga.planner import plan_rapid_analytics
-from repro.plan import CardinalityEstimator, plan_adaptive
+from repro.plan.cardinality import CardinalityEstimator
+from repro.plan.enumerator import plan_adaptive
 from repro.rdf.graph import Graph
 from repro.rdf.stats import GraphStats, cached_profile
 from repro.ntga.triplegroup import JoinPlan, StarPlan
-from repro.serve import OK, QueryService, ServiceConfig
+from repro.serve.service import OK, QueryService, ServiceConfig
 from repro.serve.workload import WorkloadSpec, workload_requests
 
 PLAN_TYPES = (CanonicalSubquery, StarPattern, StarPlan, JoinPlan, AlphaJoinPlan)

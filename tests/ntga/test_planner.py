@@ -15,7 +15,7 @@ from repro.ntga.planner import (
     plan_rapid_plus,
 )
 from repro.bench.arms import DEFAULT_QUERIES as PLANNER_AB_QUERIES
-from repro.plan import plan_adaptive
+from repro.plan.enumerator import plan_adaptive
 from repro.rdf.stats import cached_profile
 
 
@@ -256,8 +256,7 @@ class TestOnePlanShape:
             batch.description,
         )
         assert solo.merged_ids == [tuple(range(len(query.subqueries)))]
-        # Solo views of the record: where the answers are, and the cut.
-        assert solo.final_output == solo.outputs[0][0]
+        # The solo view of the record: the cut.
         assert solo.final_join_index == (
             solo.split_index if shape(solo)[-1][-1] == ("TG_Join",) else None
         )

@@ -202,7 +202,7 @@ class TestJoinedTripleGroup:
         assert merged.component(0) is not None
         assert merged.component(1) is not None
         assert merged.component(7) is None
-        assert merged.fixed_bindings() == {Variable("v"): S1}
+        assert dict(merged.fixed) == {Variable("v"): S1}
 
     def test_props_union(self):
         left = JoinedTripleGroup.single(0, tg(S1, (PF, IRI("urn:f1"))))

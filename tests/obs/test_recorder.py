@@ -6,8 +6,8 @@ from time import perf_counter
 
 import pytest
 
-from repro import obs
-from repro.obs import TraceRecorder
+from repro import ambient, obs
+from repro.obs.model import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -69,12 +69,6 @@ class TestTraceRecorder:
         assert span.metrics == {"alpha_combinations_pruned": 3}
         assert recorder.root.metrics == {}
 
-    def test_annotate(self):
-        recorder = TraceRecorder()
-        span = recorder.begin_span("job", "job")
-        recorder.annotate(shuffle_bytes=10)
-        assert span.attrs["shuffle_bytes"] == 10
-
     def test_events_share_id_space(self):
         recorder = TraceRecorder()
         span = recorder.begin_span("job", "job")
@@ -102,29 +96,28 @@ class TestTraceRecorder:
 
 class TestHooks:
     def test_disabled_hooks_are_noops(self):
-        assert obs.active_tracer() is None
+        assert ambient.tracer is None
         with obs.span("x", "query") as span:
             assert span is None
         obs.event("nothing")
         obs.count("nothing")
-        obs.annotate(nothing=1)
 
     def test_tracing_installs_and_restores(self):
         with obs.tracing() as recorder:
-            assert obs.active_tracer() is recorder
+            assert ambient.tracer is recorder
             with obs.span("q", "query", {"qid": "Q1"}) as span:
                 assert span is not None
                 assert span.attrs == {"qid": "Q1"}
                 obs.count("metric", 5)
             assert span.metrics == {"metric": 5}
-        assert obs.active_tracer() is None
+        assert ambient.tracer is None
         assert recorder._closed
 
     def test_nested_tracing_restores_previous(self):
         with obs.tracing() as outer:
             with obs.tracing() as inner:
-                assert obs.active_tracer() is inner
-            assert obs.active_tracer() is outer
+                assert ambient.tracer is inner
+            assert ambient.tracer is outer
 
     def test_span_closed_on_exception(self):
         with obs.tracing() as recorder:

@@ -16,7 +16,7 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.results import EngineConfig
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
-from repro.plan import CardinalityEstimator
+from repro.plan.cardinality import CardinalityEstimator
 from repro.rdf.graph import Graph
 from repro.rdf.stats import profile
 from repro.rdf.terms import IRI, Literal

@@ -18,7 +18,7 @@ from repro.core.results import EngineConfig
 from repro.datasets import bsbm
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
-from repro.plan import (
+from repro.plan.enumerator import (
     AUTO_MARGIN,
     CandidatePlan,
     JobEstimate,

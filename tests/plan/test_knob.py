@@ -1,16 +1,13 @@
 """The --planner knob: validation, precedence, and CLI rejection."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro import ambient
+from repro.ambient import PLANNER
 from repro.cli import main
 from repro.errors import ReproError
-from repro.plan import (
-    DEFAULT_PLANNER,
-    PLANNERS,
-    active_planner,
-    resolve_planner,
-    validate_planner,
-)
 
 
 def run_cli(capsys, *argv):
@@ -21,55 +18,56 @@ def run_cli(capsys, *argv):
 
 class TestValidation:
     def test_accepts_every_mode(self):
-        assert PLANNERS == ("rule", "cost", "auto")
-        for mode in PLANNERS:
-            assert validate_planner(mode) == mode
+        assert PLANNER.choices == ("rule", "cost", "auto")
+        for mode in PLANNER.choices:
+            assert PLANNER.validate(mode) == mode
 
     @pytest.mark.parametrize("bogus", ["", "Rule", "cheapest", "cost ", "none"])
     def test_rejects_everything_else(self, bogus):
         with pytest.raises(ReproError, match="invalid planner"):
-            validate_planner(bogus)
+            PLANNER.validate(bogus)
 
     def test_error_names_the_valid_modes(self):
         with pytest.raises(ReproError, match="rule/cost/auto"):
-            validate_planner("bogus")
+            PLANNER.validate("bogus")
 
 
 class TestPrecedence:
     def test_default_is_rule(self):
-        assert DEFAULT_PLANNER == "rule"
-        assert resolve_planner() == "rule"
-        assert resolve_planner(None) == "rule"
+        assert PLANNER.default == "rule"
+        assert PLANNER.resolve() == "rule"
+        assert PLANNER.resolve(None) == "rule"
 
     def test_ambient_beats_default(self):
-        with active_planner("cost"):
-            assert resolve_planner() == "cost"
-        assert resolve_planner() == "rule"
+        with ambient.installed(planner="cost"):
+            assert PLANNER.resolve() == "cost"
+        assert PLANNER.resolve() == "rule"
 
     def test_explicit_beats_ambient(self):
-        with active_planner("cost"):
-            assert resolve_planner("auto") == "auto"
+        with ambient.installed(planner="cost"):
+            assert PLANNER.resolve("auto") == "auto"
 
     def test_ambient_nests_and_restores(self):
-        with active_planner("cost"):
-            with active_planner("auto"):
-                assert resolve_planner() == "auto"
-            assert resolve_planner() == "cost"
+        with ambient.installed(planner="cost"):
+            with ambient.installed(planner="auto"):
+                assert PLANNER.resolve() == "auto"
+            assert PLANNER.resolve() == "cost"
 
     def test_ambient_restores_after_exception(self):
         with pytest.raises(RuntimeError):
-            with active_planner("cost"):
+            with ambient.installed(planner="cost"):
                 raise RuntimeError("boom")
-        assert resolve_planner() == "rule"
+        assert PLANNER.resolve() == "rule"
 
     def test_ambient_rejects_bogus_mode(self):
+        args = SimpleNamespace(planner="cheapest")
         with pytest.raises(ReproError, match="invalid planner"):
-            with active_planner("cheapest"):
+            with ambient.installed(**ambient.knob_overrides(args)):
                 pass  # pragma: no cover - never entered
 
     def test_explicit_rejects_bogus_mode(self):
         with pytest.raises(ReproError, match="invalid planner"):
-            resolve_planner("cheapest")
+            PLANNER.resolve("cheapest")
 
 
 class TestCLI:

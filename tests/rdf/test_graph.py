@@ -143,12 +143,6 @@ def test_property_counts(graph):
     assert graph.property_counts() == {IRI("urn:p1"): 2, IRI("urn:p2"): 2}
 
 
-def test_subject_grouped(graph):
-    grouped = graph.subject_grouped()
-    assert set(grouped) == {IRI("urn:a"), IRI("urn:b"), IRI("urn:c")}
-    assert len(grouped[IRI("urn:a")]) == 2
-
-
 def test_copy_is_independent(graph):
     clone = graph.copy()
     clone.add(Triple(IRI("urn:z"), IRI("urn:p1"), IRI("urn:z")))
@@ -176,7 +170,6 @@ def test_indexes_wait_for_the_first_index_read():
     graph = Graph([Triple(IRI("urn:s"), IRI("urn:p"), IRI("urn:o"))])
     graph.add(Triple(IRI("urn:s"), IRI("urn:q"), Literal("x")))
     list(graph)
-    graph.subject_grouped()
     assert graph._spo is None
     assert graph.properties() == {IRI("urn:p"), IRI("urn:q")}
     assert graph._spo is not None
@@ -247,12 +240,6 @@ class _EagerGraph:
     def property_counts(self):
         return {p: sum(map(len, by_object.values())) for p, by_object in self.pos.items()}
 
-    def subject_grouped(self):
-        grouped = defaultdict(list)
-        for triple in self.triples:
-            grouped[triple.subject].append(triple)
-        return list(grouped.items())
-
 
 # Small pools, so that sequences keep meeting the same subject, property
 # and object again -- where index order can go wrong.
@@ -267,7 +254,7 @@ _slots = st.tuples(
     st.sampled_from(["xyz", "xyx", "xxx"]),  # match's variable names
 )
 _READS = ("walk", "triples", "match", "subjects", "objects", "properties",
-          "property_counts", "subject_grouped", "len", "iter")
+          "property_counts", "len", "iter")
 _ops = st.one_of(
     st.tuples(st.just("add"), _triples),
     st.tuples(st.just("add"), _triples),
@@ -296,8 +283,6 @@ def _read(graph, model, kind, slots):
         return graph.properties(), set(model.pos)
     if kind == "property_counts":
         return list(graph.property_counts().items()), list(model.property_counts().items())
-    if kind == "subject_grouped":
-        return list(graph.subject_grouped().items()), model.subject_grouped()
     if kind == "len":
         return len(graph), len(model.triples)
     return list(graph), list(model.triples)

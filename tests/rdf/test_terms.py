@@ -99,10 +99,6 @@ class TestLiteral:
         assert Literal("1", datatype=XSD_BOOLEAN).python_value() is True
         assert Literal("0", datatype=XSD_BOOLEAN).python_value() is False
 
-    def test_is_numeric(self):
-        assert Literal("5", datatype=XSD_INTEGER).is_numeric()
-        assert not Literal("5").is_numeric()
-
 
 class TestParsedOnce:
     """``python_value`` pins its parse in a hidden cache slot."""

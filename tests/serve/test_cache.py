@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import LRUCache
+from repro.serve.cache import LRUCache
 
 
 def test_capacity_must_be_positive():

@@ -17,8 +17,7 @@ from repro.errors import OverlapError
 from repro.ntga import planner
 from repro.ntga.composite import build_composite_n
 from repro.ntga.planner import batch_composite
-from repro.serve import OK, QueryService, ServeRequest, ServiceConfig
-from repro.serve.service import _Group
+from repro.serve.service import OK, QueryService, ServeRequest, ServiceConfig, _Group
 
 
 def service_of(graph):

@@ -9,13 +9,8 @@ from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
 from repro.obs.calibration import CalibrationMonitor
 from repro.obs.metrics import MetricsRegistry, collecting, snapshot_dict
-from repro.serve import (
-    QueryService,
-    ServeRequest,
-    ServiceConfig,
-    WorkloadSpec,
-    serve_workload_with_metrics,
-)
+from repro.serve.service import QueryService, ServeRequest, ServiceConfig
+from repro.serve.workload import WorkloadSpec, serve_workload_with_metrics
 
 QIDS = ("MG6", "MG7", "MG8", "G8")
 

@@ -13,8 +13,8 @@ import pytest
 from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
 from repro.core.engines import make_engine, to_analytical
-from repro.perf import rows_digest
-from repro.serve import OK, QueryService, ServiceConfig
+from repro.core.results import rows_digest
+from repro.serve.service import OK, QueryService, ServiceConfig
 from repro.serve.fingerprint import fingerprint_query
 
 

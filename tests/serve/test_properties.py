@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import perf
 from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
 from repro.core.engines import make_engine, to_analytical
-from repro.serve import OK, QueryService, ServeRequest, ServiceConfig
+from repro.core.results import rows_digest
+from repro.serve.service import OK, QueryService, ServeRequest, ServiceConfig
 
 QIDS = ("MG6", "MG7", "MG8", "G8")
 
@@ -29,7 +29,7 @@ def solo_digests(chem_tiny):
     config = chem_config()
     engine = make_engine("rapid-analytics")
     return {
-        qid: perf.rows_digest(
+        qid: rows_digest(
             engine.execute(to_analytical(get_query(qid).sparql), chem_tiny, config).rows
         )
         for qid in QIDS
@@ -65,8 +65,8 @@ def test_batched_rows_equal_unbatched_equal_solo(chem_tiny, solo_digests, mix, s
     assert [r.status for r in unbatched] == [OK] * len(mix)
     for got_batched, got_unbatched, qid in zip(batched, unbatched, mix):
         want = solo_digests[qid]
-        assert perf.rows_digest(got_batched.rows) == want
-        assert perf.rows_digest(got_unbatched.rows) == want
+        assert rows_digest(got_batched.rows) == want
+        assert rows_digest(got_unbatched.rows) == want
 
 
 @_SETTINGS
@@ -84,6 +84,6 @@ def test_cache_hits_are_bit_identical_to_cold_runs(chem_tiny, mix, seed):
     assert all(r.status == OK for r in cold + warm)
     assert all(r.source in ("result-cache", "dedup") for r in warm)
     for cold_response, warm_response in zip(cold, warm):
-        assert perf.rows_digest(warm_response.rows) == perf.rows_digest(
+        assert rows_digest(warm_response.rows) == rows_digest(
             cold_response.rows
         )

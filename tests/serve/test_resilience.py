@@ -8,29 +8,31 @@ from dataclasses import replace
 
 import pytest
 
-from repro import perf
 from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
 from repro.core.engines import make_engine, to_analytical
+from repro.core.results import rows_digest
 from repro.errors import ResilienceError, ServeError, TaskFailedError
 from repro.mapreduce.faults import FaultPlan
 from repro.ntga.engine import execute_batch
-from repro.serve import (
+from repro.serve.cache import StaleResultStore
+from repro.serve.fingerprint import fingerprint_query
+from repro.serve.resilience import (
+    BreakerPolicy,
+    CircuitBreaker,
+    DegradationPolicy,
+    ResilienceConfig,
+    RetryPolicy,
+)
+from repro.serve.service import (
     DEADLINE,
     DEGRADED,
     FAILED,
     OK,
     SHED,
-    BreakerPolicy,
-    CircuitBreaker,
-    DegradationPolicy,
     QueryService,
-    ResilienceConfig,
-    RetryPolicy,
     ServeRequest,
     ServiceConfig,
-    StaleResultStore,
-    fingerprint_query,
 )
 
 CHEM_QIDS = ("MG6", "MG7", "MG8", "G8")
@@ -368,7 +370,7 @@ def test_successful_answers_refresh_the_stale_store(chem_tiny):
     assert stored is not None
     version, rows = stored
     assert version == chem_tiny.version
-    assert perf.rows_digest(rows) == perf.rows_digest(response.rows)
+    assert rows_digest(rows) == rows_digest(response.rows)
 
 
 # -- blast-radius isolation ----------------------------------------------------
@@ -391,7 +393,7 @@ def solo_digests(chem_tiny):
     config = chem_config()
     engine = make_engine("rapid-analytics")
     return {
-        qid: perf.rows_digest(
+        qid: rows_digest(
             engine.execute(to_analytical(sparql(qid)), chem_tiny, config).rows
         )
         for qid in CHEM_QIDS
@@ -453,7 +455,7 @@ def test_isolation_reexecutes_batch_members_solo(chem_tiny, solo_digests):
     for response in responses:
         assert response.attempts == 2
         assert response.retry_backoff > 0.0
-        assert perf.rows_digest(response.rows) == solo_digests[response.label]
+        assert rows_digest(response.rows) == solo_digests[response.label]
     counters = service.counter_snapshot()
     assert counters["isolated_groups"] == len(CHEM_QIDS)
     assert counters["retries"] == len(CHEM_QIDS)
@@ -476,7 +478,7 @@ def test_resilient_serving_is_deterministic(chem_tiny):
         )
         responses = service.serve(_chem_requests())
         return (
-            [(r.status, r.attempts, r.completed, perf.rows_digest(r.rows)) for r in responses],
+            [(r.status, r.attempts, r.completed, rows_digest(r.rows)) for r in responses],
             service.counter_snapshot(),
             service.executed_cost_seconds,
         )

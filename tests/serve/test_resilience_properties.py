@@ -25,17 +25,13 @@ from hypothesis import strategies as st
 from repro.bench.catalog import get_query
 from repro.bench.harness import chem_config
 from repro.mapreduce.faults import FaultPlan
-from repro.serve import (
-    DEGRADED,
-    OK,
+from repro.serve.resilience import (
     BreakerPolicy,
     DegradationPolicy,
-    QueryService,
     ResilienceConfig,
     RetryPolicy,
-    ServeRequest,
-    ServiceConfig,
 )
+from repro.serve.service import DEGRADED, OK, QueryService, ServeRequest, ServiceConfig
 
 QIDS = ("MG6", "MG7", "MG8", "G8")
 

@@ -6,15 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro import perf
 from repro.bench.catalog import get_query
 from repro.bench.harness import bsbm_config, chem_config
 from repro.core.engines import PAPER_ENGINES, make_engine, to_analytical
-from repro.core.results import EngineConfig
+from repro.core.results import rows_digest
 from repro.errors import ServeError
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
-from repro.serve import (
+from repro.serve.service import (
     DEADLINE,
     FAILED,
     OK,
@@ -42,7 +41,7 @@ def solo_digests(chem_tiny):
     config = chem_config()
     engine = make_engine("rapid-analytics")
     return {
-        qid: perf.rows_digest(
+        qid: rows_digest(
             engine.execute(to_analytical(sparql(qid)), chem_tiny, config).rows
         )
         for qid in CHEM_QIDS
@@ -56,7 +55,7 @@ def test_single_query_runs_solo(chem_tiny, chem_service_config, solo_digests):
     assert response.source == "solo"
     assert response.batch_size == 1
     assert response.latency > 0
-    assert perf.rows_digest(response.rows) == solo_digests["MG6"]
+    assert rows_digest(response.rows) == solo_digests["MG6"]
     counters = service.counter_snapshot()
     assert counters["units_solo"] == 1 and counters["units_batch"] == 0
 
@@ -68,7 +67,7 @@ def test_result_cache_hit_is_bit_identical_and_free(
     cold = service.query(sparql("MG7"))
     hit = service.query(sparql("MG7"))
     assert hit.status == OK and hit.source == "result-cache"
-    assert perf.rows_digest(hit.rows) == perf.rows_digest(cold.rows) == solo_digests["MG7"]
+    assert rows_digest(hit.rows) == rows_digest(cold.rows) == solo_digests["MG7"]
     assert hit.unit_cost == 0.0
     counters = service.counter_snapshot()
     assert counters["result_cache_hits"] == 1
@@ -97,7 +96,7 @@ def test_same_window_duplicates_dedup(chem_tiny, chem_service_config, solo_diges
     assert service.counters["dedup_requests"] == 1
     assert service.counters["units_solo"] == 1  # executed once
     for response in responses:
-        assert perf.rows_digest(response.rows) == solo_digests["MG8"]
+        assert rows_digest(response.rows) == solo_digests["MG8"]
 
 
 def test_overlapping_queries_batch_and_split(chem_tiny, chem_service_config, solo_digests):
@@ -110,7 +109,7 @@ def test_overlapping_queries_batch_and_split(chem_tiny, chem_service_config, sol
     assert all(r.source == "batch" for r in responses)
     assert all(r.batch_size == len(CHEM_QIDS) for r in responses)
     for response in responses:
-        assert perf.rows_digest(response.rows) == solo_digests[response.label]
+        assert rows_digest(response.rows) == solo_digests[response.label]
     counters = service.counter_snapshot()
     assert counters["batch_merges"] == 1
     assert counters["batch_merged_requests"] == len(CHEM_QIDS)
@@ -245,7 +244,7 @@ def test_every_engine_serves_correct_rows(chem_tiny, engine):
     response = service.query(sparql("MG7"), label="MG7")
     assert response.status == OK
     solo = make_engine(engine).execute(to_analytical(sparql("MG7")), chem_tiny, config)
-    assert perf.rows_digest(response.rows) == perf.rows_digest(solo.rows)
+    assert rows_digest(response.rows) == rows_digest(solo.rows)
 
 
 def test_faults_and_recovery_compose_with_batching(chem_tiny, solo_digests):
@@ -261,7 +260,7 @@ def test_faults_and_recovery_compose_with_batching(chem_tiny, solo_digests):
     )
     assert all(r.status == OK for r in responses)
     for response in responses:
-        assert perf.rows_digest(response.rows) == solo_digests[response.label]
+        assert rows_digest(response.rows) == solo_digests[response.label]
     assert service.counters["batch_merges"] == 1
 
 

@@ -12,12 +12,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.bench.harness import chem_config
+from repro.core.results import rows_digest
 from repro.mapreduce.checkpoint import RecoveryPolicy
 from repro.mapreduce.faults import FaultPlan
-from repro.serve import OK, QueryService, ServiceConfig, WorkloadSpec
-from repro.serve.workload import workload_requests
+from repro.serve.service import OK, QueryService, ServiceConfig
+from repro.serve.workload import WorkloadSpec, workload_requests
 
 CLIENTS = 4
 SPEC = "seeds=1,clients=4,mix=chem-overlap,requests=32,rate=12"
@@ -55,7 +56,7 @@ def _observable(responses):
             r.latency,
             r.batch_size,
             round(r.unit_cost, 9),
-            perf.rows_digest(r.rows) if r.rows is not None else None,
+            rows_digest(r.rows) if r.rows is not None else None,
         )
         for r in responses
     ]
@@ -76,8 +77,8 @@ def test_worker_count_changes_only_the_timeline(chem_tiny):
     narrow_responses, narrow_counters = _run(chem_tiny, 1)
     # workers=1 narrows the simulated executor, so compare the
     # execution results (rows, sources, counters), not the timeline.
-    assert [perf.rows_digest(r.rows) for r in wide_responses] == [
-        perf.rows_digest(r.rows) for r in narrow_responses
+    assert [rows_digest(r.rows) for r in wide_responses] == [
+        rows_digest(r.rows) for r in narrow_responses
     ]
     assert [r.source for r in wide_responses] == [r.source for r in narrow_responses]
     for key in ("batch_merges", "dedup_requests", "result_cache_hits", "units_batch"):

@@ -43,16 +43,13 @@ from repro.datasets import generate
 from repro.mapreduce.faults import FaultPlan
 from repro.obs import metrics as obs_metrics
 from repro.obs.calibration import CalibrationMonitor
-from repro.serve import (
+from repro.serve.resilience import (
     BreakerPolicy,
     DegradationPolicy,
-    QueryService,
     ResilienceConfig,
     RetryPolicy,
-    ServeRequest,
-    ServeResponse,
-    ServiceConfig,
 )
+from repro.serve.service import QueryService, ServeRequest, ServeResponse, ServiceConfig
 
 TRANSCRIPTS = Path(__file__).with_name("transcripts.json")
 

@@ -5,14 +5,14 @@ and drift detection are ``tests/core/test_report.py``, for every kind."""
 import pytest
 
 from repro.errors import ServeError
-from repro.serve import (
+from repro.serve.workload import (
     SERVE_SCHEMA,
     WORKLOAD_MIXES,
     WorkloadSpec,
     render_serve_report,
     serve_workload_report,
+    workload_requests,
 )
-from repro.serve.workload import workload_requests
 
 
 def test_from_spec_minimal_defaults():

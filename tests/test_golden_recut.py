@@ -354,7 +354,7 @@ def test_the_sizing_recut_maps_back_to_the_parent_bytes(name):
 def test_the_sizing_recut_moved_no_answer_cycle_record_or_cut():
     from dataclasses import fields
 
-    from repro.serve import ServeResponse
+    from repro.serve.service import ServeResponse
 
     response_fields = [f.name for f in fields(ServeResponse)]
     used = set()
@@ -515,7 +515,7 @@ def test_the_serve_transcripts_map_back_to_their_earlier_bytes():
 def test_no_removed_field_is_still_written():
     from dataclasses import fields
 
-    from repro.serve import ServeResponse
+    from repro.serve.service import ServeResponse
 
     assert SERVE_RESPONSE_REMOVED[0] not in {f.name for f in fields(ServeResponse)}
     gone_from_rows = (
