@@ -376,6 +376,21 @@ def check(rows: list[Row], out_dir: str) -> list[str]:
                     f"{metric}@{workload} moved: PR{newest['pr']} has {before[metric]!r}, "
                     f"this tree {values[metric]!r}"
                 )
+    latest = [row for row in rows if row.get("exact")][-1]
+    if problems and latest["pr"] > newest["pr"]:
+        # The row compared against is not the newest measurement: every
+        # PR since may have moved these rows, not only the tree under test.
+        taken = latest["exact"]
+        how = "with --smoke" if taken["sizes"] == "smoke" else f"at {taken['sizes']} sizes"
+        problems.insert(
+            0,
+            f"PR{newest['pr']} is the newest row at sizes {fresh['sizes']}, seed "
+            f"{fresh['seed']}, Python {PYTHON}; later rows (the newest, PR{latest['pr']}, "
+            f"at sizes {taken['sizes']}, seed {taken['seed']}, Python "
+            f"{'/'.join(taken['rows'])}) were taken at other sizes, so a row may have "
+            f"moved in any PR since PR{newest['pr']}: take the traced runs {how} to "
+            f"check against PR{latest['pr']}",
+        )
     return problems
 
 

@@ -29,6 +29,7 @@ from repro.core.engines import make_engine, to_analytical
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig, ExecutionReport
 from repro.errors import PlanningError
+from repro.mapreduce.cost import fold_seconds
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
 from repro.ntga.planner import plan_rapid_analytics, plan_rapid_plus
@@ -309,7 +310,7 @@ def estimated_vs_actual(run: ExecutionReport) -> list[dict]:
                 part.output_records for part in parts if part.map_only == estimate.map_only
             ),
             "estimated_cost": round(estimate.cost, 6),
-            "actual_cost": round(sum(part.cost_seconds for part in parts), 6),
+            "actual_cost": round(fold_seconds(part.cost_seconds for part in parts), 6),
         }
         for estimate, parts in run.stats.priced_cycles()
     ]

@@ -339,15 +339,22 @@ class ClusterConfig:
 _FOLD_ORDER = ("map", "exchange", "reduce", "shuffle", "materialize")
 
 
+def fold_seconds(seconds: Iterable[float]) -> float:
+    """Simulated seconds added left to right: the one float sum on the
+    simulated clock.  The builtin ``sum`` compensates float rounding from
+    Python 3.12 on, so a cost summed with it would depend on the
+    interpreter."""
+    total = 0.0
+    for value in seconds:
+        total += value
+    return total
+
+
 def fold_phases(phases: Iterable[tuple[str, float]]) -> float:
     """A job's cost from its :meth:`CostModel.job_cost_phases`: the one
     sum, so "the phases add up to the job cost" holds by construction."""
     seconds = dict(phases)
-    cost = 0.0
-    for name in _FOLD_ORDER:
-        if name in seconds:
-            cost += seconds[name]
-    return cost
+    return fold_seconds(seconds[name] for name in _FOLD_ORDER if name in seconds)
 
 
 @dataclass(frozen=True)

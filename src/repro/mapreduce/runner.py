@@ -45,6 +45,7 @@ from repro.mapreduce.cost import (
     estimate_size,
     estimate_total_size,
     fold_phases,
+    fold_seconds,
 )
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.faults import FaultPlan
@@ -103,7 +104,7 @@ class WorkflowStats:
 
     @property
     def total_cost(self) -> float:
-        cost = sum(job.cost_seconds for job in self.jobs) - self.overlap_seconds
+        cost = fold_seconds(job.cost_seconds for job in self.jobs) - self.overlap_seconds
         if self.recovery is not None:
             cost += self.recovery.extra_seconds
         return cost

@@ -20,7 +20,7 @@ from typing import Any, Iterable
 
 from repro.bench.arms import DEFAULT_QUERIES, catalog_runs
 from repro.core.results import EngineConfig
-from repro.report import ReportKind, rows_digest
+from repro.report import ReportKind, answers_digest
 
 AB_SCHEMA = "repro-planner-ab/v1"
 
@@ -38,7 +38,7 @@ def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
     for run in catalog_runs(qids, _ARMS):
         rule, cost = run.reports["rule"], run.reports["cost"]
         choice = cost.plan_choice
-        rule_digest = rows_digest(rule.rows)
+        rule_digest = answers_digest(rule.rows)
         runs.append(
             {
                 **run.head,
@@ -57,7 +57,7 @@ def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
                 "cycles": {"rule": rule.cycles, "cost": cost.cycles},
                 "rows": len(rule.rows),
                 "rows_digest": rule_digest,
-                "answers_match": rule_digest == rows_digest(cost.rows),
+                "answers_match": rule_digest == answers_digest(cost.rows),
                 "cost_not_worse": cost.cost_seconds
                 <= rule.cost_seconds + _COST_TOLERANCE,
             }

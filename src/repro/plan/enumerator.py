@@ -44,6 +44,7 @@ from repro import obs
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig
 from repro.errors import PlanningError
+from repro.mapreduce.cost import fold_seconds
 from repro.mapreduce.job import MapReduceJob
 from repro.ntga.physical import TripleGroupStore
 from repro.ntga.planner import NTGAPlan, plan_rapid_analytics, plan_rapid_plus
@@ -97,7 +98,7 @@ class CandidatePlan:
 
     @property
     def total_cost(self) -> float:
-        return sum(job.cost for job in self.jobs)
+        return fold_seconds(job.cost for job in self.jobs)
 
     def as_dict(self) -> dict:
         return {

@@ -25,7 +25,7 @@ from repro.errors import ReproError
 Report = dict[str, Any]
 
 
-def rows_digest(rows: Iterable[dict]) -> str:
+def answers_digest(rows: Iterable[dict]) -> str:
     """Order-insensitive fingerprint of an answer multiset — what the A/B
     reports compare a variant's rows to its baseline's by (the
     order-*sensitive* :func:`repro.core.results.rows_digest` is a different

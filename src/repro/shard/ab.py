@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from repro.bench.arms import DEFAULT_QUERIES, catalog_runs
 from repro.core.results import EngineConfig
-from repro.report import ReportKind, rows_digest
+from repro.report import ReportKind, answers_digest
 from repro.shard.partition import PARTITIONERS, build_partition
 
 SHARD_AB_SCHEMA = "repro-shard-ab/v1"
@@ -45,7 +45,7 @@ def shard_ab_report(
     runs: list[dict[str, Any]] = []
     for run in catalog_runs(qids, arms):
         base = run.reports["unsharded"]
-        base_digest = rows_digest(base.rows)
+        base_digest = answers_digest(base.rows)
         by_strategy: dict[str, Any] = {}
         for strategy in strategies:
             partition = build_partition(run.graph, strategy, shards)
@@ -56,7 +56,7 @@ def shard_ab_report(
                 "total_edges": partition.total_edges,
                 "actual_cost": round(report.cost_seconds, 6),
                 "cycles": report.cycles,
-                "rows_match": rows_digest(report.rows) == base_digest,
+                "rows_match": answers_digest(report.rows) == base_digest,
             }
         ranked = sorted(
             by_strategy, key=lambda s: (by_strategy[s]["exchange_bytes"], s)

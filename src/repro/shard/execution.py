@@ -508,7 +508,7 @@ class ShardedExecutor:
             stats.jobs.append(job_stats)
             costs.append(job_stats.cost_seconds)
         if len(costs) > 1:
-            stats.overlap_seconds += sum(costs) - max(costs)
+            stats.overlap_seconds += cost.fold_seconds(costs) - max(costs)
 
     def _run_once(self, jobs: list[MapReduceJob], stats: WorkflowStats) -> None:
         for job in jobs:

@@ -216,6 +216,37 @@ def test_trace_rejects_non_trace_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["summary", "export"])
+@pytest.mark.parametrize(
+    "text, says",
+    [
+        ("not json\n", "not a readable JSON snapshot"),
+        ("[1, 2]\n", "not a repro-metrics/v1 snapshot (schema=None)"),
+        ('"repro-metrics/v1"\n', "not a repro-metrics/v1 snapshot (schema=None)"),
+    ],
+)
+def test_metrics_rejects_a_file_that_is_not_a_snapshot(tmp_path, capsys, command, text, says):
+    bogus = tmp_path / "bogus.json"
+    bogus.write_text(text)
+    code, out, err = run_cli(capsys, "metrics", command, str(bogus))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bogus}: {says}") and err.count("\n") == 1
+
+
+def test_run_rejects_a_negative_limit(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "MG1", "--preset", "tiny", "--limit", "-1"])
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --limit: must be >= 0, got -1\n")
+
+
+def test_run_limit_zero_prints_only_the_count(capsys):
+    code, out, _ = run_cli(capsys, "run", "MG1", "--preset", "tiny", "--limit", "0")
+    assert code == 0
+    assert out.startswith("23 rows\n  ... (23 more rows)\n")
+
+
 def test_unknown_experiment_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, "bench", "figure99")
     assert code == 2

@@ -357,14 +357,16 @@ def test_trace_is_honoured_under_faults_and_leaves_the_golden_alone(tmp_path, ca
 # Start-up: each command loads only the modules it runs
 # ---------------------------------------------------------------------------
 
-#: ``import repro.cli``: the parser, the catalog, the error types.
-_CLI = frozenset(
-    "repro repro.lazy repro.errors repro.cli repro.bench repro.bench.catalog".split()
-)
-#: What every query command runs: the engines facade, the SPARQL front
-#: end, the RDF model and the MapReduce simulator.
-_QUERY = _CLI | frozenset(
+#: ``import repro.cli``: the command table and the error types.
+_CLI = frozenset("repro repro.lazy repro.errors repro.cli".split())
+#: The query catalog.
+_CATALOG = frozenset("repro.bench repro.bench.catalog".split())
+#: What every query command runs: its command module, the catalog, the
+#: engines facade, the SPARQL front end, the RDF model and the MapReduce
+#: simulator.
+_QUERY = _CLI | _CATALOG | frozenset(
     """
+    repro.cli.query
     repro.ambient repro.core repro.core.engines repro.core.query_model
     repro.core.results repro.mapreduce repro.mapreduce.checkpoint
     repro.mapreduce.cost repro.mapreduce.counters repro.mapreduce.faults
@@ -402,11 +404,12 @@ class Startup:
     kept_out: tuple[str, ...] = ()
 
 
-#: One case per shape of the ledger's ``cold-cli`` commands, at ``tiny``.
+#: One case per shape of the ledger's ``cold-cli`` commands, at ``tiny``, and
+#: ``trace summary``.
 STARTUPS = {
     "catalog": Startup(
         ("catalog",),
-        _CLI,
+        _CLI | _CATALOG | frozenset(("repro.cli.data",)),
         ("repro.core", "repro.ntga", "repro.mapreduce", "repro.hive",
          "repro.shard", "repro.serve", "repro.plan"),
     ),
@@ -440,6 +443,17 @@ STARTUPS = {
         ("run", "G3", "--data", "{data}"),
         _QUERY | _NTGA | _ENGINE | frozenset(("repro.rdf.ntriples",)),
     ),
+    # Reading a trace back needs no query catalog.
+    "trace-summary": Startup(
+        ("trace", "summary", "{trace}"),
+        _CLI | frozenset(
+            """
+            repro.cli.telemetry repro.ambient repro.obs repro.obs.model
+            repro.obs.sink repro.obs.summary
+            """.split()
+        ),
+        ("repro.bench", "repro.core", "repro.mapreduce", "repro.ntga"),
+    ),
 }
 
 _LOADED = (
@@ -453,16 +467,19 @@ _LOADED = (
 
 
 @pytest.fixture(scope="module")
-def ntriples_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("startup") / "bsbm-tiny.nt"
-    assert main(["generate", "bsbm", str(path), "--preset", "tiny"]) == 0
-    return path
+def startup_files(tmp_path_factory):
+    """The N-Triples file and the trace the cases read."""
+    folder = tmp_path_factory.mktemp("startup")
+    data, trace = folder / "bsbm-tiny.nt", folder / "run.trace.jsonl"
+    assert main(["generate", "bsbm", str(data), "--preset", "tiny"]) == 0
+    assert main(["run", "G3", "--data", str(data), "--trace", str(trace)]) == 0
+    return {"data": data, "trace": trace}
 
 
 @pytest.mark.parametrize("name", sorted(STARTUPS))
-def test_each_command_loads_only_what_it_runs(name, ntriples_file, capsys):
+def test_each_command_loads_only_what_it_runs(name, startup_files, capsys):
     startup = STARTUPS[name]
-    argv = [arg.format(data=ntriples_file) for arg in startup.argv]
+    argv = [arg.format(**startup_files) for arg in startup.argv]
     env = {
         **os.environ,
         "PYTHONPATH": str(REPO_ROOT / "src"),

@@ -14,7 +14,7 @@ import pytest
 from repro.bench.arms import DEFAULT_QUERIES
 from repro.plan.ab import AB_SCHEMA, planner_ab_report, render_ab_report
 from repro.rdf.terms import Literal, Variable
-from repro.report import rows_digest
+from repro.report import answers_digest
 
 BENCH_GOLDEN = (
     Path(__file__).resolve().parents[2] / "benchmarks" / "golden" / "planner-ab-mg.json"
@@ -35,16 +35,16 @@ class TestRowsDigest:
 
     def test_order_insensitive(self):
         rows = self.rows()
-        assert rows_digest(rows) == rows_digest(list(reversed(rows)))
+        assert answers_digest(rows) == answers_digest(list(reversed(rows)))
 
     def test_value_sensitive(self):
         rows = self.rows()
         changed = rows[:1] + [{Variable("a"): Literal.from_python(99)}]
-        assert rows_digest(rows) != rows_digest(changed)
+        assert answers_digest(rows) != answers_digest(changed)
 
     def test_multiset_not_set(self):
         rows = self.rows()
-        assert rows_digest(rows) != rows_digest(rows + rows[:1])
+        assert answers_digest(rows) != answers_digest(rows + rows[:1])
 
 
 class TestReport:

@@ -19,7 +19,7 @@ from repro.core.explain import explain, explain_report
 from repro.core.results import EngineConfig
 from repro.errors import PlanningError, ShardError
 from repro.mapreduce.cost import ClusterConfig
-from repro.report import rows_digest
+from repro.report import answers_digest
 from repro.serve import QueryService, ServiceConfig
 from repro.shard.execution import shard_cluster
 from repro.shard.partition import PARTITIONERS, build_partition, parse_shard_spec
@@ -178,8 +178,8 @@ class TestDescribeAndDigest:
         query, graph = mg1
         rows = run_query(query, graph).rows
         assert len(rows) > 1
-        assert rows_digest(rows) == rows_digest(list(reversed(rows)))
-        assert rows_digest(rows) != rows_digest(rows[1:])
+        assert answers_digest(rows) == answers_digest(list(reversed(rows)))
+        assert answers_digest(rows) != answers_digest(rows[1:])
 
 
 class TestExplainSharding:

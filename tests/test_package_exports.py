@@ -35,6 +35,7 @@ SURFACE = {
         "run_query": "repro.core.engines",
     },
     "repro.bench": {},
+    "repro.cli": {},
     "repro.core": {"from_select_query": "repro.core.query_model"},
     "repro.datasets": {"generate": "repro.datasets"},
     "repro.hive": {},
