@@ -10,6 +10,7 @@ bigger commit ledger) than RAPIDAnalytics' 3-4 cycle plans.
 
 import pytest
 
+from benchmarks.render_experiments import graph
 from repro.bench.chaos import KIND, ChaosSpec, chaos_soak_report, render_chaos_report
 
 # The CI smoke spec: three seeds at a 5% per-task failure rate, with
@@ -19,8 +20,8 @@ SPEC = ChaosSpec.from_spec("seeds=3,rate=0.05")
 
 
 @pytest.fixture(scope="module")
-def figure8a_soak(bsbm_500k):
-    return chaos_soak_report("figure8a", SPEC.plans(), SPEC.policy(), graph=bsbm_500k)
+def figure8a_soak():
+    return chaos_soak_report("figure8a", SPEC.plans(), SPEC.policy(), graph=graph("bsbm", "500k"))
 
 
 def test_every_run_completes(figure8a_soak):

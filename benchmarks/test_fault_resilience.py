@@ -11,6 +11,7 @@ This is ``--faults``: the chaos soak's one-plan, no-recovery case.
 
 import pytest
 
+from benchmarks.render_experiments import graph
 from repro.bench.chaos import chaos_soak_report
 from repro.mapreduce.faults import FaultPlan
 
@@ -21,8 +22,8 @@ PLAN = FaultPlan.from_spec("1,0.05")
 
 
 @pytest.fixture(scope="module")
-def figure8a_report(bsbm_500k):
-    return chaos_soak_report("figure8a", [PLAN], graph=bsbm_500k)
+def figure8a_report():
+    return chaos_soak_report("figure8a", [PLAN], graph=graph("bsbm", "500k"))
 
 
 def _runs_by_key(report):
@@ -85,6 +86,6 @@ def test_mean_extra_cost_ordering(figure8a_report):
     )
 
 
-def test_report_is_deterministic(bsbm_500k, figure8a_report):
-    again = chaos_soak_report("figure8a", [PLAN], graph=bsbm_500k)
+def test_report_is_deterministic(figure8a_report):
+    again = chaos_soak_report("figure8a", [PLAN], graph=graph("bsbm", "500k"))
     assert again == figure8a_report

@@ -1,117 +1,48 @@
 """Figure 8(a): multi-grouping queries MG1-MG4 on BSBM-500K, 4 engines.
 
 Paper shape: RAPIDAnalytics < RAPID+ < Hive(MQO) < Hive(Naive) on cost;
-cycle counts 3/5/7/9 for MG1-MG2 and 4/7/8/11 for MG3-MG4; 30-45% gains
-over RAPID+ from the fused parallel aggregation.  EXPERIMENTS.md's
-measured table is read back and held to what each engine prints.
+cycle counts 3/5/7/9 for MG1-MG2 and 4/7/8/11 for MG3-MG4 (asserted,
+with the cells EXPERIMENTS.md prints, by ``test_experiments_md.py``);
+30-45% gains over RAPID+ from the fused parallel aggregation.
 """
 
-import re
 from dataclasses import replace
-from pathlib import Path
 
-import pytest
-
-from benchmarks.conftest import run_benchmark
-from repro.bench.harness import bsbm_config
-from repro.core.engines import PAPER_ENGINES, make_engine
+from benchmarks.render_experiments import graph
+from repro.bench.catalog import get_query
+from repro.bench.harness import EXPERIMENTS
+from repro.core.engines import make_engine, to_analytical
 from repro.core.results import rows_digest
 
-QUERIES = ("MG1", "MG2", "MG3", "MG4")
 
-EXPECTED_CYCLES = {
-    ("MG1", "hive-naive"): 9, ("MG1", "hive-mqo"): 7,
-    ("MG1", "rapid-plus"): 5, ("MG1", "rapid-analytics"): 3,
-    ("MG2", "hive-naive"): 9, ("MG2", "hive-mqo"): 7,
-    ("MG2", "rapid-plus"): 5, ("MG2", "rapid-analytics"): 3,
-    ("MG3", "hive-naive"): 11, ("MG3", "hive-mqo"): 8,
-    ("MG3", "rapid-plus"): 7, ("MG3", "rapid-analytics"): 4,
-    ("MG4", "hive-naive"): 11, ("MG4", "hive-mqo"): 8,
-    ("MG4", "rapid-plus"): 7, ("MG4", "rapid-analytics"): 4,
-}
-
-EXPERIMENTS_MD = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+def test_figure8a_engine_ordering(paper):
+    result = paper("figure8a")
+    for qid in result.query_ids():
+        costs = {engine: m.cost_seconds for engine, m in result.for_query(qid).items()}
+        assert costs["rapid-analytics"] < costs["rapid-plus"] < costs["hive-naive"], qid
+        assert costs["rapid-analytics"] < costs["hive-mqo"], qid
+        # 30-45% gains over RAPID+ (paper Section 5.2).
+        assert 0.25 <= 1 - costs["rapid-analytics"] / costs["rapid-plus"] <= 0.60, qid
 
 
-def documented_cells() -> dict[tuple[str, str], tuple[str, int]]:
-    """EXPERIMENTS.md's Figure 8(a) table: the cost cell as printed and
-    the cycle count, per (query, engine); its columns are PAPER_ENGINES."""
-    text = EXPERIMENTS_MD.read_text(encoding="utf-8")
-    section = text.split("## Figure 8(a)", 1)[1].split("\n## ", 1)[0]
-    cells = {}
-    for line in section.splitlines():
-        columns = [column.strip() for column in line.strip().strip("|").split("|")]
-        if not re.fullmatch(r"MG\d+", columns[0]):
-            continue
-        for engine, cell in zip(PAPER_ENGINES, columns[1:]):
-            cost, cycles = re.fullmatch(r"([\d.]+) \((\d+)\)", cell).groups()
-            cells[(columns[0], engine)] = (cost, int(cycles))
-    return cells
-
-
-#: Every (query, engine) case below looks its cell up here.
-DOCUMENTED = documented_cells()
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-@pytest.mark.parametrize("qid", QUERIES)
-def test_figure8a(benchmark, qid, engine, bsbm_500k, analytical_queries):
-    report = run_benchmark(benchmark, qid, engine, bsbm_500k, analytical_queries, "bsbm")
-    assert report.cycles == EXPECTED_CYCLES[(qid, engine)]
-    assert (f"{report.cost_seconds:.1f}", report.cycles) == DOCUMENTED[(qid, engine)]
-
-
-@pytest.mark.parametrize("qid", QUERIES)
-def test_figure8a_engine_ordering(benchmark, qid, bsbm_500k, analytical_queries):
-    config = bsbm_config()
-
-    def run_all():
-        return {
-            engine: make_engine(engine).execute(analytical_queries[qid], bsbm_500k, config)
-            for engine in PAPER_ENGINES
-        }
-
-    reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    costs = {engine: report.cost_seconds for engine, report in reports.items()}
-    benchmark.extra_info["costs"] = {k: round(v, 1) for k, v in costs.items()}
-    assert costs["rapid-analytics"] < costs["rapid-plus"]
-    assert costs["rapid-plus"] < costs["hive-naive"]
-    assert costs["rapid-analytics"] < costs["hive-mqo"]
-    # 30-45% gains over RAPID+ (paper Section 5.2).
-    gain = 1 - costs["rapid-analytics"] / costs["rapid-plus"]
-    benchmark.extra_info["gain_over_rapid_plus"] = round(gain * 100)
-    assert 0.25 <= gain <= 0.60
-
-
-def test_figure8a_factorization_cuts_shuffled_bytes(benchmark, bsbm_500k, analytical_queries):
+def test_figure8a_factorization_cuts_shuffled_bytes(paper):
     """The certificate the retired ``BENCH_PR6.json`` carried: in this
-    figure's configuration the factorized representation shuffles at
-    least 25% fewer bytes than flat records on at least two of MG1-MG4
-    (38.6-40.6% when it was committed), with the answers digest-equal."""
-    engine = make_engine("rapid-analytics")
-
-    def run_both():
-        return {
-            qid: {
-                representation: engine.execute(
-                    analytical_queries[qid],
-                    bsbm_500k,
-                    replace(bsbm_config(), representation=representation),
-                )
-                for representation in ("factorized", "flat")
-            }
-            for qid in QUERIES
-        }
-
-    reports = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    figure's configuration the factorized representation (the default,
+    so the figure's own RAPIDAnalytics runs) shuffles at least 25% fewer
+    bytes than flat records on at least two of MG1-MG4 (38.6-40.6% when
+    it was committed), with the answers digest-equal."""
+    result = paper("figure8a")
+    experiment = EXPERIMENTS["figure8a"]
+    bsbm = graph(experiment.dataset, experiment.preset)
+    flat_config = replace(experiment.config(), representation="flat")
     reductions = {}
-    for qid, by_representation in reports.items():
-        factorized, flat = by_representation["factorized"], by_representation["flat"]
+    for qid in result.query_ids():
+        factorized = result.for_query(qid)["rapid-analytics"].report
+        flat = make_engine("rapid-analytics").execute(
+            to_analytical(get_query(qid).sparql), bsbm, flat_config
+        )
         assert rows_digest(factorized.rows) == rows_digest(flat.rows), qid
         reductions[qid] = 1 - (
             factorized.stats.total_shuffle_bytes / flat.stats.total_shuffle_bytes
         )
-    benchmark.extra_info["shuffle_reduction"] = {
-        qid: round(value, 4) for qid, value in reductions.items()
-    }
     assert sum(value >= 0.25 for value in reductions.values()) >= 2, reductions

@@ -2,41 +2,15 @@
 
 Paper shape: MG6-MG8 (small VP relations, Hive map-joins) still show
 40-60% RAPIDAnalytics gains; MG9-MG10 (large medline relations) behave
-like the BSBM results with ~90% gains; cycle counts 13/8/7/4 for MG6.
+like the BSBM results with ~90% gains; cycle counts 13/8/7/4 for MG6
+(``test_experiments_md.py``).
 """
 
-import pytest
 
-from benchmarks.conftest import run_benchmark
-from repro.bench.harness import chem_config
-from repro.core.engines import PAPER_ENGINES, make_engine
-
-QUERIES = ("MG6", "MG7", "MG8", "MG9", "MG10")
-
-
-@pytest.mark.parametrize("engine", PAPER_ENGINES)
-@pytest.mark.parametrize("qid", QUERIES)
-def test_figure8c(benchmark, qid, engine, chem_paper, analytical_queries):
-    report = run_benchmark(benchmark, qid, engine, chem_paper, analytical_queries, "chem")
-    if qid == "MG6":
-        expected = {"hive-naive": 13, "hive-mqo": 8, "rapid-plus": 7, "rapid-analytics": 4}
-        assert report.cycles == expected[engine]
-
-
-@pytest.mark.parametrize("qid", QUERIES)
-def test_figure8c_rapid_analytics_wins(benchmark, qid, chem_paper, analytical_queries):
-    config = chem_config()
-
-    def run_all():
-        return {
-            engine: make_engine(engine).execute(analytical_queries[qid], chem_paper, config)
-            for engine in PAPER_ENGINES
-        }
-
-    reports = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    costs = {engine: report.cost_seconds for engine, report in reports.items()}
-    benchmark.extra_info["costs"] = {k: round(v, 1) for k, v in costs.items()}
-    assert min(costs, key=costs.get) == "rapid-analytics"
-    gain_over_naive = 1 - costs["rapid-analytics"] / costs["hive-naive"]
-    benchmark.extra_info["gain_over_naive_pct"] = round(gain_over_naive * 100)
-    assert gain_over_naive > 0.40  # paper: 40-60% on MG6-MG8, ~90% on MG9-MG10
+def test_figure8c_rapid_analytics_wins(paper):
+    result = paper("figure8c")
+    for qid in result.query_ids():
+        costs = {engine: m.cost_seconds for engine, m in result.for_query(qid).items()}
+        assert min(costs, key=costs.get) == "rapid-analytics", qid
+        # paper: 40-60% on MG6-MG8, ~90% on MG9-MG10
+        assert 1 - costs["rapid-analytics"] / costs["hive-naive"] > 0.40, qid

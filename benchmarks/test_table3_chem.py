@@ -3,45 +3,20 @@
 Paper: with small VP tables Hive's map-joins keep it competitive on
 G5-G8 (it even beats RAPIDAnalytics on G7 by 12s), while G9's large
 medline tables give RAPIDAnalytics an 83% gain.  The shape assertions:
-Hive's plans on G5-G8 are mostly map-only; the RA/Hive cost ratio on
-G9 is decisively in RA's favour and larger than on G5-G8.
+Hive's plans on G5-G8 are mostly map-only; the Hive/RA cost ratio on
+G9 is decisively in RA's favour and larger than on G5.
 """
 
-import pytest
 
-from benchmarks.conftest import run_benchmark
-from repro.bench.harness import chem_config
-from repro.core.engines import make_engine
-
-QUERIES = ("G5", "G6", "G7", "G8", "G9")
-ENGINES = ("hive-naive", "rapid-analytics")
+def test_hive_map_joins_small_tables(paper):
+    result = paper("table3-chem")
+    for qid in ("G5", "G6", "G7", "G8"):
+        hive = result.for_query(qid)["hive-naive"]
+        assert hive.map_only_cycles >= hive.cycles - 2, qid
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("qid", QUERIES)
-def test_table3_chem(benchmark, qid, engine, chem_paper, analytical_queries):
-    report = run_benchmark(benchmark, qid, engine, chem_paper, analytical_queries, "chem")
-    if engine == "hive-naive" and qid in ("G5", "G6", "G7", "G8"):
-        # Small VP tables: the joins compile to map-only cycles.
-        assert report.map_only_cycles >= report.cycles - 2
-
-
-def test_g9_gain_exceeds_small_table_queries(benchmark, chem_paper, analytical_queries):
+def test_g9_gain_exceeds_small_table_queries(paper):
     """RAPIDAnalytics' advantage on large-table G9 must exceed its
     advantage on map-join-friendly G5 (the paper's contrast)."""
-    config = chem_config()
-
-    def ratios():
-        result = {}
-        for qid in ("G5", "G9"):
-            hive = make_engine("hive-naive").execute(analytical_queries[qid], chem_paper, config)
-            analytics = make_engine("rapid-analytics").execute(
-                analytical_queries[qid], chem_paper, config
-            )
-            result[qid] = hive.cost_seconds / analytics.cost_seconds
-        return result
-
-    result = benchmark.pedantic(ratios, rounds=1, iterations=1)
-    benchmark.extra_info["g5_ratio"] = round(result["G5"], 2)
-    benchmark.extra_info["g9_ratio"] = round(result["G9"], 2)
-    assert result["G9"] > result["G5"]
+    result = paper("table3-chem")
+    assert result.speedup("G9", "hive-naive") > result.speedup("G5", "hive-naive")

@@ -33,6 +33,7 @@ from repro.bench.arms import experiment_runs
 from repro.bench.harness import QueryMeasurement
 from repro.errors import CheckpointError, ReproError
 from repro.mapreduce.checkpoint import RECOVERY_COUNTERS, RecoveryPolicy
+from repro.mapreduce.cost import fold_seconds
 from repro.mapreduce.faults import FAULT_COUNTERS, FaultPlan
 from repro.report import ReportKind
 
@@ -134,7 +135,7 @@ def _row(seed: int, run: QueryMeasurement, base: QueryMeasurement) -> dict[str, 
 
 
 def _mean(values: list[float]) -> float | None:
-    return round(sum(values) / len(values), 6) if values else None
+    return round(fold_seconds(values) / len(values), 6) if values else None
 
 
 def _summary(runs: list[dict[str, Any]]) -> dict[str, Any]:

@@ -20,7 +20,6 @@ Per-dataset execution configs encode the paper's environment:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -88,12 +87,6 @@ class ExperimentResult:
         return base.cost_seconds / target.cost_seconds
 
 
-def _canonical(report: ExecutionReport) -> Counter:
-    return Counter(
-        frozenset((v.name, str(t)) for v, t in row.items()) for row in report.rows
-    )
-
-
 def run_experiment(
     exp_id: str,
     title: str,
@@ -107,11 +100,13 @@ def run_experiment(
     :func:`repro.bench.arms.run_arms` with the one arm *exp_id*.
 
     With ``verify`` set, every engine's row multiset is checked against
-    the reference evaluator; mismatches are recorded (they fail tests).
-    An engine that aborts records a failed measurement.
+    the reference evaluator's (:func:`repro.report.answers_digest`);
+    mismatches are recorded (they fail tests).  An engine that aborts
+    records a failed measurement.
     """
     # Imported here: the A/B loop stays off ``import repro.cli``'s path.
     from repro.bench.arms import run_arms
+    from repro.report import answers_digest
 
     graphs = {query.dataset: graph for query in queries}
     outcomes = run_arms(queries, engines, graphs, {exp_id: config})
@@ -120,10 +115,10 @@ def run_experiment(
         return result
     for query in queries:
         reference = make_engine("reference").execute(to_analytical(query.sparql), graph)
-        expected = _canonical(reference)
+        expected = answers_digest(reference.rows)
         for engine in engines:
             report = outcomes[exp_id, query.qid, engine].report
-            if report is not None and _canonical(report) != expected:
+            if report is not None and answers_digest(report.rows) != expected:
                 result.mismatches.append((query.qid, engine))
     return result
 
@@ -152,7 +147,7 @@ def chem_config() -> EngineConfig:
 def pubmed_config(hdfs_capacity: int | None = None) -> EngineConfig:
     """PubMed: the paper's 60-node cluster; optional HDFS cap (MG13)."""
     return EngineConfig(
-        cluster=ClusterConfig(nodes=60, block_size=64 * 1024, hdfs_capacity=hdfs_capacity),
+        cluster=ClusterConfig(nodes=60, block_size=64 * 1024),
         mapjoin_threshold=512,
         hdfs_capacity=hdfs_capacity,
     )
@@ -251,13 +246,6 @@ def run_paper_experiment(
         experiment.config(),
         verify,
     )
-
-
-def table3_bsbm(
-    scale: str = "500k", verify: bool = True, graph: Graph | None = None
-) -> ExperimentResult:
-    """Table 3 (left): G1-G4 on BSBM, Hive naive vs RAPIDAnalytics."""
-    return run_paper_experiment(f"table3-bsbm-{scale}", verify, graph)
 
 
 #: MG13's HDFS capacity (bytes): mid-window between what Hive MQO (6,871,918)

@@ -21,6 +21,7 @@ from repro.errors import (
     ReproError,
     ServeError,
     ShardError,
+    TaskFailedError,
     WorkflowAbortedError,
 )
 
@@ -50,9 +51,17 @@ class _BadArguments(ReproError):
 
 
 #: Exit 2: a bad command line, or a typed failure scripts tell apart from
-#: an ordinary error ("budget exhausted", "bad ledger, chaos or workload
-#: spec", "engine cannot shard").  Every other error is exit 1.
-_EXIT_2 = (_BadArguments, WorkflowAbortedError, CheckpointError, ServeError, ShardError)
+#: an ordinary error ("run aborted", with or without recovery; "bad
+#: ledger, chaos or workload spec", "engine cannot shard").  Every other
+#: error is exit 1.
+_EXIT_2 = (
+    _BadArguments,
+    TaskFailedError,
+    WorkflowAbortedError,
+    CheckpointError,
+    ServeError,
+    ShardError,
+)
 
 
 @contextmanager

@@ -161,14 +161,6 @@ class ExecutionReport:
     def cost_seconds(self) -> float:
         return self.stats.total_cost if self.stats is not None else 0.0
 
-    def row_multiset(self) -> dict[frozenset, int]:
-        from collections import defaultdict
-
-        counts: dict[frozenset, int] = defaultdict(int)
-        for row in self.rows:
-            counts[frozenset(row.items())] += 1
-        return dict(counts)
-
     def summary(self) -> str:
         return (
             f"{self.engine}: {len(self.rows)} rows, {self.cycles} cycles "

@@ -308,7 +308,6 @@ class ClusterConfig:
     map_slots_per_node: int = 2
     reduce_slots_per_node: int = 1
     block_size: int = 256 * 1024  # small blocks so laptop-scale data still splits
-    hdfs_capacity: int | None = None  # None = unlimited
 
     @property
     def map_slots(self) -> int:

@@ -1034,13 +1034,12 @@ class MapReduceRunner:
     def run_workflow(
         self,
         jobs: Sequence[MapReduceJob],
-        recovery: RecoveryPolicy | None = None,
         stats: WorkflowStats | None = None,
         submit: Callable[[Sequence[MapReduceJob], WorkflowStats], Any] | None = None,
     ) -> WorkflowStats:
         """Run jobs in order; later jobs may read earlier outputs.
 
-        *recovery* (defaulting to the runner's policy) turns job aborts
+        The runner's :attr:`recovery` policy, when set, turns job aborts
         into workflow re-submissions: the failed submission's partial
         stats are attached to the error and discarded, the workflow is
         re-submitted against the same HDFS, ledger-committed jobs are
@@ -1060,8 +1059,7 @@ class MapReduceRunner:
         """
         if submit is None:
             submit = self._submit
-        if recovery is None:
-            recovery = self.recovery
+        recovery = self.recovery
         # Without a policy the one submission accumulates straight into
         # the continuation.  With one, each submission gets fresh stats:
         # skipped jobs replay their checkpointed stats/counters, so a

@@ -8,7 +8,7 @@ from repro.bench.harness import (
     QueryMeasurement,
     bsbm_config,
     run_experiment,
-    table3_bsbm,
+    run_paper_experiment,
 )
 from repro.bench.reporting import render_cost_table, render_gains_table, render_io_table
 from repro.core.engines import PAPER_ENGINES
@@ -63,7 +63,7 @@ class TestRunExperiment:
 class TestTable3Function:
     def test_table3_on_custom_graph(self):
         graph = bsbm.generate(bsbm.BSBMConfig(products=60, offers_per_product=2))
-        result = table3_bsbm("500k", verify=True, graph=graph)
+        result = run_paper_experiment("table3-bsbm-500k", verify=True, graph=graph)
         assert result.query_ids() == ["G1", "G2", "G3", "G4"]
         assert result.mismatches == []
         for qid in result.query_ids():

@@ -67,11 +67,6 @@ class TestExecutionReport:
         assert report.cycles == 0
         assert report.cost_seconds == 0.0
 
-    def test_row_multiset(self):
-        report = self._report()
-        multiset = report.row_multiset()
-        assert list(multiset.values()) == [2]
-
     def test_summary(self):
         text = self._report().summary()
         assert "test: 2 rows, 2 cycles" in text
