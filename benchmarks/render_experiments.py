@@ -246,6 +246,8 @@ PASSAGES = {
     "sequential-cycles": lambda: str(ablations()["parallel"][1].cycles),
     "parallel-cut": lambda: cut(*(p.cost_seconds for p in ablations()["parallel"])),
     "pruning-cut": lambda: cut(*(p.input_bytes for p in ablations()["ec-pruning"])),
+    "pruning-cost": lambda: f"{ablations()['ec-pruning'][0].cost_seconds:.2f}",
+    "full-scan-cost": lambda: f"{ablations()['ec-pruning'][1].cost_seconds:.2f}",
     "sweep-shuffles": lambda: _sweep(lambda _, point: f"{point.shuffle_bytes:,}"),
     "sweep-thresholds": lambda: _sweep(lambda threshold, _: str(threshold // 1024)),
     "sweep-cycles": lambda: _sweep(lambda _, point: str(point.cycles)),

@@ -8,7 +8,6 @@ columnar format (ORC) modeled as a size reduction factor on HDFS.
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from hashlib import blake2s
@@ -56,23 +55,20 @@ class VPStore:
         return key.property in self.prop_paths
 
 
-#: (graph -> (graph.version, (plain tables, typed tables))).  The VP
-#: layout is a pure function of the graph; every Hive-family engine
-#: execution re-derives it, so the partitioned record lists (and their
-#: once-computed raw sizes) are cached per graph.  See the matching
-#: triplegroup cache in :mod:`repro.ntga.physical`.
-_PARTITION_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[int, tuple[list, list]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _partitioned(graph: Graph) -> tuple[list, list]:
     """The graph's VP tables in deterministic write order:
-    ``([(property, records, raw_size)], [(class, records, raw_size)])``."""
-    if cost.SIZE_CACHE_ENABLED:
-        cached = _PARTITION_CACHE.get(graph)
-        if cached is not None and cached[0] == graph.version:
-            return cached[1]
+    ``([(property, records, raw_size)], [(class, records, raw_size)])``.
+
+    A graph memo entry, like the NTGA layout: every Hive-family engine
+    execution reads it, so the partitioned record lists (and their
+    once-computed raw sizes) are built once per graph version.  With the
+    caches off they are rebuilt on every call."""
+    if not cost.SIZE_CACHE_ENABLED:
+        return _vp_tables(graph)
+    return graph.derived(("hive.vp_tables",), lambda: _vp_tables(graph))
+
+
+def _vp_tables(graph: Graph) -> tuple[list, list]:
     plain: dict[IRI, list[tuple[Term, Term]]] = defaultdict(list)
     typed: dict[Term, list[tuple[Term]]] = defaultdict(list)
     for triple in graph:
@@ -80,7 +76,7 @@ def _partitioned(graph: Graph) -> tuple[list, list]:
             typed[triple.object].append((triple.subject,))
         else:
             plain[triple.property].append((triple.subject, triple.object))
-    tables = (
+    return (
         [
             (prop, plain[prop], cost.estimate_total_size(plain[prop]))
             for prop in sorted(plain, key=lambda p: p.value)
@@ -90,9 +86,6 @@ def _partitioned(graph: Graph) -> tuple[list, list]:
             for cls in sorted(typed, key=str)
         ],
     )
-    if cost.SIZE_CACHE_ENABLED:
-        _PARTITION_CACHE[graph] = (graph.version, tables)
-    return tables
 
 
 def load_vertical_partitions(graph: Graph, hdfs: HDFS, prefix: str = "vp") -> VPStore:

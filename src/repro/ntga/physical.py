@@ -15,7 +15,6 @@ simulated MapReduce jobs:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -33,6 +32,7 @@ from repro.ntga.triplegroup import (
     JoinPlan,
     TripleGroup,
     group_by_subject,
+    subject_groups,
 )
 from repro.rdf.graph import Graph
 from repro.rdf.terms import IRI, Literal, Term, Variable, cache_slot, term_sort_key
@@ -93,32 +93,30 @@ class TripleGroupStore:
         return matching
 
 
-#: (graph -> (graph.version, ordered [(ec, groups, raw_size, fact_size)])).  The
-#: classified-triplegroup layout is a pure function of the graph; the
-#: benchmark harness executes several engines over one graph, and without
-#: this cache each execution re-groups every triple and re-sizes every
-#: group.  Reusing the same TripleGroup objects also lets their
-#: per-instance memos (props/sizes/object lists) survive across runs.
-_CLASSIFIED_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[int, list]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _classified_groups(
     graph: Graph,
 ) -> list[tuple[frozenset, list[TripleGroup], int, int]]:
     """Subject triplegroups bucketed by equivalence class, in the
     deterministic storage order, with each bucket's raw byte size under
-    the flat and factorized encodings."""
-    if cost.SIZE_CACHE_ENABLED:
-        cached = _CLASSIFIED_CACHE.get(graph)
-        if cached is not None and cached[0] == graph.version:
-            return cached[1]
+    the flat and factorized encodings.
+
+    A graph memo entry over the graph's one subject grouping
+    (:func:`~repro.ntga.triplegroup.subject_groups`), so every engine run
+    over the graph shares the groups and their per-instance memos.  With
+    the caches off it is rebuilt, grouping included, on every call."""
+    if not cost.SIZE_CACHE_ENABLED:
+        return _classify(group_by_subject(graph))
+    return graph.derived(("ntga.classified",), lambda: _classify(subject_groups(graph)))
+
+
+def _classify(
+    groups: list[TripleGroup],
+) -> list[tuple[frozenset, list[TripleGroup], int, int]]:
     by_class: dict[frozenset, list[TripleGroup]] = {}
-    for group in group_by_subject(graph):
+    for group in groups:
         ec = frozenset(t.property for t in group.triples)
         by_class.setdefault(ec, []).append(group)
-    classified = [
+    return [
         (
             ec,
             by_class[ec],
@@ -127,9 +125,6 @@ def _classified_groups(
         )
         for ec in sorted(by_class, key=lambda s: sorted(i.value for i in s))
     ]
-    if cost.SIZE_CACHE_ENABLED:
-        _CLASSIFIED_CACHE[graph] = (graph.version, classified)
-    return classified
 
 
 def load_triplegroups(graph: Graph, hdfs: HDFS, prefix: str = "ntga") -> TripleGroupStore:
@@ -1039,7 +1034,7 @@ def build_agg_join_job(
             subquery.subquery_id: estimator.group_count(subquery, solutions, stars)
             for subquery in subqueries
         }
-        total_groups = sum(groups.values())
+        total_groups = cost.fold_seconds(groups.values())
         # Mapper-side hash partial aggregation (the fold): at most one
         # shuffled pair per (group, map task).
         shuffle_rows = min(solutions * len(subqueries), total_groups * map_tasks)

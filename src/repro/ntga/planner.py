@@ -20,6 +20,7 @@ from typing import Any, Iterable, Sequence
 from repro import obs
 from repro.core.query_model import AnalyticalQuery, GroupingSubquery
 from repro.errors import OverlapError
+from repro.mapreduce.cost import fold_seconds
 from repro.mapreduce.hdfs import HDFS
 from repro.mapreduce.job import MapReduceJob
 from repro.ntga.composite import (
@@ -196,7 +197,7 @@ def build_result_join(
         # Aggregate files join roughly 1:1 on their shared group keys, so
         # the smallest source bounds the result.
         groups = [
-            sum(upstream[path].groups.values())
+            fold_seconds(upstream[path].groups.values())
             if subquery_id is None
             else upstream[path].groups[subquery_id]
             for path, subquery_id in sources

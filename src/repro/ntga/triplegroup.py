@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.query_model import PropKey, StarPattern, prop_key, prop_key_of
 from repro.errors import ReproError
 from repro.mapreduce import cost
+from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, Variable, cache_slot
 from repro.rdf.triples import RDF_TYPE, Triple
 
@@ -280,6 +281,12 @@ def group_by_subject(triples: Iterable[Triple]) -> list[TripleGroup]:
     for triple in triples:
         grouped[triple.subject].append(triple)
     return [TripleGroup(subject, tuple(ts)) for subject, ts in grouped.items()]
+
+
+def subject_groups(graph: Graph) -> list[TripleGroup]:
+    """*graph*'s subject triplegroups, grouped once per graph version: the
+    one list the NTGA layout buckets and the shard partitioner weighs."""
+    return graph.derived(("ntga.subject_groups",), lambda: group_by_subject(graph))
 
 
 def equivalence_class(group: TripleGroup) -> frozenset:

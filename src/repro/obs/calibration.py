@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.obs import metrics as obs_metrics
+from repro import ambient
 
 __all__ = [
     "CARDINALITY_DRIFT_THRESHOLD",
@@ -121,7 +121,7 @@ class CalibrationMonitor:
         and comparing them would read as estimator drift.  Returns the
         number of cycles compared.
         """
-        registry = obs_metrics.active_registry()
+        registry = ambient.registry
         compared = 0
         for estimate, parts in cycles:
             if len(parts) != 1:

@@ -31,7 +31,7 @@ exposition for scraping, validated by :func:`validate_prometheus`).
 
 The installed registry is the ``registry`` slot of :mod:`repro.ambient`
 (DESIGN.md §7.5): :func:`collecting` installs one, instrumented layers
-consult :func:`active_registry` and pay a single attribute read when
+read ``ambient.registry`` and pay a single attribute read when
 metrics are off.
 """
 
@@ -53,7 +53,6 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "active_registry",
     "collecting",
     "exponential_buckets",
     "render_metrics_summary",
@@ -399,10 +398,6 @@ class MetricsRegistry:
             for name, family in sorted(self._families.items())
             if include_volatile or not family.volatile
         ]
-
-
-def active_registry() -> MetricsRegistry | None:
-    return ambient.registry
 
 
 @contextmanager

@@ -20,6 +20,7 @@ from typing import Any, Iterable
 
 from repro.bench.arms import DEFAULT_QUERIES, catalog_runs
 from repro.core.results import EngineConfig
+from repro.mapreduce.cost import fold_seconds
 from repro.report import ReportKind, answers_digest
 
 AB_SCHEMA = "repro-planner-ab/v1"
@@ -63,10 +64,10 @@ def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
             }
         )
     summary = {
-        "total_priced_rule": round(sum(r["priced_cost"]["rule"] for r in runs), 6),
-        "total_priced_cost": round(sum(r["priced_cost"]["cost"] for r in runs), 6),
-        "total_actual_rule": round(sum(r["actual_cost"]["rule"] for r in runs), 6),
-        "total_actual_cost": round(sum(r["actual_cost"]["cost"] for r in runs), 6),
+        "total_priced_rule": round(fold_seconds(r["priced_cost"]["rule"] for r in runs), 6),
+        "total_priced_cost": round(fold_seconds(r["priced_cost"]["cost"] for r in runs), 6),
+        "total_actual_rule": round(fold_seconds(r["actual_cost"]["rule"] for r in runs), 6),
+        "total_actual_cost": round(fold_seconds(r["actual_cost"]["cost"] for r in runs), 6),
     }
     verdicts = {
         "answers_all_match": all(r["answers_match"] for r in runs),

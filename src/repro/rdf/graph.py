@@ -9,15 +9,22 @@ it.  Only the reference SPARQL evaluator reads them; the engines derive
 their physical layouts (vertically partitioned tables for Hive, subject
 triplegroups for NTGA) from the triples alone, so a graph they run over
 never pays for its indexes.
+
+Those layouts, and everything else computed once per triple set, live
+in the graph's own memo (:meth:`Graph.derived`): emptied by every
+mutation and, holding nothing that refers back to the graph, freed with
+it by reference count.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.rdf.terms import IRI, Term, Variable
 from repro.rdf.triples import Triple, TriplePattern
+
+T = TypeVar("T")
 
 
 class Graph:
@@ -36,11 +43,10 @@ class Graph:
         # the engines' physical layouts and from there every simulated
         # counter.  Same O(1) membership/insert/delete as a set.
         self._triples: dict[Triple, None] = dict.fromkeys(triples)
-        #: Monotonic mutation counter.  Derived physical layouts (VP
-        #: tables, subject triplegroups) are pure functions of the triple
-        #: set; engines cache them keyed on (graph, version) so repeated
-        #: executions over an unchanged graph reuse one derivation.
+        #: Monotonic mutation counter; see :attr:`version`.
         self._version = len(self._triples)
+        #: What :meth:`derived` built for the current version, by key.
+        self._derived: dict[tuple, object] = {}
         #: SPO/POS/OSP, or None until the first index read (see _indexes).
         self._spo: _Index | None = None
         self._pos: _Index | None = None
@@ -70,6 +76,8 @@ class Graph:
             return False
         self._triples[triple] = None
         self._version += 1
+        if self._derived:
+            self._derived.clear()
         if self._spo is not None:
             self._index(triple)
         return True
@@ -85,6 +93,7 @@ class Graph:
         spo, pos, osp = self._indexes()
         del self._triples[triple]
         self._version += 1
+        self._derived.clear()
         s, p, o = triple.subject, triple.property, triple.object
         _unindex(spo, s, p, o)
         _unindex(pos, p, o, s)
@@ -95,6 +104,19 @@ class Graph:
     def version(self) -> int:
         """Mutation counter; changes whenever the triple set changes."""
         return self._version
+
+    def derived(self, key: tuple, build: Callable[[], T]) -> T:
+        """The value *build* computes from this graph's triples: built on
+        the first lookup of *key*, shared by every later one until the
+        triple set changes.  The engines' layouts, the partitions and the
+        planner's statistics live here.  *key* is a plain tuple and the
+        value must not refer to the graph, so the memo dies with the graph
+        by reference count, never through the collector."""
+        try:
+            return self._derived[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[key] = build()
+            return value
 
     def __len__(self) -> int:
         return len(self._triples)

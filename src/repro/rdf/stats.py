@@ -10,7 +10,6 @@ storage layout).
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -211,21 +210,8 @@ def profile(graph: Graph) -> GraphStats:
     )
 
 
-#: graph -> (graph.version, GraphStats).  The cost-based planner asks
-#: for statistics on every execution; like the classified-triplegroup
-#: cache in :mod:`repro.ntga.physical`, profiling is a pure function of
-#: the graph, so one profile serves every engine run over it.
-_PROFILE_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[int, GraphStats]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def cached_profile(graph: Graph) -> GraphStats:
-    """:func:`profile` with a weak per-graph cache keyed on the graph's
-    mutation version."""
-    cached = _PROFILE_CACHE.get(graph)
-    if cached is not None and cached[0] == graph.version:
-        return cached[1]
-    stats = profile(graph)
-    _PROFILE_CACHE[graph] = (graph.version, stats)
-    return stats
+    """:func:`profile`, computed once per graph version (a graph memo
+    entry): the cost-based planner asks for statistics on every
+    execution, and one profile serves every engine run over the graph."""
+    return graph.derived(("rdf.profile",), lambda: profile(graph))

@@ -45,11 +45,10 @@ import random
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
-from repro import obs
+from repro import ambient, obs
 from repro.ambient import Field, parse_spec
 from repro.errors import ResilienceError
 from repro.mapreduce.faults import FaultPlan
-from repro.obs import metrics as obs_metrics
 from repro.report import ReportKind
 
 #: Schema tag for the resilience A/B report.
@@ -219,7 +218,7 @@ class CircuitBreaker:
         obs.event(
             f"breaker-{kind}", {"engine": self.engine, "at": round(self._now, 6)}
         )
-        registry = obs_metrics.active_registry()
+        registry = ambient.registry
         if registry is not None:
             registry.counter(
                 "serve_breaker_events_total",

@@ -56,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple
 
-from repro import obs
+from repro import ambient, obs
 from repro.ambient import PLANNER
 from repro.core.engines import make_engine
 from repro.core.results import EngineConfig, Row, check_supported
@@ -349,7 +349,7 @@ class QueryService:
             self._run_window(by_window[index], close)
             self._floor = max(self._floor, close)
         ordered = [self._settled.pop(rid) for rid, _ in numbered]
-        registry = obs_metrics.active_registry()
+        registry = ambient.registry
         if registry is not None:
             self._publish_metrics(registry, ordered)
         return ordered
@@ -421,7 +421,7 @@ class QueryService:
         """Bump counter *key* and the metric series mirroring it."""
         if key in self.counters:
             self.counters[key] += 1
-        registry = obs_metrics.active_registry()
+        registry = ambient.registry
         if registry is not None and key in self._mirrors:
             name, help_text, labels = self._mirrors[key]
             registry.counter(name, help_text, tuple(sorted(labels))).labels(
@@ -459,7 +459,7 @@ class QueryService:
             admitted.append((rid, request))
         if admitted:
             self.counters["batch_windows"] += 1
-        registry = obs_metrics.active_registry()
+        registry = ambient.registry
         if registry is not None:
             registry.histogram(
                 "serve_window_admitted", "requests admitted per batching window"
@@ -702,7 +702,7 @@ class QueryService:
                 "batching-bypass",
                 {"close": close, "queries": [g.fp.digest for g in groups]},
             )
-        registry = obs_metrics.active_registry()
+        registry = ambient.registry
         queue = deque(self._form_units(groups, close, force_solo))
         while queue:
             unit = queue.popleft()
@@ -870,7 +870,7 @@ class QueryService:
             ]
             if not limits or not_before <= min(limits):
                 self.counters["retries"] += 1
-                registry = obs_metrics.active_registry()
+                registry = ambient.registry
                 if registry is not None:
                     registry.histogram(
                         "serve_retry_backoff_sim_seconds",

@@ -42,6 +42,7 @@ from repro.core.results import EngineConfig, rows_digest
 from repro.datasets import generate
 from repro.ambient import PLANNER, REPRESENTATION, Field, knob_overrides, parse_spec
 from repro.errors import ServeError
+from repro.mapreduce.cost import fold_seconds
 from repro.obs import metrics as obs_metrics
 from repro.obs.calibration import CalibrationMonitor
 from repro.rdf.graph import Graph
@@ -175,7 +176,7 @@ def workload_requests(spec: WorkloadSpec, seed: int) -> list[ServeRequest]:
 
 def _latency_summary(latencies: list[float]) -> dict[str, float]:
     ordered = sorted(latencies)
-    total = sum(ordered)
+    total = fold_seconds(ordered)
     return {
         "count": len(ordered),
         "mean": round(total / len(ordered), 6) if ordered else 0.0,

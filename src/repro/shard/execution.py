@@ -41,8 +41,8 @@ concurrently; only the slowest is on the critical path).
 decoded record says, but each shipped value is sized once: its envelope
 pins that size and its tag's, and the exchange derives from the pins
 the part-file bytes and the assemble job's ``shuffle_bytes_hint``.  The
-store's parts are a cached layout of ``(graph.version, strategy,
-shards)`` written with ``raw_hint``.  With the caches off
+store's parts are an entry of the graph's memo per ``(strategy,
+shards)``, written with ``raw_hint``.  With the caches off
 (``reference_mode()``) everything is recomputed.
 
 **Recovery.**  A sharded run is one submission to
@@ -171,6 +171,15 @@ def _exchange_file(path: str, shard: int) -> str:
     return f"{path}@x{shard}"
 
 
+def store_parts(
+    graph: Graph, partition: Partition
+) -> dict[str, tuple[list[list[ShardRecord]], list[int]]]:
+    """*graph*'s store parts under *partition*: by logical EC path, each
+    file's per-shard envelope lists and their byte totals, filled as the
+    sharded driver first writes each file."""
+    return graph.derived(("shard.store_parts", partition.strategy, partition.shards), dict)
+
+
 class ShardedExecutor:
     """Drives one engine execution's logical jobs across N shards."""
 
@@ -188,34 +197,33 @@ class ShardedExecutor:
             graph, ambient.PARTITIONER.resolve(config.partitioner), config.shards
         )
         self.cluster = shard_cluster(config.cluster, config.shards)
-        self._write_store_parts(store)
+        self._write_store_parts(store, graph)
 
     # -- data placement --------------------------------------------------------
 
-    def _write_store_parts(self, store: TripleGroupStore) -> None:
+    def _write_store_parts(self, store: TripleGroupStore, graph: Graph) -> None:
         """Distribute the equivalence-class files: each shard's part
         holds the triplegroups whose subject it owns, tagged with the
         group's position in the logical EC file.
 
-        The parts are a derived layout of ``(graph.version, strategy,
-        shards)``: built and sized once, kept on the partition (whose
-        lifetime is the graph's) and written with ``raw_hint`` by every
-        later query, which shares the envelopes.  With the caches off
-        they are rebuilt, and so re-sized, per query.
+        The parts are :func:`store_parts`: built and sized once per graph
+        version and written with ``raw_hint`` by every later query, which
+        shares the envelopes.  With the caches off they are rebuilt, and
+        so re-sized, per query.
         """
-        layout = self.partition.store_parts if cost.SIZE_CACHE_ENABLED else {}
+        layout = store_parts(graph, self.partition) if cost.SIZE_CACHE_ENABLED else {}
         paths = sorted(store.paths_by_class.values())
         if store.empty_path:
             paths.append(store.empty_path)
         for path in paths:
             entry = layout.get(path)
             if entry is None:
-                entry = layout[path] = self._store_parts(self.hdfs.read(path).records)
+                entry = layout[path] = self._split(self.hdfs.read(path).records)
             parts, totals = entry
             for shard in range(self.shards):
                 self.hdfs.write(_part(path, shard), parts[shard], raw_hint=totals[shard])
 
-    def _store_parts(
+    def _split(
         self, groups: list[Any]
     ) -> tuple[list[list[ShardRecord]], list[int]]:
         """One EC file's per-shard envelope lists and their byte totals."""

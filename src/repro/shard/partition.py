@@ -31,13 +31,11 @@ byte-identical across processes and ``PYTHONHASHSEED`` values.
 from __future__ import annotations
 
 import hashlib
-import weakref
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from repro.ambient import PARTITIONER
 from repro.errors import ShardError
-from repro.ntga.triplegroup import TripleGroup, group_by_subject
+from repro.ntga.triplegroup import TripleGroup, subject_groups
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Term, term_sort_key
 
@@ -116,12 +114,6 @@ class Partition:
     #: out of all such edges in the graph.
     cut_edges: int
     total_edges: int
-    #: The sharded driver's store parts under this assignment, by
-    #: logical EC path (see ``ShardedExecutor._write_store_parts``).
-    #: Kept here so they live exactly as long as the partition does:
-    #: ``_PARTITION_CACHE``'s entry, weakly keyed by the graph and
-    #: replaced when ``graph.version`` moves.
-    store_parts: dict[str, Any] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def cut_fraction(self) -> float:
@@ -244,27 +236,23 @@ def _assign_min_edge_cut(
     return assignment
 
 
-#: graph -> (graph.version, {(strategy, shards): Partition}).  The
-#: differential suite partitions the same session graph dozens of times
-#: (queries x strategies x shard counts); a partition is a pure
-#: function of (graph, strategy, shards), so memoize it like the
-#: classified-triplegroup layout.
-_PARTITION_CACHE: "weakref.WeakKeyDictionary[Graph, tuple[int, dict]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def build_partition(graph: Graph, strategy: str, shards: int) -> Partition:
-    """Partition *graph*'s subject triplegroups across *shards* workers."""
+    """Partition *graph*'s subject triplegroups across *shards* workers.
+
+    A graph memo entry per ``(strategy, shards)``: the differential suite
+    partitions the same session graph dozens of times (queries x
+    strategies x shard counts).  The groups weighed are the graph's one
+    subject grouping, the same objects the NTGA layout stores."""
     validate_partitioner(strategy)
     if shards < 1:
         raise ShardError(f"shards must be >= 1, got {shards}")
-    cached = _PARTITION_CACHE.get(graph)
-    if cached is not None and cached[0] == graph.version:
-        hit = cached[1].get((strategy, shards))
-        if hit is not None:
-            return hit
-    groups = group_by_subject(graph)
+    return graph.derived(
+        ("shard.partition", strategy, shards),
+        lambda: _partition(subject_groups(graph), strategy, shards),
+    )
+
+
+def _partition(groups: list[TripleGroup], strategy: str, shards: int) -> Partition:
     weights = [group.estimated_size() for group in groups]
     index_of = {group.subject: i for i, group in enumerate(groups)}
     edges = _subject_edges(groups, index_of)
@@ -285,7 +273,7 @@ def build_partition(graph: Graph, strategy: str, shards: int) -> Partition:
         triple_counts[shard] += len(group.triples)
         shard_weights[shard] += weights[i]
     cut = sum(1 for left, right in edges if assignment[left] != assignment[right])
-    partition = Partition(
+    return Partition(
         strategy=strategy,
         shards=shards,
         assignment={group.subject: assignment[i] for i, group in enumerate(groups)},
@@ -295,8 +283,3 @@ def build_partition(graph: Graph, strategy: str, shards: int) -> Partition:
         cut_edges=cut,
         total_edges=len(edges),
     )
-    if cached is None or cached[0] != graph.version:
-        cached = (graph.version, {})
-        _PARTITION_CACHE[graph] = cached
-    cached[1][(strategy, shards)] = partition
-    return partition

@@ -422,29 +422,52 @@ def test_every_request_ends_in_one_settle_path():
     assert offenders == []
 
 
+def test_derived_layouts_have_one_owner():
+    """What is computed once per graph version is an entry of the graph's
+    own memo (``Graph.derived``, DESIGN.md §7.2): no module keeps a weakly
+    keyed cache of its own, and a ``Partition`` is plain data, every
+    field part of its value, no cache hung on it."""
+    from dataclasses import MISSING, fields
+
+    from repro.shard.partition import Partition
+
+    weak = re.compile(r"\bweakref\b|WeakKeyDictionary")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if weak.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    assert all(
+        field.compare and field.default is MISSING and field.default_factory is MISSING
+        for field in fields(Partition)
+    )
+
+
 def test_no_module_level_container_holds_shard_layouts(bsbm_small):
     """Partitions and the store parts derived from them belong to their
-    graph: they hang on ``_PARTITION_CACHE``'s weakly keyed entry and
-    nowhere else.  A plain module-level container reaching them keeps
-    every graph a process ever sharded alive (measured: +39% peak RSS on
-    the ``bsbm-scale`` ledger workload)."""
+    graph: they are entries of its memo and nowhere else.  A module-level
+    container reaching them keeps every graph a process ever sharded
+    alive (measured: +39% peak RSS on the ``bsbm-scale`` ledger
+    workload)."""
     import collections
     import gc
     import sys
 
     from repro.bench.catalog import get_query
     from repro.core.engines import run_query
-    from repro.shard.execution import ShardRecord
+    from repro.shard.execution import ShardRecord, store_parts
     from repro.shard.partition import Partition, build_partition
 
     run_query(get_query("MG1").sparql, bsbm_small, config=EngineConfig(shards=2))
-    assert build_partition(bsbm_small, "hash", 2).store_parts  # there is a layout to find
+    # There is a layout to find.
+    assert store_parts(bsbm_small, build_partition(bsbm_small, "hash", 2))
 
     plain = (dict, list, tuple, set, frozenset, collections.deque)
 
     def reaches_a_layout(root) -> bool:
         """Follow plain containers (and ``lru_cache`` tables) only: what
-        a weakly keyed mapping holds is not held by the module."""
+        a graph's memo holds is held by the graph, not by the module."""
         seen, stack = set(), [root]
         while stack:
             value = stack.pop()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import ambient
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRICS_SCHEMA,
@@ -12,7 +13,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    active_registry,
     collecting,
     exponential_buckets,
     render_metrics_summary,
@@ -135,13 +135,13 @@ def test_dual_histogram_marks_wall_clock_volatile():
 
 
 def test_collecting_installs_and_restores():
-    assert active_registry() is None
+    assert ambient.registry is None
     with collecting() as registry:
-        assert active_registry() is registry
+        assert ambient.registry is registry
         with collecting() as inner:
-            assert active_registry() is inner
-        assert active_registry() is registry
-    assert active_registry() is None
+            assert ambient.registry is inner
+        assert ambient.registry is registry
+    assert ambient.registry is None
 
 
 # -- exporters -----------------------------------------------------------------

@@ -150,6 +150,46 @@ def test_copy_is_independent(graph):
     assert len(graph) == 4
 
 
+# -- what is derived from the triples is built once per version ----------------
+
+
+def test_a_second_lookup_returns_the_same_object(graph):
+    builds = []
+
+    def build():
+        builds.append(1)
+        return [len(graph)]
+
+    first = graph.derived(("test.layout",), build)
+    assert graph.derived(("test.layout",), build) is first
+    assert graph.derived(("test.other", 2), build) is not first
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("mutate", ["add", "discard"])
+def test_a_mutation_drops_every_entry(graph, mutate):
+    keys = [("test.a",), ("test.b", "hash", 4)]
+    old = {key: graph.derived(key, object) for key in keys}
+    triple = Triple(IRI("urn:a"), IRI("urn:p1"), IRI("urn:b"))
+    if mutate == "add":
+        assert graph.add(Triple(IRI("urn:z"), IRI("urn:p1"), IRI("urn:z")))
+    else:
+        assert graph.discard(triple)
+    assert all(graph.derived(key, object) is not old[key] for key in keys)
+
+
+def test_a_lookup_that_changes_nothing_keeps_the_entries(graph):
+    value = graph.derived(("test.layout",), object)
+    assert not graph.add(Triple(IRI("urn:a"), IRI("urn:p1"), IRI("urn:b")))
+    assert not graph.discard(Triple(IRI("urn:q"), IRI("urn:p1"), IRI("urn:b")))
+    assert graph.derived(("test.layout",), object) is value
+
+
+def test_a_copy_starts_with_an_empty_memo(graph):
+    value = graph.derived(("test.layout",), object)
+    assert graph.copy().derived(("test.layout",), object) is not value
+
+
 # -- the indexes are built on the first read -----------------------------------
 
 

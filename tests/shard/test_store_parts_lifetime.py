@@ -2,11 +2,11 @@
 strategy, shards)``, shared by every query on that graph, never modified
 by one, and gone with the graph.
 
-They hang on the cached :class:`~repro.shard.partition.Partition`
-(``store_parts``), whose cache is weakly keyed by the graph.  Keeping
-them in a module-level dict keyed by partition instead kept every graph
-a process ever sharded alive -- measured at +39% peak RSS on the
-``bsbm-scale`` ledger workload.
+They are an entry of the graph's own memo
+(:func:`~repro.shard.execution.store_parts`), emptied when the graph
+changes.  Keeping them in a module-level dict keyed by partition instead
+kept every graph a process ever sharded alive -- measured at +39% peak
+RSS on the ``bsbm-scale`` ledger workload.
 """
 
 import gc
@@ -26,7 +26,7 @@ from repro.ntga.physical import load_triplegroups
 from repro.ntga.planner import plan_rapid_analytics
 from repro.rdf.terms import IRI
 from repro.rdf.triples import Triple
-from repro.shard.execution import ShardRecord, _part
+from repro.shard.execution import ShardRecord, _part, store_parts
 from repro.shard.partition import build_partition
 
 BSBM = "http://bsbm.example.org/vocabulary/"
@@ -64,11 +64,16 @@ def live_shard_records():
     return sum(1 for obj in gc.get_objects() if type(obj) is ShardRecord)
 
 
-def layout_identity(partition):
+def parts_of(graph, strategy, shards):
+    """The graph's cached store parts under one partition."""
+    return store_parts(graph, build_partition(graph, strategy, shards))
+
+
+def layout_identity(parts):
     """The cached lists, their envelopes and their totals, by identity."""
     return {
-        path: ([(id(part), [id(record) for record in part]) for part in parts], list(totals))
-        for path, (parts, totals) in partition.store_parts.items()
+        path: ([(id(part), [id(record) for record in part]) for part in lists], list(totals))
+        for path, (lists, totals) in parts.items()
     }
 
 
@@ -94,16 +99,16 @@ def test_no_envelope_outlives_its_graph(engine):
     # The layout is what a finished query leaves behind...
     assert live_shard_records() - before == len(graph.subjects())
     del graph
-    # ...and nothing in the process holds it but the graph's cache entry.
+    # ...and nothing in the process holds it but the graph's memo.
     assert live_shard_records() == before
 
 
 def test_two_queries_on_one_graph_share_the_envelopes(graph):
     config = EngineConfig(shards=4, partitioner="hash")
     first, store, _ = run_sharded(graph, CATALOG["MG1"].sparql, config)
-    layout = layout_identity(build_partition(graph, "hash", 4))
+    layout = layout_identity(parts_of(graph, "hash", 4))
     second, _, _ = run_sharded(graph, CATALOG["MG3"].sparql, config)
-    assert layout_identity(build_partition(graph, "hash", 4)) == layout
+    assert layout_identity(parts_of(graph, "hash", 4)) == layout
     shared = 0
     for path in store.paths_by_class.values():
         for shard in range(4):
@@ -122,7 +127,8 @@ def test_a_new_triple_gives_fresh_parts_and_the_unsharded_rows(graph, engine):
     query = analytical("MG1")
     before = engine.execute(query, graph, config).rows
     stale = build_partition(graph, "hash", 4)
-    assert stale.store_parts
+    stale_parts = store_parts(graph, stale)
+    assert stale_parts
     # One more offer for an existing product: MG1's aggregates move.
     offer = IRI("http://bsbm.example.org/instances/OfferAddedLater")
     product = next(t.subject for t in graph if t.property.value == f"{BSBM}productFeature")
@@ -137,10 +143,12 @@ def test_a_new_triple_gives_fresh_parts_and_the_unsharded_rows(graph, engine):
     fresh = build_partition(graph, "hash", 4)
     assert fresh is not stale
     assert offer in fresh.assignment
-    envelopes = [r for parts, _ in fresh.store_parts.values() for part in parts for r in part]
+    envelopes = [
+        r for parts, _ in store_parts(graph, fresh).values() for part in parts for r in part
+    ]
     assert any(record.payload.subject == offer for record in envelopes)
     assert not {id(r) for r in envelopes} & {
-        id(r) for parts, _ in stale.store_parts.values() for part in parts for r in part
+        id(r) for parts, _ in stale_parts.values() for part in parts for r in part
     }
     assert sharded.rows != before  # the answer did move with the graph
     assert sharded.rows == engine.execute(query, graph, EngineConfig()).rows
@@ -152,42 +160,42 @@ def test_another_strategy_or_shard_count_gives_its_own_parts(
 ):
     query = analytical("MG1")
     engine.execute(query, graph, EngineConfig(shards=4, partitioner="hash"))
-    base = layout_identity(build_partition(graph, "hash", 4))
+    base = layout_identity(parts_of(graph, "hash", 4))
     other = engine.execute(
         query, graph, EngineConfig(shards=shards, partitioner=strategy)
     )
     partition = build_partition(graph, strategy, shards)
-    assert all(len(parts) == shards for parts, _ in partition.store_parts.values())
-    for parts, _ in partition.store_parts.values():
+    assert all(len(parts) == shards for parts, _ in store_parts(graph, partition).values())
+    for parts, _ in store_parts(graph, partition).values():
         for shard, part in enumerate(parts):
             assert all(
                 partition.assignment[record.payload.subject] == shard for record in part
             )
-    assert layout_identity(build_partition(graph, "hash", 4)) == base
+    assert layout_identity(parts_of(graph, "hash", 4)) == base
     assert other.rows == engine.execute(query, graph, EngineConfig()).rows
 
 
 def test_default_injection_leaves_the_cached_lists_alone(graph, engine):
     config = EngineConfig(shards=4, partitioner="hash")
     engine.execute(analytical("MG1"), graph, config)
-    partition = build_partition(graph, "hash", 4)
-    layout = layout_identity(partition)
+    parts = parts_of(graph, "hash", 4)
+    layout = layout_identity(parts)
     report = engine.execute(to_analytical(NO_MATCH_QUERY), graph, config)
     assert [
         [value.python_value() for value in row.values()] for row in report.rows
     ] == [[0]]  # the injected default
-    assert layout_identity(partition) == layout
+    assert layout_identity(parts) == layout
 
 
 def test_a_resubmitted_workflow_leaves_the_cached_lists_alone(graph):
     clean = EngineConfig(shards=4, partitioner="hash")
     run_sharded(graph, CATALOG["MG1"].sparql, clean)
-    partition = build_partition(graph, "hash", 4)
-    layout = layout_identity(partition)
+    parts = parts_of(graph, "hash", 4)
+    layout = layout_identity(parts)
     pins = {
         id(record): (record._size, record.order, record.payload)
-        for parts, _ in partition.store_parts.values()
-        for part in parts
+        for lists, _ in parts.values()
+        for part in lists
         for record in part
     }
     faulty = EngineConfig(
@@ -199,9 +207,9 @@ def test_a_resubmitted_workflow_leaves_the_cached_lists_alone(graph):
     )
     _, _, stats = run_sharded(graph, CATALOG["MG1"].sparql, faulty)
     assert stats.recovery.resubmissions >= 1 and stats.recovery.jobs_skipped
-    assert layout_identity(partition) == layout
-    for parts, _ in partition.store_parts.values():
-        for part in parts:
+    assert layout_identity(parts) == layout
+    for lists, _ in parts.values():
+        for part in lists:
             for record in part:
                 size, order, payload = pins[id(record)]
                 assert record._size == size
