@@ -39,7 +39,6 @@ def calibration_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
             {
                 **run.head,
                 "chosen": report.plan_choice.chosen,
-                "source": report.plan_choice.source,
                 "cycles": report.cycles,
                 "cycles_compared": monitor.record_report(run.head["qid"], report),
                 "rows": len(report.rows),

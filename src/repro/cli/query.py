@@ -231,7 +231,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         choice = report.plan_choice
         print(
             f"planner={choice.mode} chose {choice.chosen!r} "
-            f"(priced {choice.chosen_cost:.1f}s, {choice.source})"
+            f"(priced {choice.chosen_cost:.1f}s)"
         )
     if args.verbose and report.stats is not None:
         print()

@@ -121,30 +121,24 @@ def _probe_hive(
 
 
 def _plan_choice(
-    query: AnalyticalQuery, graph: Graph, config: EngineConfig
+    query: AnalyticalQuery, engine: str, graph: Graph | None, config: EngineConfig
 ):
-    """Price the candidates for a RAPIDAnalytics query over *graph*.
+    """The cost planner's choice for a RAPIDAnalytics query over *graph*
+    (None for any other engine, or without a graph).
 
-    Returns a :class:`repro.plan.enumerator.PlanChoice` reflecting the
+    Returns the :class:`repro.plan.enumerator.PlanChoice` that
+    :func:`~repro.plan.enumerator.plan_adaptive` attaches under the
     resolved planner mode (under ``"rule"`` the choice is the rule-order
     candidate, priced for comparison)."""
-    from repro.plan.enumerator import PlanChoice, choose, enumerate_candidates
+    if graph is None or engine != "rapid-analytics":
+        return None
+    from repro.plan.enumerator import plan_adaptive
     from repro.rdf.stats import cached_profile
 
     mode = ambient.PLANNER.resolve(config.planner)
     with ambient.detached():
-        hdfs = HDFS()
-        store = load_triplegroups(graph, hdfs)
-        candidates, star_estimates = enumerate_candidates(
-            query, store, cached_profile(graph), config
-        )
-    chosen = choose(candidates, mode)
-    return PlanChoice(
-        mode=mode,
-        chosen=chosen.name,
-        candidates=tuple(candidates),
-        star_estimates=star_estimates,
-    )
+        store = load_triplegroups(graph, HDFS())
+        return plan_adaptive(query, store, cached_profile(graph), config, mode).choice
 
 
 def _render_choice(choice) -> str:
@@ -249,13 +243,26 @@ def explain(
     layout: per-shard cardinalities, the edge cut, and the estimated
     cross-shard exchange volume."""
     analytical = to_analytical(query)
+    config = config or EngineConfig()
+    return _explain_text(
+        analytical, engine, graph, config, _plan_choice(analytical, engine, graph, config)
+    )
+
+
+def _explain_text(
+    analytical: AnalyticalQuery,
+    engine: str,
+    graph: Graph | None,
+    config: EngineConfig,
+    choice,
+) -> str:
+    """:func:`explain`'s text, the planner section rendered from *choice*."""
     sections = [describe_analytical(analytical)]
     if engine in ("rapid-analytics", "rapid-plus"):
         sections.append(_explain_ntga(analytical, engine))
-        if graph is not None and engine == "rapid-analytics":
-            choice = _plan_choice(analytical, graph, config or EngineConfig())
+        if choice is not None:
             sections.append(_render_choice(choice))
-        if graph is not None and config is not None and config.sharded:
+        if graph is not None and config.sharded:
             sections.append(_render_sharding(_sharding_dict(graph, config)))
     elif engine in ("hive-naive", "hive-mqo"):
         if graph is None:
@@ -263,7 +270,7 @@ def explain(
                 "explaining a Hive plan needs a graph (map-join decisions are "
                 "made at run time from table sizes)"
             )
-        sections.append(_explain_hive(analytical, engine, graph, config or EngineConfig()))
+        sections.append(_explain_hive(analytical, engine, graph, config))
     elif engine == "reference":
         sections.append("reference plan: in-memory algebra evaluation (no MR cycles)")
     else:
@@ -353,21 +360,23 @@ def explain_report(
     chosen candidate's per-cycle row/cost estimates next to what the
     execution measured.  *run* may carry its own
     :class:`~repro.plan.enumerator.PlanChoice` (adaptive executions
-    attach one), which then takes precedence over re-enumerating.
+    attach one), which then takes precedence in ``choice``.  The
+    candidates are priced once, for both the text and ``choice``.
     """
     analytical = to_analytical(query)
     config = config or EngineConfig()
+    priced = _plan_choice(analytical, engine, graph, config)
     report: dict = {
         "schema": EXPLAIN_SCHEMA,
         "engine": engine,
         "decomposition": _decomposition_dict(analytical),
-        "plan_text": explain(analytical, engine, graph, config),
+        "plan_text": _explain_text(analytical, engine, graph, config, priced),
         "choice": None,
         "estimated_vs_actual": None,
     }
-    choice = run.plan_choice if run is not None else None
-    if choice is None and graph is not None and engine == "rapid-analytics":
-        choice = _plan_choice(analytical, graph, config)
+    choice = priced
+    if run is not None and run.plan_choice is not None:
+        choice = run.plan_choice
     if choice is not None:
         report["choice"] = choice.as_dict()
         if run is not None:

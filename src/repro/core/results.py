@@ -65,9 +65,7 @@ class EngineConfig:
     ambient context or the default (see :mod:`repro.ntga.factorized`).
     ``planner`` overrides the plan-selection mode ("rule"/"cost"/"auto");
     None defers to the ambient context or the default (see
-    :mod:`repro.plan`).  ``plan_decision`` names a candidate plan the
-    serve layer's plan cache replays for this query's fingerprint,
-    skipping re-selection (ignored under the rule planner).
+    :mod:`repro.plan`).
     ``shards``/``partitioner`` turn on sharded execution (see
     :mod:`repro.shard`): the graph is partitioned across N simulated
     workers, each shard evaluates the NTGA plan locally, and
@@ -91,7 +89,6 @@ class EngineConfig:
     recovery: RecoveryPolicy | None = None
     representation: str | None = None
     planner: str | None = None
-    plan_decision: str | None = None
     shards: int = 1
     partitioner: str | None = None
 

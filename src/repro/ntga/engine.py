@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
-from repro import ambient, obs
+from repro import obs
 from repro.ambient import PLANNER
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig, ExecutionReport, Row
@@ -190,31 +190,11 @@ class NTGAEngine:
         graph: Graph,
         config: EngineConfig,
     ) -> NTGAPlan:
-        if self._adaptive:
-            mode = PLANNER.resolve(config.planner)
-            if mode != "rule":
-                from repro.plan.enumerator import plan_adaptive
-                from repro.rdf.stats import cached_profile
+        if self._adaptive and (mode := PLANNER.resolve(config.planner)) != "rule":
+            from repro.plan.enumerator import plan_adaptive
+            from repro.rdf.stats import cached_profile
 
-                plan = plan_adaptive(
-                    query,
-                    store,
-                    cached_profile(graph),
-                    config,
-                    mode,
-                    decision=config.plan_decision,
-                )
-                if ambient.registry is not None:
-                    ambient.registry.counter(
-                        "planner_choices_total",
-                        "adaptive planner decisions by mode/candidate/source",
-                        ("mode", "chosen", "source"),
-                    ).labels(
-                        mode=plan.choice.mode,
-                        chosen=plan.choice.chosen,
-                        source=plan.choice.source,
-                    ).inc()
-                return plan
+            return plan_adaptive(query, store, cached_profile(graph), config, mode)
         return self._planner(query, store)
 
     def execute(

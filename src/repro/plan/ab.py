@@ -44,7 +44,6 @@ def planner_ab_report(qids: Iterable[str] = DEFAULT_QUERIES) -> dict[str, Any]:
             {
                 **run.head,
                 "chosen": choice.chosen,
-                "source": choice.source,
                 # ``candidates[0]`` is the rule-order candidate by the
                 # enumerator's contract: no second enumeration needed.
                 "priced_cost": {

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro import obs
+from repro import ambient, obs
 from repro.core.query_model import AnalyticalQuery
 from repro.core.results import EngineConfig
 from repro.errors import PlanningError
@@ -117,9 +117,6 @@ class PlanChoice:
     chosen: str
     candidates: tuple[CandidatePlan, ...]
     star_estimates: tuple[StarEstimate, ...]
-    #: ``"priced"`` (enumerated this execution) or ``"cached"`` (the
-    #: serve layer replayed a previous decision for this fingerprint).
-    source: str = "priced"
 
     def candidate(self, name: str) -> CandidatePlan | None:
         for candidate in self.candidates:
@@ -136,7 +133,6 @@ class PlanChoice:
         return {
             "mode": self.mode,
             "chosen": self.chosen,
-            "source": self.source,
             "candidates": [candidate.as_dict() for candidate in self.candidates],
             "star_estimates": [star.as_dict() for star in self.star_estimates],
         }
@@ -294,23 +290,19 @@ def plan_adaptive(
     stats: GraphStats,
     config: EngineConfig,
     mode: str,
-    decision: str | None = None,
 ) -> NTGAPlan:
     """Compile and price every candidate, pick one — the cost-based
-    entry point.  Returns the chosen candidate's compiled plan.
+    entry point, and the one place a choice is made and announced (the
+    ``planner-choice`` event and the ``planner_choices_total`` counter).
+    Returns the chosen candidate's compiled plan.
 
-    *decision* (a candidate name from the serve layer's plan cache)
-    short-circuits the pick: the candidates are still priced for the
-    EXPLAIN report, but the cached choice wins as long as it still names
-    a candidate.
+    The pick is a pure function of the query, the store, the profile,
+    the config's cost model and the mode: the same inputs always choose
+    the same candidate at the same priced cost.
     """
     compiled, star_estimates = _compiled_candidates(query, store, stats, config)
     candidates = [candidate for candidate, _plan, _events in compiled]
-    source = "cached"
-    chosen = next((c for c in candidates if c.name == decision), None)
-    if chosen is None:
-        source = "priced"
-        chosen = choose(candidates, mode)
+    chosen = choose(candidates, mode)
     _, plan, events = compiled[candidates.index(chosen)]
     for held in events:
         obs.event(held.name, held.attrs)
@@ -319,16 +311,20 @@ def plan_adaptive(
         chosen=chosen.name,
         candidates=tuple(candidates),
         star_estimates=star_estimates,
-        source=source,
     )
     obs.event(
         "planner-choice",
         {
             "mode": mode,
             "chosen": chosen.name,
-            "source": source,
             "candidates": len(candidates),
             "cost": round(chosen.total_cost, 6),
         },
     )
+    if ambient.registry is not None:
+        ambient.registry.counter(
+            "planner_choices_total",
+            "adaptive planner decisions by mode/candidate",
+            ("mode", "chosen"),
+        ).labels(mode=mode, chosen=chosen.name).inc()
     return plan

@@ -12,13 +12,11 @@ graph and exploits cross-request sharing three ways, in order:
    (:func:`repro.ntga.planner.plan_batch`), executed once, and n-split
    (χ) back to each requester.
 
-Under a non-rule planner mode (``EngineConfig.planner`` of ``"cost"``
-or ``"auto"``) the fingerprint-keyed plan cache also remembers the
-cost-based planner's chosen candidate per (fingerprint, graph version,
-engine), and solo re-executions replay it via
-``EngineConfig.plan_decision`` instead of re-selecting.  Rule mode
-never touches that cache, so the default goldens' counters are
-unchanged.
+The plan cache maps raw query texts and canonical forms to their
+fingerprints.  A cost-mode pick is not cached: for one graph version it
+is a pure function of the query, so the cost planner
+(:func:`repro.plan.enumerator.plan_adaptive`) prices and picks afresh on
+every solo run.
 
 Two clocks, one contract.  Requests carry *simulated* arrival times;
 admission, batching windows, worker queueing, latencies, and deadlines
@@ -57,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple
 
 from repro import ambient, obs
-from repro.ambient import PLANNER
 from repro.core.engines import make_engine
 from repro.core.results import EngineConfig, Row, check_supported
 from repro.errors import OverlapError, ReproError, ServeError, SparqlError
@@ -89,8 +86,7 @@ DEGRADED = "degraded"
 #: or cluster cost was spent.
 SHED = "shed"
 
-#: Plan-cache capacity: raw texts, canonical forms and cost-mode plan
-#: choices share it.
+#: Plan-cache capacity: raw texts and canonical forms share it.
 _PLAN_CACHE_SIZE = 128
 
 
@@ -793,11 +789,7 @@ class QueryService:
 
         A re-execution under a fault plan derives a fresh seed — a
         resubmitted workflow gets fresh task fates, not a replay of the
-        crash that killed it (see RetryPolicy.fault_seed).  A solo run
-        under a non-rule planner replays the candidate the plan cache
-        holds for its fingerprint, or stores the one it priced; rule
-        mode never touches that cache (the serve goldens pin its
-        counters)."""
+        crash that killed it (see RetryPolicy.fault_seed)."""
         config = self.config.engine_config
         first = unit.groups[0]
         if unit.attempt > 1 and config.fault_plan is not None:
@@ -815,29 +807,10 @@ class QueryService:
                 )
                 rows_by_group, cost = batch.rows_by_query, batch.cost_seconds
             else:
-                key = (
-                    "plan-choice",
-                    first.fp.digest,
-                    self.graph.version,
-                    self.config.engine,
-                )
-                adaptive = (
-                    self.config.engine == "rapid-analytics"
-                    and PLANNER.resolve(config.planner) != "rule"
-                )
-                decision = self.plan_cache.get(key) if adaptive else None
-                if decision is not None:
-                    obs.event(
-                        "cache-hit", {"cache": "plan-choice", "digest": first.fp.digest}
-                    )
-                    config = replace(config, plan_decision=decision)
                 report = make_engine(self.config.engine).execute(
                     first.fp.query, self.graph, config
                 )
-                choice = report.plan_choice
-                if adaptive and choice is not None and choice.source == "priced":
-                    self.plan_cache.put(key, choice.chosen)
-                if self.calibration is not None and choice is not None:
+                if self.calibration is not None and report.plan_choice is not None:
                     label = first.requests[0][1].label or first.fp.digest[:12]
                     self.calibration.record_report(label, report)
                 rows_by_group, cost = [report.rows], report.cost_seconds

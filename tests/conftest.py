@@ -33,6 +33,34 @@ def canonical_rows(rows) -> Counter:
     )
 
 
+def compiled_candidate(query, store, stats, name):
+    """The cost planner's candidate *name*, priced, and its compiled plan
+    -- what :func:`repro.plan.enumerator.plan_adaptive` would run had it
+    picked *name*."""
+    from repro.plan.enumerator import _compiled_candidates
+
+    compiled, _stars = _compiled_candidates(query, store, stats, EngineConfig())
+    ((candidate, plan, _events),) = [entry for entry in compiled if entry[0].name == name]
+    return candidate, plan
+
+
+def run_candidate(query, graph, name):
+    """Execute the cost planner's candidate *name* as the RAPIDAnalytics
+    engine would; returns the report and the priced candidate."""
+    from repro.ntga.engine import NTGAEngine
+    from repro.rdf.stats import cached_profile
+
+    picked = []
+
+    def planner(query, store):
+        candidate, plan = compiled_candidate(query, store, cached_profile(graph), name)
+        picked.append(candidate)
+        return plan
+
+    report = NTGAEngine("rapid-analytics", planner).execute(query, graph, EngineConfig())
+    return report, picked[0]
+
+
 def canonical_sorted_rows(rows) -> list[tuple[tuple[str, str], ...]]:
     """Engine-independent *sorted canonical form*: every row rendered as
     sorted ``(name, n3)`` pairs, rows sorted — duplicates preserved, so

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.catalog import CATALOG
 from repro.core.query_model import parse_analytical
-from repro.core.results import EngineConfig
 from repro.errors import OverlapError
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
@@ -15,8 +14,9 @@ from repro.ntga.planner import (
     plan_rapid_plus,
 )
 from repro.bench.arms import DEFAULT_QUERIES as PLANNER_AB_QUERIES
-from repro.plan.enumerator import plan_adaptive
 from repro.rdf.stats import cached_profile
+
+from tests.conftest import compiled_candidate
 
 
 @pytest.fixture
@@ -358,9 +358,6 @@ class TestOnePlanShape:
             )
             name = f"sequential:stream={streamed}" if streamed else "sequential"
             # ... and it is the plan the cost planner runs under that name.
-            candidate = plan_adaptive(
-                query, store, cached_profile(bsbm_small), EngineConfig(), "cost", decision=name
-            )
-            assert candidate.choice.chosen == name
+            _, candidate = compiled_candidate(query, store, cached_profile(bsbm_small), name)
             assert shape(candidate) == shape(plan)
             assert candidate.description == plan.description

@@ -68,10 +68,9 @@ class TestReport:
 
     def test_composite_wins_everywhere_on_catalog(self, report):
         """On the paper's own workload the rewrite always wins — the
-        cost planner's pick is ``composite`` with source ``priced``."""
+        cost planner's pick is ``composite``."""
         for run in report["runs"]:
             assert run["chosen"] == "composite", run["qid"]
-            assert run["source"] == "priced", run["qid"]
             assert run["priced_cost"]["cost"] <= run["priced_cost"]["rule"]
 
     def test_render_is_one_line_per_query(self, report):

@@ -31,7 +31,7 @@ from repro.rdf.stats import profile
 from repro.rdf.terms import IRI, Literal
 from repro.rdf.triples import RDF_TYPE, Triple
 
-from tests.conftest import canonical_rows
+from tests.conftest import canonical_rows, compiled_candidate, run_candidate
 
 
 def candidate(name, cost):
@@ -127,11 +127,8 @@ class TestBuildCandidate:
 
     def test_stream_variant_rotates_final_join(self, mg1_setup):
         query, store, stats = mg1_setup
-        config = EngineConfig()
-        base = plan_adaptive(query, store, stats, config, "cost", decision="sequential")
-        rotated = plan_adaptive(
-            query, store, stats, config, "cost", decision="sequential:stream=1"
-        )
+        _, base = compiled_candidate(query, store, stats, "sequential")
+        _, rotated = compiled_candidate(query, store, stats, "sequential:stream=1")
         assert "streams subquery 1" in rotated.description
         assert "streams subquery" not in base.description
         assert len(rotated.jobs) == len(base.jobs)
@@ -144,26 +141,16 @@ class TestPlanAdaptive:
         plan = plan_adaptive(query, store, stats, EngineConfig(), "cost")
         assert plan.choice is not None
         assert plan.choice.mode == "cost"
-        assert plan.choice.source == "priced"
         assert plan.choice.chosen == "composite"
 
-    def test_cached_decision_short_circuits(self, mg1_setup):
+    def test_the_same_inputs_make_the_same_choice(self, mg1_setup):
+        """The pick is a pure function of query, store, profile, config
+        and mode: nothing is gained by remembering it."""
         query, store, stats = mg1_setup
-        plan = plan_adaptive(
-            query, store, stats, EngineConfig(), "cost", decision="sequential"
-        )
-        assert plan.choice.chosen == "sequential"
-        assert plan.choice.source == "cached"
-        # The candidates are still priced for EXPLAIN.
-        assert len(plan.choice.candidates) >= 3
-
-    def test_stale_decision_falls_back_to_pricing(self, mg1_setup):
-        query, store, stats = mg1_setup
-        plan = plan_adaptive(
-            query, store, stats, EngineConfig(), "cost", decision="no-such-plan"
-        )
-        assert plan.choice.source == "priced"
-        assert plan.choice.chosen == "composite"
+        for mode in ("cost", "auto"):
+            first = plan_adaptive(query, store, stats, EngineConfig(), mode)
+            again = plan_adaptive(query, store, stats, EngineConfig(), mode)
+            assert first.choice.as_dict() == again.choice.as_dict()
 
     def test_the_chosen_plan_carries_its_own_estimates(self, mg1_setup):
         """The plan that runs is the plan that was priced: each job holds
@@ -239,10 +226,10 @@ class TestPlannerEvents:
     (counts as at a3f7170)."""
 
     @staticmethod
-    def traced(query, graph, **fields):
+    def traced(query, graph):
         with obs.tracing() as recorder:
             make_engine("rapid-analytics").execute(
-                to_analytical(query), graph, EngineConfig(planner="cost", **fields)
+                to_analytical(query), graph, EngineConfig(planner="cost")
             )
         names = [event.name for event in recorder.events]
         return names, len(recorder.spans)
@@ -253,10 +240,11 @@ class TestPlannerEvents:
         assert spans == 17
 
     def test_a_rejected_candidates_events_stay_out(self, bsbm_tiny):
-        events, _ = self.traced(
-            get_query("MG1").sparql, bsbm_tiny, plan_decision="sequential"
-        )
-        assert events == ["planner-choice"]  # RAPID+ announces nothing
+        # Compiling every candidate compiles the composite too; run the
+        # sequential one and its "composite" event stays held back.
+        with obs.tracing() as recorder:
+            run_candidate(to_analytical(get_query("MG1").sparql), bsbm_tiny, "sequential")
+        assert [event.name for event in recorder.events] == []  # RAPID+ announces nothing
 
     def test_non_overlapping_query(self):
         # The rule plan -- candidates[0], the one chosen here -- is the

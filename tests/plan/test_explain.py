@@ -19,6 +19,7 @@ from repro.core.explain import EXPLAIN_SCHEMA, explain, explain_report
 from repro.core.results import EngineConfig
 from repro.datasets import bsbm
 from repro.obs import metrics
+from repro.plan import enumerator
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden" / "explain"
 
@@ -96,6 +97,19 @@ class TestExplainReport:
         names = [c["name"] for c in choice["candidates"]]
         assert names[0] == "composite"
         assert report["estimated_vs_actual"] is None  # no run supplied
+
+    def test_the_candidates_are_priced_once(self, bsbm_tiny, monkeypatch):
+        """The text's planner section and ``choice`` share one pricing."""
+        calls = []
+        compiled_candidates = enumerator._compiled_candidates
+
+        def counted(*args):
+            calls.append(args)
+            return compiled_candidates(*args)
+
+        monkeypatch.setattr(enumerator, "_compiled_candidates", counted)
+        explain_report(get_query("MG1").sparql, graph=bsbm_tiny)
+        assert len(calls) == 1
 
     def test_estimated_vs_actual_aligns_by_job(self, bsbm_tiny):
         config = EngineConfig(planner="cost")

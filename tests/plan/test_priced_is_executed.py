@@ -14,19 +14,20 @@ captured at the last commit that priced by mirroring the planner
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.bench.catalog import CATALOG
-from repro.core.engines import make_engine, to_analytical
+from repro.core.engines import to_analytical
 from repro.core.results import EngineConfig
 from repro.datasets import generate
 from repro.mapreduce.hdfs import HDFS
 from repro.ntga.physical import load_triplegroups
 from repro.plan import enumerate_candidates
 from repro.rdf.stats import cached_profile
+
+from tests.conftest import run_candidate
 
 PRICED_COSTS = json.loads((Path(__file__).parent / "priced_costs.json").read_text())
 CASES = [(qid, name) for qid, name, _cost in PRICED_COSTS]
@@ -56,28 +57,15 @@ def test_priced_costs_did_not_move(tiny_graphs):
             EngineConfig(),
         )
         priced += [[qid, candidate.name, repr(candidate.total_cost)] for candidate in candidates]
-    if sys.version_info < (3, 12):
-        assert priced == PRICED_COSTS
-    else:
-        # ``total_cost`` is a builtin ``sum`` of floats, which 3.12 made
-        # compensated: the table (captured on 3.11) may be an ulp away.
-        assert [row[:2] for row in priced] == [row[:2] for row in PRICED_COSTS]
-        assert [float(row[2]) for row in priced] == pytest.approx(
-            [float(row[2]) for row in PRICED_COSTS], rel=1e-12
-        )
+    assert priced == PRICED_COSTS
 
 
 @pytest.mark.parametrize("qid, name", CASES)
 def test_the_priced_jobs_are_the_executed_jobs(qid, name, tiny_graphs):
     query = CATALOG[qid]
-    report = make_engine("rapid-analytics").execute(
-        to_analytical(query.sparql),
-        tiny_graphs[query.dataset],
-        EngineConfig(planner="cost", plan_decision=name),
+    report, candidate = run_candidate(
+        to_analytical(query.sparql), tiny_graphs[query.dataset], name
     )
-    choice = report.plan_choice
-    assert (choice.chosen, choice.source) == (name, "cached")
-    candidate = choice.candidate(name)
     executed = report.stats.jobs
     assert [estimate.name for estimate in candidate.jobs] == [job.name for job in executed]
     for estimate, job in zip(candidate.jobs, executed):

@@ -31,6 +31,19 @@ No moved leaf is a row, digest, cycle, record count or cut edge, save
 the few :data:`SIZING_EXCEPTIONS` name with their cause.  The earlier
 transcriptions read each file through the sizing re-cut first
 (:func:`_load`), so they still hash back to their own earlier bytes.
+
+**The planner re-cut: only the replay's own bytes moved.**  The serve
+layer stopped replaying the cost planner's choice, so a
+:class:`~repro.plan.enumerator.PlanChoice` lost its ``source`` (always
+``"priced"`` without a replay): the A/B and calibration rows, the
+``planner-choice`` event, the ``planner_choices_total`` counter and the
+``explain --run --json`` CLI transcript dropped it, and in the
+``cost-planner`` serve cell the replay's
+``cache-hit`` events and plan-cache entries are gone.
+:func:`planner_back` puts each ``"source": "priced"`` back, then
+``golden_recut_planner.json`` -- the parent's value of every other leaf
+that moved -- so each re-cut file hashes to the parent's bytes.
+:func:`_load` undoes it first, before the sizing re-cut.
 """
 
 from __future__ import annotations
@@ -245,7 +258,7 @@ def serve_form(transcripts: Report) -> Report:
 
 def _load(path: Path) -> Report:
     """*path* as the parent of the sizing re-cut wrote it."""
-    return sized_back(path, json.loads(path.read_text()))
+    return sized_back(path, planner_back(path, json.loads(path.read_text())))
 
 
 # -- the sizing re-cut -----------------------------------------------------------
@@ -310,7 +323,7 @@ SIZING_EXCEPTIONS = {
 
 #: Transcripts are written with indent 1, by folder sorted or not;
 #: every other re-cut file in the report writer's format.
-_TRANSCRIPT_SORT_KEYS = {"tests/bench": True, "tests/serve": False}
+_TRANSCRIPT_SORT_KEYS = {"tests/bench": True, "tests/core": False, "tests/serve": False}
 
 
 def _file_bytes(name: str, report: Report) -> str:
@@ -529,3 +542,115 @@ def test_no_removed_field_is_still_written():
             assert not gone_from_rows & row.keys()
         for stats in report["summary"].values():
             assert not gone_from_summaries & stats.keys()
+
+
+# -- the planner re-cut ----------------------------------------------------------
+
+PLANNER_MOVED = json.loads((REPO / "tests" / "golden_recut_planner.json").read_text())
+
+#: SHA-256 of each file's bytes before the planner re-cut.
+BEFORE_PLANNER = {
+    "benchmarks/golden/calibration-mg.json": "4a97c088ab871969cb0e33600f9f0bad8ecff36963727c7a872b42e29e45ff3d",
+    "benchmarks/golden/metrics-chem-overlap.json": "44a9dcbb00282ff1cea127068edd137f220692eb405f57c110b8f0237c9f2987",
+    "benchmarks/golden/planner-ab-mg.json": "f1b3d631a7cb65ab19b2b3c9eac8043630333f3a8681dcc81470ff59451c0761",
+    "tests/bench/ab_transcripts.json": "e4cb363778144c64396e1f140d7af0071d1bcaf011a1896c9aba2fc171e18a51",
+    "tests/core/cli_transcripts.json": "d32a72c2d831a56de0eea955e2fa5282ea2abe9fcee0398d55fccfb069e92404",
+    "tests/serve/transcripts.json": "079e0599f85cca7d642ecc9d4add3727a033b71b3c701fd12df8fa5b2a0888be",
+}
+#: The one CLI case that prints a choice, as ``explain --json`` text.
+EXPLAIN_JSON = ("tests/core/cli_transcripts.json", ["cases", "explain run json", "stdout"])
+
+#: What every choice reported when the pick was priced, not replayed.
+PLANNER_SOURCE = "priced"
+PLANNER_COUNTER = "planner_choices_total"
+PLANNER_COUNTER_HELP = "adaptive planner decisions by mode/candidate/source"
+
+
+def sourced(node: Any) -> Any:
+    """*node* with ``source`` put back wherever a plan choice is
+    reported: A/B and calibration rows, ``planner-choice`` events and the
+    ``planner_choices_total`` counter."""
+    if isinstance(node, list):
+        return [sourced(item) for item in node]
+    if isinstance(node, str) and node.startswith("planner-choice "):
+        return node[:-1] + f", ('source', {PLANNER_SOURCE!r})]"
+    if not isinstance(node, dict):
+        return node
+    node = {key: sourced(value) for key, value in node.items()}
+    if {"qid", "chosen"} <= node.keys():
+        node["source"] = PLANNER_SOURCE
+    if node.get("name") == PLANNER_COUNTER:
+        node["help"] = PLANNER_COUNTER_HELP
+        node["labels"] = [*node["labels"], "source"]
+        for series in node["series"]:
+            series["labels"]["source"] = PLANNER_SOURCE
+    return node
+
+
+def planner_back(path: Path, report: Report) -> Report:
+    """*report* (read from *path*) as the parent of the planner re-cut
+    wrote it: ``source`` put back, then the held leaves -- list items
+    inserted first, each at its index in the parent's list, then every
+    other moved leaf set."""
+    name = _name(path)
+    if name not in BEFORE_PLANNER:
+        return report
+    report = sourced(report)
+    if name == EXPLAIN_JSON[0]:
+        *parents, last = EXPLAIN_JSON[1]
+        case = _at(report, parents)
+        explained = json.loads(case[last])
+        explained["choice"]["source"] = PLANNER_SOURCE
+        case[last] = json.dumps(explained, indent=2, sort_keys=True) + "\n"
+    moved = PLANNER_MOVED.get(name, {})
+    for (*parents, index), value in moved.get("insert", ()):
+        _at(report, parents).insert(index, value)
+    for (*parents, last), value in moved.get("set", ()):
+        _at(report, parents)[last] = value
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(BEFORE_PLANNER))
+def test_the_planner_recut_maps_back_to_the_parent_bytes(name):
+    path = REPO / name
+    text = _file_bytes(name, planner_back(path, json.loads(path.read_text())))
+    assert _sha(text) == BEFORE_PLANNER[name]
+
+
+def _replays_own(keys: list, value: Any, current: Report) -> bool:
+    """Whether a held leaf is the replay's own: a plan-choice
+    ``cache-hit`` event, a ``planner-choice`` event it marked ``cached``,
+    a plan-cache counter or gauge, or the counter series it split by
+    source."""
+    if "events" in keys:
+        return (value.startswith("cache-hit ") and "('cache', 'plan-choice')" in value) or (
+            value.startswith("planner-choice ") and "('source', 'cached')" in value
+        )
+    if "counters" in keys:
+        return keys[-1].startswith("plan_cache_")
+    at = keys.index("series")
+    family = _at(current, keys[:at])
+    return family["name"] == PLANNER_COUNTER or (
+        family["name"].startswith("serve_cache_")
+        and _at(current, keys[: at + 2])["labels"] == {"cache": "plan"}
+    )
+
+
+def test_the_planner_recut_moved_only_the_replay():
+    """Past ``source``, only the cost-mode serve runs moved, and only in
+    what the replay itself wrote: no response, cost or latency."""
+    from dataclasses import fields
+
+    from repro.plan.enumerator import PlanChoice
+
+    assert "source" not in {f.name for f in fields(PlanChoice)}
+    assert PLANNER_MOVED.keys() == {
+        "benchmarks/golden/metrics-chem-overlap.json",
+        "tests/serve/transcripts.json",
+    }
+    for name, moved in PLANNER_MOVED.items():
+        current = json.loads((REPO / name).read_text())
+        for keys, value in [*moved.get("insert", ()), *moved.get("set", ())]:
+            if name == "tests/serve/transcripts.json":
+                assert keys[0] == "cost-planner", keys
+            assert _replays_own(keys, value, current), (name, keys)
